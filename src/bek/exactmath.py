@@ -4,14 +4,23 @@ Scalars are arbitrary-precision rationals (`fractions.Fraction`, always in
 lowest terms).  Polynomials are immutable tuples of Fractions indexed by
 power of x, with trailing zeros trimmed; the zero polynomial is the empty
 tuple and has degree -1 by convention.  Everything in this module is a pure
-function on immutable values, so concurrent use needs no locking.
+function on immutable values, so concurrent use needs no locking; the
+memoized scalar helpers use `functools.lru_cache`, which is thread safe.
+
+The two hot kernel operations, `poly_mul` and the linear combination
+`poly_lincomb`, work internally in the layout of FLINT's `fmpq_poly`:
+integer numerators over one positive common denominator.  The inner loops
+then multiply and add plain integers, and one Fraction per output
+coefficient is built at the end, instead of a Fraction (with its gcd) per
+coefficient product or per scaled term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -49,6 +58,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def pochhammer(z: Fraction | int, k: int) -> Fraction:
     """Rising factorial z(z+1)...(z+k-1); the empty product 1 when k = 0."""
     if k < 0:
@@ -59,6 +69,7 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
 def harmonic(n: int) -> Fraction:
     """Harmonic number H_n = sum_{j=1}^{n} 1/j, with H_0 = 0."""
     if n < 0:
@@ -69,6 +80,7 @@ def harmonic(n: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
 def harmonic_shifted(a: Fraction | int, n: int) -> Fraction:
     """Shifted harmonic number sum_{j=0}^{n-1} 1/(j+a) for a > 0; 0 at n = 0.
 
@@ -84,6 +96,7 @@ def harmonic_shifted(a: Fraction | int, n: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
 def harmonic_second(n: int) -> Fraction:
     """Second-order harmonic number sum_{j=1}^{n} 1/j^2, with value 0 at n = 0."""
     if n < 0:
@@ -133,17 +146,64 @@ def poly_scale(c: Fraction | int, p: Poly) -> Poly:
     return tuple(c * a for a in p)
 
 
+def _int_form(p: Poly) -> tuple[list[int], int]:
+    """Integer numerators of p over the least common denominator of its
+    coefficients, as (numerators, denominator)."""
+    den = 1
+    for c in p:
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _from_int_form(nums: list[int], den: int) -> Poly:
+    """The polynomial with integer numerators `nums` over `den`, trimmed."""
+    while nums and not nums[-1]:
+        nums.pop()
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
+    """Exact linear combination sum_i c_i p_i of (c_i, p_i) pairs.
+
+    Equal to folding `poly_add(acc, poly_scale(c, p))` from ZERO, but the
+    sum is accumulated as integer numerators over one common denominator
+    (the lcm of the terms' denominators, grown as terms arrive) and
+    converted to Fractions once.
+    """
+    acc: list[int] = []
+    den = 1
+    for c, p in terms:
+        if not c or not p:
+            continue
+        nums, p_den = _int_form(p)
+        term_den = c.denominator * p_den
+        grow = term_den // gcd(den, term_den)
+        if grow != 1:
+            den *= grow
+            acc = [v * grow for v in acc]
+        scale = c.numerator * (den // term_den)
+        if len(acc) < len(nums):
+            acc.extend([0] * (len(nums) - len(acc)))
+        for i, v in enumerate(nums):
+            acc[i] += scale * v
+    return _from_int_form(acc, den)
+
+
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Exact coefficient convolution of p and q."""
+    """Exact coefficient convolution of p and q, on integer numerators."""
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
+    p_nums, p_den = _int_form(p)
+    q_nums, q_den = _int_form(q)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p_nums):
+        if not a:
             continue
-        for j, b in enumerate(q):
+        for j, b in enumerate(q_nums):
             out[i + j] += a * b
-    return tuple(out)
+    return _from_int_form(out, p_den * q_den)
 
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:

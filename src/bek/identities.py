@@ -20,9 +20,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, combinations
+from math import factorial, prod
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactmath import (
     ONE,
@@ -36,10 +36,9 @@ from .exactmath import (
     multinomial,
     pochhammer,
     poly,
-    poly_add,
     poly_compose_linear,
+    poly_lincomb,
     poly_mul,
-    poly_scale,
     poly_sub,
 )
 from .sequences import (
@@ -104,15 +103,17 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(isinstance(n, int) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = ZERO
-    for l in range(n + 1):
-        c = binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n)
-        lhs = poly_add(lhs, poly_scale(c, _bern_product((min(l, n - l), max(l, n - l)))))
-    rhs = ZERO
-    for l in range(n + 1):
-        c = binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
-        rhs = poly_add(rhs, poly_scale(c * bernoulli_number(l), bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1)))
+    lhs = poly_lincomb(
+        (binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n),
+         _bern_product((min(l, n - l), max(l, n - l))))
+        for l in range(n + 1)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
+           * bernoulli_number(l), bernoulli_poly(n - l))
+          for l in range(n + 1)),
+        (n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1)),
+    ])
     return lhs, rhs
 
 
@@ -135,31 +136,28 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
     _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
     total = sum(a_vec)
-    lhs = ZERO
     denom = pochhammer(total, n)
-    for parts in composition_parts(n, k):
-        c = Fraction(multinomial(n, parts))
-        for ai, li in zip(a_vec, parts):
-            c *= pochhammer(ai, li)
-        lhs = poly_add(lhs, poly_scale(c / denom, _bern_product(_sorted_key(parts))))
-    rhs = ZERO
-    for j in range(1, min(k, n + 1) + 1):
-        prefactor = Fraction(factorial(n), factorial(n + 1 - j))
-        for subset in combinations(range(k), j):
-            a_j = Fraction(1)
-            for i in subset:
-                a_j *= a_vec[i]
-            complement = [a_vec[i] for i in range(k) if i not in subset]
-            for parts in composition_parts(n + 1 - j, k - j + 1):
-                l0, rest = parts[0], parts[1:]
-                c = a_j * prefactor * multinomial(n + 1 - j, parts)
-                for ai, li in zip(complement, rest):
-                    c *= pochhammer(ai, li)
-                for li in rest:
-                    c *= bernoulli_number(li)
-                if c:
-                    rhs = poly_add(rhs, poly_scale(c / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)))
-    return lhs, rhs
+    lhs = poly_lincomb(
+        (multinomial(n, parts) * prod(pochhammer(ai, li) for ai, li in zip(a_vec, parts)) / denom,
+         _bern_product(_sorted_key(parts)))
+        for parts in composition_parts(n, k)
+    )
+
+    def rhs_terms() -> Iterator[tuple[Fraction, Poly]]:
+        for j in range(1, min(k, n + 1) + 1):
+            prefactor = Fraction(factorial(n), factorial(n + 1 - j))
+            for subset in combinations(range(k), j):
+                a_j = prod(a_vec[i] for i in subset)
+                complement = [a_vec[i] for i in range(k) if i not in subset]
+                for parts in composition_parts(n + 1 - j, k - j + 1):
+                    l0, rest = parts[0], parts[1:]
+                    c = a_j * prefactor * multinomial(n + 1 - j, parts)
+                    for ai, li in zip(complement, rest):
+                        c *= pochhammer(ai, li) * bernoulli_number(li)
+                    if c:
+                        yield c / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
+
+    return lhs, poly_lincomb(rhs_terms())
 
 
 def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
@@ -172,14 +170,17 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(isinstance(n, int) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = ZERO
-    for l in range(n + 1):
-        c = binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n)
-        lhs = poly_add(lhs, poly_scale(c, _euler_product((min(l, n - l), max(l, n - l)))))
-    rhs = poly_scale(Fraction(4, n + 1), bernoulli_poly(n + 1))
-    for l in range(n + 2):
-        c = Fraction(-2, n + 1) * binomial(n + 1, l) * (pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l)
-        rhs = poly_add(rhs, poly_scale(c * euler_poly_at_zero(l), bernoulli_poly(n + 1 - l)))
+    lhs = poly_lincomb(
+        (binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n),
+         _euler_product((min(l, n - l), max(l, n - l))))
+        for l in range(n + 1)
+    )
+    rhs = poly_lincomb([
+        (Fraction(4, n + 1), bernoulli_poly(n + 1)),
+        *((Fraction(-2, n + 1) * binomial(n + 1, l) * (pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l)
+           * euler_poly_at_zero(l), bernoulli_poly(n + 1 - l))
+          for l in range(n + 2)),
+    ])
     return lhs, rhs
 
 
@@ -202,37 +203,32 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
     _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
     total = sum(a_vec)
-    lhs = ZERO
     denom = pochhammer(total, n)
-    for parts in composition_parts(n, k):
-        c = Fraction(multinomial(n, parts))
-        for ai, li in zip(a_vec, parts):
-            c *= pochhammer(ai, li)
-        lhs = poly_add(lhs, poly_scale(c / denom, _euler_product(_sorted_key(parts))))
-    rhs = ZERO
+    lhs = poly_lincomb(
+        (multinomial(n, parts) * prod(pochhammer(ai, li) for ai, li in zip(a_vec, parts)) / denom,
+         _euler_product(_sorted_key(parts)))
+        for parts in composition_parts(n, k)
+    )
     even = k % 2 == 0
-    for j in range(1, k + 1):
-        for subset in combinations(range(k), j):
-            complement = [a_vec[i] for i in range(k) if i not in subset]
-            total_parts = (n + 1) if even else n
-            for parts in composition_parts(total_parts, k - j + 1):
-                l0, rest = parts[0], parts[1:]
-                c = Fraction(multinomial(total_parts, parts))
-                for ai, li in zip(complement, rest):
-                    c *= pochhammer(ai, li)
-                for li in rest:
-                    c *= euler_poly_at_zero(li)
-                if not c:
-                    continue
-                if even:
-                    c *= Fraction(-2) ** j / (n + 1)
-                    c /= pochhammer(total, n + 1 - l0)
-                    rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(l0)))
-                else:
-                    c *= Fraction(-2) ** (j - 1)
-                    c /= pochhammer(total, n - l0)
-                    rhs = poly_add(rhs, poly_scale(c, euler_poly(l0)))
-    return lhs, rhs
+    total_parts = (n + 1) if even else n
+
+    def rhs_terms() -> Iterator[tuple[Fraction, Poly]]:
+        for j in range(1, k + 1):
+            for subset in combinations(range(k), j):
+                complement = [a_vec[i] for i in range(k) if i not in subset]
+                for parts in composition_parts(total_parts, k - j + 1):
+                    l0, rest = parts[0], parts[1:]
+                    c = Fraction(multinomial(total_parts, parts))
+                    for ai, li in zip(complement, rest):
+                        c *= pochhammer(ai, li) * euler_poly_at_zero(li)
+                    if not c:
+                        continue
+                    if even:
+                        yield c * Fraction(-2) ** j / (n + 1) / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
+                    else:
+                        yield c * Fraction(-2) ** (j - 1) / pochhammer(total, n - l0), euler_poly(l0)
+
+    return lhs, poly_lincomb(rhs_terms())
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +269,11 @@ def _matiyasevich(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary1(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n + 1):
-        lhs = poly_add(lhs, _bern_product((min(l, n - l), max(l, n - l))))
-    lhs = poly_scale(Fraction(n + 2), lhs)
-    rhs = ZERO
-    for l in range(n + 1):
-        rhs = poly_add(rhs, poly_scale(2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(binomial(n + 2, 3)), bernoulli_poly(n - 1)))
+    lhs = poly_lincomb((n + 2, _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n + 1))
+    rhs = poly_lincomb([
+        *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1)),
+        (binomial(n + 2, 3), bernoulli_poly(n - 1)),
+    ])
     return lhs, rhs
 
 
@@ -295,130 +288,116 @@ def _corollary2(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n):
-        c = binomial(n, l) * pochhammer(a, l) * factorial(n - l - 1) / pochhammer(a, n)
-        lhs = poly_add(lhs, poly_scale(c, _bern_product((min(l, n - l), max(l, n - l)))))
-    rhs = ZERO
-    for l in range(1, n + 1):
-        c = binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1)
-        rhs = poly_add(rhs, poly_scale(c * bernoulli_number(l), bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(n) / (a + 1), bernoulli_poly(n - 1)))
-    rhs = poly_add(rhs, poly_scale(harmonic_shifted(a, n), bernoulli_poly(n)))
+    lhs = poly_lincomb(
+        (binomial(n, l) * pochhammer(a, l) * factorial(n - l - 1) / pochhammer(a, n),
+         _bern_product((min(l, n - l), max(l, n - l))))
+        for l in range(n)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
+           bernoulli_poly(n - l))
+          for l in range(1, n + 1)),
+        (Fraction(n) / (a + 1), bernoulli_poly(n - 1)),
+        (harmonic_shifted(a, n), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _corollary4_first(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(1, n):
-        lhs = poly_add(lhs, poly_scale(Fraction(1, l * (n - l)), _bern_product((min(l, n - l), max(l, n - l)))))
-    lhs = poly_scale(Fraction(n, 2), lhs)
-    rhs = ZERO
-    for l in range(1, n + 1):
-        rhs = poly_add(rhs, poly_scale(binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(n, 2), bernoulli_poly(n - 1)))
-    rhs = poly_add(rhs, poly_scale(harmonic(n - 1), bernoulli_poly(n)))
+    lhs = poly_lincomb(
+        (Fraction(n, 2 * l * (n - l)), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(1, n)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
+        (Fraction(n, 2), bernoulli_poly(n - 1)),
+        (harmonic(n - 1), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _corollary4_second(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n):
-        c = Fraction((n + 2) * (l + 1), n - l)
-        lhs = poly_add(lhs, poly_scale(c, _bern_product((min(l, n - l), max(l, n - l)))))
-    rhs = ZERO
-    for l in range(1, n + 1):
-        c = binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l)
-        rhs = poly_add(rhs, poly_scale(c * bernoulli_number(l), bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)))
-    rhs = poly_add(rhs, poly_scale((n + 1) * (n + 2) * harmonic_shifted(Fraction(2), n), bernoulli_poly(n)))
+    lhs = poly_lincomb(
+        (Fraction((n + 2) * (l + 1), n - l), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
+          for l in range(1, n + 1)),
+        (Fraction((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)),
+        ((n + 1) * (n + 2) * harmonic_shifted(Fraction(2), n), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _eq_2_12(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n):
-        lhs = poly_add(lhs, poly_scale(Fraction(1, n - l), _bern_product((min(l, n - l), max(l, n - l)))))
-    rhs = ZERO
-    for l in range(1, n + 1):
-        rhs = poly_add(rhs, poly_scale(binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(n, 2), bernoulli_poly(n - 1)))
-    rhs = poly_add(rhs, poly_scale(harmonic(n), bernoulli_poly(n)))
+    lhs = poly_lincomb(
+        (Fraction(1, n - l), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
+        (Fraction(n, 2), bernoulli_poly(n - 1)),
+        (harmonic(n), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _corollary5(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n + 1):
-        lhs = poly_add(lhs, poly_scale(Fraction(binomial(n, l)) * bernoulli_number(l), bernoulli_poly(n - l)))
-    rhs = poly_add(
-        poly_scale(Fraction(n), poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))),
-        poly_scale(Fraction(-(n - 1)), bernoulli_poly(n)),
+    lhs = poly_lincomb(
+        (binomial(n, l) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1)
     )
+    rhs = poly_lincomb([
+        (n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))),
+        (-(n - 1), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _corollary6(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n + 1):
-        c = binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l
-        lhs = poly_add(lhs, poly_scale(c, bernoulli_poly(n - l)))
-    rhs = poly_scale(
-        Fraction(n) / Fraction(2) ** n,
-        poly_mul(poly([-1, 2]), poly_compose_linear(bernoulli_poly(n - 1), 2)),
+    lhs = poly_lincomb(
+        (binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l)) for l in range(n + 1)
     )
-    rhs = poly_add(rhs, poly_scale(Fraction(-(n - 1)) / Fraction(2) ** n, poly_compose_linear(bernoulli_poly(n), 2)))
-    rhs = poly_add(rhs, poly_scale(Fraction(-n, 4), bernoulli_poly(n - 1)))
+    rhs = poly_lincomb([
+        (Fraction(n) / Fraction(2) ** n, poly_mul(poly([-1, 2]), poly_compose_linear(bernoulli_poly(n - 1), 2))),
+        (Fraction(-(n - 1)) / Fraction(2) ** n, poly_compose_linear(bernoulli_poly(n), 2)),
+        (Fraction(-n, 4), bernoulli_poly(n - 1)),
+    ])
     return lhs, rhs
 
 
 def _eq_2_15(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(n + 1):
-        lhs = poly_add(lhs, poly_scale(Fraction(binomial(n, l)), _bern_product((min(l, n - l), max(l, n - l)))))
-    lhs = poly_scale(Fraction(1) / Fraction(2) ** n, lhs)
-    rhs = ZERO
-    for l in range(n + 1):
-        c = binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(n, 4), bernoulli_poly(n - 1)))
+    lhs = poly_lincomb(
+        (Fraction(binomial(n, l), 2 ** n), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n + 1)
+    )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l)) for l in range(n + 1)),
+        (Fraction(n, 4), bernoulli_poly(n - 1)),
+    ])
     return lhs, rhs
 
 
 def _corollary7(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(1, n):
-        c = (harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l))
-        lhs = poly_add(lhs, poly_scale(c, _bern_product((min(l, n - l), max(l, n - l)))))
-    lhs = poly_scale(Fraction(n), lhs)
-    rhs = ZERO
-    for l in range(1, n + 1):
-        c = binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(Fraction(n), bernoulli_poly(n - 1)))
-    rhs = poly_add(
-        rhs,
-        poly_scale(
-            Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)),
-            bernoulli_poly(n),
-        ),
+    lhs = poly_lincomb(
+        (n * (harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l)),
+         _bern_product((min(l, n - l), max(l, n - l))))
+        for l in range(1, n)
     )
+    rhs = poly_lincomb([
+        *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
+          for l in range(1, n + 1)),
+        (n, bernoulli_poly(n - 1)),
+        (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)), bernoulli_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for parts in composition_parts(n, 3):
-        lhs = poly_add(lhs, _bern_product(_sorted_key(parts)))
-    lhs = poly_scale(Fraction(n + 3), lhs)
-    rhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        c = 3 * binomial(n + 3, i) * bernoulli_number(j) * bernoulli_number(l)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    for i, j in composition_parts(n - 1, 2):
-        c = 3 * binomial(n + 3, i) * bernoulli_number(j)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    rhs = poly_add(rhs, poly_scale(Fraction(binomial(n + 3, 5)), bernoulli_poly(n - 2)))
+    lhs = poly_lincomb((n + 3, _bern_product(_sorted_key(parts))) for parts in composition_parts(n, 3))
+    rhs = poly_lincomb([
+        *((3 * binomial(n + 3, i) * bernoulli_number(j) * bernoulli_number(l), bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((3 * binomial(n + 3, i) * bernoulli_number(j), bernoulli_poly(i))
+          for i, j in composition_parts(n - 1, 2)),
+        (binomial(n + 3, 5), bernoulli_poly(n - 2)),
+    ])
     return lhs, rhs
 
 
@@ -443,38 +422,38 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Poly, Poly]:
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        c = pochhammer(eps, i) * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, n)
-        c /= factorial(i) * factorial(j) * factorial(l)
-        lhs = poly_add(lhs, poly_scale(c, _bern_product(_sorted_key((i, j, l)))))
-    rhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        c = 3 * eps * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, j + l + 1)
-        c *= bernoulli_number(j) * bernoulli_number(l)
-        c /= factorial(i) * factorial(j) * factorial(l)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    for i, j in composition_parts(n - 1, 2):
-        c = 3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
-        c *= bernoulli_number(j)
-        c /= factorial(i) * factorial(j)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    rhs = poly_add(rhs, poly_scale(eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)))
+    lhs = poly_lincomb(
+        (pochhammer(eps, i) * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, n)
+         / (factorial(i) * factorial(j) * factorial(l)),
+         _bern_product(_sorted_key((i, j, l))))
+        for i, j, l in composition_parts(n, 3)
+    )
+    rhs = poly_lincomb([
+        *((3 * eps * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, j + l + 1)
+           * bernoulli_number(j) * bernoulli_number(l) / (factorial(i) * factorial(j) * factorial(l)),
+           bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
+           * bernoulli_number(j) / (factorial(i) * factorial(j)),
+           bernoulli_poly(i))
+          for i, j in composition_parts(n - 1, 2)),
+        (eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)),
+    ])
     return lhs, rhs
 
 
 def _corollary8(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for parts in composition_parts(n, 3):
-        lhs = poly_add(lhs, poly_scale(Fraction(multinomial(n, parts)), _bern_product(_sorted_key(parts))))
-    rhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        c = multinomial(n, (i, j, l)) * Fraction(3) ** i * bernoulli_number(j) * bernoulli_number(l)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    for i in range(n):
-        c = n * binomial(n - 1, i) * Fraction(3) ** i * bernoulli_number(n - 1 - i)
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(i)))
-    rhs = poly_add(rhs, poly_scale(n * (n - 1) * Fraction(3) ** (n - 3), bernoulli_poly(n - 2)))
+    lhs = poly_lincomb(
+        (multinomial(n, parts), _bern_product(_sorted_key(parts))) for parts in composition_parts(n, 3)
+    )
+    rhs = poly_lincomb([
+        *((multinomial(n, (i, j, l)) * Fraction(3) ** i * bernoulli_number(j) * bernoulli_number(l),
+           bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((n * binomial(n - 1, i) * Fraction(3) ** i * bernoulli_number(n - 1 - i), bernoulli_poly(i))
+          for i in range(n)),
+        (n * (n - 1) * Fraction(3) ** (n - 3), bernoulli_poly(n - 2)),
+    ])
     return lhs, rhs
 
 
@@ -518,86 +497,76 @@ def _corollary9(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary10_first(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(1, n - 1):
-        c = Fraction(1, l * (n - l - 1))
-        lhs = poly_add(lhs, poly_scale(c, _euler_product(_sorted_key((l, n - l - 1)))))
-    rhs = ZERO
-    for l in range(1, n):
-        c = 4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l))
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(n - l)))
-    rhs = poly_add(rhs, poly_scale(2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1)))
-    rhs = poly_add(rhs, _const(4 * harmonic(n - 1) / Fraction(n - 1) * euler_poly_at_zero(n) / n))
+    lhs = poly_lincomb(
+        (Fraction(1, l * (n - l - 1)), _euler_product(_sorted_key((l, n - l - 1)))) for l in range(1, n - 1)
+    )
+    rhs = poly_lincomb([
+        *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
+           bernoulli_poly(n - l))
+          for l in range(1, n)),
+        (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1)),
+        (4 * harmonic(n - 1) / Fraction(n - 1) * euler_poly_at_zero(n) / n, ONE),
+    ])
     return lhs, rhs
 
 
 def _corollary10_second(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(1, n):
-        c = (harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l))
-        lhs = poly_add(lhs, poly_scale(c, _euler_product(_sorted_key((l, n - l)))))
-    rhs = poly_scale(
-        Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)
+    lhs = poly_lincomb(
+        ((harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l)), _euler_product(_sorted_key((l, n - l))))
+        for l in range(1, n)
     )
-    for l in range(1, n + 1):
-        c = (
-            binomial(n - 1, l - 1)
-            * (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1))
-            * euler_poly_at_zero(l)
-            / Fraction(l * (n + 1 - l))
-        )
-        rhs = poly_add(rhs, poly_scale(c, bernoulli_poly(n + 1 - l)))
-    rhs = poly_add(
-        rhs,
-        _const((harmonic(n) ** 2 + 3 * harmonic_second(n)) / Fraction(n) * euler_poly_at_zero(n + 1) / (n + 1)),
-    )
+    rhs = poly_lincomb([
+        (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
+        *((binomial(n - 1, l - 1)
+           * (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1))
+           * euler_poly_at_zero(l)
+           / Fraction(l * (n + 1 - l)),
+           bernoulli_poly(n + 1 - l))
+          for l in range(1, n + 1)),
+        ((harmonic(n) ** 2 + 3 * harmonic_second(n)) / Fraction(n) * euler_poly_at_zero(n + 1) / (n + 1), ONE),
+    ])
     return lhs, rhs
 
 
+def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
+    """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0))."""
+    yield c, _euler_product(_sorted_key((l, m)))
+    yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
+
+
 def _corollary11_first(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for l in range(1, n):
-        centered = poly_sub(
-            _euler_product(_sorted_key((l, n - l))),
-            _const(euler_poly_at_zero(l) * euler_poly_at_zero(n - l)),
-        )
-        lhs = poly_add(lhs, poly_scale(Fraction(1, l * (n - l)), centered))
-    rhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        if i < 1 or j < 1 or l < 1:
-            continue
-        c = binomial(n - 1, i) * (euler_poly_at_zero(j) / j) * (euler_poly_at_zero(l) / l)
-        rhs = poly_add(rhs, poly_scale(c, euler_poly(i)))
-    rhs = poly_add(rhs, poly_scale(2 * harmonic(n - 1) / Fraction(n), euler_poly(n)))
+    lhs = poly_lincomb(chain.from_iterable(
+        _centered_euler_pair(Fraction(1, l * (n - l)), l, n - l) for l in range(1, n)
+    ))
+    rhs = poly_lincomb([
+        *((binomial(n - 1, i) * (euler_poly_at_zero(j) / j) * (euler_poly_at_zero(l) / l), euler_poly(i))
+          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+        (2 * harmonic(n - 1) / Fraction(n), euler_poly(n)),
+    ])
     return lhs, rhs
 
 
 def _corollary11_second(n: int) -> tuple[Poly, Poly]:
-    lhs = ZERO
-    for i, j, l in composition_parts(n, 3):
-        if i < 1 or j < 1 or l < 1:
-            continue
-        lhs = poly_add(lhs, poly_scale(Fraction(1, i * j * l), _euler_product(_sorted_key((i, j, l)))))
-    lhs = poly_scale(Fraction(1, 3), lhs)
-    rhs = poly_scale(-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n))
-    for i, j, l in composition_parts(n, 3):
-        if i < 1 or j < 1 or l < 1:
-            continue
-        c = (
-            binomial(n - 1, i)
-            * (harmonic(j - 1) + harmonic(l - 1) - 3 * harmonic(j + l - 1))
-            * euler_poly_at_zero(j)
-            * euler_poly_at_zero(l)
-            / Fraction(j * l)
-        )
-        rhs = poly_add(rhs, poly_scale(c, euler_poly(i)))
-    for l in range(1, n):
-        centered = poly_sub(
-            _euler_product(_sorted_key((l, n - l))),
-            _const(euler_poly_at_zero(l) * euler_poly_at_zero(n - l)),
-        )
-        c = (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)) / Fraction(l * (n - l))
-        rhs = poly_add(rhs, poly_scale(c, centered))
+    lhs = poly_lincomb(
+        (Fraction(1, 3 * i * j * l), _euler_product(_sorted_key((i, j, l))))
+        for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1
+    )
+    rhs = poly_lincomb([
+        (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n)),
+        *((binomial(n - 1, i)
+           * (harmonic(j - 1) + harmonic(l - 1) - 3 * harmonic(j + l - 1))
+           * euler_poly_at_zero(j)
+           * euler_poly_at_zero(l)
+           / Fraction(j * l),
+           euler_poly(i))
+          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+        *chain.from_iterable(
+            _centered_euler_pair(
+                (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)) / Fraction(l * (n - l)), l, n - l
+            )
+            for l in range(1, n)
+        ),
+    ])
     return lhs, rhs
 
 
@@ -1305,7 +1274,9 @@ def verify(
     for pt in grid:
         start = time.perf_counter()
         displays = entry.evaluate(pt)
-        elapsed = time.perf_counter() - start
+        # one evaluation serves every display of the point: split its time
+        # evenly, so that the reports' times add up to the measured total
+        elapsed = (time.perf_counter() - start) / len(displays)
         for label, lhs, rhs in displays:
             diff = poly_sub(lhs, rhs)
             inputs = dict(pt)

@@ -5,9 +5,12 @@ recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 solved for B_n.  The Euler-side
 values are bootstrapped without circularity: Genocchi numbers from G_n =
 2(1 - 2^n) B_n, the zero values E_n(0) = G_{n+1}/(n+1), the Euler numbers as
 E_n = 2^n E_n(1/2) with the half-point value read off the zero-anchored
-expansion, and finally the Euler polynomials from their expansion around
-x = 1/2 in powers of (x - 1/2).  Unit tests recompute each table by an
-independent second route readily available from the others.
+expansion, and finally the Euler polynomials from their Appell expansion
+E_n(x) = sum_j C(n, j) E_j(0) x^{n-j}, filled coefficient by coefficient
+like the Bernoulli polynomials, with no polynomial products.  Unit tests
+recompute each table by an independent second route readily available
+from the others (for E_n(x), the expansion around x = 1/2 in powers of
+(x - 1/2)).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from .exactmath import ONE, Poly, ZERO, poly, poly_add, poly_mul, poly_scale
+from .exactmath import Poly, poly
 
 
 class SequenceCache:
@@ -100,22 +103,16 @@ class SequenceCache:
         return self._bernoulli_poly[n]
 
     def euler_poly(self, n: int) -> Poly:
-        """Exact E_n(x) = sum_j C(n, j) (E_j / 2^j) (x - 1/2)^{n-j}; monic of degree n."""
+        """Exact E_n(x) = sum_j C(n, j) E_j(0) x^{n-j}; monic of degree n."""
         if n < 0:
             raise ValueError(f"euler_poly requires n >= 0, got n={n}")
         with self._lock:
             while len(self._euler_poly) <= n:
                 m = len(self._euler_poly)
-                base = poly([Fraction(-1, 2), Fraction(1)])
-                power = ONE
-                out = ZERO
-                # power tracks (x - 1/2)^(m - j) as j descends from m to 0
-                for j in range(m, -1, -1):
-                    c = comb(m, j) * self.euler_number(j) / Fraction(2) ** j
-                    out = poly_add(out, poly_scale(c, power))
-                    if j > 0:
-                        power = poly_mul(power, base)
-                self._euler_poly.append(out)
+                coeffs = [Fraction(0)] * (m + 1)
+                for j in range(m + 1):
+                    coeffs[m - j] = comb(m, j) * self.euler_poly_at_zero(j)
+                self._euler_poly.append(poly(coeffs))
         return self._euler_poly[n]
 
 

@@ -12,8 +12,9 @@ Sampling is blocked: sample index space is cut into fixed-size blocks and
 each block gets its own generator spawned from the master seed and the
 block index alone.  Workers may therefore split blocks among themselves in
 any way; the merged estimate depends only on the seed and sample count,
-never on the shard layout.  Block sums are merged with compensated
-summation so the final reduction is also order-insensitive in practice.
+never on the shard layout.  Block sums, and the blocks' sums of squared
+deviations about their own means, are merged with compensated summation
+so the final reduction is also order-insensitive in practice.
 """
 
 from __future__ import annotations
@@ -130,22 +131,27 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     exponents = np.array([float(v) for v in q.l_vec])
     remaining = q.samples
     block = 0
-    block_sums: list[float] = []
-    block_sq_sums: list[float] = []
+    # per block: sample count, sum, and sum of squared deviations about
+    # the block's own mean
+    blocks: list[tuple[int, float, float]] = []
     while remaining > 0:
         m = min(BLOCK_SIZE, remaining)
         rng = block_generator(q.seed, block)
         draws = rng.standard_gamma(shapes, size=(m, q.k))
         weights = draws / draws.sum(axis=1, keepdims=True)
         values = np.prod(weights ** exponents, axis=1)
-        block_sums.append(float(values.sum()))
-        block_sq_sums.append(float(np.square(values).sum()))
+        block_sum = float(values.sum())
+        deviations = values - block_sum / m
+        blocks.append((m, block_sum, float(np.dot(deviations, deviations))))
         remaining -= m
         block += 1
     n = q.samples
-    mean = math.fsum(block_sums) / n
-    second = math.fsum(block_sq_sums)
-    variance = max(second - n * mean * mean, 0.0) / (n - 1)
+    mean = math.fsum(s_b for _, s_b, _ in blocks) / n
+    # The blocks' squared deviations are moved to the overall mean (Chan,
+    # Golub & LeVeque); a one-pass sum(v^2) - n mean^2 cancels to nothing
+    # for concentrated shapes.
+    m2 = math.fsum(m2_b + m_b * (s_b / m_b - mean) ** 2 for m_b, s_b, m2_b in blocks)
+    variance = m2 / (n - 1)
     return MomentEstimate(mean=mean, stderr=math.sqrt(variance / n), n_samples=n, exact=exact)
 
 

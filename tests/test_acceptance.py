@@ -301,6 +301,23 @@ def test_criterion_10_mutation_detection(capsys):
         assert any(r["status"] == "fail" for r in reports)
         clean = verify("euler-1-2", build_points(REGISTRY["euler-1-2"], tuple(range(1, 13)), None, None))
         assert _all_pass(clean)
+        # every entry, at its first default point: a small rational added to
+        # the right side's constant or top coefficient must be caught
+        delta = F(1, 997)
+        for name, entry in REGISTRY.items():
+            point = build_points(entry)[0]
+            assert _all_pass(verify(name, [point]))
+            for top in (False, True):
+                def perturbed(pt, evaluate=entry.evaluate, top=top):
+                    out = []
+                    for label, lhs, rhs in evaluate(pt):
+                        power = max(len(rhs) - 1, 0) if top else 0
+                        out.append((label, lhs, poly_add(rhs, poly([0] * power + [delta]))))
+                    return out
+
+                registry = {name: dataclasses.replace(entry, evaluate=perturbed)}
+                reports = verify(name, [point], registry=registry)
+                assert reports and all(r.status == "fail" for r in reports), (name, top)
 
 
 def test_full_sweep_budget(capsys):

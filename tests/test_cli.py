@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,6 +170,21 @@ class TestVerifyCommand:
         assert code == 0
         (report,) = json.loads(out)
         assert report["elapsed_ms"] > 0
+
+
+    def test_timings_split_across_displays(self, monkeypatch):
+        # a clock that advances one second per reading: each evaluation of a
+        # corollary4 point takes exactly 1 s and serves two displays
+        ticks = iter(range(1000))
+        clock = SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        monkeypatch.setattr("bek.identities.time", clock)
+        code, out, _ = _run(RunConfig(command="verify", identity="corollary4",
+                                      n_range=(3, 4), format="json", timings=True))
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["inputs"]["display"] for r in reports] == ["a=1", "a=2"] * 2
+        assert [r["elapsed_ms"] for r in reports] == [500.0] * 4
+        assert sum(r["elapsed_ms"] for r in reports) == 2000.0
 
 
 class TestColorHandling:

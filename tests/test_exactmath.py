@@ -26,6 +26,7 @@ from bek.exactmath import (
     poly_degree,
     poly_derivative,
     poly_eval,
+    poly_lincomb,
     poly_mul,
     poly_scale,
     poly_shift,
@@ -34,6 +35,36 @@ from bek.exactmath import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)
+# coefficients with large, mostly coprime denominators stress the common
+# denominator of the integer-numerator kernel
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+wide_polys = st.lists(wide_rationals, max_size=8).map(poly)
+scalars = st.one_of(st.integers(-30, 30), rationals, wide_rationals, st.just(0), st.just(Fraction(0)))
+
+
+def _fold(terms) -> tuple:
+    """The scaled-add loop that poly_lincomb replaces."""
+    acc = ZERO
+    for c, p in terms:
+        acc = poly_add(acc, poly_scale(c, p))
+    return acc
+
+
+def _schoolbook_mul(p, q) -> tuple:
+    """The Fraction convolution that the integer poly_mul replaced."""
+    if not p or not q:
+        return ZERO
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _all_fractions(p) -> bool:
+    return all(type(c) is Fraction for c in p)
 
 
 class TestCombinatorics:
@@ -78,6 +109,46 @@ class TestCombinatorics:
     @given(rationals, st.integers(0, 8), st.integers(0, 8))
     def test_pochhammer_splits_multiplicatively(self, z, m, k):
         assert pochhammer(z, m + k) == pochhammer(z, m) * pochhammer(z + m, k)
+
+
+class TestMemoizedScalars:
+    @given(st.integers(-12, 12), st.integers(0, 10))
+    def test_pochhammer_int_and_fraction_agree(self, z, k):
+        expected = Fraction(1)
+        for i in range(k):
+            expected *= z + i
+        assert pochhammer(z, k) == pochhammer(Fraction(z), k) == expected
+        assert type(pochhammer(z, k)) is Fraction
+        assert type(pochhammer(Fraction(z), k)) is Fraction
+
+    @given(st.integers(1, 9), st.integers(0, 12))
+    def test_harmonic_shifted_int_and_fraction_agree(self, a, n):
+        expected = sum((Fraction(1, a + j) for j in range(n)), Fraction(0))
+        assert harmonic_shifted(a, n) == harmonic_shifted(Fraction(a), n) == expected
+        assert type(harmonic_shifted(a, n)) is Fraction
+
+    @given(st.integers(0, 30))
+    def test_harmonics_match_direct_sums(self, n):
+        assert harmonic(n) == sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+        assert harmonic_second(n) == sum((Fraction(1, j * j) for j in range(1, n + 1)), Fraction(0))
+        # a cached value is returned unchanged on a repeated call
+        assert harmonic(n) == harmonic(n) and harmonic_second(n) == harmonic_second(n)
+
+    def test_negative_arguments_still_raise(self):
+        # exceptions are not cached: every call raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pochhammer(Fraction(1, 2), -1)
+            with pytest.raises(ValueError):
+                pochhammer(3, -2)
+            with pytest.raises(ValueError):
+                harmonic(-1)
+            with pytest.raises(ValueError):
+                harmonic_second(-1)
+            with pytest.raises(ValueError):
+                harmonic_shifted(Fraction(1), -1)
+            with pytest.raises(ValueError):
+                harmonic_shifted(-2, 3)
 
 
 class TestHarmonics:
@@ -149,6 +220,43 @@ class TestPolynomials:
         lhs = poly_derivative(poly_mul(p, q))
         rhs = poly_add(poly_mul(poly_derivative(p), q), poly_mul(p, poly_derivative(q)))
         assert lhs == rhs
+
+
+class TestIntegerKernel:
+    @given(st.lists(st.tuples(scalars, st.one_of(small_polys, wide_polys)), max_size=8))
+    def test_lincomb_matches_fold(self, terms):
+        out = poly_lincomb(terms)
+        assert out == _fold(terms)
+        assert _all_fractions(out)
+        assert poly_lincomb(iter(terms)) == out
+
+    def test_lincomb_of_nothing_is_zero(self):
+        p = poly([Fraction(1, 3), 2])
+        assert poly_lincomb([]) == ZERO
+        assert poly_lincomb([(5, ZERO), (0, p), (Fraction(0), p)]) == ZERO
+
+    @given(scalars, st.one_of(small_polys, wide_polys), st.one_of(small_polys, wide_polys))
+    def test_lincomb_cancels_to_zero(self, c, p, q):
+        assert poly_lincomb([(c, p), (1, q), (-c, p), (-1, q)]) == ZERO
+
+    def test_lincomb_trims_cancelled_leading_terms(self):
+        p = poly([1, Fraction(2, 3), Fraction(5, 7), 4])
+        q = poly([Fraction(1, 2), Fraction(2, 3), 1, 2])
+        out = poly_lincomb([(1, p), (-2, q)])
+        assert out == poly([0, Fraction(-2, 3), Fraction(-9, 7)])
+        assert len(out) == 3
+
+    @given(st.one_of(small_polys, wide_polys), st.one_of(small_polys, wide_polys))
+    def test_mul_matches_schoolbook(self, p, q):
+        out = poly_mul(p, q)
+        assert out == _schoolbook_mul(p, q)
+        assert _all_fractions(out)
+
+    def test_mul_frozen(self):
+        assert poly_mul(poly([Fraction(-1, 2), 1]), poly([Fraction(1, 3), 1])) == poly(
+            [Fraction(-1, 6), Fraction(-1, 6), 1]
+        )
+        assert poly_mul(ZERO, ONE) == ZERO
 
 
 class TestCompositions:

@@ -7,7 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from bek.exactmath import binomial, poly, poly_add, poly_derivative, poly_eval, poly_shift, poly_sub
+from bek.exactmath import (
+    ONE,
+    ZERO,
+    binomial,
+    poly,
+    poly_add,
+    poly_derivative,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+    poly_sub,
+)
 from bek.sequences import (
     SequenceCache,
     bernoulli_number,
@@ -22,6 +34,19 @@ from bek.sequences import (
 TABLE_B = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
 TABLE_E = [1, 0, -1, 0, 5, 0, -61]
 TABLE_G = [0, 1, -1, 0, 1, 0, -3]
+
+
+def _euler_poly_about_half(n: int):
+    """E_n(x) = sum_j C(n, j) (E_j / 2^j) (x - 1/2)^{n-j}: the expansion
+    around the midpoint, through the Euler numbers instead of E_j(0)."""
+    base = poly([Fraction(-1, 2), 1])
+    power = ONE
+    out = ZERO
+    # power tracks (x - 1/2)^(n - j) as j descends from n to 0
+    for j in range(n, -1, -1):
+        out = poly_add(out, poly_scale(binomial(n, j) * euler_number(j) / Fraction(2) ** j, power))
+        power = poly_mul(power, base)
+    return out
 
 
 class TestNumberTables:
@@ -67,6 +92,10 @@ class TestPolynomialTables:
         for n in range(20):
             assert poly_eval(bernoulli_poly(n), 0) == bernoulli_number(n)
             assert poly_eval(euler_poly(n), 0) == euler_poly_at_zero(n)
+
+    def test_euler_poly_matches_midpoint_expansion(self):
+        for n in range(41):
+            assert euler_poly(n) == _euler_poly_about_half(n)
 
     def test_euler_poly_at_zero_from_genocchi(self):
         for n in range(20):

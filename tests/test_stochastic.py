@@ -166,6 +166,28 @@ class TestMonteCarlo:
         again = block_generator(11, 0).standard_gamma(1.0, size=(BLOCK_SIZE, 2))
         assert np.array_equal(small, again)
 
+    def test_stderr_matches_two_pass_variance(self):
+        # regenerate every block's values and compare with numpy's two-pass
+        # sample variance over the whole sample
+        q = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), 2 * BLOCK_SIZE + 17, 7)
+        est = dirichlet_moment_mc(q)
+        values = []
+        for block, m in enumerate((BLOCK_SIZE, BLOCK_SIZE, 17)):
+            draws = block_generator(q.seed, block).standard_gamma([1.0, 2.0, 0.5], size=(m, 3))
+            weights = draws / draws.sum(axis=1, keepdims=True)
+            values.append(np.prod(weights ** np.array([2.0, 1.0, 3.0]), axis=1))
+        values = np.concatenate(values)
+        expected = math.sqrt(np.var(values, ddof=1) / q.samples)
+        assert est.stderr == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [10**8, 10**10])
+    def test_concentrated_shapes_keep_a_positive_stderr(self, shape):
+        # u_1 u_2 is nearly constant here; a one-pass sum(v^2) - n mean^2
+        # cancelled to a zero stderr, which demands exact agreement and fails
+        est = dirichlet_moment_mc(MomentQuery((F(shape), F(shape)), (1, 1), 200_000, 42))
+        assert est.stderr > 0
+        assert est.within(4.0)
+
     def test_estimate_within_logic(self):
         est = MomentEstimate(mean=1.0, stderr=0.1, n_samples=10, exact=F(1))
         assert est.within(0.0)
