@@ -11,11 +11,9 @@ exposes the same checks for batch runs.
 from __future__ import annotations
 
 from .exactmath import (
-    Composition,
     Poly,
     Rational,
     binomial,
-    compositions,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -56,13 +54,11 @@ from .stochastic import (
     dirichlet_moment_exact,
     dirichlet_moment_mc,
     normalization_check,
-    sample_gamma,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition",
     "DomainError",
     "IdentityReport",
     "IdentitySpec",
@@ -78,7 +74,6 @@ __all__ = [
     "bernoulli_poly",
     "binomial",
     "build_points",
-    "compositions",
     "dirichlet_moment_exact",
     "dirichlet_moment_mc",
     "eval_corollary",
@@ -101,6 +96,5 @@ __all__ = [
     "pochhammer",
     "poly",
     "poly_eval",
-    "sample_gamma",
     "verify",
 ]

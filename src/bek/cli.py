@@ -43,6 +43,23 @@ from .stochastic import MomentQuery, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
+# Input budgets: the largest accepted input, measured on a shared 2-core
+# host with Python 3.11.  `bek tables --max-n 700 --format json` takes
+# 21 s and peaks at 0.94 GB; memory sets this cap, since the JSON text grows
+# as N^3 (an extrapolated N = 1000 would take a minute and near 3 GB).
+# `bek verify --n 70` takes 48 s for theorem4 and 51 s for theorem2, the
+# slowest entries on their default k and parameter grids; each further n
+# value of a range adds its own time.  `bek mc --samples 100000000` takes
+# 61 s over the default three queries.
+MAX_TABLES_N = 700
+MAX_VERIFY_N = 70
+MAX_MC_SAMPLES = 100_000_000
+
+
+def _refuse_above(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} {value} is above its input budget cap of {cap}")
+
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational from 'p/q' or integer text; no floating forms."""
@@ -52,16 +69,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(token)
 
 
-def parse_n_range(text: str) -> tuple[int, ...]:
-    """Inclusive integer range 'A..B', or a single integer."""
+def parse_n_range(text: str) -> range:
+    """Inclusive integer range 'A..B', or a single integer.
+
+    The range stays unexpanded, so an oversized one costs nothing before
+    the input budget refuses it."""
     token = text.strip()
     if ".." in token:
         lo_text, hi_text = token.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(token),)
+        return range(lo, hi + 1)
+    n = int(token)
+    return range(n, n + 1)
 
 
 def parse_params(text: str) -> dict:
@@ -113,7 +134,7 @@ class RunConfig:
 
     command: str
     identity: str | None = None
-    n_range: tuple[int, ...] | None = None
+    n_range: Sequence[int] | None = None
     k: int | None = None
     params: dict | None = None
     format: str = "text"
@@ -337,6 +358,7 @@ def _tables_rows(max_n: int) -> list[dict]:
 def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     if config.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {config.max_n}")
+    _refuse_above("--max-n", config.max_n, MAX_TABLES_N)
     rows = _tables_rows(config.max_n)
     if config.format == "json":
         out.write(json.dumps({"max_n": config.max_n, "rows": rows}, indent=2) + "\n")
@@ -376,6 +398,10 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         raise UnknownIdentityError(
             f"unknown identity {config.identity!r}; valid names: {', '.join(registry)}"
         )
+    if config.n_range:
+        ns = config.n_range
+        top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range
+        _refuse_above("--n", top, MAX_VERIFY_N)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
     reports = verify(config.identity, points=points, registry=registry)
     _emit_reports(config, reports, out)
@@ -400,6 +426,7 @@ _MC_DEFAULT_QUERIES: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...] = 
 def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     if (config.a_vec is None) != (config.l_vec is None):
         raise ValueError("--a and --l must be given together")
+    _refuse_above("--samples", config.samples, MAX_MC_SAMPLES)
     if config.a_vec is not None:
         queries = [(config.a_vec, config.l_vec)]
     else:

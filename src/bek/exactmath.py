@@ -17,7 +17,6 @@ coefficient product or per scaled term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -113,11 +112,6 @@ def poly(coeffs: Iterable[Fraction | int]) -> Poly:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def poly_degree(p: Poly) -> int:
-    """Degree of p; -1 for the zero polynomial."""
-    return len(p) - 1
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -242,24 +236,10 @@ def poly_derivative(p: Poly) -> Poly:
     return tuple(i * c for i, c in enumerate(p) if i > 0)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of non-negative integers with a fixed sum."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-
 def composition_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Raw-tuple companion of `compositions`, in the same lexicographic order.
+    """All weak compositions of n into k parts, as tuples, lexicographically.
 
+    Each composition appears exactly once; there are C(n+k-1, k-1) of them.
     A negative n yields nothing; this encodes the empty index set of a
     vacuous summation range.
     """
@@ -273,12 +253,3 @@ def composition_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for first in range(n + 1):
         for rest in composition_parts(n - first, k - 1):
             yield (first,) + rest
-
-
-def compositions(n: int, k: int) -> Iterator[Composition]:
-    """All weak compositions of n into k parts, lexicographically.
-
-    Each composition appears exactly once; there are C(n+k-1, k-1) of them.
-    """
-    for parts in composition_parts(n, k):
-        yield Composition(parts)

@@ -102,18 +102,6 @@ class MomentEstimate:
         return self.deviation <= sigma * self.stderr
 
 
-def sample_gamma(shape: float, rng: np.random.Generator) -> float:
-    """One draw from the unit-scale gamma distribution with the given shape.
-
-    Delegates to the generator's squeeze/rejection gamma method, which is
-    valid for every shape > 0 (shapes below 1 are boosted internally), and
-    is deterministic for a fixed generator state and draw order.
-    """
-    if shape <= 0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    return float(rng.standard_gamma(shape))
-
-
 def block_generator(seed: int, block: int) -> np.random.Generator:
     """Generator for one sampling block, a pure function of seed and block."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))

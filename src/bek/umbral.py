@@ -11,6 +11,12 @@ symbols, and returns an exact polynomial in x.  The moments are
     uniform-continuous^n -> 1/(n+1)
     uniform-discrete^n  -> 1 for n = 0, else 1/2
 
+The verifiers of the symbol lemmas do not expand: `umbral_moment_eval`
+evaluates f(a x + sum_i c_i S_i) straight from the moment sequences, since
+the moments of a sum of independent symbols are the binomial convolution
+of their scaled moments.  The expansion (`umbral_pow`, `umbral_substitute`,
+`umbral_eval`) stays as the independent oracle the tests compare against.
+
 On top of the expressions sit the forward difference f -> f(x+u) - f(x),
 the two-point mean f -> (f(x) + f(x+u))/2, and mechanical verifiers for the
 subset-expansion identities these operators and symbols satisfy.
@@ -21,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .exactmath import (
@@ -32,7 +39,10 @@ from .exactmath import (
     multinomial,
     poly,
     poly_add,
+    poly_compose_linear,
     poly_derivative,
+    poly_lincomb,
+    poly_mul,
     poly_scale,
     poly_shift,
     poly_sub,
@@ -167,15 +177,9 @@ class UmbralExpr:
         return dict(self.terms) == dict(other.terms)
 
 
-def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
-    """Full multinomial expansion of (sum_i c_i * s_i)^n.
-
-    Each s_i is a SymbolId or the formal variable X.  Repeated symbols are
-    merged up front (their coefficients add), so the expansion runs over
-    distinct slots only.
-    """
-    if n < 0:
-        raise ValueError(f"umbral_pow requires n >= 0, got n={n}")
+def _merge_affine(affine: Sequence[AffineTerm]) -> tuple[Fraction, dict[SymbolId, Fraction]]:
+    """The coefficient of X and the non-zero coefficient of each distinct
+    symbol, with repeated terms added up."""
     x_coeff = Fraction(0)
     sym_coeffs: dict[SymbolId, Fraction] = {}
     for c, s in affine:
@@ -185,12 +189,24 @@ def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
         else:
             assert isinstance(s, SymbolId)
             sym_coeffs[s] = sym_coeffs.get(s, Fraction(0)) + c
+    return x_coeff, {sid: c for sid, c in sym_coeffs.items() if c}
+
+
+def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
+    """Full multinomial expansion of (sum_i c_i * s_i)^n.
+
+    Each s_i is a SymbolId or the formal variable X.  Repeated symbols are
+    merged up front (their coefficients add), so the expansion runs over
+    distinct slots only.
+    """
+    if n < 0:
+        raise ValueError(f"umbral_pow requires n >= 0, got n={n}")
+    x_coeff, sym_coeffs = _merge_affine(affine)
     slots: list[tuple[Fraction, SymbolId | None]] = []
     if x_coeff:
         slots.append((x_coeff, None))
     for sid in sorted(sym_coeffs, key=_sym_key):
-        if sym_coeffs[sid]:
-            slots.append((sym_coeffs[sid], sid))
+        slots.append((sym_coeffs[sid], sid))
     if not slots:
         return UmbralExpr.constant(1) if n == 0 else UmbralExpr.zero()
 
@@ -259,6 +275,41 @@ def umbral_eval(e: UmbralExpr) -> Poly:
         return ZERO
     top = max(acc)
     return poly([acc.get(i, Fraction(0)) for i in range(top + 1)])
+
+
+@lru_cache(maxsize=4096)
+def _moment_egf(kind: SymbolKind, c: Fraction, d: int) -> Poly:
+    """sum_{j<=d} c^j mu(j) t^j / j!: the exponential generating function of
+    the moments mu of a symbol of this kind, scaled by c, truncated at t^d."""
+    moment = _MOMENTS[kind]
+    return poly(c**j * moment(j) / factorial(j) for j in range(d + 1))
+
+
+def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:
+    """Moment evaluation of f at the affine form a x + sum_i c_i S_i.
+
+    Equal to umbral_eval(umbral_substitute(f, affine)), without expanding.
+    Distinct symbols are independent, so the moments M_j of the symbol part
+    Y have the exponential generating function G(t) = sum_j M_j t^j / j!,
+    the product of the symbols' scaled ones.  With d = deg f,
+
+        E[f(a x + Y)] = sum_m f_m sum_i C(m, i) a^i M_{m-i} x^i,
+
+    whose x^i coefficient is a^i / i! sum_j (i+j)! f_{i+j} G_j.  Everything
+    is exact: one truncated product per symbol and one correlation.
+    """
+    if not f:
+        return ZERO
+    d = len(f) - 1
+    a, sym_coeffs = _merge_affine(affine)
+    egf: Poly = (Fraction(1),)
+    for sid, c in sym_coeffs.items():
+        egf = poly_mul(egf, _moment_egf(sid.kind, c, d))[: d + 1]
+    # corr[d - i] = sum_j (i+j)! f_{i+j} G_j, read off the product with f reversed
+    corr = poly_mul(tuple(f[m] * factorial(m) for m in range(d, -1, -1)), egf)
+    corr += (Fraction(0),) * (d + 1 - len(corr))
+    out = poly(corr[d - i] / factorial(i) for i in range(d + 1))
+    return out if a == 1 else poly_compose_linear(out, a)
 
 
 class OpVariant(Enum):
@@ -336,6 +387,19 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     return lhs == acc
 
 
+def _monomial(m: int, c: Fraction | int = 1) -> Poly:
+    """The polynomial c x^m."""
+    return poly([0] * m + [c])
+
+
+def _anchored(anchor: SymbolId, u: Sequence[Fraction], syms: Sequence[SymbolId],
+              subset: tuple[int, ...]) -> list[AffineTerm]:
+    """x + anchor + sum_{i not in subset} u_i syms[i+1]."""
+    rest: list[AffineTerm] = [(Fraction(1), X), (Fraction(1), anchor)]
+    rest += [(u[i], syms[i + 1]) for i in range(len(u)) if i not in subset]
+    return rest
+
+
 def verify_lemma2(k: int, u: Sequence[Fraction], n: int) -> bool:
     """Subset expansion of a weighted power of independent Bernoulli symbols.
 
@@ -353,19 +417,15 @@ def verify_lemma2(k: int, u: Sequence[Fraction], n: int) -> bool:
     if sum(u) != 1:
         raise ValueError("verify_lemma2 requires the weights to sum to 1")
     syms = [bernoulli_symbol(i) for i in range(k + 1)]
-    lhs = umbral_pow([(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)], n)
-    lhs = lhs * Fraction(1, factorial(n))
-    rhs = UmbralExpr.zero()
-    for j, subset in _subset_ops(k):
-        if j > n + 1:
-            continue
-        u_j = Fraction(1)
-        for i in subset:
-            u_j *= u[i]
-        rest: list[AffineTerm] = [(Fraction(1), X), (Fraction(1), syms[0])]
-        rest += [(u[i], syms[i + 1]) for i in range(k) if i not in subset]
-        rhs = rhs + umbral_pow(rest, n + 1 - j) * (u_j / factorial(n + 1 - j))
-    return umbral_eval(lhs) == umbral_eval(rhs)
+    weighted = [(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)]
+    lhs = umbral_moment_eval(_monomial(n, Fraction(1, factorial(n))), weighted)
+    rhs = poly_lincomb(
+        (prod(u[i] for i in subset) / factorial(n + 1 - j),
+         umbral_moment_eval(_monomial(n + 1 - j), _anchored(syms[0], u, syms, subset)))
+        for j, subset in _subset_ops(k)
+        if j <= n + 1
+    )
+    return lhs == rhs
 
 
 def verify_lemma4(k: int, u: Sequence[Fraction], n: int) -> bool:
@@ -385,23 +445,18 @@ def verify_lemma4(k: int, u: Sequence[Fraction], n: int) -> bool:
     if sum(u) != 1:
         raise ValueError("verify_lemma4 requires the weights to sum to 1")
     es = [euler_symbol(i) for i in range(k + 1)]
-    weighted: list[AffineTerm] = [(Fraction(1), X)]
-    weighted += [(u[i], es[i + 1]) for i in range(k)]
-    rhs = UmbralExpr.zero()
+    weighted = [(Fraction(1), X)] + [(u[i], es[i + 1]) for i in range(k)]
     if k % 2 == 0:
-        lhs = umbral_pow(weighted, n) * (n + 1)
-        banchor = bernoulli_symbol(0)
-        for j, subset in _subset_ops(k):
-            rest: list[AffineTerm] = [(Fraction(1), X), (Fraction(1), banchor)]
-            rest += [(u[i], es[i + 1]) for i in range(k) if i not in subset]
-            rhs = rhs + umbral_pow(rest, n + 1) * Fraction(-2) ** j
+        lhs = umbral_moment_eval(_monomial(n, n + 1), weighted)
+        anchor, power, sign_shift = bernoulli_symbol(0), n + 1, 0
     else:
-        lhs = umbral_pow(weighted, n)
-        for j, subset in _subset_ops(k):
-            rest = [(Fraction(1), X), (Fraction(1), es[0])]
-            rest += [(u[i], es[i + 1]) for i in range(k) if i not in subset]
-            rhs = rhs + umbral_pow(rest, n) * Fraction(-2) ** (j - 1)
-    return umbral_eval(lhs) == umbral_eval(rhs)
+        lhs = umbral_moment_eval(_monomial(n), weighted)
+        anchor, power, sign_shift = es[0], n, 1
+    rhs = poly_lincomb(
+        ((-2) ** (j - sign_shift), umbral_moment_eval(_monomial(power), _anchored(anchor, u, es, subset)))
+        for j, subset in _subset_ops(k)
+    )
+    return lhs == rhs
 
 
 def verify_annihilation(symbol_pair: tuple[SymbolId, SymbolId], n: int) -> bool:
@@ -413,8 +468,7 @@ def verify_annihilation(symbol_pair: tuple[SymbolId, SymbolId], n: int) -> bool:
     if n < 1:
         raise ValueError(f"verify_annihilation requires n >= 1, got n={n}")
     s, t = symbol_pair
-    e = umbral_pow([(Fraction(1), s), (Fraction(1), t)], n)
-    return umbral_eval(e) == ZERO
+    return umbral_moment_eval(_monomial(n), [(Fraction(1), s), (Fraction(1), t)]) == ZERO
 
 
 def verify_general_f(k: int, u: Sequence[Fraction], f: Poly) -> bool:
@@ -431,16 +485,13 @@ def verify_general_f(k: int, u: Sequence[Fraction], f: Poly) -> bool:
     if sum(u) != 1:
         raise ValueError("verify_general_f requires the weights to sum to 1")
     syms = [bernoulli_symbol(i) for i in range(k + 1)]
-    lhs = umbral_substitute(f, [(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)])
+    lhs = umbral_moment_eval(f, [(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)])
     derivs = [f]
     for _ in range(k - 1):
         derivs.append(poly_derivative(derivs[-1]))
-    rhs = UmbralExpr.zero()
-    for j, subset in _subset_ops(k):
-        u_j = Fraction(1)
-        for i in subset:
-            u_j *= u[i]
-        rest: list[AffineTerm] = [(Fraction(1), X), (Fraction(1), syms[0])]
-        rest += [(u[i], syms[i + 1]) for i in range(k) if i not in subset]
-        rhs = rhs + umbral_substitute(derivs[j - 1], rest) * u_j
-    return umbral_eval(lhs) == umbral_eval(rhs)
+    rhs = poly_lincomb(
+        (prod(u[i] for i in subset),
+         umbral_moment_eval(derivs[j - 1], _anchored(syms[0], u, syms, subset)))
+        for j, subset in _subset_ops(k)
+    )
+    return lhs == rhs

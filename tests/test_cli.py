@@ -10,7 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import bek.cli as cli
 from bek.cli import (
+    MAX_MC_SAMPLES,
+    MAX_TABLES_N,
+    MAX_VERIFY_N,
     RunConfig,
     format_poly,
     main,
@@ -21,6 +25,7 @@ from bek.cli import (
 )
 from bek.exactmath import poly
 from bek.identities import REGISTRY
+from bek.stochastic import MomentEstimate
 
 F = Fraction
 
@@ -49,9 +54,9 @@ class TestParsers:
                 parse_rational(bad)
 
     def test_parse_n_range(self):
-        assert parse_n_range("4..12") == tuple(range(4, 13))
-        assert parse_n_range("7") == (7,)
-        assert parse_n_range("2..2") == (2,)
+        assert parse_n_range("4..12") == range(4, 13)
+        assert parse_n_range("7") == range(7, 8)
+        assert parse_n_range("2..2") == range(2, 3)
         with pytest.raises(ValueError):
             parse_n_range("9..3")
         with pytest.raises(ValueError):
@@ -330,3 +335,58 @@ class TestMain:
         code = main(["verify", "--identity", "corollary2", "--n", "2..2"])
         assert code == 2
         assert "even n >= 4" in capsys.readouterr().err
+
+
+class TestInputBudgets:
+    """Each capped input is accepted at its cap and refused one above it.
+
+    The capped work itself is replaced by a stub that records its input, so
+    the tests take no time; a refusal must happen before the stub is called.
+    """
+
+    @staticmethod
+    def _refused(capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err and "cap" in err
+
+    def test_tables_max_n(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "_tables_rows", lambda max_n: seen.append(max_n) or [])
+        assert main(["tables", "--max-n", str(MAX_TABLES_N), "--format", "json"]) == 0
+        assert seen == [MAX_TABLES_N]
+        self._refused(capsys, ["tables", "--max-n", str(MAX_TABLES_N + 1)], "--max-n")
+        self._refused(capsys, ["tables", "--max-n", str(10**6)], "--max-n")
+        assert seen == [MAX_TABLES_N]
+
+    def test_verify_n(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        assert main(["verify", "--identity", "theorem4", "--n", str(MAX_VERIFY_N)]) == 0
+        assert {pt["n"] for pt in seen[0]} == {MAX_VERIFY_N}
+        assert main(["verify", "--identity", "miki", "--n", f"4..{MAX_VERIFY_N}"]) == 0
+        assert [pt["n"] for pt in seen[1]] == list(range(4, MAX_VERIFY_N + 1))
+        for n_arg in (str(MAX_VERIFY_N + 1), f"0..{MAX_VERIFY_N + 1}", "0..100000", f"0..{10**12}"):
+            self._refused(capsys, ["verify", "--identity", "miki", "--n", n_arg], "--n")
+        code, _, err = _run(RunConfig(command="verify", identity="miki", n_range=(MAX_VERIFY_N + 1, 4)))
+        assert code == 2 and "--n" in err
+        assert len(seen) == 2
+
+    def test_mc_samples(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_mc(query):
+            seen.append(query.samples)
+            return MomentEstimate(0.25, 0.01, query.samples, Fraction(1, 4))
+
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", fake_mc)
+        assert main(["mc", "--samples", str(MAX_MC_SAMPLES), "--format", "json"]) == 0
+        assert seen == [MAX_MC_SAMPLES] * 3
+        self._refused(capsys, ["mc", "--samples", str(MAX_MC_SAMPLES + 1)], "--samples")
+        self._refused(capsys, ["mc", "--samples", str(10**12)], "--samples")
+        assert len(seen) == 3
+
+    def test_caps_admit_the_benchmark_inputs(self):
+        # perfbench runs tables to N = 150, the sweep to n = 60 and mc
+        # queries of 2,000,000 samples
+        assert MAX_TABLES_N >= 150 and MAX_VERIFY_N >= 60 and MAX_MC_SAMPLES >= 2_000_000

@@ -11,10 +11,8 @@ from hypothesis import given, strategies as st
 from bek.exactmath import (
     ONE,
     ZERO,
-    Composition,
     binomial,
     composition_parts,
-    compositions,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -23,7 +21,6 @@ from bek.exactmath import (
     poly,
     poly_add,
     poly_compose_linear,
-    poly_degree,
     poly_derivative,
     poly_eval,
     poly_lincomb,
@@ -177,11 +174,6 @@ class TestPolynomials:
         assert poly([]) == ZERO
         assert poly([0]) == ZERO
 
-    def test_degree(self):
-        assert poly_degree(ZERO) == -1
-        assert poly_degree(ONE) == 0
-        assert poly_degree(poly([1, 2, 3])) == 2
-
     def test_eval_frozen(self):
         p = poly([Fraction(1, 6), -1, 1])
         assert poly_eval(p, Fraction(1, 2)) == Fraction(-1, 12)
@@ -261,7 +253,7 @@ class TestIntegerKernel:
 
 class TestCompositions:
     def test_count_frozen(self):
-        assert len(list(compositions(5, 3))) == 21
+        assert len(list(composition_parts(5, 3))) == 21
 
     def test_lexicographic_and_complete(self):
         parts = list(composition_parts(3, 2))
@@ -279,12 +271,6 @@ class TestCompositions:
     def test_rejects_bad_slot_count(self):
         with pytest.raises(ValueError):
             list(composition_parts(3, 0))
-
-    def test_composition_objects(self):
-        cs = list(compositions(2, 2))
-        assert all(isinstance(c, Composition) for c in cs)
-        assert [c.parts for c in cs] == [(0, 2), (1, 1), (2, 0)]
-        assert cs[0].n == 2 and cs[0].k == 2
 
     @given(st.integers(0, 9), st.integers(1, 4))
     def test_count_is_stars_and_bars(self, n, k):

@@ -165,3 +165,29 @@ class TestCacheBehaviour:
         ):
             with pytest.raises(ValueError):
                 fn(-1)
+
+
+class TestSympyOracle:
+    """Independent values from SymPy for n <= 60.  SymPy takes B_1 = +1/2,
+    so the number-level Bernoulli check skips n = 1."""
+
+    N = 60
+
+    def test_numbers(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(self.N + 1):
+            assert euler_number(n) == int(sympy.euler(n))
+            if n != 1:
+                b = sympy.bernoulli(n)
+                assert bernoulli_number(n) == Fraction(int(b.p), int(b.q))
+
+    def test_polynomials(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def coeffs(expr):
+            return poly(Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs()))
+
+        for n in range(self.N + 1):
+            assert bernoulli_poly(n) == coeffs(sympy.bernoulli(n, x))
+            assert euler_poly(n) == coeffs(sympy.euler(n, x))

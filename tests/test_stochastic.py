@@ -17,7 +17,6 @@ from bek.stochastic import (
     dirichlet_moment_exact,
     dirichlet_moment_mc,
     normalization_check,
-    sample_gamma,
 )
 
 F = Fraction
@@ -86,18 +85,6 @@ class TestQueryValidation:
 
 
 class TestSampler:
-    def test_sample_gamma_positive_and_deterministic(self):
-        a = sample_gamma(0.5, block_generator(123, 0))
-        b = sample_gamma(0.5, block_generator(123, 0))
-        assert a == b > 0
-
-    def test_sample_gamma_rejects_nonpositive_shape(self):
-        rng = block_generator(1, 0)
-        with pytest.raises(ValueError):
-            sample_gamma(0.0, rng)
-        with pytest.raises(ValueError):
-            sample_gamma(-1.0, rng)
-
     def test_block_generator_is_pure(self):
         one = block_generator(99, 3).standard_gamma(1.0, size=8)
         two = block_generator(99, 3).standard_gamma(1.0, size=8)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bek.exactmath import ZERO, poly, poly_add, poly_scale, poly_shift, poly_sub
+import bek.umbral as umbral
+from bek.exactmath import ZERO, poly, poly_add, poly_lincomb, poly_scale, poly_shift, poly_sub
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
 from bek.umbral import (
+    SymbolId,
+    SymbolKind,
     UmbralExpr,
     X,
     apply_delta,
@@ -19,6 +24,7 @@ from bek.umbral import (
     euler_symbol,
     forward_difference,
     umbral_eval,
+    umbral_moment_eval,
     umbral_pow,
     umbral_substitute,
     uniform_symbol,
@@ -125,6 +131,44 @@ class TestMoments:
         assert via_sub == via_pow
 
 
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+symbols = st.builds(SymbolId, st.sampled_from(list(SymbolKind)), st.integers(0, 2))
+
+
+@st.composite
+def affine_forms(draw):
+    """Symbol terms of all four kinds, some repeated and some cancelling to
+    a zero coefficient, plus an x term that is absent, 0, 1 or non-unit."""
+    terms = []
+    for sid in draw(st.lists(symbols, max_size=4)):
+        c = draw(rationals)
+        terms.append((c, sid))
+        if draw(st.booleans()):
+            terms.append((draw(st.sampled_from([-c, c, F(1, 2)])), sid))
+    x_coeff = draw(st.sampled_from([None, F(0), F(1), F(-3, 2), F(2)]))
+    if x_coeff is not None:
+        terms.insert(draw(st.integers(0, len(terms))), (x_coeff, X))
+    return terms
+
+
+class TestMomentEval:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rationals, max_size=13).map(poly), affine_forms())
+    def test_matches_expansion_oracle(self, f, affine):
+        assert umbral_moment_eval(f, affine) == umbral_eval(umbral_substitute(f, affine))
+
+    def test_zero_polynomial_and_constant(self):
+        affine = [(1, X), (F(1, 3), euler_symbol())]
+        assert umbral_moment_eval(ZERO, affine) == ZERO
+        assert umbral_moment_eval(poly([F(5, 2)]), affine) == poly([F(5, 2)])
+
+    def test_shift_correspondence(self):
+        for n in range(16):
+            monomial = poly([0] * n + [1])
+            assert umbral_moment_eval(monomial, [(1, X), (1, bernoulli_symbol())]) == bernoulli_poly(n)
+            assert umbral_moment_eval(monomial, [(1, X), (1, euler_symbol())]) == euler_poly(n)
+
+
 class TestAnnihilation:
     def test_bernoulli_uniform(self):
         pair = (bernoulli_symbol(), uniform_symbol())
@@ -135,7 +179,12 @@ class TestAnnihilation:
         assert all(verify_annihilation(pair, n) for n in range(1, 25))
 
     def test_mismatched_pair_fails(self):
-        assert not verify_annihilation((bernoulli_symbol(), discrete_symbol()), 2)
+        # A mismatched pair still annihilates the odd powers, by reflection:
+        # E[(B + D)^n] = (B_n(0) + B_n(1))/2 and
+        # E[(T + U)^n] = (E_{n+1}(1) - E_{n+1}(0))/(n+1) vanish for odd n.
+        for pair in [(bernoulli_symbol(), discrete_symbol()), (euler_symbol(), uniform_symbol())]:
+            for n in range(1, 21):
+                assert verify_annihilation(pair, n) == (n % 2 == 1)
 
     def test_requires_positive_power(self):
         with pytest.raises(ValueError):
@@ -211,3 +260,58 @@ class TestLemmas:
         shifts = (F(1, 2), F(1, 2))
         for m in range(6):
             assert verify_lemma1(2, shifts, poly([0] * m + [1]))
+
+
+def _anchor_swapped_to_euler(index: int = 0):
+    return euler_symbol(0) if index == 0 else SymbolId(SymbolKind.BERNOULLI, index)
+
+
+def _lemma4_with_signs(k, u, n, sign):
+    """verify_lemma4 with the subset weight (-2)^{...} replaced by sign(j)."""
+    es = [euler_symbol(i) for i in range(k + 1)]
+    weighted = [(F(1), X)] + [(u[i], es[i + 1]) for i in range(k)]
+    if k % 2 == 0:
+        lhs = umbral_moment_eval(poly([0] * n + [n + 1]), weighted)
+        anchor, power = bernoulli_symbol(0), n + 1
+    else:
+        lhs = umbral_moment_eval(poly([0] * n + [1]), weighted)
+        anchor, power = es[0], n
+    rhs = poly_lincomb(
+        (sign(j), umbral_moment_eval(
+            poly([0] * power + [1]),
+            [(F(1), X), (F(1), anchor)] + [(u[i], es[i + 1]) for i in range(k) if i not in subset],
+        ))
+        for j in range(1, k + 1)
+        for subset in itertools.combinations(range(k), j)
+    )
+    return lhs == rhs
+
+
+class TestCorruptedLemmas:
+    """Each rerouted verifier must reject its identity once corrupted."""
+
+    TUPLES = [(F(1),), (F(1, 2), F(1, 2)), (F(3), F(-2)), (F(2, 3), F(-1, 3), F(2, 3)), (F(1, 4),) * 4]
+
+    # A Bernoulli and an Euler symbol share the moments 1 and -1/2 of
+    # orders 0 and 1, so the swapped anchor shows from n = 2 on.
+    def test_lemma2_with_euler_anchor(self, monkeypatch):
+        monkeypatch.setattr(umbral, "bernoulli_symbol", _anchor_swapped_to_euler)
+        for u in self.TUPLES:
+            got = [verify_lemma2(len(u), u, n) for n in range(10)]
+            assert got == [True, True] + [False] * 8
+
+    def test_general_f_with_euler_anchor(self, monkeypatch):
+        monkeypatch.setattr(umbral, "bernoulli_symbol", _anchor_swapped_to_euler)
+        for i, u in enumerate(self.TUPLES):
+            for degree in range(2, 10):
+                f = poly(_rand_fracs(300 + 10 * i + degree, degree, nonzero=True) + [F(1)])
+                assert not verify_general_f(len(u), u, f)
+
+    def test_lemma4_with_wrong_sign_power(self):
+        for u in self.TUPLES:
+            k = len(u)
+            shift = 0 if k % 2 == 0 else 1
+            for n in range(9):
+                assert _lemma4_with_signs(k, u, n, lambda j: (-2) ** (j - shift))
+                assert verify_lemma4(k, u, n)
+                assert not _lemma4_with_signs(k, u, n, lambda j: (-2) ** (j - shift + 1))
