@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence, TextIO
 
 from .exactmath import Poly
@@ -47,18 +48,49 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # host with Python 3.11.  `bek tables --max-n 700 --format json` takes
 # 21 s and peaks at 0.94 GB; memory sets this cap, since the JSON text grows
 # as N^3 (an extrapolated N = 1000 would take a minute and near 3 GB).
-# `bek verify --n 70` takes 48 s for theorem4 and 51 s for theorem2, the
+# `bek verify --n 70` takes 23 s for theorem2 and 21 s for theorem4, the
 # slowest entries on their default k and parameter grids; each further n
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
 # 61 s over the default three queries.
+#
+# A k-fold entry (`takes_k`) enumerates the C(n + k - 1, k - 1) weak
+# compositions of n into k parts on its left side, with work growing with k
+# for each, so both k and that count at the largest n are capped.
+# `bek verify --identity theorem2 --k 16 --n 7` (170,544 compositions, three
+# parameter sets) takes 58 s; k = 12 at n = 9 (167,960) takes 43 s, and
+# k = 24 at n = 5 (98,280) 43 s.  `bek mc` draws one gamma per shape and
+# sample: 10 shapes at --samples 100000000 take 59 s.
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
+MAX_VERIFY_K = 16
+MAX_VERIFY_COMPOSITIONS = 170_544
 MAX_MC_SAMPLES = 100_000_000
+MAX_MC_SHAPES = 10
 
 
 def _refuse_above(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{flag} {value} is above its input budget cap of {cap}")
+
+
+def _refuse_k_above_cap(config: RunConfig) -> None:
+    """Refuse a k-fold entry's k above its cap, before any point is built."""
+    if config.k is not None:
+        _refuse_above("--k", config.k, MAX_VERIFY_K)
+    elif isinstance((config.params or {}).get("a_vec"), tuple):
+        _refuse_above("a_vec length", len(config.params["a_vec"]), MAX_VERIFY_K)
+
+
+def _refuse_compositions(points: Sequence[Mapping]) -> None:
+    """Refuse a k-fold grid with a point of too many compositions."""
+    for pt in points:
+        n, k = pt["n"], pt["k"]
+        count = comb(n + k - 1, k - 1) if n >= 0 and k >= 1 else 0
+        if count > MAX_VERIFY_COMPOSITIONS:
+            raise ValueError(
+                f"k={k} at n={n} enumerates {count} compositions, "
+                f"above its input budget cap of {MAX_VERIFY_COMPOSITIONS}"
+            )
 
 
 def parse_rational(text: str) -> Fraction:
@@ -402,7 +434,11 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         ns = config.n_range
         top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range
         _refuse_above("--n", top, MAX_VERIFY_N)
+    if entry.takes_k:
+        _refuse_k_above_cap(config)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
+    if entry.takes_k:
+        _refuse_compositions(points)
     reports = verify(config.identity, points=points, registry=registry)
     _emit_reports(config, reports, out)
     return 0 if all(r.passed for r in reports) else 1
@@ -428,6 +464,8 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         raise ValueError("--a and --l must be given together")
     _refuse_above("--samples", config.samples, MAX_MC_SAMPLES)
     if config.a_vec is not None:
+        _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
+        _refuse_above("--l length", len(config.l_vec), MAX_MC_SHAPES)
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)

@@ -7,12 +7,13 @@ tuple and has degree -1 by convention.  Everything in this module is a pure
 function on immutable values, so concurrent use needs no locking; the
 memoized scalar helpers use `functools.lru_cache`, which is thread safe.
 
-The two hot kernel operations, `poly_mul` and the linear combination
-`poly_lincomb`, work internally in the layout of FLINT's `fmpq_poly`:
-integer numerators over one positive common denominator.  The inner loops
-then multiply and add plain integers, and one Fraction per output
-coefficient is built at the end, instead of a Fraction (with its gcd) per
-coefficient product or per scaled term.
+The hot kernel operations, `poly_mul`, its truncated power-series form
+`series_product` and the linear combination `poly_lincomb`, work
+internally in the layout of FLINT's `fmpq_poly`: integer numerators over
+one positive common denominator.  The inner loops then multiply and add
+plain integers, and one Fraction per output coefficient is built at the
+end, instead of a Fraction (with its gcd) per coefficient product or per
+scaled term.
 """
 
 from __future__ import annotations
@@ -198,6 +199,26 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q_nums):
             out[i + j] += a * b
     return _from_int_form(out, p_den * q_den)
+
+
+def series_product(factors: Iterable[Poly], d: int) -> Poly:
+    """Product of the factors as power series in t, truncated after t^d.
+
+    The coefficients of t^0..t^d of the full product (the empty product is
+    ONE), computed like `poly_mul` on integer numerators, with no product
+    term above t^d ever formed.
+    """
+    nums, den = [1], 1
+    for f in factors:
+        f_nums, f_den = _int_form(f[: d + 1])
+        out = [0] * max(min(len(nums) + len(f_nums) - 1, d + 1), 0)
+        for i, a in enumerate(nums):
+            if not a:
+                continue
+            for j, b in enumerate(f_nums[: d + 1 - i]):
+                out[i + j] += a * b
+        nums, den = out, den * f_den
+    return _from_int_form(nums[: d + 1], den)
 
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:

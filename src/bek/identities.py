@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -36,10 +36,12 @@ from .exactmath import (
     multinomial,
     pochhammer,
     poly,
+    poly_add,
     poly_compose_linear,
     poly_lincomb,
     poly_mul,
     poly_sub,
+    series_product,
 )
 from .sequences import (
     bernoulli_number,
@@ -88,6 +90,11 @@ def _sorted_key(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
+def _coeff(p: Poly, m: int) -> Fraction:
+    """The coefficient of t^m in p, zero beyond its length."""
+    return p[m] if m < len(p) else Fraction(0)
+
+
 # ---------------------------------------------------------------------------
 # theorem-level evaluators (public API)
 # ---------------------------------------------------------------------------
@@ -127,6 +134,16 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     prod_{i in J} a_i * n!/(n+1-j)! * multinomial * prod (a_c)_{l_i}
     / (sum a)_{n+1-l_0} on B_{l_0}(x) prod B_{l_i}; subsets with j > n+1
     contribute nothing.
+
+    The RHS is evaluated without enumerating subsets or compositions.  With
+    A_i(t) = sum_l (a_i)_l B_l t^l / l! (truncated after t^(n+1)), the
+    subset-and-composition sum for fixed l_0 is a coefficient of
+
+        q(t) = sum_{J != {}} prod_{i in J} a_i t prod_{i not in J} A_i(t)
+             = prod_i (A_i(t) + a_i t) - prod_i A_i(t),
+
+    and RHS = sum_{l_0=0}^{n} n!/l_0! [t^(n+1-l_0)] q / (sum a)_{n+1-l_0}
+    B_{l_0}(x).
     """
     _require(isinstance(n, int) and n >= 0, f"requires integer n >= 0, got n={n}")
     a_vec = tuple(Fraction(v) for v in a_vec)
@@ -142,22 +159,17 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
          _bern_product(_sorted_key(parts)))
         for parts in composition_parts(n, k)
     )
-
-    def rhs_terms() -> Iterator[tuple[Fraction, Poly]]:
-        for j in range(1, min(k, n + 1) + 1):
-            prefactor = Fraction(factorial(n), factorial(n + 1 - j))
-            for subset in combinations(range(k), j):
-                a_j = prod(a_vec[i] for i in subset)
-                complement = [a_vec[i] for i in range(k) if i not in subset]
-                for parts in composition_parts(n + 1 - j, k - j + 1):
-                    l0, rest = parts[0], parts[1:]
-                    c = a_j * prefactor * multinomial(n + 1 - j, parts)
-                    for ai, li in zip(complement, rest):
-                        c *= pochhammer(ai, li) * bernoulli_number(li)
-                    if c:
-                        yield c / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
-
-    return lhs, poly_lincomb(rhs_terms())
+    d = n + 1
+    series = [poly(pochhammer(ai, l) * bernoulli_number(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    q = poly_sub(
+        series_product((poly_add(s, (Fraction(0), ai)) for s, ai in zip(series, a_vec)), d),
+        series_product(series, d),
+    )
+    rhs = poly_lincomb(
+        (Fraction(factorial(n), factorial(l0)) * _coeff(q, d - l0) / pochhammer(total, d - l0), bernoulli_poly(l0))
+        for l0 in range(n + 1)
+    )
+    return lhs, rhs
 
 
 def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
@@ -194,6 +206,16 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     prod E_{l_i}(0); for odd k the outer weight is (-2)^{j-1}, the
     compositions have sum n, the leading factor is E_{l_0}(x), and the
     denominator index drops to n - l_0.  k = 1 is the trivial identity.
+
+    The RHS is evaluated without enumerating subsets or compositions.  With
+    D = n+1 (even k) or n (odd k), A_i(t) = sum_l (a_i)_l E_l(0) t^l / l!
+    truncated after t^D, and
+
+        q(t) = sum_{J != {}} (-2)^|J| prod_{i not in J} A_i(t)
+             = prod_i (A_i(t) - 2) - prod_i A_i(t),
+
+    the RHS is sum_{l_0=0}^{D} w/l_0! [t^(D-l_0)] q / (sum a)_{D-l_0} P_{l_0}(x),
+    with w = n! and P = B for even k, w = -n!/2 and P = E for odd k.
     """
     _require(isinstance(n, int) and n >= 0, f"requires integer n >= 0, got n={n}")
     a_vec = tuple(Fraction(v) for v in a_vec)
@@ -209,26 +231,20 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
          _euler_product(_sorted_key(parts)))
         for parts in composition_parts(n, k)
     )
-    even = k % 2 == 0
-    total_parts = (n + 1) if even else n
-
-    def rhs_terms() -> Iterator[tuple[Fraction, Poly]]:
-        for j in range(1, k + 1):
-            for subset in combinations(range(k), j):
-                complement = [a_vec[i] for i in range(k) if i not in subset]
-                for parts in composition_parts(total_parts, k - j + 1):
-                    l0, rest = parts[0], parts[1:]
-                    c = Fraction(multinomial(total_parts, parts))
-                    for ai, li in zip(complement, rest):
-                        c *= pochhammer(ai, li) * euler_poly_at_zero(li)
-                    if not c:
-                        continue
-                    if even:
-                        yield c * Fraction(-2) ** j / (n + 1) / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
-                    else:
-                        yield c * Fraction(-2) ** (j - 1) / pochhammer(total, n - l0), euler_poly(l0)
-
-    return lhs, poly_lincomb(rhs_terms())
+    if k % 2 == 0:
+        d, weight, base = n + 1, Fraction(factorial(n)), bernoulli_poly
+    else:
+        d, weight, base = n, Fraction(-factorial(n), 2), euler_poly
+    series = [poly(pochhammer(ai, l) * euler_poly_at_zero(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    q = poly_sub(
+        series_product((poly_add(s, (Fraction(-2),)) for s in series), d),
+        series_product(series, d),
+    )
+    rhs = poly_lincomb(
+        (weight / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
+        for l0 in range(d + 1)
+    )
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +444,13 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
          _bern_product(_sorted_key((i, j, l))))
         for i, j, l in composition_parts(n, 3)
     )
+    # for fixed i the (j, l) sum is [t^(n-i)] of the square of
+    # sum_l (eps)_l B_l t^l / l!
+    series = poly(pochhammer(eps, l) * bernoulli_number(l) / factorial(l) for l in range(n + 1))
+    square = series_product((series, series), n)
     rhs = poly_lincomb([
-        *((3 * eps * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, j + l + 1)
-           * bernoulli_number(j) * bernoulli_number(l) / (factorial(i) * factorial(j) * factorial(l)),
-           bernoulli_poly(i))
-          for i, j, l in composition_parts(n, 3)),
+        *((3 * eps / pochhammer(3 * eps, n - i + 1) / factorial(i) * _coeff(square, n - i), bernoulli_poly(i))
+          for i in range(n + 1)),
         *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
            * bernoulli_number(j) / (factorial(i) * factorial(j)),
            bernoulli_poly(i))
@@ -446,10 +464,12 @@ def _corollary8(n: int) -> tuple[Poly, Poly]:
     lhs = poly_lincomb(
         (multinomial(n, parts), _bern_product(_sorted_key(parts))) for parts in composition_parts(n, 3)
     )
+    # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
+    series = poly(bernoulli_number(l) / factorial(l) for l in range(n + 1))
+    square = series_product((series, series), n)
     rhs = poly_lincomb([
-        *((multinomial(n, (i, j, l)) * Fraction(3) ** i * bernoulli_number(j) * bernoulli_number(l),
-           bernoulli_poly(i))
-          for i, j, l in composition_parts(n, 3)),
+        *((Fraction(factorial(n), factorial(i)) * Fraction(3) ** i * _coeff(square, n - i), bernoulli_poly(i))
+          for i in range(n + 1)),
         *((n * binomial(n - 1, i) * Fraction(3) ** i * bernoulli_number(n - 1 - i), bernoulli_poly(i))
           for i in range(n)),
         (n * (n - 1) * Fraction(3) ** (n - 3), bernoulli_poly(n - 2)),
@@ -458,20 +478,27 @@ def _corollary8(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary9(n: int) -> tuple[Poly, Poly]:
+    """Both sides of the third-order harmonic-weighted number convolution.
+
+    With b_m = B_m / m, the two cubic sums over i+j+l = n, i, j, l >= 1, are
+    s1 = sum b_i b_j b_l (left side, s1/3) and
+    s2 = sum C(n-1, i-1) b_i b_j b_l (right side).  Both are evaluated as
+    sum_i w_i b_i [t^(n-i)] b(t)^2 with b(t) = sum_{m>=1} b_m t^m, and each
+    side squares b(t) itself.
+    """
     h1 = harmonic
     h2 = harmonic_second
 
     def bb(m: int) -> Fraction:
         return bernoulli_number(m)
 
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for i, j, l in composition_parts(n, 3):
-        if i < 1 or j < 1 or l < 1:
-            continue
-        term = (bb(i) / i) * (bb(j) / j) * (bb(l) / l)
-        s1 += term
-        s2 += binomial(n - 1, i - 1) * term
+    def cubic_sum(weight: Callable[[int], int]) -> Fraction:
+        b = poly([0, *(bb(m) / m for m in range(1, n - 1))])
+        square = series_product((b, b), n - 1)
+        return sum((weight(i) * bb(i) / i * _coeff(square, n - i) for i in range(1, n - 1)), Fraction(0))
+
+    s1 = cubic_sum(lambda i: 1)
+    s2 = cubic_sum(lambda i: binomial(n - 1, i - 1))
     s3 = Fraction(0)
     for l in range(1, n - 1):
         s3 += binomial(n - 1, l + 1) * (bb(l) / l) * (bb(n - l - 1) / (n - l - 1))
@@ -688,47 +715,43 @@ def _register(spec: IdentitySpec) -> None:
     REGISTRY[spec.name] = spec
 
 
-def _frac(*args: int) -> Fraction:
-    return Fraction(*args)
-
-
 _PAIR_SETS: tuple[dict, ...] = (
-    {"a": _frac(1), "b": _frac(1)},
-    {"a": _frac(2), "b": _frac(1)},
-    {"a": _frac(1, 2), "b": _frac(3, 2)},
-    {"a": _frac(7, 3), "b": _frac(5, 4)},
+    {"a": Fraction(1), "b": Fraction(1)},
+    {"a": Fraction(2), "b": Fraction(1)},
+    {"a": Fraction(1, 2), "b": Fraction(3, 2)},
+    {"a": Fraction(7, 3), "b": Fraction(5, 4)},
 )
 
 _SINGLE_A_SET: tuple[dict, ...] = tuple(
-    {"a": v} for v in (_frac(1), _frac(2), _frac(1, 2), _frac(3, 2), _frac(7, 3))
+    {"a": v} for v in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3))
 )
 
 _P_SET: tuple[dict, ...] = tuple(
-    {"p": v} for v in (_frac(1, 2), _frac(1), _frac(3, 2), _frac(2), _frac(7, 3))
+    {"p": v} for v in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3))
 )
 
-_EPS_SET: tuple[dict, ...] = tuple({"epsilon": v} for v in (_frac(1), _frac(1, 2), _frac(3)))
+_EPS_SET: tuple[dict, ...] = tuple({"epsilon": v} for v in (Fraction(1), Fraction(1, 2), Fraction(3)))
 
 _TUPLE_SETS: dict[int, tuple[tuple[Fraction, ...], ...]] = {
     2: (
-        (_frac(1), _frac(1)),
-        (_frac(2), _frac(1)),
-        (_frac(1, 2), _frac(3, 2)),
-        (_frac(7, 3), _frac(5, 4)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(2), Fraction(1)),
+        (Fraction(1, 2), Fraction(3, 2)),
+        (Fraction(7, 3), Fraction(5, 4)),
     ),
     3: (
-        (_frac(1), _frac(1), _frac(1)),
-        (_frac(1), _frac(2), _frac(1, 2)),
-        (_frac(2), _frac(3, 2), _frac(1, 2)),
+        (Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(2), Fraction(1, 2)),
+        (Fraction(2), Fraction(3, 2), Fraction(1, 2)),
     ),
     4: (
-        (_frac(1), _frac(1), _frac(1), _frac(1)),
-        (_frac(1), _frac(2), _frac(1, 2), _frac(3, 2)),
-        (_frac(1, 2), _frac(1, 2), _frac(1, 2), _frac(1, 2)),
+        (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
     ),
 }
 
-_TUPLE_BASE = (_frac(1), _frac(2), _frac(1, 2), _frac(3, 2))
+_TUPLE_BASE = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2))
 
 
 def _tuple_sets_for_k(k: int | None) -> tuple[dict, ...]:
@@ -738,9 +761,9 @@ def _tuple_sets_for_k(k: int | None) -> tuple[dict, ...]:
         vecs = _TUPLE_SETS[k]
     else:
         vecs = (
-            tuple(_frac(1) for _ in range(k)),
+            tuple(Fraction(1) for _ in range(k)),
             tuple(_TUPLE_BASE[i % 4] for i in range(k)),
-            tuple(_frac(1, 2) for _ in range(k)),
+            tuple(Fraction(1, 2) for _ in range(k)),
         )
     return tuple({"a_vec": v} for v in vecs)
 
@@ -1038,7 +1061,7 @@ _register(IdentitySpec(
     default_ks=(1, 2, 3, 4),
     default_n=_conv_default_n,
     default_param_sets=lambda k: (
-        ({"a_vec": (_frac(1),)}, {"a_vec": (_frac(2),)}, {"a_vec": (_frac(1, 2),)})
+        ({"a_vec": (Fraction(1),)}, {"a_vec": (Fraction(2),)}, {"a_vec": (Fraction(1, 2),)})
         if k == 1
         else _tuple_sets_for_k(k)
     ),

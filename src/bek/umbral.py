@@ -46,6 +46,7 @@ from .exactmath import (
     poly_scale,
     poly_shift,
     poly_sub,
+    series_product,
 )
 from .sequences import bernoulli_number, euler_poly_at_zero
 
@@ -302,9 +303,7 @@ def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:
         return ZERO
     d = len(f) - 1
     a, sym_coeffs = _merge_affine(affine)
-    egf: Poly = (Fraction(1),)
-    for sid, c in sym_coeffs.items():
-        egf = poly_mul(egf, _moment_egf(sid.kind, c, d))[: d + 1]
+    egf = series_product((_moment_egf(sid.kind, c, d) for sid, c in sym_coeffs.items()), d)
     # corr[d - i] = sum_j (i+j)! f_{i+j} G_j, read off the product with f reversed
     corr = poly_mul(tuple(f[m] * factorial(m) for m in range(d, -1, -1)), egf)
     corr += (Fraction(0),) * (d + 1 - len(corr))

@@ -10,6 +10,7 @@ exact equality everywhere except the Monte Carlo layer, which is pinned at
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -56,6 +57,12 @@ MC_QUERIES = (
     ((F(1), F(2), F(1, 2)), (2, 1, 3)),
     ((F(2), F(2), F(2), F(2)), (1, 1, 1, 1)),
 )
+
+# sha256 of `bek verify-all --format json`.  The output is the behaviour
+# contract of every refactor (each coefficient of each report), so this
+# digest only changes with a change that alters the output on purpose, such
+# as a new default grid, and that change says so.
+VERIFY_ALL_JSON_SHA256 = "8d717d4bf277b593aeab3fa8bf35dc960082ff4f3c963a445577793e388a1aa0"
 
 TABLE_B = ["1", "-1/2", "1/6", "0", "-1/30", "0", "1/42"]
 TABLE_E = ["1", "0", "-1", "0", "5", "0", "-61"]
@@ -332,3 +339,4 @@ def test_full_sweep_budget(capsys):
         assert all(r["status"] == "pass" for r in reports)
         assert {r["identity"] for r in reports} == set(REGISTRY)
         assert elapsed < 300.0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_ALL_JSON_SHA256

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,7 +15,10 @@ import pytest
 import bek.cli as cli
 from bek.cli import (
     MAX_MC_SAMPLES,
+    MAX_MC_SHAPES,
     MAX_TABLES_N,
+    MAX_VERIFY_COMPOSITIONS,
+    MAX_VERIFY_K,
     MAX_VERIFY_N,
     RunConfig,
     format_poly,
@@ -24,7 +29,7 @@ from bek.cli import (
     run,
 )
 from bek.exactmath import poly
-from bek.identities import REGISTRY
+from bek.identities import REGISTRY, build_points
 from bek.stochastic import MomentEstimate
 
 F = Fraction
@@ -262,6 +267,15 @@ class TestListCommand:
         assert thm2["takes_k"] is True
         assert "k=2: n=0..20" in thm2["default_grid"]
 
+    def test_json_digest(self):
+        # `bek list --format json` covers every entry's inputs, validity and
+        # default grid; it changes only with a change that means to change
+        # it, which then updates this digest and says so
+        _, out, _ = _run(RunConfig(command="list", format="json"))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8820fcdfad059cd28a9a36e46df21700925c8e1f4087f1a73c2e38b073e5d824"
+        )
+
 
 class TestMcCommand:
     def test_single_query_pass(self):
@@ -386,7 +400,61 @@ class TestInputBudgets:
         self._refused(capsys, ["mc", "--samples", str(10**12)], "--samples")
         assert len(seen) == 3
 
+    def test_verify_k(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        assert main(["verify", "--identity", "theorem4", "--k", str(MAX_VERIFY_K), "--n", "0"]) == 0
+        a_vec = ",".join(["1"] * MAX_VERIFY_K)
+        assert main(["verify", "--identity", "theorem2", "--params", f"a_vec={a_vec}", "--n", "1"]) == 0
+        assert [len(pt["a_vec"]) for pts in seen for pt in pts] == [MAX_VERIFY_K] * 4
+        # n = 0 has a single composition, so only the k cap refuses these
+        self._refused(capsys, ["verify", "--identity", "theorem4", "--k", str(MAX_VERIFY_K + 1), "--n", "0"], "--k")
+        self._refused(capsys, ["verify", "--identity", "kth-matiyasevich", "--k", str(10**9), "--n", "0"], "--k")
+        self._refused(capsys, ["verify", "--identity", "theorem2", "--params", f"a_vec={a_vec},1", "--n", "0"],
+                      "a_vec length")
+        assert len(seen) == 2
+
+    def test_verify_compositions(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        # the cap is the count of k = 16 at n = 7, C(22, 15)
+        assert MAX_VERIFY_COMPOSITIONS == math.comb(22, 15)
+        assert main(["verify", "--identity", "theorem2", "--k", "16", "--n", "7"]) == 0
+        assert main(["verify", "--identity", "theorem4", "--k", "16", "--n", "0..7"]) == 0
+        assert {pt["n"] for pt in seen[0]} == {7} and max(pt["n"] for pt in seen[1]) == 7
+        self._refused(capsys, ["verify", "--identity", "theorem2", "--k", "16", "--n", "8"], "compositions")
+        self._refused(capsys, ["verify", "--identity", "theorem4", "--k", "16", "--n", "0..8"], "compositions")
+        # a cap one below the count refuses the same point: the cap is the
+        # largest accepted count
+        monkeypatch.setattr(cli, "MAX_VERIFY_COMPOSITIONS", MAX_VERIFY_COMPOSITIONS - 1)
+        self._refused(capsys, ["verify", "--identity", "kth-matiyasevich", "--k", "16", "--n", "7"], "compositions")
+        assert len(seen) == 2
+
+    def test_mc_shapes(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_mc(query):
+            seen.append(query.k)
+            return MomentEstimate(0.25, 0.01, query.samples, Fraction(1, 4))
+
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", fake_mc)
+        shapes, exponents = ",".join(["1"] * MAX_MC_SHAPES), ",".join(["1"] * MAX_MC_SHAPES)
+        assert main(["mc", "--a", shapes, "--l", exponents, "--format", "json"]) == 0
+        assert seen == [MAX_MC_SHAPES]
+        self._refused(capsys, ["mc", "--a", shapes + ",1", "--l", exponents + ",1"], "--a length")
+        self._refused(capsys, ["mc", "--a", "1,1", "--l", exponents + ",1"], "--l length")
+        assert seen == [MAX_MC_SHAPES]
+
     def test_caps_admit_the_benchmark_inputs(self):
         # perfbench runs tables to N = 150, the sweep to n = 60 and mc
-        # queries of 2,000,000 samples
+        # queries of 2,000,000 samples over at most 4 shapes
         assert MAX_TABLES_N >= 150 and MAX_VERIFY_N >= 60 and MAX_MC_SAMPLES >= 2_000_000
+        assert MAX_MC_SHAPES >= 4
+
+    def test_caps_admit_every_default_grid(self):
+        for entry in REGISTRY.values():
+            points = build_points(entry)
+            assert max(pt["n"] for pt in points) <= MAX_VERIFY_N
+            if entry.takes_k:
+                assert max(entry.default_ks) <= MAX_VERIFY_K
+                cli._refuse_compositions(points)

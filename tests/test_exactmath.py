@@ -28,6 +28,7 @@ from bek.exactmath import (
     poly_scale,
     poly_shift,
     poly_sub,
+    series_product,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -249,6 +250,25 @@ class TestIntegerKernel:
             [Fraction(-1, 6), Fraction(-1, 6), 1]
         )
         assert poly_mul(ZERO, ONE) == ZERO
+
+    @given(st.lists(st.one_of(small_polys, wide_polys), max_size=5), st.integers(-1, 12))
+    def test_series_product_matches_truncated_fold(self, factors, d):
+        full = ONE
+        for f in factors:
+            full = poly_mul(full, f)
+        out = series_product(factors, d)
+        assert out == poly(full[: d + 1])
+        assert _all_fractions(out)
+        assert series_product(iter(factors), d) == out
+
+    def test_series_product_frozen(self):
+        # 1/(1 - t) squared is sum (m + 1) t^m
+        geometric = poly([1] * 8)
+        assert series_product((geometric, geometric), 4) == poly([1, 2, 3, 4, 5])
+        # a product whose kept coefficients cancel comes back trimmed
+        assert series_product((poly([0, 0, 1]), poly([1, 1])), 1) == ZERO
+        assert series_product((), 3) == ONE
+        assert series_product((geometric,), -1) == ZERO
 
 
 class TestCompositions:

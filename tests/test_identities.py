@@ -4,10 +4,27 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bek.exactmath import ZERO, binomial, poly, poly_scale
+from bek.exactmath import (
+    ZERO,
+    binomial,
+    composition_parts,
+    harmonic,
+    harmonic_second,
+    multinomial,
+    pochhammer,
+    poly,
+    poly_add,
+    poly_lincomb,
+    poly_scale,
+    poly_sub,
+    series_product,
+)
 from bek.identities import (
     REGISTRY,
     DomainError,
@@ -25,7 +42,7 @@ from bek.identities import (
     point_text,
     verify,
 )
-from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly_at_zero
+from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
 
 F = Fraction
 
@@ -307,3 +324,200 @@ class TestSmallGridSweep:
     def test_entry_passes_on_cheap_point(self, name):
         reports = verify(name, points=[self.CHEAP_POINTS[name]])
         assert reports and all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# The composition-enumerating right sides that the generating-function
+# evaluation replaced, kept as the reference it is compared against.
+# ---------------------------------------------------------------------------
+
+
+def _theorem2_rhs_reference(n, a_vec):
+    k = len(a_vec)
+    total = sum(a_vec)
+
+    def rhs_terms():
+        for j in range(1, min(k, n + 1) + 1):
+            prefactor = F(factorial(n), factorial(n + 1 - j))
+            for subset in combinations(range(k), j):
+                a_j = prod(a_vec[i] for i in subset)
+                complement = [a_vec[i] for i in range(k) if i not in subset]
+                for parts in composition_parts(n + 1 - j, k - j + 1):
+                    l0, rest = parts[0], parts[1:]
+                    c = a_j * prefactor * multinomial(n + 1 - j, parts)
+                    for ai, li in zip(complement, rest):
+                        c *= pochhammer(ai, li) * bernoulli_number(li)
+                    if c:
+                        yield c / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
+
+    return poly_lincomb(rhs_terms())
+
+
+def _theorem4_rhs_reference(n, a_vec):
+    k = len(a_vec)
+    total = sum(a_vec)
+    even = k % 2 == 0
+    total_parts = (n + 1) if even else n
+
+    def rhs_terms():
+        for j in range(1, k + 1):
+            for subset in combinations(range(k), j):
+                complement = [a_vec[i] for i in range(k) if i not in subset]
+                for parts in composition_parts(total_parts, k - j + 1):
+                    l0, rest = parts[0], parts[1:]
+                    c = F(multinomial(total_parts, parts))
+                    for ai, li in zip(complement, rest):
+                        c *= pochhammer(ai, li) * euler_poly_at_zero(li)
+                    if not c:
+                        continue
+                    if even:
+                        yield c * F(-2) ** j / (n + 1) / pochhammer(total, n + 1 - l0), bernoulli_poly(l0)
+                    else:
+                        yield c * F(-2) ** (j - 1) / pochhammer(total, n - l0), euler_poly(l0)
+
+    return poly_lincomb(rhs_terms())
+
+
+def _corollary8_rhs_reference(n):
+    return poly_lincomb([
+        *((multinomial(n, (i, j, l)) * F(3) ** i * bernoulli_number(j) * bernoulli_number(l),
+           bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((n * binomial(n - 1, i) * F(3) ** i * bernoulli_number(n - 1 - i), bernoulli_poly(i))
+          for i in range(n)),
+        (n * (n - 1) * F(3) ** (n - 3), bernoulli_poly(n - 2)),
+    ])
+
+
+def _eq_6_9_rhs_reference(n, eps):
+    return poly_lincomb([
+        *((3 * eps * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, j + l + 1)
+           * bernoulli_number(j) * bernoulli_number(l) / (factorial(i) * factorial(j) * factorial(l)),
+           bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
+           * bernoulli_number(j) / (factorial(i) * factorial(j)),
+           bernoulli_poly(i))
+          for i, j in composition_parts(n - 1, 2)),
+        (eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)),
+    ])
+
+
+def _corollary9_reference(n):
+    h1 = harmonic
+    h2 = harmonic_second
+    bb = bernoulli_number
+    s1 = F(0)
+    s2 = F(0)
+    for i, j, l in composition_parts(n, 3):
+        if i < 1 or j < 1 or l < 1:
+            continue
+        term = (bb(i) / i) * (bb(j) / j) * (bb(l) / l)
+        s1 += term
+        s2 += binomial(n - 1, i - 1) * term
+    s3 = F(0)
+    for l in range(1, n - 1):
+        s3 += binomial(n - 1, l + 1) * (bb(l) / l) * (bb(n - l - 1) / (n - l - 1))
+    s4 = F(0)
+    s5 = F(0)
+    for l in range(1, n):
+        s4 += (3 * h1(n - 1) - 2 * h1(l - 1) + F(1, n)) * (bb(l) / l) * (bb(n - l) / (n - l))
+        s5 += binomial(n - 1, l - 1) * (2 * h1(l) + F(1, l)) * (bb(l) / l) * (bb(n - l) / l)
+    rhs = (
+        s2 + s3 + s4 - 2 * s5
+        + F(n - 1, 6) * bb(n - 2)
+        + (F(1, (n - 1) * n) - 3) * bb(n - 1)
+        - 2 * (F(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + F(3, n * n)) * bb(n) / n
+    )
+    return poly([F(1, 3) * s1]), poly([rhs])
+
+
+positive_rationals = st.builds(F, st.integers(1, 7), st.integers(1, 7))
+
+
+@st.composite
+def parameter_tuples(draw, k_min):
+    """k positive rationals drawn from a pool of at most k, so repeats are common."""
+    k = draw(st.integers(k_min, 5))
+    pool = draw(st.lists(positive_rationals, min_size=1, max_size=k))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(k))
+
+
+class TestGeneratingFunctionRightSides:
+    """The series-product right sides agree with the composition sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), parameter_tuples(2))
+    def test_theorem2(self, n, a_vec):
+        lhs, rhs = eval_theorem2(n, a_vec)
+        assert rhs == _theorem2_rhs_reference(n, a_vec)
+        assert lhs == rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), parameter_tuples(1))
+    def test_theorem4(self, n, a_vec):
+        lhs, rhs = eval_theorem4(n, a_vec)
+        assert rhs == _theorem4_rhs_reference(n, a_vec)
+        assert lhs == rhs
+
+    def test_corollary8_default_grid(self):
+        for pt in build_points(REGISTRY["corollary8"]):
+            assert eval_corollary("corollary8", pt["n"])[1] == _corollary8_rhs_reference(pt["n"])
+
+    def test_eq_6_9_default_grid(self):
+        for pt in build_points(REGISTRY["eq-6-9"]):
+            n, eps = pt["n"], pt["epsilon"]
+            assert eval_corollary("eq-6-9", n, {"epsilon": eps})[1] == _eq_6_9_rhs_reference(n, eps)
+
+    def test_corollary9_default_grid(self):
+        for pt in build_points(REGISTRY["corollary9"]):
+            assert eval_corollary("corollary9", pt["n"]) == _corollary9_reference(pt["n"])
+
+
+def _theorem2_rhs_copy(n, a_vec, drop_t_term=False):
+    """The right side of eval_theorem2, with the a_i t term optionally dropped."""
+    d = n + 1
+    series = [poly(pochhammer(ai, l) * bernoulli_number(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    shifted = series if drop_t_term else [poly_add(s, (F(0), ai)) for s, ai in zip(series, a_vec)]
+    q = poly_sub(series_product(shifted, d), series_product(series, d))
+    q += (F(0),) * (d + 1 - len(q))
+    return poly_lincomb(
+        (F(factorial(n), factorial(l0)) * q[d - l0] / pochhammer(sum(a_vec), d - l0), bernoulli_poly(l0))
+        for l0 in range(n + 1)
+    )
+
+
+def _theorem4_rhs_copy(n, a_vec, shift=F(-2)):
+    """The right side of eval_theorem4, with A_i - 2 replaced by A_i + shift."""
+    if len(a_vec) % 2 == 0:
+        d, weight, base = n + 1, F(factorial(n)), bernoulli_poly
+    else:
+        d, weight, base = n, F(-factorial(n), 2), euler_poly
+    series = [poly(pochhammer(ai, l) * euler_poly_at_zero(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    q = poly_sub(series_product([poly_add(s, (shift,)) for s in series], d), series_product(series, d))
+    q += (F(0),) * (d + 1 - len(q))
+    return poly_lincomb(
+        (weight / factorial(l0) * q[d - l0] / pochhammer(sum(a_vec), d - l0), base(l0))
+        for l0 in range(d + 1)
+    )
+
+
+class TestCorruptedSeries:
+    """A corrupted series product is caught at the entry's first default
+    point with n >= 2; the uncorrupted copy agrees with the real evaluator."""
+
+    @staticmethod
+    def _first_point(name):
+        return next(pt for pt in build_points(REGISTRY[name]) if pt["n"] >= 2)
+
+    def test_theorem2_without_the_t_term(self):
+        pt = self._first_point("theorem2")
+        lhs, rhs = eval_theorem2(pt["n"], pt["a_vec"])
+        assert lhs == rhs == _theorem2_rhs_copy(pt["n"], pt["a_vec"])
+        assert _theorem2_rhs_copy(pt["n"], pt["a_vec"], drop_t_term=True) != lhs
+
+    def test_theorem4_with_a_shift_of_one(self):
+        pt = self._first_point("theorem4")
+        lhs, rhs = eval_theorem4(pt["n"], pt["a_vec"])
+        assert lhs == rhs == _theorem4_rhs_copy(pt["n"], pt["a_vec"])
+        assert _theorem4_rhs_copy(pt["n"], pt["a_vec"], shift=F(-1)) != lhs
