@@ -59,13 +59,18 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # `bek verify --identity theorem2 --k 16 --n 7` (170,544 compositions, three
 # parameter sets) takes 58 s; k = 12 at n = 9 (167,960) takes 43 s, and
 # k = 24 at n = 5 (98,280) 43 s.  `bek mc` draws one gamma per shape and
-# sample: 10 shapes at --samples 100000000 take 59 s.
+# sample: 10 shapes at --samples 100000000 take 59 s.  Its exact moment
+# builds (sum a)_{sum l} one rational factor at a time, in time quadratic in
+# sum l: `bek mc --a 1,1 --l 100000,1` takes 47 s and `--a 1/3,2/7` 73 s
+# (shapes with larger denominators cost more per factor).  The cap bounds
+# sum l, not the size of the shapes.
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
 MAX_VERIFY_COMPOSITIONS = 170_544
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
+MAX_MC_EXPONENT_SUM = 100_000
 
 
 def _refuse_above(flag: str, value: int, cap: int) -> None:
@@ -466,6 +471,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     if config.a_vec is not None:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
         _refuse_above("--l length", len(config.l_vec), MAX_MC_SHAPES)
+        _refuse_above("--l sum", sum(config.l_vec), MAX_MC_EXPONENT_SUM)
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)

@@ -35,17 +35,16 @@ from typing import Mapping, Sequence
 from .exactmath import (
     Poly,
     ZERO,
+    _from_int_form,
+    _int_form,
+    _taylor_shift,
     composition_parts,
     multinomial,
     poly,
-    poly_add,
     poly_compose_linear,
     poly_derivative,
     poly_lincomb,
     poly_mul,
-    poly_scale,
-    poly_shift,
-    poly_sub,
     series_product,
 )
 from .sequences import bernoulli_number, euler_poly_at_zero
@@ -337,14 +336,29 @@ def discrete_mean(*shifts: Fraction | int) -> DifferenceOp:
 
 
 def apply_delta(op: DifferenceOp, p: Poly) -> Poly:
-    """Apply the operator composition to an exact polynomial."""
-    half = Fraction(1, 2)
+    """Apply the operator composition to an exact polynomial.
+
+    The shifts compose on integer numerators over one denominator D.  For
+    u = r/s and p of degree d over D, `_taylor_shift` gives p(x + u) over
+    D s^d; a forward step subtracts the input scaled by s^d (over D s^d),
+    and a mean step adds it (over 2 D s^d).  Fractions are built once, at
+    the end.
+    """
+    nums, den = _int_form(p)
     for u in op.shifts:
+        if not nums:
+            break
+        scale = u.denominator ** (len(nums) - 1)
+        shifted = _taylor_shift(nums, u)
         if op.variant is OpVariant.FORWARD:
-            p = poly_sub(poly_shift(p, u), p)
+            nums = [a - scale * b for a, b in zip(shifted, nums)]
+            while nums and not nums[-1]:
+                nums.pop()
         else:
-            p = poly_scale(half, poly_add(p, poly_shift(p, u)))
-    return p
+            nums = [a + scale * b for a, b in zip(shifted, nums)]
+            scale *= 2
+        den *= scale
+    return _from_int_form(nums, den)
 
 
 def _subset_ops(k: int):
@@ -360,9 +374,10 @@ def verify_lemma1(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
         raise ValueError(f"verify_lemma1 requires len(shifts) == k >= 1, got k={k}")
     shifts = [Fraction(u) for u in shifts]
     lhs = apply_delta(forward_difference(sum(shifts)), test_poly)
-    rhs = ZERO
-    for _, subset in _subset_ops(k):
-        rhs = poly_add(rhs, apply_delta(forward_difference(*(shifts[i] for i in subset)), test_poly))
+    rhs = poly_lincomb(
+        (1, apply_delta(forward_difference(*(shifts[i] for i in subset)), test_poly))
+        for _, subset in _subset_ops(k)
+    )
     return lhs == rhs
 
 
@@ -377,13 +392,15 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
         raise ValueError(f"verify_lemma3 requires len(shifts) == k >= 1, got k={k}")
     shifts = [Fraction(u) for u in shifts]
     lhs = apply_delta(discrete_mean(sum(shifts)), test_poly)
-    acc = ZERO
-    for j, subset in _subset_ops(k):
-        term = apply_delta(discrete_mean(*(shifts[i] for i in subset)), test_poly)
-        acc = poly_add(acc, poly_scale(Fraction(-2) ** (j - 1), term))
-    if k % 2 == 0:
-        return lhs == poly_sub(test_poly, acc)
-    return lhs == acc
+    # the alternating subset sum, subtracted from the identity for even k
+    sign = -1 if k % 2 == 0 else 1
+    terms = [
+        (sign * (-2) ** (j - 1), apply_delta(discrete_mean(*(shifts[i] for i in subset)), test_poly))
+        for j, subset in _subset_ops(k)
+    ]
+    if sign < 0:
+        terms.append((1, test_poly))
+    return lhs == poly_lincomb(terms)
 
 
 def _monomial(m: int, c: Fraction | int = 1) -> Poly:

@@ -14,6 +14,7 @@ import pytest
 
 import bek.cli as cli
 from bek.cli import (
+    MAX_MC_EXPONENT_SUM,
     MAX_MC_SAMPLES,
     MAX_MC_SHAPES,
     MAX_TABLES_N,
@@ -445,11 +446,30 @@ class TestInputBudgets:
         self._refused(capsys, ["mc", "--a", "1,1", "--l", exponents + ",1"], "--l length")
         assert seen == [MAX_MC_SHAPES]
 
+    def test_mc_exponent_sum(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_mc(query):
+            seen.append(sum(query.l_vec))
+            return MomentEstimate(0.25, 0.01, query.samples, Fraction(1, 4))
+
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", fake_mc)
+        assert main(["mc", "--a", "1,1", "--l", f"{MAX_MC_EXPONENT_SUM - 1},1", "--format", "json"]) == 0
+        spread = ",".join([str(MAX_MC_EXPONENT_SUM // 10)] * 10)
+        assert main(["mc", "--a", ",".join(["1/3"] * 10), "--l", spread, "--format", "json"]) == 0
+        assert seen == [MAX_MC_EXPONENT_SUM] * 2
+        self._refused(capsys, ["mc", "--a", "1,1", "--l", f"{MAX_MC_EXPONENT_SUM},1"], "--l sum")
+        self._refused(capsys, ["mc", "--a", "1,1,1", "--l", f"{MAX_MC_EXPONENT_SUM // 2},{MAX_MC_EXPONENT_SUM // 2},1"],
+                      "--l sum")
+        self._refused(capsys, ["mc", "--a", "1,1", "--l", f"{10**12},0"], "--l sum")
+        assert seen == [MAX_MC_EXPONENT_SUM] * 2
+
     def test_caps_admit_the_benchmark_inputs(self):
         # perfbench runs tables to N = 150, the sweep to n = 60 and mc
-        # queries of 2,000,000 samples over at most 4 shapes
+        # queries of 2,000,000 samples over at most 4 shapes, with exponents
+        # summing to at most 6
         assert MAX_TABLES_N >= 150 and MAX_VERIFY_N >= 60 and MAX_MC_SAMPLES >= 2_000_000
-        assert MAX_MC_SHAPES >= 4
+        assert MAX_MC_SHAPES >= 4 and MAX_MC_EXPONENT_SUM >= 6
 
     def test_caps_admit_every_default_grid(self):
         for entry in REGISTRY.values():

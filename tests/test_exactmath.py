@@ -61,6 +61,19 @@ def _schoolbook_mul(p, q) -> tuple:
     return tuple(out)
 
 
+def _recursive_composition_parts(n, k):
+    """The recursive enumeration that composition_parts replaced, kept as
+    the oracle of its order; it recurses once per part."""
+    if n < 0:
+        return
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _recursive_composition_parts(n - first, k - 1):
+            yield (first,) + rest
+
+
 def _all_fractions(p) -> bool:
     return all(type(c) is Fraction for c in p)
 
@@ -291,6 +304,18 @@ class TestCompositions:
     def test_rejects_bad_slot_count(self):
         with pytest.raises(ValueError):
             list(composition_parts(3, 0))
+
+    def test_order_matches_recursive_enumeration(self):
+        for n in range(-1, 9):
+            for k in range(1, 6):
+                assert list(composition_parts(n, k)) == list(_recursive_composition_parts(n, k))
+
+    def test_more_parts_than_the_recursion_limit(self):
+        parts = list(composition_parts(1, 1200))
+        assert len(parts) == 1200
+        assert parts[0] == (0,) * 1199 + (1,) and parts[-1] == (1,) + (0,) * 1199
+        assert all(sum(c) == 1 and len(c) == 1200 for c in parts)
+        assert list(composition_parts(0, 1200)) == [(0,) * 1200]
 
     @given(st.integers(0, 9), st.integers(1, 4))
     def test_count_is_stars_and_bars(self, n, k):

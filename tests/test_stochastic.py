@@ -61,6 +61,11 @@ class TestNormalization:
             for n in range(0, 9):
                 assert normalization_check(a_vec, n) == 1
 
+    def test_more_shapes_than_the_recursion_limit(self):
+        # one composition of 0 into 1100 parts; enumerating it once took
+        # one stack frame per part
+        assert normalization_check((F(1),) * 1100, 0) == 1
+
     def test_rejects_small_k_and_negative_n(self):
         with pytest.raises(ValueError):
             normalization_check((F(1),), 3)

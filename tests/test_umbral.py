@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ import bek.umbral as umbral
 from bek.exactmath import ZERO, poly, poly_add, poly_lincomb, poly_scale, poly_shift, poly_sub
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
 from bek.umbral import (
+    DifferenceOp,
+    OpVariant,
     SymbolId,
     SymbolKind,
     UmbralExpr,
@@ -191,6 +194,31 @@ class TestAnnihilation:
             verify_annihilation((bernoulli_symbol(), uniform_symbol()), 0)
 
 
+def _fraction_shift(p, u):
+    """The Fraction double loop that the integer-numerator poly_shift
+    replaced, kept as the reference Taylor shift."""
+    if u == 0:
+        return p
+    out = [F(0)] * len(p)
+    for i, c in enumerate(p):
+        if c == 0:
+            continue
+        for j in range(i + 1):
+            out[j] += c * math.comb(i, j) * F(u) ** (i - j)
+    return poly(out)
+
+
+def _fraction_apply_delta(op, p):
+    """The Fraction apply_delta that the integer-numerator one replaced,
+    kept as the reference operator composition."""
+    for u in op.shifts:
+        if op.variant is OpVariant.FORWARD:
+            p = poly_sub(_fraction_shift(p, u), p)
+        else:
+            p = poly_scale(F(1, 2), poly_add(p, _fraction_shift(p, u)))
+    return p
+
+
 class TestDifferenceOperators:
     def test_forward_difference(self):
         p = poly([0, 0, 1])
@@ -205,8 +233,8 @@ class TestDifferenceOperators:
     def test_composition_over_shifts(self):
         p = poly([1, -2, 0, 1])
         op = forward_difference(F(1, 2), F(1, 3))
-        step1 = poly_sub(poly_shift(p, F(1, 2)), p)
-        step2 = poly_sub(poly_shift(step1, F(1, 3)), step1)
+        step1 = poly_sub(_fraction_shift(p, F(1, 2)), p)
+        step2 = poly_sub(_fraction_shift(step1, F(1, 3)), step1)
         assert apply_delta(op, p) == step2
 
     def test_forward_equals_twice_centered_mean_minus_identity(self):
@@ -215,6 +243,49 @@ class TestDifferenceOperators:
         fwd = apply_delta(forward_difference(u), p)
         mean = apply_delta(discrete_mean(u), p)
         assert fwd == poly_sub(poly_scale(2, mean), poly_scale(2, p))
+
+
+shift_values = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6).map(F),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+shift_polys = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=15).map(poly)
+
+
+class TestIntegerShiftOracle:
+    """The integer-numerator Taylor shift against the Fraction reference.
+
+    This oracle is needed because the lemma verifiers cannot catch a wrong
+    shift direction: both sides of lemmas 1 and 3 use the same shift, and
+    the lemmas hold for any family T_u with T_{u+v} = T_u T_v, the shift
+    p(x) -> p(x - u) included.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(shift_polys, st.lists(shift_values, min_size=1, max_size=5))
+    def test_matches_fraction_reference(self, p, shifts):
+        for u in shifts:
+            got = poly_shift(p, u)
+            assert got == _fraction_shift(p, u)
+            assert all(type(c) is F for c in got)
+        for variant in OpVariant:
+            op = DifferenceOp(tuple(shifts), variant)
+            got = apply_delta(op, p)
+            assert got == _fraction_apply_delta(op, p)
+            assert all(type(c) is F for c in got)
+
+    def test_frozen_shifts(self):
+        p = poly([F(1, 3), -2, 0, F(5, 7), 1])
+        # p(x - 1/2), as SymPy expands it
+        assert poly_shift(p, F(-1, 2)) == poly([F(439, 336), F(-55, 28), F(3, 7), F(-9, 7), 1])
+        shifts = (F(0), F(-3, 4), F(5, 3), F(-2), F(1, 6))
+        for variant in OpVariant:
+            op = DifferenceOp(shifts, variant)
+            assert apply_delta(op, p) == _fraction_apply_delta(op, p)
+        assert apply_delta(forward_difference(F(0)), p) == ZERO
+        assert apply_delta(discrete_mean(F(0)), p) == p
+        assert apply_delta(forward_difference(F(2, 3)), ZERO) == ZERO
 
 
 class TestLemmas:
