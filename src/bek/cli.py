@@ -201,25 +201,35 @@ def _poly_text(p: Poly) -> str:
 
 def format_poly(p: Poly) -> str:
     """Human rendering in descending powers, e.g. 'x^2 - x + 1/6'."""
-    if not p:
-        return "0"
-    pieces: list[tuple[str, str]] = []
+    text: list[str] = []
     for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
+        num, den = p[i].numerator, p[i].denominator
+        if not num:
             continue
-        magnitude = abs(c)
-        if i == 0:
-            body = str(magnitude)
-        else:
-            head = "" if magnitude == 1 else f"{magnitude}*"
-            body = head + ("x" if i == 1 else f"x^{i}")
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+        body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if i:
+            body = ("" if body == "1" else body + "*") + ("x" if i == 1 else f"x^{i}")
+        if text:
+            text.append(" - " if num < 0 else " + ")
+        elif num < 0:
+            text.append("-")
+        text.append(body)
+    return "".join(text) if text else "0"
+
+
+def _exact_text(value: Fraction) -> str:
+    """str(value) at any size.  Python caps int-to-decimal conversion at
+    4300 digits by default (3.11 and later, and security backports); the
+    cap is lifted for this one conversion and then put back."""
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:
+        return str(value)
+    cap = get_cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _inputs_payload(inputs: Mapping) -> dict:
@@ -398,7 +408,8 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     _refuse_above("--max-n", config.max_n, MAX_TABLES_N)
     rows = _tables_rows(config.max_n)
     if config.format == "json":
-        out.write(json.dumps({"max_n": config.max_n, "rows": rows}, indent=2) + "\n")
+        json.dump({"max_n": config.max_n, "rows": rows}, out, indent=2)
+        out.write("\n")
         return 0
     if config.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -490,7 +501,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
             "samples": config.samples,
             "seed": config.seed,
             "sigma": config.sigma,
-            "exact": str(estimate.exact),
+            "exact": _exact_text(estimate.exact),
             "mean": estimate.mean,
             "stderr": estimate.stderr,
             "sigmas": sigmas,

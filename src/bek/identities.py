@@ -5,8 +5,11 @@ polynomials in x over the rationals (number-level identities produce
 degree-0 polynomials) and never shares work between the two sides beyond
 the memoized sequence tables, so a sign slip on either side cannot cancel.
 Parameters stated for real values are verified on positive rational
-instances; since each side is a rational function of the parameters, exact
-agreement on the grids below is a complete check at desk scale.
+instances.  What a report checks is exact equality of every coefficient
+at the listed points (each n, and each parameter set of the grids below),
+and nothing more: each side is a rational function of the parameters,
+and agreement at a few parameter points does not prove agreement at all
+of them.
 
 Two families of scalar identities involve gamma-function factors at
 non-integer arguments; those are evaluated in a normalized form with both

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ from bek.cli import (
 )
 from bek.exactmath import poly
 from bek.identities import REGISTRY, build_points
-from bek.stochastic import MomentEstimate
+from bek.stochastic import MomentEstimate, dirichlet_moment_exact
 
 F = Fraction
 
@@ -250,6 +251,20 @@ class TestTablesCommand:
         code, _, err = _run(RunConfig(command="tables", max_n=-1))
         assert code == 2 and "--max-n" in err
 
+    # `bek tables --max-n 150` covers every number, coefficient and
+    # rendering of the tables the benchmark prints; like the `list` and
+    # `verify-all` digests, these change only with a change that means to
+    # change that output, which then updates them and says so
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_digest(self, fmt):
+        digest = {
+            "json": "18b6ba82c0b1764c862cfbf9ddf8733dce5edb74430e79acb81ed8b7bc2bec58",
+            "text": "acbf6e5f3eae4f400527d1d5cab0464e33b4f8bab996dc8909ef3aef7b13a687",
+        }[fmt]
+        code, out, _ = _run(RunConfig(command="tables", max_n=150, format=fmt))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestListCommand:
     def test_text_lists_all_entries(self):
@@ -318,6 +333,32 @@ class TestMcCommand:
         assert code == 0
         assert "exact=1/6" in out
         assert "all 1 checks pass" in out
+
+    def test_exact_longer_than_the_int_str_cap(self):
+        # numerator and denominator run to thousands of digits, past the
+        # 4300-digit default cap on int-to-decimal conversion
+        a_vec, l_vec = (F(1, 3), F(2, 7)), (10_000, 1)
+        get_cap = getattr(sys, "get_int_max_str_digits", None)
+        cap = get_cap() if get_cap else None
+        code, out, err = _run(RunConfig(command="mc", a_vec=a_vec, l_vec=l_vec,
+                                        samples=2, format="json"))
+        assert code in (0, 1) and err == ""
+        assert (get_cap() if get_cap else None) == cap
+        (row,) = json.loads(out)
+        assert len(row["exact"]) > 2 * 4300
+        if get_cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(row["exact"]) == dirichlet_moment_exact(a_vec, l_vec)
+        finally:
+            if get_cap:
+                sys.set_int_max_str_digits(cap)
+
+    def test_exact_text_without_a_cap(self, monkeypatch):
+        # Pythons before the cap have no get/set_int_max_str_digits
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert cli._exact_text(F(-7, 3)) == "-7/3"
 
 
 class TestMain:

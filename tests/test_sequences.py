@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -34,6 +36,66 @@ from bek.sequences import (
 TABLE_B = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
 TABLE_E = [1, 0, -1, 0, 5, 0, -61]
 TABLE_G = [0, 1, -1, 0, 1, 0, -3]
+
+# OEIS A000111, the zigzag numbers A_0..A_29: secant numbers at even n,
+# tangent numbers at odd n
+ZIGZAG = [
+    1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256,
+    199360981, 1903757312, 19391512145, 209865342976, 2404879675441,
+    29088885112832, 370371188237525, 4951498053124096, 69348874393137901,
+    1015423886506852352, 15514534163557086905, 246921480190207983616,
+    4087072509293123892361, 70251601603943959887872,
+    1252259641403629865468285, 23119184187809597841473536,
+]
+
+# The classical Fraction recurrences, kept as oracles for the zigzag fill.
+ORACLE_N = 300
+
+
+def _reference_bernoulli(top: int) -> list[Fraction]:
+    """B_m from sum_{j<=m} C(m+1, j) B_j = 0, solved for B_m."""
+    out = [Fraction(1)]
+    for m in range(1, top + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += comb(m + 1, j) * out[j]
+        out.append(-acc / (m + 1))
+    return out
+
+
+def _reference_euler(euler_zero: list[Fraction]) -> list[Fraction]:
+    """E_m = 2^m E_m(1/2) = sum_j C(m, j) E_j(0) 2^j."""
+    out = []
+    for m in range(len(euler_zero)):
+        acc = Fraction(0)
+        for j in range(m + 1):
+            acc += comb(m, j) * euler_zero[j] * Fraction(2) ** j
+        out.append(acc)
+    return out
+
+
+def _reference_appell(values: list[Fraction]) -> tuple:
+    """sum_j C(m, j) values[j] x^{m-j} through `comb * Fraction` and `poly`."""
+    m = len(values) - 1
+    coeffs = [Fraction(0)] * (m + 1)
+    for j in range(m + 1):
+        coeffs[m - j] = comb(m, j) * values[j]
+    return poly(coeffs)
+
+
+@pytest.fixture(scope="module")
+def reference_tables() -> dict:
+    bern = _reference_bernoulli(ORACLE_N + 1)
+    genocchi = [2 * (1 - Fraction(2) ** m) * b for m, b in enumerate(bern)]
+    euler_zero = [genocchi[m + 1] / (m + 1) for m in range(ORACLE_N + 1)]
+    return {
+        "bernoulli_number": bern[: ORACLE_N + 1],
+        "genocchi_number": genocchi[: ORACLE_N + 1],
+        "euler_poly_at_zero": euler_zero,
+        "euler_number": _reference_euler(euler_zero),
+        "bernoulli_poly": [_reference_appell(bern[: m + 1]) for m in range(ORACLE_N + 1)],
+        "euler_poly": [_reference_appell(euler_zero[: m + 1]) for m in range(ORACLE_N + 1)],
+    }
 
 
 def _euler_poly_about_half(n: int):
@@ -126,6 +188,31 @@ class TestPolynomialTables:
             assert len(euler_poly(n)) == n + 1 and euler_poly(n)[-1] == 1
 
 
+class TestZigzagFill:
+    def test_zigzag_prefix_matches_oeis(self):
+        cache = SequenceCache()
+        assert [cache.zigzag_number(n) for n in range(len(ZIGZAG))] == ZIGZAG
+        assert all(type(cache.zigzag_number(n)) is int for n in range(len(ZIGZAG)))
+
+    @pytest.mark.parametrize("table", [
+        "bernoulli_number", "genocchi_number", "euler_poly_at_zero",
+        "euler_number", "bernoulli_poly", "euler_poly",
+    ])
+    def test_fresh_cache_matches_reference_routes(self, reference_tables, table):
+        # filled in one call up to the top, so every entry comes from the
+        # zigzag fill of a fresh cache, not from tables shared with other tests
+        fill = getattr(SequenceCache(), table)
+        fill(ORACLE_N)
+        for n, expected in enumerate(reference_tables[table]):
+            value = fill(n)
+            assert value == expected, (table, n)
+            if isinstance(expected, tuple):
+                assert type(value) is tuple
+                assert all(type(c) is Fraction for c in value), (table, n)
+            else:
+                assert type(value) is Fraction, (table, n)
+
+
 class TestCacheBehaviour:
     def test_instances_are_isolated(self):
         fresh = SequenceCache()
@@ -153,9 +240,72 @@ class TestCacheBehaviour:
         assert results.count(bernoulli_number(40)) == 8
         assert results.count(euler_number(30)) == 8
 
+    def test_filled_entries_are_read_without_the_lock(self):
+        cache = SequenceCache()
+        expected = (cache.bernoulli_poly(30), cache.euler_poly(30), cache.euler_number(30))
+        got: list = []
+
+        def reader():
+            got.append((cache.bernoulli_poly(30), cache.euler_poly(30), cache.euler_number(30)))
+
+        with cache._lock:  # as a fill in another thread would hold it
+            thread = threading.Thread(target=reader)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert got == [expected]
+
+    def test_reads_stay_consistent_during_a_fill(self):
+        cache = SequenceCache()
+        top = 40
+        expected = [
+            (cache.bernoulli_number(n), cache.euler_number(n), cache.genocchi_number(n),
+             cache.bernoulli_poly(n), cache.euler_poly(n))
+            for n in range(top)
+        ]
+        done = threading.Event()
+        mismatches: list[int] = []
+        sweeps: list[int] = []
+
+        def reader():
+            count = 0
+            while not done.is_set():
+                for n in range(top):
+                    got = (cache.bernoulli_number(n), cache.euler_number(n), cache.genocchi_number(n),
+                           cache.bernoulli_poly(n), cache.euler_poly(n))
+                    if got != expected[n]:
+                        mismatches.append(n)
+                count += 1
+            sweeps.append(count)
+
+        def filler():
+            try:
+                cache.euler_poly(250)
+                cache.bernoulli_poly(250)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)] + [threading.Thread(target=filler)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            done.set()
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
+        assert len(sweeps) == 4
+        assert cache.bernoulli_poly(250) == bernoulli_poly(250)
+        assert cache.euler_poly(250) == euler_poly(250)
+
     def test_rejects_negative_index(self):
         cache = SequenceCache()
         for fn in (
+            cache.zigzag_number,
             cache.bernoulli_number,
             cache.genocchi_number,
             cache.euler_number,
