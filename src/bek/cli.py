@@ -51,7 +51,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # `bek verify --n 70` takes 23 s for theorem2 and 21 s for theorem4, the
 # slowest entries on their default k and parameter grids; each further n
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
-# 61 s over the default three queries.
+# 49 s over the default three queries.
 #
 # A k-fold entry (`takes_k`) enumerates the C(n + k - 1, k - 1) weak
 # compositions of n into k parts on its left side, with work growing with k
@@ -59,11 +59,19 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # `bek verify --identity theorem2 --k 16 --n 7` (170,544 compositions, three
 # parameter sets) takes 58 s; k = 12 at n = 9 (167,960) takes 43 s, and
 # k = 24 at n = 5 (98,280) 43 s.  `bek mc` draws one gamma per shape and
-# sample: 10 shapes at --samples 100000000 take 59 s.  Its exact moment
-# builds (sum a)_{sum l} one rational factor at a time, in time quadratic in
-# sum l: `bek mc --a 1,1 --l 100000,1` takes 47 s and `--a 1/3,2/7` 73 s
-# (shapes with larger denominators cost more per factor).  The cap bounds
-# sum l, not the size of the shapes.
+# sample: 10 shapes at --samples 100000000 take 32 s.  Its exact moment
+# multiplies out (sum a)_{sum l} as one integer product tree: `bek mc --a 1,1
+# --l 99999,1` takes 0.8 s and `--a 1/3,2/7` 7.9 s.  The cap bounds sum l,
+# not the size of the shapes: `--a 999999937/999999929,999999929/999999937
+# --l 20000,1` takes 16 s, in gcds and decimal conversion of integers of
+# more than a million bits.
+#
+# `bek mc` also refuses shapes below MIN_MC_SHAPE.  A gamma variate of shape
+# a falls below the smallest double with probability about e^(-744.4 a), so
+# at a = 1/1000 about 47% of draws are 0.0 and a row of zeros normalizes to
+# 0/0 = NaN.  At a = 1/20 a draw is subnormal with probability about 4e-16,
+# so even MAX_MC_SAMPLES * MAX_MC_SHAPES = 10^9 draws expect fewer than
+# 10^-6 of them.
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
@@ -71,6 +79,7 @@ MAX_VERIFY_COMPOSITIONS = 170_544
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
 MAX_MC_EXPONENT_SUM = 100_000
+MIN_MC_SHAPE = Fraction(1, 20)
 
 
 def _refuse_above(flag: str, value: int, cap: int) -> None:
@@ -483,6 +492,9 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
         _refuse_above("--l length", len(config.l_vec), MAX_MC_SHAPES)
         _refuse_above("--l sum", sum(config.l_vec), MAX_MC_EXPONENT_SUM)
+        for a in config.a_vec:
+            if a < MIN_MC_SHAPE:
+                raise ValueError(f"--a entry {a} is below the smallest accepted shape {MIN_MC_SHAPE}")
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)
@@ -495,7 +507,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
             sigmas: float | None = estimate.deviation / estimate.stderr
         else:
             sigmas = None
-        results.append({
+        row = {
             "a_vec": [str(v) for v in a_vec],
             "l_vec": list(l_vec),
             "samples": config.samples,
@@ -507,13 +519,18 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
             "sigmas": sigmas,
             "status": "pass" if estimate.within(config.sigma) else "fail",
             "elapsed_ms": round(elapsed * 1000.0, 3) if config.timings else 0,
-        })
+        }
+        if config.timings:
+            row["exact_ms"] = round(estimate.exact_s * 1000.0, 3)
+            row["sampling_ms"] = round(estimate.sampling_s * 1000.0, 3)
+        results.append(row)
+    timing_columns = ["exact_ms", "sampling_ms"] if config.timings else []
     if config.format == "json":
         out.write(json.dumps(results, indent=2) + "\n")
     elif config.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["a_vec", "l_vec", "samples", "seed", "sigma",
-                         "exact", "mean", "stderr", "sigmas", "status", "elapsed_ms"])
+                         "exact", "mean", "stderr", "sigmas", "status", "elapsed_ms", *timing_columns])
         for row in results:
             writer.writerow([
                 ",".join(row["a_vec"]),
@@ -521,7 +538,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
                 row["samples"], row["seed"], row["sigma"], row["exact"],
                 repr(row["mean"]), repr(row["stderr"]),
                 "" if row["sigmas"] is None else repr(row["sigmas"]),
-                row["status"], row["elapsed_ms"],
+                row["status"], row["elapsed_ms"], *(row[c] for c in timing_columns),
             ])
     else:
         style = _Style(out, config.format)

@@ -63,13 +63,32 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def pochhammer(z: Fraction | int, k: int) -> Fraction:
-    """Rising factorial z(z+1)...(z+k-1); the empty product 1 when k = 0."""
+    """Rising factorial z(z+1)...(z+k-1); the empty product 1 when k = 0.
+
+    For z = p/q this is prod_{i<k} (p + i q) / q^k, an integer product
+    with a single reduction at the end.
+    """
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
-    out = Fraction(1)
-    for i in range(k):
-        out *= z + i
-    return out
+    z = Fraction(z)
+    p, q = z.numerator, z.denominator
+    return Fraction(_rising_product(p, q, 0, k), q ** k)
+
+
+def _rising_product(p: int, q: int, lo: int, hi: int) -> int:
+    """prod_{lo <= i < hi} (p + i q) as a balanced product tree.
+
+    Multiplying halves of similar size keeps the big multiplications
+    balanced, where a running product pays one long-by-short product per
+    factor.
+    """
+    if hi - lo <= 16:
+        out = 1
+        for i in range(lo, hi):
+            out *= p + i * q
+        return out
+    mid = (lo + hi) // 2
+    return _rising_product(p, q, lo, mid) * _rising_product(p, q, mid, hi)
 
 
 @lru_cache(maxsize=None)

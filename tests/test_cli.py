@@ -22,6 +22,7 @@ from bek.cli import (
     MAX_VERIFY_COMPOSITIONS,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
+    MIN_MC_SHAPE,
     RunConfig,
     format_poly,
     main,
@@ -35,6 +36,13 @@ from bek.identities import REGISTRY, build_points
 from bek.stochastic import MomentEstimate, dirichlet_moment_exact
 
 F = Fraction
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class _TtyOut(io.StringIO):
@@ -309,8 +317,39 @@ class TestMcCommand:
         config = RunConfig(command="mc", samples=20_000, seed=42, format="json")
         code, out, _ = _run(config)
         assert code == 0
-        rows = json.loads(out)
+        rows = _strict_json(out)
         assert [row["exact"] for row in rows] == ["1/6", "32/153153", "1/495"]
+
+    def test_no_timing_columns_without_timings(self):
+        config = RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=(1, 1), samples=1_000, format="json")
+        (row,) = json.loads(_run(config)[1])
+        assert list(row) == ["a_vec", "l_vec", "samples", "seed", "sigma", "exact",
+                             "mean", "stderr", "sigmas", "status", "elapsed_ms"]
+        assert row["elapsed_ms"] == 0
+        header = _run(dataclasses.replace(config, format="csv"))[1].splitlines()[0]
+        assert header == "a_vec,l_vec,samples,seed,sigma,exact,mean,stderr,sigmas,status,elapsed_ms"
+
+    def test_timings_split_exact_and_sampling(self):
+        config = RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=(1, 1), samples=100_000,
+                           format="json", timings=True)
+        (row,) = json.loads(_run(config)[1])
+        assert list(row)[-3:] == ["elapsed_ms", "exact_ms", "sampling_ms"]
+        assert row["exact_ms"] >= 0 and row["sampling_ms"] > 0
+        # both parts run inside the elapsed interval; each figure is rounded
+        # to a microsecond
+        assert row["exact_ms"] + row["sampling_ms"] <= row["elapsed_ms"] + 0.002
+        header, line = _run(dataclasses.replace(config, format="csv"))[1].splitlines()
+        assert header.endswith(",elapsed_ms,exact_ms,sampling_ms")
+        elapsed, exact, sampling = (float(v) for v in line.split(",")[-3:])
+        assert 0 <= exact and 0 < sampling and exact + sampling <= elapsed + 0.002
+
+    def test_smallest_shape_gives_a_finite_estimate(self):
+        config = RunConfig(command="mc", a_vec=(MIN_MC_SHAPE, MIN_MC_SHAPE), l_vec=(1, 1),
+                           samples=200_000, seed=42, format="json")
+        code, out, _ = _run(config)
+        (row,) = _strict_json(out)
+        assert code == 0 and row["status"] == "pass" and row["exact"] == "1/44"
+        assert math.isfinite(row["mean"]) and math.isfinite(row["stderr"]) and row["stderr"] > 0
 
     def test_byte_identical_reruns(self):
         config = RunConfig(command="mc", a_vec=(F(1), F(2), F(1, 2)), l_vec=(2, 1, 3),
@@ -505,12 +544,29 @@ class TestInputBudgets:
         self._refused(capsys, ["mc", "--a", "1,1", "--l", f"{10**12},0"], "--l sum")
         assert seen == [MAX_MC_EXPONENT_SUM] * 2
 
+    def test_mc_shape_floor(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_mc(query):
+            seen.append(min(query.a_vec))
+            return MomentEstimate(0.25, 0.01, query.samples, Fraction(1, 4))
+
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", fake_mc)
+        assert MIN_MC_SHAPE == F(1, 20)
+        assert main(["mc", "--a", "1/20,3", "--l", "1,1", "--format", "json"]) == 0
+        assert seen == [MIN_MC_SHAPE]
+        for shapes in ("1/1000,1/1000", "1/21,1", "1,2,1/1000", "0,1"):
+            assert main(["mc", "--a", shapes, "--l", ",".join(["1"] * (shapes.count(",") + 1))]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--a entry" in err and "1/20" in err
+        assert seen == [MIN_MC_SHAPE]
+
     def test_caps_admit_the_benchmark_inputs(self):
         # perfbench runs tables to N = 150, the sweep to n = 60 and mc
-        # queries of 2,000,000 samples over at most 4 shapes, with exponents
-        # summing to at most 6
+        # queries of 2,000,000 samples over at most 4 shapes of at least 1/2,
+        # with exponents summing to at most 6
         assert MAX_TABLES_N >= 150 and MAX_VERIFY_N >= 60 and MAX_MC_SAMPLES >= 2_000_000
-        assert MAX_MC_SHAPES >= 4 and MAX_MC_EXPONENT_SUM >= 6
+        assert MAX_MC_SHAPES >= 4 and MAX_MC_EXPONENT_SUM >= 6 and MIN_MC_SHAPE <= F(1, 2)
 
     def test_caps_admit_every_default_grid(self):
         for entry in REGISTRY.values():

@@ -121,6 +121,16 @@ class TestCombinatorics:
     def test_pochhammer_splits_multiplicatively(self, z, m, k):
         assert pochhammer(z, m + k) == pochhammer(z, m) * pochhammer(z + m, k)
 
+    @given(st.one_of(st.integers(-400, 400), rationals, wide_rationals), st.integers(0, 300))
+    def test_pochhammer_matches_the_running_product(self, z, k):
+        # the product tree against one Fraction multiplication per factor,
+        # on both sides of its 16-factor leaves
+        expected = Fraction(1)
+        for i in range(k):
+            expected *= z + i
+        assert pochhammer(z, k) == expected
+        assert type(pochhammer(z, k)) is Fraction
+
 
 class TestMemoizedScalars:
     @given(st.integers(-12, 12), st.integers(0, 10))

@@ -14,12 +14,19 @@ from bek.stochastic import (
     MomentEstimate,
     MomentQuery,
     block_generator,
+    block_values,
     dirichlet_moment_exact,
     dirichlet_moment_mc,
     normalization_check,
 )
 
 F = Fraction
+
+
+def _reference_block_values(draws: np.ndarray, l_vec) -> np.ndarray:
+    """Row-wise monomial: normalize each row, raise to float powers, multiply."""
+    weights = draws / draws.sum(axis=1, keepdims=True)
+    return np.prod(weights ** np.array([float(v) for v in l_vec]), axis=1)
 
 
 class TestExactMoments:
@@ -141,8 +148,9 @@ class TestMonteCarlo:
         assert a.mean != b.mean
 
     def test_zero_exponents_degenerate(self):
-        est = dirichlet_moment_mc(MomentQuery((F(1), F(1)), (0, 0), 1_000, 3))
-        assert est.mean == 1.0 and est.stderr == 0.0 and est.within(0.0)
+        for k in (2, 5, 10):
+            est = dirichlet_moment_mc(MomentQuery((F(1),) * k, (0,) * k, 1_000, 3))
+            assert est.mean == 1.0 and est.stderr == 0.0 and est.within(0.0)
 
     def test_partial_final_block(self):
         # sample counts that do not divide the block size still deterministic
@@ -188,3 +196,54 @@ class TestMonteCarlo:
         assert off.within(6.0)
         degenerate = MomentEstimate(mean=0.5, stderr=0.0, n_samples=10, exact=F(1))
         assert not degenerate.within(100.0)
+
+
+# Shapes per column for the kernel tests, with one column of every size
+# class the sampler sees in practice.
+_KERNEL_SHAPES = (0.5, 1.0, 2.0, 3.5, 0.25, 1.5, 5.0, 0.75, 2.5, 1.25)
+
+
+class TestBlockKernel:
+    """The column kernel against the row-wise expression, sample by sample.
+
+    The two differ only in rounding: the kernel squares by one multiply
+    where the row-wise form calls pow, and sums the columns strictly in
+    order where NumPy's row sum may pair them.
+    """
+
+    @staticmethod
+    def _check(shapes, l_vec, seed, m=4096):
+        draws = block_generator(seed, 0).standard_gamma(shapes, size=(m, len(shapes)))
+        kept = draws.copy()
+        values = block_values(draws, l_vec)
+        np.testing.assert_allclose(values, _reference_block_values(kept, l_vec), rtol=1e-12, atol=0)
+        # the draws are read, never written
+        assert np.array_equal(draws, kept)
+        return values
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_mixed_exponents(self, k):
+        shapes = _KERNEL_SHAPES[:k]
+        for offset in range(4):
+            l_vec = tuple((j + offset) % 4 for j in range(k))
+            self._check(shapes, l_vec, seed=100 + 4 * k + offset)
+        self._check(shapes, (1,) * k, seed=k)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_exponent_1000(self, k):
+        # a heavy first shape keeps w_1 near 1, so w_1^1000 stays well
+        # inside the normal range for most samples
+        shapes = (2000.0,) + _KERNEL_SHAPES[1:k]
+        values = self._check(shapes, (1000,) + (0,) * (k - 1), seed=200 + k)
+        assert np.count_nonzero(values > 1e-30) > len(values) // 2
+        self._check(shapes, (1000,) + tuple(j % 4 for j in range(1, k)), seed=300 + k)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_zero_exponents_give_ones(self, k):
+        draws = block_generator(5, 0).standard_gamma(_KERNEL_SHAPES[:k], size=(1000, k))
+        assert np.array_equal(block_values(draws, (0,) * k), np.ones(1000))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_concentrated_shapes(self, k):
+        self._check((1e8,) * k, (1,) * k, seed=42, m=BLOCK_SIZE)
+        self._check((1e8,) * k, tuple(range(1, k + 1)), seed=43)
