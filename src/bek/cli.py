@@ -24,6 +24,7 @@ from typing import Mapping, Sequence, TextIO
 
 from .exactmath import Poly
 from .identities import (
+    INPUT_ORDER,
     REGISTRY,
     DomainError,
     IdentityReport,
@@ -40,7 +41,7 @@ from .sequences import (
     euler_poly,
     genocchi_number,
 )
-from .stochastic import MomentQuery, dirichlet_moment_mc
+from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -66,12 +67,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # --l 20000,1` takes 16 s, in gcds and decimal conversion of integers of
 # more than a million bits.
 #
-# `bek mc` also refuses shapes below MIN_MC_SHAPE.  A gamma variate of shape
-# a falls below the smallest double with probability about e^(-744.4 a), so
-# at a = 1/1000 about 47% of draws are 0.0 and a row of zeros normalizes to
-# 0/0 = NaN.  At a = 1/20 a draw is subnormal with probability about 4e-16,
-# so even MAX_MC_SAMPLES * MAX_MC_SHAPES = 10^9 draws expect fewer than
-# 10^-6 of them.
+# `bek mc` also refuses shapes below `stochastic.MIN_MC_SHAPE` (1/20), with
+# a one-line message naming the --a entry; MAX_MC_SAMPLES * MAX_MC_SHAPES =
+# 10^9 draws at that floor expect fewer than 10^-6 subnormal ones.
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
@@ -79,7 +77,6 @@ MAX_VERIFY_COMPOSITIONS = 170_544
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
 MAX_MC_EXPONENT_SUM = 100_000
-MIN_MC_SHAPE = Fraction(1, 20)
 
 
 def _refuse_above(flag: str, value: int, cap: int) -> None:
@@ -197,9 +194,6 @@ class RunConfig:
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-_INPUT_ORDER = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
-
-
 def _poly_cells(p: Poly) -> list[str]:
     return [str(c) for c in p]
 
@@ -243,7 +237,7 @@ def _exact_text(value: Fraction) -> str:
 
 def _inputs_payload(inputs: Mapping) -> dict:
     out: dict = {}
-    for key in _INPUT_ORDER:
+    for key in INPUT_ORDER:
         if key not in inputs:
             continue
         value = inputs[key]

@@ -15,6 +15,16 @@ Two families of scalar identities involve gamma-function factors at
 non-integer arguments; those are evaluated in a normalized form with both
 sides divided by the common gamma factors, which turns every coefficient
 into a ratio of rising factorials and keeps the arithmetic exact.
+
+An entry is one `IdentitySpec` declaration in `REGISTRY`: its name, summary
+and displays (label and evaluator), its degree floor `n_min`, default top
+`n_max` and step, its positive parameters with their default sets, and for
+a k-fold entry `k_min` and the default ks.  The validity predicate, its
+text, the default grid and the evaluator call all follow from those
+fields.  To add an identity, write a function fn(n, *params[, k]) that
+returns its two sides, as polynomials or numbers, and declare it; an
+`a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and any
+other parameter needs its default sets declared.
 """
 
 from __future__ import annotations
@@ -60,10 +70,6 @@ class DomainError(ValueError):
 
 class UnknownIdentityError(KeyError):
     """Requested name is not in the registry."""
-
-
-def _const(v: Fraction) -> Poly:
-    return poly([v])
 
 
 def _require(cond: bool, message: str) -> None:
@@ -255,36 +261,32 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
 # ---------------------------------------------------------------------------
 
 
-def _euler_12(n: int) -> tuple[Poly, Poly]:
+def _euler_12(n: int) -> tuple[Fraction, Fraction]:
     lhs = sum(
         (Fraction(binomial(n, j)) * bernoulli_number(j) * bernoulli_number(n - j) for j in range(n + 1)),
         Fraction(0),
     )
-    rhs = -n * bernoulli_number(n - 1) - (n - 1) * bernoulli_number(n)
-    return _const(lhs), _const(rhs)
+    return lhs, -n * bernoulli_number(n - 1) - (n - 1) * bernoulli_number(n)
 
 
-def _miki(n: int) -> tuple[Poly, Poly]:
+def _miki(n: int) -> tuple[Fraction, Fraction]:
     plain = Fraction(0)
     weighted = Fraction(0)
     for j in range(2, n - 1):
         term = bernoulli_number(j) * bernoulli_number(n - j) / Fraction(j * (n - j))
         plain += term
         weighted += binomial(n, j) * term
-    rhs = 2 * harmonic(n) * bernoulli_number(n) / n
-    return _const(plain - weighted), _const(rhs)
+    return plain - weighted, 2 * harmonic(n) * bernoulli_number(n) / n
 
 
-def _matiyasevich(n: int) -> tuple[Poly, Poly]:
+def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
     plain = Fraction(0)
     weighted = Fraction(0)
     for j in range(2, n - 1):
         prod = bernoulli_number(j) * bernoulli_number(n - j)
         plain += prod
         weighted += binomial(n + 2, j) * prod
-    lhs = (n + 2) * plain - 2 * weighted
-    rhs = n * (n + 1) * bernoulli_number(n)
-    return _const(lhs), _const(rhs)
+    return (n + 2) * plain - 2 * weighted, n * (n + 1) * bernoulli_number(n)
 
 
 def _corollary1(n: int) -> tuple[Poly, Poly]:
@@ -296,14 +298,14 @@ def _corollary1(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _corollary2(n: int) -> tuple[Poly, Poly]:
+def _corollary2(n: int) -> tuple[Fraction, Fraction]:
     lhs = Fraction(0)
     rhs = Fraction(0)
     for l in range(n + 1):
         prod = bernoulli_number(l) * bernoulli_number(n - l)
         lhs += prod
         rhs += binomial(n + 2, l + 2) * prod
-    return _const((n + 2) * lhs), _const(2 * rhs)
+    return (n + 2) * lhs, 2 * rhs
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
@@ -420,7 +422,7 @@ def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _kth_matiyasevich(n: int, k: int) -> tuple[Poly, Poly]:
+def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
     lhs = Fraction(0)
     for parts in composition_parts(n, k):
         c = Fraction(1)
@@ -436,8 +438,7 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Poly, Poly]:
                 c *= bernoulli_number(li)
             inner += c
         rhs += binomial(k, j) * inner
-    rhs /= n + k
-    return _const(lhs), _const(rhs)
+    return lhs, rhs / (n + k)
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
@@ -480,7 +481,7 @@ def _corollary8(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _corollary9(n: int) -> tuple[Poly, Poly]:
+def _corollary9(n: int) -> tuple[Fraction, Fraction]:
     """Both sides of the third-order harmonic-weighted number convolution.
 
     With b_m = B_m / m, the two cubic sums over i+j+l = n, i, j, l >= 1, are
@@ -510,7 +511,6 @@ def _corollary9(n: int) -> tuple[Poly, Poly]:
     for l in range(1, n):
         s4 += (3 * h1(n - 1) - 2 * h1(l - 1) + Fraction(1, n)) * (bb(l) / l) * (bb(n - l) / (n - l))
         s5 += binomial(n - 1, l - 1) * (2 * h1(l) + Fraction(1, l)) * (bb(l) / l) * (bb(n - l) / l)
-    lhs = Fraction(1, 3) * s1
     rhs = (
         s2
         + s3
@@ -523,7 +523,7 @@ def _corollary9(n: int) -> tuple[Poly, Poly]:
         * bb(n)
         / n
     )
-    return _const(lhs), _const(rhs)
+    return Fraction(1, 3) * s1, rhs
 
 
 def _corollary10_first(n: int) -> tuple[Poly, Poly]:
@@ -675,21 +675,104 @@ def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 
 Point = Mapping[str, object]
 
+# The order in which a point's inputs are printed, in messages and reports.
+INPUT_ORDER = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
+
+
+def _pos(v: object) -> bool:
+    return isinstance(v, (int, Fraction)) and v > 0
+
+
+def _valid_param(key: str, v: object, k: object) -> bool:
+    """A positive rational, or for `a_vec` a tuple of k of them."""
+    if key == "a_vec":
+        return isinstance(v, tuple) and len(v) == k and all(_pos(x) for x in v)
+    return _pos(v)
+
+
+def _as_poly(side: Poly | Fraction) -> Poly:
+    """A side as a polynomial in x; a number becomes a constant."""
+    return side if isinstance(side, tuple) else poly([side])
+
+
+def _k_fold_n_max(k: int | None) -> int:
+    """Largest default n of a k-fold convolution.  Its left side sums over
+    C(n + k - 1, k - 1) compositions, so the range shrinks as k grows."""
+    if k is None or k <= 2:
+        return 20
+    return {3: 14, 4: 10}.get(k, max(2, 14 - 2 * k))
+
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """A registry entry: metadata, validity predicate, evaluator, default grid."""
+    """A registry entry, declared as data.
+
+    `displays` pairs each displayed identity of the entry with the function
+    that returns its (lhs, rhs); the label is "" when there is one display.
+    Each function is called as fn(n, *params, k): the parameters in
+    `param_names` order, and k only for a k-fold entry (`k_min` set).  A
+    side may be a polynomial or a number, which is lifted to a constant.
+
+    The domain is integer n in n_min, n_min + n_step, ... (`n_step` 2 from
+    an even n_min for an even-degree identity), each parameter a
+    positive rational (`a_vec` a tuple of k of them), and for a k-fold
+    entry integer k >= k_min.  The validity predicate and its text, the
+    default grid and `evaluate` all follow from these fields; `evaluate` is
+    a field only so that a caller can swap it for a wrapped one.
+    """
 
     name: str
     summary: str
-    param_names: tuple[str, ...]
-    takes_k: bool
-    validity_text: str
-    validity: Callable[[Point], bool]
-    evaluate: Callable[[Point], list[tuple[str, Poly, Poly]]]
-    default_ks: tuple[int, ...]
-    default_n: Callable[[int | None], tuple[int, ...]]
-    default_param_sets: Callable[[int | None], tuple[dict, ...]]
+    displays: tuple[tuple[str, Callable[..., tuple[Poly | Fraction, Poly | Fraction]]], ...]
+    n_min: int
+    n_max: int
+    n_step: int = 1
+    param_names: tuple[str, ...] = ()
+    param_sets: tuple[dict, ...] = ({},)
+    k_min: int | None = None
+    default_ks: tuple[int, ...] = ()
+    evaluate: Callable[[Point], list[tuple[str, Poly, Poly]]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.evaluate is None:
+            displays = self.displays
+            keys = self.param_names + (("k",) if self.takes_k else ())
+
+            def evaluate(pt: Point) -> list[tuple[str, Poly, Poly]]:
+                args = [pt[key] for key in keys]
+                return [(label, *map(_as_poly, fn(pt["n"], *args))) for label, fn in displays]
+
+            object.__setattr__(self, "evaluate", evaluate)
+
+    @property
+    def takes_k(self) -> bool:
+        return self.k_min is not None
+
+    @property
+    def validity_text(self) -> str:
+        text = f"{'integer' if self.n_step == 1 else 'even'} n >= {self.n_min}"
+        if self.takes_k:
+            if "a_vec" in self.param_names:
+                return f"{text}, integer k >= {self.k_min}, a_vec of k positive rationals"
+            return f"{text} and integer k >= {self.k_min}"
+        if self.param_names:
+            return f"{text} with rational " + " and ".join(f"{key} > 0" for key in self.param_names)
+        return text
+
+    def validity(self, pt: Point) -> bool:
+        n, k = pt.get("n"), pt.get("k")
+        if not (isinstance(n, int) and n >= self.n_min and (n - self.n_min) % self.n_step == 0):
+            return False
+        if self.takes_k and not (isinstance(k, int) and k >= self.k_min):
+            return False
+        return all(_valid_param(key, pt.get(key), k) for key in self.param_names)
+
+    def default_n(self, k: int | None) -> tuple[int, ...]:
+        n_max = min(self.n_max, _k_fold_n_max(k)) if self.takes_k else self.n_max
+        return tuple(range(self.n_min, n_max + 1, self.n_step))
+
+    def default_param_sets(self, k: int | None) -> tuple[dict, ...]:
+        return _tuple_sets_for_k(k) if "a_vec" in self.param_names else self.param_sets
 
 
 @dataclass(frozen=True)
@@ -707,15 +790,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-REGISTRY: dict[str, IdentitySpec] = {}
-
-
-def _register(spec: IdentitySpec) -> None:
-    if spec.name in REGISTRY:
-        raise ValueError(f"duplicate registry key {spec.name!r}")
-    REGISTRY[spec.name] = spec
 
 
 _PAIR_SETS: tuple[dict, ...] = (
@@ -736,6 +810,7 @@ _P_SET: tuple[dict, ...] = tuple(
 _EPS_SET: tuple[dict, ...] = tuple({"epsilon": v} for v in (Fraction(1), Fraction(1, 2), Fraction(3)))
 
 _TUPLE_SETS: dict[int, tuple[tuple[Fraction, ...], ...]] = {
+    1: ((Fraction(1),), (Fraction(2),), (Fraction(1, 2),)),
     2: (
         (Fraction(1), Fraction(1)),
         (Fraction(2), Fraction(1)),
@@ -771,424 +846,60 @@ def _tuple_sets_for_k(k: int | None) -> tuple[dict, ...]:
     return tuple({"a_vec": v} for v in vecs)
 
 
-def _conv_default_n(k: int | None) -> tuple[int, ...]:
-    """Desk-scale degree ranges for the k-fold convolutions."""
-    if k is None or k <= 2:
-        return tuple(range(0, 21))
-    if k == 3:
-        return tuple(range(0, 15))
-    if k == 4:
-        return tuple(range(0, 11))
-    return tuple(range(0, max(3, 15 - 2 * k)))
-
-
-def _n_range(lo: int, hi: int, step: int = 1) -> Callable[[int | None], tuple[int, ...]]:
-    values = tuple(range(lo, hi + 1, step))
-    return lambda k: values
-
-
-def _no_params(k: int | None) -> tuple[dict, ...]:
-    return ({},)
-
-
-def _is_rat(v: object) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
-def _pos(v: object) -> bool:
-    return _is_rat(v) and v > 0
-
-
-def _valid_avec(pt: Point, k_min: int) -> bool:
-    n = pt.get("n")
-    k = pt.get("k")
-    vec = pt.get("a_vec")
-    if not (isinstance(n, int) and n >= 0 and isinstance(k, int) and k >= k_min):
-        return False
-    return isinstance(vec, tuple) and len(vec) == k and all(_pos(v) for v in vec)
-
-
-def _single(fn: Callable[..., tuple[Poly, Poly]], *keys: str) -> Callable[[Point], list[tuple[str, Poly, Poly]]]:
-    def evaluate(pt: Point) -> list[tuple[str, Poly, Poly]]:
-        lhs, rhs = fn(*(pt[key] for key in keys))
-        return [("", lhs, rhs)]
-
-    return evaluate
-
-
-def _single_scalar(fn: Callable[..., tuple[Fraction, Fraction]], *keys: str) -> Callable[[Point], list[tuple[str, Poly, Poly]]]:
-    def evaluate(pt: Point) -> list[tuple[str, Poly, Poly]]:
-        lhs, rhs = fn(*(pt[key] for key in keys))
-        return [("", _const(lhs), _const(rhs))]
-
-    return evaluate
-
-
-_register(IdentitySpec(
-    name="euler-1-2",
-    summary="binomial self-convolution of Bernoulli numbers in closed form",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_euler_12, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 60),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="miki",
-    summary="difference of plain and binomial quadratic Bernoulli sums with a harmonic right side",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 4",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 4,
-    evaluate=_single(_miki, "n"),
-    default_ks=(),
-    default_n=_n_range(4, 60),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="matiyasevich",
-    summary="weighted difference of quadratic Bernoulli sums",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 4",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 4,
-    evaluate=_single(_matiyasevich, "n"),
-    default_ks=(),
-    default_n=_n_range(4, 60),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="theorem1",
-    summary="two-parameter weighted convolution of Bernoulli polynomial pairs",
-    param_names=("a", "b"),
-    takes_k=False,
-    validity_text="integer n >= 1 with rational a > 0 and b > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1 and _pos(pt.get("a")) and _pos(pt.get("b")),
-    evaluate=_single(eval_theorem1, "n", "a", "b"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=lambda k: _PAIR_SETS,
-))
-
-_register(IdentitySpec(
-    name="corollary1",
-    summary="unweighted quadratic Bernoulli polynomial convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_corollary1, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary2",
-    summary="number-level quadratic Bernoulli convolution at even degree",
-    param_names=(),
-    takes_k=False,
-    validity_text="even n >= 4",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 4 and pt["n"] % 2 == 0,
-    evaluate=_single(_corollary2, "n"),
-    default_ks=(),
-    default_n=_n_range(4, 60, 2),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary3",
-    summary="one-parameter degeneration of the pair convolution with a shifted-harmonic term",
-    param_names=("a",),
-    takes_k=False,
-    validity_text="integer n >= 1 with rational a > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1 and _pos(pt.get("a")),
-    evaluate=_single(_corollary3, "n", "a"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=lambda k: _SINGLE_A_SET,
-))
-
-
-def _corollary4_eval(pt: Point) -> list[tuple[str, Poly, Poly]]:
-    n = pt["n"]
-    l1, r1 = _corollary4_first(n)
-    l2, r2 = _corollary4_second(n)
-    return [("a=1", l1, r1), ("a=2", l2, r2)]
-
-
-_register(IdentitySpec(
-    name="corollary4",
-    summary="harmonic-weighted quadratic Bernoulli convolutions (two displays)",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_corollary4_eval,
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="eq-2-12",
-    summary="asymmetric harmonic-weighted quadratic Bernoulli convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_eq_2_12, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary5",
-    summary="binomial number-to-polynomial Bernoulli convolution in closed form",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_corollary5, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary6",
-    summary="half-scaled binomial convolution with an argument-doubled right side",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_corollary6, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="eq-2-15",
-    summary="binomial quadratic Bernoulli convolution at half scale",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_eq_2_15, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary7",
-    summary="double-harmonic weighted quadratic Bernoulli convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 1",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1,
-    evaluate=_single(_corollary7, "n"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="theorem2",
-    summary="k-parameter weighted multinomial convolution of Bernoulli polynomials",
-    param_names=("a_vec",),
-    takes_k=True,
-    validity_text="integer n >= 0, integer k >= 2, a_vec of k positive rationals",
-    validity=lambda pt: _valid_avec(pt, 2),
-    evaluate=lambda pt: [("", *eval_theorem2(pt["n"], pt["a_vec"], pt["k"]))],
-    default_ks=(2, 3, 4),
-    default_n=_conv_default_n,
-    default_param_sets=_tuple_sets_for_k,
-))
-
-_register(IdentitySpec(
-    name="eq-4-0a",
-    summary="unweighted cubic Bernoulli polynomial convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 3",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 3,
-    evaluate=_single(_eq_4_0a, "n"),
-    default_ks=(),
-    default_n=_n_range(3, 12),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="kth-matiyasevich",
-    summary="k-fold Bernoulli number convolution in binomial form",
-    param_names=(),
-    takes_k=True,
-    validity_text="integer n >= 0 and integer k >= 2",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 0 and isinstance(pt.get("k"), int) and pt["k"] >= 2,
-    evaluate=lambda pt: [("", *_kth_matiyasevich(pt["n"], pt["k"]))],
-    default_ks=(2, 3, 4),
-    default_n=_conv_default_n,
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="theorem3",
-    summary="two-parameter weighted convolution of Euler polynomial pairs",
-    param_names=("a", "b"),
-    takes_k=False,
-    validity_text="integer n >= 1 with rational a > 0 and b > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1 and _pos(pt.get("a")) and _pos(pt.get("b")),
-    evaluate=_single(eval_theorem3, "n", "a", "b"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=lambda k: _PAIR_SETS,
-))
-
-_register(IdentitySpec(
-    name="theorem4",
-    summary="k-parameter weighted multinomial convolution of Euler polynomials",
-    param_names=("a_vec",),
-    takes_k=True,
-    validity_text="integer n >= 0, integer k >= 1, a_vec of k positive rationals",
-    validity=lambda pt: _valid_avec(pt, 1),
-    evaluate=lambda pt: [("", *eval_theorem4(pt["n"], pt["a_vec"], pt["k"]))],
-    default_ks=(1, 2, 3, 4),
-    default_n=_conv_default_n,
-    default_param_sets=lambda k: (
-        ({"a_vec": (Fraction(1),)}, {"a_vec": (Fraction(2),)}, {"a_vec": (Fraction(1, 2),)})
-        if k == 1
-        else _tuple_sets_for_k(k)
-    ),
-))
-
-_register(IdentitySpec(
-    name="eq-6-9",
-    summary="epsilon-weighted cubic Bernoulli convolution with factorial normalization",
-    param_names=("epsilon",),
-    takes_k=False,
-    validity_text="integer n >= 2 with rational epsilon > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2 and _pos(pt.get("epsilon")),
-    evaluate=_single(_eq_6_9, "n", "epsilon"),
-    default_ks=(),
-    default_n=_n_range(2, 20),
-    default_param_sets=lambda k: _EPS_SET,
-))
-
-_register(IdentitySpec(
-    name="corollary8",
-    summary="multinomial cubic Bernoulli polynomial convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 2",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2,
-    evaluate=_single(_corollary8, "n"),
-    default_ks=(),
-    default_n=_n_range(2, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="corollary9",
-    summary="third-order harmonic-weighted Bernoulli number convolution",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 2",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2,
-    evaluate=_single(_corollary9, "n"),
-    default_ks=(),
-    default_n=_n_range(2, 60),
-    default_param_sets=_no_params,
-))
-
-
-def _corollary10_eval(pt: Point) -> list[tuple[str, Poly, Poly]]:
-    n = pt["n"]
-    l1, r1 = _corollary10_first(n)
-    l2, r2 = _corollary10_second(n)
-    return [("first", l1, r1), ("second", l2, r2)]
-
-
-_register(IdentitySpec(
-    name="corollary10",
-    summary="harmonic-weighted quadratic Euler polynomial convolutions (two displays)",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 2",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2,
-    evaluate=_corollary10_eval,
-    default_ks=(),
-    default_n=_n_range(2, 30),
-    default_param_sets=_no_params,
-))
-
-
-def _corollary11_eval(pt: Point) -> list[tuple[str, Poly, Poly]]:
-    n = pt["n"]
-    l1, r1 = _corollary11_first(n)
-    l2, r2 = _corollary11_second(n)
-    return [("first", l1, r1), ("second", l2, r2)]
-
-
-_register(IdentitySpec(
-    name="corollary11",
-    summary="cubic Euler polynomial convolutions with harmonic weights (two displays)",
-    param_names=(),
-    takes_k=False,
-    validity_text="integer n >= 2",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2,
-    evaluate=_corollary11_eval,
-    default_ks=(),
-    default_n=_n_range(2, 30),
-    default_param_sets=_no_params,
-))
-
-_register(IdentitySpec(
-    name="dunne-schubert",
-    summary="rising-factorial weighted even-index Bernoulli sum, normalized form",
-    param_names=("p",),
-    takes_k=False,
-    validity_text="integer n >= 2 with rational p > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2 and _pos(pt.get("p")),
-    evaluate=_single_scalar(eval_dunne_schubert, "n", "p"),
-    default_ks=(),
-    default_n=_n_range(2, 15),
-    default_param_sets=lambda k: _P_SET,
-))
-
-_register(IdentitySpec(
-    name="eq-7-2",
-    summary="variant right side of the rising-factorial weighted even-index sum",
-    param_names=("p",),
-    takes_k=False,
-    validity_text="integer n >= 2 with rational p > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 2 and _pos(pt.get("p")),
-    evaluate=_single_scalar(eval_eq72, "n", "p"),
-    default_ks=(),
-    default_n=_n_range(2, 15),
-    default_param_sets=lambda k: _P_SET,
-))
-
-_register(IdentitySpec(
-    name="gamma-sum",
-    summary="telescoping rising-factorial ratio sum",
-    param_names=("p",),
-    takes_k=False,
-    validity_text="integer n >= 1 with rational p > 0",
-    validity=lambda pt: isinstance(pt.get("n"), int) and pt["n"] >= 1 and _pos(pt.get("p")),
-    evaluate=_single_scalar(gamma_sum_identity, "n", "p"),
-    default_ks=(),
-    default_n=_n_range(1, 30),
-    default_param_sets=lambda k: _P_SET,
-))
+REGISTRY: dict[str, IdentitySpec] = {spec.name: spec for spec in (
+    IdentitySpec("euler-1-2", "binomial self-convolution of Bernoulli numbers in closed form",
+                 (("", _euler_12),), n_min=1, n_max=60),
+    IdentitySpec("miki", "difference of plain and binomial quadratic Bernoulli sums with a harmonic right side",
+                 (("", _miki),), n_min=4, n_max=60),
+    IdentitySpec("matiyasevich", "weighted difference of quadratic Bernoulli sums",
+                 (("", _matiyasevich),), n_min=4, n_max=60),
+    IdentitySpec("theorem1", "two-parameter weighted convolution of Bernoulli polynomial pairs",
+                 (("", eval_theorem1),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
+    IdentitySpec("corollary1", "unweighted quadratic Bernoulli polynomial convolution",
+                 (("", _corollary1),), n_min=1, n_max=30),
+    IdentitySpec("corollary2", "number-level quadratic Bernoulli convolution at even degree",
+                 (("", _corollary2),), n_min=4, n_max=60, n_step=2),
+    IdentitySpec("corollary3", "one-parameter degeneration of the pair convolution with a shifted-harmonic term",
+                 (("", _corollary3),), n_min=1, n_max=30, param_names=("a",), param_sets=_SINGLE_A_SET),
+    IdentitySpec("corollary4", "harmonic-weighted quadratic Bernoulli convolutions (two displays)",
+                 (("a=1", _corollary4_first), ("a=2", _corollary4_second)), n_min=1, n_max=30),
+    IdentitySpec("eq-2-12", "asymmetric harmonic-weighted quadratic Bernoulli convolution",
+                 (("", _eq_2_12),), n_min=1, n_max=30),
+    IdentitySpec("corollary5", "binomial number-to-polynomial Bernoulli convolution in closed form",
+                 (("", _corollary5),), n_min=1, n_max=30),
+    IdentitySpec("corollary6", "half-scaled binomial convolution with an argument-doubled right side",
+                 (("", _corollary6),), n_min=1, n_max=30),
+    IdentitySpec("eq-2-15", "binomial quadratic Bernoulli convolution at half scale",
+                 (("", _eq_2_15),), n_min=1, n_max=30),
+    IdentitySpec("corollary7", "double-harmonic weighted quadratic Bernoulli convolution",
+                 (("", _corollary7),), n_min=1, n_max=30),
+    IdentitySpec("theorem2", "k-parameter weighted multinomial convolution of Bernoulli polynomials",
+                 (("", eval_theorem2),), n_min=0, n_max=20, param_names=("a_vec",), k_min=2, default_ks=(2, 3, 4)),
+    IdentitySpec("eq-4-0a", "unweighted cubic Bernoulli polynomial convolution",
+                 (("", _eq_4_0a),), n_min=3, n_max=12),
+    IdentitySpec("kth-matiyasevich", "k-fold Bernoulli number convolution in binomial form",
+                 (("", _kth_matiyasevich),), n_min=0, n_max=20, k_min=2, default_ks=(2, 3, 4)),
+    IdentitySpec("theorem3", "two-parameter weighted convolution of Euler polynomial pairs",
+                 (("", eval_theorem3),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
+    IdentitySpec("theorem4", "k-parameter weighted multinomial convolution of Euler polynomials",
+                 (("", eval_theorem4),), n_min=0, n_max=20, param_names=("a_vec",), k_min=1, default_ks=(1, 2, 3, 4)),
+    IdentitySpec("eq-6-9", "epsilon-weighted cubic Bernoulli convolution with factorial normalization",
+                 (("", _eq_6_9),), n_min=2, n_max=20, param_names=("epsilon",), param_sets=_EPS_SET),
+    IdentitySpec("corollary8", "multinomial cubic Bernoulli polynomial convolution",
+                 (("", _corollary8),), n_min=2, n_max=30),
+    IdentitySpec("corollary9", "third-order harmonic-weighted Bernoulli number convolution",
+                 (("", _corollary9),), n_min=2, n_max=60),
+    IdentitySpec("corollary10", "harmonic-weighted quadratic Euler polynomial convolutions (two displays)",
+                 (("first", _corollary10_first), ("second", _corollary10_second)), n_min=2, n_max=30),
+    IdentitySpec("corollary11", "cubic Euler polynomial convolutions with harmonic weights (two displays)",
+                 (("first", _corollary11_first), ("second", _corollary11_second)), n_min=2, n_max=30),
+    IdentitySpec("dunne-schubert", "rising-factorial weighted even-index Bernoulli sum, normalized form",
+                 (("", eval_dunne_schubert),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
+    IdentitySpec("eq-7-2", "variant right side of the rising-factorial weighted even-index sum",
+                 (("", eval_eq72),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
+    IdentitySpec("gamma-sum", "telescoping rising-factorial ratio sum",
+                 (("", gamma_sum_identity),), n_min=1, n_max=30, param_names=("p",), param_sets=_P_SET),
+)}
 
 
 def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None) -> tuple[Poly, Poly]:
@@ -1219,9 +930,8 @@ def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None
 
 def point_text(pt: Point) -> str:
     """Deterministic one-line rendering of a grid point, for messages."""
-    order = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
     chunks = []
-    for key in order:
+    for key in INPUT_ORDER:
         if key in pt:
             v = pt[key]
             if isinstance(v, tuple):

@@ -39,6 +39,13 @@ from .exactmath import composition_parts, multinomial, pochhammer
 
 BLOCK_SIZE = 65536
 
+# The smallest shape the sampler accepts.  A gamma variate of shape a falls
+# below the smallest double with probability about e^(-744.4 a), so at
+# a = 1/1000 about 47% of draws are 0.0 and a row of zeros normalizes to
+# 0/0 = NaN.  At a = 1/20 a draw is subnormal with probability about 4e-16,
+# so even 10^9 draws expect fewer than 10^-6 of them.
+MIN_MC_SHAPE = Fraction(1, 20)
+
 
 def dirichlet_moment_exact(a_vec: Sequence[Fraction], l_vec: Sequence[int]) -> Fraction:
     """Exact mixed moment prod_i (a_i)_{l_i} / (sum a)_{sum l}."""
@@ -61,7 +68,7 @@ class MomentQuery:
     """One mixed-moment estimation request.
 
     Vectors are stored exactly; shapes are converted to floats only at the
-    sampling boundary.
+    sampling boundary.  Shapes below MIN_MC_SHAPE are refused.
     """
 
     a_vec: tuple[Fraction, ...]
@@ -76,8 +83,8 @@ class MomentQuery:
             raise ValueError(
                 f"need k >= 2 with matching vectors, got lengths {len(self.a_vec)} and {len(self.l_vec)}"
             )
-        if any(v <= 0 for v in self.a_vec):
-            raise ValueError(f"shape parameters must be positive, got {self.a_vec}")
+        if any(v < MIN_MC_SHAPE for v in self.a_vec):
+            raise ValueError(f"shape parameters must be at least {MIN_MC_SHAPE}, got {self.a_vec}")
         if any(v < 0 for v in self.l_vec):
             raise ValueError(f"exponents must be non-negative, got {self.l_vec}")
         if self.samples < 2:

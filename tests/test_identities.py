@@ -70,6 +70,62 @@ class TestRegistryShape:
                 assert entry.default_n(kk)
                 assert entry.default_param_sets(kk)
 
+    # The declaration contract: each predicate accepts its whole default grid
+    # and refuses the points just outside the declared domain.  The floor and
+    # step are read off the default grid, which starts at the floor.
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_predicate_accepts_the_default_grid(self, name):
+        entry = REGISTRY[name]
+        assert all(entry.validity(pt) for pt in build_points(entry))
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_predicate_refuses_n_outside_the_declared_range(self, name):
+        entry = REGISTRY[name]
+        for kk in entry.default_ks or (None,):
+            ns = entry.default_n(kk)
+            base = build_points(entry, n_values=ns[:1], k=kk)[0]
+            assert entry.validity(base)
+            bad_ns = [ns[0] - 1, float(ns[0]), str(ns[0]), None]
+            if len(ns) > 1 and ns[1] - ns[0] > 1:
+                bad_ns.append(ns[0] + 1)
+            for bad in bad_ns:
+                assert not entry.validity({**base, "n": bad}), (name, bad)
+            assert not entry.validity({key: v for key, v in base.items() if key != "n"})
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_predicate_refuses_bad_scalar_parameters(self, name):
+        entry = REGISTRY[name]
+        scalars = [p for p in entry.param_names if p != "a_vec"]
+        for kk in entry.default_ks or (None,):
+            base = build_points(entry, k=kk)[0]
+            for key in scalars:
+                missing = {k: v for k, v in base.items() if k != key}
+                assert not entry.validity(missing), (name, key)
+                for bad in (0, F(0), -1, F(-1), 0.5, 1.0):
+                    assert not entry.validity({**base, key: bad}), (name, key, bad)
+
+    @pytest.mark.parametrize("name", [n for n in EXPECTED_NAMES if REGISTRY[n].takes_k])
+    def test_predicate_refuses_bad_k_and_a_vec(self, name):
+        entry = REGISTRY[name]
+        k_min = min(entry.default_ks)
+        takes_vec = "a_vec" in entry.param_names
+        low = {"n": 2, "k": k_min - 1}
+        if takes_vec:
+            low["a_vec"] = (F(1),) * (k_min - 1)
+        assert not entry.validity(low)
+        for kk in entry.default_ks:
+            base = build_points(entry, k=kk)[0]
+            assert not entry.validity({key: v for key, v in base.items() if key != "k"})
+            assert not entry.validity({**base, "k": float(kk)})
+            if takes_vec:
+                vec = base["a_vec"]
+                for wrong in (vec + (F(1),), vec[:-1]):
+                    assert not entry.validity({**base, "a_vec": wrong}), (name, kk, wrong)
+                assert not entry.validity({**base, "a_vec": list(vec)})
+                assert not entry.validity({**base, "a_vec": vec[:-1] + (F(0),)})
+                assert not entry.validity({**base, "a_vec": vec[:-1] + (0.5,)})
+
 
 class TestFrozenValues:
     def test_theorem1_degree_one(self):

@@ -11,6 +11,7 @@ import pytest
 from bek.exactmath import pochhammer
 from bek.stochastic import (
     BLOCK_SIZE,
+    MIN_MC_SHAPE,
     MomentEstimate,
     MomentQuery,
     block_generator,
@@ -94,6 +95,17 @@ class TestQueryValidation:
             MomentQuery((F(1), F(1)), (1, -1), 100, 7)
         with pytest.raises(ValueError):
             MomentQuery((F(1), F(1)), (1, 1), 1, 7)
+
+    def test_shape_floor(self):
+        # below the floor the sampler's gamma draws underflow to 0.0 and the
+        # estimate would be NaN, so the query itself refuses the shape
+        assert MIN_MC_SHAPE == F(1, 20)
+        with pytest.raises(ValueError, match="1/20"):
+            MomentQuery((F(1, 1000), F(1, 1000)), (1, 1), 100, 1)
+        with pytest.raises(ValueError, match="1/20"):
+            MomentQuery((F(1), F(1, 21)), (1, 1), 100, 1)
+        q = MomentQuery((F(1, 20), F(1, 20)), (1, 1), 100, 1)
+        assert q.a_vec == (F(1, 20), F(1, 20))
 
 
 class TestSampler:
