@@ -46,9 +46,9 @@ from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 # Input budgets: the largest accepted input, measured on a shared 2-core
-# host with Python 3.11.  `bek tables --max-n 700 --format json` takes
-# 21 s and peaks at 0.94 GB; memory sets this cap, since the JSON text grows
-# as N^3 (an extrapolated N = 1000 would take a minute and near 3 GB).
+# host with Python 3.11.  `bek tables --max-n 700` takes 5 s (text) to 11 s
+# (json, csv) and peaks at 0.10 GB in each format: rows are written one at a
+# time, and what is held is the cached B_n(x) and E_n(x), which grow as N^3.
 # `bek verify --n 70` takes 23 s for theorem2 and 21 s for theorem4, the
 # slowest entries on their default k and parameter grids; each further n
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
@@ -387,57 +387,52 @@ def _cmd_list(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Text
     return 0
 
 
-def _tables_rows(max_n: int) -> list[dict]:
-    rows = []
-    for n in range(max_n + 1):
-        bp = bernoulli_poly(n)
-        ep = euler_poly(n)
-        rows.append({
-            "n": n,
-            "B": str(bernoulli_number(n)),
-            "E": str(euler_number(n)),
-            "G": str(genocchi_number(n)),
-            "B_poly": _poly_cells(bp),
-            "E_poly": _poly_cells(ep),
-            "B_poly_text": format_poly(bp),
-            "E_poly_text": format_poly(ep),
-        })
-    return rows
+def _tables_row(n: int) -> dict:
+    """Row n of `bek tables`, built when it is written."""
+    bp, ep = bernoulli_poly(n), euler_poly(n)
+    return {
+        "n": n,
+        "B": str(bernoulli_number(n)),
+        "E": str(euler_number(n)),
+        "G": str(genocchi_number(n)),
+        "B_poly": _poly_cells(bp),
+        "E_poly": _poly_cells(ep),
+        "B_poly_text": format_poly(bp),
+        "E_poly_text": format_poly(ep),
+    }
 
 
 def _cmd_tables(config: RunConfig, out: TextIO) -> int:
+    """Write the tables row by row, so that no more than one row's text is
+    held at a time; the text format first reads the B/E/G column widths
+    off the number columns."""
     if config.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {config.max_n}")
     _refuse_above("--max-n", config.max_n, MAX_TABLES_N)
-    rows = _tables_rows(config.max_n)
+    ns = range(config.max_n + 1)
     if config.format == "json":
-        json.dump({"max_n": config.max_n, "rows": rows}, out, indent=2)
-        out.write("\n")
+        # the layout of json.dump({"max_n": ..., "rows": [...]}, out, indent=2)
+        out.write(f'{{\n  "max_n": {config.max_n},\n  "rows": [')
+        for n in ns:
+            out.write(("," if n else "") + "\n    " + json.dumps(_tables_row(n), indent=2).replace("\n", "\n    "))
+        out.write("\n  ]\n}\n")
         return 0
     if config.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "B", "E", "G", "B_poly", "E_poly"])
-        for row in rows:
-            writer.writerow([
-                row["n"], row["B"], row["E"], row["G"],
-                ";".join(row["B_poly"]), ";".join(row["E_poly"]),
-            ])
+        for row in map(_tables_row, ns):
+            writer.writerow([row["n"], row["B"], row["E"], row["G"], ";".join(row["B_poly"]), ";".join(row["E_poly"])])
         return 0
-    widths = {key: max(len(f"{key}_n"), *(len(row[key]) for row in rows)) for key in ("B", "E", "G")}
+    numbers = [(str(bernoulli_number(n)), str(euler_number(n)), str(genocchi_number(n))) for n in ns]
+    widths = [max(len(f"{key}_n"), *(len(row[i]) for row in numbers)) for i, key in enumerate("BEG")]
     n_width = max(1, len(str(config.max_n)))
-    header = f"{'n'.rjust(n_width)}  {'B_n'.ljust(widths['B'])}  {'E_n'.ljust(widths['E'])}  {'G_n'.ljust(widths['G'])}"
-    out.write(header + "\n")
-    for row in rows:
-        out.write(
-            f"{str(row['n']).rjust(n_width)}  {row['B'].ljust(widths['B'])}  "
-            f"{row['E'].ljust(widths['E'])}  {row['G'].ljust(widths['G'])}\n"
-        )
-    out.write("\n")
-    for row in rows:
-        out.write(f"B_{row['n']}(x) = {row['B_poly_text']}\n")
-    out.write("\n")
-    for row in rows:
-        out.write(f"E_{row['n']}(x) = {row['E_poly_text']}\n")
+    out.write("  ".join(["n".rjust(n_width), *(f"{key}_n".ljust(w) for key, w in zip("BEG", widths))]) + "\n")
+    for n, row in zip(ns, numbers):
+        out.write("  ".join([str(n).rjust(n_width), *(cell.ljust(w) for cell, w in zip(row, widths))]) + "\n")
+    for name, table in (("B", bernoulli_poly), ("E", euler_poly)):
+        out.write("\n")
+        for n in ns:
+            out.write(f"{name}_{n}(x) = {format_poly(table(n))}\n")
     return 0
 
 
@@ -588,76 +583,58 @@ def run(
         return 2
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (default text)")
-
-
-def _add_timings_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timings", action="store_true",
-                        help="report wall-clock evaluation times; off by default "
-                             "so repeated runs are byte-identical")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  No option has a default of its own: an option
+    left out is absent from the namespace, so `RunConfig`'s field defaults
+    are the only ones, and the help texts quote them."""
     parser = argparse.ArgumentParser(
         prog="bek",
         description="Exact verification of Bernoulli/Euler convolution identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub_list = sub.add_parser("list", help="list registry entries and their default grids")
-    _add_format_flag(sub_list)
+    def add(name: str, text: str, timings: bool = False) -> argparse.ArgumentParser:
+        """A subcommand; every one takes --format, and those that time their work --timings."""
+        command = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        command.add_argument("--format", choices=("text", "json", "csv"),
+                             help=f"output format (default {RunConfig.format})")
+        if timings:
+            command.add_argument("--timings", action="store_true",
+                                 help="report wall-clock evaluation times; off by default "
+                                      "so repeated runs are byte-identical")
+        return command
 
-    sub_tables = sub.add_parser("tables", help="print number and polynomial tables")
-    sub_tables.add_argument("--max-n", type=int, default=6, dest="max_n",
-                            help="largest index to print (default 6)")
-    _add_format_flag(sub_tables)
+    add("list", "list registry entries and their default grids")
 
-    sub_verify = sub.add_parser("verify", help="verify one identity on a grid")
+    sub_tables = add("tables", "print number and polynomial tables")
+    sub_tables.add_argument("--max-n", type=int, dest="max_n",
+                            help=f"largest index to print (default {RunConfig.max_n})")
+
+    sub_verify = add("verify", "verify one identity on a grid", timings=True)
     sub_verify.add_argument("--identity", required=True, help="registry name (see `bek list`)")
     sub_verify.add_argument("--n", type=parse_n_range, dest="n_range",
                             help="inclusive range A..B or single integer (default: entry grid)")
     sub_verify.add_argument("--k", type=int, help="number of parameters for k-ary entries")
     sub_verify.add_argument("--params", type=parse_params,
                             help="named rationals, e.g. a=1/2,b=3/2 or a_vec=1,2,1/2")
-    _add_format_flag(sub_verify)
-    _add_timings_flag(sub_verify)
 
-    sub_all = sub.add_parser("verify-all", help="verify every entry on its default grid")
-    _add_format_flag(sub_all)
-    _add_timings_flag(sub_all)
+    add("verify-all", "verify every entry on its default grid", timings=True)
 
-    sub_mc = sub.add_parser("mc", help="Monte Carlo check of the mixed-moment formula")
+    sub_mc = add("mc", "Monte Carlo check of the mixed-moment formula", timings=True)
     sub_mc.add_argument("--a", type=_parse_rational_list, dest="a_vec",
                         help="comma list of positive rational shapes, e.g. 1,2,1/2")
     sub_mc.add_argument("--l", type=_parse_int_list, dest="l_vec",
                         help="comma list of non-negative integer exponents, e.g. 2,1,3")
-    sub_mc.add_argument("--samples", type=int, default=1_000_000, help="draw count (default 10^6)")
-    sub_mc.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    sub_mc.add_argument("--sigma", type=float, default=4.0,
-                        help="tolerance in standard errors (default 4)")
-    _add_format_flag(sub_mc)
-    _add_timings_flag(sub_mc)
+    sub_mc.add_argument("--samples", type=int, help=f"draw count (default {RunConfig.samples:,})")
+    sub_mc.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
+    sub_mc.add_argument("--sigma", type=float,
+                        help=f"tolerance in standard errors (default {RunConfig.sigma:g})")
 
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": ns.command,
-        "format": getattr(ns, "format", "text"),
-    }
-    for name in ("identity", "n_range", "k", "params", "max_n", "a_vec", "l_vec",
-                 "seed", "samples", "sigma", "timings"):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            fields[name] = getattr(ns, name)
-    return RunConfig(**fields)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    return run(_config_from_namespace(ns))
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ shift `poly_shift`, work internally in the layout of FLINT's `fmpq_poly`:
 integer numerators over one positive common denominator.  The inner loops
 then multiply and add plain integers, and one Fraction per output
 coefficient is built at the end, instead of a Fraction (with its gcd) per
-coefficient product or per scaled term.  The difference operators of
-`bek.umbral` compose their shifts on the same integer form.
+coefficient product or per scaled term.  The shift operators
+(`poly_shift_operator`, behind the difference operators of `bek.umbral`)
+compose their Taylor shifts on the same integer form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -282,13 +283,35 @@ def _taylor_shift(nums: list[int], u: Fraction) -> list[int]:
     return [v * s_pows[j] for j, v in enumerate(out)]
 
 
+def poly_shift_operator(p: Poly, shifts: Iterable[Fraction | int],
+                        alpha: Fraction | int, beta: Fraction | int) -> Poly:
+    """The composition prod_u (alpha T_u + beta) applied to p, with
+    T_u p(x) = p(x + u): the forward difference is (1, -1), the two-point
+    mean (1/2, 1/2) and the plain shift (1, 0); the factors commute.
+
+    With alpha = a/L and beta = b/L over the lcm L of their denominators,
+    p over D and u = r/s, `_taylor_shift` gives p(x + u) over D s^d, so a
+    step is a T_u p + b p on integers over D s^d L.  Fractions are built
+    once, at the end.
+    """
+    common = lcm(alpha.denominator, beta.denominator)
+    a, b = alpha.numerator * (common // alpha.denominator), beta.numerator * (common // beta.denominator)
+    nums, den = _int_form(p)
+    for u in shifts:
+        if not nums:
+            break
+        scale = u.denominator ** (len(nums) - 1)
+        b_scale = b * scale
+        nums = [a * v + b_scale * w for v, w in zip(_taylor_shift(nums, u), nums)]
+        while nums and not nums[-1]:
+            nums.pop()
+        den *= scale * common
+    return _from_int_form(nums, den)
+
+
 def poly_shift(p: Poly, u: Fraction | int) -> Poly:
     """The polynomial x -> p(x + u), by exact Taylor shift on integer numerators."""
-    u = Fraction(u)
-    if not u or not p:
-        return p
-    nums, den = _int_form(p)
-    return _from_int_form(_taylor_shift(nums, u), den * u.denominator ** (len(p) - 1))
+    return poly_shift_operator(p, (Fraction(u),), 1, 0)
 
 
 def poly_derivative(p: Poly) -> Poly:

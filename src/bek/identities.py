@@ -77,6 +77,11 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _is_int(v: object) -> bool:
+    """An integer input; a bool is an int subclass, but never a valid one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @lru_cache(maxsize=None)
 def _bern_product(indices: tuple[int, ...]) -> Poly:
     """Product of Bernoulli polynomials for a sorted index multiset."""
@@ -116,7 +121,7 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: sum_l C(n,l) (a (b)_l + b (a)_l) / (a+b)_{l+1} B_l B_{n-l}(x)
          + n a b / ((a+b+1)(a+b)) B_{n-1}(x).
     """
-    _require(isinstance(n, int) and n >= 1, f"requires integer n >= 1, got n={n}")
+    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
     lhs = poly_lincomb(
@@ -154,7 +159,7 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     and RHS = sum_{l_0=0}^{n} n!/l_0! [t^(n+1-l_0)] q / (sum a)_{n+1-l_0}
     B_{l_0}(x).
     """
-    _require(isinstance(n, int) and n >= 0, f"requires integer n >= 0, got n={n}")
+    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
     a_vec = tuple(Fraction(v) for v in a_vec)
     if k is None:
         k = len(a_vec)
@@ -188,7 +193,7 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: 4/(n+1) B_{n+1}(x)
          - 2/(n+1) sum_{l=0}^{n+1} C(n+1,l) ((a)_l + (b)_l)/(a+b)_l E_l(0) B_{n+1-l}(x).
     """
-    _require(isinstance(n, int) and n >= 1, f"requires integer n >= 1, got n={n}")
+    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
     lhs = poly_lincomb(
@@ -226,7 +231,7 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     the RHS is sum_{l_0=0}^{D} w/l_0! [t^(D-l_0)] q / (sum a)_{D-l_0} P_{l_0}(x),
     with w = n! and P = B for even k, w = -n!/2 and P = E for odd k.
     """
-    _require(isinstance(n, int) and n >= 0, f"requires integer n >= 0, got n={n}")
+    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
     a_vec = tuple(Fraction(v) for v in a_vec)
     if k is None:
         k = len(a_vec)
@@ -631,7 +636,7 @@ def _ds_cross_term(n: int, p: Fraction) -> Fraction:
 def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the rising-factorial weighted even-index sum, in the
     normalized form with the common squared gamma factor divided out."""
-    _require(isinstance(n, int) and n >= 2, f"requires integer n >= 2, got n={n}")
+    _require(_is_int(n) and n >= 2, f"requires integer n >= 2, got n={n}")
     p = Fraction(p)
     _require(p > 0, f"requires p > 0, got p={p}")
     lead = Fraction(0)
@@ -644,7 +649,7 @@ def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Variant right-hand side of the same normalized even-index sum, with
     the difference of rising factorials collected into the leading term."""
-    _require(isinstance(n, int) and n >= 2, f"requires integer n >= 2, got n={n}")
+    _require(_is_int(n) and n >= 2, f"requires integer n >= 2, got n={n}")
     p = Fraction(p)
     _require(p > 0, f"requires p > 0, got p={p}")
     lead = (
@@ -658,7 +663,7 @@ def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the telescoping rising-factorial ratio sum, normalized
     so every term is a ratio of rising factorials."""
-    _require(isinstance(n, int) and n >= 1, f"requires integer n >= 1, got n={n}")
+    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     p = Fraction(p)
     _require(p > 0, f"requires p > 0, got p={p}")
     lhs = Fraction(0)
@@ -680,7 +685,7 @@ INPUT_ORDER = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
 
 
 def _pos(v: object) -> bool:
-    return isinstance(v, (int, Fraction)) and v > 0
+    return (_is_int(v) or isinstance(v, Fraction)) and v > 0
 
 
 def _valid_param(key: str, v: object, k: object) -> bool:
@@ -761,9 +766,9 @@ class IdentitySpec:
 
     def validity(self, pt: Point) -> bool:
         n, k = pt.get("n"), pt.get("k")
-        if not (isinstance(n, int) and n >= self.n_min and (n - self.n_min) % self.n_step == 0):
+        if not (_is_int(n) and n >= self.n_min and (n - self.n_min) % self.n_step == 0):
             return False
-        if self.takes_k and not (isinstance(k, int) and k >= self.k_min):
+        if self.takes_k and not (_is_int(k) and k >= self.k_min):
             return False
         return all(_valid_param(key, pt.get(key), k) for key in self.param_names)
 

@@ -17,9 +17,13 @@ the moments of a sum of independent symbols are the binomial convolution
 of their scaled moments.  The expansion (`umbral_pow`, `umbral_substitute`,
 `umbral_eval`) stays as the independent oracle the tests compare against.
 
-On top of the expressions sit the forward difference f -> f(x+u) - f(x),
-the two-point mean f -> (f(x) + f(x+u))/2, and mechanical verifiers for the
-subset-expansion identities these operators and symbols satisfy.
+On top of the expressions sit the forward difference f -> f(x+u) - f(x)
+and the two-point mean f -> (f(x) + f(x+u))/2, both applied by the
+kernel's `poly_shift_operator`, and verifiers for the subset expansions
+these operators and symbols satisfy.  Each family is stated once:
+`_operator_expansion` builds both sides of lemmas 1 and 3,
+`_symbol_subset_sum` the right side of lemma 4 and of the expansion for an
+arbitrary f, and lemma 2 is that expansion at f(x) = x^n/n!.
 """
 
 from __future__ import annotations
@@ -30,14 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import (
     Poly,
     ZERO,
-    _from_int_form,
-    _int_form,
-    _taylor_shift,
     composition_parts,
     multinomial,
     poly,
@@ -45,6 +46,7 @@ from .exactmath import (
     poly_derivative,
     poly_lincomb,
     poly_mul,
+    poly_shift_operator,
     series_product,
 )
 from .sequences import bernoulli_number, euler_poly_at_zero
@@ -311,8 +313,11 @@ def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:
 
 
 class OpVariant(Enum):
-    FORWARD = "forward"
-    DISCRETE_MEAN = "discrete-mean"
+    """The value of a variant is the (alpha, beta) of its single-shift
+    factor alpha T_u + beta, where T_u p(x) = p(x + u)."""
+
+    FORWARD = (1, -1)
+    DISCRETE_MEAN = (Fraction(1, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -336,49 +341,57 @@ def discrete_mean(*shifts: Fraction | int) -> DifferenceOp:
 
 
 def apply_delta(op: DifferenceOp, p: Poly) -> Poly:
-    """Apply the operator composition to an exact polynomial.
-
-    The shifts compose on integer numerators over one denominator D.  For
-    u = r/s and p of degree d over D, `_taylor_shift` gives p(x + u) over
-    D s^d; a forward step subtracts the input scaled by s^d (over D s^d),
-    and a mean step adds it (over 2 D s^d).  Fractions are built once, at
-    the end.
-    """
-    nums, den = _int_form(p)
-    for u in op.shifts:
-        if not nums:
-            break
-        scale = u.denominator ** (len(nums) - 1)
-        shifted = _taylor_shift(nums, u)
-        if op.variant is OpVariant.FORWARD:
-            nums = [a - scale * b for a, b in zip(shifted, nums)]
-            while nums and not nums[-1]:
-                nums.pop()
-        else:
-            nums = [a + scale * b for a, b in zip(shifted, nums)]
-            scale *= 2
-        den *= scale
-    return _from_int_form(nums, den)
+    """Apply the operator composition to an exact polynomial, by the
+    kernel's `poly_shift_operator` on integer numerators."""
+    return poly_shift_operator(p, op.shifts, *op.variant.value)
 
 
-def _subset_ops(k: int):
+def _subsets(k: int) -> Iterator[tuple[int, ...]]:
+    """The non-empty subsets of range(k), by size."""
     for j in range(1, k + 1):
-        for subset in combinations(range(k), j):
-            yield j, subset
+        yield from combinations(range(k), j)
+
+
+def _checked(name: str, k: int, values: Sequence, n: int | None = None, weights: bool = True) -> list[Fraction]:
+    """The shifts or weights of verifier `name` as Fractions, once they pass
+    its checks: k >= 1 values, n >= 0 if given, and weights summing to 1."""
+    if k < 1 or len(values) != k:
+        raise ValueError(f"{name} requires len({'u' if weights else 'shifts'}) == k >= 1, got k={k}")
+    if n is not None and n < 0:
+        raise ValueError(f"{name} requires n >= 0, got n={n}")
+    values = [Fraction(v) for v in values]
+    if weights and sum(values) != 1:
+        raise ValueError(f"{name} requires the weights to sum to 1")
+    return values
+
+
+def _operator_expansion(make_op: Callable[..., DifferenceOp], shifts: list[Fraction], p: Poly,
+                        weight: Callable[[int], int]) -> tuple[Poly, list[tuple[int, Poly]]]:
+    """The operator at the summed shift applied to p, and the terms
+    (weight(|J|), operators at the shifts in J applied to p) over the
+    non-empty subsets J: lemmas 1 and 3 equate the first to their sum."""
+    terms = [(weight(len(J)), apply_delta(make_op(*(shifts[i] for i in J)), p)) for J in _subsets(len(shifts))]
+    return apply_delta(make_op(sum(shifts)), p), terms
+
+
+def _symbol_subset_sum(f_by_size: Sequence[Poly], weight: Callable[[tuple[int, ...]], Fraction | int],
+                       anchor: SymbolId, symbols: Sequence[SymbolId], u: Sequence[Fraction]) -> Poly:
+    """sum_{J != {}} weight(J) E[f_|J|(x + anchor + sum_{i not in J} u_i S_i)]
+    with S_i = symbols[i] and f_j = f_by_size[j - 1]: the right side of
+    lemma 4 and of the expansion for an arbitrary f, hence of lemma 2."""
+    return poly_lincomb(
+        (weight(J), umbral_moment_eval(f_by_size[len(J) - 1], [
+            (Fraction(1), X), (Fraction(1), anchor), *((u[i], symbols[i]) for i in range(len(u)) if i not in J)]))
+        for J in _subsets(len(u))
+    )
 
 
 def verify_lemma1(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     """Forward difference at the summed shift equals the sum over all
     non-empty shift subsets of the composed single-shift differences."""
-    if k < 1 or len(shifts) != k:
-        raise ValueError(f"verify_lemma1 requires len(shifts) == k >= 1, got k={k}")
-    shifts = [Fraction(u) for u in shifts]
-    lhs = apply_delta(forward_difference(sum(shifts)), test_poly)
-    rhs = poly_lincomb(
-        (1, apply_delta(forward_difference(*(shifts[i] for i in subset)), test_poly))
-        for _, subset in _subset_ops(k)
-    )
-    return lhs == rhs
+    shifts = _checked("verify_lemma1", k, shifts, weights=False)
+    lhs, terms = _operator_expansion(forward_difference, shifts, test_poly, lambda j: 1)
+    return lhs == poly_lincomb(terms)
 
 
 def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
@@ -388,16 +401,9 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     alternating subset sum sum_j (-2)^{j-1} sum_{|J|=j} delta_J, and for odd
     k the alternating subset sum itself.
     """
-    if k < 1 or len(shifts) != k:
-        raise ValueError(f"verify_lemma3 requires len(shifts) == k >= 1, got k={k}")
-    shifts = [Fraction(u) for u in shifts]
-    lhs = apply_delta(discrete_mean(sum(shifts)), test_poly)
-    # the alternating subset sum, subtracted from the identity for even k
+    shifts = _checked("verify_lemma3", k, shifts, weights=False)
     sign = -1 if k % 2 == 0 else 1
-    terms = [
-        (sign * (-2) ** (j - 1), apply_delta(discrete_mean(*(shifts[i] for i in subset)), test_poly))
-        for j, subset in _subset_ops(k)
-    ]
+    lhs, terms = _operator_expansion(discrete_mean, shifts, test_poly, lambda j: sign * (-2) ** (j - 1))
     if sign < 0:
         terms.append((1, test_poly))
     return lhs == poly_lincomb(terms)
@@ -408,40 +414,17 @@ def _monomial(m: int, c: Fraction | int = 1) -> Poly:
     return poly([0] * m + [c])
 
 
-def _anchored(anchor: SymbolId, u: Sequence[Fraction], syms: Sequence[SymbolId],
-              subset: tuple[int, ...]) -> list[AffineTerm]:
-    """x + anchor + sum_{i not in subset} u_i syms[i+1]."""
-    rest: list[AffineTerm] = [(Fraction(1), X), (Fraction(1), anchor)]
-    rest += [(u[i], syms[i + 1]) for i in range(len(u)) if i not in subset]
-    return rest
-
-
 def verify_lemma2(k: int, u: Sequence[Fraction], n: int) -> bool:
     """Subset expansion of a weighted power of independent Bernoulli symbols.
 
     With weights summing to 1, (x + u_1 S_1 + ... + u_k S_k)^n / n! equals
     sum over non-empty subsets J of u_J / (n+1-|J|)! times
     (x + S_0 + sum_{i not in J} u_i S_i)^{n+1-|J|}, where S_0..S_k are
-    independent Bernoulli symbols and terms with |J| > n+1 vanish.  Both
-    sides are compared after exact moment evaluation.
+    independent Bernoulli symbols and terms with |J| > n+1 vanish.  This is
+    `verify_general_f` at f(x) = x^n / n!.
     """
-    if k < 1 or len(u) != k:
-        raise ValueError(f"verify_lemma2 requires len(u) == k >= 1, got k={k}")
-    if n < 0:
-        raise ValueError(f"verify_lemma2 requires n >= 0, got n={n}")
-    u = [Fraction(v) for v in u]
-    if sum(u) != 1:
-        raise ValueError("verify_lemma2 requires the weights to sum to 1")
-    syms = [bernoulli_symbol(i) for i in range(k + 1)]
-    weighted = [(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)]
-    lhs = umbral_moment_eval(_monomial(n, Fraction(1, factorial(n))), weighted)
-    rhs = poly_lincomb(
-        (prod(u[i] for i in subset) / factorial(n + 1 - j),
-         umbral_moment_eval(_monomial(n + 1 - j), _anchored(syms[0], u, syms, subset)))
-        for j, subset in _subset_ops(k)
-        if j <= n + 1
-    )
-    return lhs == rhs
+    _checked("verify_lemma2", k, u, n)
+    return verify_general_f(k, u, _monomial(n, Fraction(1, factorial(n))))
 
 
 def verify_lemma4(k: int, u: Sequence[Fraction], n: int) -> bool:
@@ -453,26 +436,14 @@ def verify_lemma4(k: int, u: Sequence[Fraction], n: int) -> bool:
     sum_j (-2)^{j-1} sum_{|J|=j} (x + T_0 + sum_{i not in J} u_i T_i)^n.
     Both sides are compared after exact moment evaluation.
     """
-    if k < 1 or len(u) != k:
-        raise ValueError(f"verify_lemma4 requires len(u) == k >= 1, got k={k}")
-    if n < 0:
-        raise ValueError(f"verify_lemma4 requires n >= 0, got n={n}")
-    u = [Fraction(v) for v in u]
-    if sum(u) != 1:
-        raise ValueError("verify_lemma4 requires the weights to sum to 1")
-    es = [euler_symbol(i) for i in range(k + 1)]
-    weighted = [(Fraction(1), X)] + [(u[i], es[i + 1]) for i in range(k)]
+    u = _checked("verify_lemma4", k, u, n)
+    symbols = [euler_symbol(i) for i in range(1, k + 1)]
     if k % 2 == 0:
-        lhs = umbral_moment_eval(_monomial(n, n + 1), weighted)
-        anchor, power, sign_shift = bernoulli_symbol(0), n + 1, 0
+        f, anchor, power, sign_shift = _monomial(n, n + 1), bernoulli_symbol(0), n + 1, 0
     else:
-        lhs = umbral_moment_eval(_monomial(n), weighted)
-        anchor, power, sign_shift = es[0], n, 1
-    rhs = poly_lincomb(
-        ((-2) ** (j - sign_shift), umbral_moment_eval(_monomial(power), _anchored(anchor, u, es, subset)))
-        for j, subset in _subset_ops(k)
-    )
-    return lhs == rhs
+        f, anchor, power, sign_shift = _monomial(n), euler_symbol(0), n, 1
+    rhs = _symbol_subset_sum([_monomial(power)] * k, lambda J: (-2) ** (len(J) - sign_shift), anchor, symbols, u)
+    return umbral_moment_eval(f, [(Fraction(1), X), *zip(u, symbols)]) == rhs
 
 
 def verify_annihilation(symbol_pair: tuple[SymbolId, SymbolId], n: int) -> bool:
@@ -495,19 +466,10 @@ def verify_general_f(k: int, u: Sequence[Fraction], f: Poly) -> bool:
     Bernoulli symbols S_0..S_k and weights summing to 1, compared after
     exact moment evaluation.
     """
-    if k < 1 or len(u) != k:
-        raise ValueError(f"verify_general_f requires len(u) == k >= 1, got k={k}")
-    u = [Fraction(v) for v in u]
-    if sum(u) != 1:
-        raise ValueError("verify_general_f requires the weights to sum to 1")
-    syms = [bernoulli_symbol(i) for i in range(k + 1)]
-    lhs = umbral_moment_eval(f, [(Fraction(1), X)] + [(u[i], syms[i + 1]) for i in range(k)])
+    u = _checked("verify_general_f", k, u)
     derivs = [f]
     for _ in range(k - 1):
         derivs.append(poly_derivative(derivs[-1]))
-    rhs = poly_lincomb(
-        (prod(u[i] for i in subset),
-         umbral_moment_eval(derivs[j - 1], _anchored(syms[0], u, syms, subset)))
-        for j, subset in _subset_ops(k)
-    )
-    return lhs == rhs
+    symbols = [bernoulli_symbol(i) for i in range(1, k + 1)]
+    rhs = _symbol_subset_sum(derivs, lambda J: prod(u[i] for i in J), bernoulli_symbol(0), symbols, u)
+    return umbral_moment_eval(f, [(Fraction(1), X), *zip(u, symbols)]) == rhs

@@ -274,6 +274,79 @@ class TestTablesCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+    def test_csv_digest(self):
+        # taken from the output of the version that built every row first
+        code, out, _ = _run(RunConfig(command="tables", max_n=150, format="csv"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "344da36007e8631444cd1e043a2b2619d6c0e9e1929a98076be3d485184f34e3")
+
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 7, 12])
+    def test_json_keeps_the_layout_of_json_dump(self, max_n):
+        code, out, _ = _run(RunConfig(command="tables", max_n=max_n, format="json"))
+        assert code == 0
+        rows = [cli._tables_row(n) for n in range(max_n + 1)]
+        assert out == json.dumps({"max_n": max_n, "rows": rows}, indent=2) + "\n"
+
+    # Each row is written before the next one is built: when row n (or, in
+    # text, the polynomial line n) is built, the output holds exactly the
+    # rows before it.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_rows_are_written_as_they_are_built(self, monkeypatch, fmt):
+        out, built = io.StringIO(), []
+        max_n = 8
+
+        def spy(name, fetch, written):
+            def fetch_and_record(n):
+                built.append((name, n, written(out.getvalue())))
+                return fetch(n)
+            monkeypatch.setattr(cli, name, fetch_and_record)
+
+        if fmt == "text":
+            poly_lines = lambda text: text.count("(x) = ")
+            spy("bernoulli_poly", cli.bernoulli_poly, poly_lines)
+            spy("euler_poly", cli.euler_poly, poly_lines)
+            expected = [("bernoulli_poly", n, n) for n in range(max_n + 1)]
+            expected += [("euler_poly", n, max_n + 1 + n) for n in range(max_n + 1)]
+        else:
+            rows = (lambda text: text.count('"n": ')) if fmt == "json" else (lambda text: text.count("\n") - 1)
+            spy("_tables_row", cli._tables_row, rows)
+            expected = [("_tables_row", n, n) for n in range(max_n + 1)]
+        assert run(RunConfig(command="tables", max_n=max_n, format=fmt), out=out) == 0
+        assert built == expected
+
+
+class TestParserDefaults:
+    """`RunConfig`'s field defaults are the only defaults: the parser leaves
+    out every option not given, and its help quotes the field defaults."""
+
+    @pytest.mark.parametrize("argv", [
+        ["list"], ["tables"], ["verify", "--identity", "miki"], ["verify-all"], ["mc"],
+    ])
+    def test_options_left_out_are_absent(self, argv):
+        ns = vars(cli._build_parser().parse_args(argv))
+        assert ns == {"command": argv[0], **({"identity": "miki"} if argv[0] == "verify" else {})}
+        assert RunConfig(**ns) == RunConfig(command=argv[0], identity=ns.get("identity"))
+
+    def test_given_options_reach_the_config(self):
+        ns = vars(cli._build_parser().parse_args(
+            ["mc", "--samples", "7", "--seed", "3", "--sigma", "2.5", "--format", "csv", "--timings"]))
+        assert RunConfig(**ns) == RunConfig(command="mc", samples=7, seed=3, sigma=2.5, format="csv", timings=True)
+        ns = vars(cli._build_parser().parse_args(["tables", "--max-n", "9"]))
+        assert RunConfig(**ns) == RunConfig(command="tables", max_n=9)
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("tables", [RunConfig.max_n, RunConfig.format]),
+        ("mc", [f"{RunConfig.samples:,}", RunConfig.seed, f"{RunConfig.sigma:g}", RunConfig.format]),
+    ])
+    def test_help_quotes_the_field_defaults(self, capsys, command, defaults):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for value in defaults:
+            assert f"(default {value})" in text
+
+
 class TestListCommand:
     def test_text_lists_all_entries(self):
         code, out, _ = _run(RunConfig(command="list"))
@@ -447,12 +520,12 @@ class TestInputBudgets:
 
     def test_tables_max_n(self, monkeypatch, capsys):
         seen = []
-        monkeypatch.setattr(cli, "_tables_rows", lambda max_n: seen.append(max_n) or [])
+        monkeypatch.setattr(cli, "_tables_row", lambda n: seen.append(n) or {})
         assert main(["tables", "--max-n", str(MAX_TABLES_N), "--format", "json"]) == 0
-        assert seen == [MAX_TABLES_N]
+        assert seen == list(range(MAX_TABLES_N + 1))
         self._refused(capsys, ["tables", "--max-n", str(MAX_TABLES_N + 1)], "--max-n")
         self._refused(capsys, ["tables", "--max-n", str(10**6)], "--max-n")
-        assert seen == [MAX_TABLES_N]
+        assert seen == list(range(MAX_TABLES_N + 1))
 
     def test_verify_n(self, monkeypatch, capsys):
         seen = []

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bek
 from bek.exactmath import (
     ONE,
     ZERO,
@@ -27,6 +30,7 @@ from bek.exactmath import (
     poly_mul,
     poly_scale,
     poly_shift,
+    poly_shift_operator,
     poly_sub,
     series_product,
 )
@@ -292,6 +296,71 @@ class TestIntegerKernel:
         assert series_product((poly([0, 0, 1]), poly([1, 1])), 1) == ZERO
         assert series_product((), 3) == ONE
         assert series_product((geometric,), -1) == ZERO
+
+
+    @given(st.one_of(small_polys, wide_polys), st.lists(scalars, max_size=4), scalars, scalars)
+    def test_shift_operator_matches_fold(self, p, shifts, alpha, beta):
+        # (alpha, beta) with distinct denominators exercise their common one
+        expected = p
+        for u in shifts:
+            expected = poly_add(poly_scale(alpha, poly_shift(expected, u)), poly_scale(beta, expected))
+        out = poly_shift_operator(p, shifts, alpha, beta)
+        assert out == expected
+        assert _all_fractions(out)
+
+    def test_shift_operator_frozen(self):
+        p = poly([Fraction(1, 3), -2, 0, 1])
+        # (T_1 - 1)(x^3 - 2x + 1/3) = 3x^2 + 3x - 1, and a second step gives 6x + 6
+        assert poly_shift_operator(p, (1,), 1, -1) == poly([-1, 3, 3])
+        assert poly_shift_operator(p, (1, 1), 1, -1) == poly([6, 6])
+        # the mean (p(x) + p(x + 2))/2 = x^3 + 3x^2 + 4x + 7/3
+        assert poly_shift_operator(p, (2,), Fraction(1, 2), Fraction(1, 2)) == poly([Fraction(7, 3), 4, 3, 1])
+        assert poly_shift_operator(p, (Fraction(1, 3), Fraction(-1, 2)), 1, 0) == poly_shift(p, Fraction(-1, 6))
+        assert poly_shift_operator(p, (), 5, 7) == p
+        assert poly_shift_operator(ZERO, (1, 2), 1, -1) == ZERO
+
+
+def _private_kernel_imports(source: str) -> list[str]:
+    """The `_`-prefixed names of `bek.exactmath` that a module imports, or
+    reads off a module alias of it."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level == 1 and node.module == "exactmath") or node.module == "bek.exactmath":
+                found += [a.name for a in node.names if a.name.startswith("_")]
+            elif (node.level == 1 and node.module is None) or node.module == "bek":
+                aliases |= {a.asname or a.name for a in node.names if a.name == "exactmath"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "bek.exactmath" and a.asname}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            found.append(node.attr)
+    return found
+
+
+class TestLayering:
+    """The kernel's integer-numerator format (`_int_form`, `_taylor_shift`,
+    ...) is known to `bek.exactmath` alone: other modules reach it only
+    through the kernel's public routines."""
+
+    def test_no_module_imports_a_private_kernel_name(self):
+        package = Path(bek.__file__).parent
+        offenders = {
+            path.name: names
+            for path in sorted(package.glob("*.py"))
+            if path.name != "exactmath.py" and (names := _private_kernel_imports(path.read_text()))
+        }
+        assert offenders == {}
+
+    def test_the_scan_sees_each_form_of_import(self):
+        assert _private_kernel_imports("from .exactmath import Poly, _int_form, _taylor_shift") == [
+            "_int_form", "_taylor_shift"]
+        assert _private_kernel_imports("from bek.exactmath import _from_int_form") == ["_from_int_form"]
+        assert _private_kernel_imports("from . import exactmath as em\nem._int_form(p)") == ["_int_form"]
+        assert _private_kernel_imports("import bek.exactmath as em\nem._taylor_shift(n, u)") == ["_taylor_shift"]
+        assert _private_kernel_imports("from .exactmath import poly_shift_operator\nfrom .sequences import _x") == []
 
 
 class TestCompositions:

@@ -127,6 +127,43 @@ class TestRegistryShape:
                 assert not entry.validity({**base, "a_vec": vec[:-1] + (0.5,)})
 
 
+class TestBoolInputs:
+    """bool is an int subclass, but True and False are never a degree, a k,
+    a parameter or an a_vec entry."""
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_predicate_refuses_bools(self, name):
+        entry = REGISTRY[name]
+        for kk in entry.default_ks or (None,):
+            base = build_points(entry, k=kk)[0]
+            keys = ["n", *(["k"] if entry.takes_k else []), *(p for p in entry.param_names if p != "a_vec")]
+            for key in keys:
+                for flag in (True, False):
+                    assert not entry.validity({**base, key: flag}), (name, key, flag)
+            if "a_vec" in entry.param_names:
+                assert not entry.validity({**base, "a_vec": base["a_vec"][:-1] + (True,)})
+                assert not entry.validity({**base, "a_vec": (True,) * kk})
+
+    def test_verify_refuses_a_bool_point(self):
+        with pytest.raises(DomainError, match="violates validity"):
+            verify("theorem1", points=[{"n": True, "a": True, "b": F(1)}])
+        assert verify("theorem1", points=[{"n": 1, "a": 1, "b": F(1)}])[0].passed
+
+    @pytest.mark.parametrize("call", [
+        lambda: eval_theorem1(True, F(1), F(1)),
+        lambda: eval_theorem2(True, (F(1), F(1))),
+        lambda: eval_theorem3(True, F(1), F(1)),
+        lambda: eval_theorem4(True, (F(2),)),
+        lambda: eval_theorem4(False, (F(2),)),
+        lambda: eval_dunne_schubert(True, F(1)),
+        lambda: eval_eq72(True, F(1)),
+        lambda: gamma_sum_identity(True, F(1)),
+    ])
+    def test_public_evaluators_refuse_a_bool_n(self, call):
+        with pytest.raises(DomainError, match="requires integer n"):
+            call()
+
+
 class TestFrozenValues:
     def test_theorem1_degree_one(self):
         lhs, rhs = eval_theorem1(1, F(1), F(1))

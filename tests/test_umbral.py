@@ -11,7 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bek.umbral as umbral
-from bek.exactmath import ZERO, poly, poly_add, poly_lincomb, poly_scale, poly_shift, poly_sub
+from bek.exactmath import (
+    ZERO,
+    _from_int_form,
+    _int_form,
+    _taylor_shift,
+    poly,
+    poly_add,
+    poly_derivative,
+    poly_lincomb,
+    poly_scale,
+    poly_shift,
+    poly_sub,
+)
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
 from bek.umbral import (
     DifferenceOp,
@@ -386,3 +398,151 @@ class TestCorruptedLemmas:
                 assert _lemma4_with_signs(k, u, n, lambda j: (-2) ** (j - shift))
                 assert verify_lemma4(k, u, n)
                 assert not _lemma4_with_signs(k, u, n, lambda j: (-2) ** (j - shift + 1))
+
+
+# ---------------------------------------------------------------------------
+# The bodies that the shared subset expansions and the kernel's shift
+# operator replaced, kept as references.  Each returns both sides.
+# ---------------------------------------------------------------------------
+
+
+def _reference_int_apply_delta(op, p):
+    """apply_delta as it composed its shifts on integer numerators itself:
+    a forward step subtracts the input scaled by s^d (over D s^d), a mean
+    step adds it (over 2 D s^d)."""
+    nums, den = _int_form(p)
+    for u in op.shifts:
+        if not nums:
+            break
+        scale = u.denominator ** (len(nums) - 1)
+        shifted = _taylor_shift(nums, u)
+        if op.variant is OpVariant.FORWARD:
+            nums = [a - scale * b for a, b in zip(shifted, nums)]
+            while nums and not nums[-1]:
+                nums.pop()
+        else:
+            nums = [a + scale * b for a, b in zip(shifted, nums)]
+            scale *= 2
+        den *= scale
+    return _from_int_form(nums, den)
+
+
+def _reference_anchored(anchor, u, syms, subset):
+    """x + anchor + sum_{i not in subset} u_i syms[i+1]."""
+    return [(F(1), X), (F(1), anchor)] + [(u[i], syms[i + 1]) for i in range(len(u)) if i not in subset]
+
+
+def _reference_subsets(k):
+    for j in range(1, k + 1):
+        for subset in itertools.combinations(range(k), j):
+            yield j, subset
+
+
+def _reference_lemma2(k, u, n):
+    syms = [umbral.bernoulli_symbol(i) for i in range(k + 1)]
+    weighted = [(F(1), X)] + [(u[i], syms[i + 1]) for i in range(k)]
+    lhs = umbral_moment_eval(poly([0] * n + [F(1, math.factorial(n))]), weighted)
+    rhs = poly_lincomb(
+        (math.prod(u[i] for i in subset) / math.factorial(n + 1 - j),
+         umbral_moment_eval(poly([0] * (n + 1 - j) + [1]), _reference_anchored(syms[0], u, syms, subset)))
+        for j, subset in _reference_subsets(k)
+        if j <= n + 1
+    )
+    return lhs, rhs
+
+
+def _reference_lemma4(k, u, n):
+    es = [euler_symbol(i) for i in range(k + 1)]
+    weighted = [(F(1), X)] + [(u[i], es[i + 1]) for i in range(k)]
+    if k % 2 == 0:
+        lhs = umbral_moment_eval(poly([0] * n + [n + 1]), weighted)
+        anchor, power, sign_shift = umbral.bernoulli_symbol(0), n + 1, 0
+    else:
+        lhs = umbral_moment_eval(poly([0] * n + [1]), weighted)
+        anchor, power, sign_shift = es[0], n, 1
+    rhs = poly_lincomb(
+        ((-2) ** (j - sign_shift), umbral_moment_eval(poly([0] * power + [1]), _reference_anchored(anchor, u, es, subset)))
+        for j, subset in _reference_subsets(k)
+    )
+    return lhs, rhs
+
+
+def _reference_general_f(k, u, f):
+    syms = [umbral.bernoulli_symbol(i) for i in range(k + 1)]
+    lhs = umbral_moment_eval(f, [(F(1), X)] + [(u[i], syms[i + 1]) for i in range(k)])
+    derivs = [f]
+    for _ in range(k - 1):
+        derivs.append(poly_derivative(derivs[-1]))
+    rhs = poly_lincomb(
+        (math.prod(u[i] for i in subset), umbral_moment_eval(derivs[j - 1], _reference_anchored(syms[0], u, syms, subset)))
+        for j, subset in _reference_subsets(k)
+    )
+    return lhs, rhs
+
+
+lemma_weights = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def sum_one_tuples(draw):
+    """k = 1..4 rationals that sum to 1."""
+    head = draw(st.lists(lemma_weights, min_size=0, max_size=3))
+    return (*head, 1 - sum(head, F(0)))
+
+
+class TestSharedExpansionsAgainstReferences:
+    """The shared subset-expansion helper, as the verifiers call it, builds
+    the same right side as the hand-written loop it replaced, and the
+    verifier returns the reference verdict."""
+
+    @staticmethod
+    def _recorded(call):
+        """The verdict of call() and the right sides `_symbol_subset_sum` built for it."""
+        sums, original = [], umbral._symbol_subset_sum
+
+        def record(*args):
+            sums.append(original(*args))
+            return sums[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(umbral, "_symbol_subset_sum", record)
+            return call(), sums
+
+    @settings(max_examples=60, deadline=None)
+    @given(sum_one_tuples(), st.integers(0, 10))
+    def test_lemma2(self, u, n):
+        lhs, rhs = _reference_lemma2(len(u), u, n)
+        verdict, sums = self._recorded(lambda: verify_lemma2(len(u), u, n))
+        assert verdict == (lhs == rhs) and sums == [rhs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sum_one_tuples(), st.integers(0, 10))
+    def test_lemma4(self, u, n):
+        lhs, rhs = _reference_lemma4(len(u), u, n)
+        verdict, sums = self._recorded(lambda: verify_lemma4(len(u), u, n))
+        assert verdict == (lhs == rhs) and sums == [rhs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sum_one_tuples(), st.lists(lemma_weights, max_size=11).map(poly))
+    def test_general_f(self, u, f):
+        lhs, rhs = _reference_general_f(len(u), u, f)
+        verdict, sums = self._recorded(lambda: verify_general_f(len(u), u, f))
+        assert verdict == (lhs == rhs) and sums == [rhs]
+
+    # with the Euler anchor both sides move apart from n = 2 on, so the
+    # verdicts compared here are False as well as True
+    @settings(max_examples=30, deadline=None)
+    @given(sum_one_tuples(), st.integers(0, 10))
+    def test_lemma2_with_euler_anchor(self, u, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(umbral, "bernoulli_symbol", _anchor_swapped_to_euler)
+            lhs, rhs = _reference_lemma2(len(u), u, n)
+            verdict, sums = self._recorded(lambda: verify_lemma2(len(u), u, n))
+        assert verdict == (lhs == rhs) and sums == [rhs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(shift_polys, st.lists(shift_values, min_size=1, max_size=5))
+    def test_apply_delta(self, p, shifts):
+        for variant in OpVariant:
+            op = DifferenceOp(tuple(shifts), variant)
+            assert apply_delta(op, p) == _reference_int_apply_delta(op, p)
