@@ -387,18 +387,25 @@ def _cmd_list(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Text
     return 0
 
 
-def _tables_row(n: int) -> dict:
-    """Row n of `bek tables`, built when it is written."""
-    bp, ep = bernoulli_poly(n), euler_poly(n)
+def _tables_cells(n: int) -> dict:
+    """The number and coefficient cells of row n of `bek tables`, the
+    whole row of the csv format, built when it is written."""
     return {
         "n": n,
         "B": str(bernoulli_number(n)),
         "E": str(euler_number(n)),
         "G": str(genocchi_number(n)),
-        "B_poly": _poly_cells(bp),
-        "E_poly": _poly_cells(ep),
-        "B_poly_text": format_poly(bp),
-        "E_poly_text": format_poly(ep),
+        "B_poly": _poly_cells(bernoulli_poly(n)),
+        "E_poly": _poly_cells(euler_poly(n)),
+    }
+
+
+def _tables_row(n: int) -> dict:
+    """Row n of the json format: the cells and the polynomials as text."""
+    return {
+        **_tables_cells(n),
+        "B_poly_text": format_poly(bernoulli_poly(n)),
+        "E_poly_text": format_poly(euler_poly(n)),
     }
 
 
@@ -420,7 +427,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     if config.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "B", "E", "G", "B_poly", "E_poly"])
-        for row in map(_tables_row, ns):
+        for row in map(_tables_cells, ns):
             writer.writerow([row["n"], row["B"], row["E"], row["G"], ";".join(row["B_poly"]), ";".join(row["E_poly"])])
         return 0
     numbers = [(str(bernoulli_number(n)), str(euler_number(n)), str(genocchi_number(n))) for n in ns]

@@ -22,9 +22,13 @@ and displays (label and evaluator), its degree floor `n_min`, default top
 a k-fold entry `k_min` and the default ks.  The validity predicate, its
 text, the default grid and the evaluator call all follow from those
 fields.  To add an identity, write a function fn(n, *params[, k]) that
-returns its two sides, as polynomials or numbers, and declare it; an
-`a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and any
-other parameter needs its default sets declared.
+returns its two sides, as polynomials or numbers, and declare it.  A
+convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
+P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
+`_convolution` takes one list w_i(0..n) per slot (0 where a term is
+absent) and the scale.  An `a_vec` parameter takes the k-tuple sets of
+`_tuple_sets_for_k`, and any other parameter needs its default sets
+declared.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactmath import (
@@ -46,7 +50,6 @@ from .exactmath import (
     harmonic,
     harmonic_second,
     harmonic_shifted,
-    multinomial,
     pochhammer,
     poly,
     poly_add,
@@ -100,13 +103,92 @@ def _euler_product(indices: tuple[int, ...]) -> Poly:
     return out
 
 
-def _sorted_key(parts: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(parts))
-
-
 def _coeff(p: Poly, m: int) -> Fraction:
     """The coefficient of t^m in p, zero beyond its length."""
     return p[m] if m < len(p) else Fraction(0)
+
+
+Product = Callable[[tuple[int, ...]], Poly]
+
+
+def _convolution(product: Product, n: int, weights: Sequence[Sequence[Fraction | int]], scale: Fraction | int) -> Poly:
+    """scale * sum over weak compositions l of n into len(weights) parts of
+    prod_i weights[i][l_i] * product(sorted l), skipping a composition of
+    zero weight before its product is formed.
+
+    Each slot's weights are brought to integer numerators over their
+    common denominator, so a term's weight is an integer product, and the
+    denominators and the scale are applied once, to the sum.
+    """
+    nums, den = [], 1
+    for w in weights:
+        d = lcm(*(v.denominator for v in w))
+        nums.append([v.numerator * (d // v.denominator) for v in w])
+        den *= d
+    total = poly_lincomb(
+        (c, product(tuple(sorted(parts))))
+        for parts in composition_parts(n, len(nums))
+        if (c := prod(w[l] for w, l in zip(nums, parts)))
+    )
+    return poly_lincomb([(Fraction(scale, den), total)])
+
+
+def _rising_weights(a: Fraction, n: int) -> list[Fraction]:
+    """(a)_l / l! for l = 0..n: the slot weight of a parameter a."""
+    return [pochhammer(a, l) / factorial(l) for l in range(n + 1)]
+
+
+def _inverse_factorials(n: int) -> list[Fraction]:
+    """1/l! for l = 0..n."""
+    return [Fraction(1, factorial(l)) for l in range(n + 1)]
+
+
+def _reciprocals(n: int) -> list[Fraction]:
+    """1/l for l = 1..n, and 0 at l = 0."""
+    return [Fraction(0), *(Fraction(1, l) for l in range(1, n + 1))]
+
+
+def _harmonic_tails(n: int) -> list[Fraction]:
+    """(H_{n-1} - H_{l-1}) / l for l = 1..n, and 0 at l = 0."""
+    return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
+
+
+def _theorem_lhs(product: Product, n: int, a_vec: Sequence[Fraction]) -> Poly:
+    """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
+    the left side of theorems 1-4."""
+    return _convolution(product, n, [_rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
+
+
+def _k_fold_params(n: int, a_vec: Sequence[Fraction], k: int | None, k_min: int) -> tuple[Fraction, ...]:
+    """The checked parameters of a k-fold theorem; k defaults to len(a_vec)."""
+    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
+    a_vec = tuple(Fraction(v) for v in a_vec)
+    if k is None:
+        k = len(a_vec)
+    _require(k >= k_min, f"requires k >= {k_min}, got k={k}")
+    _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
+    _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
+    return a_vec
+
+
+def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Iterable[Poly],
+                       d: int, w: Fraction, base: Callable[[int], Poly]) -> Poly:
+    """sum_{l_0=0}^{d} w/l_0! [t^(d-l_0)] q / (sum a)_{d-l_0} P_{l_0}(x),
+    P = base, the right side of theorems 2 and 4.  With A_i(t) = sum_l
+    (a_i)_l moment(l) t^l / l! truncated after t^d, q(t) = prod_i (A_i(t) +
+    s_i(t)) - prod_i A_i(t) sums, over the non-empty index subsets J, the
+    products of the shifts s_i for i in J and of the A_i for i not in J.
+    """
+    series = [poly(pochhammer(ai, l) * moment(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    q = poly_sub(
+        series_product((poly_add(s, si) for s, si in zip(series, shifts)), d),
+        series_product(series, d),
+    )
+    total = sum(a_vec)
+    return poly_lincomb(
+        (w / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
+        for l0 in range(d + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +206,7 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = poly_lincomb(
-        (binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n),
-         _bern_product((min(l, n - l), max(l, n - l))))
-        for l in range(n + 1)
-    )
+    lhs = _theorem_lhs(_bern_product, n, (a, b))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
            * bernoulli_number(l), bernoulli_poly(n - l))
@@ -147,42 +225,15 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     l_0+...+l_{k-j} = n+1-j (j = |J|), with weight
     prod_{i in J} a_i * n!/(n+1-j)! * multinomial * prod (a_c)_{l_i}
     / (sum a)_{n+1-l_0} on B_{l_0}(x) prod B_{l_i}; subsets with j > n+1
-    contribute nothing.
-
-    The RHS is evaluated without enumerating subsets or compositions.  With
-    A_i(t) = sum_l (a_i)_l B_l t^l / l! (truncated after t^(n+1)), the
-    subset-and-composition sum for fixed l_0 is a coefficient of
-
-        q(t) = sum_{J != {}} prod_{i in J} a_i t prod_{i not in J} A_i(t)
-             = prod_i (A_i(t) + a_i t) - prod_i A_i(t),
-
-    and RHS = sum_{l_0=0}^{n} n!/l_0! [t^(n+1-l_0)] q / (sum a)_{n+1-l_0}
-    B_{l_0}(x).
+    contribute nothing.  The subset and composition sums are read off one
+    product of series: the RHS is `_subset_series_rhs` with moments B_l,
+    shifts s_i = a_i t, d = n+1, w = n! and P = B (its l_0 = n+1 term is
+    zero, as q has no constant term).
     """
-    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
-    a_vec = tuple(Fraction(v) for v in a_vec)
-    if k is None:
-        k = len(a_vec)
-    _require(k >= 2, f"requires k >= 2, got k={k}")
-    _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
-    _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
-    total = sum(a_vec)
-    denom = pochhammer(total, n)
-    lhs = poly_lincomb(
-        (multinomial(n, parts) * prod(pochhammer(ai, li) for ai, li in zip(a_vec, parts)) / denom,
-         _bern_product(_sorted_key(parts)))
-        for parts in composition_parts(n, k)
-    )
-    d = n + 1
-    series = [poly(pochhammer(ai, l) * bernoulli_number(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
-    q = poly_sub(
-        series_product((poly_add(s, (Fraction(0), ai)) for s, ai in zip(series, a_vec)), d),
-        series_product(series, d),
-    )
-    rhs = poly_lincomb(
-        (Fraction(factorial(n), factorial(l0)) * _coeff(q, d - l0) / pochhammer(total, d - l0), bernoulli_poly(l0))
-        for l0 in range(n + 1)
-    )
+    a_vec = _k_fold_params(n, a_vec, k, 2)
+    lhs = _theorem_lhs(_bern_product, n, a_vec)
+    shifts = [(Fraction(0), ai) for ai in a_vec]
+    rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, n + 1, Fraction(factorial(n)), bernoulli_poly)
     return lhs, rhs
 
 
@@ -196,11 +247,7 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = poly_lincomb(
-        (binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n),
-         _euler_product((min(l, n - l), max(l, n - l))))
-        for l in range(n + 1)
-    )
+    lhs = _theorem_lhs(_euler_product, n, (a, b))
     rhs = poly_lincomb([
         (Fraction(4, n + 1), bernoulli_poly(n + 1)),
         *((Fraction(-2, n + 1) * binomial(n + 1, l) * (pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l)
@@ -220,44 +267,18 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     prod E_{l_i}(0); for odd k the outer weight is (-2)^{j-1}, the
     compositions have sum n, the leading factor is E_{l_0}(x), and the
     denominator index drops to n - l_0.  k = 1 is the trivial identity.
-
-    The RHS is evaluated without enumerating subsets or compositions.  With
-    D = n+1 (even k) or n (odd k), A_i(t) = sum_l (a_i)_l E_l(0) t^l / l!
-    truncated after t^D, and
-
-        q(t) = sum_{J != {}} (-2)^|J| prod_{i not in J} A_i(t)
-             = prod_i (A_i(t) - 2) - prod_i A_i(t),
-
-    the RHS is sum_{l_0=0}^{D} w/l_0! [t^(D-l_0)] q / (sum a)_{D-l_0} P_{l_0}(x),
-    with w = n! and P = B for even k, w = -n!/2 and P = E for odd k.
+    The subset and composition sums are read off one product of series:
+    the RHS is `_subset_series_rhs` with moments E_l(0), shifts s_i = -2,
+    and d = n+1, w = n!, P = B for even k, d = n, w = -n!/2, P = E for
+    odd k.
     """
-    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
-    a_vec = tuple(Fraction(v) for v in a_vec)
-    if k is None:
-        k = len(a_vec)
-    _require(k >= 1, f"requires k >= 1, got k={k}")
-    _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
-    _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
-    total = sum(a_vec)
-    denom = pochhammer(total, n)
-    lhs = poly_lincomb(
-        (multinomial(n, parts) * prod(pochhammer(ai, li) for ai, li in zip(a_vec, parts)) / denom,
-         _euler_product(_sorted_key(parts)))
-        for parts in composition_parts(n, k)
-    )
-    if k % 2 == 0:
-        d, weight, base = n + 1, Fraction(factorial(n)), bernoulli_poly
+    a_vec = _k_fold_params(n, a_vec, k, 1)
+    lhs = _theorem_lhs(_euler_product, n, a_vec)
+    if len(a_vec) % 2 == 0:
+        d, w, base = n + 1, Fraction(factorial(n)), bernoulli_poly
     else:
-        d, weight, base = n, Fraction(-factorial(n), 2), euler_poly
-    series = [poly(pochhammer(ai, l) * euler_poly_at_zero(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
-    q = poly_sub(
-        series_product((poly_add(s, (Fraction(-2),)) for s in series), d),
-        series_product(series, d),
-    )
-    rhs = poly_lincomb(
-        (weight / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
-        for l0 in range(d + 1)
-    )
+        d, w, base = n, Fraction(-factorial(n), 2), euler_poly
+    rhs = _subset_series_rhs(a_vec, euler_poly_at_zero, [(Fraction(-2),)] * len(a_vec), d, w, base)
     return lhs, rhs
 
 
@@ -295,7 +316,7 @@ def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary1(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb((n + 2, _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n + 1))
+    lhs = _convolution(_bern_product, n, [[1] * (n + 1)] * 2, n + 2)
     rhs = poly_lincomb([
         *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1)),
         (binomial(n + 2, 3), bernoulli_poly(n - 1)),
@@ -314,11 +335,7 @@ def _corollary2(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (binomial(n, l) * pochhammer(a, l) * factorial(n - l - 1) / pochhammer(a, n),
-         _bern_product((min(l, n - l), max(l, n - l))))
-        for l in range(n)
-    )
+    lhs = _convolution(_bern_product, n, [_rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
            bernoulli_poly(n - l))
@@ -330,9 +347,7 @@ def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary4_first(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction(n, 2 * l * (n - l)), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(1, n)
-    )
+    lhs = _convolution(_bern_product, n, [_reciprocals(n)] * 2, Fraction(n, 2))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -342,9 +357,7 @@ def _corollary4_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary4_second(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction((n + 2) * (l + 1), n - l), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n)
-    )
+    lhs = _convolution(_bern_product, n, [range(1, n + 2), _reciprocals(n)], n + 2)
     rhs = poly_lincomb([
         *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -355,9 +368,7 @@ def _corollary4_second(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_12(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction(1, n - l), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n)
-    )
+    lhs = _convolution(_bern_product, n, [[1] * (n + 1), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -390,9 +401,7 @@ def _corollary6(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_15(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction(binomial(n, l), 2 ** n), _bern_product((min(l, n - l), max(l, n - l)))) for l in range(n + 1)
-    )
+    lhs = _convolution(_bern_product, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l)) for l in range(n + 1)),
         (Fraction(n, 4), bernoulli_poly(n - 1)),
@@ -401,11 +410,7 @@ def _eq_2_15(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary7(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (n * (harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l)),
-         _bern_product((min(l, n - l), max(l, n - l))))
-        for l in range(1, n)
-    )
+    lhs = _convolution(_bern_product, n, [_harmonic_tails(n), _reciprocals(n)], n)
     rhs = poly_lincomb([
         *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -416,7 +421,7 @@ def _corollary7(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb((n + 3, _bern_product(_sorted_key(parts))) for parts in composition_parts(n, 3))
+    lhs = _convolution(_bern_product, n, [[1] * (n + 1)] * 3, n + 3)
     rhs = poly_lincomb([
         *((3 * binomial(n + 3, i) * bernoulli_number(j) * bernoulli_number(l), bernoulli_poly(i))
           for i, j, l in composition_parts(n, 3)),
@@ -447,12 +452,7 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (pochhammer(eps, i) * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, n)
-         / (factorial(i) * factorial(j) * factorial(l)),
-         _bern_product(_sorted_key((i, j, l))))
-        for i, j, l in composition_parts(n, 3)
-    )
+    lhs = _convolution(_bern_product, n, [_rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of
     # sum_l (eps)_l B_l t^l / l!
     series = poly(pochhammer(eps, l) * bernoulli_number(l) / factorial(l) for l in range(n + 1))
@@ -470,9 +470,7 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary8(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (multinomial(n, parts), _bern_product(_sorted_key(parts))) for parts in composition_parts(n, 3)
-    )
+    lhs = _convolution(_bern_product, n, [_inverse_factorials(n)] * 3, factorial(n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
     series = poly(bernoulli_number(l) / factorial(l) for l in range(n + 1))
     square = series_product((series, series), n)
@@ -532,9 +530,7 @@ def _corollary9(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary10_first(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction(1, l * (n - l - 1)), _euler_product(_sorted_key((l, n - l - 1)))) for l in range(1, n - 1)
-    )
+    lhs = _convolution(_euler_product, n - 1, [_reciprocals(n - 1)] * 2, 1)
     rhs = poly_lincomb([
         *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
            bernoulli_poly(n - l))
@@ -546,10 +542,7 @@ def _corollary10_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary10_second(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        ((harmonic(n - 1) - harmonic(l - 1)) / Fraction(l * (n - l)), _euler_product(_sorted_key((l, n - l))))
-        for l in range(1, n)
-    )
+    lhs = _convolution(_euler_product, n, [_harmonic_tails(n), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
         *((binomial(n - 1, l - 1)
@@ -565,7 +558,7 @@ def _corollary10_second(n: int) -> tuple[Poly, Poly]:
 
 def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
     """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0))."""
-    yield c, _euler_product(_sorted_key((l, m)))
+    yield c, _euler_product((min(l, m), max(l, m)))
     yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
 
 
@@ -582,10 +575,7 @@ def _corollary11_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary11_second(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (Fraction(1, 3 * i * j * l), _euler_product(_sorted_key((i, j, l))))
-        for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1
-    )
+    lhs = _convolution(_euler_product, n, [_reciprocals(n)] * 3, Fraction(1, 3))
     rhs = poly_lincomb([
         (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n)),
         *((binomial(n - 1, i)

@@ -281,6 +281,14 @@ class TestTablesCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "344da36007e8631444cd1e043a2b2619d6c0e9e1929a98076be3d485184f34e3")
 
+    def test_csv_never_formats_polynomials(self, monkeypatch):
+        # csv writes the coefficient cells only, so it has no use for the text
+        def refuse(p):
+            raise AssertionError("format_poly called in csv mode")
+        monkeypatch.setattr(cli, "format_poly", refuse)
+        code, out, _ = _run(RunConfig(command="tables", max_n=12, format="csv"))
+        assert code == 0 and len(out.splitlines()) == 14
+
     @pytest.mark.parametrize("max_n", [0, 1, 2, 7, 12])
     def test_json_keeps_the_layout_of_json_dump(self, max_n):
         code, out, _ = _run(RunConfig(command="tables", max_n=max_n, format="json"))
@@ -310,8 +318,9 @@ class TestTablesCommand:
             expected += [("euler_poly", n, max_n + 1 + n) for n in range(max_n + 1)]
         else:
             rows = (lambda text: text.count('"n": ')) if fmt == "json" else (lambda text: text.count("\n") - 1)
-            spy("_tables_row", cli._tables_row, rows)
-            expected = [("_tables_row", n, n) for n in range(max_n + 1)]
+            builder = "_tables_row" if fmt == "json" else "_tables_cells"
+            spy(builder, getattr(cli, builder), rows)
+            expected = [(builder, n, n) for n in range(max_n + 1)]
         assert run(RunConfig(command="tables", max_n=max_n, format=fmt), out=out) == 0
         assert built == expected
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from bek.exactmath import (
     poly_sub,
     series_product,
 )
+from bek import identities
 from bek.identities import (
     REGISTRY,
     DomainError,
@@ -614,3 +617,245 @@ class TestCorruptedSeries:
         lhs, rhs = eval_theorem4(pt["n"], pt["a_vec"])
         assert lhs == rhs == _theorem4_rhs_copy(pt["n"], pt["a_vec"])
         assert _theorem4_rhs_copy(pt["n"], pt["a_vec"], shift=F(-1)) != lhs
+
+
+# ---------------------------------------------------------------------------
+# The hand-written left sides that the weighted convolution `_convolution`
+# replaced, kept as the reference it is compared against.  They form the
+# same cached products as the module, so they check the walk and the
+# weights, not the products.
+# ---------------------------------------------------------------------------
+
+
+def _B(*parts):
+    return identities._bern_product(tuple(sorted(parts)))
+
+
+def _E(*parts):
+    return identities._euler_product(tuple(sorted(parts)))
+
+
+def _pair_lhs_reference(product, n, a, b):
+    return poly_lincomb(
+        (binomial(n, l) * pochhammer(a, l) * pochhammer(b, n - l) / pochhammer(a + b, n), product(l, n - l))
+        for l in range(n + 1)
+    )
+
+
+def _multinomial_lhs_reference(product, n, a_vec):
+    denom = pochhammer(sum(a_vec), n)
+    return poly_lincomb(
+        (multinomial(n, parts) * prod(pochhammer(ai, li) for ai, li in zip(a_vec, parts)) / denom, product(*parts))
+        for parts in composition_parts(n, len(a_vec))
+    )
+
+
+LHS_REFERENCES = {
+    ("theorem1", ""): lambda n, a, b: _pair_lhs_reference(_B, n, a, b),
+    ("theorem2", ""): lambda n, a_vec, k: _multinomial_lhs_reference(_B, n, a_vec),
+    ("theorem3", ""): lambda n, a, b: _pair_lhs_reference(_E, n, a, b),
+    ("theorem4", ""): lambda n, a_vec, k: _multinomial_lhs_reference(_E, n, a_vec),
+    ("corollary1", ""): lambda n: poly_lincomb((n + 2, _B(l, n - l)) for l in range(n + 1)),
+    ("corollary3", ""): lambda n, a: poly_lincomb(
+        (binomial(n, l) * pochhammer(a, l) * factorial(n - l - 1) / pochhammer(a, n), _B(l, n - l))
+        for l in range(n)),
+    ("corollary4", "a=1"): lambda n: poly_lincomb(
+        (F(n, 2 * l * (n - l)), _B(l, n - l)) for l in range(1, n)),
+    ("corollary4", "a=2"): lambda n: poly_lincomb(
+        (F((n + 2) * (l + 1), n - l), _B(l, n - l)) for l in range(n)),
+    ("eq-2-12", ""): lambda n: poly_lincomb((F(1, n - l), _B(l, n - l)) for l in range(n)),
+    ("eq-2-15", ""): lambda n: poly_lincomb((F(binomial(n, l), 2 ** n), _B(l, n - l)) for l in range(n + 1)),
+    ("corollary7", ""): lambda n: poly_lincomb(
+        (n * (harmonic(n - 1) - harmonic(l - 1)) / F(l * (n - l)), _B(l, n - l)) for l in range(1, n)),
+    ("eq-4-0a", ""): lambda n: poly_lincomb((n + 3, _B(*parts)) for parts in composition_parts(n, 3)),
+    ("eq-6-9", ""): lambda n, eps: poly_lincomb(
+        (pochhammer(eps, i) * pochhammer(eps, j) * pochhammer(eps, l) / pochhammer(3 * eps, n)
+         / (factorial(i) * factorial(j) * factorial(l)), _B(i, j, l))
+        for i, j, l in composition_parts(n, 3)),
+    ("corollary8", ""): lambda n: poly_lincomb(
+        (multinomial(n, parts), _B(*parts)) for parts in composition_parts(n, 3)),
+    ("corollary10", "first"): lambda n: poly_lincomb(
+        (F(1, l * (n - l - 1)), _E(l, n - l - 1)) for l in range(1, n - 1)),
+    ("corollary10", "second"): lambda n: poly_lincomb(
+        ((harmonic(n - 1) - harmonic(l - 1)) / F(l * (n - l)), _E(l, n - l)) for l in range(1, n)),
+    ("corollary11", "second"): lambda n: poly_lincomb(
+        (F(1, 3 * i * j * l), _E(i, j, l))
+        for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+}
+
+CONVERTED = list(LHS_REFERENCES)
+
+
+def _display(name, label):
+    """A display's evaluator and the arguments it takes at a grid point."""
+    entry = REGISTRY[name]
+    keys = entry.param_names + (("k",) if entry.takes_k else ())
+    return dict(entry.displays)[label], lambda pt: [pt["n"], *(pt[key] for key in keys)]
+
+
+def _points_with_terms(name, label):
+    """The default points with n >= 2 whose left side is not zero: at n = 2
+    the left sides of corollary10's first and corollary11's second display
+    are empty sums, and no corruption of the walk can show there."""
+    _, args = _display(name, label)
+    return [pt for pt in build_points(REGISTRY[name])
+            if pt["n"] >= 2 and LHS_REFERENCES[name, label](*args(pt)) != ZERO]
+
+
+class TestConvolutionLeftSides:
+    """Every declared left side equals the loop it replaced."""
+
+    def test_seventeen_displays_are_converted(self):
+        assert len(CONVERTED) == 17
+
+    @pytest.mark.parametrize("name, label", CONVERTED)
+    def test_default_grid_matches_the_reference(self, name, label):
+        fn, args = _display(name, label)
+        for pt in build_points(REGISTRY[name]):
+            assert fn(*args(pt))[0] == LHS_REFERENCES[name, label](*args(pt)), pt
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), parameter_tuples(2))
+    def test_theorem2(self, n, a_vec):
+        assert eval_theorem2(n, a_vec)[0] == _multinomial_lhs_reference(_B, n, a_vec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), parameter_tuples(1))
+    def test_theorem4(self, n, a_vec):
+        assert eval_theorem4(n, a_vec)[0] == _multinomial_lhs_reference(_E, n, a_vec)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eval_theorem2(3, (F(1), F(1)), k=3), "requires len(a_vec) == k, got 2 != 3"),
+        (lambda: eval_theorem2(3, (F(1),)), "requires k >= 2, got k=1"),
+        (lambda: eval_theorem2(-1, (F(1), F(1))), "requires integer n >= 0, got n=-1"),
+        (lambda: eval_theorem2(2, (F(1), F(0))), "requires positive parameters, got (Fraction(1, 1), Fraction(0, 1))"),
+        (lambda: eval_theorem4(5, ()), "requires k >= 1, got k=0"),
+        (lambda: eval_theorem4(5, (F(1),), k=2), "requires len(a_vec) == k, got 1 != 2"),
+        (lambda: eval_theorem4(F(1, 2), (F(1),)), "requires integer n >= 0, got n=1/2"),
+    ])
+    def test_k_fold_argument_messages(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def _convolution_copy(product, n, weights, scale, drop_last=False):
+    """`_convolution`, optionally without the last composition that
+    contributes a term.  The last composition of all, (n, 0, ..., 0), has
+    zero weight in every entry with a 1/l slot, so dropping it would change
+    nothing there."""
+    terms = [
+        (scale * c, product(tuple(sorted(parts))))
+        for parts in composition_parts(n, len(weights))
+        if (c := prod(w[l] for w, l in zip(weights, parts)))
+    ]
+    return poly_lincomb(terms[:-1] if drop_last else terms)
+
+
+class TestCorruptedConvolution:
+    """A corrupted `_convolution` is caught by every converted display."""
+
+    def test_the_uncorrupted_copy_agrees(self, monkeypatch):
+        expected = {(name, label): _display(name, label) for name, label in CONVERTED}
+        expected = {key: fn(*args(_points_with_terms(*key)[0])) for key, (fn, args) in expected.items()}
+        monkeypatch.setattr(identities, "_convolution", _convolution_copy)
+        for (name, label), sides in expected.items():
+            fn, args = _display(name, label)
+            assert fn(*args(_points_with_terms(name, label)[0])) == sides
+
+    def test_dropped_last_composition(self, monkeypatch):
+        monkeypatch.setattr(identities, "_convolution",
+                            lambda product, n, weights, scale: _convolution_copy(product, n, weights, scale, True))
+        survivors = []
+        for name, label in CONVERTED:
+            fn, args = _display(name, label)
+            lhs, rhs = fn(*args(_points_with_terms(name, label)[0]))
+            if lhs == rhs:
+                survivors.append((name, label))
+        assert survivors == []
+
+    def test_dropped_scale(self, monkeypatch):
+        # Dropping a scale of 1 changes nothing, so each display is checked
+        # at its first point with terms whose scale is not 1; three displays
+        # have scale 1 at every point and cannot catch this.
+        real = identities._convolution
+        scales = []
+
+        def without_scale(product, n, weights, scale):
+            scales.append(scale)
+            return real(product, n, weights, 1)
+
+        monkeypatch.setattr(identities, "_convolution", without_scale)
+        survivors, unit_scale = [], []
+        for name, label in CONVERTED:
+            fn, args = _display(name, label)
+            for pt in _points_with_terms(name, label):
+                scales.clear()
+                lhs, rhs = fn(*args(pt))
+                if scales != [1]:
+                    if lhs == rhs:
+                        survivors.append((name, label, pt))
+                    break
+            else:
+                unit_scale.append((name, label))
+        assert survivors == []
+        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary10", "second")]
+
+
+def _product_callers(source):
+    """The functions of a module source that call `_bern_product` or
+    `_euler_product` ("<module>" for a call outside any function)."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("_bern_product", "_euler_product")):
+                callers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def _called_names(node):
+    return {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+
+
+class TestConvolutionDesign:
+    """Products of Bernoulli and Euler polynomials are formed in one place."""
+
+    @staticmethod
+    def _functions():
+        tree = ast.parse(Path(identities.__file__).read_text())
+        return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def test_only_the_convolution_calls_the_product_tables(self):
+        callers = _product_callers(Path(identities.__file__).read_text())
+        assert callers <= {"_convolution", "_centered_euler_pair"}
+        if "_centered_euler_pair" in callers:
+            # allowed only for corollary11's centred first display
+            assert "_centered_euler_pair" in _called_names(self._functions()["_corollary11_first"])
+
+    def test_each_converted_left_side_is_a_declaration(self):
+        functions = self._functions()
+        assert "_convolution" in _called_names(functions["_theorem_lhs"])
+        for name, label in CONVERTED:
+            fn, _ = _display(name, label)
+            (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
+                         and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
+            assert isinstance(assign.value, ast.Call), name
+            assert assign.value.func.id in ("_convolution", "_theorem_lhs"), name
+            assert not _called_names(assign.value) & {"composition_parts", "_bern_product", "_euler_product"}, name
+
+    def test_the_scan_sees_each_caller(self):
+        source = (
+            "X = _bern_product((1,))\n"
+            "def f(n):\n    return _euler_product((n,))\n"
+            "class C:\n    def g(self):\n        def h():\n            return _bern_product(())\n        return h\n"
+            "def k(p):\n    return p(_bern_product)\n"
+        )
+        assert _product_callers(source) == {"<module>", "f", "h"}
