@@ -54,12 +54,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
 # 49 s over the default three queries.
 #
-# A k-fold entry (`takes_k`) enumerates the C(n + k - 1, k - 1) weak
-# compositions of n into k parts on its left side, with work growing with k
-# for each, so both k and that count at the largest n are capped.
-# `bek verify --identity theorem2 --k 16 --n 7` (170,544 compositions, three
-# parameter sets) takes 58 s; k = 12 at n = 9 (167,960) takes 43 s, and
-# k = 24 at n = 5 (98,280) 43 s.  `bek mc` draws one gamma per shape and
+# The left sides of theorem2 and theorem4 enumerate the C(n + k - 1, k - 1)
+# weak compositions of n into k parts, with work growing with k for each,
+# so both k and that count at the largest n are capped, for every k-fold
+# entry (`takes_k`) alike.  `bek verify --identity theorem2 --k 16 --n 7`
+# (170,544 compositions, three parameter sets) takes 58 s; k = 12 at n = 9
+# (167,960) takes 43 s, and k = 24 at n = 5 (98,280) 43 s.
+# kth-matiyasevich reads both of its sides off powers of one series and
+# walks no compositions: `--identity kth-matiyasevich --k 16 --n 7` takes
+# 0.3-0.5 s (27-30 s when it walked them).  `bek mc` draws one gamma per shape and
 # sample: 10 shapes at --samples 100000000 take 32 s.  Its exact moment
 # multiplies out (sum a)_{sum l} as one integer product tree: `bek mc --a 1,1
 # --l 99999,1` takes 0.8 s and `--a 1/3,2/7` 7.9 s.  The cap bounds sum l,
@@ -99,7 +102,7 @@ def _refuse_compositions(points: Sequence[Mapping]) -> None:
         count = comb(n + k - 1, k - 1) if n >= 0 and k >= 1 else 0
         if count > MAX_VERIFY_COMPOSITIONS:
             raise ValueError(
-                f"k={k} at n={n} enumerates {count} compositions, "
+                f"k={k} at n={n} has {count} compositions, "
                 f"above its input budget cap of {MAX_VERIFY_COMPOSITIONS}"
             )
 

@@ -420,34 +420,39 @@ def _corollary7(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
+def _bernoulli_powers(n: int, top: int) -> list[Poly]:
+    """b(t)^0, ..., b(t)^top truncated after t^n, with b = sum_{l<=n} B_l t^l."""
+    series = poly(bernoulli_number(l) for l in range(n + 1))
+    powers = [ONE]
+    for _ in range(top):
+        powers.append(series_product((powers[-1], series), n))
+    return powers
+
+
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
     lhs = _convolution(_bern_product, n, [[1] * (n + 1)] * 3, n + 3)
+    # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2
+    square = _bernoulli_powers(n, 2)[2]
     rhs = poly_lincomb([
-        *((3 * binomial(n + 3, i) * bernoulli_number(j) * bernoulli_number(l), bernoulli_poly(i))
-          for i, j, l in composition_parts(n, 3)),
-        *((3 * binomial(n + 3, i) * bernoulli_number(j), bernoulli_poly(i))
-          for i, j in composition_parts(n - 1, 2)),
+        *((3 * binomial(n + 3, i) * _coeff(square, n - i), bernoulli_poly(i)) for i in range(n + 1)),
+        *((3 * binomial(n + 3, i) * bernoulli_number(n - 1 - i), bernoulli_poly(i)) for i in range(n)),
         (binomial(n + 3, 5), bernoulli_poly(n - 2)),
     ])
     return lhs, rhs
 
 
 def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
-    lhs = Fraction(0)
-    for parts in composition_parts(n, k):
-        c = Fraction(1)
-        for li in parts:
-            c *= bernoulli_number(li)
-        lhs += c
-    rhs = Fraction(0)
-    for j in range(1, min(k, n + 1) + 1):
-        inner = Fraction(0)
-        for parts in composition_parts(n + 1 - j, k - j + 1):
-            c = Fraction(binomial(n + k, parts[0]))
-            for li in parts:
-                c *= bernoulli_number(li)
-            inner += c
-        rhs += binomial(k, j) * inner
+    """The k-fold sums over compositions are read off powers of b(t) =
+    sum_l B_l t^l, and each side builds its own: the left side is
+    [t^n] b^k, and the inner sum of the right side for j is
+    sum_{l_0} C(n+k, l_0) B_{l_0} [t^(n+1-j-l_0)] b^(k-j)."""
+    lhs = _coeff(_bernoulli_powers(n, k)[k], n)
+    powers = _bernoulli_powers(n, k - 1)
+    rhs = sum(
+        (binomial(k, j) * binomial(n + k, l0) * bernoulli_number(l0) * _coeff(powers[k - j], n + 1 - j - l0)
+         for j in range(1, min(k, n + 1) + 1) for l0 in range(n + 2 - j)),
+        Fraction(0),
+    )
     return lhs, rhs / (n + k)
 
 
@@ -461,9 +466,9 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
         *((3 * eps / pochhammer(3 * eps, n - i + 1) / factorial(i) * _coeff(square, n - i), bernoulli_poly(i))
           for i in range(n + 1)),
         *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
-           * bernoulli_number(j) / (factorial(i) * factorial(j)),
-           bernoulli_poly(i))
-          for i, j in composition_parts(n - 1, 2)),
+           * bernoulli_number(j) / (factorial(n - 1 - j) * factorial(j)),
+           bernoulli_poly(n - 1 - j))
+          for j in range(n)),
         (eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)),
     ])
     return lhs, rhs
@@ -556,35 +561,44 @@ def _corollary10_second(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
-    """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0))."""
-    yield c, _euler_product((min(l, m), max(l, m)))
-    yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
-
-
 def _corollary11_first(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(chain.from_iterable(
-        _centered_euler_pair(Fraction(1, l * (n - l)), l, n - l) for l in range(1, n)
-    ))
+    # the centred pairs E_l(x) E_{n-l}(x) - E_l(0) E_{n-l}(0): the
+    # convolution less its value at x = 0
+    centre = sum(
+        (euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0)
+    )
+    lhs = poly_sub(_convolution(_euler_product, n, [_reciprocals(n)] * 2, 1), poly([centre]))
+    # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, with
+    # e = sum_{m>=1} E_m(0)/m t^m
+    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
+    square = series_product((e, e), n)
     rhs = poly_lincomb([
-        *((binomial(n - 1, i) * (euler_poly_at_zero(j) / j) * (euler_poly_at_zero(l) / l), euler_poly(i))
-          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+        *((binomial(n - 1, i) * _coeff(square, n - i), euler_poly(i)) for i in range(1, n)),
         (2 * harmonic(n - 1) / Fraction(n), euler_poly(n)),
     ])
     return lhs, rhs
 
 
+def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
+    """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0))."""
+    yield c, poly_mul(euler_poly(l), euler_poly(m))
+    yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
+
+
 def _corollary11_second(n: int) -> tuple[Poly, Poly]:
     lhs = _convolution(_euler_product, n, [_reciprocals(n)] * 3, Fraction(1, 3))
+    # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
+    # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with
+    # h = sum_{m>=1} H_{m-1} E_m(0)/m t^m
+    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
+    h = poly([0, *(harmonic(m - 1) * euler_poly_at_zero(m) / m for m in range(1, n + 1))])
+    square = series_product((e, e), n)
+    cross = series_product((h, e), n)
     rhs = poly_lincomb([
         (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n)),
-        *((binomial(n - 1, i)
-           * (harmonic(j - 1) + harmonic(l - 1) - 3 * harmonic(j + l - 1))
-           * euler_poly_at_zero(j)
-           * euler_poly_at_zero(l)
-           / Fraction(j * l),
+        *((binomial(n - 1, i) * (2 * _coeff(cross, n - i) - 3 * harmonic(n - i - 1) * _coeff(square, n - i)),
            euler_poly(i))
-          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+          for i in range(1, n)),
         *chain.from_iterable(
             _centered_euler_pair(
                 (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)) / Fraction(l * (n - l)), l, n - l
@@ -691,8 +705,10 @@ def _as_poly(side: Poly | Fraction) -> Poly:
 
 
 def _k_fold_n_max(k: int | None) -> int:
-    """Largest default n of a k-fold convolution.  Its left side sums over
-    C(n + k - 1, k - 1) compositions, so the range shrinks as k grows."""
+    """Largest default n of a k-fold entry.  The left sides of theorem2 and
+    theorem4 sum over C(n + k - 1, k - 1) compositions, so the range shrinks
+    as k grows; kth-matiyasevich, whose sides are series coefficients, keeps
+    the same grid."""
     if k is None or k <= 2:
         return 20
     return {3: 14, 4: 10}.get(k, max(2, 14 - 2 * k))
@@ -897,18 +913,34 @@ REGISTRY: dict[str, IdentitySpec] = {spec.name: spec for spec in (
 )}
 
 
+def _refuse_foreign_inputs(entry: IdentitySpec, params: Mapping[str, object], k: object) -> None:
+    """Refuse a parameter the entry does not take, or a k for an entry
+    that takes none."""
+    allowed = set(entry.param_names)
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise DomainError(
+            f"{entry.name} does not take parameter(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(allowed)) or '(none)'}"
+        )
+    if not entry.takes_k and k is not None:
+        raise DomainError(f"{entry.name} does not take k")
+
+
 def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None) -> tuple[Poly, Poly]:
     """Evaluate both sides of any registry entry at a single point.
 
     `params` supplies the entry's named parameters (and `k` where the entry
-    takes one).  Entries with several displays accept a `display` selector;
-    without one the first display is returned.
+    takes one); any other input is refused, with the message of
+    `build_points`.  Entries with several displays accept a `display`
+    selector; without one the first display is returned.
     """
     entry = REGISTRY.get(name)
     if entry is None:
         raise UnknownIdentityError(f"unknown identity {name!r}; valid names: {', '.join(REGISTRY)}")
     params = dict(params or {})
     display = params.pop("display", None)
+    _refuse_foreign_inputs(entry, {key: v for key, v in params.items() if key != "k"}, params.get("k"))
     point: dict = {"n": n, **params}
     if entry.takes_k and "k" not in point and isinstance(point.get("a_vec"), tuple):
         point["k"] = len(point["a_vec"])
@@ -949,16 +981,7 @@ def build_points(
     axis; everything else keeps its default.
     """
     params = dict(params) if params else None
-    if params:
-        allowed = set(entry.param_names)
-        unknown = sorted(set(params) - allowed)
-        if unknown:
-            raise DomainError(
-                f"{entry.name} does not take parameter(s) {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(allowed)) or '(none)'}"
-            )
-    if not entry.takes_k and k is not None:
-        raise DomainError(f"{entry.name} does not take k")
+    _refuse_foreign_inputs(entry, params or {}, k)
     if entry.takes_k:
         if k is not None:
             ks: tuple[int | None, ...] = (k,)

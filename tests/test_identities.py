@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, prod
 from pathlib import Path
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bek.exactmath import (
+    ONE,
     ZERO,
     binomial,
     composition_parts,
@@ -23,6 +24,7 @@ from bek.exactmath import (
     poly,
     poly_add,
     poly_lincomb,
+    poly_mul,
     poly_scale,
     poly_sub,
     series_product,
@@ -252,6 +254,17 @@ class TestDomains:
         with pytest.raises(DomainError):
             eval_corollary("eq-6-9", 3)
 
+    @pytest.mark.parametrize("name, n, params, build, message", [
+        ("theorem1", 3, {"a": 1, "b": 1, "c": 5}, {"params": {"a": F(1), "b": F(1), "c": F(5)}},
+         "theorem1 does not take parameter(s) c; allowed: a, b"),
+        ("miki", 5, {"k": 3}, {"k": 3}, "miki does not take k"),
+    ])
+    def test_eval_corollary_refuses_what_build_points_refuses(self, name, n, params, build, message):
+        for call in (lambda: eval_corollary(name, n, params), lambda: build_points(REGISTRY[name], **build)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestDisplays:
     def test_corollary4_displays_differ(self):
@@ -423,8 +436,9 @@ class TestSmallGridSweep:
 
 
 # ---------------------------------------------------------------------------
-# The composition-enumerating right sides that the generating-function
-# evaluation replaced, kept as the reference it is compared against.
+# The composition-enumerating sums that the generating-function
+# evaluation replaced (right sides, and both sides of kth-matiyasevich),
+# kept as the reference it is compared against.
 # ---------------------------------------------------------------------------
 
 
@@ -499,6 +513,52 @@ def _eq_6_9_rhs_reference(n, eps):
     ])
 
 
+def _eq_4_0a_rhs_reference(n):
+    return poly_lincomb([
+        *((3 * binomial(n + 3, i) * bernoulli_number(j) * bernoulli_number(l), bernoulli_poly(i))
+          for i, j, l in composition_parts(n, 3)),
+        *((3 * binomial(n + 3, i) * bernoulli_number(j), bernoulli_poly(i))
+          for i, j in composition_parts(n - 1, 2)),
+        (binomial(n + 3, 5), bernoulli_poly(n - 2)),
+    ])
+
+
+def _kth_matiyasevich_reference(n, k):
+    lhs = sum((prod(bernoulli_number(li) for li in parts) for parts in composition_parts(n, k)), F(0))
+    rhs = F(0)
+    for j in range(1, min(k, n + 1) + 1):
+        inner = sum((binomial(n + k, parts[0]) * prod(bernoulli_number(li) for li in parts)
+                     for parts in composition_parts(n + 1 - j, k - j + 1)), F(0))
+        rhs += binomial(k, j) * inner
+    return lhs, rhs / (n + k)
+
+
+def _corollary11_first_rhs_reference(n):
+    return poly_lincomb([
+        *((binomial(n - 1, i) * (euler_poly_at_zero(j) / j) * (euler_poly_at_zero(l) / l), euler_poly(i))
+          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+        (2 * harmonic(n - 1) / F(n), euler_poly(n)),
+    ])
+
+
+def _centered_pair_reference(c, l, m):
+    """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0)), from poly_mul."""
+    return [(c, poly_mul(euler_poly(l), euler_poly(m))), (-c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE)]
+
+
+def _corollary11_second_rhs_reference(n):
+    return poly_lincomb([
+        (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / F(n), euler_poly(n)),
+        *((binomial(n - 1, i) * (harmonic(j - 1) + harmonic(l - 1) - 3 * harmonic(j + l - 1))
+           * euler_poly_at_zero(j) * euler_poly_at_zero(l) / F(j * l), euler_poly(i))
+          for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
+        *chain.from_iterable(
+            _centered_pair_reference((3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)) / F(l * (n - l)),
+                                     l, n - l)
+            for l in range(1, n)),
+    ])
+
+
 def _corollary9_reference(n):
     h1 = harmonic
     h2 = harmonic_second
@@ -569,6 +629,35 @@ class TestGeneratingFunctionRightSides:
         for pt in build_points(REGISTRY["corollary9"]):
             assert eval_corollary("corollary9", pt["n"]) == _corollary9_reference(pt["n"])
 
+    def test_eq_4_0a_default_grid(self):
+        for pt in build_points(REGISTRY["eq-4-0a"]):
+            assert eval_corollary("eq-4-0a", pt["n"])[1] == _eq_4_0a_rhs_reference(pt["n"])
+
+    def test_kth_matiyasevich_default_grid(self):
+        for pt in build_points(REGISTRY["kth-matiyasevich"]):
+            n, k = pt["n"], pt["k"]
+            assert identities._kth_matiyasevich(n, k) == _kth_matiyasevich_reference(n, k), pt
+
+    def test_corollary11_default_grid(self):
+        for pt in build_points(REGISTRY["corollary11"]):
+            n = pt["n"]
+            assert identities._corollary11_first(n)[1] == _corollary11_first_rhs_reference(n)
+            assert identities._corollary11_second(n)[1] == _corollary11_second_rhs_reference(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(2, 6))
+    def test_kth_matiyasevich(self, n, k):
+        lhs, rhs = identities._kth_matiyasevich(n, k)
+        assert (lhs, rhs) == _kth_matiyasevich_reference(n, k)
+        assert lhs == rhs
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 40))
+    def test_corollary11(self, n):
+        first, second = identities._corollary11_first(n), identities._corollary11_second(n)
+        assert first == (LHS_REFERENCES["corollary11", "first"](n), _corollary11_first_rhs_reference(n))
+        assert second == (LHS_REFERENCES["corollary11", "second"](n), _corollary11_second_rhs_reference(n))
+
 
 def _theorem2_rhs_copy(n, a_vec, drop_t_term=False):
     """The right side of eval_theorem2, with the a_i t term optionally dropped."""
@@ -617,6 +706,61 @@ class TestCorruptedSeries:
         lhs, rhs = eval_theorem4(pt["n"], pt["a_vec"])
         assert lhs == rhs == _theorem4_rhs_copy(pt["n"], pt["a_vec"])
         assert _theorem4_rhs_copy(pt["n"], pt["a_vec"], shift=F(-1)) != lhs
+
+
+def _series_product_without_t1(factors, d):
+    """`series_product` with the t^1 coefficient of its last factor dropped."""
+    factors = list(factors)
+    if factors and len(factors[-1]) > 1:
+        factors[-1] = poly([factors[-1][0], 0, *factors[-1][2:]])
+    return series_product(factors, d)
+
+
+# The displays whose right side reads its sums off `series_product`.
+SERIES_DISPLAYS = [
+    ("theorem2", ""), ("eq-4-0a", ""), ("kth-matiyasevich", ""), ("theorem4", ""), ("eq-6-9", ""),
+    ("corollary8", ""), ("corollary9", ""), ("corollary11", "first"), ("corollary11", "second"),
+]
+
+
+def _first_points_from_three(name):
+    """The entry's first default point with n >= 3, one for each default k."""
+    entry = REGISTRY[name]
+    return [next(pt for pt in build_points(entry, k=kk) if pt["n"] >= 3) for kk in entry.default_ks or (None,)]
+
+
+class TestCorruptedSeriesProduct:
+    """A `series_product` without the t^1 coefficient of its last factor is
+    caught by every display whose right side calls it."""
+
+    def test_the_list_names_every_series_display(self, monkeypatch):
+        seen = set()
+
+        def spy(factors, d):
+            seen.add(current)
+            return series_product(factors, d)
+
+        monkeypatch.setattr(identities, "series_product", spy)
+        for name, entry in REGISTRY.items():
+            for label, _ in entry.displays:
+                current = (name, label)
+                fn, args = _display(name, label)
+                for pt in _first_points_from_three(name):
+                    fn(*args(pt))
+        assert seen == set(SERIES_DISPLAYS)
+
+    def test_dropped_t1_coefficient(self, monkeypatch):
+        monkeypatch.setattr(identities, "series_product", _series_product_without_t1)
+        survivors = []
+        for name, label in SERIES_DISPLAYS:
+            fn, args = _display(name, label)
+            for pt in _first_points_from_three(name):
+                lhs, rhs = fn(*args(pt))
+                if lhs == rhs:
+                    survivors.append((name, label, pt.get("k")))
+        # theorem4 at k = 1 is the trivial identity: there q(t) = (A_1 - 2) -
+        # A_1 is the shift alone, whatever the series A_1 is
+        assert survivors == [("theorem4", "", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +822,9 @@ LHS_REFERENCES = {
         (F(1, l * (n - l - 1)), _E(l, n - l - 1)) for l in range(1, n - 1)),
     ("corollary10", "second"): lambda n: poly_lincomb(
         ((harmonic(n - 1) - harmonic(l - 1)) / F(l * (n - l)), _E(l, n - l)) for l in range(1, n)),
+    ("corollary11", "first"): lambda n: poly_lincomb(chain.from_iterable(
+        ((F(1, l * (n - l)), _E(l, n - l)), (-euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)), ONE))
+        for l in range(1, n))),
     ("corollary11", "second"): lambda n: poly_lincomb(
         (F(1, 3 * i * j * l), _E(i, j, l))
         for i, j, l in composition_parts(n, 3) if i >= 1 and j >= 1 and l >= 1),
@@ -705,8 +852,8 @@ def _points_with_terms(name, label):
 class TestConvolutionLeftSides:
     """Every declared left side equals the loop it replaced."""
 
-    def test_seventeen_displays_are_converted(self):
-        assert len(CONVERTED) == 17
+    def test_eighteen_displays_are_converted(self):
+        assert len(CONVERTED) == 18
 
     @pytest.mark.parametrize("name, label", CONVERTED)
     def test_default_grid_matches_the_reference(self, name, label):
@@ -776,7 +923,7 @@ class TestCorruptedConvolution:
 
     def test_dropped_scale(self, monkeypatch):
         # Dropping a scale of 1 changes nothing, so each display is checked
-        # at its first point with terms whose scale is not 1; three displays
+        # at its first point with terms whose scale is not 1; four displays
         # have scale 1 at every point and cannot catch this.
         real = identities._convolution
         scales = []
@@ -799,34 +946,52 @@ class TestCorruptedConvolution:
             else:
                 unit_scale.append((name, label))
         assert survivors == []
-        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary10", "second")]
+        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary10", "second"),
+                              ("corollary11", "first")]
+
+
+PRODUCT_TABLES = {"_bern_product", "_euler_product"}
+
+
+def _callers(source, names, via=None):
+    """The functions of a module source that call one of `names` ("<module>"
+    for a call outside any function).  With `via` set, a call of a
+    parameter annotated `via` counts too: `_convolution` calls the product
+    table it is given through its `product: Product` parameter."""
+    callers = set()
+
+    def visit(node, owner, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                typed = {a.arg for a in child.args.args if getattr(a.annotation, "id", None) == via}
+                visit(child, child.name, typed if via else set())
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and (child.func.id in names or child.func.id in params)):
+                callers.add(owner)
+            visit(child, owner, params)
+
+    visit(ast.parse(source), "<module>", set())
+    return callers
 
 
 def _product_callers(source):
     """The functions of a module source that call `_bern_product` or
-    `_euler_product` ("<module>" for a call outside any function)."""
-    callers = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("_bern_product", "_euler_product")):
-                callers.add(owner)
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return callers
+    `_euler_product`, by name or through a `Product` parameter."""
+    return _callers(source, PRODUCT_TABLES, via="Product")
 
 
 def _called_names(node):
     return {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
 
 
+# The display whose left side is the convolution less its constant term.
+CENTRED = {("corollary11", "first")}
+
+
 class TestConvolutionDesign:
-    """Products of Bernoulli and Euler polynomials are formed in one place."""
+    """Products of Bernoulli and Euler polynomials are formed, and
+    compositions enumerated, in one place."""
 
     @staticmethod
     def _functions():
@@ -834,11 +999,10 @@ class TestConvolutionDesign:
         return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
     def test_only_the_convolution_calls_the_product_tables(self):
-        callers = _product_callers(Path(identities.__file__).read_text())
-        assert callers <= {"_convolution", "_centered_euler_pair"}
-        if "_centered_euler_pair" in callers:
-            # allowed only for corollary11's centred first display
-            assert "_centered_euler_pair" in _called_names(self._functions()["_corollary11_first"])
+        assert _product_callers(Path(identities.__file__).read_text()) == {"_convolution"}
+
+    def test_only_the_convolution_walks_compositions(self):
+        assert _callers(Path(identities.__file__).read_text(), {"composition_parts"}) == {"_convolution"}
 
     def test_each_converted_left_side_is_a_declaration(self):
         functions = self._functions()
@@ -847,9 +1011,14 @@ class TestConvolutionDesign:
             fn, _ = _display(name, label)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
-            assert isinstance(assign.value, ast.Call), name
-            assert assign.value.func.id in ("_convolution", "_theorem_lhs"), name
-            assert not _called_names(assign.value) & {"composition_parts", "_bern_product", "_euler_product"}, name
+            value = assign.value
+            assert isinstance(value, ast.Call), name
+            if (name, label) in CENTRED:
+                assert value.func.id == "poly_sub", name
+                value, constant = value.args
+                assert not _called_names(constant) & {"_convolution", "composition_parts", *PRODUCT_TABLES}, name
+            assert value.func.id in ("_convolution", "_theorem_lhs"), name
+            assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
 
     def test_the_scan_sees_each_caller(self):
         source = (
@@ -857,5 +1026,8 @@ class TestConvolutionDesign:
             "def f(n):\n    return _euler_product((n,))\n"
             "class C:\n    def g(self):\n        def h():\n            return _bern_product(())\n        return h\n"
             "def k(p):\n    return p(_bern_product)\n"
+            "def m(p: Product, n):\n    return sum(p((l,)) for l in composition_parts(n, 1))\n"
+            "def r(p: Poly):\n    return p(0)\n"
         )
-        assert _product_callers(source) == {"<module>", "f", "h"}
+        assert _product_callers(source) == {"<module>", "f", "h", "m"}
+        assert _callers(source, {"composition_parts"}) == {"m"}
