@@ -49,26 +49,32 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # host with Python 3.11.  `bek tables --max-n 700` takes 5 s (text) to 11 s
 # (json, csv) and peaks at 0.10 GB in each format: rows are written one at a
 # time, and what is held is the cached B_n(x) and E_n(x), which grow as N^3.
-# `bek verify --n 70` takes 23 s for theorem2 and 21 s for theorem4, the
-# slowest entries on their default k and parameter grids; each further n
-# value of a range adds its own time.  `bek mc --samples 100000000` takes
-# 49 s over the default three queries.
+# `bek verify --n 70` takes 3.0 s for theorem2 and 2.4 s for theorem4, the
+# slowest entries on their default k and parameter grids (23 s and 21 s
+# when their left sides walked compositions); each further n value of a
+# range adds its own time.  `bek mc --samples 100000000` takes 49 s over
+# the default three queries.
 #
-# The left sides of theorem2 and theorem4 enumerate the C(n + k - 1, k - 1)
-# weak compositions of n into k parts, with work growing with k for each,
-# so both k and that count at the largest n are capped, for every k-fold
-# entry (`takes_k`) alike.  `bek verify --identity theorem2 --k 16 --n 7`
-# (170,544 compositions, three parameter sets) takes 58 s; k = 12 at n = 9
-# (167,960) takes 43 s, and k = 24 at n = 5 (98,280) 43 s.
-# kth-matiyasevich reads both of its sides off powers of one series and
-# walks no compositions: `--identity kth-matiyasevich --k 16 --n 7` takes
-# 0.3-0.5 s (27-30 s when it walked them).  `bek mc` draws one gamma per shape and
-# sample: 10 shapes at --samples 100000000 take 32 s.  Its exact moment
-# multiplies out (sum a)_{sum l} as one integer product tree: `bek mc --a 1,1
-# --l 99999,1` takes 0.8 s and `--a 1/3,2/7` 7.9 s.  The cap bounds sum l,
-# not the size of the shapes: `--a 999999937/999999929,999999929/999999937
-# --l 20000,1` takes 16 s, in gcds and decimal conversion of integers of
-# more than a million bits.
+# The left side of a k-fold entry at (k, n) is one coefficient of a
+# truncated series product, which forms C(n + 4, 4) integer coefficient
+# products in each of its k - 2 middle steps and C(n + 3, 3) in its last.
+# The sum of that count over a grid's points is capped, for every k-fold
+# entry (`takes_k`) alike, and so is k.  `bek verify --identity theorem2
+# --k 16 --n 70` (three parameter sets, exactly at the cap) takes 31 s and
+# theorem4 17 s.  A product costs more as k grows, since its integers grow,
+# so a grid of smaller k at the same count finishes sooner: `--k 3 --n
+# 0..70` (55,230,048, refused) takes 11 s.  The cap bounds k and n, not the
+# size of the parameters: `--k 16 --n 70` at sixteen a_i =
+# 999999937/999999929 takes 12 min.  kth-matiyasevich reads both of its
+# sides off powers of one number series: `--identity kth-matiyasevich --k
+# 16 --n 8` takes 0.35 s.
+#
+# `bek mc` draws one gamma per shape and sample: 10 shapes at --samples
+# 100000000 take 32 s.  Its exact moment multiplies out (sum a)_{sum l} as
+# one integer product tree: `bek mc --a 1,1 --l 99999,1` takes 0.8 s and
+# `--a 1/3,2/7` 7.9 s.  The cap bounds sum l, not the size of the shapes:
+# `--a 999999937/999999929,999999929/999999937 --l 20000,1` takes 16 s, in
+# gcds and decimal conversion of integers of more than a million bits.
 #
 # `bek mc` also refuses shapes below `stochastic.MIN_MC_SHAPE` (1/20), with
 # a one-line message naming the --a entry; MAX_MC_SAMPLES * MAX_MC_SHAPES =
@@ -76,7 +82,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
-MAX_VERIFY_COMPOSITIONS = 170_544
+MAX_VERIFY_WORK = 48_512_880
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
 MAX_MC_EXPONENT_SUM = 100_000
@@ -95,16 +101,17 @@ def _refuse_k_above_cap(config: RunConfig) -> None:
         _refuse_above("a_vec length", len(config.params["a_vec"]), MAX_VERIFY_K)
 
 
-def _refuse_compositions(points: Sequence[Mapping]) -> None:
-    """Refuse a k-fold grid with a point of too many compositions."""
-    for pt in points:
-        n, k = pt["n"], pt["k"]
-        count = comb(n + k - 1, k - 1) if n >= 0 and k >= 1 else 0
-        if count > MAX_VERIFY_COMPOSITIONS:
-            raise ValueError(
-                f"k={k} at n={n} has {count} compositions, "
-                f"above its input budget cap of {MAX_VERIFY_COMPOSITIONS}"
-            )
+def _refuse_work(points: Sequence[Mapping]) -> None:
+    """Refuse a k-fold grid whose left sides together form more integer
+    coefficient products than the cap.  At (k, n) the series product forms
+    C(n + 4, 4) of them in each of its k - 2 middle steps and C(n + 3, 3)
+    in the last (an upper bound at k = 1, whose last step forms n + 1)."""
+    work = sum(max(pt["k"] - 2, 0) * comb(pt["n"] + 4, 4) + comb(pt["n"] + 3, 3) for pt in points if pt["n"] >= 0)
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"the grid's left sides form {work} coefficient products, "
+            f"above its input budget cap of {MAX_VERIFY_WORK}"
+        )
 
 
 def parse_rational(text: str) -> Fraction:
@@ -462,7 +469,7 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         _refuse_k_above_cap(config)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
     if entry.takes_k:
-        _refuse_compositions(points)
+        _refuse_work(points)
     reports = verify(config.identity, points=points, registry=registry)
     _emit_reports(config, reports, out)
     return 0 if all(r.passed for r in reports) else 1

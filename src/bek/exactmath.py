@@ -8,14 +8,17 @@ function on immutable values, so concurrent use needs no locking; the
 memoized scalar helpers use `functools.lru_cache`, which is thread safe.
 
 The hot kernel operations, `poly_mul`, its truncated power-series form
-`series_product`, the linear combination `poly_lincomb` and the Taylor
-shift `poly_shift`, work internally in the layout of FLINT's `fmpq_poly`:
-integer numerators over one positive common denominator.  The inner loops
-then multiply and add plain integers, and one Fraction per output
-coefficient is built at the end, instead of a Fraction (with its gcd) per
-coefficient product or per scaled term.  The shift operators
-(`poly_shift_operator`, behind the difference operators of `bek.umbral`)
-compose their Taylor shifts on the same integer form.
+`series_product`, the weighted convolution coefficient
+`convolution_coefficient` (one coefficient of a truncated product of
+series whose coefficients are polynomials), the linear combination
+`poly_lincomb` and the Taylor shift `poly_shift`, work internally in the
+layout of FLINT's `fmpq_poly`: integer numerators over one positive common
+denominator.  The inner loops then multiply and add plain integers, and
+one Fraction per output coefficient is built at the end, instead of a
+Fraction (with its gcd) per coefficient product or per scaled term.  The
+three products share one schoolbook loop, `_mul_into`.  The shift
+operators (`poly_shift_operator`, behind the difference operators of
+`bek.umbral`) compose their Taylor shifts on the same integer form.
 """
 
 from __future__ import annotations
@@ -209,6 +212,17 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
     return _from_int_form(acc, den)
 
 
+def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
+    """Add the product of the integer polynomials p and q into `out`,
+    dropping every term of degree len(out) or more: the one schoolbook loop
+    behind `poly_mul`, `series_product` and `convolution_coefficient`."""
+    size = len(out)
+    for i, a in enumerate(p):
+        if a:
+            for k, b in zip(range(i, size), q):
+                out[k] += a * b
+
+
 def poly_mul(p: Poly, q: Poly) -> Poly:
     """Exact coefficient convolution of p and q, on integer numerators."""
     if not p or not q:
@@ -216,11 +230,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     p_nums, p_den = _int_form(p)
     q_nums, q_den = _int_form(q)
     out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p_nums):
-        if not a:
-            continue
-        for j, b in enumerate(q_nums):
-            out[i + j] += a * b
+    _mul_into(out, p_nums, q_nums)
     return _from_int_form(out, p_den * q_den)
 
 
@@ -235,13 +245,52 @@ def series_product(factors: Iterable[Poly], d: int) -> Poly:
     for f in factors:
         f_nums, f_den = _int_form(f[: d + 1])
         out = [0] * max(min(len(nums) + len(f_nums) - 1, d + 1), 0)
-        for i, a in enumerate(nums):
-            if not a:
-                continue
-            for j, b in enumerate(f_nums[: d + 1 - i]):
-                out[i + j] += a * b
+        _mul_into(out, nums, f_nums)
         nums, den = out, den * f_den
     return _from_int_form(nums[: d + 1], den)
+
+
+def _coefficient_of_product(a: Sequence[list[int]], b: Sequence[list[int]], j: int) -> list[int]:
+    """The coefficient of t^j in a(t) b(t), for series whose coefficients
+    are integer polynomials in x; b has at least j + 1 coefficients."""
+    pairs = [(p, q) for p, q in zip(a, reversed(b[: j + 1])) if p and q]
+    out = [0] * max((len(p) + len(q) - 1 for p, q in pairs), default=0)
+    for p, q in pairs:
+        _mul_into(out, p, q)
+    return out
+
+
+def convolution_coefficient(terms: Sequence[Poly], weights: Sequence[Sequence[Fraction | int]],
+                            scale: Fraction | int) -> Poly:
+    """scale * [t^n] prod_i S_i(t), with S_i(t) = sum_l weights[i][l] terms[l] t^l
+    and n = len(terms) - 1: the sum over the weak compositions l of n into
+    len(weights) parts of scale * prod_i weights[i][l_i] * the product of
+    the terms[l_i].
+
+    Each weight list has n + 1 entries, and there is at least one slot.
+    The terms share one integer form over their common denominator, and
+    each slot's weights another over theirs, so every S_i is a series of
+    integer polynomials.  The slots but the last are multiplied into a
+    prefix series truncated after t^n (for a single slot the prefix is
+    ONE), the last contributes only to the coefficient of t^n, and the
+    denominators and the scale are applied once, to that coefficient.
+    """
+    if not weights or any(len(w) != len(terms) for w in weights):
+        raise ValueError(f"convolution needs at least one slot of {len(terms)} weights")
+    terms_den = lcm(*(c.denominator for p in terms for c in p))
+    nums = [[c.numerator * (terms_den // c.denominator) for c in p] for p in terms]
+    series, den = [], 1
+    for w in weights:
+        w_den = lcm(*(v.denominator for v in w))
+        series.append([[c * v for v in p] if (c := u.numerator * (w_den // u.denominator)) else []
+                       for u, p in zip(w, nums)])
+        den *= terms_den * w_den
+    prefix = series[0] if len(series) > 1 else [[1]]
+    for s in series[1:-1]:
+        prefix = [_coefficient_of_product(prefix, s, j) for j in range(len(terms))]
+    scale = Fraction(scale)
+    top = _coefficient_of_product(prefix, series[-1], len(terms) - 1)
+    return _from_int_form([scale.numerator * v for v in top], den * scale.denominator)
 
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:

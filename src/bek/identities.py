@@ -25,10 +25,11 @@ fields.  To add an identity, write a function fn(n, *params[, k]) that
 returns its two sides, as polynomials or numbers, and declare it.  A
 convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
-`_convolution` takes one list w_i(0..n) per slot (0 where a term is
-absent) and the scale.  An `a_vec` parameter takes the k-tuple sets of
-`_tuple_sets_for_k`, and any other parameter needs its default sets
-declared.
+`_convolution` takes the family P, one list w_i(0..n) per slot (0 where a
+term is absent) and the scale, and reads the sum off one truncated series
+product, as the coefficient of t^n in prod_i sum_l w_i(l) P_l(x) t^l.
+An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
+any other parameter needs its default sets declared.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial, lcm, prod
+from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactmath import (
@@ -46,7 +47,7 @@ from .exactmath import (
     Poly,
     ZERO,
     binomial,
-    composition_parts,
+    convolution_coefficient,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -85,6 +86,11 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# The memoized products of Bernoulli and Euler polynomials for a sorted
+# index multiset.  No module of the package calls them: the left sides are
+# series coefficients (`_convolution`).  The hand-written reference left
+# sides of the tests form their products with them, and the benchmark
+# worker reads their cache statistics.
 @lru_cache(maxsize=None)
 def _bern_product(indices: tuple[int, ...]) -> Poly:
     """Product of Bernoulli polynomials for a sorted index multiset."""
@@ -108,29 +114,15 @@ def _coeff(p: Poly, m: int) -> Fraction:
     return p[m] if m < len(p) else Fraction(0)
 
 
-Product = Callable[[tuple[int, ...]], Poly]
-
-
-def _convolution(product: Product, n: int, weights: Sequence[Sequence[Fraction | int]], scale: Fraction | int) -> Poly:
+def _convolution(family: Callable[[int], Poly], n: int, weights: Sequence[Sequence[Fraction | int]],
+                 scale: Fraction | int) -> Poly:
     """scale * sum over weak compositions l of n into len(weights) parts of
-    prod_i weights[i][l_i] * product(sorted l), skipping a composition of
-    zero weight before its product is formed.
+    prod_i weights[i][l_i] * P_{l_1}(x)...P_{l_k}(x), with P = family.
 
-    Each slot's weights are brought to integer numerators over their
-    common denominator, so a term's weight is an integer product, and the
-    denominators and the scale are applied once, to the sum.
+    That sum is the coefficient of t^n in prod_i sum_l weights[i][l] P_l(x)
+    t^l, read off one truncated series product: no composition is walked.
     """
-    nums, den = [], 1
-    for w in weights:
-        d = lcm(*(v.denominator for v in w))
-        nums.append([v.numerator * (d // v.denominator) for v in w])
-        den *= d
-    total = poly_lincomb(
-        (c, product(tuple(sorted(parts))))
-        for parts in composition_parts(n, len(nums))
-        if (c := prod(w[l] for w, l in zip(nums, parts)))
-    )
-    return poly_lincomb([(Fraction(scale, den), total)])
+    return convolution_coefficient([family(l) for l in range(n + 1)], weights, scale)
 
 
 def _rising_weights(a: Fraction, n: int) -> list[Fraction]:
@@ -153,10 +145,10 @@ def _harmonic_tails(n: int) -> list[Fraction]:
     return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
 
 
-def _theorem_lhs(product: Product, n: int, a_vec: Sequence[Fraction]) -> Poly:
+def _theorem_lhs(family: Callable[[int], Poly], n: int, a_vec: Sequence[Fraction]) -> Poly:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
-    the left side of theorems 1-4."""
-    return _convolution(product, n, [_rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
+    P = family, the left side of theorems 1-4."""
+    return _convolution(family, n, [_rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
 
 
 def _k_fold_params(n: int, a_vec: Sequence[Fraction], k: int | None, k_min: int) -> tuple[Fraction, ...]:
@@ -165,7 +157,7 @@ def _k_fold_params(n: int, a_vec: Sequence[Fraction], k: int | None, k_min: int)
     a_vec = tuple(Fraction(v) for v in a_vec)
     if k is None:
         k = len(a_vec)
-    _require(k >= k_min, f"requires k >= {k_min}, got k={k}")
+    _require(_is_int(k) and k >= k_min, f"requires k >= {k_min}, got k={k}")
     _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
     _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
     return a_vec
@@ -206,7 +198,7 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = _theorem_lhs(_bern_product, n, (a, b))
+    lhs = _theorem_lhs(bernoulli_poly, n, (a, b))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
            * bernoulli_number(l), bernoulli_poly(n - l))
@@ -231,7 +223,7 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     zero, as q has no constant term).
     """
     a_vec = _k_fold_params(n, a_vec, k, 2)
-    lhs = _theorem_lhs(_bern_product, n, a_vec)
+    lhs = _theorem_lhs(bernoulli_poly, n, a_vec)
     shifts = [(Fraction(0), ai) for ai in a_vec]
     rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, n + 1, Fraction(factorial(n)), bernoulli_poly)
     return lhs, rhs
@@ -247,7 +239,7 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
     a, b = Fraction(a), Fraction(b)
     _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
-    lhs = _theorem_lhs(_euler_product, n, (a, b))
+    lhs = _theorem_lhs(euler_poly, n, (a, b))
     rhs = poly_lincomb([
         (Fraction(4, n + 1), bernoulli_poly(n + 1)),
         *((Fraction(-2, n + 1) * binomial(n + 1, l) * (pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l)
@@ -273,7 +265,7 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     odd k.
     """
     a_vec = _k_fold_params(n, a_vec, k, 1)
-    lhs = _theorem_lhs(_euler_product, n, a_vec)
+    lhs = _theorem_lhs(euler_poly, n, a_vec)
     if len(a_vec) % 2 == 0:
         d, w, base = n + 1, Fraction(factorial(n)), bernoulli_poly
     else:
@@ -316,7 +308,7 @@ def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary1(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [[1] * (n + 1)] * 2, n + 2)
+    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1)] * 2, n + 2)
     rhs = poly_lincomb([
         *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1)),
         (binomial(n + 2, 3), bernoulli_poly(n - 1)),
@@ -335,7 +327,7 @@ def _corollary2(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
+    lhs = _convolution(bernoulli_poly, n, [_rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
            bernoulli_poly(n - l))
@@ -347,7 +339,7 @@ def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary4_first(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_reciprocals(n)] * 2, Fraction(n, 2))
+    lhs = _convolution(bernoulli_poly, n, [_reciprocals(n)] * 2, Fraction(n, 2))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -357,7 +349,7 @@ def _corollary4_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary4_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [range(1, n + 2), _reciprocals(n)], n + 2)
+    lhs = _convolution(bernoulli_poly, n, [range(1, n + 2), _reciprocals(n)], n + 2)
     rhs = poly_lincomb([
         *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -368,7 +360,7 @@ def _corollary4_second(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_12(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [[1] * (n + 1), _reciprocals(n)], 1)
+    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -401,7 +393,7 @@ def _corollary6(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_15(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
+    lhs = _convolution(bernoulli_poly, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l)) for l in range(n + 1)),
         (Fraction(n, 4), bernoulli_poly(n - 1)),
@@ -410,7 +402,7 @@ def _eq_2_15(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary7(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_harmonic_tails(n), _reciprocals(n)], n)
+    lhs = _convolution(bernoulli_poly, n, [_harmonic_tails(n), _reciprocals(n)], n)
     rhs = poly_lincomb([
         *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -430,7 +422,7 @@ def _bernoulli_powers(n: int, top: int) -> list[Poly]:
 
 
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [[1] * (n + 1)] * 3, n + 3)
+    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1)] * 3, n + 3)
     # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2
     square = _bernoulli_powers(n, 2)[2]
     rhs = poly_lincomb([
@@ -457,7 +449,7 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
+    lhs = _convolution(bernoulli_poly, n, [_rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of
     # sum_l (eps)_l B_l t^l / l!
     series = poly(pochhammer(eps, l) * bernoulli_number(l) / factorial(l) for l in range(n + 1))
@@ -475,7 +467,7 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary8(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_bern_product, n, [_inverse_factorials(n)] * 3, factorial(n))
+    lhs = _convolution(bernoulli_poly, n, [_inverse_factorials(n)] * 3, factorial(n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
     series = poly(bernoulli_number(l) / factorial(l) for l in range(n + 1))
     square = series_product((series, series), n)
@@ -535,7 +527,7 @@ def _corollary9(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary10_first(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_euler_product, n - 1, [_reciprocals(n - 1)] * 2, 1)
+    lhs = _convolution(euler_poly, n - 1, [_reciprocals(n - 1)] * 2, 1)
     rhs = poly_lincomb([
         *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
            bernoulli_poly(n - l))
@@ -547,7 +539,7 @@ def _corollary10_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary10_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_euler_product, n, [_harmonic_tails(n), _reciprocals(n)], 1)
+    lhs = _convolution(euler_poly, n, [_harmonic_tails(n), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
         *((binomial(n - 1, l - 1)
@@ -567,7 +559,7 @@ def _corollary11_first(n: int) -> tuple[Poly, Poly]:
     centre = sum(
         (euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0)
     )
-    lhs = poly_sub(_convolution(_euler_product, n, [_reciprocals(n)] * 2, 1), poly([centre]))
+    lhs = poly_sub(_convolution(euler_poly, n, [_reciprocals(n)] * 2, 1), poly([centre]))
     # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, with
     # e = sum_{m>=1} E_m(0)/m t^m
     e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
@@ -586,7 +578,7 @@ def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction
 
 
 def _corollary11_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(_euler_product, n, [_reciprocals(n)] * 3, Fraction(1, 3))
+    lhs = _convolution(euler_poly, n, [_reciprocals(n)] * 3, Fraction(1, 3))
     # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
     # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with
     # h = sum_{m>=1} H_{m-1} E_m(0)/m t^m
@@ -705,10 +697,10 @@ def _as_poly(side: Poly | Fraction) -> Poly:
 
 
 def _k_fold_n_max(k: int | None) -> int:
-    """Largest default n of a k-fold entry.  The left sides of theorem2 and
-    theorem4 sum over C(n + k - 1, k - 1) compositions, so the range shrinks
-    as k grows; kth-matiyasevich, whose sides are series coefficients, keeps
-    the same grid."""
+    """Largest default n of a k-fold entry.  The range shrinks as k grows;
+    it was sized when the left sides walked the C(n + k - 1, k - 1)
+    compositions, which they no longer do, and it is kept because the
+    default grid, and with it the `verify-all` output, depends on it."""
     if k is None or k <= 2:
         return 20
     return {3: 14, 4: 10}.get(k, max(2, 14 - 2 * k))

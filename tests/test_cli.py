@@ -19,9 +19,9 @@ from bek.cli import (
     MAX_MC_SAMPLES,
     MAX_MC_SHAPES,
     MAX_TABLES_N,
-    MAX_VERIFY_COMPOSITIONS,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
+    MAX_VERIFY_WORK,
     MIN_MC_SHAPE,
     RunConfig,
     format_poly,
@@ -570,28 +570,38 @@ class TestInputBudgets:
         a_vec = ",".join(["1"] * MAX_VERIFY_K)
         assert main(["verify", "--identity", "theorem2", "--params", f"a_vec={a_vec}", "--n", "1"]) == 0
         assert [len(pt["a_vec"]) for pts in seen for pt in pts] == [MAX_VERIFY_K] * 4
-        # n = 0 has a single composition, so only the k cap refuses these
+        # the work at n = 0 is far below its cap, so only the k cap refuses these
         self._refused(capsys, ["verify", "--identity", "theorem4", "--k", str(MAX_VERIFY_K + 1), "--n", "0"], "--k")
         self._refused(capsys, ["verify", "--identity", "kth-matiyasevich", "--k", str(10**9), "--n", "0"], "--k")
         self._refused(capsys, ["verify", "--identity", "theorem2", "--params", f"a_vec={a_vec},1", "--n", "0"],
                       "a_vec length")
         assert len(seen) == 2
 
-    def test_verify_compositions(self, monkeypatch, capsys):
+    def test_verify_work(self, monkeypatch, capsys):
         seen = []
         monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
-        # the cap is the count of k = 16 at n = 7, C(22, 15)
-        assert MAX_VERIFY_COMPOSITIONS == math.comb(22, 15)
-        assert main(["verify", "--identity", "theorem2", "--k", "16", "--n", "7"]) == 0
-        assert main(["verify", "--identity", "theorem4", "--k", "16", "--n", "0..7"]) == 0
-        assert {pt["n"] for pt in seen[0]} == {7} and max(pt["n"] for pt in seen[1]) == 7
-        self._refused(capsys, ["verify", "--identity", "theorem2", "--k", "16", "--n", "8"], "compositions")
-        self._refused(capsys, ["verify", "--identity", "theorem4", "--k", "16", "--n", "0..8"], "compositions")
-        # a cap one below the count refuses the same point: the cap is the
-        # largest accepted count
-        monkeypatch.setattr(cli, "MAX_VERIFY_COMPOSITIONS", MAX_VERIFY_COMPOSITIONS - 1)
-        self._refused(capsys, ["verify", "--identity", "kth-matiyasevich", "--k", "16", "--n", "7"], "compositions")
-        assert len(seen) == 2
+        # the cap is the work of theorem2 at k = 16, n = 70 on its three
+        # default parameter sets: each point has 14 middle steps of
+        # C(74, 4) products and a last step of C(73, 3)
+        assert MAX_VERIFY_WORK == 3 * (14 * math.comb(74, 4) + math.comb(73, 3))
+        boundary = ["verify", "--identity", "theorem2", "--k", "16", "--n", "70"]
+        assert main(boundary) == 0
+        assert [(pt["k"], pt["n"]) for pt in seen[0]] == [(16, 70)] * 3
+        # the work of a range is the sum over its points
+        self._refused(capsys, ["verify", "--identity", "theorem4", "--k", "16", "--n", "0..70"], "coefficient products")
+        self._refused(capsys, ["verify", "--identity", "theorem2", "--k", "16", "--n", "69..70"], "coefficient products")
+        # a cap one below the boundary refuses it: the cap is the largest
+        # accepted work
+        monkeypatch.setattr(cli, "MAX_VERIFY_WORK", MAX_VERIFY_WORK - 1)
+        self._refused(capsys, boundary, "coefficient products")
+        assert len(seen) == 1
+
+    def test_kth_matiyasevich_at_k_16_runs(self, capsys):
+        # the composition count refused this point, C(23, 15) = 490,314;
+        # its sides are number series, and its work is far below the cap
+        assert main(["verify", "--identity", "kth-matiyasevich", "--k", "16", "--n", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "PASS" in captured.out
 
     def test_mc_shapes(self, monkeypatch, capsys):
         seen = []
@@ -656,4 +666,4 @@ class TestInputBudgets:
             assert max(pt["n"] for pt in points) <= MAX_VERIFY_N
             if entry.takes_k:
                 assert max(entry.default_ks) <= MAX_VERIFY_K
-                cli._refuse_compositions(points)
+                cli._refuse_work(points)

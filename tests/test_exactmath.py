@@ -5,10 +5,11 @@ from __future__ import annotations
 import ast
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import bek
 from bek.exactmath import (
@@ -16,6 +17,7 @@ from bek.exactmath import (
     ZERO,
     binomial,
     composition_parts,
+    convolution_coefficient,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -34,6 +36,7 @@ from bek.exactmath import (
     poly_sub,
     series_product,
 )
+from bek.sequences import bernoulli_poly, euler_poly
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)
@@ -76,6 +79,34 @@ def _recursive_composition_parts(n, k):
     for first in range(n + 1):
         for rest in _recursive_composition_parts(n - first, k - 1):
             yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _walk_product(family, parts):
+    return reduce(poly_mul, map(family, parts), ONE)
+
+
+def _composition_walk(family, n, weights, scale):
+    """scale * sum over the weak compositions l of n of prod_i w_i[l_i]
+    times the poly_mul fold of the family(l_i): the walk that
+    convolution_coefficient replaces."""
+    terms = []
+    for parts in composition_parts(n, len(weights)):
+        c = math.prod(w[l] for w, l in zip(weights, parts))
+        terms.append((scale * c, _walk_product(family, tuple(sorted(parts)))))
+    return poly_lincomb(terms)
+
+
+@st.composite
+def convolutions(draw):
+    """A family, n <= 10 and k = 1..5 slots of signed rational weights (a
+    slot may be all zero), and a scale."""
+    family = draw(st.sampled_from([bernoulli_poly, euler_poly]))
+    n = draw(st.integers(0, 10))
+    slot = st.one_of(st.lists(st.one_of(rationals, wide_rationals), min_size=n + 1, max_size=n + 1),
+                     st.just([Fraction(0)] * (n + 1)), st.just([0] * (n + 1)))
+    weights = draw(st.lists(slot, min_size=1, max_size=5))
+    return family, n, weights, draw(scalars)
 
 
 def _all_fractions(p) -> bool:
@@ -296,6 +327,27 @@ class TestIntegerKernel:
         assert series_product((poly([0, 0, 1]), poly([1, 1])), 1) == ZERO
         assert series_product((), 3) == ONE
         assert series_product((geometric,), -1) == ZERO
+
+    @settings(max_examples=60, deadline=None)
+    @given(convolutions())
+    def test_convolution_coefficient_matches_the_composition_walk(self, case):
+        family, n, weights, scale = case
+        out = convolution_coefficient([family(l) for l in range(n + 1)], weights, scale)
+        assert out == _composition_walk(family, n, weights, scale)
+        assert _all_fractions(out)
+
+    def test_convolution_coefficient_frozen(self):
+        terms = [bernoulli_poly(l) for l in range(3)]
+        # one slot reads off its last term: 2 * 1/2 * B_2(x)
+        assert convolution_coefficient(terms, [[5, 7, Fraction(1, 2)]], 2) == bernoulli_poly(2)
+        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12
+        assert convolution_coefficient(terms, [[1, 1, 1]] * 2, 1) == poly([Fraction(7, 12), -3, 3])
+        assert convolution_coefficient(terms, [[1, 1, 1], [0, 0, 0], [1, 1, 1]], 1) == ZERO
+        assert convolution_coefficient([], [[]] * 2, 1) == ZERO
+        with pytest.raises(ValueError):
+            convolution_coefficient(terms, [], 1)
+        with pytest.raises(ValueError):
+            convolution_coefficient(terms, [[1, 1, 1], [1, 1]], 1)
 
 
     @given(st.one_of(small_polys, wide_polys), st.lists(scalars, max_size=4), scalars, scalars)

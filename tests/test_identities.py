@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import factorial, prod
 from pathlib import Path
@@ -765,9 +766,10 @@ class TestCorruptedSeriesProduct:
 
 # ---------------------------------------------------------------------------
 # The hand-written left sides that the weighted convolution `_convolution`
-# replaced, kept as the reference it is compared against.  They form the
-# same cached products as the module, so they check the walk and the
-# weights, not the products.
+# replaced, kept as the reference it is compared against.  They walk the
+# compositions and form their products with the module's memoized product
+# tables, which no module of the package calls any more, so they share
+# nothing with the series product but the polynomials B_l(x) and E_l(x).
 # ---------------------------------------------------------------------------
 
 
@@ -879,6 +881,8 @@ class TestConvolutionLeftSides:
         (lambda: eval_theorem4(5, ()), "requires k >= 1, got k=0"),
         (lambda: eval_theorem4(5, (F(1),), k=2), "requires len(a_vec) == k, got 1 != 2"),
         (lambda: eval_theorem4(F(1, 2), (F(1),)), "requires integer n >= 0, got n=1/2"),
+        (lambda: eval_theorem4(3, (F(1),), k=True), "requires k >= 1, got k=True"),
+        (lambda: eval_theorem2(3, (F(1), F(2)), k=2.0), "requires k >= 2, got k=2.0"),
     ])
     def test_k_fold_argument_messages(self, call, message):
         with pytest.raises(DomainError) as info:
@@ -886,13 +890,18 @@ class TestConvolutionLeftSides:
         assert str(info.value) == message
 
 
-def _convolution_copy(product, n, weights, scale, drop_last=False):
-    """`_convolution`, optionally without the last composition that
-    contributes a term.  The last composition of all, (n, 0, ..., 0), has
-    zero weight in every entry with a 1/l slot, so dropping it would change
-    nothing there."""
+@lru_cache(maxsize=None)
+def _folded_product(family, parts):
+    return reduce(poly_mul, map(family, parts), ONE)
+
+
+def _convolution_copy(family, n, weights, scale, drop_last=False):
+    """`_convolution` as a walk over the compositions, optionally without
+    the last composition that contributes a term.  The last composition of
+    all, (n, 0, ..., 0), has zero weight in every entry with a 1/l slot, so
+    dropping it would change nothing there."""
     terms = [
-        (scale * c, product(tuple(sorted(parts))))
+        (scale * c, _folded_product(family, tuple(sorted(parts))))
         for parts in composition_parts(n, len(weights))
         if (c := prod(w[l] for w, l in zip(weights, parts)))
     ]
@@ -912,7 +921,7 @@ class TestCorruptedConvolution:
 
     def test_dropped_last_composition(self, monkeypatch):
         monkeypatch.setattr(identities, "_convolution",
-                            lambda product, n, weights, scale: _convolution_copy(product, n, weights, scale, True))
+                            lambda family, n, weights, scale: _convolution_copy(family, n, weights, scale, True))
         survivors = []
         for name, label in CONVERTED:
             fn, args = _display(name, label)
@@ -928,9 +937,9 @@ class TestCorruptedConvolution:
         real = identities._convolution
         scales = []
 
-        def without_scale(product, n, weights, scale):
+        def without_scale(family, n, weights, scale):
             scales.append(scale)
-            return real(product, n, weights, 1)
+            return real(family, n, weights, 1)
 
         monkeypatch.setattr(identities, "_convolution", without_scale)
         survivors, unit_scale = [], []
@@ -951,34 +960,25 @@ class TestCorruptedConvolution:
 
 
 PRODUCT_TABLES = {"_bern_product", "_euler_product"}
+SOURCES = {path.name: path.read_text() for path in sorted(Path(identities.__file__).parent.glob("*.py"))}
 
 
-def _callers(source, names, via=None):
-    """The functions of a module source that call one of `names` ("<module>"
-    for a call outside any function).  With `via` set, a call of a
-    parameter annotated `via` counts too: `_convolution` calls the product
-    table it is given through its `product: Product` parameter."""
+def _callers(source, names):
+    """The functions of a module source that call one of `names` by name or
+    as an attribute ("<module>" for a call outside any function)."""
     callers = set()
 
-    def visit(node, owner, params):
+    def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                typed = {a.arg for a in child.args.args if getattr(a.annotation, "id", None) == via}
-                visit(child, child.name, typed if via else set())
+                visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and (child.func.id in names or child.func.id in params)):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in names:
                 callers.add(owner)
-            visit(child, owner, params)
+            visit(child, owner)
 
-    visit(ast.parse(source), "<module>", set())
+    visit(ast.parse(source), "<module>")
     return callers
-
-
-def _product_callers(source):
-    """The functions of a module source that call `_bern_product` or
-    `_euler_product`, by name or through a `Product` parameter."""
-    return _callers(source, PRODUCT_TABLES, via="Product")
 
 
 def _called_names(node):
@@ -990,19 +990,23 @@ CENTRED = {("corollary11", "first")}
 
 
 class TestConvolutionDesign:
-    """Products of Bernoulli and Euler polynomials are formed, and
-    compositions enumerated, in one place."""
+    """Products of Bernoulli and Euler polynomials are formed in one place,
+    as one series coefficient, and no composition is walked for them."""
 
     @staticmethod
     def _functions():
-        tree = ast.parse(Path(identities.__file__).read_text())
+        tree = ast.parse(SOURCES["identities.py"])
         return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
-    def test_only_the_convolution_calls_the_product_tables(self):
-        assert _product_callers(Path(identities.__file__).read_text()) == {"_convolution"}
+    def test_no_module_calls_the_product_tables(self):
+        assert {name: found for name, source in SOURCES.items() if (found := _callers(source, PRODUCT_TABLES))} == {}
 
-    def test_only_the_convolution_walks_compositions(self):
-        assert _callers(Path(identities.__file__).read_text(), {"composition_parts"}) == {"_convolution"}
+    def test_the_identities_walk_no_compositions(self):
+        assert _callers(SOURCES["identities.py"], {"composition_parts"}) == set()
+
+    def test_only_the_convolution_calls_the_kernel(self):
+        assert {name: found for name, source in SOURCES.items()
+                if (found := _callers(source, {"convolution_coefficient"}))} == {"identities.py": {"_convolution"}}
 
     def test_each_converted_left_side_is_a_declaration(self):
         functions = self._functions()
@@ -1023,11 +1027,10 @@ class TestConvolutionDesign:
     def test_the_scan_sees_each_caller(self):
         source = (
             "X = _bern_product((1,))\n"
-            "def f(n):\n    return _euler_product((n,))\n"
+            "def f(n):\n    return identities._euler_product((n,))\n"
             "class C:\n    def g(self):\n        def h():\n            return _bern_product(())\n        return h\n"
             "def k(p):\n    return p(_bern_product)\n"
-            "def m(p: Product, n):\n    return sum(p((l,)) for l in composition_parts(n, 1))\n"
-            "def r(p: Poly):\n    return p(0)\n"
+            "def m(n):\n    return sum(len(l) for l in composition_parts(n, 1))\n"
         )
-        assert _product_callers(source) == {"<module>", "f", "h", "m"}
+        assert _callers(source, PRODUCT_TABLES) == {"<module>", "f", "h"}
         assert _callers(source, {"composition_parts"}) == {"m"}
