@@ -17,7 +17,6 @@ from .exactmath import (
     harmonic,
     harmonic_second,
     harmonic_shifted,
-    multinomial,
     pochhammer,
     poly,
     poly_eval,
@@ -91,7 +90,6 @@ __all__ = [
     "harmonic",
     "harmonic_second",
     "harmonic_shifted",
-    "multinomial",
     "normalization_check",
     "pochhammer",
     "poly",

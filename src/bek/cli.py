@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Mapping, Sequence, TextIO
 
 from .exactmath import Poly
@@ -50,10 +50,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # (json, csv) and peaks at 0.10 GB in each format: rows are written one at a
 # time, and what is held is the cached B_n(x) and E_n(x), which grow as N^3.
 # `bek verify --n 70` takes 3.0 s for theorem2 and 2.4 s for theorem4, the
-# slowest entries on their default k and parameter grids (23 s and 21 s
-# when their left sides walked compositions); each further n value of a
-# range adds its own time.  `bek mc --samples 100000000` takes 49 s over
-# the default three queries.
+# slowest entries on their default k and parameter grids; each further n
+# value of a range adds its own time.  `bek mc --samples 100000000` takes
+# 49 s over the default three queries.
 #
 # The left side of a k-fold entry at (k, n) is one coefficient of a
 # truncated series product, which forms C(n + 4, 4) integer coefficient
@@ -493,6 +492,12 @@ _MC_DEFAULT_QUERIES: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...] = 
 def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     if (config.a_vec is None) != (config.l_vec is None):
         raise ValueError("--a and --l must be given together")
+    # a NaN, zero or negative tolerance fails every check and an infinite
+    # one passes every estimate, so neither says anything about the sampler
+    if not (isfinite(config.sigma) and config.sigma > 0):
+        raise ValueError(f"--sigma must be a finite number above 0, got {config.sigma}")
+    if config.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {config.seed}")
     _refuse_above("--samples", config.samples, MAX_MC_SAMPLES)
     if config.a_vec is not None:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)

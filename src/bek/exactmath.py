@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial, gcd, lcm
-from operator import sub
-from typing import Iterable, Iterator, Sequence
+from math import comb, gcd, lcm
+from typing import Iterable, Sequence
 
 Rational = Fraction
 Poly = tuple[Fraction, ...]
@@ -45,24 +43,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / prod(parts_i!).
-
-    The parts must be non-negative and sum to n; anything else signals a
-    malformed index tuple and is rejected.
-    """
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got n={n}")
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be non-negative, got {parts!r}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts {parts!r} do not sum to n={n}")
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -365,25 +345,3 @@ def poly_shift(p: Poly, u: Fraction | int) -> Poly:
 
 def poly_derivative(p: Poly) -> Poly:
     return tuple(i * c for i, c in enumerate(p) if i > 0)
-
-
-def composition_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of n into k parts, as tuples, lexicographically.
-
-    Each composition appears exactly once; there are C(n+k-1, k-1) of them.
-    A negative n yields nothing; this encodes the empty index set of a
-    vacuous summation range.  The k - 1 cut points 0 <= c_1 <= ... <= n
-    (stars and bars) come from `itertools.combinations_with_replacement`
-    in lexicographic order, which is the lexicographic order of the parts
-    (c_1, c_2 - c_1, ..., n - c_{k-1}); nothing recurses, so k is bounded
-    only by the C(n+k-1, k-1) outputs.
-    """
-    if k < 1:
-        raise ValueError(f"compositions require k >= 1, got k={k}")
-    if n < 0:
-        return
-    end = (n,)
-    for cuts in combinations_with_replacement(range(n + 1), k - 1):
-        # unpacked into a display: tuple() of the unsized map raised the
-        # benchmark sweep's peak RSS by 0.4 MB
-        yield (*map(sub, cuts + end, (0,) + cuts),)

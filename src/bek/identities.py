@@ -697,10 +697,9 @@ def _as_poly(side: Poly | Fraction) -> Poly:
 
 
 def _k_fold_n_max(k: int | None) -> int:
-    """Largest default n of a k-fold entry.  The range shrinks as k grows;
-    it was sized when the left sides walked the C(n + k - 1, k - 1)
-    compositions, which they no longer do, and it is kept because the
-    default grid, and with it the `verify-all` output, depends on it."""
+    """Largest default n of a k-fold entry.  The range shrinks as k grows,
+    and it is kept because the default grid, and with it the `verify-all`
+    output, depends on it."""
     if k is None or k <= 2:
         return 20
     return {3: 14, 4: 10}.get(k, max(2, 14 - 2 * k))
@@ -795,13 +794,6 @@ class IdentityReport:
         return self.status == "pass"
 
 
-_PAIR_SETS: tuple[dict, ...] = (
-    {"a": Fraction(1), "b": Fraction(1)},
-    {"a": Fraction(2), "b": Fraction(1)},
-    {"a": Fraction(1, 2), "b": Fraction(3, 2)},
-    {"a": Fraction(7, 3), "b": Fraction(5, 4)},
-)
-
 _SINGLE_A_SET: tuple[dict, ...] = tuple(
     {"a": v} for v in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3))
 )
@@ -812,6 +804,7 @@ _P_SET: tuple[dict, ...] = tuple(
 
 _EPS_SET: tuple[dict, ...] = tuple({"epsilon": v} for v in (Fraction(1), Fraction(1, 2), Fraction(3)))
 
+# The default a_vec tuples for k <= 3; `_tuple_sets_for_k` builds the rest.
 _TUPLE_SETS: dict[int, tuple[tuple[Fraction, ...], ...]] = {
     1: ((Fraction(1),), (Fraction(2),), (Fraction(1, 2),)),
     2: (
@@ -825,12 +818,10 @@ _TUPLE_SETS: dict[int, tuple[tuple[Fraction, ...], ...]] = {
         (Fraction(1), Fraction(2), Fraction(1, 2)),
         (Fraction(2), Fraction(3, 2), Fraction(1, 2)),
     ),
-    4: (
-        (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)),
-        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-    ),
 }
+
+# The pair identities take the k = 2 tuples as (a, b).
+_PAIR_SETS: tuple[dict, ...] = tuple({"a": a, "b": b} for a, b in _TUPLE_SETS[2])
 
 _TUPLE_BASE = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2))
 

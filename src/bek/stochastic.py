@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactmath import composition_parts, multinomial, pochhammer
+from .exactmath import pochhammer, poly, series_product
 
 BLOCK_SIZE = 65536
 
@@ -195,14 +195,16 @@ def normalization_check(a_vec: Sequence[Fraction], n: int) -> Fraction:
 
     Because the weights sum to one, expanding (u_1 + ... + u_k)^n termwise
     must give exactly 1; the return value is that sum, for the caller to
-    compare.
+    compare.  With the mixed moments above, the sum over the exponent
+    splits l is n!/(sum a)_n times the coefficient of t^n in
+    prod_i sum_l (a_i)_l t^l / l!, read off one truncated series product.
     """
     a = tuple(Fraction(v) for v in a_vec)
     if len(a) < 2:
         raise ValueError(f"need k >= 2 shapes, got {len(a)}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    total = Fraction(0)
-    for parts in composition_parts(n, len(a)):
-        total += multinomial(n, parts) * dirichlet_moment_exact(a, parts)
-    return total
+    if any(v <= 0 for v in a):
+        raise ValueError(f"shape parameters must be positive, got {a}")
+    series = series_product((poly(pochhammer(ai, l) / math.factorial(l) for l in range(n + 1)) for ai in a), n)
+    return math.factorial(n) * series[n] / pochhammer(sum(a), n)

@@ -15,7 +15,8 @@ The verifiers of the symbol lemmas do not expand: `umbral_moment_eval`
 evaluates f(a x + sum_i c_i S_i) straight from the moment sequences, since
 the moments of a sum of independent symbols are the binomial convolution
 of their scaled moments.  The expansion (`umbral_pow`, `umbral_substitute`,
-`umbral_eval`) stays as the independent oracle the tests compare against.
+`umbral_eval`), one distinct slot at a time by the binomial theorem, stays
+as the independent oracle the tests compare against.
 
 On top of the expressions sit the forward difference f -> f(x+u) - f(x)
 and the two-point mean f -> (f(x) + f(x+u))/2, both applied by the
@@ -33,14 +34,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import (
     Poly,
     ZERO,
-    composition_parts,
-    multinomial,
     poly,
     poly_compose_linear,
     poly_derivative,
@@ -194,8 +193,56 @@ def _merge_affine(affine: Sequence[AffineTerm]) -> tuple[Fraction, dict[SymbolId
     return x_coeff, {sid: c for sid, c in sym_coeffs.items() if c}
 
 
+def _monomial(m: int, c: Fraction | int = 1) -> Poly:
+    """The polynomial c x^m."""
+    return poly([0] * m + [c])
+
+
+def _expand_slot(powers: Sequence[Mapping[Monomial, Fraction]], c: Fraction, sid: SymbolId, j: int,
+                 scale: Fraction | int = 1) -> dict[Monomial, Fraction]:
+    """The terms of scale (P + c S)^j for the symbol S = sid, given the
+    powers P^i as powers[i], by the binomial theorem:
+    sum_e C(j, e) c^e S^e P^(j-e).  S sorts after every symbol in P."""
+    out = {}
+    c_e = scale
+    for e in range(j + 1):
+        coeff = comb(j, e) * c_e
+        for (x_exp, sym_pows), v in powers[j - e].items():
+            out[x_exp, (*sym_pows, (sid, e)) if e else sym_pows] = coeff * v
+        c_e *= c
+    return out
+
+
+def umbral_substitute(f: Poly, affine: Sequence[AffineTerm]) -> UmbralExpr:
+    """f evaluated at an affine symbol combination: sum_m f_m (affine)^m.
+
+    The affine form a x + sum_i c_i S_i is expanded one distinct slot at a
+    time, x first and then the symbols in canonical order (repeated terms
+    are merged up front, and a zero coefficient drops its slot).  The x
+    slot gives the powers (a x)^j directly; each symbol slot multiplies
+    into the partial sum P by the binomial theorem.  Every symbol slot
+    but the last builds all powers of P up to deg f; the last forms only
+    the powers m with f_m != 0, each scaled by f_m.  A power of P is
+    homogeneous of its degree, so no two terms share a monomial and
+    nothing cancels.
+    """
+    x_coeff, sym_coeffs = _merge_affine(affine)
+    sids = sorted(sym_coeffs, key=_sym_key)
+    if not sids:
+        return UmbralExpr({(m, ()): v for m, c in enumerate(f) if c and (v := c * x_coeff**m)})
+    powers = [{(j, ()): v} if (v := x_coeff**j) else {} for j in range(len(f))]
+    for sid in sids[:-1]:
+        powers = [_expand_slot(powers, sym_coeffs[sid], sid, j) for j in range(len(f))]
+    last = sids[-1]
+    terms: dict[Monomial, Fraction] = {}
+    for m, c in enumerate(f):
+        if c:
+            terms.update(_expand_slot(powers, sym_coeffs[last], last, m, c))
+    return UmbralExpr(terms)
+
+
 def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
-    """Full multinomial expansion of (sum_i c_i * s_i)^n.
+    """Full expansion of (sum_i c_i * s_i)^n: `umbral_substitute` at x^n.
 
     Each s_i is a SymbolId or the formal variable X.  Repeated symbols are
     merged up front (their coefficients add), so the expansion runs over
@@ -203,52 +250,7 @@ def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
     """
     if n < 0:
         raise ValueError(f"umbral_pow requires n >= 0, got n={n}")
-    x_coeff, sym_coeffs = _merge_affine(affine)
-    slots: list[tuple[Fraction, SymbolId | None]] = []
-    if x_coeff:
-        slots.append((x_coeff, None))
-    for sid in sorted(sym_coeffs, key=_sym_key):
-        slots.append((sym_coeffs[sid], sid))
-    if not slots:
-        return UmbralExpr.constant(1) if n == 0 else UmbralExpr.zero()
-
-    m = len(slots)
-    # coefficient powers c_i^e, precomputed per slot
-    pows = [[Fraction(1)] for _ in range(m)]
-    for i, (c, _) in enumerate(slots):
-        for _ in range(n):
-            pows[i].append(pows[i][-1] * c)
-
-    terms: dict[Monomial, Fraction] = {}
-    for parts in composition_parts(n, m):
-        coeff = Fraction(multinomial(n, parts))
-        for i, e in enumerate(parts):
-            coeff *= pows[i][e]
-        x_exp = 0
-        sym_pows: list[tuple[SymbolId, int]] = []
-        for (c, sid), e in zip(slots, parts):
-            if e == 0:
-                continue
-            if sid is None:
-                x_exp = e
-            else:
-                sym_pows.append((sid, e))
-        mono = (x_exp, tuple(sym_pows))
-        s = terms.get(mono, Fraction(0)) + coeff
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
-    return UmbralExpr(terms)
-
-
-def umbral_substitute(f: Poly, affine: Sequence[AffineTerm]) -> UmbralExpr:
-    """f evaluated at an affine symbol combination: sum_m f_m (affine)^m."""
-    out = UmbralExpr.zero()
-    for m, c in enumerate(f):
-        if c:
-            out = out + umbral_pow(affine, m) * c
-    return out
+    return umbral_substitute(_monomial(n), affine)
 
 
 _MOMENTS = {
@@ -407,11 +409,6 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     if sign < 0:
         terms.append((1, test_poly))
     return lhs == poly_lincomb(terms)
-
-
-def _monomial(m: int, c: Fraction | int = 1) -> Poly:
-    """The polynomial c x^m."""
-    return poly([0] * m + [c])
 
 
 def verify_lemma2(k: int, u: Sequence[Fraction], n: int) -> bool:

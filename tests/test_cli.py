@@ -440,6 +440,26 @@ class TestMcCommand:
         _, second, _ = _run(config)
         assert first == second
 
+    def test_tolerance_and_seed_are_checked_before_sampling(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_mc(query):
+            seen.append(query.seed)
+            return MomentEstimate(0.25, 0.01, query.samples, Fraction(1, 4))
+
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", fake_mc)
+        # NaN, zero and negative tolerances failed every check, and an
+        # infinite one passed every estimate
+        for flag, value in [("--sigma", "nan"), ("--sigma", "-1"), ("--sigma", "0"), ("--sigma", "inf"),
+                            ("--sigma", "-inf"), ("--seed", "-1")]:
+            assert main(["mc", f"{flag}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(flag), err
+        assert seen == []
+        assert main(["mc", "--sigma", "4", "--format", "json"]) == 0
+        assert [row["sigma"] for row in json.loads(capsys.readouterr().out)] == [4.0] * 3
+        assert seen == [RunConfig.seed] * 3
+
     def test_mismatched_vectors_exit_2(self):
         code, _, err = _run(RunConfig(command="mc", a_vec=(F(1), F(1))))
         assert code == 2 and "--a and --l" in err

@@ -16,12 +16,10 @@ from bek.exactmath import (
     ONE,
     ZERO,
     binomial,
-    composition_parts,
     convolution_coefficient,
     harmonic,
     harmonic_second,
     harmonic_shifted,
-    multinomial,
     pochhammer,
     poly,
     poly_add,
@@ -37,6 +35,7 @@ from bek.exactmath import (
     series_product,
 )
 from bek.sequences import bernoulli_poly, euler_poly
+from walks import composition_parts
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)
@@ -66,19 +65,6 @@ def _schoolbook_mul(p, q) -> tuple:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return tuple(out)
-
-
-def _recursive_composition_parts(n, k):
-    """The recursive enumeration that composition_parts replaced, kept as
-    the oracle of its order; it recurses once per part."""
-    if n < 0:
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _recursive_composition_parts(n - first, k - 1):
-            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -131,21 +117,6 @@ class TestCombinatorics:
     def test_binomial_matches_stdlib(self, n, k):
         expected = math.comb(n, k) if 0 <= k <= n else 0
         assert binomial(n, k) == expected
-
-    def test_multinomial_frozen_value(self):
-        assert multinomial(4, (2, 1, 1)) == 12
-        assert multinomial(0, (0, 0)) == 1
-
-    def test_multinomial_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            multinomial(4, (2, 1))
-        with pytest.raises(ValueError):
-            multinomial(4, (5, -1))
-
-    @given(st.integers(0, 10), st.integers(1, 4))
-    def test_multinomial_sums_to_power(self, n, k):
-        total = sum(multinomial(n, parts) for parts in composition_parts(n, k))
-        assert total == k ** n
 
     def test_pochhammer_frozen_values(self):
         assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
@@ -413,41 +384,3 @@ class TestLayering:
         assert _private_kernel_imports("from . import exactmath as em\nem._int_form(p)") == ["_int_form"]
         assert _private_kernel_imports("import bek.exactmath as em\nem._taylor_shift(n, u)") == ["_taylor_shift"]
         assert _private_kernel_imports("from .exactmath import poly_shift_operator\nfrom .sequences import _x") == []
-
-
-class TestCompositions:
-    def test_count_frozen(self):
-        assert len(list(composition_parts(5, 3))) == 21
-
-    def test_lexicographic_and_complete(self):
-        parts = list(composition_parts(3, 2))
-        assert parts == [(0, 3), (1, 2), (2, 1), (3, 0)]
-
-    def test_zero_sum(self):
-        assert list(composition_parts(0, 3)) == [(0, 0, 0)]
-
-    def test_single_slot(self):
-        assert list(composition_parts(4, 1)) == [(4,)]
-
-    def test_negative_total_is_vacuous(self):
-        assert list(composition_parts(-2, 3)) == []
-
-    def test_rejects_bad_slot_count(self):
-        with pytest.raises(ValueError):
-            list(composition_parts(3, 0))
-
-    def test_order_matches_recursive_enumeration(self):
-        for n in range(-1, 9):
-            for k in range(1, 6):
-                assert list(composition_parts(n, k)) == list(_recursive_composition_parts(n, k))
-
-    def test_more_parts_than_the_recursion_limit(self):
-        parts = list(composition_parts(1, 1200))
-        assert len(parts) == 1200
-        assert parts[0] == (0,) * 1199 + (1,) and parts[-1] == (1,) + (0,) * 1199
-        assert all(sum(c) == 1 and len(c) == 1200 for c in parts)
-        assert list(composition_parts(0, 1200)) == [(0,) * 1200]
-
-    @given(st.integers(0, 9), st.integers(1, 4))
-    def test_count_is_stars_and_bars(self, n, k):
-        assert len(list(composition_parts(n, k))) == math.comb(n + k - 1, k - 1)

@@ -17,10 +17,8 @@ from bek.exactmath import (
     ONE,
     ZERO,
     binomial,
-    composition_parts,
     harmonic,
     harmonic_second,
-    multinomial,
     pochhammer,
     poly,
     poly_add,
@@ -49,6 +47,7 @@ from bek.identities import (
     verify,
 )
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
+from walks import composition_parts, multinomial
 
 F = Fraction
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bek.exactmath import pochhammer
 from bek.stochastic import (
@@ -20,8 +21,19 @@ from bek.stochastic import (
     dirichlet_moment_mc,
     normalization_check,
 )
+from walks import composition_parts, multinomial
 
 F = Fraction
+
+# The shape vectors of the acceptance gate's stochastic criterion.
+CRITERION_SHAPES = ((F(1), F(1)), (F(1), F(2), F(1, 2)), (F(2), F(2), F(2), F(2)))
+
+
+def _walk_normalization(a_vec, n):
+    """The composition walk that normalization_check replaced, kept as its
+    reference: sum_l n!/prod_i l_i! times the exact mixed moment at l."""
+    return sum((multinomial(n, parts) * dirichlet_moment_exact(a_vec, parts)
+                for parts in composition_parts(n, len(a_vec))), F(0))
 
 
 def _reference_block_values(draws: np.ndarray, l_vec) -> np.ndarray:
@@ -74,11 +86,31 @@ class TestNormalization:
         # one stack frame per part
         assert normalization_check((F(1),) * 1100, 0) == 1
 
+    def test_many_shapes_at_a_high_degree(self):
+        # the walk would visit C(39, 9) = 211,915,132 compositions
+        assert normalization_check((F(1, 3),) * 10, 30) == 1
+
+    def test_matches_the_walk_on_the_criterion_grid(self):
+        for a_vec in CRITERION_SHAPES:
+            for n in range(13):
+                assert normalization_check(a_vec, n) == _walk_normalization(a_vec, n) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7), min_size=2, max_size=4),
+           st.integers(0, 8))
+    def test_matches_the_walk(self, a_vec, n):
+        got = normalization_check(a_vec, n)
+        assert got == _walk_normalization(a_vec, n) == 1
+        assert type(got) is F
+
     def test_rejects_small_k_and_negative_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k >= 2"):
             normalization_check((F(1),), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 0"):
             normalization_check((F(1), F(1)), -1)
+        for shapes in ((F(1), F(0)), (F(-1, 2), F(3))):
+            with pytest.raises(ValueError, match="shape parameters must be positive"):
+                normalization_check(shapes, 2)
 
 
 class TestQueryValidation:

@@ -50,6 +50,7 @@ from bek.umbral import (
     verify_lemma3,
     verify_lemma4,
 )
+from walks import composition_parts, multinomial
 
 F = Fraction
 
@@ -166,11 +167,17 @@ def affine_forms(draw):
     return terms
 
 
+def _oracle_agrees(f, affine) -> bool:
+    """The moment evaluation of f at the affine form equals the evaluated
+    expansion."""
+    return umbral_moment_eval(f, affine) == umbral_eval(umbral_substitute(f, affine))
+
+
 class TestMomentEval:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(rationals, max_size=13).map(poly), affine_forms())
     def test_matches_expansion_oracle(self, f, affine):
-        assert umbral_moment_eval(f, affine) == umbral_eval(umbral_substitute(f, affine))
+        assert _oracle_agrees(f, affine)
 
     def test_zero_polynomial_and_constant(self):
         affine = [(1, X), (F(1, 3), euler_symbol())]
@@ -182,6 +189,88 @@ class TestMomentEval:
             monomial = poly([0] * n + [1])
             assert umbral_moment_eval(monomial, [(1, X), (1, bernoulli_symbol())]) == bernoulli_poly(n)
             assert umbral_moment_eval(monomial, [(1, X), (1, euler_symbol())]) == euler_poly(n)
+
+
+def _walk_umbral_pow(affine, n):
+    """The multinomial walk that the slot-by-slot expansion replaced, kept
+    as the reference of umbral_pow: repeated terms merged, the x slot first
+    and the symbols in canonical order, then one term C(n; e) prod_i c_i^e_i
+    per weak composition e of n over the slots."""
+    x_coeff, sym_coeffs = F(0), {}
+    for c, s in affine:
+        if s is X:
+            x_coeff += c
+        else:
+            sym_coeffs[s] = sym_coeffs.get(s, F(0)) + c
+    slots = [(x_coeff, None)] + sorted(((c, s) for s, c in sym_coeffs.items() if c),
+                                       key=lambda slot: (slot[1].kind.value, slot[1].index))
+    terms = {}
+    for parts in composition_parts(n, len(slots)):
+        coeff = F(multinomial(n, parts))
+        for (c, _), e in zip(slots, parts):
+            coeff *= c ** e
+        if coeff:
+            terms[parts[0], tuple((s, e) for (_, s), e in zip(slots[1:], parts[1:]) if e)] = coeff
+    return UmbralExpr(terms)
+
+
+class TestExpansionAgainstTheWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(affine_forms(), st.integers(0, 12))
+    def test_pow_matches_the_walk(self, affine, n):
+        got = umbral_pow(affine, n)
+        assert got == _walk_umbral_pow(affine, n)
+        assert all(type(c) is F and c for c in got.terms.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(rationals, max_size=13).map(poly), affine_forms())
+    def test_substitute_matches_the_walk(self, f, affine):
+        expected = UmbralExpr.zero()
+        for m, c in enumerate(f):
+            expected = expected + _walk_umbral_pow(affine, m) * c
+        assert umbral_substitute(f, affine) == expected
+
+    def test_shifted_symbols_match_the_walk(self):
+        # the powers (x + S)^n of the symbol evaluations, to the top degree
+        # of the acceptance criterion
+        for symbol in (bernoulli_symbol(), euler_symbol()):
+            for n in range(31):
+                affine = [(1, X), (1, symbol)]
+                assert umbral_pow(affine, n) == _walk_umbral_pow(affine, n)
+
+    def test_empty_form_and_negative_power(self):
+        assert umbral_pow([], 0) == UmbralExpr.constant(1)
+        assert umbral_pow([(F(1, 2), X), (F(-1, 2), X)], 3) == UmbralExpr.zero()
+        assert umbral_substitute(ZERO, [(1, X), (1, bernoulli_symbol())]) == UmbralExpr.zero()
+        with pytest.raises(ValueError):
+            umbral_pow([(1, X)], -1)
+
+    # Each form's last slot has a non-zero moment sum over the dropped terms
+    # c^m f_m S^m.
+    MUTATION_CASES = [
+        (poly([0, 0, 1]), [(1, X), (1, bernoulli_symbol())]),
+        (poly([1, 2, 3]), [(F(1, 2), X), (1, uniform_symbol()), (F(2, 3), euler_symbol(1))]),
+        (poly([0, 1]), [(3, discrete_symbol(2)), (1, X)]),
+        (poly([0, 0, 0, 0, 1]), [(F(1, 2), bernoulli_symbol(1)), (F(-1, 3), bernoulli_symbol(2))]),
+    ]
+
+    def test_the_oracle_sees_a_dropped_top_term(self, monkeypatch):
+        """Without the e = j term c^j S^j of its last slot the expansion no
+        longer matches the moment evaluation."""
+        original = umbral._expand_slot
+        for f, affine in self.MUTATION_CASES:
+            assert _oracle_agrees(f, affine)
+            last = max((s for _, s in affine if s is not X), key=umbral._sym_key)
+
+            def mutant(powers, c, sid, j, scale=1):
+                out = original(powers, c, sid, j, scale)
+                if sid == last:
+                    del out[0, ((sid, j),) if j else ()]
+                return out
+
+            with monkeypatch.context() as mp:
+                mp.setattr(umbral, "_expand_slot", mutant)
+                assert not _oracle_agrees(f, affine)
 
 
 class TestAnnihilation:
