@@ -46,9 +46,10 @@ from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 # Input budgets: the largest accepted input, measured on a shared 2-core
-# host with Python 3.11.  `bek tables --max-n 700` takes 5 s (text) to 11 s
-# (json, csv) and peaks at 0.10 GB in each format: rows are written one at a
-# time, and what is held is the cached B_n(x) and E_n(x), which grow as N^3.
+# host with Python 3.11.  `bek tables --max-n 700` takes 2.3 s (text), 3.3 s
+# (json) and 4.0 s (csv) and peaks at 0.10 GB in each format: rows are
+# written one at a time, and what is held is the cached B_n(x) and E_n(x),
+# which grow as N^3.
 # `bek verify --n 70` takes 3.0 s for theorem2 and 2.4 s for theorem4, the
 # slowest entries on their default k and parameter grids; each further n
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
@@ -204,6 +205,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _poly_cells(p: Poly) -> list[str]:
+    """The coefficients as 'p/q' or integer text: the one decimal
+    conversion of a polynomial, which every format reads."""
     return [str(c) for c in p]
 
 
@@ -211,22 +214,55 @@ def _poly_text(p: Poly) -> str:
     return "[" + ", ".join(_poly_cells(p)) + "]"
 
 
-def format_poly(p: Poly) -> str:
-    """Human rendering in descending powers, e.g. 'x^2 - x + 1/6'."""
+def _render_cells(cells: Sequence[str]) -> str:
+    """The polynomial with these coefficient cells in descending powers,
+    e.g. 'x^2 - x + 1/6'.  A cell's sign is its leading '-' and its
+    absolute value the rest of it."""
     text: list[str] = []
-    for i in range(len(p) - 1, -1, -1):
-        num, den = p[i].numerator, p[i].denominator
-        if not num:
+    for i in range(len(cells) - 1, -1, -1):
+        cell = cells[i]
+        if cell == "0":
             continue
-        body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        negative = cell[0] == "-"
+        body = cell[1:] if negative else cell
         if i:
             body = ("" if body == "1" else body + "*") + ("x" if i == 1 else f"x^{i}")
         if text:
-            text.append(" - " if num < 0 else " + ")
-        elif num < 0:
+            text.append(" - " if negative else " + ")
+        elif negative:
             text.append("-")
         text.append(body)
     return "".join(text) if text else "0"
+
+
+def format_poly(p: Poly) -> str:
+    """Human rendering in descending powers, e.g. 'x^2 - x + 1/6'."""
+    return _render_cells(_poly_cells(p))
+
+
+_json_text = json.encoder.encode_basestring_ascii
+
+
+def _json_row(row: Mapping[str, int | str | list[str]], pad: str) -> str:
+    """json.dumps(row, indent=2) of a flat row of ints, strings and lists
+    of strings, with pad after every line break.  json.dumps runs its
+    pure-Python encoder whenever indent is set; this joins the strings
+    escaped by its C one."""
+    if not row:
+        return "{}"
+    field, item = "\n" + pad + "  ", "\n" + pad + "    "
+
+    def value(v: int | str | list[str]) -> str:
+        if isinstance(v, str):
+            return _json_text(v)
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if not v:
+            return "[]"
+        return "[" + item + ("," + item).join(map(_json_text, v)) + field + "]"
+
+    fields = ("," + field).join(_json_text(k) + ": " + value(v) for k, v in row.items())
+    return "{" + field + fields + "\n" + pad + "}"
 
 
 def _exact_text(value: Fraction) -> str:
@@ -410,12 +446,12 @@ def _tables_cells(n: int) -> dict:
 
 
 def _tables_row(n: int) -> dict:
-    """Row n of the json format: the cells and the polynomials as text."""
-    return {
-        **_tables_cells(n),
-        "B_poly_text": format_poly(bernoulli_poly(n)),
-        "E_poly_text": format_poly(euler_poly(n)),
-    }
+    """Row n of the json format: the cells and the polynomials as text,
+    rendered from the cells."""
+    row = _tables_cells(n)
+    row["B_poly_text"] = _render_cells(row["B_poly"])
+    row["E_poly_text"] = _render_cells(row["E_poly"])
+    return row
 
 
 def _cmd_tables(config: RunConfig, out: TextIO) -> int:
@@ -430,7 +466,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
         # the layout of json.dump({"max_n": ..., "rows": [...]}, out, indent=2)
         out.write(f'{{\n  "max_n": {config.max_n},\n  "rows": [')
         for n in ns:
-            out.write(("," if n else "") + "\n    " + json.dumps(_tables_row(n), indent=2).replace("\n", "\n    "))
+            out.write(("," if n else "") + "\n    " + _json_row(_tables_row(n), "    "))
         out.write("\n  ]\n}\n")
         return 0
     if config.format == "csv":
@@ -655,8 +691,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: Sequence[str]) -> list[str]:
+    """argv with each value that starts with a single '-' attached to the
+    long option before it, as in '--sigma=-inf'.
+
+    argparse reads a token such as -inf, -1e3, -1,1 or -3..5 as an unknown
+    option unless it is a plain negative number, so the option before it
+    fails with "expected one argument" and its own check never names the
+    value.  -h is the only short option, so any other single-dash token
+    after a long option is that option's value."""
+    out: list[str] = []
+    for token in argv:
+        previous = out[-1] if out else ""
+        if (previous.startswith("--") and len(previous) > 2 and "=" not in previous
+                and token.startswith("-") and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{previous}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
+    args = _attach_dash_values(sys.argv[1:] if argv is None else argv)
+    return run(RunConfig(**vars(_build_parser().parse_args(args))))
 
 
 if __name__ == "__main__":

@@ -41,10 +41,8 @@ from .exactmath import (
     Poly,
     ZERO,
     poly,
-    poly_compose_linear,
     poly_derivative,
     poly_lincomb,
-    poly_mul,
     poly_shift_operator,
     series_product,
 )
@@ -300,18 +298,27 @@ def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:
         E[f(a x + Y)] = sum_m f_m sum_i C(m, i) a^i M_{m-i} x^i,
 
     whose x^i coefficient is a^i / i! sum_j (i+j)! f_{i+j} G_j.  Everything
-    is exact: one truncated product per symbol and one correlation.
+    is exact: one truncated series product of the symbols' functions and f
+    reversed, and one Fraction per output coefficient.
     """
     if not f:
         return ZERO
     d = len(f) - 1
     a, sym_coeffs = _merge_affine(affine)
-    egf = series_product((_moment_egf(sid.kind, c, d) for sid, c in sym_coeffs.items()), d)
-    # corr[d - i] = sum_j (i+j)! f_{i+j} G_j, read off the product with f reversed
-    corr = poly_mul(tuple(f[m] * factorial(m) for m in range(d, -1, -1)), egf)
+    f_rev = tuple(f[m] * factorial(m) for m in range(d, -1, -1))
+    # corr[d - i] = sum_j (i+j)! f_{i+j} G_j: only t^0..t^d of the product are read
+    corr = series_product((*(_moment_egf(sid.kind, c, d) for sid, c in sym_coeffs.items()), f_rev), d)
     corr += (Fraction(0),) * (d + 1 - len(corr))
-    out = poly(corr[d - i] / factorial(i) for i in range(d + 1))
-    return out if a == 1 else poly_compose_linear(out, a)
+    if not a:
+        return corr[d:] if corr[d] else ZERO
+    # f_d != 0 and G_0 = 1, so the x^d coefficient f_d a^d is not zero: nothing to trim
+    p, q = a.numerator, a.denominator
+    out, scale_num, scale_den = [], 1, 1
+    for i in range(d + 1):
+        c = corr[d - i]
+        out.append(Fraction(c.numerator * scale_num, c.denominator * scale_den))
+        scale_num, scale_den = scale_num * p, scale_den * (i + 1) * q
+    return tuple(out)
 
 
 class OpVariant(Enum):

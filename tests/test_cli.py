@@ -12,6 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bek.cli as cli
 from bek.cli import (
@@ -99,6 +100,68 @@ class TestParsers:
         assert format_poly(poly([])) == "0"
         assert format_poly(poly([F(-1, 2), 1])) == "x - 1/2"
         assert format_poly(poly([0, F(5, 3)])) == "5/3*x"
+
+
+def _reference_format_poly(p) -> str:
+    """The rendering from the Fractions themselves, which `format_poly`
+    replaced by one from the coefficient cells; kept as its reference."""
+    text = []
+    for i in range(len(p) - 1, -1, -1):
+        num, den = p[i].numerator, p[i].denominator
+        if not num:
+            continue
+        body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if i:
+            body = ("" if body == "1" else body + "*") + ("x" if i == 1 else f"x^{i}")
+        if text:
+            text.append(" - " if num < 0 else " + ")
+        elif num < 0:
+            text.append("-")
+        text.append(body)
+    return "".join(text) if text else "0"
+
+
+# signed and unit coefficients, zeros anywhere (a tuple, not `poly`, so a
+# zero may also sit at the top), integers and non-integers
+_coefficients = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.integers(-10**30, 10**30).map(F),
+    st.fractions(max_denominator=10**12),
+)
+
+# strings that JSON must escape: quotes, backslashes, control characters
+# and non-ASCII text, mixed with plain ones
+_json_strings = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€\u2028😀", "", "x^2 - x + 1/6"]),
+)
+_json_rows = st.dictionaries(
+    _json_strings,
+    st.one_of(st.integers(), _json_strings, st.lists(_json_strings, max_size=4)),
+    max_size=6,
+)
+
+
+class TestTablesSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coefficients, max_size=8).map(tuple))
+    def test_cell_rendering_matches_the_reference(self, p):
+        assert cli._render_cells(cli._poly_cells(p)) == _reference_format_poly(p)
+        assert format_poly(p) == _reference_format_poly(p)
+
+    def test_cell_rendering_of_zero_polynomials(self):
+        for p in [(), (F(0),), (F(0), F(0)), (F(0), F(0), F(0))]:
+            assert format_poly(p) == _reference_format_poly(p) == "0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_rows, st.sampled_from(["", "    "]))
+    def test_row_writer_matches_json_dumps(self, row, pad):
+        assert cli._json_row(row, pad) == json.dumps(row, indent=2).replace("\n", "\n" + pad)
+
+    def test_row_writer_pads_a_tables_row(self):
+        row = cli._tables_row(3)
+        assert cli._json_row(row, "    ") == json.dumps(row, indent=2).replace("\n", "\n    ")
+        assert cli._json_row({"n": 0, "B_poly": []}, "    ") == '{\n      "n": 0,\n      "B_poly": []\n    }'
 
 
 class TestVerifyCommand:
@@ -282,12 +345,16 @@ class TestTablesCommand:
             "344da36007e8631444cd1e043a2b2619d6c0e9e1929a98076be3d485184f34e3")
 
     def test_csv_never_formats_polynomials(self, monkeypatch):
-        # csv writes the coefficient cells only, so it has no use for the text
-        def refuse(p):
-            raise AssertionError("format_poly called in csv mode")
-        monkeypatch.setattr(cli, "format_poly", refuse)
+        # csv writes the coefficient cells only, so it has no use for the
+        # text, which every format renders from the cells
+        def refuse(cells):
+            raise AssertionError("polynomial text rendered in csv mode")
+        monkeypatch.setattr(cli, "_render_cells", refuse)
         code, out, _ = _run(RunConfig(command="tables", max_n=12, format="csv"))
         assert code == 0 and len(out.splitlines()) == 14
+        for fmt in ("json", "text"):
+            with pytest.raises(AssertionError, match="rendered"):
+                _run(RunConfig(command="tables", max_n=2, format=fmt))
 
     @pytest.mark.parametrize("max_n", [0, 1, 2, 7, 12])
     def test_json_keeps_the_layout_of_json_dump(self, max_n):
@@ -527,6 +594,38 @@ class TestMain:
         code = main(["mc", "--a", "1,1", "--l", "1,1", "--samples", "20000", "--seed", "42"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    # argparse reads a value that starts with '-' and is not a plain
+    # negative number as an option; each must reach its own check, with
+    # the message and exit status of the --flag=value form
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--sigma", "-inf"], "--sigma must be a finite number above 0"),
+        (["mc", "--sigma", "-1e3"], "--sigma must be a finite number above 0"),
+        (["mc", "--a", "-1,1", "--l", "1,1"], "--a entry -1 is below"),
+        (["mc", "--l", "-1,1", "--a", "1,1"], "exponents must be non-negative"),
+        (["verify", "--identity", "miki", "--n", "-3..5"], "miki: n=-3 violates validity"),
+        (["verify", "--identity", "theorem2", "--k", "3", "--params", "-a_vec=1"], "does not take parameter(s) -a_vec"),
+    ])
+    def test_dash_values_reach_their_checks(self, capsys, argv, message):
+        at = argv.index(next(v for v in argv if v.startswith("-") and not v.startswith("--")))
+        joined = [*argv[:at - 1], f"{argv[at - 1]}={argv[at]}", *argv[at + 1:]]
+        outcomes = []
+        for args in (argv, joined):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 2 and message in err and "expected one argument" not in err
+
+    def test_options_are_not_taken_as_values(self, capsys):
+        for argv in (["mc", "--sigma", "--seed", "3"], ["mc", "--sigma", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--sigma: expected one argument" in capsys.readouterr().err
 
     def test_main_domain_error(self, capsys):
         code = main(["verify", "--identity", "corollary2", "--n", "2..2"])
