@@ -46,26 +46,28 @@ from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 # Input budgets: the largest accepted input, measured on a shared 2-core
-# host with Python 3.11.  `bek tables --max-n 700` takes 2.3 s (text), 3.3 s
-# (json) and 4.0 s (csv) and peaks at 0.10 GB in each format: rows are
-# written one at a time, and what is held is the cached B_n(x) and E_n(x),
-# which grow as N^3.
-# `bek verify --n 70` takes 3.0 s for theorem2 and 2.4 s for theorem4, the
+# host with Python 3.11.  `bek tables --max-n 700` takes 2.7-3.3 s (text),
+# 4.0-4.4 s (json) and 3.4 s (csv) and peaks at 0.10 GB in each format:
+# rows are written one at a time, and what is held is the cached B_n(x)
+# and E_n(x), which grow as N^3.
+# `bek verify --n 70` takes 2.0 s for theorem2 and 1.7 s for theorem4, the
 # slowest entries on their default k and parameter grids; each further n
 # value of a range adds its own time.  `bek mc --samples 100000000` takes
 # 49 s over the default three queries.
 #
 # The left side of a k-fold entry at (k, n) is one coefficient of a
-# truncated series product, which forms C(n + 4, 4) integer coefficient
-# products in each of its k - 2 middle steps and C(n + 3, 3) in its last.
-# The sum of that count over a grid's points is capped, for every k-fold
-# entry (`takes_k`) alike, and so is k.  `bek verify --identity theorem2
-# --k 16 --n 70` (three parameter sets, exactly at the cap) takes 31 s and
-# theorem4 17 s.  A product costs more as k grows, since its integers grow,
-# so a grid of smaller k at the same count finishes sooner: `--k 3 --n
-# 0..70` (55,230,048, refused) takes 11 s.  The cap bounds k and n, not the
-# size of the parameters: `--k 16 --n 70` at sixteen a_i =
-# 999999937/999999929 takes 12 min.  kth-matiyasevich reads both of its
+# truncated series product, which forms at most C(n + 4, 4) integer
+# coefficient products in each of its k - 2 middle steps and C(n + 3, 3)
+# in its last; its first step multiplies each unordered pair of
+# polynomials once, so it forms about half its count.  The sum of that
+# count over a grid's points is capped, for every k-fold entry
+# (`takes_k`) alike, and so is k.  `bek verify --identity theorem2 --k 16
+# --n 70` (three parameter sets, exactly at the cap) takes 28 s and
+# theorem4 16 s.  A product costs more as k grows, since its integers
+# grow, so a grid of smaller k at the same count finishes sooner: `--k 3
+# --n 0..70` (55,230,048, refused) takes 5.5 s.  The cap bounds k and n,
+# not the size of the parameters: `--k 16 --n 70` at sixteen a_i =
+# 999999937/999999929 takes 9.6 min.  kth-matiyasevich reads both of its
 # sides off powers of one number series: `--identity kth-matiyasevich --k
 # 16 --n 8` takes 0.35 s.
 #
@@ -104,8 +106,9 @@ def _refuse_k_above_cap(config: RunConfig) -> None:
 def _refuse_work(points: Sequence[Mapping]) -> None:
     """Refuse a k-fold grid whose left sides together form more integer
     coefficient products than the cap.  At (k, n) the series product forms
-    C(n + 4, 4) of them in each of its k - 2 middle steps and C(n + 3, 3)
-    in the last (an upper bound at k = 1, whose last step forms n + 1)."""
+    at most C(n + 4, 4) of them in each of its k - 2 middle steps and
+    C(n + 3, 3) in the last (n + 1 at k = 1, and about half the count in
+    the first step, which multiplies each unordered pair once)."""
     work = sum(max(pt["k"] - 2, 0) * comb(pt["n"] + 4, 4) + comb(pt["n"] + 3, 3) for pt in points if pt["n"] >= 0)
     if work > MAX_VERIFY_WORK:
         raise ValueError(
@@ -243,23 +246,27 @@ def format_poly(p: Poly) -> str:
 _json_text = json.encoder.encode_basestring_ascii
 
 
-def _json_row(row: Mapping[str, int | str | list[str]], pad: str) -> str:
-    """json.dumps(row, indent=2) of a flat row of ints, strings and lists
-    of strings, with pad after every line break.  json.dumps runs its
-    pure-Python encoder whenever indent is set; this joins the strings
-    escaped by its C one."""
+def _json_row(row: Mapping[str, int | float | str | list[str] | Mapping], pad: str) -> str:
+    """json.dumps(row, indent=2) of a row of ints, floats, strings, lists
+    of strings and nested rows of those, with pad after every line break.
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    joins the strings escaped by its C one."""
     if not row:
         return "{}"
     field, item = "\n" + pad + "  ", "\n" + pad + "    "
 
-    def value(v: int | str | list[str]) -> str:
+    def value(v: int | float | str | list[str] | Mapping) -> str:
         if isinstance(v, str):
             return _json_text(v)
         if isinstance(v, int):
             return int.__repr__(v)
-        if not v:
-            return "[]"
-        return "[" + item + ("," + item).join(map(_json_text, v)) + field + "]"
+        if isinstance(v, list):
+            if not v:
+                return "[]"
+            return "[" + item + ("," + item).join(map(_json_text, v)) + field + "]"
+        if isinstance(v, float):
+            return float.__repr__(v)
+        return _json_row(v, pad + "  ")
 
     fields = ("," + field).join(_json_text(k) + ": " + value(v) for k, v in row.items())
     return "{" + field + fields + "\n" + pad + "}"
@@ -330,8 +337,11 @@ class _Style:
 
 def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO) -> None:
     if config.format == "json":
-        payload = [_report_payload(r, config.timings) for r in reports]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        # the layout of json.dump([...], out, indent=2), a report at a time
+        out.write("[")
+        for i, r in enumerate(reports):
+            out.write(("," if i else "") + "\n  " + _json_row(_report_payload(r, config.timings), "  "))
+        out.write("\n]\n" if reports else "]\n")
         return
     if config.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -470,10 +480,11 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
         out.write("\n  ]\n}\n")
         return 0
     if config.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "B", "E", "G", "B_poly", "E_poly"])
+        # a cell holds only digits, '-', '/' and ';', which csv never quotes,
+        # so each line is the cells joined by commas
+        out.write("n,B,E,G,B_poly,E_poly\n")
         for row in map(_tables_cells, ns):
-            writer.writerow([row["n"], row["B"], row["E"], row["G"], ";".join(row["B_poly"]), ";".join(row["E_poly"])])
+            out.write(f"{row['n']},{row['B']},{row['E']},{row['G']},{';'.join(row['B_poly'])},{';'.join(row['E_poly'])}\n")
         return 0
     numbers = [(str(bernoulli_number(n)), str(euler_number(n)), str(genocchi_number(n))) for n in ns]
     widths = [max(len(f"{key}_n"), *(len(row[i]) for row in numbers)) for i, key in enumerate("BEG")]

@@ -16,9 +16,11 @@ layout of FLINT's `fmpq_poly`: integer numerators over one positive common
 denominator.  The inner loops then multiply and add plain integers, and
 one Fraction per output coefficient is built at the end, instead of a
 Fraction (with its gcd) per coefficient product or per scaled term.  The
-three products share one schoolbook loop, `_mul_into`.  The shift
-operators (`poly_shift_operator`, behind the difference operators of
-`bek.umbral`) compose their Taylor shifts on the same integer form.
+three products share one schoolbook loop, `_mul_into`, and the integer
+form of the polynomials a convolution reads is built once per family and
+degree.  The shift operators (`poly_shift_operator`, behind the
+difference operators of `bek.umbral`) compose their Taylor shifts on the
+same integer form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
 Poly = tuple[Fraction, ...]
@@ -45,17 +47,22 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
 def pochhammer(z: Fraction | int, k: int) -> Fraction:
     """Rising factorial z(z+1)...(z+k-1); the empty product 1 when k = 0.
 
     For z = p/q this is prod_{i<k} (p + i q) / q^k, an integer product
-    with a single reduction at the end.
+    with a single reduction at the end.  The memo is keyed on (p, q, k):
+    a key holding the Fraction would hash it in Python on every call.
     """
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
-    z = Fraction(z)
-    p, q = z.numerator, z.denominator
+    if type(z) is not Fraction and type(z) is not int:
+        z = Fraction(z)
+    return _pochhammer(z.numerator, z.denominator, k)
+
+
+@lru_cache(maxsize=None)
+def _pochhammer(p: int, q: int, k: int) -> Fraction:
     return Fraction(_rising_product(p, q, 0, k), q ** k)
 
 
@@ -230,7 +237,18 @@ def series_product(factors: Iterable[Poly], d: int) -> Poly:
     return _from_int_form(nums[: d + 1], den)
 
 
-def _coefficient_of_product(a: Sequence[list[int]], b: Sequence[list[int]], j: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _family_forms(family: Callable[[int], Poly], n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer form of family(0), ..., family(n): their numerators over
+    the lcm of all their denominators, as (numerators, denominator).  Built
+    once per (family, n), so family must be a pure function of its index;
+    the key hashes the function, not its values."""
+    terms = [family(l) for l in range(n + 1)]
+    den = lcm(*(c.denominator for p in terms for c in p))
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in terms), den
+
+
+def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], j: int) -> list[int]:
     """The coefficient of t^j in a(t) b(t), for series whose coefficients
     are integer polynomials in x; b has at least j + 1 coefficients."""
     pairs = [(p, q) for p, q in zip(a, reversed(b[: j + 1])) if p and q]
@@ -240,36 +258,64 @@ def _coefficient_of_product(a: Sequence[list[int]], b: Sequence[list[int]], j: i
     return out
 
 
-def convolution_coefficient(terms: Sequence[Poly], weights: Sequence[Sequence[Fraction | int]],
+def _paired_coefficient(nums: Sequence[Sequence[int]], w0: Sequence[int], w1: Sequence[int], j: int) -> list[int]:
+    """The coefficient of t^j in S_0(t) S_1(t), S_i = sum_l w_i[l] nums[l] t^l,
+    with each unordered pair of polynomials multiplied once:
+    sum over l <= j - l of (w0[l] w1[j-l] + w0[j-l] w1[l]) nums[l] nums[j-l],
+    the middle term l = j/2 counted once, and only the shorter factor of
+    each product scaled."""
+    pairs = []
+    for l in range(j // 2 + 1):
+        m = j - l
+        c = w0[l] * w1[m] + w0[m] * w1[l] if l < m else w0[l] * w1[l]
+        p, q = nums[l], nums[m]
+        if c and p and q:
+            pairs.append((c, p, q) if len(p) <= len(q) else (c, q, p))
+    out = [0] * max((len(p) + len(q) - 1 for _, p, q in pairs), default=0)
+    for c, p, q in pairs:
+        _mul_into(out, [c * v for v in p], q)
+    return out
+
+
+def convolution_coefficient(family: Callable[[int], Poly], n: int, weights: Sequence[Sequence[Fraction | int]],
                             scale: Fraction | int) -> Poly:
-    """scale * [t^n] prod_i S_i(t), with S_i(t) = sum_l weights[i][l] terms[l] t^l
-    and n = len(terms) - 1: the sum over the weak compositions l of n into
+    """scale * [t^n] prod_i S_i(t), with S_i(t) = sum_l weights[i][l] P_l t^l
+    and P_l = family(l): the sum over the weak compositions l of n into
     len(weights) parts of scale * prod_i weights[i][l_i] * the product of
-    the terms[l_i].
+    the P_{l_i}.
 
     Each weight list has n + 1 entries, and there is at least one slot.
-    The terms share one integer form over their common denominator, and
-    each slot's weights another over theirs, so every S_i is a series of
-    integer polynomials.  The slots but the last are multiplied into a
-    prefix series truncated after t^n (for a single slot the prefix is
-    ONE), the last contributes only to the coefficient of t^n, and the
-    denominators and the scale are applied once, to that coefficient.
+    P_0..P_n share one integer form over their common denominator, built
+    once per (family, n) (`_family_forms`), and each slot's weights another
+    over theirs, so every S_i is a series of integer polynomials.  The
+    first two slots form a prefix series truncated after t^n, each
+    unordered pair of polynomials multiplied once (`_paired_coefficient`);
+    the slots after them but the last are multiplied into it in turn, the
+    last contributes only to the coefficient of t^n (of the pair itself,
+    for two slots), and the denominators and the scale are applied once,
+    to that coefficient.
     """
-    if not weights or any(len(w) != len(terms) for w in weights):
-        raise ValueError(f"convolution needs at least one slot of {len(terms)} weights")
-    terms_den = lcm(*(c.denominator for p in terms for c in p))
-    nums = [[c.numerator * (terms_den // c.denominator) for c in p] for p in terms]
-    series, den = [], 1
+    if not weights or any(len(w) != n + 1 for w in weights):
+        raise ValueError(f"convolution needs at least one slot of {n + 1} weights")
+    if n < 0:
+        return ZERO
+    nums, terms_den = _family_forms(family, n)
+    ints, den = [], 1
     for w in weights:
         w_den = lcm(*(v.denominator for v in w))
-        series.append([[c * v for v in p] if (c := u.numerator * (w_den // u.denominator)) else []
-                       for u, p in zip(w, nums)])
+        ints.append([v.numerator * (w_den // v.denominator) for v in w])
         den *= terms_den * w_den
-    prefix = series[0] if len(series) > 1 else [[1]]
-    for s in series[1:-1]:
-        prefix = [_coefficient_of_product(prefix, s, j) for j in range(len(terms))]
     scale = Fraction(scale)
-    top = _coefficient_of_product(prefix, series[-1], len(terms) - 1)
+    if len(ints) == 1:
+        top = [ints[0][n] * v for v in nums[n]]
+    elif len(ints) == 2:
+        top = _paired_coefficient(nums, ints[0], ints[1], n)
+    else:
+        series = [[[c * v for v in p] if c else [] for c, p in zip(w, nums)] for w in ints[2:]]
+        prefix = [_paired_coefficient(nums, ints[0], ints[1], j) for j in range(n + 1)]
+        for s in series[:-1]:
+            prefix = [_coefficient_of_product(prefix, s, j) for j in range(n + 1)]
+        top = _coefficient_of_product(prefix, series[-1], n)
     return _from_int_form([scale.numerator * v for v in top], den * scale.denominator)
 
 

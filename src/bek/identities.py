@@ -122,7 +122,7 @@ def _convolution(family: Callable[[int], Poly], n: int, weights: Sequence[Sequen
     That sum is the coefficient of t^n in prod_i sum_l weights[i][l] P_l(x)
     t^l, read off one truncated series product: no composition is walked.
     """
-    return convolution_coefficient([family(l) for l in range(n + 1)], weights, scale)
+    return convolution_coefficient(family, n, weights, scale)
 
 
 def _rising_weights(a: Fraction, n: int) -> list[Fraction]:

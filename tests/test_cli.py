@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,7 +35,7 @@ from bek.cli import (
     run,
 )
 from bek.exactmath import poly
-from bek.identities import REGISTRY, build_points
+from bek.identities import REGISTRY, build_points, verify
 from bek.stochastic import MomentEstimate, dirichlet_moment_exact
 
 F = Fraction
@@ -135,10 +137,15 @@ _json_strings = st.one_of(
     st.text(max_size=12),
     st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€\u2028😀", "", "x^2 - x + 1/6"]),
 )
-_json_rows = st.dictionaries(
-    _json_strings,
-    st.one_of(st.integers(), _json_strings, st.lists(_json_strings, max_size=4)),
-    max_size=6,
+_json_flat_values = st.one_of(st.integers(), _json_strings, st.lists(_json_strings, max_size=4))
+_json_rows = st.dictionaries(_json_strings, _json_flat_values, max_size=6)
+# a verify report: floats (elapsed_ms) and rows nested in rows (inputs)
+_json_nested_rows = st.recursive(
+    _json_rows,
+    lambda rows: st.dictionaries(
+        _json_strings, st.one_of(_json_flat_values, st.floats(allow_nan=False, allow_infinity=False), rows),
+        max_size=5),
+    max_leaves=12,
 )
 
 
@@ -156,6 +163,11 @@ class TestTablesSerialization:
     @settings(max_examples=300, deadline=None)
     @given(_json_rows, st.sampled_from(["", "    "]))
     def test_row_writer_matches_json_dumps(self, row, pad):
+        assert cli._json_row(row, pad) == json.dumps(row, indent=2).replace("\n", "\n" + pad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_nested_rows, st.sampled_from(["", "  "]))
+    def test_row_writer_matches_json_dumps_on_nested_rows(self, row, pad):
         assert cli._json_row(row, pad) == json.dumps(row, indent=2).replace("\n", "\n" + pad)
 
     def test_row_writer_pads_a_tables_row(self):
@@ -255,6 +267,18 @@ class TestVerifyCommand:
         assert report["elapsed_ms"] > 0
 
 
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_json_reports_keep_the_layout_of_json_dumps(self, timings):
+        # the nested inputs (a_vec included), and elapsed_ms as 0 or a float
+        reports = [r for name in ("theorem2", "corollary4", "miki") for r in verify(name, build_points(REGISTRY[name])[:3])]
+        config = RunConfig(command="verify-all", format="json", timings=timings)
+        for chosen in (reports, reports[:1], []):
+            out = io.StringIO()
+            cli._emit_reports(config, chosen, out)
+            payload = [cli._report_payload(r, timings) for r in chosen]
+            assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert all(type(p["elapsed_ms"]) is (float if timings else int) for p in payload)
+
     def test_timings_split_across_displays(self, monkeypatch):
         # a clock that advances one second per reading: each evaluation of a
         # corollary4 point takes exactly 1 s and serves two displays
@@ -343,6 +367,15 @@ class TestTablesCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "344da36007e8631444cd1e043a2b2619d6c0e9e1929a98076be3d485184f34e3")
+
+    def test_csv_cells_never_need_quoting(self):
+        # the csv lines are the cells joined by commas: no cell may hold a
+        # character that the csv module would quote
+        code, out, _ = _run(RunConfig(command="tables", max_n=150, format="csv"))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 152 and all(len(row) == 6 for row in rows)
+        assert all(re.fullmatch(r"[-0-9/;]*", cell) for row in rows[1:] for cell in row)
 
     def test_csv_never_formats_polynomials(self, monkeypatch):
         # csv writes the coefficient cells only, so it has no use for the

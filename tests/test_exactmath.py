@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bek
+from bek import exactmath
 from bek.exactmath import (
     ONE,
     ZERO,
@@ -85,13 +88,16 @@ def _composition_walk(family, n, weights, scale):
 
 @st.composite
 def convolutions(draw):
-    """A family, n <= 10 and k = 1..5 slots of signed rational weights (a
-    slot may be all zero), and a scale."""
+    """A family, n <= 14 and k = 1..5 slots of signed rational weights, and
+    a scale.  A slot may be all zero or zero at the middle index n // 2,
+    and the slots may all be one list, as in the equal-slot left sides."""
     family = draw(st.sampled_from([bernoulli_poly, euler_poly]))
-    n = draw(st.integers(0, 10))
-    slot = st.one_of(st.lists(st.one_of(rationals, wide_rationals), min_size=n + 1, max_size=n + 1),
-                     st.just([Fraction(0)] * (n + 1)), st.just([0] * (n + 1)))
-    weights = draw(st.lists(slot, min_size=1, max_size=5))
+    n = draw(st.integers(0, 14))
+    full = st.lists(st.one_of(rationals, wide_rationals), min_size=n + 1, max_size=n + 1)
+    middle_zero = full.map(lambda w: [*w[: n // 2], Fraction(0), *w[n // 2 + 1:]])
+    slot = st.one_of(full, middle_zero, st.just([Fraction(0)] * (n + 1)), st.just([0] * (n + 1)))
+    k = draw(st.integers(1, 5))
+    weights = [draw(slot)] * k if draw(st.booleans()) else draw(st.lists(slot, min_size=k, max_size=k))
     return family, n, weights, draw(scalars)
 
 
@@ -160,6 +166,14 @@ class TestMemoizedScalars:
         assert harmonic_second(n) == sum((Fraction(1, j * j) for j in range(1, n + 1)), Fraction(0))
         # a cached value is returned unchanged on a repeated call
         assert harmonic(n) == harmonic(n) and harmonic_second(n) == harmonic_second(n)
+
+    def test_pochhammer_is_memoized_on_integers(self):
+        exactmath._pochhammer.cache_clear()
+        assert pochhammer(Fraction(3), 4) == pochhammer(3, 4) == 360
+        assert pochhammer(Fraction(6, 4), 2) == pochhammer(1.5, 2) == Fraction(15, 4)
+        info = exactmath._pochhammer.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        assert all(type(pochhammer(z, 3)) is Fraction for z in (2, Fraction(2), Fraction(1, 3)))
 
     def test_negative_arguments_still_raise(self):
         # exceptions are not cached: every call raises again
@@ -299,27 +313,47 @@ class TestIntegerKernel:
         assert series_product((), 3) == ONE
         assert series_product((geometric,), -1) == ZERO
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(convolutions())
     def test_convolution_coefficient_matches_the_composition_walk(self, case):
         family, n, weights, scale = case
-        out = convolution_coefficient([family(l) for l in range(n + 1)], weights, scale)
+        out = convolution_coefficient(family, n, weights, scale)
         assert out == _composition_walk(family, n, weights, scale)
         assert _all_fractions(out)
 
-    def test_convolution_coefficient_frozen(self):
-        terms = [bernoulli_poly(l) for l in range(3)]
-        # one slot reads off its last term: 2 * 1/2 * B_2(x)
-        assert convolution_coefficient(terms, [[5, 7, Fraction(1, 2)]], 2) == bernoulli_poly(2)
-        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12
-        assert convolution_coefficient(terms, [[1, 1, 1]] * 2, 1) == poly([Fraction(7, 12), -3, 3])
-        assert convolution_coefficient(terms, [[1, 1, 1], [0, 0, 0], [1, 1, 1]], 1) == ZERO
-        assert convolution_coefficient([], [[]] * 2, 1) == ZERO
-        with pytest.raises(ValueError):
-            convolution_coefficient(terms, [], 1)
-        with pytest.raises(ValueError):
-            convolution_coefficient(terms, [[1, 1, 1], [1, 1]], 1)
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
+    def test_convolution_coefficient_at_odd_and_even_n(self, family, n, k):
+        # equal slots, distinct slots, and a zero at the middle index
+        ramp = [Fraction(l + 1, 2 * l + 3) for l in range(n + 1)]
+        other = [Fraction(3 - l, l + 2) for l in range(n + 1)]
+        holed = [*ramp[: n // 2], 0, *ramp[n // 2 + 1:]]
+        for weights in ([ramp] * k, [ramp, other, *[holed] * (k - 2)], [holed, *[other] * (k - 1)]):
+            assert convolution_coefficient(family, n, weights, 3) == _composition_walk(family, n, weights, 3)
 
+    def test_convolution_coefficient_frozen(self):
+        # one slot reads off its last term: 2 * 1/2 * B_2(x)
+        assert convolution_coefficient(bernoulli_poly, 2, [[5, 7, Fraction(1, 2)]], 2) == bernoulli_poly(2)
+        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12
+        assert convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1]] * 2, 1) == poly([Fraction(7, 12), -3, 3])
+        assert convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1], [0, 0, 0], [1, 1, 1]], 1) == ZERO
+        assert convolution_coefficient(bernoulli_poly, -1, [[]] * 2, 1) == ZERO
+        with pytest.raises(ValueError):
+            convolution_coefficient(bernoulli_poly, 2, [], 1)
+        with pytest.raises(ValueError):
+            convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1], [1, 1]], 1)
+
+    def test_each_family_and_degree_has_its_own_forms(self):
+        exactmath._family_forms.cache_clear()
+        calls = [(bernoulli_poly, 5), (euler_poly, 5), (bernoulli_poly, 4), (euler_poly, 4)]
+        for family, n in calls * 2:
+            convolution_coefficient(family, n, [[1] * (n + 1)] * 2, 1)
+        info = exactmath._family_forms.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
+        for family, n in calls:
+            nums, den = exactmath._family_forms(family, n)
+            assert [tuple(Fraction(v, den) for v in p) for p in nums] == [family(l) for l in range(n + 1)]
 
     @given(st.one_of(small_polys, wide_polys), st.lists(scalars, max_size=4), scalars, scalars)
     def test_shift_operator_matches_fold(self, p, shifts, alpha, beta):
@@ -341,6 +375,43 @@ class TestIntegerKernel:
         assert poly_shift_operator(p, (Fraction(1, 3), Fraction(-1, 2)), 1, 0) == poly_shift(p, Fraction(-1, 6))
         assert poly_shift_operator(p, (), 5, 7) == p
         assert poly_shift_operator(ZERO, (1, 2), 1, -1) == ZERO
+
+
+def _mutant_pair_kernel(old: str, new: str):
+    """A copy of `exactmath._paired_coefficient` with `old` replaced by
+    `new` in its source, compiled against the module's names."""
+    source = textwrap.dedent(inspect.getsource(exactmath._paired_coefficient))
+    assert source.count(old) == 1
+    namespace = dict(vars(exactmath))
+    exec(source.replace(old, new), namespace)
+    return namespace["_paired_coefficient"]
+
+
+class TestPairedKernelMutations:
+    """Each unordered pair of polynomials is multiplied once, weighted by
+    w0[l] w1[m] + w0[m] w1[l], and the middle pair l = m once: breaking
+    either in a copy of the kernel is caught against the composition walk."""
+
+    CASES = [(family, n, weights) for family in (bernoulli_poly, euler_poly) for n in (4, 5)
+             for weights in ([[Fraction(l + 1, 3) for l in range(n + 1)], [Fraction(2, l + 1) for l in range(n + 1)]],
+                             [[Fraction(l + 1, 3) for l in range(n + 1)]] * 3)]
+
+    def _caught(self, monkeypatch, kernel):
+        monkeypatch.setattr(exactmath, "_paired_coefficient", kernel)
+        return [(family, n, len(weights)) for family, n, weights in self.CASES
+                if convolution_coefficient(family, n, weights, 1) != _composition_walk(family, n, weights, 1)]
+
+    def test_the_unmutated_copy_agrees(self, monkeypatch):
+        assert self._caught(monkeypatch, _mutant_pair_kernel("if l < m else", "if l < m else")) == []
+
+    def test_middle_pair_counted_twice(self, monkeypatch):
+        caught = self._caught(monkeypatch, _mutant_pair_kernel("if l < m else", "if l <= m else"))
+        # an even n has a middle pair at the top; three slots meet one in the prefix at every n
+        assert caught == [(f, n, k) for f in (bernoulli_poly, euler_poly) for n, k in ((4, 2), (4, 3), (5, 3))]
+
+    def test_swapped_term_dropped(self, monkeypatch):
+        caught = self._caught(monkeypatch, _mutant_pair_kernel("w0[l] * w1[m] + w0[m] * w1[l]", "w0[l] * w1[m]"))
+        assert caught == [(f, n, k) for f in (bernoulli_poly, euler_poly) for n in (4, 5) for k in (2, 3)]
 
 
 def _private_kernel_imports(source: str) -> list[str]:
