@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .exactmath import Poly
 from .identities import (
@@ -45,15 +45,11 @@ from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-# Input budgets: the largest accepted input, measured on a shared 2-core
-# host with Python 3.11.  `bek tables --max-n 700` takes 2.7-3.3 s (text),
-# 4.0-4.4 s (json) and 3.4 s (csv) and peaks at 0.10 GB in each format:
-# rows are written one at a time, and what is held is the cached B_n(x)
-# and E_n(x), which grow as N^3.
-# `bek verify --n 70` takes 2.0 s for theorem2 and 1.7 s for theorem4, the
-# slowest entries on their default k and parameter grids; each further n
-# value of a range adds its own time.  `bek mc --samples 100000000` takes
-# 49 s over the default three queries.
+# Input budgets: the largest accepted input.  What each cap was measured
+# to take is kept in one place, the "Input budgets" table of README.md.
+# `bek tables` writes its rows one at a time, so what it holds is the
+# cached B_n(x) and E_n(x), which grow as N^3.  Each further n value of a
+# `bek verify` range adds its own time.
 #
 # The left side of a k-fold entry at (k, n) is one coefficient of a
 # truncated series product, which forms at most C(n + 4, 4) integer
@@ -61,22 +57,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # in its last; its first step multiplies each unordered pair of
 # polynomials once, so it forms about half its count.  The sum of that
 # count over a grid's points is capped, for every k-fold entry
-# (`takes_k`) alike, and so is k.  `bek verify --identity theorem2 --k 16
-# --n 70` (three parameter sets, exactly at the cap) takes 28 s and
-# theorem4 16 s.  A product costs more as k grows, since its integers
-# grow, so a grid of smaller k at the same count finishes sooner: `--k 3
-# --n 0..70` (55,230,048, refused) takes 5.5 s.  The cap bounds k and n,
-# not the size of the parameters: `--k 16 --n 70` at sixteen a_i =
-# 999999937/999999929 takes 9.6 min.  kth-matiyasevich reads both of its
-# sides off powers of one number series: `--identity kth-matiyasevich --k
-# 16 --n 8` takes 0.35 s.
+# (`takes_k`) alike, and so is k.  A product costs more as k grows, since
+# its integers grow, so a grid of smaller k at the same count finishes
+# sooner.  The cap bounds k and n, not the size of the parameters.
+# kth-matiyasevich reads both of its sides off powers of one number
+# series, so the count overstates its work.
 #
-# `bek mc` draws one gamma per shape and sample: 10 shapes at --samples
-# 100000000 take 32 s.  Its exact moment multiplies out (sum a)_{sum l} as
-# one integer product tree: `bek mc --a 1,1 --l 99999,1` takes 0.8 s and
-# `--a 1/3,2/7` 7.9 s.  The cap bounds sum l, not the size of the shapes:
-# `--a 999999937/999999929,999999929/999999937 --l 20000,1` takes 16 s, in
-# gcds and decimal conversion of integers of more than a million bits.
+# `bek mc` draws one gamma per shape and sample.  Its exact moment
+# multiplies out (sum a)_{sum l} as one integer product tree; the cap
+# bounds sum l, not the size of the shapes.
 #
 # `bek mc` also refuses shapes below `stochastic.MIN_MC_SHAPE` (1/20), with
 # a one-line message naming the --a entry; MAX_MC_SAMPLES * MAX_MC_SHAPES =
@@ -246,30 +235,77 @@ def format_poly(p: Poly) -> str:
 _json_text = json.encoder.encode_basestring_ascii
 
 
-def _json_row(row: Mapping[str, int | float | str | list[str] | Mapping], pad: str) -> str:
-    """json.dumps(row, indent=2) of a row of ints, floats, strings, lists
-    of strings and nested rows of those, with pad after every line break.
-    json.dumps runs its pure-Python encoder whenever indent is set; this
-    joins the strings escaped by its C one."""
+def _json_row(row: Mapping[str, int | float | str | bool | None | list | Mapping], pad: str) -> str:
+    """json.dumps(row, indent=2) of a row of ints, finite floats, strings,
+    bools, None, lists of strings or of ints and nested rows of those, with
+    pad after every line break.  json.dumps runs its pure-Python encoder
+    whenever indent is set; this joins the strings escaped by its C one."""
     if not row:
         return "{}"
     field, item = "\n" + pad + "  ", "\n" + pad + "    "
 
-    def value(v: int | float | str | list[str] | Mapping) -> str:
+    def value(v: int | float | str | bool | None | list | Mapping) -> str:
         if isinstance(v, str):
             return _json_text(v)
         if isinstance(v, int):
-            return int.__repr__(v)
+            return int.__repr__(v) if type(v) is not bool else "true" if v else "false"
         if isinstance(v, list):
             if not v:
                 return "[]"
-            return "[" + item + ("," + item).join(map(_json_text, v)) + field + "]"
+            return "[" + item + ("," + item).join(map(_json_text if isinstance(v[0], str) else value, v)) + field + "]"
         if isinstance(v, float):
             return float.__repr__(v)
+        if v is None:
+            return "null"
         return _json_row(v, pad + "  ")
 
     fields = ("," + field).join(_json_text(k) + ": " + value(v) for k, v in row.items())
     return "{" + field + fields + "\n" + pad + "}"
+
+
+def _write_json(rows: Iterable[Mapping], out: TextIO, pad: str = "") -> None:
+    """Write json.dumps(list(rows), indent=2) with pad after every line
+    break, a row at a time."""
+    out.write("[")
+    line = "\n" + pad + "  "
+    sep = ""
+    for row in rows:
+        out.write(sep + line + _json_row(row, pad + "  "))
+        sep = ","
+    out.write("\n" + pad + "]" if sep else "]")
+
+
+# the fields of a verify report that hold polynomials, whose csv cells are
+# their coefficients joined by ';'
+_POLY_FIELDS = frozenset({"lhs", "rhs", "difference"})
+
+
+def _csv_cell(key: str, v: object) -> object:
+    """The csv cell of a row's value: a list joined by ';' (a polynomial)
+    or ',' (a vector), a nested row (a grid point) as `point_text`, a bool
+    in lower case; csv.writer writes None as an empty cell."""
+    if isinstance(v, list):
+        return (";" if key in _POLY_FIELDS else ",").join(map(str, v))
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, Mapping):
+        return point_text(v)
+    return v
+
+
+def _write_rows(fmt: str, rows: Iterable[Mapping], out: TextIO) -> None:
+    """Write the rows, streamed, as a json array or as csv lines under a
+    header of the first row's keys: the json and csv formats of every
+    command but `tables`."""
+    if fmt == "json":
+        _write_json(rows, out)
+        out.write("\n")
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    for i, row in enumerate(rows):
+        if not i:
+            writer.writerow(row)
+        writer.writerow([_csv_cell(k, v) for k, v in row.items()])
 
 
 def _exact_text(value: Fraction) -> str:
@@ -304,10 +340,6 @@ def _inputs_payload(inputs: Mapping) -> dict:
     return out
 
 
-def _elapsed_ms(report: IdentityReport, timings: bool) -> float | int:
-    return round(report.elapsed * 1000.0, 3) if timings else 0
-
-
 def _report_payload(report: IdentityReport, timings: bool) -> dict:
     return {
         "identity": report.identity,
@@ -316,7 +348,7 @@ def _report_payload(report: IdentityReport, timings: bool) -> dict:
         "lhs": _poly_cells(report.lhs),
         "rhs": _poly_cells(report.rhs),
         "difference": _poly_cells(report.difference),
-        "elapsed_ms": _elapsed_ms(report, timings),
+        "elapsed_ms": round(report.elapsed * 1000.0, 3) if timings else 0,
     }
 
 
@@ -336,26 +368,8 @@ class _Style:
 
 
 def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO) -> None:
-    if config.format == "json":
-        # the layout of json.dump([...], out, indent=2), a report at a time
-        out.write("[")
-        for i, r in enumerate(reports):
-            out.write(("," if i else "") + "\n  " + _json_row(_report_payload(r, config.timings), "  "))
-        out.write("\n]\n" if reports else "]\n")
-        return
-    if config.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["identity", "inputs", "status", "lhs", "rhs", "difference", "elapsed_ms"])
-        for r in reports:
-            writer.writerow([
-                r.identity,
-                point_text(r.inputs),
-                r.status,
-                ";".join(_poly_cells(r.lhs)),
-                ";".join(_poly_cells(r.rhs)),
-                ";".join(_poly_cells(r.difference)),
-                _elapsed_ms(r, config.timings),
-            ])
+    if config.format != "text":
+        _write_rows(config.format, (_report_payload(r, config.timings) for r in reports), out)
         return
     style = _Style(out, config.format)
     by_name: dict[str, list[IdentityReport]] = {}
@@ -407,37 +421,27 @@ def _grid_text(entry: IdentitySpec) -> str:
 
 
 def _cmd_list(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO) -> int:
-    entries = list(registry.values())
-    if config.format == "json":
-        payload = [
-            {
-                "name": e.name,
-                "summary": e.summary,
-                "params": list(e.param_names),
-                "takes_k": e.takes_k,
-                "validity": e.validity_text,
-                "default_grid": _grid_text(e),
-            }
-            for e in entries
-        ]
-        out.write(json.dumps(payload, indent=2) + "\n")
+    rows = [
+        {
+            "name": e.name,
+            "summary": e.summary,
+            "params": list(e.param_names),
+            "takes_k": e.takes_k,
+            "validity": e.validity_text,
+            "default_grid": _grid_text(e),
+        }
+        for e in registry.values()
+    ]
+    if config.format != "text":
+        _write_rows(config.format, rows, out)
         return 0
-    if config.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "summary", "params", "takes_k", "validity", "default_grid"])
-        for e in entries:
-            writer.writerow([
-                e.name, e.summary, ",".join(e.param_names), str(e.takes_k).lower(),
-                e.validity_text, _grid_text(e),
-            ])
-        return 0
-    width = max(len(e.name) for e in entries)
-    for e in entries:
-        out.write(f"{e.name.ljust(width)}  {e.summary}\n")
-        detail = f"validity: {e.validity_text}"
-        if e.param_names:
-            detail += f"; params: {', '.join(e.param_names)}"
-        detail += f"; default grid: {_grid_text(e)}"
+    width = max(len(row["name"]) for row in rows)
+    for row in rows:
+        out.write(f"{row['name'].ljust(width)}  {row['summary']}\n")
+        detail = f"validity: {row['validity']}"
+        if row["params"]:
+            detail += f"; params: {', '.join(row['params'])}"
+        detail += f"; default grid: {row['default_grid']}"
         out.write(f"{' ' * width}  {detail}\n")
     return 0
 
@@ -474,10 +478,9 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     ns = range(config.max_n + 1)
     if config.format == "json":
         # the layout of json.dump({"max_n": ..., "rows": [...]}, out, indent=2)
-        out.write(f'{{\n  "max_n": {config.max_n},\n  "rows": [')
-        for n in ns:
-            out.write(("," if n else "") + "\n    " + _json_row(_tables_row(n), "    "))
-        out.write("\n  ]\n}\n")
+        out.write(f'{{\n  "max_n": {config.max_n},\n  "rows": ')
+        _write_json(map(_tables_row, ns), out, "  ")
+        out.write("\n}\n")
         return 0
     if config.format == "csv":
         # a cell holds only digits, '-', '/' and ';', which csv never quotes,
@@ -582,22 +585,8 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
             row["exact_ms"] = round(estimate.exact_s * 1000.0, 3)
             row["sampling_ms"] = round(estimate.sampling_s * 1000.0, 3)
         results.append(row)
-    timing_columns = ["exact_ms", "sampling_ms"] if config.timings else []
-    if config.format == "json":
-        out.write(json.dumps(results, indent=2) + "\n")
-    elif config.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["a_vec", "l_vec", "samples", "seed", "sigma",
-                         "exact", "mean", "stderr", "sigmas", "status", "elapsed_ms", *timing_columns])
-        for row in results:
-            writer.writerow([
-                ",".join(row["a_vec"]),
-                ",".join(str(v) for v in row["l_vec"]),
-                row["samples"], row["seed"], row["sigma"], row["exact"],
-                repr(row["mean"]), repr(row["stderr"]),
-                "" if row["sigmas"] is None else repr(row["sigmas"]),
-                row["status"], row["elapsed_ms"], *(row[c] for c in timing_columns),
-            ])
+    if config.format != "text":
+        _write_rows(config.format, results, out)
     else:
         style = _Style(out, config.format)
         for row in results:

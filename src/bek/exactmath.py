@@ -7,20 +7,21 @@ tuple and has degree -1 by convention.  Everything in this module is a pure
 function on immutable values, so concurrent use needs no locking; the
 memoized scalar helpers use `functools.lru_cache`, which is thread safe.
 
-The hot kernel operations, `poly_mul`, its truncated power-series form
+The kernel operations, the truncated power-series product
 `series_product`, the weighted convolution coefficient
 `convolution_coefficient` (one coefficient of a truncated product of
 series whose coefficients are polynomials), the linear combination
-`poly_lincomb` and the Taylor shift `poly_shift`, work internally in the
-layout of FLINT's `fmpq_poly`: integer numerators over one positive common
-denominator.  The inner loops then multiply and add plain integers, and
-one Fraction per output coefficient is built at the end, instead of a
-Fraction (with its gcd) per coefficient product or per scaled term.  The
-three products share one schoolbook loop, `_mul_into`, and the integer
-form of the polynomials a convolution reads is built once per family and
-degree.  The shift operators (`poly_shift_operator`, behind the
-difference operators of `bek.umbral`) compose their Taylor shifts on the
-same integer form.
+`poly_lincomb` and the shift operators `poly_shift_operator`, work
+internally in the layout of FLINT's `fmpq_poly`: integer numerators over
+one positive common denominator.  The inner loops then multiply and add
+plain integers, and one Fraction per output coefficient is built at the
+end, instead of a Fraction (with its gcd) per coefficient product or per
+scaled term.  Each other polynomial operation of that kind is one call of
+these: `poly_add`, `poly_sub` and `poly_scale` of `poly_lincomb`,
+`poly_mul` of `series_product`, and the Taylor shift `poly_shift` of
+`poly_shift_operator`.  The products share one schoolbook loop,
+`_mul_into`, and the integer form of the polynomials a convolution reads
+is built once per family and degree.
 """
 
 from __future__ import annotations
@@ -129,29 +130,15 @@ def poly(coeffs: Iterable[Fraction | int]) -> Poly:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return poly_lincomb(((1, p), (1, q)))
 
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
-    out = list(p) + [Fraction(0)] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return poly_lincomb(((1, p), (-1, q)))
 
 
 def poly_scale(c: Fraction | int, p: Poly) -> Poly:
-    if c == 0:
-        return ZERO
-    return tuple(c * a for a in p)
+    return poly_lincomb(((c, p),))
 
 
 def _int_form(p: Poly) -> tuple[list[int], int]:
@@ -175,10 +162,9 @@ def _from_int_form(nums: list[int], den: int) -> Poly:
 def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
     """Exact linear combination sum_i c_i p_i of (c_i, p_i) pairs.
 
-    Equal to folding `poly_add(acc, poly_scale(c, p))` from ZERO, but the
-    sum is accumulated as integer numerators over one common denominator
-    (the lcm of the terms' denominators, grown as terms arrive) and
-    converted to Fractions once.
+    The sum is accumulated as integer numerators over one common
+    denominator (the lcm of the terms' denominators, grown as terms arrive)
+    and converted to Fractions once.
     """
     acc: list[int] = []
     den = 1
@@ -202,7 +188,7 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
 def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
     """Add the product of the integer polynomials p and q into `out`,
     dropping every term of degree len(out) or more: the one schoolbook loop
-    behind `poly_mul`, `series_product` and `convolution_coefficient`."""
+    behind `series_product` and `convolution_coefficient`."""
     size = len(out)
     for i, a in enumerate(p):
         if a:
@@ -211,22 +197,16 @@ def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Exact coefficient convolution of p and q, on integer numerators."""
-    if not p or not q:
-        return ZERO
-    p_nums, p_den = _int_form(p)
-    q_nums, q_den = _int_form(q)
-    out = [0] * (len(p) + len(q) - 1)
-    _mul_into(out, p_nums, q_nums)
-    return _from_int_form(out, p_den * q_den)
+    """Exact coefficient convolution of p and q: their untruncated series product."""
+    return series_product((p, q), len(p) + len(q) - 2)
 
 
 def series_product(factors: Iterable[Poly], d: int) -> Poly:
     """Product of the factors as power series in t, truncated after t^d.
 
     The coefficients of t^0..t^d of the full product (the empty product is
-    ONE), computed like `poly_mul` on integer numerators, with no product
-    term above t^d ever formed.
+    ONE), computed on integer numerators, with no product term above t^d
+    ever formed.
     """
     nums, den = [1], 1
     for f in factors:

@@ -939,12 +939,14 @@ def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None
 
 
 def point_text(pt: Point) -> str:
-    """Deterministic one-line rendering of a grid point, for messages."""
+    """Deterministic one-line rendering of a grid point, for messages and
+    the inputs cell of a csv report; a vector may be a tuple, or a list as
+    in a report's json inputs."""
     chunks = []
     for key in INPUT_ORDER:
         if key in pt:
             v = pt[key]
-            if isinstance(v, tuple):
+            if isinstance(v, (tuple, list)):
                 chunks.append(f"{key}=" + ",".join(str(Fraction(x)) for x in v))
             else:
                 chunks.append(f"{key}={v}")

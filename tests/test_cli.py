@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -137,7 +139,8 @@ _json_strings = st.one_of(
     st.text(max_size=12),
     st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€\u2028😀", "", "x^2 - x + 1/6"]),
 )
-_json_flat_values = st.one_of(st.integers(), _json_strings, st.lists(_json_strings, max_size=4))
+_json_flat_values = st.one_of(st.integers(), st.booleans(), st.none(), _json_strings,
+                              st.lists(_json_strings, max_size=4), st.lists(st.integers(), max_size=4))
 _json_rows = st.dictionaries(_json_strings, _json_flat_values, max_size=6)
 # a verify report: floats (elapsed_ms) and rows nested in rows (inputs)
 _json_nested_rows = st.recursive(
@@ -174,6 +177,31 @@ class TestTablesSerialization:
         row = cli._tables_row(3)
         assert cli._json_row(row, "    ") == json.dumps(row, indent=2).replace("\n", "\n    ")
         assert cli._json_row({"n": 0, "B_poly": []}, "    ") == '{\n      "n": 0,\n      "B_poly": []\n    }'
+
+
+def _json_dump_calls(source: str) -> list[str]:
+    """The calls of json.dump and json.dumps in a module source, by either
+    the module or an imported name."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "json" for a in node.names if a.name in ("dump", "dumps")}
+    return [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+         and getattr(node.func.value, "id", None) == "json")
+        or getattr(node.func, "id", None) in names)]
+
+
+class TestOneJsonWriter:
+    def test_no_module_calls_json_dumps(self):
+        # every json output goes through the row writer
+        package = Path(cli.__file__).parent
+        assert {path.name: found for path in sorted(package.glob("*.py"))
+                if (found := _json_dump_calls(path.read_text()))} == {}
+
+    def test_the_scan_sees_each_form_of_call(self):
+        assert _json_dump_calls("import json\njson.dump(x, out)\nprint(json.dumps(x))") == ["json.dump", "json.dumps"]
+        assert _json_dump_calls("from json import dumps as d\nd(x)") == ["d"]
+        assert _json_dump_calls("import json\njson.loads(t)\nrow.dumps()") == []
 
 
 class TestVerifyCommand:
@@ -219,6 +247,16 @@ class TestVerifyCommand:
         assert lines[0] == "identity,inputs,status,lhs,rhs,difference,elapsed_ms"
         assert len(lines) == 4
         assert lines[1].startswith("euler-1-2,n=1,pass,")
+
+    def test_verify_all_csv_digest(self):
+        # `bek verify-all --format csv` holds every coefficient of every
+        # report, as the json digest in test_acceptance does; it changes only
+        # with a change that means to change it, which then updates it and
+        # says so
+        code, out, _ = _run(RunConfig(command="verify-all", format="csv"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "681ddd9629d9113fccf4efb3341e3b05b83d85566ab72b7baeab513cb76a38c1")
 
     def test_unknown_identity_exit_2(self):
         code, out, err = _run(RunConfig(command="verify", identity="zeta"))
@@ -482,6 +520,12 @@ class TestListCommand:
             "8820fcdfad059cd28a9a36e46df21700925c8e1f4087f1a73c2e38b073e5d824"
         )
 
+    def test_csv_digest(self):
+        _, out, _ = _run(RunConfig(command="list", format="csv"))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4035e3d2c38589f9647b9be547c579099326f07c8fb3b1df854de417c3a0d2fe"
+        )
+
 
 class TestMcCommand:
     def test_single_query_pass(self):
@@ -524,6 +568,21 @@ class TestMcCommand:
         assert header.endswith(",elapsed_ms,exact_ms,sampling_ms")
         elapsed, exact, sampling = (float(v) for v in line.split(",")[-3:])
         assert 0 <= exact and 0 < sampling and exact + sampling <= elapsed + 0.002
+
+    @pytest.mark.parametrize("timings", [False, True])
+    @pytest.mark.parametrize("a_vec, l_vec", [((F(1), F(3)), (0, 0)), (None, None)])
+    def test_json_and_csv_layout(self, a_vec, l_vec, timings):
+        # zero exponents give a stderr of 0, so sigmas is null; the default
+        # queries give floats.  The json keeps the layout of json.dumps, and
+        # the csv header is the json keys in order.
+        config = RunConfig(command="mc", a_vec=a_vec, l_vec=l_vec, samples=2_000,
+                           format="json", timings=timings)
+        out = _run(config)[1]
+        rows = json.loads(out)
+        assert out == json.dumps(rows, indent=2) + "\n"
+        assert [row["sigmas"] is None for row in rows] == ([True] if a_vec else [False] * 3)
+        header = _run(dataclasses.replace(config, format="csv"))[1].splitlines()[0]
+        assert header.split(",") == list(rows[0])
 
     def test_smallest_shape_gives_a_finite_estimate(self):
         config = RunConfig(command="mc", a_vec=(MIN_MC_SHAPE, MIN_MC_SHAPE), l_vec=(1, 1),

@@ -448,6 +448,18 @@ class TestLayering:
         }
         assert offenders == {}
 
+    @pytest.mark.parametrize("name, kernel", [("poly_add", "poly_lincomb"), ("poly_sub", "poly_lincomb"),
+                                              ("poly_scale", "poly_lincomb"), ("poly_mul", "series_product")])
+    def test_elementary_operations_are_one_kernel_call(self, name, kernel):
+        # one implementation per job: a sum or a product of polynomials is
+        # formed only by the integer-form kernel routines
+        (node,) = [n for n in ast.parse(Path(exactmath.__file__).read_text()).body
+                   if isinstance(n, ast.FunctionDef) and n.name == name]
+        body = node.body[1:] if ast.get_docstring(node) else node.body
+        (stmt,) = body
+        assert isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call)
+        assert getattr(stmt.value.func, "id", None) == kernel
+
     def test_the_scan_sees_each_form_of_import(self):
         assert _private_kernel_imports("from .exactmath import Poly, _int_form, _taylor_shift") == [
             "_int_form", "_taylor_shift"]

@@ -410,6 +410,15 @@ class TestLemmas:
         with pytest.raises(ValueError):
             verify_lemma2(2, (F(1), F(1)), 3)
 
+    def test_lemma2_runs_outside_verify_general_f(self, monkeypatch):
+        # a traced verify_general_f must not also count lemma 2's calls
+        def refuse(*args):
+            raise AssertionError("verify_lemma2 called verify_general_f")
+        monkeypatch.setattr(umbral, "verify_general_f", refuse)
+        assert verify_lemma2(2, (F(1, 3), F(2, 3)), 4)
+        with pytest.raises(ValueError, match="verify_lemma2"):
+            verify_lemma2(2, (F(1), F(1)), 3)
+
     def test_lemma4_random_sum_one_tuples(self):
         for k in (1, 2, 3):
             for u in _sum_one_tuples(11 * k, k, 5):
