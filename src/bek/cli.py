@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .exactmath import Poly
@@ -59,8 +60,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # count over a grid's points is capped, for every k-fold entry
 # (`takes_k`) alike, and so is k.  A product costs more as k grows, since
 # its integers grow, so a grid of smaller k at the same count finishes
-# sooner.  The cap bounds k and n, not the size of the parameters.
-# kth-matiyasevich reads both of its sides off powers of one number
+# sooner.  The cap bounds k and n; the height cap bounds the size of the
+# parameters, whose slot weights (a)_l / l! grow with it.
+# kth-matiyasevich reads both of its sides off products of one number
 # series, so the count overstates its work.
 #
 # `bek mc` draws one gamma per shape and sample.  Its exact moment
@@ -74,6 +76,7 @@ MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
 MAX_VERIFY_WORK = 48_512_880
+MAX_PARAM_HEIGHT = 127
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
 MAX_MC_EXPONENT_SUM = 100_000
@@ -90,6 +93,15 @@ def _refuse_k_above_cap(config: RunConfig) -> None:
         _refuse_above("--k", config.k, MAX_VERIFY_K)
     elif isinstance((config.params or {}).get("a_vec"), tuple):
         _refuse_above("a_vec length", len(config.params["a_vec"]), MAX_VERIFY_K)
+
+
+def _refuse_tall_params(params: Mapping | None) -> None:
+    """Refuse a --params rational whose numerator or denominator is above
+    the height cap, before any point is built."""
+    for key, value in (params or {}).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, Rational) and max(abs(v.numerator), v.denominator) > MAX_PARAM_HEIGHT:
+                raise ValueError(f"--params {key} value {v} is above its input budget cap of height {MAX_PARAM_HEIGHT}")
 
 
 def _refuse_work(points: Sequence[Mapping]) -> None:
@@ -514,6 +526,7 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         ns = config.n_range
         top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range
         _refuse_above("--n", top, MAX_VERIFY_N)
+    _refuse_tall_params(config.params)
     if entry.takes_k:
         _refuse_k_above_cap(config)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)

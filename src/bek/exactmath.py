@@ -8,27 +8,28 @@ function on immutable values, so concurrent use needs no locking; the
 memoized scalar helpers use `functools.lru_cache`, which is thread safe.
 
 The kernel operations, the truncated power-series product
-`series_product`, the weighted convolution coefficient
-`convolution_coefficient` (one coefficient of a truncated product of
-series whose coefficients are polynomials), the linear combination
-`poly_lincomb` and the shift operators `poly_shift_operator`, work
-internally in the layout of FLINT's `fmpq_poly`: integer numerators over
-one positive common denominator.  The inner loops then multiply and add
-plain integers, and one Fraction per output coefficient is built at the
-end, instead of a Fraction (with its gcd) per coefficient product or per
-scaled term.  Each other polynomial operation of that kind is one call of
-these: `poly_add`, `poly_sub` and `poly_scale` of `poly_lincomb`,
-`poly_mul` of `series_product`, and the Taylor shift `poly_shift` of
-`poly_shift_operator`.  The products share one schoolbook loop,
-`_mul_into`, and the integer form of the polynomials a convolution reads
-is built once per family and degree.
+`series_product`, the subset expansion `subset_series`, the weighted
+convolution coefficient `convolution_coefficient` (one coefficient of a
+truncated product of series whose coefficients are polynomials), the
+linear combination `poly_lincomb` and the shift operators
+`poly_shift_operator`, work internally in the layout of FLINT's
+`fmpq_poly`: integer numerators over one positive common denominator.  The
+inner loops then multiply and add plain integers, and one Fraction per
+output coefficient is built at the end, instead of a Fraction (with its
+gcd) per coefficient product or per scaled term.  Each other polynomial
+operation of that kind is one call of these: `poly_add`, `poly_sub` and
+`poly_scale` of `poly_lincomb`, `poly_mul` of `series_product`, and the
+Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
+one schoolbook loop, `_mul_into`, and the integer form of the polynomials
+a convolution reads is built once per family and degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from itertools import zip_longest
+from math import comb, gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
@@ -201,20 +202,39 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return series_product((p, q), len(p) + len(q) - 2)
 
 
-def series_product(factors: Iterable[Poly], d: int) -> Poly:
-    """Product of the factors as power series in t, truncated after t^d.
-
-    The coefficients of t^0..t^d of the full product (the empty product is
-    ONE), computed on integer numerators, with no product term above t^d
-    ever formed.
-    """
-    nums, den = [1], 1
+def _truncated_product(factors: Iterable[Sequence[int]], d: int) -> list[int]:
+    """The integer series product of the factors, truncated after t^d."""
+    nums = [1][: d + 1]
     for f in factors:
-        f_nums, f_den = _int_form(f[: d + 1])
-        out = [0] * max(min(len(nums) + len(f_nums) - 1, d + 1), 0)
-        _mul_into(out, nums, f_nums)
-        nums, den = out, den * f_den
-    return _from_int_form(nums[: d + 1], den)
+        out = [0] * max(min(len(nums) + len(f) - 1, d + 1), 0)
+        _mul_into(out, nums, f)
+        nums = out
+    return nums
+
+
+def series_product(factors: Iterable[Poly], d: int) -> Poly:
+    """Product of the factors as power series in t, truncated after t^d (the
+    empty product is ONE), on integer numerators, with no product term above
+    t^d ever formed."""
+    forms = [_int_form(f[: d + 1]) for f in factors]
+    return _from_int_form(_truncated_product((nums for nums, _ in forms), d), prod(den for _, den in forms))
+
+
+def subset_series(factors: Sequence[Poly], shifts: Sequence[Poly], d: int) -> Poly:
+    """prod_i (A_i + s_i) - prod_i A_i truncated after t^d, for A_i =
+    factors[i] and s_i = shifts[i]: the sum over the non-empty index
+    subsets J of prod_{i in J} s_i prod_{i not in J} A_i.  A_i and A_i + s_i
+    share one integer form (the shift's numerators are added in place), so
+    the two products share one denominator and are subtracted on integers."""
+    plain, shifted, den = [], [], 1
+    for f, s in zip(factors, shifts, strict=True):
+        f, s = f[: d + 1], s[: d + 1]
+        nums, f_den = _int_form(f + s)
+        plain.append(nums[: len(f)])
+        shifted.append([a + b for a, b in zip_longest(nums[: len(f)], nums[len(f):], fillvalue=0)])
+        den *= f_den
+    pairs = zip_longest(_truncated_product(shifted, d), _truncated_product(plain, d), fillvalue=0)
+    return _from_int_form([a - b for a, b in pairs], den)
 
 
 @lru_cache(maxsize=None)

@@ -53,12 +53,12 @@ from .exactmath import (
     harmonic_shifted,
     pochhammer,
     poly,
-    poly_add,
     poly_compose_linear,
     poly_lincomb,
     poly_mul,
     poly_sub,
     series_product,
+    subset_series,
 )
 from .sequences import (
     bernoulli_number,
@@ -163,19 +163,15 @@ def _k_fold_params(n: int, a_vec: Sequence[Fraction], k: int | None, k_min: int)
     return a_vec
 
 
-def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Iterable[Poly],
+def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
                        d: int, w: Fraction, base: Callable[[int], Poly]) -> Poly:
     """sum_{l_0=0}^{d} w/l_0! [t^(d-l_0)] q / (sum a)_{d-l_0} P_{l_0}(x),
     P = base, the right side of theorems 2 and 4.  With A_i(t) = sum_l
     (a_i)_l moment(l) t^l / l! truncated after t^d, q(t) = prod_i (A_i(t) +
-    s_i(t)) - prod_i A_i(t) sums, over the non-empty index subsets J, the
-    products of the shifts s_i for i in J and of the A_i for i not in J.
-    """
+    s_i(t)) - prod_i A_i(t) = `subset_series` sums, over the non-empty index
+    subsets J, the products of the s_i for i in J and the other A_i."""
     series = [poly(pochhammer(ai, l) * moment(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
-    q = poly_sub(
-        series_product((poly_add(s, si) for s, si in zip(series, shifts)), d),
-        series_product(series, d),
-    )
+    q = subset_series(series, shifts, d)
     total = sum(a_vec)
     return poly_lincomb(
         (w / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
@@ -412,19 +408,11 @@ def _corollary7(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _bernoulli_powers(n: int, top: int) -> list[Poly]:
-    """b(t)^0, ..., b(t)^top truncated after t^n, with b = sum_{l<=n} B_l t^l."""
-    series = poly(bernoulli_number(l) for l in range(n + 1))
-    powers = [ONE]
-    for _ in range(top):
-        powers.append(series_product((powers[-1], series), n))
-    return powers
-
-
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
     lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1)] * 3, n + 3)
-    # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2
-    square = _bernoulli_powers(n, 2)[2]
+    # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l
+    b = poly(bernoulli_number(l) for l in range(n + 1))
+    square = series_product((b, b), n)
     rhs = poly_lincomb([
         *((3 * binomial(n + 3, i) * _coeff(square, n - i), bernoulli_poly(i)) for i in range(n + 1)),
         *((3 * binomial(n + 3, i) * bernoulli_number(n - 1 - i), bernoulli_poly(i)) for i in range(n)),
@@ -434,17 +422,13 @@ def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
 
 
 def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The k-fold sums over compositions are read off powers of b(t) =
-    sum_l B_l t^l, and each side builds its own: the left side is
-    [t^n] b^k, and the inner sum of the right side for j is
-    sum_{l_0} C(n+k, l_0) B_{l_0} [t^(n+1-j-l_0)] b^(k-j)."""
-    lhs = _coeff(_bernoulli_powers(n, k)[k], n)
-    powers = _bernoulli_powers(n, k - 1)
-    rhs = sum(
-        (binomial(k, j) * binomial(n + k, l0) * bernoulli_number(l0) * _coeff(powers[k - j], n + 1 - j - l0)
-         for j in range(1, min(k, n + 1) + 1) for l0 in range(n + 2 - j)),
-        Fraction(0),
-    )
+    """The k-fold sums are read off b(t) = sum_{l<=n} B_l t^l: the left side
+    is [t^n] b^k, the right side sum_{l_0} C(n+k, l_0) B_{l_0} [t^(n+1-l_0)]
+    ((b + t)^k - b^k) / (n+k), whose subset sum is over j of C(k, j) t^j b^(k-j)."""
+    b = poly(bernoulli_number(l) for l in range(n + 1))
+    lhs = _coeff(series_product([b] * k, n), n)
+    q = subset_series([b] * k, [(Fraction(0), Fraction(1))] * k, n + 1)
+    rhs = sum((binomial(n + k, l0) * bernoulli_number(l0) * _coeff(q, n + 1 - l0) for l0 in range(n + 2)), Fraction(0))
     return lhs, rhs / (n + k)
 
 

@@ -22,9 +22,9 @@ On top of the expressions sit the forward difference f -> f(x+u) - f(x)
 and the two-point mean f -> (f(x) + f(x+u))/2, both applied by the
 kernel's `poly_shift_operator`, and verifiers for the subset expansions
 these operators and symbols satisfy.  Each family is stated once:
-`_operator_expansion` builds both sides of lemmas 1 and 3,
-`_symbol_subset_sum` the right side of lemma 4 and of the expansion for an
-arbitrary f, and lemma 2 is that expansion at f(x) = x^n/n!.
+`_operator_expansion` builds both sides of lemmas 1 and 3, one
+`subset_series` of moment egfs (`_symbol_subset_sum`) the right side of
+lemma 4 and of the expansion for an arbitrary f, lemma 2's at x^n/n!.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import (
     Poly,
     ZERO,
     poly,
-    poly_derivative,
     poly_lincomb,
     poly_shift_operator,
     series_product,
+    subset_series,
 )
 from .sequences import bernoulli_number, euler_poly_at_zero
 
@@ -288,36 +288,35 @@ def _moment_egf(kind: SymbolKind, c: Fraction, d: int) -> Poly:
 
 
 def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:
-    """Moment evaluation of f at the affine form a x + sum_i c_i S_i.
+    """Moment evaluation of f at a x + sum_i c_i S_i: umbral_eval of
+    umbral_substitute(f, affine), without expanding, since the moment egf of
+    a sum of independent symbols is the product of their scaled ones."""
+    a, sym_coeffs = _merge_affine(affine)
+    return _egf_moment_eval(f, [_moment_egf(sid.kind, c, len(f) - 1) for sid, c in sym_coeffs.items()], a)
 
-    Equal to umbral_eval(umbral_substitute(f, affine)), without expanding.
-    Distinct symbols are independent, so the moments M_j of the symbol part
-    Y have the exponential generating function G(t) = sum_j M_j t^j / j!,
-    the product of the symbols' scaled ones.  With d = deg f,
 
-        E[f(a x + Y)] = sum_m f_m sum_i C(m, i) a^i M_{m-i} x^i,
-
-    whose x^i coefficient is a^i / i! sum_j (i+j)! f_{i+j} G_j.  Everything
-    is exact: one truncated series product of the symbols' functions and f
-    reversed, and one Fraction per output coefficient.
-    """
+def _egf_moment_eval(f: Poly, egfs: Sequence[Poly], a: Fraction = Fraction(1)) -> Poly:
+    """E[f(a x + Y)] for a Y of moment egf G(t) = sum_j M_j t^j / j! =
+    prod(egfs): for d = deg f, sum_m f_m sum_i C(m, i) a^i M_{m-i} x^i, whose
+    x^i coefficient a^i / i! sum_j (i+j)! f_{i+j} G_j is read off one
+    truncated series product of the egfs and f reversed."""
     if not f:
         return ZERO
     d = len(f) - 1
-    a, sym_coeffs = _merge_affine(affine)
     f_rev = tuple(f[m] * factorial(m) for m in range(d, -1, -1))
     # corr[d - i] = sum_j (i+j)! f_{i+j} G_j: only t^0..t^d of the product are read
-    corr = series_product((*(_moment_egf(sid.kind, c, d) for sid, c in sym_coeffs.items()), f_rev), d)
+    corr = series_product((*egfs, f_rev), d)
     corr += (Fraction(0),) * (d + 1 - len(corr))
     if not a:
         return corr[d:] if corr[d] else ZERO
-    # f_d != 0 and G_0 = 1, so the x^d coefficient f_d a^d is not zero: nothing to trim
     p, q = a.numerator, a.denominator
     out, scale_num, scale_den = [], 1, 1
     for i in range(d + 1):
         c = corr[d - i]
         out.append(Fraction(c.numerator * scale_num, c.denominator * scale_den))
         scale_num, scale_den = scale_num * p, scale_den * (i + 1) * q
+    while out and not out[-1]:  # G_0 = 0 (lemma 4 at even k) zeroes f_d a^d G_0
+        out.pop()
     return tuple(out)
 
 
@@ -383,16 +382,16 @@ def _operator_expansion(make_op: Callable[..., DifferenceOp], shifts: list[Fract
     return apply_delta(make_op(sum(shifts)), p), terms
 
 
-def _symbol_subset_sum(f_by_size: Sequence[Poly], weight: Callable[[tuple[int, ...]], Fraction | int],
-                       anchor: SymbolId, symbols: Sequence[SymbolId], u: Sequence[Fraction]) -> Poly:
-    """sum_{J != {}} weight(J) E[f_|J|(x + anchor + sum_{i not in J} u_i S_i)]
-    with S_i = symbols[i] and f_j = f_by_size[j - 1]: the right side of
-    lemma 4 and of the expansion for an arbitrary f, hence of lemma 2."""
-    return poly_lincomb(
-        (weight(J), umbral_moment_eval(f_by_size[len(J) - 1], [
-            (Fraction(1), X), (Fraction(1), anchor), *((u[i], symbols[i]) for i in range(len(u)) if i not in J)]))
-        for J in _subsets(len(u))
-    )
+def _symbol_subset_sum(f: Poly, shifts: Sequence[Poly], drop: int, anchor: SymbolId,
+                       symbols: Sequence[SymbolId], u: Sequence[Fraction]) -> Poly:
+    """E[f(x + anchor + Y)], Y of egf t^-drop (prod_i (G_i + s_i) - prod_i G_i)
+    and G_i the egf of u_i S_i, S_i = symbols[i]: as E[f(x + Z)] = sum_j
+    [t^j] E[e^(tZ)] f^(j)(x), the sum over J != {} of E[(t^-drop prod_{i in J}
+    s_i)(d/dx) f(x + anchor + sum_{i not in J} u_i S_i)].  Shifts u_i t, drop 1
+    give the expansion for an arbitrary f; shifts -2, drop 0 lemma 4."""
+    d = len(f) - 1
+    q = subset_series([_moment_egf(s.kind, c, d) for s, c in zip(symbols, u)], shifts, d + drop)
+    return _egf_moment_eval(f, (_moment_egf(anchor.kind, Fraction(1), d), q[drop:]))
 
 
 def verify_lemma1(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
@@ -441,11 +440,11 @@ def verify_lemma4(k: int, u: Sequence[Fraction], n: int) -> bool:
     """
     u = _checked("verify_lemma4", k, u, n)
     symbols = [euler_symbol(i) for i in range(1, k + 1)]
-    if k % 2 == 0:
-        f, anchor, power, sign_shift = _monomial(n, n + 1), bernoulli_symbol(0), n + 1, 0
+    if k % 2 == 0:  # the subset weight (-2)^|J| is the shift; odd k's (-2)^-1 goes into g
+        f, anchor, g = _monomial(n, n + 1), bernoulli_symbol(0), _monomial(n + 1)
     else:
-        f, anchor, power, sign_shift = _monomial(n), euler_symbol(0), n, 1
-    rhs = _symbol_subset_sum([_monomial(power)] * k, lambda J: (-2) ** (len(J) - sign_shift), anchor, symbols, u)
+        f, anchor, g = _monomial(n), euler_symbol(0), _monomial(n, Fraction(-1, 2))
+    rhs = _symbol_subset_sum(g, [(Fraction(-2),)] * k, 0, anchor, symbols, u)
     return umbral_moment_eval(f, [(Fraction(1), X), *zip(u, symbols)]) == rhs
 
 
@@ -473,13 +472,8 @@ def verify_general_f(k: int, u: Sequence[Fraction], f: Poly) -> bool:
 
 
 def _general_f_holds(u: list[Fraction], f: Poly) -> bool:
-    """The comparison of `verify_general_f` for checked weights u.  Both
-    verifiers call it, so that neither public verifier runs inside the
-    other and a trace of either counts its own calls alone."""
-    k = len(u)
-    derivs = [f]
-    for _ in range(k - 1):
-        derivs.append(poly_derivative(derivs[-1]))
-    symbols = [bernoulli_symbol(i) for i in range(1, k + 1)]
-    rhs = _symbol_subset_sum(derivs, lambda J: prod(u[i] for i in J), bernoulli_symbol(0), symbols, u)
+    """The comparison of `verify_general_f` for checked weights u, shared
+    with lemma 2 so that a trace of either verifier counts its own calls."""
+    symbols = [bernoulli_symbol(i) for i in range(1, len(u) + 1)]
+    rhs = _symbol_subset_sum(f, [(Fraction(0), c) for c in u], 1, bernoulli_symbol(0), symbols, u)
     return umbral_moment_eval(f, [(Fraction(1), X), *zip(u, symbols)]) == rhs

@@ -23,6 +23,7 @@ from bek.cli import (
     MAX_MC_EXPONENT_SUM,
     MAX_MC_SAMPLES,
     MAX_MC_SHAPES,
+    MAX_PARAM_HEIGHT,
     MAX_TABLES_N,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
@@ -257,6 +258,20 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "681ddd9629d9113fccf4efb3341e3b05b83d85566ab72b7baeab513cb76a38c1")
+
+    # k-fold points outside the default grids, at ks above the default
+    # ones: each right side is a `subset_series` sum over 2^k - 1 subsets
+    @pytest.mark.parametrize("argv, digest", [
+        (["--identity", "kth-matiyasevich", "--k", "16", "--n", "7"],
+         "6d80d1b8244209c4c74fccea0fb517c7f7caf4ba1cb635326237b4844f4afae2"),
+        (["--identity", "theorem4", "--k", "5", "--n", "0..12"],
+         "36b1f6e2c214b3fb45654781262f8477eb1e4b06e25dad4ce588bd35f9f0e0bf"),
+        (["--identity", "theorem2", "--k", "6", "--n", "0..10"],
+         "bea466fa587b2191e723b1e9fa7da548f946ed60f3a416d8cd0b3775b1e58722"),
+    ])
+    def test_k_fold_digest(self, capsys, argv, digest):
+        assert main(["verify", *argv, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_unknown_identity_exit_2(self):
         code, out, err = _run(RunConfig(command="verify", identity="zeta"))
@@ -807,6 +822,24 @@ class TestInputBudgets:
         self._refused(capsys, boundary, "coefficient products")
         assert len(seen) == 1
 
+    def test_param_height(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        # sixteen parameters of height 10^9 at the largest admitted (k, n)
+        # ran for about ten minutes; the cap refuses them before any work
+        tall = ",".join(["999999937/999999929"] * 16)
+        self._refused(capsys, ["verify", "--identity", "theorem2", "--n", "70", "--params", f"a_vec={tall}"],
+                      "999999937/999999929")
+        at_cap = ",".join([f"{MAX_PARAM_HEIGHT}/113", f"1/{MAX_PARAM_HEIGHT}"] * 8)
+        assert main(["verify", "--identity", "theorem2", "--n", "70", "--params", f"a_vec={at_cap}"]) == 0
+        assert main(["verify", "--identity", "theorem1", "--n", "3", "--params", f"a={MAX_PARAM_HEIGHT},b=1"]) == 0
+        assert [pt["a_vec"][:2] for pt in seen[0]] == [(F(MAX_PARAM_HEIGHT, 113), F(1, MAX_PARAM_HEIGHT))]
+        for params in (f"a_vec=1,1/{MAX_PARAM_HEIGHT + 1}", f"a_vec={MAX_PARAM_HEIGHT + 1},1", f"a=1,b={10**12}",
+                       f"epsilon={MAX_PARAM_HEIGHT + 2}/{MAX_PARAM_HEIGHT}"):
+            identity = {"a_vec": "theorem2", "a": "theorem1", "epsilon": "eq-6-9"}[params.split("=")[0]]
+            self._refused(capsys, ["verify", "--identity", identity, "--n", "3", "--params", params], "--params")
+        assert len(seen) == 2
+
     def test_kth_matiyasevich_at_k_16_runs(self, capsys):
         # the composition count refused this point, C(23, 15) = 490,314;
         # its sides are number series, and its work is far below the cap
@@ -878,3 +911,12 @@ class TestInputBudgets:
             if entry.takes_k:
                 assert max(entry.default_ks) <= MAX_VERIFY_K
                 cli._refuse_work(points)
+            for pt in points:
+                cli._refuse_tall_params({key: v for key, v in pt.items() if key not in ("n", "k")})
+
+    def test_the_sweep_grid_is_below_the_height_cap(self):
+        # the benchmark's sweep passes each grid point's parameters as --params
+        grid = json.loads((Path(__file__).parents[1] / "perfbench" / "sweep_grid.json").read_text())
+        values = [F(v) for inv in grid for value in inv["params"].values()
+                  for v in (value if isinstance(value, list) else [value])]
+        assert values and max(max(abs(v.numerator), v.denominator) for v in values) <= MAX_PARAM_HEIGHT

@@ -36,9 +36,10 @@ from bek.exactmath import (
     poly_shift_operator,
     poly_sub,
     series_product,
+    subset_series,
 )
 from bek.sequences import bernoulli_poly, euler_poly
-from walks import composition_parts
+from walks import composition_parts, subset_walk
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)
@@ -99,6 +100,19 @@ def convolutions(draw):
     k = draw(st.integers(1, 5))
     weights = [draw(slot)] * k if draw(st.booleans()) else draw(st.lists(slot, min_size=k, max_size=k))
     return family, n, weights, draw(scalars)
+
+
+@st.composite
+def subset_series_cases(draw):
+    """k = 0..5 factors of up to six coefficients, each with a shift of one
+    or two coefficients (zero shifts included), and a truncation d from
+    below the factors' lengths to above them."""
+    k = draw(st.integers(0, 5))
+    factors = draw(st.lists(st.one_of(small_polys, wide_polys), min_size=k, max_size=k))
+    shift = st.one_of(st.just(ZERO), st.lists(st.one_of(rationals, wide_rationals), min_size=1, max_size=2).map(poly),
+                      rationals.map(lambda c: poly([0, c])))
+    shifts = draw(st.lists(shift, min_size=k, max_size=k))
+    return factors, shifts, draw(st.integers(-1, 10))
 
 
 def _all_fractions(p) -> bool:
@@ -312,6 +326,25 @@ class TestIntegerKernel:
         assert series_product((poly([0, 0, 1]), poly([1, 1])), 1) == ZERO
         assert series_product((), 3) == ONE
         assert series_product((geometric,), -1) == ZERO
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_series_cases())
+    def test_subset_series_matches_the_subset_walk(self, case):
+        factors, shifts, d = case
+        out = subset_series(factors, shifts, d)
+        assert out == poly(subset_walk(factors, shifts, d))
+        assert _all_fractions(out)
+
+    def test_subset_series_frozen(self):
+        geometric = poly([1] * 8)
+        # (1/(1-t) + t)^2 - 1/(1-t)^2 = 2t/(1-t) + t^2 = 2t + 3t^2 + 2t^3 + ...
+        assert subset_series([geometric] * 2, [(0, 1)] * 2, 3) == poly([0, 2, 3, 2])
+        # (A - 2)^2 - A^2 = 4 - 4A
+        assert subset_series([geometric] * 2, [(-2,)] * 2, 2) == poly([0, -4, -4])
+        assert subset_series([], [], 3) == ZERO
+        assert subset_series([geometric], [ZERO], 5) == ZERO
+        with pytest.raises(ValueError):
+            subset_series([geometric], [], 2)
 
     @settings(max_examples=80, deadline=None)
     @given(convolutions())

@@ -27,6 +27,7 @@ from bek.exactmath import (
     poly_scale,
     poly_sub,
     series_product,
+    subset_series,
 )
 from bek import identities
 from bek.identities import (
@@ -708,15 +709,23 @@ class TestCorruptedSeries:
         assert _theorem4_rhs_copy(pt["n"], pt["a_vec"], shift=F(-1)) != lhs
 
 
-def _series_product_without_t1(factors, d):
-    """`series_product` with the t^1 coefficient of its last factor dropped."""
+def _without_t1(factors):
+    """The factors with the t^1 coefficient of the last one dropped."""
     factors = list(factors)
     if factors and len(factors[-1]) > 1:
         factors[-1] = poly([factors[-1][0], 0, *factors[-1][2:]])
-    return series_product(factors, d)
+    return factors
 
 
-# The displays whose right side reads its sums off `series_product`.
+# The kernel's two series products, each corrupted by `_without_t1`.
+CORRUPTED_PRODUCTS = {
+    "series_product": lambda factors, d: series_product(_without_t1(factors), d),
+    "subset_series": lambda factors, shifts, d: subset_series(_without_t1(factors), shifts, d),
+}
+
+
+# The displays whose right side reads its sums off `series_product` or
+# `subset_series`.
 SERIES_DISPLAYS = [
     ("theorem2", ""), ("eq-4-0a", ""), ("kth-matiyasevich", ""), ("theorem4", ""), ("eq-6-9", ""),
     ("corollary8", ""), ("corollary9", ""), ("corollary11", "first"), ("corollary11", "second"),
@@ -730,17 +739,20 @@ def _first_points_from_three(name):
 
 
 class TestCorruptedSeriesProduct:
-    """A `series_product` without the t^1 coefficient of its last factor is
-    caught by every display whose right side calls it."""
+    """A `series_product` or `subset_series` without the t^1 coefficient of
+    its last factor is caught by every display whose right side calls one."""
 
     def test_the_list_names_every_series_display(self, monkeypatch):
         seen = set()
 
-        def spy(factors, d):
-            seen.add(current)
-            return series_product(factors, d)
+        def spy(kernel):
+            def call(*args):
+                seen.add(current)
+                return kernel(*args)
+            return call
 
-        monkeypatch.setattr(identities, "series_product", spy)
+        for name in CORRUPTED_PRODUCTS:
+            monkeypatch.setattr(identities, name, spy(getattr(identities, name)))
         for name, entry in REGISTRY.items():
             for label, _ in entry.displays:
                 current = (name, label)
@@ -750,7 +762,8 @@ class TestCorruptedSeriesProduct:
         assert seen == set(SERIES_DISPLAYS)
 
     def test_dropped_t1_coefficient(self, monkeypatch):
-        monkeypatch.setattr(identities, "series_product", _series_product_without_t1)
+        for name, corrupted in CORRUPTED_PRODUCTS.items():
+            monkeypatch.setattr(identities, name, corrupted)
         survivors = []
         for name, label in SERIES_DISPLAYS:
             fn, args = _display(name, label)
@@ -1033,3 +1046,23 @@ class TestConvolutionDesign:
         )
         assert _callers(source, PRODUCT_TABLES) == {"<module>", "f", "h"}
         assert _callers(source, {"composition_parts"}) == {"m"}
+
+
+class TestOneSubsetExpansion:
+    """The subset expansion prod_i (A_i + s_i) - prod_i A_i is one kernel
+    call, `subset_series`, in each function that reads it.  Only lemmas 1
+    and 3 walk subsets: their subset sum is the statement."""
+
+    def test_only_the_operator_expansion_walks_subsets(self):
+        assert {name: found for name, source in SOURCES.items()
+                if (found := _callers(source, {"_subsets"}))} == {"umbral.py": {"_operator_expansion"}}
+
+    def test_the_three_users_call_the_kernel(self):
+        assert {name: found for name, source in SOURCES.items() if (found := _callers(source, {"subset_series"}))} == {
+            "identities.py": {"_subset_series_rhs", "_kth_matiyasevich"}, "umbral.py": {"_symbol_subset_sum"}}
+
+    def test_no_second_subset_expansion_in_the_identities(self):
+        imported = {alias.name for node in ast.walk(ast.parse(SOURCES["identities.py"]))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"poly_add", "_bernoulli_powers"}
+        assert not hasattr(identities, "_bernoulli_powers")

@@ -23,6 +23,7 @@ from bek.exactmath import (
     poly_scale,
     poly_shift,
     poly_sub,
+    subset_series,
 )
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
 from bek.umbral import (
@@ -488,6 +489,21 @@ class TestCorruptedLemmas:
                 f = poly(_rand_fracs(300 + 10 * i + degree, degree, nonzero=True) + [F(1)])
                 assert not verify_general_f(len(u), u, f)
 
+    def test_subset_series_without_t1(self, monkeypatch):
+        # the last symbol's egf loses its t^1 coefficient inside the subset
+        # sum; at k = 1 the sum is the shift alone, whatever the egf is
+        def corrupted(factors, shifts, d):
+            factors = list(factors)
+            factors[-1] = poly([factors[-1][0], 0, *factors[-1][2:]])
+            return subset_series(factors, shifts, d)
+
+        monkeypatch.setattr(umbral, "subset_series", corrupted)
+        for i, u in enumerate(self.TUPLES):
+            k = len(u)
+            f = poly(_rand_fracs(400 + i, 5, nonzero=True) + [F(1)])
+            got = [verify_lemma2(k, u, n) for n in range(2, 8)] + [verify_lemma4(k, u, n) for n in range(2, 8)]
+            assert got + [verify_general_f(k, u, f)] == [k == 1] * 13, u
+
     def test_lemma4_with_wrong_sign_power(self):
         for u in self.TUPLES:
             k = len(u)
@@ -626,6 +642,19 @@ class TestSharedExpansionsAgainstReferences:
         lhs, rhs = _reference_general_f(len(u), u, f)
         verdict, sums = self._recorded(lambda: verify_general_f(len(u), u, f))
         assert verdict == (lhs == rhs) and sums == [rhs]
+
+    # the hypothesis draws stop at k = 4; the walks stay cheap up to k = 8
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_wide_k(self, k):
+        for i, u in enumerate(_sum_one_tuples(17 * k, k, 2)):
+            cases = [(_reference_lemma2, verify_lemma2, n) for n in (0, 1, 4, 9)]
+            cases += [(_reference_lemma4, verify_lemma4, n) for n in (0, 1, 4, 9)]
+            cases += [(_reference_general_f, verify_general_f, poly(_rand_fracs(500 + 10 * k + i, degree)))
+                      for degree in (3, 9)]
+            for reference, verifier, arg in cases:
+                lhs, rhs = reference(k, u, arg)
+                verdict, sums = self._recorded(lambda: verifier(k, u, arg))
+                assert verdict and lhs == rhs and sums == [rhs], (verifier.__name__, u, arg)
 
     # with the Euler anchor both sides move apart from n = 2 on, so the
     # verdicts compared here are False as well as True

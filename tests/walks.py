@@ -1,14 +1,16 @@
-"""Weak-composition walks for the tests' reference sums.
+"""Weak-composition and subset walks for the tests' reference sums.
 
 The package reads every multi-index sum off a truncated series product or
 a slot-by-slot binomial expansion.  The tests keep the plain sums over
-weak compositions, weighted by multinomial coefficients, as independent
-references, and these two helpers are what those references walk.
+weak compositions, weighted by multinomial coefficients, and over index
+subsets as independent references, and these helpers are what those
+references walk.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from operator import sub
 from typing import Iterator, Sequence
@@ -50,3 +52,21 @@ def composition_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
     end = (n,)
     for cuts in combinations_with_replacement(range(n + 1), k - 1):
         yield (*map(sub, cuts + end, (0,) + cuts),)
+
+
+def subset_walk(factors: Sequence[Sequence[Fraction]], shifts: Sequence[Sequence[Fraction]],
+                d: int) -> list[Fraction]:
+    """The coefficients of t^0..t^d of the sum over the non-empty subsets J
+    of range(len(factors)) of prod_{i in J} shifts[i] prod_{i not in J}
+    factors[i], each product a schoolbook fold of Fraction series."""
+    k = len(factors)
+    total = [Fraction(0)] * (d + 1)
+    for size in range(1, k + 1):
+        for subset in combinations(range(k), size):
+            term = [Fraction(1)] + [Fraction(0)] * d
+            for i in range(k):
+                f = shifts[i] if i in subset else factors[i]
+                term = [sum((term[m] * f[j - m] for m in range(j + 1) if j - m < len(f)), Fraction(0))
+                        for j in range(d + 1)]
+            total = [a + b for a, b in zip(total, term)]
+    return total
