@@ -31,6 +31,7 @@ from .identities import (
     IdentityReport,
     IdentitySpec,
     UnknownIdentityError,
+    _checked,
     build_points,
     point_text,
     verify,
@@ -517,11 +518,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
 def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO) -> int:
     if not config.identity:
         raise ValueError("verify requires --identity NAME")
-    entry = registry.get(config.identity)
-    if entry is None:
-        raise UnknownIdentityError(
-            f"unknown identity {config.identity!r}; valid names: {', '.join(registry)}"
-        )
+    entry = _checked(config.identity, (), registry)[0]
     if config.n_range:
         ns = config.n_range
         top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range

@@ -387,7 +387,3 @@ def poly_shift_operator(p: Poly, shifts: Iterable[Fraction | int],
 def poly_shift(p: Poly, u: Fraction | int) -> Poly:
     """The polynomial x -> p(x + u), by exact Taylor shift on integer numerators."""
     return poly_shift_operator(p, (Fraction(u),), 1, 0)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return tuple(i * c for i, c in enumerate(p) if i > 0)

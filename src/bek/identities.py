@@ -21,7 +21,8 @@ and displays (label and evaluator), its degree floor `n_min`, default top
 `n_max` and step, its positive parameters with their default sets, and for
 a k-fold entry `k_min` and the default ks.  The validity predicate, its
 text, the default grid and the evaluator call all follow from those
-fields.  To add an identity, write a function fn(n, *params[, k]) that
+fields, and every evaluator, public or not, checks its inputs against that
+one predicate (`_checked`).  To add an identity, write a function fn(n, *params[, k]) that
 returns its two sides, as polynomials or numbers, and declare it.  A
 convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
@@ -74,11 +75,6 @@ class DomainError(ValueError):
 
 class UnknownIdentityError(KeyError):
     """Requested name is not in the registry."""
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
 
 
 def _is_int(v: object) -> bool:
@@ -151,18 +147,6 @@ def _theorem_lhs(family: Callable[[int], Poly], n: int, a_vec: Sequence[Fraction
     return _convolution(family, n, [_rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
 
 
-def _k_fold_params(n: int, a_vec: Sequence[Fraction], k: int | None, k_min: int) -> tuple[Fraction, ...]:
-    """The checked parameters of a k-fold theorem; k defaults to len(a_vec)."""
-    _require(_is_int(n) and n >= 0, f"requires integer n >= 0, got n={n}")
-    a_vec = tuple(Fraction(v) for v in a_vec)
-    if k is None:
-        k = len(a_vec)
-    _require(_is_int(k) and k >= k_min, f"requires k >= {k_min}, got k={k}")
-    _require(len(a_vec) == k, f"requires len(a_vec) == k, got {len(a_vec)} != {k}")
-    _require(all(v > 0 for v in a_vec), f"requires positive parameters, got {a_vec}")
-    return a_vec
-
-
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
                        d: int, w: Fraction, base: Callable[[int], Poly]) -> Poly:
     """sum_{l_0=0}^{d} w/l_0! [t^(d-l_0)] q / (sum a)_{d-l_0} P_{l_0}(x),
@@ -191,9 +175,8 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: sum_l C(n,l) (a (b)_l + b (a)_l) / (a+b)_{l+1} B_l B_{n-l}(x)
          + n a b / ((a+b+1)(a+b)) B_{n-1}(x).
     """
-    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
-    a, b = Fraction(a), Fraction(b)
-    _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
+    (pt,) = _checked("theorem1", [{"n": n, "a": a, "b": b}])[1]
+    a, b = pt["a"], pt["b"]
     lhs = _theorem_lhs(bernoulli_poly, n, (a, b))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
@@ -218,7 +201,7 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     shifts s_i = a_i t, d = n+1, w = n! and P = B (its l_0 = n+1 term is
     zero, as q has no constant term).
     """
-    a_vec = _k_fold_params(n, a_vec, k, 2)
+    a_vec = _checked("theorem2", [{"n": n, "k": k, "a_vec": a_vec}])[1][0]["a_vec"]
     lhs = _theorem_lhs(bernoulli_poly, n, a_vec)
     shifts = [(Fraction(0), ai) for ai in a_vec]
     rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, n + 1, Fraction(factorial(n)), bernoulli_poly)
@@ -232,9 +215,8 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: 4/(n+1) B_{n+1}(x)
          - 2/(n+1) sum_{l=0}^{n+1} C(n+1,l) ((a)_l + (b)_l)/(a+b)_l E_l(0) B_{n+1-l}(x).
     """
-    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
-    a, b = Fraction(a), Fraction(b)
-    _require(a > 0 and b > 0, f"requires a > 0 and b > 0, got a={a}, b={b}")
+    (pt,) = _checked("theorem3", [{"n": n, "a": a, "b": b}])[1]
+    a, b = pt["a"], pt["b"]
     lhs = _theorem_lhs(euler_poly, n, (a, b))
     rhs = poly_lincomb([
         (Fraction(4, n + 1), bernoulli_poly(n + 1)),
@@ -260,7 +242,7 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     and d = n+1, w = n!, P = B for even k, d = n, w = -n!/2, P = E for
     odd k.
     """
-    a_vec = _k_fold_params(n, a_vec, k, 1)
+    a_vec = _checked("theorem4", [{"n": n, "k": k, "a_vec": a_vec}])[1][0]["a_vec"]
     lhs = _theorem_lhs(euler_poly, n, a_vec)
     if len(a_vec) % 2 == 0:
         d, w, base = n + 1, Fraction(factorial(n)), bernoulli_poly
@@ -616,9 +598,7 @@ def _ds_cross_term(n: int, p: Fraction) -> Fraction:
 def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the rising-factorial weighted even-index sum, in the
     normalized form with the common squared gamma factor divided out."""
-    _require(_is_int(n) and n >= 2, f"requires integer n >= 2, got n={n}")
-    p = Fraction(p)
-    _require(p > 0, f"requires p > 0, got p={p}")
+    p = _checked("dunne-schubert", [{"n": n, "p": p}])[1][0]["p"]
     lead = Fraction(0)
     for l in range(1, 2 * n):
         lead += pochhammer(p + 1, l - 1) * pochhammer(2 * p + 1, 2 * n - 1) / pochhammer(2 * p + 1, l)
@@ -629,9 +609,7 @@ def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Variant right-hand side of the same normalized even-index sum, with
     the difference of rising factorials collected into the leading term."""
-    _require(_is_int(n) and n >= 2, f"requires integer n >= 2, got n={n}")
-    p = Fraction(p)
-    _require(p > 0, f"requires p > 0, got p={p}")
+    p = _checked("eq-7-2", [{"n": n, "p": p}])[1][0]["p"]
     lead = (
         (pochhammer(2 * p, 2 * n) - 2 * pochhammer(p, 2 * n))
         * bernoulli_number(2 * n)
@@ -643,9 +621,7 @@ def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the telescoping rising-factorial ratio sum, normalized
     so every term is a ratio of rising factorials."""
-    _require(_is_int(n) and n >= 1, f"requires integer n >= 1, got n={n}")
-    p = Fraction(p)
-    _require(p > 0, f"requires p > 0, got p={p}")
+    p = _checked("gamma-sum", [{"n": n, "p": p}])[1][0]["p"]
     lhs = Fraction(0)
     for l in range(1, 2 * n):
         lhs += pochhammer(p, l) / pochhammer(2 * p + 1, l)
@@ -894,6 +870,34 @@ def _refuse_foreign_inputs(entry: IdentitySpec, params: Mapping[str, object], k:
         raise DomainError(f"{entry.name} does not take k")
 
 
+def _checked(name: str, points: Iterable[Point] | None,
+             registry: Mapping[str, IdentitySpec] | None = None) -> tuple[IdentitySpec, list[dict]]:
+    """The entry `name` of the registry (REGISTRY by default) and copies of
+    the points (its default grid if None) checked against its declaration:
+    the one domain check of `verify`, `eval_corollary` and the public
+    evaluators.  A k of None is no k, a k-fold point without one takes the
+    length of its `a_vec`, a list `a_vec` is read as a tuple, and in a
+    checked point every parameter is a Fraction."""
+    reg = REGISTRY if registry is None else registry
+    entry = reg.get(name)
+    if entry is None:
+        raise UnknownIdentityError(f"unknown identity {name!r}; valid names: {', '.join(reg)}")
+    checked = []
+    for pt in build_points(entry) if points is None else points:
+        pt = {key: v for key, v in pt.items() if key != "k" or v is not None}
+        _refuse_foreign_inputs(entry, {key: v for key, v in pt.items() if key not in ("n", "k")}, pt.get("k"))
+        if isinstance(pt.get("a_vec"), list):
+            pt["a_vec"] = tuple(pt["a_vec"])
+        if entry.takes_k and "k" not in pt and isinstance(pt.get("a_vec"), tuple):
+            pt["k"] = len(pt["a_vec"])
+        if not entry.validity(pt):
+            raise DomainError(f"{name}: {point_text(pt)} violates validity: {entry.validity_text}")
+        for key in entry.param_names:
+            pt[key] = tuple(map(Fraction, pt[key])) if key == "a_vec" else Fraction(pt[key])
+        checked.append(pt)
+    return entry, checked
+
+
 def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None) -> tuple[Poly, Poly]:
     """Evaluate both sides of any registry entry at a single point.
 
@@ -902,17 +906,9 @@ def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None
     `build_points`.  Entries with several displays accept a `display`
     selector; without one the first display is returned.
     """
-    entry = REGISTRY.get(name)
-    if entry is None:
-        raise UnknownIdentityError(f"unknown identity {name!r}; valid names: {', '.join(REGISTRY)}")
     params = dict(params or {})
     display = params.pop("display", None)
-    _refuse_foreign_inputs(entry, {key: v for key, v in params.items() if key != "k"}, params.get("k"))
-    point: dict = {"n": n, **params}
-    if entry.takes_k and "k" not in point and isinstance(point.get("a_vec"), tuple):
-        point["k"] = len(point["a_vec"])
-    if not entry.validity(point):
-        raise DomainError(f"{name}: {point_text(point)} violates validity: {entry.validity_text}")
+    entry, (point,) = _checked(name, [{"n": n, **params}])
     displays = entry.evaluate(point)
     if display is None:
         return displays[0][1], displays[0][2]
@@ -981,18 +977,12 @@ def verify(
 ) -> list[IdentityReport]:
     """Run one registry entry over a grid and report each point.
 
-    Points must satisfy the entry's validity predicate; an offending point
-    raises DomainError before any evaluation runs.  A failing identity never
-    raises: it produces a fail report with the difference retained.
+    Points must satisfy the entry's validity predicate and name only its
+    inputs; an offending point raises DomainError before any evaluation
+    runs, and a report's inputs are its checked point.  A failing identity
+    never raises: it produces a fail report with the difference retained.
     """
-    reg = registry if registry is not None else REGISTRY
-    entry = reg.get(name)
-    if entry is None:
-        raise UnknownIdentityError(f"unknown identity {name!r}; valid names: {', '.join(reg)}")
-    grid = [dict(pt) for pt in points] if points is not None else build_points(entry)
-    for pt in grid:
-        if not entry.validity(pt):
-            raise DomainError(f"{name}: {point_text(pt)} violates validity: {entry.validity_text}")
+    entry, grid = _checked(name, points, registry)
     reports: list[IdentityReport] = []
     for pt in grid:
         start = time.perf_counter()

@@ -55,11 +55,12 @@ class SequenceCache:
         self._euler_poly: list[Poly] = []
 
     def _entry(self, name: str, table: list[T], n: int, fill: Callable[[int], T]) -> T:
-        """table[n], appending fill(m) for each missing index m first."""
-        if n < 0:
-            raise ValueError(f"{name} requires n >= 0, got n={n}")
-        if n < len(table):
+        """table[n], appending fill(m) for each missing index m first.  A
+        bool is an int subclass, but never an index."""
+        if type(n) is int and 0 <= n < len(table):
             return table[n]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"{name} requires an integer n >= 0, got n={n!r}")
         with self._lock:
             while len(table) <= n:
                 table.append(fill(len(table)))
@@ -145,28 +146,11 @@ def _appell(values: list[Fraction]) -> Poly:
     return tuple(coeffs)
 
 
+# the module functions read one shared cache
 _SHARED = SequenceCache()
-
-
-def bernoulli_number(n: int) -> Fraction:
-    return _SHARED.bernoulli_number(n)
-
-
-def genocchi_number(n: int) -> Fraction:
-    return _SHARED.genocchi_number(n)
-
-
-def euler_number(n: int) -> Fraction:
-    return _SHARED.euler_number(n)
-
-
-def euler_poly_at_zero(n: int) -> Fraction:
-    return _SHARED.euler_poly_at_zero(n)
-
-
-def bernoulli_poly(n: int) -> Poly:
-    return _SHARED.bernoulli_poly(n)
-
-
-def euler_poly(n: int) -> Poly:
-    return _SHARED.euler_poly(n)
+bernoulli_number = _SHARED.bernoulli_number
+genocchi_number = _SHARED.genocchi_number
+euler_number = _SHARED.euler_number
+euler_poly_at_zero = _SHARED.euler_poly_at_zero
+bernoulli_poly = _SHARED.bernoulli_poly
+euler_poly = _SHARED.euler_poly

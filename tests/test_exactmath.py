@@ -27,7 +27,6 @@ from bek.exactmath import (
     poly,
     poly_add,
     poly_compose_linear,
-    poly_derivative,
     poly_eval,
     poly_lincomb,
     poly_mul,
@@ -39,7 +38,7 @@ from bek.exactmath import (
     subset_series,
 )
 from bek.sequences import bernoulli_poly, euler_poly
-from walks import composition_parts, subset_walk
+from walks import composition_parts, poly_derivative, subset_walk
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)

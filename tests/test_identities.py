@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations
@@ -59,6 +60,10 @@ EXPECTED_NAMES = [
     "eq-6-9", "corollary8", "corollary9", "corollary10", "corollary11",
     "dunne-schubert", "eq-7-2", "gamma-sum",
 ]
+
+# the declared domain texts of the k-fold theorems, as their messages end
+THEOREM2_RULE = "violates validity: integer n >= 0, integer k >= 2, a_vec of k positive rationals"
+THEOREM4_RULE = "violates validity: integer n >= 0, integer k >= 1, a_vec of k positive rationals"
 
 
 class TestRegistryShape:
@@ -155,19 +160,27 @@ class TestBoolInputs:
             verify("theorem1", points=[{"n": True, "a": True, "b": F(1)}])
         assert verify("theorem1", points=[{"n": 1, "a": 1, "b": F(1)}])[0].passed
 
-    @pytest.mark.parametrize("call", [
-        lambda: eval_theorem1(True, F(1), F(1)),
-        lambda: eval_theorem2(True, (F(1), F(1))),
-        lambda: eval_theorem3(True, F(1), F(1)),
-        lambda: eval_theorem4(True, (F(2),)),
-        lambda: eval_theorem4(False, (F(2),)),
-        lambda: eval_dunne_schubert(True, F(1)),
-        lambda: eval_eq72(True, F(1)),
-        lambda: gamma_sum_identity(True, F(1)),
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eval_theorem1(True, F(1), F(1)),
+         "theorem1: n=True a=1 b=1 violates validity: integer n >= 1 with rational a > 0 and b > 0"),
+        (lambda: eval_theorem2(True, (F(1), F(1))),
+         f"theorem2: n=True k=2 a_vec=1,1 {THEOREM2_RULE}"),
+        (lambda: eval_theorem3(True, F(1), F(1)),
+         "theorem3: n=True a=1 b=1 violates validity: integer n >= 1 with rational a > 0 and b > 0"),
+        (lambda: eval_theorem4(True, (F(2),)),
+         f"theorem4: n=True k=1 a_vec=2 {THEOREM4_RULE}"),
+        (lambda: eval_theorem4(False, (F(2),)),
+         f"theorem4: n=False k=1 a_vec=2 {THEOREM4_RULE}"),
+        (lambda: eval_dunne_schubert(True, F(1)),
+         "dunne-schubert: n=True p=1 violates validity: integer n >= 2 with rational p > 0"),
+        (lambda: eval_eq72(True, F(1)), "eq-7-2: n=True p=1 violates validity: integer n >= 2 with rational p > 0"),
+        (lambda: gamma_sum_identity(True, F(1)),
+         "gamma-sum: n=True p=1 violates validity: integer n >= 1 with rational p > 0"),
     ])
-    def test_public_evaluators_refuse_a_bool_n(self, call):
-        with pytest.raises(DomainError, match="requires integer n"):
+    def test_public_evaluators_refuse_a_bool_n(self, call, message):
+        with pytest.raises(DomainError) as info:
             call()
+        assert str(info.value) == message
 
 
 class TestFrozenValues:
@@ -886,15 +899,15 @@ class TestConvolutionLeftSides:
         assert eval_theorem4(n, a_vec)[0] == _multinomial_lhs_reference(_E, n, a_vec)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: eval_theorem2(3, (F(1), F(1)), k=3), "requires len(a_vec) == k, got 2 != 3"),
-        (lambda: eval_theorem2(3, (F(1),)), "requires k >= 2, got k=1"),
-        (lambda: eval_theorem2(-1, (F(1), F(1))), "requires integer n >= 0, got n=-1"),
-        (lambda: eval_theorem2(2, (F(1), F(0))), "requires positive parameters, got (Fraction(1, 1), Fraction(0, 1))"),
-        (lambda: eval_theorem4(5, ()), "requires k >= 1, got k=0"),
-        (lambda: eval_theorem4(5, (F(1),), k=2), "requires len(a_vec) == k, got 1 != 2"),
-        (lambda: eval_theorem4(F(1, 2), (F(1),)), "requires integer n >= 0, got n=1/2"),
-        (lambda: eval_theorem4(3, (F(1),), k=True), "requires k >= 1, got k=True"),
-        (lambda: eval_theorem2(3, (F(1), F(2)), k=2.0), "requires k >= 2, got k=2.0"),
+        (lambda: eval_theorem2(3, (F(1), F(1)), k=3), f"theorem2: n=3 k=3 a_vec=1,1 {THEOREM2_RULE}"),
+        (lambda: eval_theorem2(3, (F(1),)), f"theorem2: n=3 k=1 a_vec=1 {THEOREM2_RULE}"),
+        (lambda: eval_theorem2(-1, (F(1), F(1))), f"theorem2: n=-1 k=2 a_vec=1,1 {THEOREM2_RULE}"),
+        (lambda: eval_theorem2(2, (F(1), F(0))), f"theorem2: n=2 k=2 a_vec=1,0 {THEOREM2_RULE}"),
+        (lambda: eval_theorem4(5, ()), f"theorem4: n=5 k=0 a_vec= {THEOREM4_RULE}"),
+        (lambda: eval_theorem4(5, (F(1),), k=2), f"theorem4: n=5 k=2 a_vec=1 {THEOREM4_RULE}"),
+        (lambda: eval_theorem4(F(1, 2), (F(1),)), f"theorem4: n=1/2 k=1 a_vec=1 {THEOREM4_RULE}"),
+        (lambda: eval_theorem4(3, (F(1),), k=True), f"theorem4: n=3 k=True a_vec=1 {THEOREM4_RULE}"),
+        (lambda: eval_theorem2(3, (F(1), F(2)), k=2.0), f"theorem2: n=3 k=2.0 a_vec=1,2 {THEOREM2_RULE}"),
     ])
     def test_k_fold_argument_messages(self, call, message):
         with pytest.raises(DomainError) as info:
@@ -1066,3 +1079,116 @@ class TestOneSubsetExpansion:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not imported & {"poly_add", "_bernoulli_powers"}
         assert not hasattr(identities, "_bernoulli_powers")
+
+
+# The public evaluators, by the registry entry whose declaration states
+# their domain, with the exact signatures they keep.
+PUBLIC_EVALUATORS = {
+    "theorem1": (eval_theorem1, "(n: 'int', a: 'Fraction', b: 'Fraction') -> 'tuple[Poly, Poly]'"),
+    "theorem2": (eval_theorem2,
+                 "(n: 'int', a_vec: 'Sequence[Fraction]', k: 'int | None' = None) -> 'tuple[Poly, Poly]'"),
+    "theorem3": (eval_theorem3, "(n: 'int', a: 'Fraction', b: 'Fraction') -> 'tuple[Poly, Poly]'"),
+    "theorem4": (eval_theorem4,
+                 "(n: 'int', a_vec: 'Sequence[Fraction]', k: 'int | None' = None) -> 'tuple[Poly, Poly]'"),
+    "dunne-schubert": (eval_dunne_schubert, "(n: 'int', p: 'Fraction') -> 'tuple[Fraction, Fraction]'"),
+    "eq-7-2": (eval_eq72, "(n: 'int', p: 'Fraction') -> 'tuple[Fraction, Fraction]'"),
+    "gamma-sum": (gamma_sum_identity, "(n: 'int', p: 'Fraction') -> 'tuple[Fraction, Fraction]'"),
+}
+
+# ints, Fractions, zero and negative values, floats, strings, bools and None
+SCALAR_INPUTS = (1, 3, F(1, 2), F(7, 3), 0, F(0), -1, F(-3, 2), 0.5, 1.0, "1/2", "2", True, False, None)
+N_INPUTS = (0, 1, 2, 3, -1, F(2), 2.0, "2", True, False)
+# tuples and lists, of good and bad entries, of the right and wrong lengths
+A_VEC_INPUTS = ((F(1), F(1, 2)), [1, F(1, 2)], (2,), [F(3, 2)], (), (F(1), 0), (1, F(-1)), (0.5, 1),
+                ("1", 1), (True, 1), [1, 2, F(1, 3)], "1,2", None)
+K_INPUTS = (None, 0, 1, 2, 3, True, 2.0, "2")
+
+
+# the entries whose sides are numbers
+SCALAR_ENTRIES = {"dunne-schubert", "eq-7-2", "gamma-sum"}
+
+
+def _outcome(call, side_type=object):
+    """The sides of a call, each as a polynomial, or its DomainError; each
+    side must be a side_type."""
+    try:
+        sides = call()
+    except DomainError as exc:
+        return "refused", str(exc)
+    assert all(isinstance(side, side_type) for side in sides)
+    return "sides", *map(identities._as_poly, sides)
+
+
+class TestOneDomainRule:
+    """The public evaluators check their inputs through the registry
+    declaration, as `eval_corollary` and `verify` do: one helper raises the
+    "violates validity" error, and the evaluators convert nothing themselves."""
+
+    @staticmethod
+    def _cases(name):
+        """(n, the evaluator's arguments, the same as `eval_corollary`
+        params) over the inputs above; a scalar value goes into every
+        parameter, and into the first with the others good."""
+        entry = REGISTRY[name]
+        if "a_vec" in entry.param_names:
+            for n in (0, 2, -1, True, 2.0):
+                for a_vec in A_VEC_INPUTS:
+                    for k in K_INPUTS:
+                        yield n, (a_vec, k), {"a_vec": a_vec, "k": k}
+            return
+        for n in N_INPUTS:
+            for v in SCALAR_INPUTS:
+                for values in {(v,) * len(entry.param_names), (v, F(3, 2))[:len(entry.param_names)]}:
+                    yield n, values, dict(zip(entry.param_names, values))
+
+    @pytest.mark.parametrize("name", PUBLIC_EVALUATORS)
+    def test_the_evaluator_accepts_and_refuses_as_eval_corollary(self, name):
+        fn = PUBLIC_EVALUATORS[name][0]
+        side_type = Fraction if name in SCALAR_ENTRIES else tuple
+        outcomes = set()
+        for n, args, params in self._cases(name):
+            mine = _outcome(lambda: fn(n, *args), side_type)
+            assert mine == _outcome(lambda: eval_corollary(name, n, params)), (name, n, args)
+            outcomes.add(mine[0])
+        assert outcomes == {"sides", "refused"}
+
+    @pytest.mark.parametrize("name", PUBLIC_EVALUATORS)
+    def test_the_signature_is_kept(self, name):
+        fn, signature = PUBLIC_EVALUATORS[name]
+        assert str(inspect.signature(fn)) == signature
+        assert REGISTRY[name].displays == (("", fn),)
+
+    def test_floats_and_strings_are_refused(self):
+        for call in (lambda: eval_theorem1(2, 0.5, 1), lambda: eval_theorem2(2, [0.1, 1]),
+                     lambda: gamma_sum_identity(2, "1/2"), lambda: eval_theorem4(2, (F(1), "1"))):
+            with pytest.raises(DomainError, match="violates validity"):
+                call()
+
+    def test_a_list_a_vec_is_read_as_a_tuple(self):
+        assert eval_theorem2(3, [1, F(1, 2)]) == eval_theorem2(3, (F(1), F(1, 2)), k=2)
+        (report,) = verify("theorem4", [{"n": 3, "a_vec": [2, F(1, 2), 1]}])
+        assert report.passed and report.inputs == {"n": 3, "a_vec": (F(2), F(1, 2), F(1)), "k": 3}
+
+    def test_one_function_raises_the_validity_error(self):
+        raisers = set()
+        for module, source in SOURCES.items():
+            for fn in ast.walk(ast.parse(source)):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Raise) and "violates validity" in ast.unparse(node)
+                        for node in ast.walk(fn)):
+                    raisers.add((module, fn.name))
+        assert raisers == {("identities.py", "_checked")}
+        for source in SOURCES.values():
+            defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+            assert not defined & {"_require", "_k_fold_params"}
+
+    def test_no_public_evaluator_converts_its_arguments(self):
+        functions = TestConvolutionDesign._functions()
+        for fn, _ in PUBLIC_EVALUATORS.values():
+            node = functions[fn.__name__]
+            arguments = {arg.arg for arg in node.args.args}
+            converted = [ast.unparse(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+                         and getattr(call.func, "id", None) == "Fraction"
+                         and any(isinstance(arg, ast.Name) and arg.id in arguments for arg in call.args)]
+            assert converted == [], fn.__name__
+            assert "_checked" in _called_names(node), fn.__name__

@@ -15,7 +15,6 @@ from bek.exactmath import (
     binomial,
     poly,
     poly_add,
-    poly_derivative,
     poly_eval,
     poly_mul,
     poly_scale,
@@ -31,6 +30,7 @@ from bek.sequences import (
     euler_poly_at_zero,
     genocchi_number,
 )
+from walks import poly_derivative
 
 # reference table: first seven values of each sequence
 TABLE_B = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
@@ -315,6 +315,21 @@ class TestCacheBehaviour:
         ):
             with pytest.raises(ValueError):
                 fn(-1)
+
+    def test_rejects_a_bool_or_non_int_index_before_any_fill(self):
+        # True would otherwise read index 1: B_1 = -1/2
+        cache = SequenceCache()
+        tables = [list(table) for table in vars(cache).values() if isinstance(table, list)]
+        for name in ("zigzag_number", "bernoulli_number", "genocchi_number", "euler_number",
+                     "euler_poly_at_zero", "bernoulli_poly", "euler_poly"):
+            for bad in (True, False, 1.0, Fraction(2), "3", None):
+                with pytest.raises(ValueError, match=f"^{name} requires an integer n >= 0, got n="):
+                    getattr(cache, name)(bad)
+        assert [list(table) for table in vars(cache).values() if isinstance(table, list)] == tables
+        for fn in (bernoulli_number, genocchi_number, euler_number, euler_poly_at_zero, bernoulli_poly, euler_poly):
+            fn(3)
+            with pytest.raises(ValueError):
+                fn(True)
 
 
 class TestSympyOracle:

@@ -18,7 +18,6 @@ from bek.exactmath import (
     _taylor_shift,
     poly,
     poly_add,
-    poly_derivative,
     poly_lincomb,
     poly_scale,
     poly_shift,
@@ -51,7 +50,7 @@ from bek.umbral import (
     verify_lemma3,
     verify_lemma4,
 )
-from walks import composition_parts, multinomial
+from walks import composition_parts, multinomial, poly_derivative
 
 F = Fraction
 

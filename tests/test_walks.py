@@ -15,7 +15,8 @@ import bek
 import bek.exactmath
 from walks import composition_parts, multinomial
 
-WALK_NAMES = {"composition_parts", "multinomial", "combinations_with_replacement"}
+# the walks, and `poly_derivative`, which only the tests' references call
+WALK_NAMES = {"composition_parts", "multinomial", "combinations_with_replacement", "poly_derivative"}
 
 
 def _recursive_composition_parts(n, k):
@@ -120,7 +121,7 @@ class TestPackageWalksNoCompositions:
     def test_the_scan_sees_each_use(self):
         planted = (
             "from itertools import combinations_with_replacement as cwr\n"
-            "from .exactmath import multinomial\n"
+            "from .exactmath import multinomial, poly_derivative\n"
             "def composition_parts(n, k):\n    return cwr(range(n + 1), k - 1)\n"
         )
         assert _walk_names(planted) == WALK_NAMES

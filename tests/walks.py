@@ -4,7 +4,8 @@ The package reads every multi-index sum off a truncated series product or
 a slot-by-slot binomial expansion.  The tests keep the plain sums over
 weak compositions, weighted by multinomial coefficients, and over index
 subsets as independent references, and these helpers are what those
-references walk.
+references walk.  The derivative of a polynomial, which only the tests'
+references form, lives here too.
 """
 
 from __future__ import annotations
@@ -70,3 +71,10 @@ def subset_walk(factors: Sequence[Sequence[Fraction]], shifts: Sequence[Sequence
                         for j in range(d + 1)]
             total = [a + b for a, b in zip(total, term)]
     return total
+
+
+def poly_derivative(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The derivative of a polynomial given as its trimmed ascending
+    coefficients; the leading one times the degree is not zero, so the
+    result needs no trimming."""
+    return tuple(i * c for i, c in enumerate(p) if i > 0)
