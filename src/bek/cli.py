@@ -16,14 +16,13 @@ import json
 import os
 import re
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import isfinite
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .exactmath import Poly
+from .exactmath import Poly, convolution_work
 from .identities import (
     INPUT_ORDER,
     REGISTRY,
@@ -43,7 +42,7 @@ from .sequences import (
     euler_poly,
     genocchi_number,
 )
-from .stochastic import MIN_MC_SHAPE, MomentQuery, dirichlet_moment_mc
+from .stochastic import MomentQuery, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -53,12 +52,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # cached B_n(x) and E_n(x), which grow as N^3.  Each further n value of a
 # `bek verify` range adds its own time.
 #
-# The left side of a k-fold entry at (k, n) is one coefficient of a
-# truncated series product, which forms at most C(n + 4, 4) integer
-# coefficient products in each of its k - 2 middle steps and C(n + 3, 3)
-# in its last; its first step multiplies each unordered pair of
-# polynomials once, so it forms about half its count.  The sum of that
-# count over a grid's points is capped, for every k-fold entry
+# The left side of a k-fold entry at (k, n) forms at most
+# `exactmath.convolution_work(k, n)` integer coefficient products.  The sum
+# of that bound over a grid's points is capped, for every k-fold entry
 # (`takes_k`) alike, and so is k.  A product costs more as k grows, since
 # its integers grow, so a grid of smaller k at the same count finishes
 # sooner.  The cap bounds k and n; the height cap bounds the size of the
@@ -68,10 +64,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 #
 # `bek mc` draws one gamma per shape and sample.  Its exact moment
 # multiplies out (sum a)_{sum l} as one integer product tree; the cap
-# bounds sum l, not the size of the shapes.
-#
-# `bek mc` also refuses shapes below `stochastic.MIN_MC_SHAPE` (1/20), with
-# a one-line message naming the --a entry; MAX_MC_SAMPLES * MAX_MC_SHAPES =
+# bounds sum l, not the size of the shapes.  `MomentQuery` refuses shapes
+# below `stochastic.MIN_MC_SHAPE` (1/20); MAX_MC_SAMPLES * MAX_MC_SHAPES =
 # 10^9 draws at that floor expect fewer than 10^-6 subnormal ones.
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
@@ -88,14 +82,6 @@ def _refuse_above(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} {value} is above its input budget cap of {cap}")
 
 
-def _refuse_k_above_cap(config: RunConfig) -> None:
-    """Refuse a k-fold entry's k above its cap, before any point is built."""
-    if config.k is not None:
-        _refuse_above("--k", config.k, MAX_VERIFY_K)
-    elif isinstance((config.params or {}).get("a_vec"), tuple):
-        _refuse_above("a_vec length", len(config.params["a_vec"]), MAX_VERIFY_K)
-
-
 def _refuse_tall_params(params: Mapping | None) -> None:
     """Refuse a --params rational whose numerator or denominator is above
     the height cap, before any point is built."""
@@ -107,11 +93,8 @@ def _refuse_tall_params(params: Mapping | None) -> None:
 
 def _refuse_work(points: Sequence[Mapping]) -> None:
     """Refuse a k-fold grid whose left sides together form more integer
-    coefficient products than the cap.  At (k, n) the series product forms
-    at most C(n + 4, 4) of them in each of its k - 2 middle steps and
-    C(n + 3, 3) in the last (n + 1 at k = 1, and about half the count in
-    the first step, which multiplies each unordered pair once)."""
-    work = sum(max(pt["k"] - 2, 0) * comb(pt["n"] + 4, 4) + comb(pt["n"] + 3, 3) for pt in points if pt["n"] >= 0)
+    coefficient products than the cap."""
+    work = sum(convolution_work(pt["k"], pt["n"]) for pt in points)
     if work > MAX_VERIFY_WORK:
         raise ValueError(
             f"the grid's left sides form {work} coefficient products, "
@@ -524,10 +507,11 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range
         _refuse_above("--n", top, MAX_VERIFY_N)
     _refuse_tall_params(config.params)
-    if entry.takes_k:
-        _refuse_k_above_cap(config)
+    if entry.takes_k and config.k is not None:
+        _refuse_above("--k", config.k, MAX_VERIFY_K)  # before a default tuple of length k is built
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
     if entry.takes_k:
+        _refuse_above("a_vec length", max((pt["k"] for pt in points), default=0), MAX_VERIFY_K)
         _refuse_work(points)
     reports = verify(config.identity, points=points, registry=registry)
     _emit_reports(config, reports, out)
@@ -563,17 +547,12 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
         _refuse_above("--l length", len(config.l_vec), MAX_MC_SHAPES)
         _refuse_above("--l sum", sum(config.l_vec), MAX_MC_EXPONENT_SUM)
-        for a in config.a_vec:
-            if a < MIN_MC_SHAPE:
-                raise ValueError(f"--a entry {a} is below the smallest accepted shape {MIN_MC_SHAPE}")
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)
     results = []
     for a_vec, l_vec in queries:
-        started = time.perf_counter()
         estimate = dirichlet_moment_mc(MomentQuery(a_vec, l_vec, config.samples, config.seed))
-        elapsed = time.perf_counter() - started
         if estimate.stderr > 0.0:
             sigmas: float | None = estimate.deviation / estimate.stderr
         else:
@@ -589,7 +568,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
             "stderr": estimate.stderr,
             "sigmas": sigmas,
             "status": "pass" if estimate.within(config.sigma) else "fail",
-            "elapsed_ms": round(elapsed * 1000.0, 3) if config.timings else 0,
+            "elapsed_ms": round((estimate.exact_s + estimate.sampling_s) * 1000.0, 3) if config.timings else 0,
         }
         if config.timings:
             row["exact_ms"] = round(estimate.exact_s * 1000.0, 3)

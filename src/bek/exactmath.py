@@ -89,10 +89,7 @@ def harmonic(n: int) -> Fraction:
     """Harmonic number H_n = sum_{j=1}^{n} 1/j, with H_0 = 0."""
     if n < 0:
         raise ValueError(f"harmonic requires n >= 0, got n={n}")
-    out = Fraction(0)
-    for j in range(1, n + 1):
-        out += Fraction(1, j)
-    return out
+    return harmonic_shifted(1, n)
 
 
 @lru_cache(maxsize=None)
@@ -317,6 +314,16 @@ def convolution_coefficient(family: Callable[[int], Poly], n: int, weights: Sequ
             prefix = [_coefficient_of_product(prefix, s, j) for j in range(n + 1)]
         top = _coefficient_of_product(prefix, series[-1], n)
     return _from_int_form([scale.numerator * v for v in top], den * scale.denominator)
+
+
+def convolution_work(k: int, n: int) -> int:
+    """A bound on the integer coefficient products `convolution_coefficient`
+    forms at n with k slots, and 0 for n < 0: C(n + 4, 4) in each of its
+    k - 2 middle steps and C(n + 3, 3) in its last.  It is exact at n = 0
+    for k >= 2; the first step multiplies each unordered pair once, so it
+    forms about half its count, and one slot forms no product.  A change
+    to that loop must keep the bound, which a test counts it against."""
+    return max(k - 2, 0) * comb(n + 4, 4) + comb(n + 3, 3) if n >= 0 else 0
 
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:

@@ -920,16 +920,15 @@ def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None
 
 def point_text(pt: Point) -> str:
     """Deterministic one-line rendering of a grid point, for messages and
-    the inputs cell of a csv report; a vector may be a tuple, or a list as
-    in a report's json inputs."""
+    the inputs cell of a csv report: each value as str(), with the entries
+    of an a_vec tuple or list (as in a report's json inputs) joined by ','.
+    A point refused as invalid renders as given, whatever its values."""
     chunks = []
     for key in INPUT_ORDER:
         if key in pt:
             v = pt[key]
-            if isinstance(v, (tuple, list)):
-                chunks.append(f"{key}=" + ",".join(str(Fraction(x)) for x in v))
-            else:
-                chunks.append(f"{key}={v}")
+            joined = key == "a_vec" and isinstance(v, (tuple, list))
+            chunks.append(f"{key}=" + (",".join(map(str, v)) if joined else str(v)))
     return " ".join(chunks)
 
 

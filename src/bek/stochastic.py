@@ -83,8 +83,9 @@ class MomentQuery:
             raise ValueError(
                 f"need k >= 2 with matching vectors, got lengths {len(self.a_vec)} and {len(self.l_vec)}"
             )
-        if any(v < MIN_MC_SHAPE for v in self.a_vec):
-            raise ValueError(f"shape parameters must be at least {MIN_MC_SHAPE}, got {self.a_vec}")
+        low = next((v for v in self.a_vec if v < MIN_MC_SHAPE), None)
+        if low is not None:
+            raise ValueError(f"shape {low} is below the smallest accepted shape {MIN_MC_SHAPE}")
         if any(v < 0 for v in self.l_vec):
             raise ValueError(f"exponents must be non-negative, got {self.l_vec}")
         if self.samples < 2:

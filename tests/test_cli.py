@@ -28,7 +28,6 @@ from bek.cli import (
     MAX_VERIFY_K,
     MAX_VERIFY_N,
     MAX_VERIFY_WORK,
-    MIN_MC_SHAPE,
     RunConfig,
     format_poly,
     main,
@@ -37,9 +36,9 @@ from bek.cli import (
     parse_rational,
     run,
 )
-from bek.exactmath import poly
+from bek.exactmath import convolution_work, poly
 from bek.identities import REGISTRY, build_points, verify
-from bek.stochastic import MomentEstimate, dirichlet_moment_exact
+from bek.stochastic import MIN_MC_SHAPE, MomentEstimate, dirichlet_moment_exact
 
 F = Fraction
 
@@ -708,7 +707,7 @@ class TestMain:
     @pytest.mark.parametrize("argv, message", [
         (["mc", "--sigma", "-inf"], "--sigma must be a finite number above 0"),
         (["mc", "--sigma", "-1e3"], "--sigma must be a finite number above 0"),
-        (["mc", "--a", "-1,1", "--l", "1,1"], "--a entry -1 is below"),
+        (["mc", "--a", "-1,1", "--l", "1,1"], "shape -1 is below the smallest accepted shape 1/20"),
         (["mc", "--l", "-1,1", "--a", "1,1"], "exponents must be non-negative"),
         (["verify", "--identity", "miki", "--n", "-3..5"], "miki: n=-3 violates validity"),
         (["verify", "--identity", "theorem2", "--k", "3", "--params", "-a_vec=1"], "does not take parameter(s) -a_vec"),
@@ -807,9 +806,8 @@ class TestInputBudgets:
         seen = []
         monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
         # the cap is the work of theorem2 at k = 16, n = 70 on its three
-        # default parameter sets: each point has 14 middle steps of
-        # C(74, 4) products and a last step of C(73, 3)
-        assert MAX_VERIFY_WORK == 3 * (14 * math.comb(74, 4) + math.comb(73, 3))
+        # default parameter sets
+        assert MAX_VERIFY_WORK == 3 * convolution_work(16, 70)
         boundary = ["verify", "--identity", "theorem2", "--k", "16", "--n", "70"]
         assert main(boundary) == 0
         assert [(pt["k"], pt["n"]) for pt in seen[0]] == [(16, 70)] * 3
@@ -891,11 +889,21 @@ class TestInputBudgets:
         assert MIN_MC_SHAPE == F(1, 20)
         assert main(["mc", "--a", "1/20,3", "--l", "1,1", "--format", "json"]) == 0
         assert seen == [MIN_MC_SHAPE]
-        for shapes in ("1/1000,1/1000", "1/21,1", "1,2,1/1000", "0,1"):
+        # the query names the first shape below the floor
+        for shapes, low in (("1/1000,1/1000", "1/1000"), ("1/21,1", "1/21"), ("1,2,1/1000", "1/1000"), ("0,1", "0")):
             assert main(["mc", "--a", shapes, "--l", ",".join(["1"] * (shapes.count(",") + 1))]) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "--a entry" in err and "1/20" in err
+            assert capsys.readouterr().err == f"shape {low} is below the smallest accepted shape 1/20\n"
         assert seen == [MIN_MC_SHAPE]
+
+    def test_the_cli_restates_no_other_layers_rule(self):
+        # the work bound is exactmath's, k is read off the built grid, and
+        # the shape floor and a query's time are the stochastic layer's
+        tree = ast.parse(Path(cli.__file__).read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "_refuse_k_above_cap" not in defined
+        assert not imported & {"comb", "time", "MIN_MC_SHAPE"}
 
     def test_caps_admit_the_benchmark_inputs(self):
         # perfbench runs tables to N = 150, the sweep to n = 60 and mc

@@ -20,6 +20,7 @@ from bek.exactmath import (
     ZERO,
     binomial,
     convolution_coefficient,
+    convolution_work,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -444,6 +445,34 @@ class TestPairedKernelMutations:
     def test_swapped_term_dropped(self, monkeypatch):
         caught = self._caught(monkeypatch, _mutant_pair_kernel("w0[l] * w1[m] + w0[m] * w1[l]", "w0[l] * w1[m]"))
         assert caught == [(f, n, k) for f in (bernoulli_poly, euler_poly) for n in (4, 5) for k in (2, 3)]
+
+
+class TestConvolutionWork:
+    """`convolution_work` bounds the integer coefficient products that
+    `_mul_into` forms for one `convolution_coefficient`, and meets the count
+    at n = 0 from two slots on, so a kernel change that forms more products
+    than the bound, or a bound that drops one, fails here."""
+
+    def test_the_count_is_within_the_bound(self, monkeypatch):
+        count = 0
+        mul_into = exactmath._mul_into
+
+        def counted(out, p, q):
+            nonlocal count
+            count += sum(max(min(len(q), len(out) - i), 0) for i, a in enumerate(p) if a)
+            mul_into(out, p, q)
+
+        monkeypatch.setattr(exactmath, "_mul_into", counted)
+        for family in (bernoulli_poly, euler_poly):
+            for k in range(1, 9):
+                for n in range(0, 31, 5):
+                    count = 0
+                    convolution_coefficient(family, n, [[1] * (n + 1)] * k, 1)
+                    work = convolution_work(k, n)
+                    assert count <= work, (family.__name__, k, n)
+                    # one slot only scales P_n, and forms no product
+                    assert n or count == (work if k >= 2 else 0), (family.__name__, k, n)
+        assert [convolution_work(k, -1) for k in (1, 2, 16)] == [0, 0, 0]
 
 
 def _private_kernel_imports(source: str) -> list[str]:

@@ -406,6 +406,9 @@ class TestVerifyEngine:
     def test_point_text_ordering(self):
         text = point_text({"a_vec": (F(1), F(1, 2)), "n": 3, "k": 2})
         assert text == "n=3 k=2 a_vec=1,1/2"
+        # a refused point renders as given: a float stays a float, and only
+        # an a_vec is joined
+        assert point_text({"n": 2, "a": [1], "a_vec": (0.1, None)}) == "n=2 a=[1] a_vec=0.1,None"
 
 
 class TestSmallGridSweep:
@@ -1100,7 +1103,8 @@ SCALAR_INPUTS = (1, 3, F(1, 2), F(7, 3), 0, F(0), -1, F(-3, 2), 0.5, 1.0, "1/2",
 N_INPUTS = (0, 1, 2, 3, -1, F(2), 2.0, "2", True, False)
 # tuples and lists, of good and bad entries, of the right and wrong lengths
 A_VEC_INPUTS = ((F(1), F(1, 2)), [1, F(1, 2)], (2,), [F(3, 2)], (), (F(1), 0), (1, F(-1)), (0.5, 1),
-                ("1", 1), (True, 1), [1, 2, F(1, 3)], "1,2", None)
+                ("1", 1), (True, 1), [1, 2, F(1, 3)], "1,2", None,
+                [None, 1], ["abc", 1], [float("nan"), 1], [float("inf"), 1])
 K_INPUTS = (None, 0, 1, 2, 3, True, 2.0, "2")
 
 
