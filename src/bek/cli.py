@@ -395,19 +395,11 @@ def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO)
 
 
 def _grid_text(entry: IdentitySpec) -> str:
-    def render_ns(ns: tuple[int, ...]) -> str:
-        if len(ns) == 1:
-            return f"n={ns[0]}"
-        step = ns[1] - ns[0]
-        if all(ns[i + 1] - ns[i] == step for i in range(len(ns) - 1)):
-            return f"n={ns[0]}..{ns[-1]}" + (f" step {step}" if step != 1 else "")
-        return "n in {" + ",".join(map(str, ns)) + "}"
-
     chunks = []
     for kk in entry.default_ks or (None,):
         ns = entry.default_n(kk)
         n_sets = len(entry.default_param_sets(kk))
-        piece = render_ns(ns)
+        piece = f"n={ns.start}..{ns[-1]}" + (f" step {ns.step}" if ns.step != 1 else "")
         if kk is not None:
             piece = f"k={kk}: {piece}"
         if n_sets > 1:

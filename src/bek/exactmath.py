@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
@@ -37,7 +37,6 @@ Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,6 +65,11 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _pochhammer(p: int, q: int, k: int) -> Fraction:
     return Fraction(_rising_product(p, q, 0, k), q ** k)
+
+
+def rising_weights(a: Fraction | int, n: int) -> list[Fraction]:
+    """(a)_l / l! for l = 0..n: the coefficients of (1 - t)^(-a) up to t^n."""
+    return [pochhammer(a, l) / factorial(l) for l in range(n + 1)]
 
 
 def _rising_product(p: int, q: int, lo: int, hi: int) -> int:

@@ -21,9 +21,11 @@ and displays (label and evaluator), its degree floor `n_min`, default top
 `n_max` and step, its positive parameters with their default sets, and for
 a k-fold entry `k_min` and the default ks.  The validity predicate, its
 text, the default grid and the evaluator call all follow from those
-fields, and every evaluator, public or not, checks its inputs against that
-one predicate (`_checked`).  To add an identity, write a function fn(n, *params[, k]) that
-returns its two sides, as polynomials or numbers, and declare it.  A
+fields.  `verify` checks a grid, and `eval_corollary` and the public
+evaluators one point, against that one predicate (`_checked`), once per
+point; the declared functions check nothing themselves.  To add an
+identity, write a function fn(n, *params[, k]) that returns its two sides,
+as polynomials or numbers, and declare it.  A
 convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
 `_convolution` takes the family P, one list w_i(0..n) per slot (0 where a
@@ -58,6 +60,7 @@ from .exactmath import (
     poly_lincomb,
     poly_mul,
     poly_sub,
+    rising_weights,
     series_product,
     subset_series,
 )
@@ -121,11 +124,6 @@ def _convolution(family: Callable[[int], Poly], n: int, weights: Sequence[Sequen
     return convolution_coefficient(family, n, weights, scale)
 
 
-def _rising_weights(a: Fraction, n: int) -> list[Fraction]:
-    """(a)_l / l! for l = 0..n: the slot weight of a parameter a."""
-    return [pochhammer(a, l) / factorial(l) for l in range(n + 1)]
-
-
 def _inverse_factorials(n: int) -> list[Fraction]:
     """1/l! for l = 0..n."""
     return [Fraction(1, factorial(l)) for l in range(n + 1)]
@@ -144,7 +142,7 @@ def _harmonic_tails(n: int) -> list[Fraction]:
 def _theorem_lhs(family: Callable[[int], Poly], n: int, a_vec: Sequence[Fraction]) -> Poly:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
     P = family, the left side of theorems 1-4."""
-    return _convolution(family, n, [_rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
+    return _convolution(family, n, [rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
@@ -154,7 +152,7 @@ def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Frac
     (a_i)_l moment(l) t^l / l! truncated after t^d, q(t) = prod_i (A_i(t) +
     s_i(t)) - prod_i A_i(t) = `subset_series` sums, over the non-empty index
     subsets J, the products of the s_i for i in J and the other A_i."""
-    series = [poly(pochhammer(ai, l) * moment(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
+    series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, d))) for ai in a_vec]
     q = subset_series(series, shifts, d)
     total = sum(a_vec)
     return poly_lincomb(
@@ -175,8 +173,10 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: sum_l C(n,l) (a (b)_l + b (a)_l) / (a+b)_{l+1} B_l B_{n-l}(x)
          + n a b / ((a+b+1)(a+b)) B_{n-1}(x).
     """
-    (pt,) = _checked("theorem1", [{"n": n, "a": a, "b": b}])[1]
-    a, b = pt["a"], pt["b"]
+    return _sides_at("theorem1", n, {"a": a, "b": b})
+
+
+def _theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     lhs = _theorem_lhs(bernoulli_poly, n, (a, b))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
@@ -201,7 +201,10 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     shifts s_i = a_i t, d = n+1, w = n! and P = B (its l_0 = n+1 term is
     zero, as q has no constant term).
     """
-    a_vec = _checked("theorem2", [{"n": n, "k": k, "a_vec": a_vec}])[1][0]["a_vec"]
+    return _sides_at("theorem2", n, {"a_vec": a_vec, "k": k})
+
+
+def _theorem2(n: int, a_vec: tuple[Fraction, ...], k: int) -> tuple[Poly, Poly]:
     lhs = _theorem_lhs(bernoulli_poly, n, a_vec)
     shifts = [(Fraction(0), ai) for ai in a_vec]
     rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, n + 1, Fraction(factorial(n)), bernoulli_poly)
@@ -215,8 +218,10 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     RHS: 4/(n+1) B_{n+1}(x)
          - 2/(n+1) sum_{l=0}^{n+1} C(n+1,l) ((a)_l + (b)_l)/(a+b)_l E_l(0) B_{n+1-l}(x).
     """
-    (pt,) = _checked("theorem3", [{"n": n, "a": a, "b": b}])[1]
-    a, b = pt["a"], pt["b"]
+    return _sides_at("theorem3", n, {"a": a, "b": b})
+
+
+def _theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     lhs = _theorem_lhs(euler_poly, n, (a, b))
     rhs = poly_lincomb([
         (Fraction(4, n + 1), bernoulli_poly(n + 1)),
@@ -242,7 +247,10 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     and d = n+1, w = n!, P = B for even k, d = n, w = -n!/2, P = E for
     odd k.
     """
-    a_vec = _checked("theorem4", [{"n": n, "k": k, "a_vec": a_vec}])[1][0]["a_vec"]
+    return _sides_at("theorem4", n, {"a_vec": a_vec, "k": k})
+
+
+def _theorem4(n: int, a_vec: tuple[Fraction, ...], k: int) -> tuple[Poly, Poly]:
     lhs = _theorem_lhs(euler_poly, n, a_vec)
     if len(a_vec) % 2 == 0:
         d, w, base = n + 1, Fraction(factorial(n)), bernoulli_poly
@@ -305,7 +313,7 @@ def _corollary2(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
+    lhs = _convolution(bernoulli_poly, n, [rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
            bernoulli_poly(n - l))
@@ -415,10 +423,10 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
+    lhs = _convolution(bernoulli_poly, n, [rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of
     # sum_l (eps)_l B_l t^l / l!
-    series = poly(pochhammer(eps, l) * bernoulli_number(l) / factorial(l) for l in range(n + 1))
+    series = poly(w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, n)))
     square = series_product((series, series), n)
     rhs = poly_lincomb([
         *((3 * eps / pochhammer(3 * eps, n - i + 1) / factorial(i) * _coeff(square, n - i), bernoulli_poly(i))
@@ -598,7 +606,10 @@ def _ds_cross_term(n: int, p: Fraction) -> Fraction:
 def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the rising-factorial weighted even-index sum, in the
     normalized form with the common squared gamma factor divided out."""
-    p = _checked("dunne-schubert", [{"n": n, "p": p}])[1][0]["p"]
+    return _sides_at("dunne-schubert", n, {"p": p})
+
+
+def _dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     lead = Fraction(0)
     for l in range(1, 2 * n):
         lead += pochhammer(p + 1, l - 1) * pochhammer(2 * p + 1, 2 * n - 1) / pochhammer(2 * p + 1, l)
@@ -609,7 +620,10 @@ def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Variant right-hand side of the same normalized even-index sum, with
     the difference of rising factorials collected into the leading term."""
-    p = _checked("eq-7-2", [{"n": n, "p": p}])[1][0]["p"]
+    return _sides_at("eq-7-2", n, {"p": p})
+
+
+def _eq_7_2(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     lead = (
         (pochhammer(2 * p, 2 * n) - 2 * pochhammer(p, 2 * n))
         * bernoulli_number(2 * n)
@@ -621,7 +635,10 @@ def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the telescoping rising-factorial ratio sum, normalized
     so every term is a ratio of rising factorials."""
-    p = _checked("gamma-sum", [{"n": n, "p": p}])[1][0]["p"]
+    return _sides_at("gamma-sum", n, {"p": p})
+
+
+def _gamma_sum(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     lhs = Fraction(0)
     for l in range(1, 2 * n):
         lhs += pochhammer(p, l) / pochhammer(2 * p + 1, l)
@@ -671,9 +688,10 @@ class IdentitySpec:
 
     `displays` pairs each displayed identity of the entry with the function
     that returns its (lhs, rhs); the label is "" when there is one display.
-    Each function is called as fn(n, *params, k): the parameters in
-    `param_names` order, and k only for a k-fold entry (`k_min` set).  A
-    side may be a polynomial or a number, which is lifted to a constant.
+    Each function is called as fn(n, *params, k) (`sides`): the parameters
+    in `param_names` order, and k only for a k-fold entry (`k_min` set),
+    at a point already checked.  A side may be a polynomial or a number,
+    which is lifted to a constant.
 
     The domain is integer n in n_min, n_min + n_step, ... (`n_step` 2 from
     an even n_min for an even-degree identity), each parameter a
@@ -697,14 +715,16 @@ class IdentitySpec:
 
     def __post_init__(self) -> None:
         if self.evaluate is None:
-            displays = self.displays
-            keys = self.param_names + (("k",) if self.takes_k else ())
-
             def evaluate(pt: Point) -> list[tuple[str, Poly, Poly]]:
-                args = [pt[key] for key in keys]
-                return [(label, *map(_as_poly, fn(pt["n"], *args))) for label, fn in displays]
+                return [(label, *map(_as_poly, self.sides(fn, pt))) for label, fn in self.displays]
 
             object.__setattr__(self, "evaluate", evaluate)
+
+    def sides(self, fn: Callable[..., tuple[Poly | Fraction, Poly | Fraction]],
+              pt: Point) -> tuple[Poly | Fraction, Poly | Fraction]:
+        """The sides of the display function fn at a checked point, called
+        as fn(n, *params, k): the one statement of the call convention."""
+        return fn(pt["n"], *(pt[key] for key in self.param_names), *((pt["k"],) if self.takes_k else ()))
 
     @property
     def takes_k(self) -> bool:
@@ -729,9 +749,9 @@ class IdentitySpec:
             return False
         return all(_valid_param(key, pt.get(key), k) for key in self.param_names)
 
-    def default_n(self, k: int | None) -> tuple[int, ...]:
+    def default_n(self, k: int | None) -> range:
         n_max = min(self.n_max, _k_fold_n_max(k)) if self.takes_k else self.n_max
-        return tuple(range(self.n_min, n_max + 1, self.n_step))
+        return range(self.n_min, n_max + 1, self.n_step)
 
     def default_param_sets(self, k: int | None) -> tuple[dict, ...]:
         return _tuple_sets_for_k(k) if "a_vec" in self.param_names else self.param_sets
@@ -808,7 +828,7 @@ REGISTRY: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("matiyasevich", "weighted difference of quadratic Bernoulli sums",
                  (("", _matiyasevich),), n_min=4, n_max=60),
     IdentitySpec("theorem1", "two-parameter weighted convolution of Bernoulli polynomial pairs",
-                 (("", eval_theorem1),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
+                 (("", _theorem1),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
     IdentitySpec("corollary1", "unweighted quadratic Bernoulli polynomial convolution",
                  (("", _corollary1),), n_min=1, n_max=30),
     IdentitySpec("corollary2", "number-level quadratic Bernoulli convolution at even degree",
@@ -828,15 +848,15 @@ REGISTRY: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("corollary7", "double-harmonic weighted quadratic Bernoulli convolution",
                  (("", _corollary7),), n_min=1, n_max=30),
     IdentitySpec("theorem2", "k-parameter weighted multinomial convolution of Bernoulli polynomials",
-                 (("", eval_theorem2),), n_min=0, n_max=20, param_names=("a_vec",), k_min=2, default_ks=(2, 3, 4)),
+                 (("", _theorem2),), n_min=0, n_max=20, param_names=("a_vec",), k_min=2, default_ks=(2, 3, 4)),
     IdentitySpec("eq-4-0a", "unweighted cubic Bernoulli polynomial convolution",
                  (("", _eq_4_0a),), n_min=3, n_max=12),
     IdentitySpec("kth-matiyasevich", "k-fold Bernoulli number convolution in binomial form",
                  (("", _kth_matiyasevich),), n_min=0, n_max=20, k_min=2, default_ks=(2, 3, 4)),
     IdentitySpec("theorem3", "two-parameter weighted convolution of Euler polynomial pairs",
-                 (("", eval_theorem3),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
+                 (("", _theorem3),), n_min=1, n_max=30, param_names=("a", "b"), param_sets=_PAIR_SETS),
     IdentitySpec("theorem4", "k-parameter weighted multinomial convolution of Euler polynomials",
-                 (("", eval_theorem4),), n_min=0, n_max=20, param_names=("a_vec",), k_min=1, default_ks=(1, 2, 3, 4)),
+                 (("", _theorem4),), n_min=0, n_max=20, param_names=("a_vec",), k_min=1, default_ks=(1, 2, 3, 4)),
     IdentitySpec("eq-6-9", "epsilon-weighted cubic Bernoulli convolution with factorial normalization",
                  (("", _eq_6_9),), n_min=2, n_max=20, param_names=("epsilon",), param_sets=_EPS_SET),
     IdentitySpec("corollary8", "multinomial cubic Bernoulli polynomial convolution",
@@ -848,11 +868,11 @@ REGISTRY: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("corollary11", "cubic Euler polynomial convolutions with harmonic weights (two displays)",
                  (("first", _corollary11_first), ("second", _corollary11_second)), n_min=2, n_max=30),
     IdentitySpec("dunne-schubert", "rising-factorial weighted even-index Bernoulli sum, normalized form",
-                 (("", eval_dunne_schubert),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
+                 (("", _dunne_schubert),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
     IdentitySpec("eq-7-2", "variant right side of the rising-factorial weighted even-index sum",
-                 (("", eval_eq72),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
+                 (("", _eq_7_2),), n_min=2, n_max=15, param_names=("p",), param_sets=_P_SET),
     IdentitySpec("gamma-sum", "telescoping rising-factorial ratio sum",
-                 (("", gamma_sum_identity),), n_min=1, n_max=30, param_names=("p",), param_sets=_P_SET),
+                 (("", _gamma_sum),), n_min=1, n_max=30, param_names=("p",), param_sets=_P_SET),
 )}
 
 
@@ -874,8 +894,8 @@ def _checked(name: str, points: Iterable[Point] | None,
              registry: Mapping[str, IdentitySpec] | None = None) -> tuple[IdentitySpec, list[dict]]:
     """The entry `name` of the registry (REGISTRY by default) and copies of
     the points (its default grid if None) checked against its declaration:
-    the one domain check of `verify`, `eval_corollary` and the public
-    evaluators.  A k of None is no k, a k-fold point without one takes the
+    the one domain check of `verify` and of the single-point door
+    `_sides_at`.  A k of None is no k, a k-fold point without one takes the
     length of its `a_vec`, a list `a_vec` is read as a tuple, and in a
     checked point every parameter is a Fraction."""
     reg = REGISTRY if registry is None else registry
@@ -908,14 +928,20 @@ def eval_corollary(name: str, n: int, params: Mapping[str, object] | None = None
     """
     params = dict(params or {})
     display = params.pop("display", None)
-    entry, (point,) = _checked(name, [{"n": n, **params}])
-    displays = entry.evaluate(point)
-    if display is None:
-        return displays[0][1], displays[0][2]
-    for label, lhs, rhs in displays:
-        if label == display:
-            return lhs, rhs
-    raise DomainError(f"{name}: no display {display!r}; available: {[d[0] for d in displays]}")
+    return tuple(map(_as_poly, _sides_at(name, n, params, display)))
+
+
+def _sides_at(name: str, n: object, params: Mapping[str, object],
+              display: str | None = None) -> tuple[Poly | Fraction, Poly | Fraction]:
+    """The sides of one display of a REGISTRY entry (the first if display is
+    None) at one point, as its function returns them.  The point is checked
+    once, and no other display is evaluated: the one door of
+    `eval_corollary` and the public evaluators."""
+    entry, (pt,) = _checked(name, [{"n": n, **params}])
+    for label, fn in entry.displays:
+        if display is None or label == display:
+            return entry.sides(fn, pt)
+    raise DomainError(f"{name}: no display {display!r}; available: {[label for label, _ in entry.displays]}")
 
 
 def point_text(pt: Point) -> str:

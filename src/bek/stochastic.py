@@ -31,11 +31,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from numbers import Integral, Rational
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactmath import pochhammer, poly, series_product
+from .exactmath import pochhammer, poly, rising_weights, series_product
 
 BLOCK_SIZE = 65536
 
@@ -47,10 +48,23 @@ BLOCK_SIZE = 65536
 MIN_MC_SHAPE = Fraction(1, 20)
 
 
+def _exact(values: Iterable[object], kind: type, what: str) -> tuple:
+    """The values as Fractions (kind Rational: a shape) or ints (kind
+    Integral: an exponent or n), each a number of that kind and not a bool.
+    The one rule of the shapes, exponents and n of this module, checked
+    before any value is converted: int() would truncate 1.5 and Fraction()
+    read a float, and the exact layers take no float."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{what} {v!r} is not {'a rational number' if kind is Rational else 'an integer'}")
+    return tuple(map(Fraction if kind is Rational else int, values))
+
+
 def dirichlet_moment_exact(a_vec: Sequence[Fraction], l_vec: Sequence[int]) -> Fraction:
     """Exact mixed moment prod_i (a_i)_{l_i} / (sum a)_{sum l}."""
-    a = tuple(Fraction(v) for v in a_vec)
-    l = tuple(int(v) for v in l_vec)
+    a = _exact(a_vec, Rational, "shape")
+    l = _exact(l_vec, Integral, "exponent")
     if not a or len(a) != len(l):
         raise ValueError(f"need matching non-empty vectors, got lengths {len(a)} and {len(l)}")
     if any(v <= 0 for v in a):
@@ -67,8 +81,9 @@ def dirichlet_moment_exact(a_vec: Sequence[Fraction], l_vec: Sequence[int]) -> F
 class MomentQuery:
     """One mixed-moment estimation request.
 
-    Vectors are stored exactly; shapes are converted to floats only at the
-    sampling boundary.  Shapes below MIN_MC_SHAPE are refused.
+    Vectors are stored exactly, shapes as Fractions and exponents as ints;
+    shapes are converted to floats only at the sampling boundary.  Shapes
+    below MIN_MC_SHAPE are refused.
     """
 
     a_vec: tuple[Fraction, ...]
@@ -77,8 +92,8 @@ class MomentQuery:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_vec", tuple(Fraction(v) for v in self.a_vec))
-        object.__setattr__(self, "l_vec", tuple(int(v) for v in self.l_vec))
+        object.__setattr__(self, "a_vec", _exact(self.a_vec, Rational, "shape"))
+        object.__setattr__(self, "l_vec", _exact(self.l_vec, Integral, "exponent"))
         if len(self.a_vec) < 2 or len(self.a_vec) != len(self.l_vec):
             raise ValueError(
                 f"need k >= 2 with matching vectors, got lengths {len(self.a_vec)} and {len(self.l_vec)}"
@@ -200,12 +215,13 @@ def normalization_check(a_vec: Sequence[Fraction], n: int) -> Fraction:
     splits l is n!/(sum a)_n times the coefficient of t^n in
     prod_i sum_l (a_i)_l t^l / l!, read off one truncated series product.
     """
-    a = tuple(Fraction(v) for v in a_vec)
+    a = _exact(a_vec, Rational, "shape")
+    (n,) = _exact((n,), Integral, "n")
     if len(a) < 2:
         raise ValueError(f"need k >= 2 shapes, got {len(a)}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if any(v <= 0 for v in a):
         raise ValueError(f"shape parameters must be positive, got {a}")
-    series = series_product((poly(pochhammer(ai, l) / math.factorial(l) for l in range(n + 1)) for ai in a), n)
+    series = series_product((poly(rising_weights(ai, n)) for ai in a), n)
     return math.factorial(n) * series[n] / pochhammer(sum(a), n)

@@ -540,6 +540,23 @@ class TestListCommand:
             "4035e3d2c38589f9647b9be547c579099326f07c8fb3b1df854de417c3a0d2fe"
         )
 
+    def test_text_digest(self):
+        _, out, _ = _run(RunConfig(command="list"))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "749e8561c4905f92af63a9c65ce4c1d2931fd6c49c3ef8dd97525ca39ddf4a37"
+        )
+
+    def test_the_grid_text_reads_the_declared_range(self):
+        # a default n axis is a range, so its text is its start, last value
+        # and step; the entries with a step are the even-degree ones
+        for entry in REGISTRY.values():
+            for kk in entry.default_ks or (None,):
+                ns = entry.default_n(kk)
+                assert isinstance(ns, range) and len(ns) >= 3
+        texts = {e.name: cli._grid_text(e) for e in REGISTRY.values()}
+        assert texts["corollary2"] == "n=4..60 step 2"
+        assert texts["theorem4"].startswith("k=1: n=0..20, 3 parameter sets; k=2: n=0..20, 4 parameter sets")
+
 
 class TestMcCommand:
     def test_single_query_pass(self):
@@ -896,13 +913,14 @@ class TestInputBudgets:
         assert seen == [MIN_MC_SHAPE]
 
     def test_the_cli_restates_no_other_layers_rule(self):
-        # the work bound is exactmath's, k is read off the built grid, and
-        # the shape floor and a query's time are the stochastic layer's
+        # the work bound is exactmath's, k is read off the built grid, the
+        # shape floor and a query's time are the stochastic layer's, and a
+        # default n axis is the range the registry declares
         tree = ast.parse(Path(cli.__file__).read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         imported = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert "_refuse_k_above_cap" not in defined
+        assert not defined & {"_refuse_k_above_cap", "render_ns"}
         assert not imported & {"comb", "time", "MIN_MC_SHAPE"}
 
     def test_caps_admit_the_benchmark_inputs(self):

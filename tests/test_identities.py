@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import io
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations
@@ -30,7 +31,7 @@ from bek.exactmath import (
     series_product,
     subset_series,
 )
-from bek import identities
+from bek import cli, identities
 from bek.identities import (
     REGISTRY,
     DomainError,
@@ -1111,6 +1112,9 @@ K_INPUTS = (None, 0, 1, 2, 3, True, 2.0, "2")
 # the entries whose sides are numbers
 SCALAR_ENTRIES = {"dunne-schubert", "eq-7-2", "gamma-sum"}
 
+# the one checked single-point door of `eval_corollary` and the public evaluators
+DOOR = "_sides_at"
+
 
 def _outcome(call, side_type=object):
     """The sides of a call, each as a polynomial, or its DomainError; each
@@ -1160,7 +1164,11 @@ class TestOneDomainRule:
     def test_the_signature_is_kept(self, name):
         fn, signature = PUBLIC_EVALUATORS[name]
         assert str(inspect.signature(fn)) == signature
-        assert REGISTRY[name].displays == (("", fn),)
+        # the registry declares the private body behind the evaluator, which
+        # takes the same arguments, k without a default
+        ((label, body),) = REGISTRY[name].displays
+        assert label == "" and body.__name__.startswith("_") and getattr(identities, body.__name__) is body
+        assert list(inspect.signature(body).parameters) == list(inspect.signature(fn).parameters)
 
     def test_floats_and_strings_are_refused(self):
         for call in (lambda: eval_theorem1(2, 0.5, 1), lambda: eval_theorem2(2, [0.1, 1]),
@@ -1195,4 +1203,89 @@ class TestOneDomainRule:
                          and getattr(call.func, "id", None) == "Fraction"
                          and any(isinstance(arg, ast.Name) and arg.id in arguments for arg in call.args)]
             assert converted == [], fn.__name__
-            assert "_checked" in _called_names(node), fn.__name__
+            assert _called_names(node) == {DOOR}, fn.__name__
+
+
+class TestOneCheckPerPoint:
+    """Each point is checked once: `verify` checks its grid, and every
+    single-point call, `eval_corollary` or a public evaluator, goes through
+    one door that checks its point and evaluates only the requested
+    display.  No declared function checks anything itself."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The names that `_checked` is called with, in order."""
+        names = []
+        real = identities._checked
+
+        def counted(name, *args, **kwargs):
+            names.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "_checked", counted)
+        monkeypatch.setattr(cli, "_checked", counted)
+        return names
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_verify_checks_its_grid_once(self, name, checks):
+        reports = verify(name, build_points(REGISTRY[name])[:3])
+        assert reports and all(r.passed for r in reports)
+        assert checks == [name]
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_a_single_point_call_checks_once(self, name, checks):
+        pt = build_points(REGISTRY[name])[0]
+        lhs, rhs = eval_corollary(name, pt["n"], {key: v for key, v in pt.items() if key != "n"})
+        assert lhs == rhs and checks == [name]
+        if name in PUBLIC_EVALUATORS:
+            checks.clear()
+            fn = PUBLIC_EVALUATORS[name][0]
+            args = [pt[key] for key in REGISTRY[name].param_names]
+            assert fn(pt["n"], *args) == fn(pt["n"], *args, *((pt["k"],) if "k" in pt else ()))
+            assert checks == [name, name]
+
+    def test_a_verify_all_run_checks_once_per_entry(self, checks):
+        out = io.StringIO()
+        assert cli.run(cli.RunConfig("verify-all", format="json"), out=out) == 0
+        assert checks == list(REGISTRY)
+
+    def test_a_verify_run_checks_its_lookup_and_its_grid(self, checks):
+        out = io.StringIO()
+        assert cli.run(cli.RunConfig("verify", identity="theorem2", n_range=range(0, 5), k=3), out=out) == 0
+        assert checks == ["theorem2", "theorem2"]
+
+    @pytest.mark.parametrize("name, wanted", [("corollary4", "a=1"), ("corollary4", "a=2"), ("corollary4", None),
+                                              ("corollary11", "second"), ("corollary11", None)])
+    def test_only_the_requested_display_is_evaluated(self, name, wanted, monkeypatch):
+        entry = REGISTRY[name]
+        first = entry.displays[0][0]
+
+        def refuse(*args):
+            raise AssertionError("an unrequested display was evaluated")
+
+        displays = tuple((label, fn if label == (wanted or first) else refuse) for label, fn in entry.displays)
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(entry, displays=displays, evaluate=None))
+        params = {} if wanted is None else {"display": wanted}
+        lhs, rhs = eval_corollary(name, 4, params)
+        assert lhs == rhs != ZERO
+        with pytest.raises(AssertionError, match="unrequested"):
+            verify(name, [{"n": 4}])
+
+    def test_no_declared_function_checks(self):
+        functions = TestConvolutionDesign._functions()
+        for name, entry in REGISTRY.items():
+            for label, fn in entry.displays:
+                assert not _called_names(functions[fn.__name__]) & {"_checked", DOOR}, (name, label)
+        assert _callers(SOURCES["identities.py"], {"_checked"}) == {"verify", DOOR}
+        assert _callers(SOURCES["identities.py"], {DOOR}) == {
+            "eval_corollary", *(fn.__name__ for fn, _ in PUBLIC_EVALUATORS.values())}
+
+    def test_each_public_evaluator_is_one_door_call(self):
+        functions = TestConvolutionDesign._functions()
+        for name, (fn, _) in PUBLIC_EVALUATORS.items():
+            node = functions[fn.__name__]
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            assert len(body) == 1 and isinstance(body[0], ast.Return), fn.__name__
+            call = body[0].value
+            assert isinstance(call, ast.Call) and call.func.id == DOOR, fn.__name__
+            assert call.args[0].value == name, fn.__name__

@@ -113,6 +113,36 @@ class TestNormalization:
                 normalization_check(shapes, 2)
 
 
+# What the exact layer refuses before it converts anything: a shape that is
+# not a rational number (floats, strings, bools, None, nan, inf), and an
+# exponent or n that is not an integer (a Fraction among them).  int(1.5)
+# would read the exponent 1, and Fraction(0.5) a float.
+BAD_SHAPES = (0.5, 1.0, "1", "1/2", True, False, None, float("nan"), float("inf"))
+BAD_INTEGERS = (1.5, 1.0, "2", True, False, None, float("nan"), float("inf"), F(1), F(3, 2))
+ENTRY_RULE_CASES = [
+    *((f"dirichlet_moment_exact-shape-{v!r}", lambda v=v: dirichlet_moment_exact((v, F(1)), (1, 1)), "shape")
+      for v in BAD_SHAPES),
+    *((f"MomentQuery-shape-{v!r}", lambda v=v: MomentQuery((F(1), v), (1, 1), 100, 1), "shape")
+      for v in BAD_SHAPES),
+    *((f"normalization_check-shape-{v!r}", lambda v=v: normalization_check((v, F(1)), 2), "shape")
+      for v in BAD_SHAPES),
+    *((f"dirichlet_moment_exact-exponent-{v!r}", lambda v=v: dirichlet_moment_exact((F(1), F(1)), (v, 1)),
+       "exponent") for v in BAD_INTEGERS),
+    *((f"MomentQuery-exponent-{v!r}", lambda v=v: MomentQuery((F(1), F(1)), (1, v), 100, 1), "exponent")
+      for v in BAD_INTEGERS),
+    *((f"normalization_check-n-{v!r}", lambda v=v: normalization_check((F(1), F(1)), v), "n")
+      for v in BAD_INTEGERS),
+]
+
+
+@pytest.mark.parametrize("call, entry", [case[1:] for case in ENTRY_RULE_CASES],
+                         ids=[case[0] for case in ENTRY_RULE_CASES])
+def test_one_input_rule_refuses_what_it_would_convert(call, entry):
+    kind = "a rational number" if entry == "shape" else "an integer"
+    with pytest.raises(ValueError, match=rf"^{entry} .* is not {kind}$"):
+        call()
+
+
 class TestQueryValidation:
     def test_coercion(self):
         q = MomentQuery((1, 2), (1, 0), 100, 7)
