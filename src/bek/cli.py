@@ -532,8 +532,6 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     # one passes every estimate, so neither says anything about the sampler
     if not (isfinite(config.sigma) and config.sigma > 0):
         raise ValueError(f"--sigma must be a finite number above 0, got {config.sigma}")
-    if config.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {config.seed}")
     _refuse_above("--samples", config.samples, MAX_MC_SAMPLES)
     if config.a_vec is not None:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
@@ -542,16 +540,22 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)
+    try:
+        queries = [MomentQuery(a_vec, l_vec, config.samples, config.seed) for a_vec, l_vec in queries]
+    except ValueError as exc:
+        if str(exc).startswith("seed "):  # the query's seed field is the --seed option
+            raise ValueError(f"--{exc}") from None
+        raise
     results = []
-    for a_vec, l_vec in queries:
-        estimate = dirichlet_moment_mc(MomentQuery(a_vec, l_vec, config.samples, config.seed))
+    for query in queries:
+        estimate = dirichlet_moment_mc(query)
         if estimate.stderr > 0.0:
             sigmas: float | None = estimate.deviation / estimate.stderr
         else:
             sigmas = None
         row = {
-            "a_vec": [str(v) for v in a_vec],
-            "l_vec": list(l_vec),
+            "a_vec": [str(v) for v in query.a_vec],
+            "l_vec": list(query.l_vec),
             "samples": config.samples,
             "seed": config.seed,
             "sigma": config.sigma,

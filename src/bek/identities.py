@@ -698,7 +698,9 @@ class IdentitySpec:
     positive rational (`a_vec` a tuple of k of them), and for a k-fold
     entry integer k >= k_min.  The validity predicate and its text, the
     default grid and `evaluate` all follow from these fields; `evaluate` is
-    a field only so that a caller can swap it for a wrapped one.
+    a field only so that a caller can swap it for a wrapped one.  Its
+    default, `evaluate_displays`, is bound to the entry it is built for,
+    also when `dataclasses.replace` builds it; a wrapped one is kept.
     """
 
     name: str
@@ -714,11 +716,12 @@ class IdentitySpec:
     evaluate: Callable[[Point], list[tuple[str, Poly, Poly]]] | None = None
 
     def __post_init__(self) -> None:
-        if self.evaluate is None:
-            def evaluate(pt: Point) -> list[tuple[str, Poly, Poly]]:
-                return [(label, *map(_as_poly, self.sides(fn, pt))) for label, fn in self.displays]
+        if self.evaluate is None or getattr(self.evaluate, "__func__", None) is IdentitySpec.evaluate_displays:
+            object.__setattr__(self, "evaluate", self.evaluate_displays)
 
-            object.__setattr__(self, "evaluate", evaluate)
+    def evaluate_displays(self, pt: Point) -> list[tuple[str, Poly, Poly]]:
+        """Both sides of every display at a checked point: the default `evaluate`."""
+        return [(label, *map(_as_poly, self.sides(fn, pt))) for label, fn in self.displays]
 
     def sides(self, fn: Callable[..., tuple[Poly | Fraction, Poly | Fraction]],
               pt: Point) -> tuple[Poly | Fraction, Poly | Fraction]:

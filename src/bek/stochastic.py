@@ -23,6 +23,10 @@ columns with l_j > 0 of w_j = g_j / s, raised to an integer power only
 where l_j > 1.  Each factor is normalized before it enters the product,
 so every value stays in [0, 1]; a large sum l can underflow to 0 but
 never overflow, which prod g_j^{l_j} / s^{sum l} would.
+
+NumPy is imported when sampling starts, by the three functions that touch
+arrays (`block_generator`, `block_values`, `dirichlet_moment_mc`), never
+with the module: `import bek` and every exact computation run without it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Rational
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exactmath import pochhammer, poly, rising_weights, series_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_SIZE = 65536
 
@@ -83,7 +88,8 @@ class MomentQuery:
 
     Vectors are stored exactly, shapes as Fractions and exponents as ints;
     shapes are converted to floats only at the sampling boundary.  Shapes
-    below MIN_MC_SHAPE are refused.
+    below MIN_MC_SHAPE are refused.  samples and seed are integers, not
+    bools, with samples >= 2 and seed >= 0, all checked before any sampling.
     """
 
     a_vec: tuple[Fraction, ...]
@@ -103,8 +109,14 @@ class MomentQuery:
             raise ValueError(f"shape {low} is below the smallest accepted shape {MIN_MC_SHAPE}")
         if any(v < 0 for v in self.l_vec):
             raise ValueError(f"exponents must be non-negative, got {self.l_vec}")
-        if self.samples < 2:
-            raise ValueError(f"need samples >= 2 for a standard error, got {self.samples}")
+        (samples,) = _exact((self.samples,), Integral, "samples")
+        (seed,) = _exact((self.seed,), Integral, "seed")
+        if samples < 2:
+            raise ValueError(f"need samples >= 2 for a standard error, got {samples}")
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def k(self) -> int:
@@ -142,6 +154,8 @@ class MomentEstimate:
 
 def block_generator(seed: int, block: int) -> np.random.Generator:
     """Generator for one sampling block, a pure function of seed and block."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
@@ -151,6 +165,8 @@ def block_values(draws: np.ndarray, l_vec: Sequence[int]) -> np.ndarray:
     s is the row sum of the draws.  Columns with l_j = 0 contribute no
     factor, so all-zero exponents give ones.
     """
+    import numpy as np
+
     s = draws[:, 0].copy()
     for j in range(1, draws.shape[1]):
         s += draws[:, j]
@@ -175,6 +191,8 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     one, and evaluates the monomial.  Results are identical for any shard
     split of the block range.
     """
+    import numpy as np
+
     started = time.perf_counter()
     exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
     sampling_started = time.perf_counter()

@@ -650,6 +650,15 @@ class TestMcCommand:
         assert [row["sigma"] for row in json.loads(capsys.readouterr().out)] == [4.0] * 3
         assert seen == [RunConfig.seed] * 3
 
+    def test_a_seed_or_sample_count_that_is_not_an_integer_exits_2(self, monkeypatch):
+        # the query refuses them before any sampling; NumPy raised TypeError
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", None)
+        for config, start in [(RunConfig(command="mc", seed=1.5), "--seed 1.5 is not an integer"),
+                              (RunConfig(command="mc", seed="7"), "--seed '7' is not an integer"),
+                              (RunConfig(command="mc", samples=100.0), "samples 100.0 is not an integer")]:
+            code, out, err = _run(config)
+            assert (code, out) == (2, "") and err == start + "\n"
+
     def test_mismatched_vectors_exit_2(self):
         code, _, err = _run(RunConfig(command="mc", a_vec=(F(1), F(1))))
         assert code == 2 and "--a and --l" in err

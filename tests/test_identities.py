@@ -404,6 +404,31 @@ class TestVerifyEngine:
         # the shared registry is untouched
         assert verify("gamma-sum", points=[{"n": 1, "p": F(1)}])[0].passed
 
+    def test_replaced_displays_are_the_ones_verified(self, monkeypatch):
+        # the default evaluate was bound to the entry `replace` copied, so
+        # verify evaluated the old displays while eval_corollary ran the new
+        entry = REGISTRY["miki"]
+        replaced = dataclasses.replace(entry, displays=(("", lambda n: (poly([F(1)]), poly([F(2)]))),))
+        assert replaced.evaluate.__self__ is replaced and entry.evaluate.__self__ is entry
+        (report,) = verify("miki", points=[{"n": 4}], registry={"miki": replaced})
+        assert report.status == "fail" and report.difference == poly([-1])
+        monkeypatch.setitem(REGISTRY, "miki", replaced)
+        assert eval_corollary("miki", 4) == (poly([F(1)]), poly([F(2)]))
+
+    def test_a_wrapped_evaluate_is_kept(self):
+        calls = []
+        entry = REGISTRY["miki"]
+
+        def wrapped(pt, evaluate=entry.evaluate):
+            calls.append(pt["n"])
+            return evaluate(pt)
+
+        replaced = dataclasses.replace(dataclasses.replace(entry, evaluate=wrapped), summary="wrapped")
+        assert replaced.evaluate is wrapped
+        assert [r.passed for r in verify("miki", points=[{"n": 4}, {"n": 5}], registry={"miki": replaced})] == [
+            True, True]
+        assert calls == [4, 5]
+
     def test_point_text_ordering(self):
         text = point_text({"a_vec": (F(1), F(1, 2)), "n": 3, "k": 2})
         assert text == "n=3 k=2 a_vec=1,1/2"
@@ -1264,7 +1289,7 @@ class TestOneCheckPerPoint:
             raise AssertionError("an unrequested display was evaluated")
 
         displays = tuple((label, fn if label == (wanted or first) else refuse) for label, fn in entry.displays)
-        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(entry, displays=displays, evaluate=None))
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(entry, displays=displays))
         params = {} if wanted is None else {"display": wanted}
         lhs, rhs = eval_corollary(name, 4, params)
         assert lhs == rhs != ZERO

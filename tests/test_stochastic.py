@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bek import stochastic
 from bek.exactmath import pochhammer
 from bek.stochastic import (
     BLOCK_SIZE,
@@ -115,8 +121,10 @@ class TestNormalization:
 
 # What the exact layer refuses before it converts anything: a shape that is
 # not a rational number (floats, strings, bools, None, nan, inf), and an
-# exponent or n that is not an integer (a Fraction among them).  int(1.5)
-# would read the exponent 1, and Fraction(0.5) a float.
+# exponent, n, sample count or seed that is not an integer (a Fraction
+# among them).  int(1.5) would read the exponent 1, and Fraction(0.5) a
+# float; a float sample count or seed failed only inside NumPy, after the
+# exact moment had been computed.
 BAD_SHAPES = (0.5, 1.0, "1", "1/2", True, False, None, float("nan"), float("inf"))
 BAD_INTEGERS = (1.5, 1.0, "2", True, False, None, float("nan"), float("inf"), F(1), F(3, 2))
 ENTRY_RULE_CASES = [
@@ -132,6 +140,10 @@ ENTRY_RULE_CASES = [
       for v in BAD_INTEGERS),
     *((f"normalization_check-n-{v!r}", lambda v=v: normalization_check((F(1), F(1)), v), "n")
       for v in BAD_INTEGERS),
+    *((f"MomentQuery-samples-{v!r}", lambda v=v: MomentQuery((F(1), F(1)), (1, 1), v, 1), "samples")
+      for v in (*BAD_INTEGERS, 2.5, 100.0)),
+    *((f"MomentQuery-seed-{v!r}", lambda v=v: MomentQuery((F(1), F(1)), (1, 1), 100, v), "seed")
+      for v in (*BAD_INTEGERS, "7")),
 ]
 
 
@@ -157,6 +169,17 @@ class TestQueryValidation:
             MomentQuery((F(1), F(1)), (1, -1), 100, 7)
         with pytest.raises(ValueError):
             MomentQuery((F(1), F(1)), (1, 1), 1, 7)
+
+    def test_seed_is_non_negative(self):
+        # NumPy refused it only while sampling, as "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            MomentQuery((F(1), F(1)), (1, 1), 100, -1)
+        assert MomentQuery((F(1), F(1)), (1, 1), 2, 0).seed == 0
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        q = MomentQuery((F(1), F(1)), (1, 1), np.int64(100), np.uint32(7))
+        assert (q.samples, q.seed) == (100, 7)
+        assert type(q.samples) is int and type(q.seed) is int
 
     def test_shape_floor(self):
         # below the floor the sampler's gamma draws underflow to 0.0 and the
@@ -321,3 +344,60 @@ class TestBlockKernel:
     def test_concentrated_shapes(self, k):
         self._check((1e8,) * k, (1,) * k, seed=42, m=BLOCK_SIZE)
         self._check((1e8,) * k, tuple(range(1, k + 1)), seed=43)
+
+
+# The exact commands of a fresh interpreter, then one Monte Carlo query:
+# prints whether NumPy was loaded after each part.  The query's zero
+# exponents make every sample 1, so two samples pass it exactly, and they
+# reach every function of the sampler that imports NumPy.
+FRESH_RUN = """
+import io, sys
+import bek, bek.cli, bek.umbral
+from fractions import Fraction
+from bek import cli
+for config in (cli.RunConfig("list"), cli.RunConfig("verify", identity="miki"), cli.RunConfig("tables", max_n=10)):
+    assert cli.run(config, out=io.StringIO()) == 0
+print("numpy" in sys.modules)
+query = cli.RunConfig("mc", a_vec=(Fraction(1), Fraction(1)), l_vec=(0, 0), samples=2)
+assert cli.run(query, out=io.StringIO()) == 0
+print("numpy" in sys.modules)
+"""
+
+
+class TestNumpyIsImportedBySampling:
+    """NumPy is imported when sampling starts, not with the package: the
+    exact layers and commands never load it."""
+
+    PACKAGE = Path(stochastic.__file__).parent
+
+    @staticmethod
+    def _module_level_imports(tree: ast.Module) -> set[str]:
+        """Top modules imported outside any function and outside an
+        `if TYPE_CHECKING:` block."""
+        found, todo = set(), list(tree.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                todo.extend(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+            todo.extend(ast.iter_child_nodes(node))
+        return found
+
+    def test_no_module_imports_numpy_at_module_level(self):
+        modules = sorted(self.PACKAGE.glob("*.py"))
+        assert modules
+        assert [path.name for path in modules
+                if "numpy" in self._module_level_imports(ast.parse(path.read_text()))] == []
+
+    def test_exact_commands_run_without_numpy_and_sampling_loads_it(self):
+        env = {**os.environ, "PYTHONPATH": str(self.PACKAGE.parent)}
+        proc = subprocess.run([sys.executable, "-c", FRESH_RUN], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
