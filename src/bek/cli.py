@@ -26,7 +26,6 @@ from .exactmath import Poly, convolution_work
 from .identities import (
     INPUT_ORDER,
     REGISTRY,
-    DomainError,
     IdentityReport,
     IdentitySpec,
     UnknownIdentityError,
@@ -320,20 +319,15 @@ def _exact_text(value: Fraction) -> str:
 
 
 def _inputs_payload(inputs: Mapping) -> dict:
-    out: dict = {}
+    """A checked point (`identities._checked`) in INPUT_ORDER: n and k as
+    the ints they are, every other value, a rational or a display label,
+    as str."""
+    payload: dict = {}
     for key in INPUT_ORDER:
-        if key not in inputs:
-            continue
-        value = inputs[key]
-        if key in ("n", "k"):
-            out[key] = int(value)
-        elif key == "a_vec":
-            out[key] = [str(Fraction(v)) for v in value]
-        elif key == "display":
-            out[key] = str(value)
-        else:
-            out[key] = str(Fraction(value))
-    return out
+        if key in inputs:
+            value = inputs[key]
+            payload[key] = value if key in ("n", "k") else [str(v) for v in value] if key == "a_vec" else str(value)
+    return payload
 
 
 def _report_payload(report: IdentityReport, timings: bool) -> dict:
@@ -349,32 +343,35 @@ def _report_payload(report: IdentityReport, timings: bool) -> dict:
 
 
 class _Style:
-    def __init__(self, out: TextIO, fmt: str) -> None:
-        self.enabled = (
-            fmt == "text"
-            and not os.environ.get("NO_COLOR")
-            and bool(getattr(out, "isatty", lambda: False)())
-        )
+    """The PASS/FAIL marks of the text format, green and red on a terminal
+    unless NO_COLOR is set."""
 
-    def ok(self, text: str) -> str:
-        return f"\033[32m{text}\033[0m" if self.enabled else text
+    def __init__(self, out: TextIO) -> None:
+        self.enabled = not os.environ.get("NO_COLOR") and bool(getattr(out, "isatty", lambda: False)())
 
-    def bad(self, text: str) -> str:
-        return f"\033[31m{text}\033[0m" if self.enabled else text
+    def _paint(self, text: str, passed: bool) -> str:
+        return f"\033[{32 if passed else 31}m{text}\033[0m" if self.enabled else text
+
+    def marker(self, passed: bool) -> str:
+        return self._paint("PASS" if passed else "FAIL", passed)
+
+    def closing(self, failures: int, total: int, noun: str, tail: str = "") -> str:
+        """The last line of a text report: all `total` pass, or how many fail."""
+        text = f"{failures} of {total} {noun} fail" if failures else f"all {total} {noun} pass"
+        return self._paint(f"{text}{tail}\n", not failures)
 
 
 def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO) -> None:
     if config.format != "text":
         _write_rows(config.format, (_report_payload(r, config.timings) for r in reports), out)
         return
-    style = _Style(out, config.format)
+    style = _Style(out)
     by_name: dict[str, list[IdentityReport]] = {}
     for r in reports:
         by_name.setdefault(r.identity, []).append(r)
     for name, group in by_name.items():
         passed = sum(1 for r in group if r.passed)
-        marker = style.ok("PASS") if passed == len(group) else style.bad("FAIL")
-        out.write(f"{name}: {passed}/{len(group)} reports pass  [{marker}]\n")
+        out.write(f"{name}: {passed}/{len(group)} reports pass  [{style.marker(passed == len(group))}]\n")
         for r in group:
             if r.passed:
                 continue
@@ -382,11 +379,7 @@ def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO)
             out.write(f"    lhs        = {_poly_text(r.lhs)}\n")
             out.write(f"    rhs        = {_poly_text(r.rhs)}\n")
             out.write(f"    difference = {_poly_text(r.difference)}\n")
-    failures = sum(1 for r in reports if not r.passed)
-    if failures:
-        out.write(style.bad(f"{failures} of {len(reports)} reports fail\n"))
-    else:
-        out.write(style.ok(f"all {len(reports)} reports pass\n"))
+    out.write(style.closing(sum(1 for r in reports if not r.passed), len(reports), "reports"))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +525,9 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     # one passes every estimate, so neither says anything about the sampler
     if not (isfinite(config.sigma) and config.sigma > 0):
         raise ValueError(f"--sigma must be a finite number above 0, got {config.sigma}")
-    _refuse_above("--samples", config.samples, MAX_MC_SAMPLES)
     if config.a_vec is not None:
         _refuse_above("--a length", len(config.a_vec), MAX_MC_SHAPES)
         _refuse_above("--l length", len(config.l_vec), MAX_MC_SHAPES)
-        _refuse_above("--l sum", sum(config.l_vec), MAX_MC_EXPONENT_SUM)
         queries = [(config.a_vec, config.l_vec)]
     else:
         queries = list(_MC_DEFAULT_QUERIES)
@@ -546,6 +537,9 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         if str(exc).startswith("seed "):  # the query's seed field is the --seed option
             raise ValueError(f"--{exc}") from None
         raise
+    # the caps read the values the queries have checked as integers
+    _refuse_above("--samples", queries[0].samples, MAX_MC_SAMPLES)
+    _refuse_above("--l sum", max(sum(query.l_vec) for query in queries), MAX_MC_EXPONENT_SUM)
     results = []
     for query in queries:
         estimate = dirichlet_moment_mc(query)
@@ -556,8 +550,8 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         row = {
             "a_vec": [str(v) for v in query.a_vec],
             "l_vec": list(query.l_vec),
-            "samples": config.samples,
-            "seed": config.seed,
+            "samples": query.samples,
+            "seed": query.seed,
             "sigma": config.sigma,
             "exact": _exact_text(estimate.exact),
             "mean": estimate.mean,
@@ -573,20 +567,17 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
     if config.format != "text":
         _write_rows(config.format, results, out)
     else:
-        style = _Style(out, config.format)
+        style = _Style(out)
         for row in results:
-            marker = style.ok("PASS") if row["status"] == "pass" else style.bad("FAIL")
             sig_text = "exact" if row["sigmas"] is None else f"{row['sigmas']:.2f} sigma"
             out.write(
                 f"mc a={','.join(row['a_vec'])} l={','.join(str(v) for v in row['l_vec'])} "
                 f"samples={row['samples']} seed={row['seed']}: mean={row['mean']:.8g} "
-                f"exact={row['exact']} stderr={row['stderr']:.3g} deviation={sig_text} [{marker}]\n"
+                f"exact={row['exact']} stderr={row['stderr']:.3g} deviation={sig_text} "
+                f"[{style.marker(row['status'] == 'pass')}]\n"
             )
         failures = sum(1 for row in results if row["status"] != "pass")
-        if failures:
-            out.write(style.bad(f"{failures} of {len(results)} checks fail (tolerance {config.sigma} sigma)\n"))
-        else:
-            out.write(style.ok(f"all {len(results)} checks pass (tolerance {config.sigma} sigma)\n"))
+        out.write(style.closing(failures, len(results), "checks", f" (tolerance {config.sigma} sigma)"))
     return 0 if all(row["status"] == "pass" for row in results) else 1
 
 
@@ -616,12 +607,8 @@ def run(
             return _cmd_verify_all(config, reg, out)
         if config.command == "mc":
             return _cmd_mc(config, out)
-        err.write(f"unknown command {config.command!r}\n")
-        return 2
-    except UnknownIdentityError as exc:
-        err.write((exc.args[0] if exc.args else str(exc)) + "\n")
-        return 2
-    except (DomainError, ValueError) as exc:
+        raise ValueError(f"unknown command {config.command!r}")
+    except (UnknownIdentityError, ValueError) as exc:  # a DomainError is a ValueError
         err.write(f"{exc}\n")
         return 2
 

@@ -77,7 +77,10 @@ class DomainError(ValueError):
 
 
 class UnknownIdentityError(KeyError):
-    """Requested name is not in the registry."""
+    """Requested name is not in the registry.  Its str is its message,
+    unquoted, as for any other exception."""
+
+    __str__ = Exception.__str__
 
 
 def _is_int(v: object) -> bool:

@@ -6,6 +6,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -659,6 +660,15 @@ class TestMcCommand:
             code, out, err = _run(config)
             assert (code, out) == (2, "") and err == start + "\n"
 
+    def test_a_sample_count_or_exponent_that_is_not_an_integer_meets_no_cap(self, monkeypatch):
+        # the caps read the checked query, so a library caller's string is
+        # refused by the query; compared with a cap first, it raised TypeError
+        monkeypatch.setattr(cli, "dirichlet_moment_mc", None)
+        for config, message in [(RunConfig(command="mc", samples="7"), "samples '7' is not an integer"),
+                                (RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=("1", 1)),
+                                 "exponent '1' is not an integer")]:
+            assert _run(config) == (2, "", message + "\n")
+
     def test_mismatched_vectors_exit_2(self):
         code, _, err = _run(RunConfig(command="mc", a_vec=(F(1), F(1))))
         assert code == 2 and "--a and --l" in err
@@ -716,6 +726,11 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_run_refuses_an_unknown_command_like_any_usage_error(self):
+        assert _run(RunConfig(command="frobnicate")) == (2, "", "unknown command 'frobnicate'\n")
+        code, out, err = _run(RunConfig(command="verify", identity="frobnicate"))
+        assert (code, out) == (2, "") and err.startswith("unknown identity 'frobnicate'; valid names: ")
 
     def test_main_rejects_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -931,6 +946,14 @@ class TestInputBudgets:
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert not defined & {"_refuse_k_above_cap", "render_ns"}
         assert not imported & {"comb", "time", "MIN_MC_SHAPE"}
+        # a report's inputs are written as `identities._checked` left them,
+        # and the text format's marks need no format to tell them apart
+        payload = next(node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name == "_inputs_payload")
+        called = {node.func.id for node in ast.walk(payload)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"Fraction", "int"}
+        assert list(inspect.signature(cli._Style).parameters) == ["out"]
 
     def test_caps_admit_the_benchmark_inputs(self):
         # perfbench runs tables to N = 150, the sweep to n = 60 and mc

@@ -263,6 +263,10 @@ class TestDomains:
         with pytest.raises(UnknownIdentityError, match="gamma-sum"):
             verify("not-a-thing")
 
+    def test_unknown_identity_error_reads_as_its_message(self):
+        # a KeyError's str quotes its message; this one's does not
+        assert str(UnknownIdentityError("m")) == "m"
+
     def test_eval_corollary_requires_params(self):
         with pytest.raises(DomainError):
             eval_corollary("theorem1", 3)
