@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from numbers import Rational
+from numbers import Integral, Rational, Real
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .exactmath import Poly, convolution_work
@@ -41,7 +41,7 @@ from .sequences import (
     euler_poly,
     genocchi_number,
 )
-from .stochastic import MomentQuery, dirichlet_moment_mc
+from .stochastic import MomentQuery, _exact, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -453,13 +453,14 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     """Write the tables row by row, so that no more than one row's text is
     held at a time; the text format first reads the B/E/G column widths
     off the number columns."""
-    if config.max_n < 0:
-        raise ValueError(f"--max-n must be >= 0, got {config.max_n}")
-    _refuse_above("--max-n", config.max_n, MAX_TABLES_N)
-    ns = range(config.max_n + 1)
+    (max_n,) = _exact((config.max_n,), Integral, "--max-n")  # before it meets a cap
+    if max_n < 0:
+        raise ValueError(f"--max-n must be >= 0, got {max_n}")
+    _refuse_above("--max-n", max_n, MAX_TABLES_N)
+    ns = range(max_n + 1)
     if config.format == "json":
         # the layout of json.dump({"max_n": ..., "rows": [...]}, out, indent=2)
-        out.write(f'{{\n  "max_n": {config.max_n},\n  "rows": ')
+        out.write(f'{{\n  "max_n": {max_n},\n  "rows": ')
         _write_json(map(_tables_row, ns), out, "  ")
         out.write("\n}\n")
         return 0
@@ -472,7 +473,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
         return 0
     numbers = [(str(bernoulli_number(n)), str(euler_number(n)), str(genocchi_number(n))) for n in ns]
     widths = [max(len(f"{key}_n"), *(len(row[i]) for row in numbers)) for i, key in enumerate("BEG")]
-    n_width = max(1, len(str(config.max_n)))
+    n_width = max(1, len(str(max_n)))
     out.write("  ".join(["n".rjust(n_width), *(f"{key}_n".ljust(w) for key, w in zip("BEG", widths))]) + "\n")
     for n, row in zip(ns, numbers):
         out.write("  ".join([str(n).rjust(n_width), *(cell.ljust(w) for cell, w in zip(row, widths))]) + "\n")
@@ -489,11 +490,13 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
     entry = _checked(config.identity, (), registry)[0]
     if config.n_range:
         ns = config.n_range
-        top = ns[-1] if isinstance(ns, range) else max(ns)  # max() would walk an oversized range
+        # max(), or the integer check, would walk an oversized range
+        top = ns[-1] if isinstance(ns, range) else max(_exact(ns, Integral, "--n"))
         _refuse_above("--n", top, MAX_VERIFY_N)
     _refuse_tall_params(config.params)
     if entry.takes_k and config.k is not None:
-        _refuse_above("--k", config.k, MAX_VERIFY_K)  # before a default tuple of length k is built
+        # before a default tuple of length k is built
+        _refuse_above("--k", _exact((config.k,), Integral, "--k")[0], MAX_VERIFY_K)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
     if entry.takes_k:
         _refuse_above("a_vec length", max((pt["k"] for pt in points), default=0), MAX_VERIFY_K)
@@ -523,6 +526,8 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         raise ValueError("--a and --l must be given together")
     # a NaN, zero or negative tolerance fails every check and an infinite
     # one passes every estimate, so neither says anything about the sampler
+    if isinstance(config.sigma, bool) or not isinstance(config.sigma, Real):
+        raise ValueError(f"--sigma {config.sigma!r} is not a number")
     if not (isfinite(config.sigma) and config.sigma > 0):
         raise ValueError(f"--sigma must be a finite number above 0, got {config.sigma}")
     if config.a_vec is not None:
@@ -563,6 +568,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         if config.timings:
             row["exact_ms"] = round(estimate.exact_s * 1000.0, 3)
             row["sampling_ms"] = round(estimate.sampling_s * 1000.0, 3)
+            row["workers"] = estimate.workers
         results.append(row)
     if config.format != "text":
         _write_rows(config.format, results, out)
@@ -685,7 +691,17 @@ def _attach_dash_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _attach_dash_values(sys.argv[1:] if argv is None else argv)
-    return run(RunConfig(**vars(_build_parser().parse_args(args))))
+    config = RunConfig(**vars(_build_parser().parse_args(args)))
+    try:
+        status = run(config)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader is gone, as with `bek verify-all | head`.  Python
+        # flushes stdout again at exit; pointing it at devnull keeps that
+        # flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -10,11 +10,23 @@ left side directly and reports agreement in standard errors.
 
 Sampling is blocked: sample index space is cut into fixed-size blocks and
 each block gets its own generator spawned from the master seed and the
-block index alone.  Workers may therefore split blocks among themselves in
-any way; the merged estimate depends only on the seed and sample count,
-never on the shard layout.  Block sums, and the blocks' sums of squared
-deviations about their own means, are merged with compensated summation
-so the final reduction is also order-insensitive in practice.
+block index alone.  The blocks run on one thread per CPU the process may
+use (never more threads than blocks, and the calling thread is one of
+them): each thread takes the next block index from a shared counter, and
+each block's (count, sum, squared deviations) lands in its own slot, so
+the merge reads them in block order whichever thread made them.  NumPy's
+gamma draws and array arithmetic release the interpreter lock, so the
+threads overlap.  The merged estimate depends only on the seed and
+sample count, never on the thread count or on which thread ran a block.
+Block sums, and the blocks' sums of squared deviations about their own
+means, are merged with compensated summation.
+
+A block's draws are made CHUNK_ROWS rows at a time into one block-length
+array of values, so a block holds one chunk of draws, not all of them.
+The generator hands out its stream one variate at a time, in row order,
+so chunked draws equal one whole-block draw element for element, and the
+monomial of a row reads that row alone; the block's sum and deviations
+are then taken over the whole array.
 
 Within a block the arithmetic runs on the k columns of the (samples, k)
 draw matrix, never along its short rows: the row sums s are k - 1
@@ -24,19 +36,23 @@ where l_j > 1.  Each factor is normalized before it enters the product,
 so every value stays in [0, 1]; a large sum l can underflow to 0 but
 never overflow, which prod g_j^{l_j} / s^{sum l} would.
 
-NumPy is imported when sampling starts, by the three functions that touch
-arrays (`block_generator`, `block_values`, `dirichlet_moment_mc`), never
-with the module: `import bek` and every exact computation run without it.
+NumPy is imported when sampling starts, by the functions that touch
+arrays (`block_generator`, `block_values`, `dirichlet_moment_mc` and its
+per-block step), never with the module: `import bek` and every exact
+computation run without it, and start no thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Rational
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .exactmath import pochhammer, poly, rising_weights, series_product
 
@@ -44,6 +60,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLOCK_SIZE = 65536
+# Rows of gamma draws made at a time within a block.
+CHUNK_ROWS = 8192
 
 # The smallest shape the sampler accepts.  A gamma variate of shape a falls
 # below the smallest double with probability about e^(-744.4 a), so at
@@ -128,7 +146,8 @@ class MomentEstimate:
     """Sample mean with its standard error and the attached exact value.
 
     exact_s and sampling_s are the wall times of the exact moment and of
-    the block loop; they are diagnostics and take no part in comparisons.
+    the block loop, and workers the threads that sampled the blocks; they
+    are diagnostics and take no part in comparisons.
     """
 
     mean: float
@@ -137,6 +156,7 @@ class MomentEstimate:
     exact: Fraction
     exact_s: float = field(default=0.0, compare=False)
     sampling_s: float = field(default=0.0, compare=False)
+    workers: int = field(default=1, compare=False)
 
     @property
     def deviation(self) -> float:
@@ -184,12 +204,79 @@ def block_values(draws: np.ndarray, l_vec: Sequence[int]) -> np.ndarray:
     return np.ones(draws.shape[0]) if values is None else values
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(count: int, work: Callable[[int], tuple], workers: int) -> list[tuple]:
+    """[work(0), ..., work(count - 1)], run on the calling thread and
+    workers - 1 more, each taking the next index from a shared counter.
+
+    When work raises on any thread, or the calling thread is interrupted,
+    no further index is started: the threads finish the work in flight
+    and are joined, and the first exception is raised here.
+    """
+    results: list = [None] * count
+    indices = itertools.count()
+    errors: list[BaseException] = []
+
+    def loop() -> None:
+        for i in indices:
+            if i >= count or errors:
+                return
+            results[i] = work(i)
+
+    def thread_loop() -> None:
+        try:
+            loop()
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=thread_loop)
+            thread.start()
+            threads.append(thread)
+        loop()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        errors.append(exc)  # stops the other threads after their work in flight
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _block_moments(q: MomentQuery, shapes: np.ndarray, block: int) -> tuple[int, float, float]:
+    """Sample count, sum, and sum of squared deviations about its own mean,
+    of one block's values."""
+    import numpy as np
+
+    m = min(BLOCK_SIZE, q.samples - block * BLOCK_SIZE)
+    rng = block_generator(q.seed, block)
+    values = np.empty(m)
+    for start in range(0, m, CHUNK_ROWS):
+        draws = rng.standard_gamma(shapes, size=(min(CHUNK_ROWS, m - start), q.k))
+        values[start:start + len(draws)] = block_values(draws, q.l_vec)
+    block_sum = float(values.sum())
+    values -= block_sum / m
+    return m, block_sum, float(np.dot(values, values))
+
+
 def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     """Estimate the mixed moment by direct simulation of the weights.
 
     Each sample draws the k gammas, normalizes them to weights summing to
-    one, and evaluates the monomial.  Results are identical for any shard
-    split of the block range.
+    one, and evaluates the monomial.  The blocks run on one thread per
+    CPU, up to one per block; results are identical for any thread count.
     """
     import numpy as np
 
@@ -197,21 +284,9 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
     sampling_started = time.perf_counter()
     shapes = np.array([float(v) for v in q.a_vec])
-    remaining = q.samples
-    block = 0
-    # per block: sample count, sum, and sum of squared deviations about
-    # the block's own mean
-    blocks: list[tuple[int, float, float]] = []
-    while remaining > 0:
-        m = min(BLOCK_SIZE, remaining)
-        rng = block_generator(q.seed, block)
-        draws = rng.standard_gamma(shapes, size=(m, q.k))
-        values = block_values(draws, q.l_vec)
-        block_sum = float(values.sum())
-        deviations = values - block_sum / m
-        blocks.append((m, block_sum, float(np.dot(deviations, deviations))))
-        remaining -= m
-        block += 1
+    n_blocks = -(-q.samples // BLOCK_SIZE)
+    workers = min(_cpu_count(), n_blocks)
+    blocks = _in_threads(n_blocks, lambda block: _block_moments(q, shapes, block), workers)
     n = q.samples
     mean = math.fsum(s_b for _, s_b, _ in blocks) / n
     # The blocks' squared deviations are moved to the overall mean (Chan,
@@ -221,7 +296,8 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     variance = m2 / (n - 1)
     finished = time.perf_counter()
     return MomentEstimate(mean=mean, stderr=math.sqrt(variance / n), n_samples=n, exact=exact,
-                          exact_s=sampling_started - started, sampling_s=finished - sampling_started)
+                          exact_s=sampling_started - started, sampling_s=finished - sampling_started,
+                          workers=workers)
 
 
 def normalization_check(a_vec: Sequence[Fraction], n: int) -> Fraction:

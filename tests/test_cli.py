@@ -10,7 +10,9 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bek.cli as cli
+from bek import stochastic
 from bek.cli import (
     MAX_MC_EXPONENT_SUM,
     MAX_MC_SAMPLES,
@@ -591,15 +594,18 @@ class TestMcCommand:
         config = RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=(1, 1), samples=100_000,
                            format="json", timings=True)
         (row,) = json.loads(_run(config)[1])
-        assert list(row)[-3:] == ["elapsed_ms", "exact_ms", "sampling_ms"]
+        assert list(row)[-4:] == ["elapsed_ms", "exact_ms", "sampling_ms", "workers"]
         assert row["exact_ms"] >= 0 and row["sampling_ms"] > 0
         # both parts run inside the elapsed interval; each figure is rounded
         # to a microsecond
         assert row["exact_ms"] + row["sampling_ms"] <= row["elapsed_ms"] + 0.002
+        # 100,000 samples are two blocks, so at most two threads sample them
+        assert row["workers"] == min(stochastic._cpu_count(), 2)
         header, line = _run(dataclasses.replace(config, format="csv"))[1].splitlines()
-        assert header.endswith(",elapsed_ms,exact_ms,sampling_ms")
-        elapsed, exact, sampling = (float(v) for v in line.split(",")[-3:])
+        assert header.endswith(",elapsed_ms,exact_ms,sampling_ms,workers")
+        elapsed, exact, sampling, workers = (float(v) for v in line.split(",")[-4:])
         assert 0 <= exact and 0 < sampling and exact + sampling <= elapsed + 0.002
+        assert workers == row["workers"]
 
     @pytest.mark.parametrize("timings", [False, True])
     @pytest.mark.parametrize("a_vec, l_vec", [((F(1), F(3)), (0, 0)), (None, None)])
@@ -778,6 +784,46 @@ class TestMain:
         code = main(["verify", "--identity", "corollary2", "--n", "2..2"])
         assert code == 2
         assert "even n >= 4" in capsys.readouterr().err
+
+
+# A library caller's value that is not of its option's type, each of which
+# reaches a cap or isfinite() and once escaped `run` as TypeError.
+UNCHECKED_TYPES = [
+    (RunConfig("tables", max_n="5"), "--max-n '5' is not an integer"),
+    (RunConfig("tables", max_n=True), "--max-n True is not an integer"),
+    (RunConfig("verify", identity="miki", n_range=["5"]), "--n '5' is not an integer"),
+    (RunConfig("verify", identity="miki", n_range=[4, 6.0]), "--n 6.0 is not an integer"),
+    (RunConfig("verify", identity="theorem2", k="3"), "--k '3' is not an integer"),
+    (RunConfig("verify", identity="theorem2", k=F(3)), "--k Fraction(3, 1) is not an integer"),
+    (RunConfig("mc", sigma="4"), "--sigma '4' is not a number"),
+    (RunConfig("mc", sigma=True), "--sigma True is not a number"),
+]
+
+
+@pytest.mark.parametrize("config, message", UNCHECKED_TYPES, ids=[m for _, m in UNCHECKED_TYPES])
+def test_a_value_of_the_wrong_type_meets_no_cap(config, message, monkeypatch):
+    for name in ("_tables_row", "_tables_cells", "verify", "dirichlet_moment_mc"):
+        monkeypatch.setattr(cli, name, None)
+    assert _run(config) == (2, "", message + "\n")
+
+
+class TestClosedPipe:
+    """A reader that stops early, as `bek ... | head` does, ends the
+    command with status 1 and no traceback."""
+
+    @pytest.mark.parametrize("argv", [["tables", "--max-n", "100", "--format", "json"],
+                                      ["verify-all", "--format", "json"]])
+    def test_no_traceback(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        # the output is far longer than a pipe holds, so the command is
+        # still writing when the pipe closes
+        with subprocess.Popen([sys.executable, "-c", "import sys; from bek.cli import main; sys.exit(main())",
+                               *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == 1
+        assert err == b""
 
 
 class TestInputBudgets:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from bek import stochastic
 from bek.exactmath import pochhammer
 from bek.stochastic import (
     BLOCK_SIZE,
+    CHUNK_ROWS,
     MIN_MC_SHAPE,
     MomentEstimate,
     MomentQuery,
@@ -295,6 +297,149 @@ class TestMonteCarlo:
         assert not degenerate.within(100.0)
 
 
+# Queries whose estimates must not depend on the thread count: three
+# blocks with a short last one, and the concentrated moment whose standard
+# error rests on the merge of the blocks' squared deviations.
+THREAD_QUERIES = [MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), 2 * BLOCK_SIZE + 17, 7),
+                  MomentQuery((F(10**8), F(10**8)), (1, 1), 200_000, 42)]
+
+
+def _blocks(q: MomentQuery) -> int:
+    return -(-q.samples // BLOCK_SIZE)
+
+
+class TestBlockThreads:
+    """The blocks run on the calling thread and up to one more thread per
+    further CPU; the estimate is the same for any number of them."""
+
+    @pytest.fixture(scope="class")
+    def one_worker(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochastic, "_cpu_count", lambda: 1)
+            return [dirichlet_moment_mc(q) for q in THREAD_QUERIES]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("index", range(len(THREAD_QUERIES)))
+    def test_any_worker_count_gives_the_same_estimate(self, monkeypatch, one_worker, workers, index):
+        q = THREAD_QUERIES[index]
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
+        est = dirichlet_moment_mc(q)
+        assert est == one_worker[index]
+        assert est.workers == min(workers, _blocks(q))
+
+    def test_more_threads_than_cores_run_every_block_once(self, monkeypatch, one_worker):
+        # eight threads switching every microsecond: a block lost or run
+        # twice by a race on the shared counter changes the estimate
+        q = THREAD_QUERIES[0]
+        seen = []
+        make = stochastic.block_generator
+        monkeypatch.setattr(stochastic, "block_generator", lambda seed, block: seen.append(block) or make(seed, block))
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = dirichlet_moment_mc(q)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(_blocks(q)))
+        assert est == one_worker[0] and est.workers == _blocks(q)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(stochastic.threading, "Thread", None)
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: 4)
+        est = dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), BLOCK_SIZE, 3))
+        assert est.workers == 1
+
+    def test_workers_take_no_part_in_comparisons(self):
+        assert MomentEstimate(0.5, 0.1, 10, F(1, 2), workers=1) == MomentEstimate(0.5, 0.1, 10, F(1, 2), workers=4)
+
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(stochastic.os, "sched_getaffinity", lambda pid: {0, 5, 7})
+        assert stochastic._cpu_count() == 3
+        monkeypatch.delattr(stochastic.os, "sched_getaffinity")
+        monkeypatch.setattr(stochastic.os, "cpu_count", lambda: 6)
+        assert stochastic._cpu_count() == 6
+        monkeypatch.setattr(stochastic.os, "cpu_count", lambda: None)
+        assert stochastic._cpu_count() == 1
+
+    @staticmethod
+    def _failing_block(monkeypatch, fails, exc: BaseException) -> list[int]:
+        """Make the first chunk of each block for which fails(block) holds,
+        on the thread that runs it, raise exc; returns the list of blocks
+        started."""
+        started, current = [], threading.local()
+        make, values = stochastic.block_generator, stochastic.block_values
+
+        def block_generator(seed, block):
+            started.append(block)
+            current.block = block
+            return make(seed, block)
+
+        def block_values(draws, l_vec):
+            if fails(current.block):
+                raise exc
+            return values(draws, l_vec)
+
+        monkeypatch.setattr(stochastic, "block_generator", block_generator)
+        monkeypatch.setattr(stochastic, "block_values", block_values)
+        return started
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_block_stops_sampling(self, monkeypatch, workers):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
+        started = self._failing_block(monkeypatch, lambda block: block == 3, RuntimeError("block 3"))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 3$"):
+            dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 40 * BLOCK_SIZE, 1))
+        # the blocks in flight when block 3 failed finish, and no more start
+        assert 3 in started and len(started) <= 3 + workers
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_of_the_calling_thread_stops_sampling(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+        # the calling thread's first block is interrupted; the other thread
+        # finishes the block it is on and starts no other
+        started = self._failing_block(monkeypatch, lambda block: threading.current_thread() is threading.main_thread(),
+                                      KeyboardInterrupt())
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 40 * BLOCK_SIZE, 1))
+        assert len(started) <= 3
+        assert threading.active_count() == threads
+
+
+class TestRowChunks:
+    """A block's draws are made CHUNK_ROWS rows at a time.  The generator
+    hands out its stream one variate at a time, in row order, and a row's
+    monomial reads that row alone, so chunked draws and their values equal
+    one whole-block call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.one_of(st.just(1.0), st.floats(1 / 20, 1e8)), min_size=2, max_size=5),
+           data=st.data())
+    def test_chunks_equal_one_call(self, shapes, data):
+        k, m = len(shapes), 3000
+        l_vec = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, m - 1), max_size=6))))
+        seed = data.draw(st.integers(0, 2**32))
+        whole = block_generator(seed, 0).standard_gamma(shapes, size=(m, k))
+        rng = block_generator(seed, 0)
+        chunks = [rng.standard_gamma(shapes, size=(stop - start, k))
+                  for start, stop in zip([0, *cuts], [*cuts, m])]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert np.array_equal(np.concatenate([block_values(c, l_vec) for c in chunks]),
+                              block_values(whole, l_vec))
+
+    @pytest.mark.parametrize("rows", [1000, 4097, BLOCK_SIZE])
+    def test_estimate_does_not_depend_on_the_chunk_size(self, monkeypatch, rows):
+        q = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), BLOCK_SIZE + 17, 5)
+        expected = dirichlet_moment_mc(q)
+        assert CHUNK_ROWS not in (rows, BLOCK_SIZE + 17)
+        monkeypatch.setattr(stochastic, "CHUNK_ROWS", rows)
+        est = dirichlet_moment_mc(q)
+        assert (est.mean, est.stderr) == (expected.mean, expected.stderr)
+
+
 # Shapes per column for the kernel tests, with one column of every size
 # class the sampler sees in practice.
 _KERNEL_SHAPES = (0.5, 1.0, 2.0, 3.5, 0.25, 1.5, 5.0, 0.75, 2.5, 1.25)
@@ -346,27 +491,33 @@ class TestBlockKernel:
         self._check((1e8,) * k, tuple(range(1, k + 1)), seed=43)
 
 
-# The exact commands of a fresh interpreter, then one Monte Carlo query:
-# prints whether NumPy was loaded after each part.  The query's zero
-# exponents make every sample 1, so two samples pass it exactly, and they
-# reach every function of the sampler that imports NumPy.
+# The import of the package, the exact commands of a fresh interpreter,
+# then one Monte Carlo query: prints, after each part, the number of
+# threads and whether NumPy and concurrent.futures were loaded.  The
+# query's zero exponents make every sample 1, so two samples pass it
+# exactly, and they reach every function of the sampler that imports
+# NumPy.
 FRESH_RUN = """
-import io, sys
+import io, sys, threading
+def loaded():
+    print(threading.active_count(), "numpy" in sys.modules, "concurrent.futures" in sys.modules)
 import bek, bek.cli, bek.umbral
+loaded()
 from fractions import Fraction
 from bek import cli
 for config in (cli.RunConfig("list"), cli.RunConfig("verify", identity="miki"), cli.RunConfig("tables", max_n=10)):
     assert cli.run(config, out=io.StringIO()) == 0
-print("numpy" in sys.modules)
+loaded()
 query = cli.RunConfig("mc", a_vec=(Fraction(1), Fraction(1)), l_vec=(0, 0), samples=2)
 assert cli.run(query, out=io.StringIO()) == 0
-print("numpy" in sys.modules)
+loaded()
 """
 
 
 class TestNumpyIsImportedBySampling:
     """NumPy is imported when sampling starts, not with the package: the
-    exact layers and commands never load it."""
+    exact layers and commands never load it, and nothing starts a thread
+    or loads concurrent.futures."""
 
     PACKAGE = Path(stochastic.__file__).parent
 
@@ -400,4 +551,4 @@ class TestNumpyIsImportedBySampling:
         proc = subprocess.run([sys.executable, "-c", FRESH_RUN], env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.splitlines() == ["1 False False", "1 False False", "1 True False"]
