@@ -22,7 +22,7 @@ from math import isfinite
 from numbers import Integral, Rational, Real
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .exactmath import Poly, convolution_work
+from .exactmath import Poly, as_exact, convolution_work, is_exact
 from .identities import (
     INPUT_ORDER,
     REGISTRY,
@@ -41,7 +41,7 @@ from .sequences import (
     euler_poly,
     genocchi_number,
 )
-from .stochastic import MomentQuery, _exact, dirichlet_moment_mc
+from .stochastic import MomentQuery, dirichlet_moment_mc
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -86,7 +86,7 @@ def _refuse_tall_params(params: Mapping | None) -> None:
     the height cap, before any point is built."""
     for key, value in (params or {}).items():
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, Rational) and max(abs(v.numerator), v.denominator) > MAX_PARAM_HEIGHT:
+            if is_exact(v, Rational) and max(abs(v.numerator), v.denominator) > MAX_PARAM_HEIGHT:
                 raise ValueError(f"--params {key} value {v} is above its input budget cap of height {MAX_PARAM_HEIGHT}")
 
 
@@ -453,7 +453,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     """Write the tables row by row, so that no more than one row's text is
     held at a time; the text format first reads the B/E/G column widths
     off the number columns."""
-    (max_n,) = _exact((config.max_n,), Integral, "--max-n")  # before it meets a cap
+    (max_n,) = as_exact((config.max_n,), Integral, "--max-n")  # before it meets a cap
     if max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {max_n}")
     _refuse_above("--max-n", max_n, MAX_TABLES_N)
@@ -491,12 +491,12 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
     if config.n_range:
         ns = config.n_range
         # max(), or the integer check, would walk an oversized range
-        top = ns[-1] if isinstance(ns, range) else max(_exact(ns, Integral, "--n"))
+        top = ns[-1] if isinstance(ns, range) else max(as_exact(ns, Integral, "--n"))
         _refuse_above("--n", top, MAX_VERIFY_N)
     _refuse_tall_params(config.params)
     if entry.takes_k and config.k is not None:
         # before a default tuple of length k is built
-        _refuse_above("--k", _exact((config.k,), Integral, "--k")[0], MAX_VERIFY_K)
+        _refuse_above("--k", as_exact((config.k,), Integral, "--k")[0], MAX_VERIFY_K)
     points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
     if entry.takes_k:
         _refuse_above("a_vec length", max((pt["k"] for pt in points), default=0), MAX_VERIFY_K)
@@ -526,7 +526,7 @@ def _cmd_mc(config: RunConfig, out: TextIO) -> int:
         raise ValueError("--a and --l must be given together")
     # a NaN, zero or negative tolerance fails every check and an infinite
     # one passes every estimate, so neither says anything about the sampler
-    if isinstance(config.sigma, bool) or not isinstance(config.sigma, Real):
+    if not is_exact(config.sigma, Real):
         raise ValueError(f"--sigma {config.sigma!r} is not a number")
     if not (isfinite(config.sigma) and config.sigma > 0):
         raise ValueError(f"--sigma must be a finite number above 0, got {config.sigma}")

@@ -22,10 +22,16 @@ operation of that kind is one call of these: `poly_add`, `poly_sub` and
 Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, and the integer form of the polynomials
 a convolution reads is built once per family and degree.
+
+The package's one input rule is stated here as well: `is_exact` and
+`as_exact` decide what counts as an integer or a rational input, and every
+layer checks its caller's values through them before it compares or
+converts any.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -37,6 +43,25 @@ Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
+
+
+def is_exact(v: object, kind: type) -> bool:
+    """v is a number of the kind (`numbers.Integral`, `numbers.Rational` or
+    `numbers.Real`) and not a bool: a bool is an int, but never a valid
+    input.  A float is not Rational, and a string is no number at all."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def as_exact(values: Iterable[object], kind: type, what: str) -> tuple:
+    """The values as Fractions (kind `numbers.Rational`) or ints (kind
+    `numbers.Integral`), each checked by `is_exact` before any is
+    converted: int() would truncate 1.5, and Fraction() read a float or a
+    string.  A refusal is a ValueError naming `what` and the value."""
+    values = tuple(values)
+    for v in values:
+        if not is_exact(v, kind):
+            raise ValueError(f"{what} {v!r} is not {'a rational number' if kind is numbers.Rational else 'an integer'}")
+    return tuple(map(Fraction if kind is numbers.Rational else int, values))
 
 
 def binomial(n: int, k: int) -> int:

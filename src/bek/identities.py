@@ -28,9 +28,10 @@ identity, write a function fn(n, *params[, k]) that returns its two sides,
 as polynomials or numbers, and declare it.  A
 convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
-`_convolution` takes the family P, one list w_i(0..n) per slot (0 where a
-term is absent) and the scale, and reads the sum off one truncated series
-product, as the coefficient of t^n in prod_i sum_l w_i(l) P_l(x) t^l.
+the kernel's `convolution_coefficient` takes the family P, one list
+w_i(0..n) per slot (0 where a term is absent) and the scale, and reads the
+sum off one truncated series product, as the coefficient of t^n in
+prod_i sum_l w_i(l) P_l(x) t^l.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -43,6 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial
+from numbers import Integral, Rational
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactmath import (
@@ -54,6 +56,7 @@ from .exactmath import (
     harmonic,
     harmonic_second,
     harmonic_shifted,
+    is_exact,
     pochhammer,
     poly,
     poly_compose_linear,
@@ -83,16 +86,11 @@ class UnknownIdentityError(KeyError):
     __str__ = Exception.__str__
 
 
-def _is_int(v: object) -> bool:
-    """An integer input; a bool is an int subclass, but never a valid one."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # The memoized products of Bernoulli and Euler polynomials for a sorted
 # index multiset.  No module of the package calls them: the left sides are
-# series coefficients (`_convolution`).  The hand-written reference left
-# sides of the tests form their products with them, and the benchmark
-# worker reads their cache statistics.
+# series coefficients (`convolution_coefficient`).  The hand-written
+# reference left sides of the tests form their products with them, and the
+# benchmark worker reads their cache statistics.
 @lru_cache(maxsize=None)
 def _bern_product(indices: tuple[int, ...]) -> Poly:
     """Product of Bernoulli polynomials for a sorted index multiset."""
@@ -116,17 +114,6 @@ def _coeff(p: Poly, m: int) -> Fraction:
     return p[m] if m < len(p) else Fraction(0)
 
 
-def _convolution(family: Callable[[int], Poly], n: int, weights: Sequence[Sequence[Fraction | int]],
-                 scale: Fraction | int) -> Poly:
-    """scale * sum over weak compositions l of n into len(weights) parts of
-    prod_i weights[i][l_i] * P_{l_1}(x)...P_{l_k}(x), with P = family.
-
-    That sum is the coefficient of t^n in prod_i sum_l weights[i][l] P_l(x)
-    t^l, read off one truncated series product: no composition is walked.
-    """
-    return convolution_coefficient(family, n, weights, scale)
-
-
 def _inverse_factorials(n: int) -> list[Fraction]:
     """1/l! for l = 0..n."""
     return [Fraction(1, factorial(l)) for l in range(n + 1)]
@@ -145,7 +132,8 @@ def _harmonic_tails(n: int) -> list[Fraction]:
 def _theorem_lhs(family: Callable[[int], Poly], n: int, a_vec: Sequence[Fraction]) -> Poly:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
     P = family, the left side of theorems 1-4."""
-    return _convolution(family, n, [rising_weights(a, n) for a in a_vec], factorial(n) / pochhammer(sum(a_vec), n))
+    return convolution_coefficient(family, n, [rising_weights(a, n) for a in a_vec],
+                                   factorial(n) / pochhammer(sum(a_vec), n))
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
@@ -297,7 +285,7 @@ def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary1(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1)] * 2, n + 2)
+    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1)] * 2, n + 2)
     rhs = poly_lincomb([
         *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1)),
         (binomial(n + 2, 3), bernoulli_poly(n - 1)),
@@ -316,7 +304,8 @@ def _corollary2(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [rising_weights(a, n), _reciprocals(n)], factorial(n) / pochhammer(a, n))
+    lhs = convolution_coefficient(bernoulli_poly, n, [rising_weights(a, n), _reciprocals(n)],
+                                  factorial(n) / pochhammer(a, n))
     rhs = poly_lincomb([
         *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
            bernoulli_poly(n - l))
@@ -328,7 +317,7 @@ def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary4_first(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_reciprocals(n)] * 2, Fraction(n, 2))
+    lhs = convolution_coefficient(bernoulli_poly, n, [_reciprocals(n)] * 2, Fraction(n, 2))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -338,7 +327,7 @@ def _corollary4_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary4_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [range(1, n + 2), _reciprocals(n)], n + 2)
+    lhs = convolution_coefficient(bernoulli_poly, n, [range(1, n + 2), _reciprocals(n)], n + 2)
     rhs = poly_lincomb([
         *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -349,7 +338,7 @@ def _corollary4_second(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_12(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1), _reciprocals(n)], 1)
+    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l)) for l in range(1, n + 1)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
@@ -382,7 +371,7 @@ def _corollary6(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_2_15(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
+    lhs = convolution_coefficient(bernoulli_poly, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
     rhs = poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l)) for l in range(n + 1)),
         (Fraction(n, 4), bernoulli_poly(n - 1)),
@@ -391,7 +380,7 @@ def _eq_2_15(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary7(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_harmonic_tails(n), _reciprocals(n)], n)
+    lhs = convolution_coefficient(bernoulli_poly, n, [_harmonic_tails(n), _reciprocals(n)], n)
     rhs = poly_lincomb([
         *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1)),
@@ -402,7 +391,7 @@ def _corollary7(n: int) -> tuple[Poly, Poly]:
 
 
 def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [[1] * (n + 1)] * 3, n + 3)
+    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1)] * 3, n + 3)
     # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l
     b = poly(bernoulli_number(l) for l in range(n + 1))
     square = series_product((b, b), n)
@@ -426,7 +415,7 @@ def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
+    lhs = convolution_coefficient(bernoulli_poly, n, [rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of
     # sum_l (eps)_l B_l t^l / l!
     series = poly(w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, n)))
@@ -444,7 +433,7 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
 
 
 def _corollary8(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(bernoulli_poly, n, [_inverse_factorials(n)] * 3, factorial(n))
+    lhs = convolution_coefficient(bernoulli_poly, n, [_inverse_factorials(n)] * 3, factorial(n))
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
     series = poly(bernoulli_number(l) / factorial(l) for l in range(n + 1))
     square = series_product((series, series), n)
@@ -504,7 +493,7 @@ def _corollary9(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _corollary10_first(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(euler_poly, n - 1, [_reciprocals(n - 1)] * 2, 1)
+    lhs = convolution_coefficient(euler_poly, n - 1, [_reciprocals(n - 1)] * 2, 1)
     rhs = poly_lincomb([
         *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
            bernoulli_poly(n - l))
@@ -516,7 +505,7 @@ def _corollary10_first(n: int) -> tuple[Poly, Poly]:
 
 
 def _corollary10_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(euler_poly, n, [_harmonic_tails(n), _reciprocals(n)], 1)
+    lhs = convolution_coefficient(euler_poly, n, [_harmonic_tails(n), _reciprocals(n)], 1)
     rhs = poly_lincomb([
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
         *((binomial(n - 1, l - 1)
@@ -536,7 +525,7 @@ def _corollary11_first(n: int) -> tuple[Poly, Poly]:
     centre = sum(
         (euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0)
     )
-    lhs = poly_sub(_convolution(euler_poly, n, [_reciprocals(n)] * 2, 1), poly([centre]))
+    lhs = poly_sub(convolution_coefficient(euler_poly, n, [_reciprocals(n)] * 2, 1), poly([centre]))
     # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, with
     # e = sum_{m>=1} E_m(0)/m t^m
     e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
@@ -555,7 +544,7 @@ def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction
 
 
 def _corollary11_second(n: int) -> tuple[Poly, Poly]:
-    lhs = _convolution(euler_poly, n, [_reciprocals(n)] * 3, Fraction(1, 3))
+    lhs = convolution_coefficient(euler_poly, n, [_reciprocals(n)] * 3, Fraction(1, 3))
     # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
     # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with
     # h = sum_{m>=1} H_{m-1} E_m(0)/m t^m
@@ -661,7 +650,7 @@ INPUT_ORDER = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
 
 
 def _pos(v: object) -> bool:
-    return (_is_int(v) or isinstance(v, Fraction)) and v > 0
+    return is_exact(v, Rational) and v > 0
 
 
 def _valid_param(key: str, v: object, k: object) -> bool:
@@ -749,9 +738,9 @@ class IdentitySpec:
 
     def validity(self, pt: Point) -> bool:
         n, k = pt.get("n"), pt.get("k")
-        if not (_is_int(n) and n >= self.n_min and (n - self.n_min) % self.n_step == 0):
+        if not (is_exact(n, Integral) and n >= self.n_min and (n - self.n_min) % self.n_step == 0):
             return False
-        if self.takes_k and not (_is_int(k) and k >= self.k_min):
+        if self.takes_k and not (is_exact(k, Integral) and k >= self.k_min):
             return False
         return all(_valid_param(key, pt.get(key), k) for key in self.param_names)
 
@@ -903,7 +892,8 @@ def _checked(name: str, points: Iterable[Point] | None,
     the one domain check of `verify` and of the single-point door
     `_sides_at`.  A k of None is no k, a k-fold point without one takes the
     length of its `a_vec`, a list `a_vec` is read as a tuple, and in a
-    checked point every parameter is a Fraction."""
+    checked point n and k are ints and every parameter is a Fraction,
+    whatever `numbers` type came in."""
     reg = REGISTRY if registry is None else registry
     entry = reg.get(name)
     if entry is None:
@@ -918,8 +908,8 @@ def _checked(name: str, points: Iterable[Point] | None,
             pt["k"] = len(pt["a_vec"])
         if not entry.validity(pt):
             raise DomainError(f"{name}: {point_text(pt)} violates validity: {entry.validity_text}")
-        for key in entry.param_names:
-            pt[key] = tuple(map(Fraction, pt[key])) if key == "a_vec" else Fraction(pt[key])
+        for key, v in pt.items():
+            pt[key] = int(v) if key in ("n", "k") else tuple(map(Fraction, v)) if key == "a_vec" else Fraction(v)
         checked.append(pt)
     return entry, checked
 

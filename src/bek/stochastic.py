@@ -52,9 +52,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Rational
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .exactmath import pochhammer, poly, rising_weights, series_product
+from .exactmath import as_exact, pochhammer, poly, rising_weights, series_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,23 +71,10 @@ CHUNK_ROWS = 8192
 MIN_MC_SHAPE = Fraction(1, 20)
 
 
-def _exact(values: Iterable[object], kind: type, what: str) -> tuple:
-    """The values as Fractions (kind Rational: a shape) or ints (kind
-    Integral: an exponent or n), each a number of that kind and not a bool.
-    The one rule of the shapes, exponents and n of this module, checked
-    before any value is converted: int() would truncate 1.5 and Fraction()
-    read a float, and the exact layers take no float."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise ValueError(f"{what} {v!r} is not {'a rational number' if kind is Rational else 'an integer'}")
-    return tuple(map(Fraction if kind is Rational else int, values))
-
-
 def dirichlet_moment_exact(a_vec: Sequence[Fraction], l_vec: Sequence[int]) -> Fraction:
     """Exact mixed moment prod_i (a_i)_{l_i} / (sum a)_{sum l}."""
-    a = _exact(a_vec, Rational, "shape")
-    l = _exact(l_vec, Integral, "exponent")
+    a = as_exact(a_vec, Rational, "shape")
+    l = as_exact(l_vec, Integral, "exponent")
     if not a or len(a) != len(l):
         raise ValueError(f"need matching non-empty vectors, got lengths {len(a)} and {len(l)}")
     if any(v <= 0 for v in a):
@@ -116,8 +103,8 @@ class MomentQuery:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_vec", _exact(self.a_vec, Rational, "shape"))
-        object.__setattr__(self, "l_vec", _exact(self.l_vec, Integral, "exponent"))
+        object.__setattr__(self, "a_vec", as_exact(self.a_vec, Rational, "shape"))
+        object.__setattr__(self, "l_vec", as_exact(self.l_vec, Integral, "exponent"))
         if len(self.a_vec) < 2 or len(self.a_vec) != len(self.l_vec):
             raise ValueError(
                 f"need k >= 2 with matching vectors, got lengths {len(self.a_vec)} and {len(self.l_vec)}"
@@ -127,8 +114,8 @@ class MomentQuery:
             raise ValueError(f"shape {low} is below the smallest accepted shape {MIN_MC_SHAPE}")
         if any(v < 0 for v in self.l_vec):
             raise ValueError(f"exponents must be non-negative, got {self.l_vec}")
-        (samples,) = _exact((self.samples,), Integral, "samples")
-        (seed,) = _exact((self.seed,), Integral, "seed")
+        (samples,) = as_exact((self.samples,), Integral, "samples")
+        (seed,) = as_exact((self.seed,), Integral, "seed")
         if samples < 2:
             raise ValueError(f"need samples >= 2 for a standard error, got {samples}")
         if seed < 0:
@@ -268,7 +255,9 @@ def _block_moments(q: MomentQuery, shapes: np.ndarray, block: int) -> tuple[int,
         values[start:start + len(draws)] = block_values(draws, q.l_vec)
     block_sum = float(values.sum())
     values -= block_sum / m
-    return m, block_sum, float(np.dot(values, values))
+    # squared in place and summed by NumPy, not by BLAS: the rounding of
+    # np.dot follows the BLAS thread count, and the printed stderr with it
+    return m, block_sum, float(np.square(values, out=values).sum())
 
 
 def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
@@ -309,8 +298,8 @@ def normalization_check(a_vec: Sequence[Fraction], n: int) -> Fraction:
     splits l is n!/(sum a)_n times the coefficient of t^n in
     prod_i sum_l (a_i)_l t^l / l!, read off one truncated series product.
     """
-    a = _exact(a_vec, Rational, "shape")
-    (n,) = _exact((n,), Integral, "n")
+    a = as_exact(a_vec, Rational, "shape")
+    (n,) = as_exact((n,), Integral, "n")
     if len(a) < 2:
         raise ValueError(f"need k >= 2 shapes, got {len(a)}")
     if n < 0:

@@ -35,11 +35,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from numbers import Integral, Rational
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import (
     Poly,
     ZERO,
+    as_exact,
     poly,
     poly_lincomb,
     poly_shift_operator,
@@ -178,11 +180,11 @@ class UmbralExpr:
 
 def _merge_affine(affine: Sequence[AffineTerm]) -> tuple[Fraction, dict[SymbolId, Fraction]]:
     """The coefficient of X and the non-zero coefficient of each distinct
-    symbol, with repeated terms added up."""
+    symbol, with repeated terms added up; each coefficient must be a
+    rational number."""
     x_coeff = Fraction(0)
     sym_coeffs: dict[SymbolId, Fraction] = {}
-    for c, s in affine:
-        c = Fraction(c)
+    for c, (_, s) in zip(as_exact((c for c, _ in affine), Rational, "affine coefficient"), affine):
         if s is X:
             x_coeff += c
         else:
@@ -246,7 +248,7 @@ def umbral_pow(affine: Sequence[AffineTerm], n: int) -> UmbralExpr:
     merged up front (their coefficients add), so the expansion runs over
     distinct slots only.
     """
-    if n < 0:
+    if (n := as_exact((n,), Integral, "umbral_pow n")[0]) < 0:
         raise ValueError(f"umbral_pow requires n >= 0, got n={n}")
     return umbral_substitute(_monomial(n), affine)
 
@@ -341,11 +343,11 @@ class DifferenceOp:
 
 
 def forward_difference(*shifts: Fraction | int) -> DifferenceOp:
-    return DifferenceOp(tuple(Fraction(u) for u in shifts), OpVariant.FORWARD)
+    return DifferenceOp(as_exact(shifts, Rational, "forward_difference shift"), OpVariant.FORWARD)
 
 
 def discrete_mean(*shifts: Fraction | int) -> DifferenceOp:
-    return DifferenceOp(tuple(Fraction(u) for u in shifts), OpVariant.DISCRETE_MEAN)
+    return DifferenceOp(as_exact(shifts, Rational, "discrete_mean shift"), OpVariant.DISCRETE_MEAN)
 
 
 def apply_delta(op: DifferenceOp, p: Poly) -> Poly:
@@ -360,26 +362,30 @@ def _subsets(k: int) -> Iterator[tuple[int, ...]]:
         yield from combinations(range(k), j)
 
 
-def _checked(name: str, k: int, values: Sequence, n: int | None = None, weights: bool = True) -> list[Fraction]:
+def _checked(name: str, k: int, values: Sequence, *n: int, weights: bool = True) -> list[Fraction]:
     """The shifts or weights of verifier `name` as Fractions, once they pass
-    its checks: k >= 1 values, n >= 0 if given, and weights summing to 1."""
-    if k < 1 or len(values) != k:
+    its checks: an integer k >= 1 and k rational values, an integer n >= 0
+    if one is given, and weights summing to 1.  Each value is checked as a
+    number before it is compared."""
+    if (k := as_exact((k,), Integral, f"{name} k")[0]) < 1 or len(values) != k:
         raise ValueError(f"{name} requires len({'u' if weights else 'shifts'}) == k >= 1, got k={k}")
-    if n is not None and n < 0:
-        raise ValueError(f"{name} requires n >= 0, got n={n}")
-    values = [Fraction(v) for v in values]
+    if any(m < 0 for m in as_exact(n, Integral, f"{name} n")):
+        raise ValueError(f"{name} requires n >= 0, got n={n[0]}")
+    values = list(as_exact(values, Rational, f"{name} {'weight' if weights else 'shift'}"))
     if weights and sum(values) != 1:
         raise ValueError(f"{name} requires the weights to sum to 1")
     return values
 
 
-def _operator_expansion(make_op: Callable[..., DifferenceOp], shifts: list[Fraction], p: Poly,
+def _operator_expansion(variant: OpVariant, shifts: list[Fraction], p: Poly,
                         weight: Callable[[int], int]) -> tuple[Poly, list[tuple[int, Poly]]]:
-    """The operator at the summed shift applied to p, and the terms
-    (weight(|J|), operators at the shifts in J applied to p) over the
-    non-empty subsets J: lemmas 1 and 3 equate the first to their sum."""
-    terms = [(weight(len(J)), apply_delta(make_op(*(shifts[i] for i in J)), p)) for J in _subsets(len(shifts))]
-    return apply_delta(make_op(sum(shifts)), p), terms
+    """The operator of the variant at the summed shift applied to p, and
+    the terms (weight(|J|), operators at the shifts in J applied to p) over
+    the non-empty subsets J: lemmas 1 and 3 equate the first to their sum.
+    The shifts are checked, so the operators are built directly."""
+    terms = [(weight(len(J)), apply_delta(DifferenceOp(tuple(shifts[i] for i in J), variant), p))
+             for J in _subsets(len(shifts))]
+    return apply_delta(DifferenceOp((sum(shifts),), variant), p), terms
 
 
 def _symbol_subset_sum(f: Poly, shifts: Sequence[Poly], drop: int, anchor: SymbolId,
@@ -398,7 +404,7 @@ def verify_lemma1(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     """Forward difference at the summed shift equals the sum over all
     non-empty shift subsets of the composed single-shift differences."""
     shifts = _checked("verify_lemma1", k, shifts, weights=False)
-    lhs, terms = _operator_expansion(forward_difference, shifts, test_poly, lambda j: 1)
+    lhs, terms = _operator_expansion(OpVariant.FORWARD, shifts, test_poly, lambda j: 1)
     return lhs == poly_lincomb(terms)
 
 
@@ -411,7 +417,7 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     """
     shifts = _checked("verify_lemma3", k, shifts, weights=False)
     sign = -1 if k % 2 == 0 else 1
-    lhs, terms = _operator_expansion(discrete_mean, shifts, test_poly, lambda j: sign * (-2) ** (j - 1))
+    lhs, terms = _operator_expansion(OpVariant.DISCRETE_MEAN, shifts, test_poly, lambda j: sign * (-2) ** (j - 1))
     if sign < 0:
         terms.append((1, test_poly))
     return lhs == poly_lincomb(terms)
@@ -454,7 +460,7 @@ def verify_annihilation(symbol_pair: tuple[SymbolId, SymbolId], n: int) -> bool:
     Holds for n >= 1 when (S, T) is a Bernoulli symbol with a continuous
     uniform symbol, or an Euler symbol with a discrete uniform symbol.
     """
-    if n < 1:
+    if (n := as_exact((n,), Integral, "verify_annihilation n")[0]) < 1:
         raise ValueError(f"verify_annihilation requires n >= 1, got n={n}")
     s, t = symbol_pair
     return umbral_moment_eval(_monomial(n), [(Fraction(1), s), (Fraction(1), t)]) == ZERO

@@ -5,11 +5,13 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import numbers
 import textwrap
 from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,12 +20,14 @@ from bek import exactmath
 from bek.exactmath import (
     ONE,
     ZERO,
+    as_exact,
     binomial,
     convolution_coefficient,
     convolution_work,
     harmonic,
     harmonic_second,
     harmonic_shifted,
+    is_exact,
     pochhammer,
     poly,
     poly_add,
@@ -528,3 +532,75 @@ class TestLayering:
         assert _private_kernel_imports("from . import exactmath as em\nem._int_form(p)") == ["_int_form"]
         assert _private_kernel_imports("import bek.exactmath as em\nem._taylor_shift(n, u)") == ["_taylor_shift"]
         assert _private_kernel_imports("from .exactmath import poly_shift_operator\nfrom .sequences import _x") == []
+
+
+
+# The number kinds of the package's one input rule.
+KINDS = ("Integral", "Rational", "Real")
+
+
+def _kinds_outside_the_rule(source: str) -> list[str]:
+    """Each use of a number kind (by name, or as an attribute such as
+    `numbers.Rational`) that is not an argument of `is_exact` or
+    `as_exact`, as source text; imports are not uses."""
+    tree = ast.parse(source)
+    allowed = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("is_exact", "as_exact")
+               for arg in node.args}
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if (getattr(node, "id", None) in KINDS or isinstance(node, ast.Attribute) and node.attr in KINDS)
+            and id(node) not in allowed]
+
+
+class TestOneInputRule:
+    """What counts as an integer or a rational input is stated once, by
+    `is_exact` and `as_exact`: a `numbers` kind, never a bool.  Every
+    other module states it through them."""
+
+    ACCEPTED = {
+        numbers.Integral: (0, -3, 10**30, np.int64(4), np.int32(-1), np.uint8(7)),
+        numbers.Rational: (0, -3, np.int64(4), Fraction(1, 3), Fraction(-7, 2), bek.Rational(5)),
+        numbers.Real: (0, np.int64(4), Fraction(1, 3), 0.5, float("nan"), float("-inf"), np.float64(2.5)),
+    }
+    REFUSED = {
+        numbers.Integral: (True, False, np.bool_(True), 1.0, 1.5, Fraction(1), Fraction(3, 2), "2", None, 1j),
+        numbers.Rational: (True, False, 0.5, 1.0, float("nan"), np.float64(0.5), "1/2", "1", None, 1j),
+        numbers.Real: (True, False, "1", "0.5", None, 1j, Fraction),
+    }
+
+    @pytest.mark.parametrize("kind", list(ACCEPTED), ids=lambda kind: kind.__name__)
+    def test_is_exact(self, kind):
+        assert all(is_exact(v, kind) for v in self.ACCEPTED[kind])
+        assert not any(is_exact(v, kind) for v in self.REFUSED[kind])
+
+    def test_as_exact_converts_after_checking_every_value(self):
+        ints = as_exact((np.int64(4), 2, np.uint8(7)), numbers.Integral, "n")
+        assert ints == (4, 2, 7) and all(type(v) is int for v in ints)
+        fracs = as_exact((np.int64(4), 2, Fraction(1, 3)), numbers.Rational, "shape")
+        assert fracs == (4, 2, Fraction(1, 3)) and all(type(v) is Fraction for v in fracs)
+        assert as_exact(iter(()), numbers.Integral, "n") == ()
+
+    @pytest.mark.parametrize("kind, what, expected", [
+        (numbers.Integral, "exponent", "an integer"), (numbers.Rational, "verify_lemma2 weight", "a rational number")])
+    def test_as_exact_names_what_and_the_value(self, kind, what, expected):
+        for v in self.REFUSED[kind]:
+            with pytest.raises(ValueError) as refused:
+                as_exact((1, v), kind, what)
+            assert str(refused.value) == f"{what} {v!r} is not {expected}"
+
+    def test_the_rule_is_stated_once(self):
+        package = Path(bek.__file__).parent
+        offenders = {path.name: uses for path in sorted(package.glob("*.py"))
+                     if path.name != "exactmath.py" and (uses := _kinds_outside_the_rule(path.read_text()))}
+        assert offenders == {}
+        defined = {(path.name, node.name) for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {("identities.py", "_is_int"), ("stochastic.py", "_exact")}
+
+    def test_the_scan_sees_each_use_of_a_kind(self):
+        assert _kinds_outside_the_rule("from numbers import Integral\nas_exact(v, Integral, 'n')") == []
+        assert _kinds_outside_the_rule("is_exact(v, numbers.Rational) and is_exact(w, Real)") == []
+        assert _kinds_outside_the_rule("isinstance(v, Integral)") == ["Integral"]
+        assert _kinds_outside_the_rule("isinstance(v, numbers.Rational)") == ["numbers.Rational"]
+        assert _kinds_outside_the_rule("kinds = (Real,)\nis_exact(v, kinds[0])") == ["Real"]
+        assert _kinds_outside_the_rule("as_exact((Integral,), Rational, 'x')") == ["Integral"]

@@ -12,6 +12,7 @@ from itertools import chain, combinations
 from math import factorial, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -823,8 +824,8 @@ class TestCorruptedSeriesProduct:
 
 
 # ---------------------------------------------------------------------------
-# The hand-written left sides that the weighted convolution `_convolution`
-# replaced, kept as the reference it is compared against.  They walk the
+# The hand-written left sides that the weighted convolution
+# `convolution_coefficient` replaced, kept as the reference it is compared against.  They walk the
 # compositions and form their products with the module's memoized product
 # tables, which no module of the package calls any more, so they share
 # nothing with the series product but the polynomials B_l(x) and E_l(x).
@@ -954,10 +955,10 @@ def _folded_product(family, parts):
 
 
 def _convolution_copy(family, n, weights, scale, drop_last=False):
-    """`_convolution` as a walk over the compositions, optionally without
-    the last composition that contributes a term.  The last composition of
-    all, (n, 0, ..., 0), has zero weight in every entry with a 1/l slot, so
-    dropping it would change nothing there."""
+    """`convolution_coefficient` as a walk over the compositions, optionally
+    without the last composition that contributes a term.  The last
+    composition of all, (n, 0, ..., 0), has zero weight in every entry with
+    a 1/l slot, so dropping it would change nothing there."""
     terms = [
         (scale * c, _folded_product(family, tuple(sorted(parts))))
         for parts in composition_parts(n, len(weights))
@@ -967,18 +968,19 @@ def _convolution_copy(family, n, weights, scale, drop_last=False):
 
 
 class TestCorruptedConvolution:
-    """A corrupted `_convolution` is caught by every converted display."""
+    """A corrupted `convolution_coefficient`, as `identities` calls it, is
+    caught by every converted display."""
 
     def test_the_uncorrupted_copy_agrees(self, monkeypatch):
         expected = {(name, label): _display(name, label) for name, label in CONVERTED}
         expected = {key: fn(*args(_points_with_terms(*key)[0])) for key, (fn, args) in expected.items()}
-        monkeypatch.setattr(identities, "_convolution", _convolution_copy)
+        monkeypatch.setattr(identities, "convolution_coefficient", _convolution_copy)
         for (name, label), sides in expected.items():
             fn, args = _display(name, label)
             assert fn(*args(_points_with_terms(name, label)[0])) == sides
 
     def test_dropped_last_composition(self, monkeypatch):
-        monkeypatch.setattr(identities, "_convolution",
+        monkeypatch.setattr(identities, "convolution_coefficient",
                             lambda family, n, weights, scale: _convolution_copy(family, n, weights, scale, True))
         survivors = []
         for name, label in CONVERTED:
@@ -992,14 +994,14 @@ class TestCorruptedConvolution:
         # Dropping a scale of 1 changes nothing, so each display is checked
         # at its first point with terms whose scale is not 1; four displays
         # have scale 1 at every point and cannot catch this.
-        real = identities._convolution
+        real = identities.convolution_coefficient
         scales = []
 
         def without_scale(family, n, weights, scale):
             scales.append(scale)
             return real(family, n, weights, 1)
 
-        monkeypatch.setattr(identities, "_convolution", without_scale)
+        monkeypatch.setattr(identities, "convolution_coefficient", without_scale)
         survivors, unit_scale = [], []
         for name, label in CONVERTED:
             fn, args = _display(name, label)
@@ -1063,12 +1065,19 @@ class TestConvolutionDesign:
         assert _callers(SOURCES["identities.py"], {"composition_parts"}) == set()
 
     def test_only_the_convolution_calls_the_kernel(self):
+        # the kernel's callers are the declared left sides: each converted
+        # display's function, or `_theorem_lhs` for those that call it
+        functions = self._functions()
+        declared = {_display(name, label)[0].__name__ for name, label in CONVERTED}
+        theorems = {fn for fn in declared if "_theorem_lhs" in _called_names(functions[fn])}
+        assert len(declared) == 18 and len(theorems) == 4
         assert {name: found for name, source in SOURCES.items()
-                if (found := _callers(source, {"convolution_coefficient"}))} == {"identities.py": {"_convolution"}}
+                if (found := _callers(source, {"convolution_coefficient"}))} == {
+            "identities.py": declared - theorems | {"_theorem_lhs"}}
 
     def test_each_converted_left_side_is_a_declaration(self):
         functions = self._functions()
-        assert "_convolution" in _called_names(functions["_theorem_lhs"])
+        assert "convolution_coefficient" in _called_names(functions["_theorem_lhs"])
         for name, label in CONVERTED:
             fn, _ = _display(name, label)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
@@ -1078,8 +1087,9 @@ class TestConvolutionDesign:
             if (name, label) in CENTRED:
                 assert value.func.id == "poly_sub", name
                 value, constant = value.args
-                assert not _called_names(constant) & {"_convolution", "composition_parts", *PRODUCT_TABLES}, name
-            assert value.func.id in ("_convolution", "_theorem_lhs"), name
+                assert not _called_names(constant) & {"convolution_coefficient", "composition_parts",
+                                                      *PRODUCT_TABLES}, name
+            assert value.func.id in ("convolution_coefficient", "_theorem_lhs"), name
             assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
 
     def test_the_scan_sees_each_caller(self):
@@ -1209,6 +1219,19 @@ class TestOneDomainRule:
         assert eval_theorem2(3, [1, F(1, 2)]) == eval_theorem2(3, (F(1), F(1, 2)), k=2)
         (report,) = verify("theorem4", [{"n": 3, "a_vec": [2, F(1, 2), 1]}])
         assert report.passed and report.inputs == {"n": 3, "a_vec": (F(2), F(1, 2), F(1)), "k": 3}
+
+    def test_a_numbers_integer_is_read_as_an_int(self):
+        # the rule of `exactmath.is_exact`: a NumPy integer is a
+        # numbers.Integral, so it is a valid n, k or parameter, and a checked
+        # point holds it as an int or a Fraction
+        (report,) = verify("miki", [{"n": np.int64(4)}])
+        assert report.passed and report.inputs == {"n": 4} and type(report.inputs["n"]) is int
+        (report,) = verify("theorem2", [{"n": np.int32(3), "k": np.int64(2), "a_vec": (np.int64(2), F(1, 2))}])
+        assert report.passed and report.inputs == {"n": 3, "k": 2, "a_vec": (F(2), F(1, 2))}
+        assert [type(report.inputs[key]) for key in ("n", "k")] == [int, int]
+        assert all(type(a) is Fraction for a in report.inputs["a_vec"])
+        (report,) = verify("gamma-sum", [{"n": 2, "p": np.int64(3)}])
+        assert report.passed and type(report.inputs["p"]) is Fraction
 
     def test_one_function_raises_the_validity_error(self):
         raisers = set()

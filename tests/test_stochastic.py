@@ -440,6 +440,26 @@ class TestRowChunks:
         assert (est.mean, est.stderr) == (expected.mean, expected.stderr)
 
 
+class TestBlasThreads:
+    """The printed estimates do not depend on the BLAS thread count: a
+    block's squared deviations are summed by NumPy, where the rounding of
+    np.dot followed the number of OpenBLAS threads (the (1,1) query's
+    stderr ended ...577 with one thread and ...5772 with two)."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mc_prints_the_same_bytes_for_one_and_two_blas_threads(self, fmt):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(stochastic.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", "import sys; from bek.cli import main; sys.exit(main())",
+                                   "mc", "--samples", "20000", "--format", fmt],
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 # Shapes per column for the kernel tests, with one column of every size
 # class the sampler sees in practice.
 _KERNEL_SHAPES = (0.5, 1.0, 2.0, 3.5, 0.25, 1.5, 5.0, 0.75, 2.5, 1.25)

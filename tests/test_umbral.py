@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -672,3 +673,81 @@ class TestSharedExpansionsAgainstReferences:
         for variant in OpVariant:
             op = DifferenceOp(tuple(shifts), variant)
             assert apply_delta(op, p) == _reference_int_apply_delta(op, p)
+
+
+# What the umbral layer refuses before it compares or converts anything,
+# by the package's one input rule (`exactmath.as_exact`): a weight, shift
+# or affine coefficient that is not a rational number (floats, strings,
+# bools, None, nan, inf), and a k or n that is not an integer (a Fraction
+# among them).  Fraction() would read the string '1/4' and the float 0.1,
+# and a bool k or n passed as 1.
+BAD_RATIONALS = (0.5, 1.0, "1", "1/2", True, False, None, float("nan"), float("inf"))
+BAD_INTEGERS = (1.5, 1.0, "2", True, False, None, float("nan"), float("inf"), F(1), F(3, 2))
+_CUBE = poly([0, 0, 0, 1])
+_HALVES = (F(1, 2), F(1, 2))
+_VERIFIERS = {
+    "verify_lemma1": lambda k=2, values=_HALVES, n=None: verify_lemma1(k, values, _CUBE),
+    "verify_lemma3": lambda k=2, values=_HALVES, n=None: verify_lemma3(k, values, _CUBE),
+    "verify_lemma2": lambda k=2, values=_HALVES, n=3: verify_lemma2(k, values, n),
+    "verify_lemma4": lambda k=2, values=_HALVES, n=3: verify_lemma4(k, values, n),
+    "verify_general_f": lambda k=2, values=_HALVES, n=None: verify_general_f(k, values, _CUBE),
+}
+_TAKES_N = ("verify_lemma2", "verify_lemma4")
+_AFFINE = {
+    "umbral_pow": lambda affine: umbral_pow(affine, 2),
+    "umbral_substitute": lambda affine: umbral_substitute(_CUBE, affine),
+    "umbral_moment_eval": lambda affine: umbral_moment_eval(_CUBE, affine),
+}
+# (id, call, message): each call is refused with exactly that message
+UMBRAL_RULE_CASES = [
+    *((f"{name}-k-{v!r}", lambda call=call, v=v: call(k=v, values=(F(1),)), f"{name} k {v!r} is not an integer")
+      for name, call in _VERIFIERS.items() for v in BAD_INTEGERS),
+    *((f"{name}-n-{v!r}", lambda call=_VERIFIERS[name], v=v: call(n=v), f"{name} n {v!r} is not an integer")
+      for name in _TAKES_N for v in BAD_INTEGERS),
+    *((f"{name}-value-{v!r}", lambda call=call, v=v: call(values=(v, F(1, 2))),
+       f"{name} {'weight' if name in (*_TAKES_N, 'verify_general_f') else 'shift'} {v!r} is not a rational number")
+      for name, call in _VERIFIERS.items() for v in BAD_RATIONALS),
+    *((f"verify_annihilation-n-{v!r}", lambda v=v: verify_annihilation((euler_symbol(), discrete_symbol()), v),
+       f"verify_annihilation n {v!r} is not an integer") for v in BAD_INTEGERS),
+    *((f"forward_difference-{v!r}", lambda v=v: forward_difference(F(1), v),
+       f"forward_difference shift {v!r} is not a rational number") for v in BAD_RATIONALS),
+    *((f"discrete_mean-{v!r}", lambda v=v: discrete_mean(v), f"discrete_mean shift {v!r} is not a rational number")
+      for v in BAD_RATIONALS),
+    *((f"umbral_pow-n-{v!r}", lambda v=v: umbral_pow([(1, X)], v), f"umbral_pow n {v!r} is not an integer")
+      for v in BAD_INTEGERS),
+    *((f"{name}-coefficient-{v!r}", lambda call=call, v=v: call([(1, X), (v, bernoulli_symbol())]),
+       f"affine coefficient {v!r} is not a rational number") for name, call in _AFFINE.items() for v in BAD_RATIONALS),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in UMBRAL_RULE_CASES],
+                         ids=[case[0] for case in UMBRAL_RULE_CASES])
+def test_one_input_rule_refuses_what_it_would_convert(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+class TestAcceptedKinds:
+    """Any `numbers.Integral` k or n and any `numbers.Rational` weight or
+    shift is read, as an int or a Fraction."""
+
+    def test_numpy_integers_and_ints_are_read_as_exact_numbers(self):
+        assert verify_lemma2(np.int64(2), (np.int64(1), F(0)), np.int64(3))
+        assert verify_lemma4(2, (2, -1), np.int32(4))
+        assert verify_annihilation((euler_symbol(), discrete_symbol()), np.int64(3))
+        assert forward_difference(np.int64(2), 1).shifts == (F(2), F(1))
+        assert all(type(u) is F for u in discrete_mean(np.int64(2), 1).shifts)
+        assert umbral_pow([(np.int64(2), X)], np.int64(2)) == umbral_pow([(F(2), X)], 2)
+
+    def test_range_messages_are_kept(self):
+        with pytest.raises(ValueError, match=r"^verify_lemma2 requires len\(u\) == k >= 1, got k=0$"):
+            verify_lemma2(0, (), 3)
+        with pytest.raises(ValueError, match=r"^verify_lemma4 requires n >= 0, got n=-1$"):
+            verify_lemma4(1, (F(1),), -1)
+        with pytest.raises(ValueError, match=r"^verify_lemma2 requires the weights to sum to 1$"):
+            verify_lemma2(2, (F(1), F(1)), 3)
+        with pytest.raises(ValueError, match=r"^umbral_pow requires n >= 0, got n=-1$"):
+            umbral_pow([(1, X)], -1)
+        with pytest.raises(ValueError, match=r"^verify_annihilation requires n >= 1, got n=0$"):
+            verify_annihilation((euler_symbol(), discrete_symbol()), 0)
