@@ -331,12 +331,14 @@ def _inputs_payload(inputs: Mapping) -> dict:
 
 
 def _report_payload(report: IdentityReport, timings: bool) -> dict:
+    # the sides of a pass are one polynomial, so they share their cells
+    lhs = _poly_cells(report.lhs)
     return {
         "identity": report.identity,
         "inputs": _inputs_payload(report.inputs),
         "status": report.status,
-        "lhs": _poly_cells(report.lhs),
-        "rhs": _poly_cells(report.rhs),
+        "lhs": lhs,
+        "rhs": lhs if report.passed else _poly_cells(report.rhs),
         "difference": _poly_cells(report.difference),
         "elapsed_ms": round(report.elapsed * 1000.0, 3) if timings else 0,
     }

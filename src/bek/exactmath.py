@@ -5,7 +5,8 @@ lowest terms).  Polynomials are immutable tuples of Fractions indexed by
 power of x, with trailing zeros trimmed; the zero polynomial is the empty
 tuple and has degree -1 by convention.  Everything in this module is a pure
 function on immutable values, so concurrent use needs no locking; the
-memoized scalar helpers use `functools.lru_cache`, which is thread safe.
+memoized scalar helpers use `functools.lru_cache` or a `GrowingTables`
+fill lock, both thread safe.
 
 The kernel operations, the truncated power-series product
 `series_product`, the subset expansion `subset_series`, the weighted
@@ -23,6 +24,11 @@ Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, and the integer form of the polynomials
 a convolution reads is built once per family and degree.
 
+The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
+`harmonic_shifted` read growing tables (`GrowingTables`), one per
+sequence and, for a parameter a, one per a: each new entry is one
+operation on the one before it, so a call costs the entries it adds.
+
 The package's one input rule is stated here as well: `is_exact` and
 `as_exact` decide what counts as an integer or a rational input, and every
 layer checks its caller's values through them before it compares or
@@ -32,17 +38,20 @@ converts any.
 from __future__ import annotations
 
 import numbers
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
+from math import comb, gcd, lcm, prod
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Rational = Fraction
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
+
+T = TypeVar("T")
 
 
 def is_exact(v: object, kind: type) -> bool:
@@ -92,11 +101,6 @@ def _pochhammer(p: int, q: int, k: int) -> Fraction:
     return Fraction(_rising_product(p, q, 0, k), q ** k)
 
 
-def rising_weights(a: Fraction | int, n: int) -> list[Fraction]:
-    """(a)_l / l! for l = 0..n: the coefficients of (1 - t)^(-a) up to t^n."""
-    return [pochhammer(a, l) / factorial(l) for l in range(n + 1)]
-
-
 def _rising_product(p: int, q: int, lo: int, hi: int) -> int:
     """prod_{lo <= i < hi} (p + i q) as a balanced product tree.
 
@@ -113,39 +117,75 @@ def _rising_product(p: int, q: int, lo: int, hi: int) -> int:
     return _rising_product(p, q, lo, mid) * _rising_product(p, q, mid, hi)
 
 
-@lru_cache(maxsize=None)
+class GrowingTables:
+    """Growable tables of values; entries are immutable once filled.
+
+    Fills are serialized with a re-entrant lock; reads of already-computed
+    entries are safe from any thread, and they do not take the lock, since
+    a table only ever grows by appending.  Recomputation is deterministic,
+    so independent instances always agree.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+
+    def _entry(self, name: str, table: list[T], n: int, fill: Callable[[int], T]) -> T:
+        """table[n], appending fill(m) for each missing index m first.  A
+        bool is an int subclass, but never an index."""
+        if type(n) is int and 0 <= n < len(table):
+            return table[n]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"{name} requires an integer n >= 0, got n={n!r}")
+        with self._lock:
+            while len(table) <= n:
+                table.append(fill(len(table)))
+        return table[n]
+
+
+# The scalar tables: sum_{j<m} 1/j^2, and per rational a, keyed on its
+# (numerator, denominator), (a)_m/m! and sum_{j<m} 1/(j + a).
+_TABLES = GrowingTables()
+_HARMONIC_SECOND: list[Fraction] = [Fraction(0)]
+_RISING: dict[tuple[int, int], list[Fraction]] = {}
+_SHIFTED: dict[tuple[int, int], list[Fraction]] = {}
+
+
+def rising_weights(a: Fraction | int, n: int) -> tuple[Fraction, ...]:
+    """(a)_l / l! for l = 0..n: the coefficients of (1 - t)^(-a) up to t^n,
+    from a table per a grown by w_l = w_{l-1} (a + l - 1) / l."""
+    (a,) = as_exact((a,), numbers.Rational, "rising_weights a")
+    p, q = a.numerator, a.denominator
+    table = _RISING.get((p, q)) or _RISING.setdefault((p, q), [Fraction(1)])
+    _TABLES._entry("rising_weights", table, n, lambda m: table[m - 1] * Fraction(p + (m - 1) * q, q * m))
+    return tuple(table[: n + 1])
+
+
+def _shifted(name: str, p: int, q: int, n: int) -> Fraction:
+    """sum_{j<n} 1/(j + p/q), from a table per p/q grown by 1/(p/q + m - 1)."""
+    table = _SHIFTED.get((p, q)) or _SHIFTED.setdefault((p, q), [Fraction(0)])
+    return _TABLES._entry(name, table, n, lambda m: table[m - 1] + Fraction(q, p + (m - 1) * q))
+
+
 def harmonic(n: int) -> Fraction:
     """Harmonic number H_n = sum_{j=1}^{n} 1/j, with H_0 = 0."""
-    if n < 0:
-        raise ValueError(f"harmonic requires n >= 0, got n={n}")
-    return harmonic_shifted(1, n)
+    return _shifted("harmonic", 1, 1, n)
 
 
-@lru_cache(maxsize=None)
 def harmonic_shifted(a: Fraction | int, n: int) -> Fraction:
     """Shifted harmonic number sum_{j=0}^{n-1} 1/(j+a) for a > 0; 0 at n = 0.
 
     The shift a = 1 recovers the ordinary harmonic numbers.
     """
-    if n < 0:
-        raise ValueError(f"harmonic_shifted requires n >= 0, got n={n}")
+    (a,) = as_exact((a,), numbers.Rational, "harmonic_shifted a")
     if a <= 0:
         raise ValueError(f"harmonic_shifted requires a > 0, got a={a}")
-    out = Fraction(0)
-    for j in range(n):
-        out += 1 / (Fraction(a) + j)
-    return out
+    return _shifted("harmonic_shifted", a.numerator, a.denominator, n)
 
 
-@lru_cache(maxsize=None)
 def harmonic_second(n: int) -> Fraction:
     """Second-order harmonic number sum_{j=1}^{n} 1/j^2, with value 0 at n = 0."""
-    if n < 0:
-        raise ValueError(f"harmonic_second requires n >= 0, got n={n}")
-    out = Fraction(0)
-    for j in range(1, n + 1):
-        out += Fraction(1, j * j)
-    return out
+    table = _HARMONIC_SECOND
+    return _TABLES._entry("harmonic_second", table, n, lambda m: table[m - 1] + Fraction(1, m * m))
 
 
 def poly(coeffs: Iterable[Fraction | int]) -> Poly:

@@ -23,27 +23,18 @@ x = 1/2 in powers of (x - 1/2)).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, TypeVar
 
-from .exactmath import Poly
-
-T = TypeVar("T")
+from .exactmath import GrowingTables, Poly
 
 
-class SequenceCache:
-    """Growable tables of sequence values; entries are immutable once filled.
-
-    Fills are serialized with a re-entrant lock; reads of already-computed
-    entries are safe from any thread, and they do not take the lock, since
-    a table only ever grows by appending.  Recomputation is deterministic,
-    so independent caches always agree.
-    """
+class SequenceCache(GrowingTables):
+    """Growable tables of sequence values (`GrowingTables`): immutable once
+    filled, filled under one lock, read without it."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        super().__init__()
         self._zigzag: list[int] = [1]
         # the last row of Seidel's boustrophedon; it ends in the last A_n
         self._seidel_row: list[int] = [1]
@@ -53,18 +44,6 @@ class SequenceCache:
         self._euler_num: list[Fraction] = []
         self._bernoulli_poly: list[Poly] = []
         self._euler_poly: list[Poly] = []
-
-    def _entry(self, name: str, table: list[T], n: int, fill: Callable[[int], T]) -> T:
-        """table[n], appending fill(m) for each missing index m first.  A
-        bool is an int subclass, but never an index."""
-        if type(n) is int and 0 <= n < len(table):
-            return table[n]
-        if type(n) is not int or n < 0:
-            raise ValueError(f"{name} requires an integer n >= 0, got n={n!r}")
-        with self._lock:
-            while len(table) <= n:
-                table.append(fill(len(table)))
-        return table[n]
 
     def _next_zigzag(self, m: int) -> int:
         # row m is 0 followed by the running sums of row m - 1 reversed

@@ -6,7 +6,9 @@ import ast
 import inspect
 import math
 import numbers
+import sys
 import textwrap
+import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -39,6 +41,7 @@ from bek.exactmath import (
     poly_shift,
     poly_shift_operator,
     poly_sub,
+    rising_weights,
     series_product,
     subset_series,
 )
@@ -228,6 +231,87 @@ class TestHarmonics:
     def test_harmonic_second_values(self):
         assert harmonic_second(3) == Fraction(49, 36)
         assert harmonic_second(1) == 1
+
+
+def _shifted_sum(a, m) -> Fraction:
+    return sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0))
+
+
+class TestScalarTables:
+    """`rising_weights` and the harmonic numbers read growing tables, each
+    entry one step from the one before it: asked in any order, from any
+    thread, they give the from-scratch values, and they fill without
+    recursion."""
+
+    @given(st.one_of(rationals, st.integers(-12, 0)), st.permutations(range(16)))
+    def test_rising_weights_match_the_quotient_in_any_order(self, a, order):
+        # at a = 0 and at a negative integer, (a)_l vanishes from l = 1 - a on
+        for n in order:
+            expected = tuple(pochhammer(a, l) / math.factorial(l) for l in range(n + 1))
+            assert rising_weights(a, n) == expected
+            assert all(type(w) is Fraction for w in rising_weights(a, n))
+        if a.denominator == 1:
+            assert rising_weights(int(a), 15) == rising_weights(Fraction(a), 15)
+
+    @given(st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12), st.permutations(range(16)))
+    def test_harmonic_numbers_match_the_sums_in_any_order(self, a, order):
+        for n in order:
+            assert harmonic_shifted(a, n) == _shifted_sum(a, n)
+            assert harmonic(n) == _shifted_sum(1, n)
+            assert harmonic_second(n) == sum((Fraction(1, j * j) for j in range(1, n + 1)), Fraction(0))
+        if a.denominator == 1:
+            assert harmonic_shifted(int(a), 15) == harmonic_shifted(Fraction(a), 15) == _shifted_sum(a, 15)
+
+    def test_large_indices_fill_without_recursion(self):
+        assert len(rising_weights(Fraction(1, 3), 5000)) == 5001
+        assert rising_weights(Fraction(1, 3), 5000)[5000] == pochhammer(Fraction(1, 3), 5000) / math.factorial(5000)
+        assert harmonic(5000) - harmonic(4999) == Fraction(1, 5000)
+        assert harmonic_second(5000) - harmonic_second(4999) == Fraction(1, 5000 ** 2)
+
+    def test_threads_filling_one_table_agree(self):
+        # a parameter no other test reads, so the threads fill its tables
+        # together, one entry at a time, more threads than cores, switching
+        # often: an entry appended twice would shift every later one
+        a, top, count = Fraction(997, 991), 400, 4
+        results: list = []
+
+        def fill():
+            for m in range(top + 1):
+                rising_weights(a, m)
+                harmonic_shifted(a, m)
+            results.append((rising_weights(a, top), harmonic_shifted(a, top)))
+
+        threads = [threading.Thread(target=fill) for _ in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = (tuple(pochhammer(a, l) / math.factorial(l) for l in range(top + 1)), _shifted_sum(a, top))
+        assert results == [expected] * count
+
+    def test_a_returned_series_cannot_change_the_table(self):
+        a = Fraction(5, 7)
+        weights = rising_weights(a, 6)
+        with pytest.raises(TypeError):
+            weights[2] = Fraction(0)  # a tuple, not the table itself
+        assert rising_weights(a, 6) == weights and rising_weights(a, 6)[2] == a * (a + 1) / 2
+        assert rising_weights(a, 9)[:7] == weights
+
+    def test_the_input_rule_applies_before_any_table_is_read(self):
+        # 0.5 and Fraction(1, 2) are equal and hash alike, and True reads as 1
+        assert harmonic_shifted(Fraction(1, 2), 3) == Fraction(46, 15)
+        for call in (lambda: harmonic(True), lambda: harmonic_second(True), lambda: harmonic_shifted(0.5, 3),
+                     lambda: harmonic_shifted(Fraction(1), True), lambda: harmonic(2.0), lambda: rising_weights(0.5, 3),
+                     lambda: rising_weights(True, 3), lambda: rising_weights(Fraction(1, 2), True),
+                     lambda: rising_weights(Fraction(1, 2), -1), lambda: harmonic_shifted("1/2", 3)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestPolynomials:

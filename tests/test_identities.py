@@ -434,6 +434,34 @@ class TestVerifyEngine:
             True, True]
         assert calls == [4, 5]
 
+    def test_a_pass_subtracts_nothing(self, monkeypatch):
+        # equal sides are equal tuples: no poly_sub runs, and the report's
+        # rhs cells are its lhs cells
+        subtracted = []
+        monkeypatch.setattr(identities, "poly_sub", lambda p, q: subtracted.append((p, q)) or poly_sub(p, q))
+        reports = [*verify("theorem1", points=[{"n": 6, "a": F(2), "b": F(1, 3)}]),
+                   *verify("corollary4", points=[{"n": 7}]), *verify("miki", points=[{"n": 8}])]
+        assert [r.status for r in reports] == ["pass"] * 4 and subtracted == []
+        assert all(r.difference == ZERO and r.lhs == r.rhs for r in reports)
+        payloads = [cli._report_payload(r, False) for r in reports]
+        assert all(row["rhs"] == row["lhs"] == [str(c) for c in r.rhs] for row, r in zip(payloads, reports))
+
+    @pytest.mark.parametrize("index", [2, 3])
+    def test_a_corrupted_right_side_term_fails_with_its_difference(self, monkeypatch, index):
+        # B_2 is a term the right side keeps, B_3 = 0 one it skips: the skip
+        # reads the value, so a corrupted B_3 is kept and caught too
+        n, a, b = 6, F(2), F(1, 3)
+        true_bernoulli = identities.bernoulli_number
+        monkeypatch.setattr(identities, "bernoulli_number", lambda m: true_bernoulli(m) + F(int(m == index), 7))
+        (report,) = verify("theorem1", points=[{"n": n, "a": a, "b": b}])
+        weight = (binomial(n, index) * (a * pochhammer(b, index) + b * pochhammer(a, index))
+                  / pochhammer(a + b, index + 1))
+        assert report.status == "fail"
+        assert report.difference == poly_scale(-weight / 7, bernoulli_poly(n - index)) != ZERO
+        assert report.difference == poly_sub(report.lhs, report.rhs)
+        row = cli._report_payload(report, False)
+        assert row["rhs"] == [str(c) for c in report.rhs] != row["lhs"]
+
     def test_point_text_ordering(self):
         text = point_text({"a_vec": (F(1), F(1, 2)), "n": 3, "k": 2})
         assert text == "n=3 k=2 a_vec=1,1/2"
