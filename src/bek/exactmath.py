@@ -65,16 +65,22 @@ def as_exact(values: Iterable[object], kind: type, what: str) -> tuple:
     """The values as Fractions (kind `numbers.Rational`) or ints (kind
     `numbers.Integral`), each checked by `is_exact` before any is
     converted: int() would truncate 1.5, and Fraction() read a float or a
-    string.  A refusal is a ValueError naming `what` and the value."""
+    string.  A refusal is a ValueError naming `what` and the value.  A
+    Fraction is built from int numerator and denominator: Fraction(v) keeps
+    a NumPy integer's own numerator, whose arithmetic wraps at 64 bits."""
     values = tuple(values)
     for v in values:
         if not is_exact(v, kind):
             raise ValueError(f"{what} {v!r} is not {'a rational number' if kind is numbers.Rational else 'an integer'}")
-    return tuple(map(Fraction if kind is numbers.Rational else int, values))
+    if kind is numbers.Rational:
+        return tuple(Fraction(int(v.numerator), int(v.denominator)) for v in values)
+    return tuple(map(int, values))
 
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); 0 outside 0 <= k <= n.  Requires n >= 0."""
+    if type(n) is not int or type(k) is not int:
+        n, k = as_exact((n, k), numbers.Integral, "binomial argument")
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -89,10 +95,12 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
     with a single reduction at the end.  The memo is keyed on (p, q, k):
     a key holding the Fraction would hash it in Python on every call.
     """
+    if type(z) is not Fraction and type(z) is not int:
+        (z,) = as_exact((z,), numbers.Rational, "pochhammer argument")
+    if type(k) is not int:
+        (k,) = as_exact((k,), numbers.Integral, "pochhammer order")
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
-    if type(z) is not Fraction and type(z) is not int:
-        z = Fraction(z)
     return _pochhammer(z.numerator, z.denominator, k)
 
 
@@ -190,7 +198,9 @@ def harmonic_second(n: int) -> Fraction:
 
 def poly(coeffs: Iterable[Fraction | int]) -> Poly:
     """Build a polynomial from coefficients in ascending power order."""
-    out = [Fraction(c) for c in coeffs]
+    out = list(coeffs)
+    if not all(type(c) is Fraction for c in out):
+        out = list(as_exact(out, numbers.Rational, "coefficient"))
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -397,6 +407,8 @@ def convolution_work(k: int, n: int) -> int:
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:
     """Evaluate p at a rational point by Horner's rule."""
+    if type(x0) is not Fraction and type(x0) is not int:
+        (x0,) = as_exact((x0,), numbers.Rational, "point")
     out = Fraction(0)
     for c in reversed(p):
         out = out * x0 + c

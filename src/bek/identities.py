@@ -51,6 +51,7 @@ from .exactmath import (
     ONE,
     Poly,
     ZERO,
+    as_exact,
     binomial,
     convolution_coefficient,
     harmonic,
@@ -910,7 +911,8 @@ def _checked(name: str, points: Iterable[Point] | None,
         if not entry.validity(pt):
             raise DomainError(f"{name}: {point_text(pt)} violates validity: {entry.validity_text}")
         for key, v in pt.items():
-            pt[key] = int(v) if key in ("n", "k") else tuple(map(Fraction, v)) if key == "a_vec" else Fraction(v)
+            pt[key] = (int(v) if key in ("n", "k") else as_exact(v, Rational, key) if key == "a_vec"
+                       else as_exact((v,), Rational, key)[0])
         checked.append(pt)
     return entry, checked
 

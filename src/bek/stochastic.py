@@ -8,25 +8,30 @@ the normalized weights u_i = g_i / sum(g) satisfy
 with rising-factorial products on the right.  The sampler estimates the
 left side directly and reports agreement in standard errors.
 
+The standard error is exact, from the same formula.  The monomial
+X = prod u_i^{l_i} has X^2 = prod u_i^{2 l_i}, so Var X = M(2l) - M(l)^2,
+and since (a)_{2l} = (a)_l (a + l)_l, M(2l) = M(l) R where R is the moment
+at l of the shapes a_i + l_i.  So Var X = M(l) (R - M(l)), exactly, and
+the standard error of the mean of n samples is sqrt(Var X / n): it does
+not depend on the draws, and one sample is enough for a verdict.
+
 Sampling is blocked: sample index space is cut into fixed-size blocks and
 each block gets its own generator spawned from the master seed and the
 block index alone.  The blocks run on one thread per CPU the process may
 use (never more threads than blocks, and the calling thread is one of
 them): each thread takes the next block index from a shared counter, and
-each block's (count, sum, squared deviations) lands in its own slot, so
-the merge reads them in block order whichever thread made them.  NumPy's
+each block's sum lands in its own slot, so the compensated sum of the
+slots reads them in block order whichever thread made them.  NumPy's
 gamma draws and array arithmetic release the interpreter lock, so the
-threads overlap.  The merged estimate depends only on the seed and
-sample count, never on the thread count or on which thread ran a block.
-Block sums, and the blocks' sums of squared deviations about their own
-means, are merged with compensated summation.
+threads overlap.  The mean depends only on the seed and sample count,
+never on the thread count or on which thread ran a block.
 
 A block's draws are made CHUNK_ROWS rows at a time into one block-length
 array of values, so a block holds one chunk of draws, not all of them.
 The generator hands out its stream one variate at a time, in row order,
 so chunked draws equal one whole-block draw element for element, and the
-monomial of a row reads that row alone; the block's sum and deviations
-are then taken over the whole array.
+monomial of a row reads that row alone; the block's sum is then taken
+over the whole array.
 
 Within a block the arithmetic runs on the k columns of the (samples, k)
 draw matrix, never along its short rows: the row sums s are k - 1
@@ -94,7 +99,7 @@ class MomentQuery:
     Vectors are stored exactly, shapes as Fractions and exponents as ints;
     shapes are converted to floats only at the sampling boundary.  Shapes
     below MIN_MC_SHAPE are refused.  samples and seed are integers, not
-    bools, with samples >= 2 and seed >= 0, all checked before any sampling.
+    bools, with samples >= 1 and seed >= 0, all checked before any sampling.
     """
 
     a_vec: tuple[Fraction, ...]
@@ -116,8 +121,8 @@ class MomentQuery:
             raise ValueError(f"exponents must be non-negative, got {self.l_vec}")
         (samples,) = as_exact((self.samples,), Integral, "samples")
         (seed,) = as_exact((self.seed,), Integral, "seed")
-        if samples < 2:
-            raise ValueError(f"need samples >= 2 for a standard error, got {samples}")
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         object.__setattr__(self, "samples", samples)
@@ -130,11 +135,11 @@ class MomentQuery:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Sample mean with its standard error and the attached exact value.
+    """Sample mean with the exact standard error and the attached exact value.
 
-    exact_s and sampling_s are the wall times of the exact moment and of
-    the block loop, and workers the threads that sampled the blocks; they
-    are diagnostics and take no part in comparisons.
+    exact_s and sampling_s are the wall times of the exact moment and
+    variance and of the block loop, and workers the threads that sampled
+    the blocks; they are diagnostics and take no part in comparisons.
     """
 
     mean: float
@@ -199,7 +204,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_threads(count: int, work: Callable[[int], tuple], workers: int) -> list[tuple]:
+def _in_threads(count: int, work: Callable[[int], float], workers: int) -> list[float]:
     """[work(0), ..., work(count - 1)], run on the calling thread and
     workers - 1 more, each taking the next index from a shared counter.
 
@@ -242,9 +247,8 @@ def _in_threads(count: int, work: Callable[[int], tuple], workers: int) -> list[
     return results
 
 
-def _block_moments(q: MomentQuery, shapes: np.ndarray, block: int) -> tuple[int, float, float]:
-    """Sample count, sum, and sum of squared deviations about its own mean,
-    of one block's values."""
+def _block_sum(q: MomentQuery, shapes: np.ndarray, block: int) -> float:
+    """The sum of one block's values."""
     import numpy as np
 
     m = min(BLOCK_SIZE, q.samples - block * BLOCK_SIZE)
@@ -253,11 +257,7 @@ def _block_moments(q: MomentQuery, shapes: np.ndarray, block: int) -> tuple[int,
     for start in range(0, m, CHUNK_ROWS):
         draws = rng.standard_gamma(shapes, size=(min(CHUNK_ROWS, m - start), q.k))
         values[start:start + len(draws)] = block_values(draws, q.l_vec)
-    block_sum = float(values.sum())
-    values -= block_sum / m
-    # squared in place and summed by NumPy, not by BLAS: the rounding of
-    # np.dot follows the BLAS thread count, and the printed stderr with it
-    return m, block_sum, float(np.square(values, out=values).sum())
+    return float(values.sum())
 
 
 def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
@@ -266,25 +266,25 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     Each sample draws the k gammas, normalizes them to weights summing to
     one, and evaluates the monomial.  The blocks run on one thread per
     CPU, up to one per block; results are identical for any thread count.
+    The standard error is the exact sqrt(Var X / n) of the module notes.
     """
     import numpy as np
 
     started = time.perf_counter()
     exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
+    r = dirichlet_moment_exact([a + l for a, l in zip(q.a_vec, q.l_vec)], q.l_vec)
+    # M (R - M) / n over a common denominator left unreduced: the gcds of
+    # Fraction arithmetic on the long integers of a tall query cost more
+    # than its moments, and int / int rounds to the nearest float as well
+    m_num, m_den = exact.numerator, exact.denominator
+    stderr = math.sqrt(m_num * (r.numerator * m_den - m_num * r.denominator) / (m_den ** 2 * r.denominator * q.samples))
     sampling_started = time.perf_counter()
     shapes = np.array([float(v) for v in q.a_vec])
     n_blocks = -(-q.samples // BLOCK_SIZE)
     workers = min(_cpu_count(), n_blocks)
-    blocks = _in_threads(n_blocks, lambda block: _block_moments(q, shapes, block), workers)
-    n = q.samples
-    mean = math.fsum(s_b for _, s_b, _ in blocks) / n
-    # The blocks' squared deviations are moved to the overall mean (Chan,
-    # Golub & LeVeque); a one-pass sum(v^2) - n mean^2 cancels to nothing
-    # for concentrated shapes.
-    m2 = math.fsum(m2_b + m_b * (s_b / m_b - mean) ** 2 for m_b, s_b, m2_b in blocks)
-    variance = m2 / (n - 1)
+    sums = _in_threads(n_blocks, lambda block: _block_sum(q, shapes, block), workers)
     finished = time.perf_counter()
-    return MomentEstimate(mean=mean, stderr=math.sqrt(variance / n), n_samples=n, exact=exact,
+    return MomentEstimate(mean=math.fsum(sums) / q.samples, stderr=stderr, n_samples=q.samples, exact=exact,
                           exact_s=sampling_started - started, sampling_s=finished - sampling_started,
                           workers=workers)
 

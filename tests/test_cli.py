@@ -581,6 +581,30 @@ class TestMcCommand:
         rows = _strict_json(out)
         assert [row["exact"] for row in rows] == ["1/6", "32/153153", "1/495"]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 42])
+    def test_two_samples_pass_the_default_queries(self, seed):
+        # the standard error is exact, so it holds at any sample count; one
+        # estimated from the two samples read 14.94 and 446.14 sigma at seed 42
+        code, out, _ = _run(RunConfig(command="mc", samples=2, seed=seed, format="json"))
+        assert code == 0
+        assert [row["status"] for row in json.loads(out)] == ["pass"] * 3
+
+    def test_one_sample_runs_and_no_sample_exits_2(self):
+        code, out, _ = _run(RunConfig(command="mc", samples=1, format="json"))
+        rows = json.loads(out)
+        assert code == 0 and [row["samples"] for row in rows] == [1] * 3
+        assert all(row["stderr"] > 0 for row in rows)
+        assert _run(RunConfig(command="mc", samples=0)) == (2, "", "need samples >= 1, got 0\n")
+
+    def test_an_exact_moment_with_a_shifted_shape_fails(self, monkeypatch):
+        # the default queries at 1,000,000 samples read it at 31 to 66 sigma
+        exact = stochastic.dirichlet_moment_exact
+        monkeypatch.setattr(stochastic, "dirichlet_moment_exact",
+                            lambda a_vec, l_vec: exact((a_vec[0] + F(1, 2), *a_vec[1:]), l_vec))
+        code, out, _ = _run(RunConfig(command="mc", format="json"))
+        assert code == 1
+        assert [row["status"] for row in json.loads(out)] == ["fail"] * 3
+
     def test_no_timing_columns_without_timings(self):
         config = RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=(1, 1), samples=1_000, format="json")
         (row,) = json.loads(_run(config)[1])
@@ -698,7 +722,7 @@ class TestMcCommand:
         cap = get_cap() if get_cap else None
         code, out, err = _run(RunConfig(command="mc", a_vec=a_vec, l_vec=l_vec,
                                         samples=2, format="json"))
-        assert code in (0, 1) and err == ""
+        assert code == 0 and err == ""
         assert (get_cap() if get_cap else None) == cap
         (row,) = json.loads(out)
         assert len(row["exact"]) > 2 * 4300

@@ -191,10 +191,33 @@ class TestMemoizedScalars:
     def test_pochhammer_is_memoized_on_integers(self):
         exactmath._pochhammer.cache_clear()
         assert pochhammer(Fraction(3), 4) == pochhammer(3, 4) == 360
-        assert pochhammer(Fraction(6, 4), 2) == pochhammer(1.5, 2) == Fraction(15, 4)
+        assert pochhammer(Fraction(6, 4), 2) == Fraction(15, 4)
         info = exactmath._pochhammer.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
         assert all(type(pochhammer(z, 3)) is Fraction for z in (2, Fraction(2), Fraction(1, 3)))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pochhammer(1.5, 2), "pochhammer argument 1.5 is not a rational number"),
+        (lambda: pochhammer(True, 2), "pochhammer argument True is not a rational number"),
+        (lambda: pochhammer(Fraction(1, 2), 2.0), "pochhammer order 2.0 is not an integer"),
+        (lambda: pochhammer(3, False), "pochhammer order False is not an integer"),
+        (lambda: poly([0.1]), "coefficient 0.1 is not a rational number"),
+        (lambda: poly([Fraction(1), "2"]), "coefficient '2' is not a rational number"),
+        (lambda: poly_eval(poly([1, 1]), 0.5), "point 0.5 is not a rational number"),
+        (lambda: binomial(True, 1), "binomial argument True is not an integer"),
+        (lambda: binomial(4, 1.0), "binomial argument 1.0 is not an integer"),
+    ])
+    def test_scalar_helpers_apply_the_input_rule(self, call, message):
+        # a float was read as its binary fraction, and a bool as an int
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_scalar_helpers_read_numpy_integers(self):
+        assert pochhammer(np.int64(3), np.int32(2)) == 12 and binomial(np.int64(5), np.uint8(2)) == 10
+        # the memo holds ints, so a later product does not wrap at 64 bits
+        assert type(pochhammer(3, 2).numerator) is int and pochhammer(3, 2) * 10**30 == 12 * 10**30
+        assert poly([np.int64(2), 1]) == (Fraction(2), Fraction(1))
+        assert poly_eval(poly([1, 1]), np.int64(2)) == 3
 
     def test_negative_arguments_still_raise(self):
         # exceptions are not cached: every call raises again
@@ -662,6 +685,8 @@ class TestOneInputRule:
         assert ints == (4, 2, 7) and all(type(v) is int for v in ints)
         fracs = as_exact((np.int64(4), 2, Fraction(1, 3)), numbers.Rational, "shape")
         assert fracs == (4, 2, Fraction(1, 3)) and all(type(v) is Fraction for v in fracs)
+        # built from int parts: Fraction(np.int64(4)) keeps the NumPy numerator
+        assert all(type(v.numerator) is int and type(v.denominator) is int for v in fracs)
         assert as_exact(iter(()), numbers.Integral, "n") == ()
 
     @pytest.mark.parametrize("kind, what, expected", [

@@ -1260,6 +1260,11 @@ class TestOneDomainRule:
         assert all(type(a) is Fraction for a in report.inputs["a_vec"])
         (report,) = verify("gamma-sum", [{"n": 2, "p": np.int64(3)}])
         assert report.passed and type(report.inputs["p"]) is Fraction
+        # Fraction(np.int64(3)) keeps the NumPy numerator, whose products
+        # wrap at 64 bits: theorem1 failed at n = 20, and left a wrapped
+        # entry in the pochhammer memo for every later caller
+        (report,) = verify("theorem1", [{"n": 20, "a": np.int64(3), "b": np.int64(5)}])
+        assert report.passed and [type(report.inputs[key].numerator) for key in ("a", "b")] == [int, int]
 
     def test_one_function_raises_the_validity_error(self):
         raisers = set()

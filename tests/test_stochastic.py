@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -59,6 +60,11 @@ class TestExactMoments:
 
     def test_zero_exponents_give_one(self):
         assert dirichlet_moment_exact((F(1), F(3)), (0, 0)) == 1
+
+    def test_numpy_integer_shapes_are_exact(self):
+        # a Fraction of a NumPy integer kept its 64-bit numerator, and the
+        # moment wrapped to -256875/27423298
+        assert dirichlet_moment_exact((np.int64(1), np.int64(1)), (40, 1)) == F(1, 1722)
 
     def test_matches_beta_integral_for_pairs(self):
         # for k=2 the first weight is Beta(a1, a2); its l-th raw moment is
@@ -169,8 +175,12 @@ class TestQueryValidation:
             MomentQuery((F(1), F(-1)), (1, 1), 100, 7)
         with pytest.raises(ValueError):
             MomentQuery((F(1), F(1)), (1, -1), 100, 7)
-        with pytest.raises(ValueError):
-            MomentQuery((F(1), F(1)), (1, 1), 1, 7)
+        with pytest.raises(ValueError, match="^need samples >= 1, got 0$"):
+            MomentQuery((F(1), F(1)), (1, 1), 0, 7)
+
+    def test_one_sample_is_a_query(self):
+        # the standard error is exact, so it needs no second sample
+        assert MomentQuery((F(1), F(1)), (1, 1), 1, 7).samples == 1
 
     def test_seed_is_non_negative(self):
         # NumPy refused it only while sampling, as "expected non-negative integer"
@@ -265,24 +275,21 @@ class TestMonteCarlo:
         again = block_generator(11, 0).standard_gamma(1.0, size=(BLOCK_SIZE, 2))
         assert np.array_equal(small, again)
 
-    def test_stderr_matches_two_pass_variance(self):
-        # regenerate every block's values and compare with numpy's two-pass
-        # sample variance over the whole sample
+    def test_mean_matches_the_regenerated_blocks(self):
+        # regenerate every block's values and compare with their mean over
+        # the whole sample
         q = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), 2 * BLOCK_SIZE + 17, 7)
         est = dirichlet_moment_mc(q)
         values = []
         for block, m in enumerate((BLOCK_SIZE, BLOCK_SIZE, 17)):
             draws = block_generator(q.seed, block).standard_gamma([1.0, 2.0, 0.5], size=(m, 3))
-            weights = draws / draws.sum(axis=1, keepdims=True)
-            values.append(np.prod(weights ** np.array([2.0, 1.0, 3.0]), axis=1))
-        values = np.concatenate(values)
-        expected = math.sqrt(np.var(values, ddof=1) / q.samples)
-        assert est.stderr == pytest.approx(expected, rel=1e-9)
+            values.append(_reference_block_values(draws, q.l_vec))
+        assert est.mean == pytest.approx(float(np.concatenate(values).mean()), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [10**8, 10**10])
     def test_concentrated_shapes_keep_a_positive_stderr(self, shape):
-        # u_1 u_2 is nearly constant here; a one-pass sum(v^2) - n mean^2
-        # cancelled to a zero stderr, which demands exact agreement and fails
+        # u_1 u_2 is nearly constant here; its exact variance, about 3e-18
+        # at 10^8, is positive
         est = dirichlet_moment_mc(MomentQuery((F(shape), F(shape)), (1, 1), 200_000, 42))
         assert est.stderr > 0
         assert est.within(4.0)
@@ -297,9 +304,57 @@ class TestMonteCarlo:
         assert not degenerate.within(100.0)
 
 
+def _direct_stderr(q: MomentQuery) -> float:
+    """sqrt((M(2l) - M(l)^2) / n), the exact variance in its direct form."""
+    exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
+    return math.sqrt((dirichlet_moment_exact(q.a_vec, [2 * l for l in q.l_vec]) - exact ** 2) / q.samples)
+
+
+class TestExactStderr:
+    """The standard error is sqrt(Var X / n) with the exact variance
+    M(2l) - M(l)^2 of the monomial X: a function of the query's shapes,
+    exponents and sample count alone."""
+
+    QUERY = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), BLOCK_SIZE + 17, 5)
+
+    @pytest.mark.parametrize("a_vec, l_vec", [*((a, (1,) * len(a)) for a in CRITERION_SHAPES),
+                                              ((F(1), F(2), F(1, 2)), (2, 1, 3)), ((F(1), F(3)), (0, 0)),
+                                              ((F(10**8), F(10**8)), (1, 1)), ((F(1, 3), F(2, 7)), (40, 1))])
+    @pytest.mark.parametrize("samples", [1, 2, 20_000])
+    def test_stderr_is_the_exact_variance_over_n(self, a_vec, l_vec, samples):
+        q = MomentQuery(a_vec, l_vec, samples, 3)
+        assert dirichlet_moment_mc(q).stderr == _direct_stderr(q)
+
+    def test_frozen_value(self):
+        # Var(u_1 u_2) at a = (1, 1) is M(2, 2) - M(1, 1)^2 = 1/30 - 1/36 = 1/180
+        assert dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 5, 0)).stderr == math.sqrt(F(1, 900))
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
+    def test_the_same_for_every_seed(self, seed):
+        est = dirichlet_moment_mc(dataclasses.replace(self.QUERY, seed=seed))
+        assert est.stderr == _direct_stderr(self.QUERY)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rows", [1000, CHUNK_ROWS])
+    def test_the_same_for_every_thread_count_and_chunk_size(self, monkeypatch, workers, rows):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(stochastic, "CHUNK_ROWS", rows)
+        assert dirichlet_moment_mc(self.QUERY).stderr == _direct_stderr(self.QUERY)
+
+    @pytest.mark.parametrize("samples", [2, 20_000, 1_000_000])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_mean_moved_by_ten_standard_errors_fails(self, monkeypatch, samples, sign):
+        q = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), samples, 42)
+        assert dirichlet_moment_mc(q).within(4.0)
+        shift = sign * 10 * _direct_stderr(q)
+        values = stochastic.block_values
+        monkeypatch.setattr(stochastic, "block_values", lambda draws, l_vec: values(draws, l_vec) + shift)
+        assert not dirichlet_moment_mc(q).within(4.0)
+
+
 # Queries whose estimates must not depend on the thread count: three
-# blocks with a short last one, and the concentrated moment whose standard
-# error rests on the merge of the blocks' squared deviations.
+# blocks with a short last one, and a concentrated moment whose values
+# agree to about 9 digits.
 THREAD_QUERIES = [MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), 2 * BLOCK_SIZE + 17, 7),
                   MomentQuery((F(10**8), F(10**8)), (1, 1), 200_000, 42)]
 
@@ -384,27 +439,61 @@ class TestBlockThreads:
         monkeypatch.setattr(stochastic, "block_values", block_values)
         return started
 
+    @staticmethod
+    def _stop_marks(monkeypatch, started: list[int]) -> list[int]:
+        """Make the sampling threads note len(started) whenever a thread's
+        loop has returned, or the calling thread joins the others; returns
+        the notes in time order.
+
+        By the first note a failure is recorded or the block indices are
+        spent, so from then on a thread starts a block only if it passed
+        its check of the failures before: at most one block for each
+        thread but the one that stopped.  The bound does not depend on how
+        many blocks the threads finished while the failing block ran.
+        """
+        marks = []
+
+        class Thread(threading.Thread):
+            def run(self):
+                super().run()
+                marks.append(len(started))
+
+            def join(self, timeout=None):
+                marks.append(len(started))
+                super().join(timeout)
+
+        monkeypatch.setattr(stochastic.threading, "Thread", Thread)
+        return marks
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_block_stops_sampling(self, monkeypatch, workers):
         monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
         started = self._failing_block(monkeypatch, lambda block: block == 3, RuntimeError("block 3"))
+        marks = self._stop_marks(monkeypatch, started)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="^block 3$"):
             dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 40 * BLOCK_SIZE, 1))
-        # the blocks in flight when block 3 failed finish, and no more start
-        assert 3 in started and len(started) <= 3 + workers
+        # once block 3's failure is recorded, each other thread starts at
+        # most the block it had already checked out
+        assert 3 in started
+        if workers == 1:
+            assert started == [0, 1, 2, 3] and marks == []
+        else:
+            assert len(started) - marks[0] <= workers - 1
         assert threading.active_count() == threads
 
     def test_an_interrupt_of_the_calling_thread_stops_sampling(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
         # the calling thread's first block is interrupted; the other thread
-        # finishes the block it is on and starts no other
+        # finishes the block it is on and starts at most the one it had
+        # already checked out
         started = self._failing_block(monkeypatch, lambda block: threading.current_thread() is threading.main_thread(),
                                       KeyboardInterrupt())
+        marks = self._stop_marks(monkeypatch, started)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 40 * BLOCK_SIZE, 1))
-        assert len(started) <= 3
+        assert len(started) - marks[0] <= 1
         assert threading.active_count() == threads
 
 
@@ -442,9 +531,8 @@ class TestRowChunks:
 
 class TestBlasThreads:
     """The printed estimates do not depend on the BLAS thread count: a
-    block's squared deviations are summed by NumPy, where the rounding of
-    np.dot followed the number of OpenBLAS threads (the (1,1) query's
-    stderr ended ...577 with one thread and ...5772 with two)."""
+    block's values are summed by NumPy, never by a BLAS call, whose
+    rounding follows the number of OpenBLAS threads."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_mc_prints_the_same_bytes_for_one_and_two_blas_threads(self, fmt):
