@@ -10,8 +10,9 @@ fill lock, both thread safe.
 
 The kernel operations, the truncated power-series product
 `series_product`, the subset expansion `subset_series`, the weighted
-convolution coefficient `convolution_coefficient` (one coefficient of a
-truncated product of series whose coefficients are polynomials), the
+convolution coefficients `convolution_coefficients` (coefficients of one
+truncated product of series whose coefficients are polynomials, read at
+each n of a line), the
 linear combination `poly_lincomb` and the shift operators
 `poly_shift_operator`, work internally in the layout of FLINT's
 `fmpq_poly`: integer numerators over one positive common denominator.  The
@@ -22,7 +23,7 @@ operation of that kind is one call of these: `poly_add`, `poly_sub` and
 `poly_scale` of `poly_lincomb`, `poly_mul` of `series_product`, and the
 Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, and the integer form of the polynomials
-a convolution reads is built once per family and degree.
+a convolution reads is built once per family and top degree.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
@@ -102,6 +103,18 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
     return _pochhammer(z.numerator, z.denominator, k)
+
+
+def pochhammer_parts(z: Fraction | int, k: int) -> tuple[int, int]:
+    """The rising factorial (z)_k as an unreduced numerator and positive
+    denominator, prod_{i<k} (p + i q) and q^k for z = p/q: for a caller that
+    only multiplies or divides such values, and need not pay for the
+    reduction of each.  Not memoized."""
+    (z,) = as_exact((z,), numbers.Rational, "pochhammer argument")
+    (k,) = as_exact((k,), numbers.Integral, "pochhammer order")
+    if k < 0:
+        raise ValueError(f"pochhammer requires k >= 0, got k={k}")
+    return _rising_product(z.numerator, z.denominator, 0, k), z.denominator ** k
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +278,7 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
 def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
     """Add the product of the integer polynomials p and q into `out`,
     dropping every term of degree len(out) or more: the one schoolbook loop
-    behind `series_product` and `convolution_coefficient`."""
+    behind `series_product` and `convolution_coefficients`."""
     size = len(out)
     for i, a in enumerate(p):
         if a:
@@ -353,55 +366,65 @@ def _paired_coefficient(nums: Sequence[Sequence[int]], w0: Sequence[int], w1: Se
     return out
 
 
-def convolution_coefficient(family: Callable[[int], Poly], n: int, weights: Sequence[Sequence[Fraction | int]],
-                            scale: Fraction | int) -> Poly:
-    """scale * [t^n] prod_i S_i(t), with S_i(t) = sum_l weights[i][l] P_l t^l
-    and P_l = family(l): the sum over the weak compositions l of n into
-    len(weights) parts of scale * prod_i weights[i][l_i] * the product of
-    the P_{l_i}.
+def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
+                             weights: Sequence[Sequence[Fraction | int]],
+                             scales: Sequence[Fraction | int]) -> list[Poly]:
+    """scales[j] * [t^n] prod_i S_i(t) at each n = ns[j], with S_i(t) =
+    sum_l weights[i][l] P_l t^l and P_l = family(l): the sum over the weak
+    compositions l of n into len(weights) parts of scales[j] * prod_i
+    weights[i][l_i] * the product of the P_{l_i}.  Zero at an n < 0.
 
-    Each weight list has n + 1 entries, and there is at least one slot.
-    P_0..P_n share one integer form over their common denominator, built
-    once per (family, n) (`_family_forms`), and each slot's weights another
-    over theirs, so every S_i is a series of integer polynomials.  The
-    first two slots form a prefix series truncated after t^n, each
-    unordered pair of polynomials multiplied once (`_paired_coefficient`);
-    the slots after them but the last are multiplied into it in turn, the
-    last contributes only to the coefficient of t^n (of the pair itself,
-    for two slots), and the denominators and the scale are applied once,
-    to that coefficient.
+    The ns may come in any order, with gaps and repeats.  Each weight list
+    has N + 1 entries, N = max(ns), and is read at l <= n for each n, so it
+    must not depend on n; there is at least one slot.  P_0..P_N share one
+    integer form over their common denominator, built once per (family, N)
+    (`_family_forms`), and each slot's weights another over theirs, so
+    every S_i is a series of integer polynomials.  The first two slots form
+    a prefix series truncated after t^N, each unordered pair of polynomials
+    multiplied once (`_paired_coefficient`), and the slots after them but
+    the last are multiplied into it in turn, once for the whole line; the
+    last contributes only the coefficient of t^n, read once per distinct n
+    (for two slots, the pair's own coefficient).  The denominators and the
+    scale are applied once, to that coefficient.
     """
-    if not weights or any(len(w) != n + 1 for w in weights):
-        raise ValueError(f"convolution needs at least one slot of {n + 1} weights")
-    if n < 0:
-        return ZERO
-    nums, terms_den = _family_forms(family, n)
+    if len(scales) != len(ns):
+        raise ValueError(f"convolution needs one scale per n, got {len(scales)} for {len(ns)}")
+    top_n = max(ns, default=-1)
+    if not weights or any(len(w) != top_n + 1 for w in weights):
+        raise ValueError(f"convolution needs at least one slot of {top_n + 1} weights")
+    if top_n < 0:
+        return [ZERO] * len(ns)
+    nums, terms_den = _family_forms(family, top_n)
     ints, den = [], 1
     for w in weights:
         w_den = lcm(*(v.denominator for v in w))
         ints.append([v.numerator * (w_den // v.denominator) for v in w])
         den *= terms_den * w_den
-    scale = Fraction(scale)
+    distinct = {n for n in ns if n >= 0}
     if len(ints) == 1:
-        top = [ints[0][n] * v for v in nums[n]]
+        tops = {n: [ints[0][n] * v for v in nums[n]] for n in distinct}
     elif len(ints) == 2:
-        top = _paired_coefficient(nums, ints[0], ints[1], n)
+        tops = {n: _paired_coefficient(nums, ints[0], ints[1], n) for n in distinct}
     else:
         series = [[[c * v for v in p] if c else [] for c, p in zip(w, nums)] for w in ints[2:]]
-        prefix = [_paired_coefficient(nums, ints[0], ints[1], j) for j in range(n + 1)]
+        prefix = [_paired_coefficient(nums, ints[0], ints[1], j) for j in range(top_n + 1)]
         for s in series[:-1]:
-            prefix = [_coefficient_of_product(prefix, s, j) for j in range(n + 1)]
-        top = _coefficient_of_product(prefix, series[-1], n)
-    return _from_int_form([scale.numerator * v for v in top], den * scale.denominator)
+            prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
+        tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
+    return [_from_int_form([scale.numerator * v for v in tops[n]], den * scale.denominator) if n >= 0 else ZERO
+            for n, scale in zip(ns, map(Fraction, scales))]
 
 
 def convolution_work(k: int, n: int) -> int:
-    """A bound on the integer coefficient products `convolution_coefficient`
-    forms at n with k slots, and 0 for n < 0: C(n + 4, 4) in each of its
-    k - 2 middle steps and C(n + 3, 3) in its last.  It is exact at n = 0
-    for k >= 2; the first step multiplies each unordered pair once, so it
-    forms about half its count, and one slot forms no product.  A change
-    to that loop must keep the bound, which a test counts it against."""
+    """A bound on the integer coefficient products `convolution_coefficients`
+    forms for a one-point line at n with k slots, and 0 for n < 0:
+    C(n + 4, 4) in each of its k - 2 middle steps and C(n + 3, 3) in its
+    last.  It is exact at n = 0 for k >= 2; the first step multiplies each
+    unordered pair once, so it forms about half its count, and one slot
+    forms no product.  A line forms the prefix of its largest n once and
+    its last step once per distinct n, so its count stays within the sum
+    of the bound over its points.  A change to that loop must keep the
+    bound, which a test counts it against."""
     return max(k - 2, 0) * comb(n + 4, 4) + comb(n + 3, 3) if n >= 0 else 0
 
 

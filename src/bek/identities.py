@@ -23,14 +23,20 @@ a k-fold entry `k_min` and the default ks.  The validity predicate, its
 text, the default grid and the evaluator call all follow from those
 fields.  `verify` checks a grid, and `eval_corollary` and the public
 evaluators one point, against that one predicate (`_checked`), once per
-point; the declared functions check nothing themselves.  To add an
-identity, write a function fn(n, *params[, k]) that returns its two sides,
-as polynomials or numbers, and declare it.  A
+point; the declared functions check nothing themselves.
+
+The identities are families in n, so a display is evaluated along a line:
+points of one entry that differ only in n.  To add an identity, write a
+function fn(ns, *params[, k]) that returns its two sides at each n, as
+polynomials or numbers, and declare it; work that does not depend on n
+(a series, a prefix sum, a factor of l alone) is formed once for the
+line, and a body with nothing to share is lifted by `_each_n`.  A
 convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
-the kernel's `convolution_coefficient` takes the family P, one list
-w_i(0..n) per slot (0 where a term is absent) and the scale, and reads the
-sum off one truncated series product, as the coefficient of t^n in
+the kernel's `convolution_coefficients` takes the family P, one list
+w_i(0..N) per slot (0 where a term is absent, the same list for every n
+of the line, N the largest) and one scale per n, and reads each sum off
+one truncated series product, as the coefficient of t^n in
 prod_i sum_l w_i(l) P_l(x) t^l.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
@@ -42,7 +48,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from math import factorial
 from numbers import Integral, Rational
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -53,7 +59,7 @@ from .exactmath import (
     ZERO,
     as_exact,
     binomial,
-    convolution_coefficient,
+    convolution_coefficients,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -89,7 +95,7 @@ class UnknownIdentityError(KeyError):
 
 # The memoized products of Bernoulli and Euler polynomials for a sorted
 # index multiset.  No module of the package calls them: the left sides are
-# series coefficients (`convolution_coefficient`).  The hand-written
+# series coefficients (`convolution_coefficients`).  The hand-written
 # reference left sides of the tests form their products with them, and the
 # benchmark worker reads their cache statistics.
 @lru_cache(maxsize=None)
@@ -130,27 +136,39 @@ def _harmonic_tails(n: int) -> list[Fraction]:
     return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
 
 
-def _theorem_lhs(family: Callable[[int], Poly], n: int, a_vec: Sequence[Fraction]) -> Poly:
+def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction]) -> list[Poly]:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
-    P = family, the left side of theorems 1-4."""
-    return convolution_coefficient(family, n, [rising_weights(a, n) for a in a_vec],
-                                   factorial(n) / pochhammer(sum(a_vec), n))
+    P = family, the left side of theorems 1-4, at each n."""
+    return convolution_coefficients(family, ns, [rising_weights(a, max(ns)) for a in a_vec],
+                                    [factorial(n) / pochhammer(sum(a_vec), n) for n in ns])
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
-                       d: int, w: Fraction, base: Callable[[int], Poly]) -> Poly:
+                       terms: Sequence[tuple[int, Fraction]], base: Callable[[int], Poly]) -> list[Poly]:
     """sum_{l_0=0}^{d} w/l_0! [t^(d-l_0)] q / (sum a)_{d-l_0} P_{l_0}(x),
-    P = base, the right side of theorems 2 and 4.  With A_i(t) = sum_l
-    (a_i)_l moment(l) t^l / l! truncated after t^d, q(t) = prod_i (A_i(t) +
-    s_i(t)) - prod_i A_i(t) = `subset_series` sums, over the non-empty index
-    subsets J, the products of the s_i for i in J and the other A_i."""
-    series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, d))) for ai in a_vec]
-    q = subset_series(series, shifts, d)
+    P = base, for each (d, w) of `terms`: the right side of theorems 2 and
+    4 along a line.  With A_i(t) = sum_l (a_i)_l moment(l) t^l / l!, q(t) =
+    prod_i (A_i(t) + s_i(t)) - prod_i A_i(t) = `subset_series` sums, over
+    the non-empty index subsets J, the products of the s_i for i in J and
+    the other A_i.  Its coefficients do not depend on where the series are
+    cut, so one q, truncated after the largest d, serves the whole line."""
+    top = max(d for d, _ in terms)
+    series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, top))) for ai in a_vec]
+    q = subset_series(series, shifts, top)
     total = sum(a_vec)
-    return poly_lincomb(
-        (w / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
-        for l0 in range(d + 1)
-    )
+    return [poly_lincomb((w / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
+                         for l0 in range(d + 1))
+            for d, w in terms]
+
+
+def _each_n(body: Callable[[int], tuple[Fraction, Fraction] | tuple[Poly, Poly]]) -> Callable:
+    """The display of an entry that shares no work along its n-line: the
+    point body at each n of the line.  It keeps the body's name."""
+    def line(ns: Sequence[int]) -> list:
+        return [body(n) for n in ns]
+
+    line.__name__ = line.__qualname__ = body.__name__
+    return line
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +186,16 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     return _sides_at("theorem1", n, {"a": a, "b": b})
 
 
-def _theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
-    lhs = _theorem_lhs(bernoulli_poly, n, (a, b))
-    rhs = poly_lincomb([
-        *((binomial(n, l) * (a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1)
-           * bernoulli_number(l), bernoulli_poly(n - l))
-          for l in range(n + 1) if bernoulli_number(l)),
+def _theorem1(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
+    lhs = _theorem_lhs(bernoulli_poly, ns, (a, b))
+    # the factor of each right-side term but C(n, l), once for the line
+    factors = [(a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1) * bernoulli_number(l)
+               if bernoulli_number(l) else 0 for l in range(max(ns) + 1)]
+    rhs = [poly_lincomb([
+        *((binomial(n, l) * factors[l], bernoulli_poly(n - l)) for l in range(n + 1) if factors[l]),
         (n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
 def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -196,11 +215,12 @@ def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     return _sides_at("theorem2", n, {"a_vec": a_vec, "k": k})
 
 
-def _theorem2(n: int, a_vec: tuple[Fraction, ...], k: int) -> tuple[Poly, Poly]:
-    lhs = _theorem_lhs(bernoulli_poly, n, a_vec)
+def _theorem2(ns: Sequence[int], a_vec: tuple[Fraction, ...], k: int) -> list[tuple[Poly, Poly]]:
+    lhs = _theorem_lhs(bernoulli_poly, ns, a_vec)
     shifts = [(Fraction(0), ai) for ai in a_vec]
-    rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, n + 1, Fraction(factorial(n)), bernoulli_poly)
-    return lhs, rhs
+    rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, [(n + 1, Fraction(factorial(n))) for n in ns],
+                             bernoulli_poly)
+    return list(zip(lhs, rhs))
 
 
 def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
@@ -213,15 +233,17 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
     return _sides_at("theorem3", n, {"a": a, "b": b})
 
 
-def _theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
-    lhs = _theorem_lhs(euler_poly, n, (a, b))
-    rhs = poly_lincomb([
+def _theorem3(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
+    lhs = _theorem_lhs(euler_poly, ns, (a, b))
+    # the factor of each right-side term but -2/(n+1) C(n+1, l), once for the line
+    factors = [(pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l) * euler_poly_at_zero(l)
+               if euler_poly_at_zero(l) else 0 for l in range(max(ns) + 2)]
+    rhs = [poly_lincomb([
         (Fraction(4, n + 1), bernoulli_poly(n + 1)),
-        *((Fraction(-2, n + 1) * binomial(n + 1, l) * (pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l)
-           * euler_poly_at_zero(l), bernoulli_poly(n + 1 - l))
-          for l in range(n + 2) if euler_poly_at_zero(l)),
-    ])
-    return lhs, rhs
+        *((Fraction(-2, n + 1) * binomial(n + 1, l) * factors[l], bernoulli_poly(n + 1 - l))
+          for l in range(n + 2) if factors[l]),
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
 def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -242,14 +264,14 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
     return _sides_at("theorem4", n, {"a_vec": a_vec, "k": k})
 
 
-def _theorem4(n: int, a_vec: tuple[Fraction, ...], k: int) -> tuple[Poly, Poly]:
-    lhs = _theorem_lhs(euler_poly, n, a_vec)
+def _theorem4(ns: Sequence[int], a_vec: tuple[Fraction, ...], k: int) -> list[tuple[Poly, Poly]]:
+    lhs = _theorem_lhs(euler_poly, ns, a_vec)
     if len(a_vec) % 2 == 0:
-        d, w, base = n + 1, Fraction(factorial(n)), bernoulli_poly
+        terms, base = [(n + 1, Fraction(factorial(n))) for n in ns], bernoulli_poly
     else:
-        d, w, base = n, Fraction(-factorial(n), 2), euler_poly
-    rhs = _subset_series_rhs(a_vec, euler_poly_at_zero, [(Fraction(-2),)] * len(a_vec), d, w, base)
-    return lhs, rhs
+        terms, base = [(n, Fraction(-factorial(n), 2)) for n in ns], euler_poly
+    rhs = _subset_series_rhs(a_vec, euler_poly_at_zero, [(Fraction(-2),)] * len(a_vec), terms, base)
+    return list(zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +285,7 @@ def _nonzero_pairs(lo: int, hi: int, n: int) -> list[int]:
     return [j for j in range(lo, hi) if bernoulli_number(j) and bernoulli_number(n - j)]
 
 
+@_each_n
 def _euler_12(n: int) -> tuple[Fraction, Fraction]:
     lhs = sum(
         (Fraction(binomial(n, j)) * bernoulli_number(j) * bernoulli_number(n - j) for j in _nonzero_pairs(0, n + 1, n)),
@@ -271,6 +294,7 @@ def _euler_12(n: int) -> tuple[Fraction, Fraction]:
     return lhs, -n * bernoulli_number(n - 1) - (n - 1) * bernoulli_number(n)
 
 
+@_each_n
 def _miki(n: int) -> tuple[Fraction, Fraction]:
     plain = Fraction(0)
     weighted = Fraction(0)
@@ -281,6 +305,7 @@ def _miki(n: int) -> tuple[Fraction, Fraction]:
     return plain - weighted, 2 * harmonic(n) * bernoulli_number(n) / n
 
 
+@_each_n
 def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
     plain = Fraction(0)
     weighted = Fraction(0)
@@ -291,16 +316,17 @@ def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
     return (n + 2) * plain - 2 * weighted, n * (n + 1) * bernoulli_number(n)
 
 
-def _corollary1(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1)] * 2, n + 2)
-    rhs = poly_lincomb([
+def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (max(ns) + 1)] * 2, [n + 2 for n in ns])
+    rhs = [poly_lincomb([
         *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l))
           for l in range(n + 1) if bernoulli_number(l)),
         (binomial(n + 2, 3), bernoulli_poly(n - 1)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
+@_each_n
 def _corollary2(n: int) -> tuple[Fraction, Fraction]:
     lhs = Fraction(0)
     rhs = Fraction(0)
@@ -311,52 +337,57 @@ def _corollary2(n: int) -> tuple[Fraction, Fraction]:
     return (n + 2) * lhs, 2 * rhs
 
 
-def _corollary3(n: int, a: Fraction) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [rising_weights(a, n), _reciprocals(n)],
-                                  factorial(n) / pochhammer(a, n))
-    rhs = poly_lincomb([
-        *((binomial(n, l) * (a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l),
-           bernoulli_poly(n - l))
-          for l in range(1, n + 1) if bernoulli_number(l)),
+def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(a, top), _reciprocals(top)],
+                                   [factorial(n) / pochhammer(a, n) for n in ns])
+    # the factor of each right-side term but C(n, l), once for the line
+    factors = [0, *((a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l)
+                    if bernoulli_number(l) else 0 for l in range(1, top + 1))]
+    rhs = [poly_lincomb([
+        *((binomial(n, l) * factors[l], bernoulli_poly(n - l)) for l in range(1, n + 1) if factors[l]),
         (Fraction(n) / (a + 1), bernoulli_poly(n - 1)),
         (harmonic_shifted(a, n), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary4_first(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [_reciprocals(n)] * 2, Fraction(n, 2))
-    rhs = poly_lincomb([
+def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    lhs = convolution_coefficients(bernoulli_poly, ns, [_reciprocals(max(ns))] * 2, [Fraction(n, 2) for n in ns])
+    rhs = [poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1) if bernoulli_number(l)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
         (harmonic(n - 1), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary4_second(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [range(1, n + 2), _reciprocals(n)], n + 2)
-    rhs = poly_lincomb([
+def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [range(1, top + 2), _reciprocals(top)], [n + 2 for n in ns])
+    rhs = [poly_lincomb([
         *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
           for l in range(1, n + 1) if bernoulli_number(l)),
         (Fraction((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)),
         ((n + 1) * (n + 2) * harmonic_shifted(Fraction(2), n), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _eq_2_12(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1), _reciprocals(n)], 1)
-    rhs = poly_lincomb([
+def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1), _reciprocals(top)], [1] * len(ns))
+    rhs = [poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1) if bernoulli_number(l)),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
         (harmonic(n), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
+@_each_n
 def _corollary5(n: int) -> tuple[Poly, Poly]:
     lhs = poly_lincomb(
         (binomial(n, l) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1) if bernoulli_number(l)
@@ -368,6 +399,7 @@ def _corollary5(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
+@_each_n
 def _corollary6(n: int) -> tuple[Poly, Poly]:
     lhs = poly_lincomb(
         (binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l))
@@ -381,58 +413,68 @@ def _corollary6(n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def _eq_2_15(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [_inverse_factorials(n)] * 2, Fraction(factorial(n), 2 ** n))
-    rhs = poly_lincomb([
+def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(max(ns))] * 2,
+                                   [Fraction(factorial(n), 2 ** n) for n in ns])
+    rhs = [poly_lincomb([
         *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l))
           for l in range(n + 1) if bernoulli_number(l)),
         (Fraction(n, 4), bernoulli_poly(n - 1)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary7(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [_harmonic_tails(n), _reciprocals(n)], n)
-    rhs = poly_lincomb([
+def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
+    lhs = [convolution_coefficients(bernoulli_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [n])[0] for n in ns]
+    rhs = [poly_lincomb([
         *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
           for l in range(1, n + 1) if bernoulli_number(l)),
         (n, bernoulli_poly(n - 1)),
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _eq_4_0a(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [[1] * (n + 1)] * 3, n + 3)
+def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1)] * 3, [n + 3 for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l
-    b = poly(bernoulli_number(l) for l in range(n + 1))
-    square = series_product((b, b), n)
-    rhs = poly_lincomb([
+    b = poly(bernoulli_number(l) for l in range(top + 1))
+    square = series_product((b, b), top)
+    rhs = [poly_lincomb([
         *((3 * binomial(n + 3, i) * _coeff(square, n - i), bernoulli_poly(i)) for i in range(n + 1)),
         *((3 * binomial(n + 3, i) * bernoulli_number(n - 1 - i), bernoulli_poly(i)) for i in range(n)),
         (binomial(n + 3, 5), bernoulli_poly(n - 2)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _kth_matiyasevich(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The k-fold sums are read off b(t) = sum_{l<=n} B_l t^l: the left side
-    is [t^n] b^k, the right side sum_{l_0} C(n+k, l_0) B_{l_0} [t^(n+1-l_0)]
-    ((b + t)^k - b^k) / (n+k), whose subset sum is over j of C(k, j) t^j b^(k-j)."""
-    b = poly(bernoulli_number(l) for l in range(n + 1))
-    lhs = _coeff(series_product([b] * k, n), n)
-    q = subset_series([b] * k, [(Fraction(0), Fraction(1))] * k, n + 1)
-    rhs = sum((binomial(n + k, l0) * bernoulli_number(l0) * _coeff(q, n + 1 - l0) for l0 in range(n + 2)), Fraction(0))
-    return lhs, rhs / (n + k)
+def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fraction]]:
+    """The k-fold sums are read off b(t) = sum_{l<=N} B_l t^l, N the largest
+    n: the left side is [t^n] b^k, the right side sum_{l_0} C(n+k, l_0)
+    B_{l_0} [t^(n+1-l_0)] ((b + t)^k - b^k) / (n+k), whose subset sum is
+    over j of C(k, j) t^j b^(k-j).  Neither reads a B_l with l > n, so b,
+    b^k and the subset series are formed once for the line."""
+    top = max(ns)
+    b = poly(bernoulli_number(l) for l in range(top + 1))
+    power = series_product([b] * k, top)
+    q = subset_series([b] * k, [(Fraction(0), Fraction(1))] * k, top + 1)
+    return [(_coeff(power, n),
+             sum((binomial(n + k, l0) * bernoulli_number(l0) * _coeff(q, n + 1 - l0) for l0 in range(n + 2)),
+                 Fraction(0)) / (n + k))
+            for n in ns]
 
 
-def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [rising_weights(eps, n)] * 3, 1 / pochhammer(3 * eps, n))
+def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(eps, top)] * 3,
+                                   [1 / pochhammer(3 * eps, n) for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of
     # sum_l (eps)_l B_l t^l / l!
-    series = poly(w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, n)))
-    square = series_product((series, series), n)
-    rhs = poly_lincomb([
+    series = poly(w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, top)))
+    square = series_product((series, series), top)
+    rhs = [poly_lincomb([
         *((3 * eps / pochhammer(3 * eps, n - i + 1) / factorial(i) * _coeff(square, n - i), bernoulli_poly(i))
           for i in range(n + 1)),
         *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
@@ -440,75 +482,83 @@ def _eq_6_9(n: int, eps: Fraction) -> tuple[Poly, Poly]:
            bernoulli_poly(n - 1 - j))
           for j in range(n)),
         (eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary8(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(bernoulli_poly, n, [_inverse_factorials(n)] * 3, factorial(n))
+def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(top)] * 3, [factorial(n) for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
-    series = poly(bernoulli_number(l) / factorial(l) for l in range(n + 1))
-    square = series_product((series, series), n)
-    rhs = poly_lincomb([
+    series = poly(bernoulli_number(l) / factorial(l) for l in range(top + 1))
+    square = series_product((series, series), top)
+    rhs = [poly_lincomb([
         *((Fraction(factorial(n), factorial(i)) * Fraction(3) ** i * _coeff(square, n - i), bernoulli_poly(i))
           for i in range(n + 1)),
         *((n * binomial(n - 1, i) * Fraction(3) ** i * bernoulli_number(n - 1 - i), bernoulli_poly(i))
           for i in range(n)),
         (n * (n - 1) * Fraction(3) ** (n - 3), bernoulli_poly(n - 2)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary9(n: int) -> tuple[Fraction, Fraction]:
+def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     """Both sides of the third-order harmonic-weighted number convolution.
 
     With b_m = B_m / m, the two cubic sums over i+j+l = n, i, j, l >= 1, are
     s1 = sum b_i b_j b_l (left side, s1/3) and
     s2 = sum C(n-1, i-1) b_i b_j b_l (right side).  Both are evaluated as
     sum_i w_i b_i [t^(n-i)] b(t)^2 with b(t) = sum_{m>=1} b_m t^m, and each
-    side squares b(t) itself.  The b_m are built once per call, as one
-    list both sides read like a sequence table, and a term with a zero
-    factor b_m is skipped.
+    side squares b(t) itself, once for the line: the coefficients up to
+    t^(n-1) read no b_m with m > n - 2.  The b_m are built once per call,
+    as one list both sides read like a sequence table, and a term with a
+    zero factor b_m is skipped.
     """
     h1 = harmonic
     h2 = harmonic_second
-    b = [Fraction(0), *(bernoulli_number(m) / m for m in range(1, n + 1))]
+    top = max(ns)
+    b = [Fraction(0), *(bernoulli_number(m) / m for m in range(1, top + 1))]
 
-    def cubic_sum(weight: Callable[[int], int]) -> Fraction:
-        square = series_product([b[: n - 1]] * 2, n - 1)
-        return sum((weight(i) * b[i] * _coeff(square, n - i) for i in range(1, n - 1) if b[i]), Fraction(0))
+    def cubic_sums(weight: Callable[[int, int], int]) -> list[Fraction]:
+        square = series_product([b[: top - 1]] * 2, top - 1)
+        return [sum((weight(n, i) * b[i] * _coeff(square, n - i) for i in range(1, n - 1) if b[i]), Fraction(0))
+                for n in ns]
 
-    s1 = cubic_sum(lambda i: 1)
-    s2 = cubic_sum(lambda i: binomial(n - 1, i - 1))
-    s3 = Fraction(0)
-    for l in _nonzero_pairs(1, n - 1, n - 1):
-        s3 += binomial(n - 1, l + 1) * b[l] * b[n - l - 1]
-    s4 = Fraction(0)
-    s5 = Fraction(0)
-    for l in _nonzero_pairs(1, n, n):
-        s4 += (3 * h1(n - 1) - 2 * h1(l - 1) + Fraction(1, n)) * b[l] * b[n - l]
-        s5 += binomial(n - 1, l - 1) * (2 * h1(l) + Fraction(1, l)) * b[l] * (bernoulli_number(n - l) / l)
-    harmonics = Fraction(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + Fraction(3, n * n)
-    rhs = (s2 + s3 + s4 - 2 * s5 + Fraction(n - 1, 6) * bernoulli_number(n - 2)
-           + (Fraction(1, (n - 1) * n) - 3) * bernoulli_number(n - 1) - 2 * harmonics * b[n])
-    return Fraction(1, 3) * s1, rhs
+    s1 = cubic_sums(lambda n, i: 1)
+    s2 = cubic_sums(lambda n, i: binomial(n - 1, i - 1))
+    out = []
+    for n, s1_n, s2_n in zip(ns, s1, s2):
+        s3 = Fraction(0)
+        for l in _nonzero_pairs(1, n - 1, n - 1):
+            s3 += binomial(n - 1, l + 1) * b[l] * b[n - l - 1]
+        s4 = Fraction(0)
+        s5 = Fraction(0)
+        for l in _nonzero_pairs(1, n, n):
+            s4 += (3 * h1(n - 1) - 2 * h1(l - 1) + Fraction(1, n)) * b[l] * b[n - l]
+            s5 += binomial(n - 1, l - 1) * (2 * h1(l) + Fraction(1, l)) * b[l] * (bernoulli_number(n - l) / l)
+        harmonics = Fraction(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + Fraction(3, n * n)
+        rhs = (s2_n + s3 + s4 - 2 * s5 + Fraction(n - 1, 6) * bernoulli_number(n - 2)
+               + (Fraction(1, (n - 1) * n) - 3) * bernoulli_number(n - 1) - 2 * harmonics * b[n])
+        out.append((Fraction(1, 3) * s1_n, rhs))
+    return out
 
 
-def _corollary10_first(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(euler_poly, n - 1, [_reciprocals(n - 1)] * 2, 1)
-    rhs = poly_lincomb([
+def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(max(ns) - 1)] * 2, [1] * len(ns))
+    rhs = [poly_lincomb([
         *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
            bernoulli_poly(n - l))
           for l in range(1, n) if euler_poly_at_zero(l)),
         (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1)),
         (4 * harmonic(n - 1) / Fraction(n - 1) * euler_poly_at_zero(n) / n, ONE),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary10_second(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(euler_poly, n, [_harmonic_tails(n), _reciprocals(n)], 1)
-    rhs = poly_lincomb([
+def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
+    lhs = [convolution_coefficients(euler_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [1])[0] for n in ns]
+    rhs = [poly_lincomb([
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
         *((binomial(n - 1, l - 1)
            * (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1))
@@ -517,26 +567,31 @@ def _corollary10_second(n: int) -> tuple[Poly, Poly]:
            bernoulli_poly(n + 1 - l))
           for l in range(1, n + 1) if euler_poly_at_zero(l)),
         ((harmonic(n) ** 2 + 3 * harmonic_second(n)) / Fraction(n) * euler_poly_at_zero(n + 1) / (n + 1), ONE),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _corollary11_first(n: int) -> tuple[Poly, Poly]:
+def _euler_centre(n: int) -> Fraction:
+    """sum_{l=1}^{n-1} E_l(0) E_{n-l}(0) / (l (n-l)): the value at x = 0 of
+    the first corollary 11 convolution."""
+    return sum((euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0))
+
+
+def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
     # the centred pairs E_l(x) E_{n-l}(x) - E_l(0) E_{n-l}(0): the
     # convolution less its value at x = 0
-    centre = sum(
-        (euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0)
-    )
-    lhs = poly_sub(convolution_coefficient(euler_poly, n, [_reciprocals(n)] * 2, 1), poly([centre]))
+    lhs = [poly_sub(p, poly([_euler_centre(n)]))
+           for n, p in zip(ns, convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 2, [1] * len(ns)))]
     # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, with
     # e = sum_{m>=1} E_m(0)/m t^m
-    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
-    square = series_product((e, e), n)
-    rhs = poly_lincomb([
+    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, top + 1))])
+    square = series_product((e, e), top)
+    rhs = [poly_lincomb([
         *((binomial(n - 1, i) * _coeff(square, n - i), euler_poly(i)) for i in range(1, n)),
         (2 * harmonic(n - 1) / Fraction(n), euler_poly(n)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
 def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
@@ -545,16 +600,17 @@ def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction
     yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
 
 
-def _corollary11_second(n: int) -> tuple[Poly, Poly]:
-    lhs = convolution_coefficient(euler_poly, n, [_reciprocals(n)] * 3, Fraction(1, 3))
+def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    top = max(ns)
+    lhs = convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 3, [Fraction(1, 3)] * len(ns))
     # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
     # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with
     # h = sum_{m>=1} H_{m-1} E_m(0)/m t^m
-    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, n + 1))])
-    h = poly([0, *(harmonic(m - 1) * euler_poly_at_zero(m) / m for m in range(1, n + 1))])
-    square = series_product((e, e), n)
-    cross = series_product((h, e), n)
-    rhs = poly_lincomb([
+    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, top + 1))])
+    h = poly([0, *(harmonic(m - 1) * euler_poly_at_zero(m) / m for m in range(1, top + 1))])
+    square = series_product((e, e), top)
+    cross = series_product((h, e), top)
+    rhs = [poly_lincomb([
         (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n)),
         *((binomial(n - 1, i) * (2 * _coeff(cross, n - i) - 3 * harmonic(n - i - 1) * _coeff(square, n - i)),
            euler_poly(i))
@@ -565,36 +621,28 @@ def _corollary11_second(n: int) -> tuple[Poly, Poly]:
             )
             for l in range(1, n)
         ),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
-def _ds_lhs(n: int, p: Fraction) -> Fraction:
-    # w[m] = (p + 1)_m / m!
-    w = rising_weights(p + 1, 2 * n - 1)
-    out = Fraction(0)
-    for l in range(1, n):
-        out += (
-            w[2 * l - 1]
-            * w[2 * n - 2 * l - 1]
-            * (bernoulli_number(2 * l) / (2 * l))
-            * (bernoulli_number(2 * n - 2 * l) / (2 * n - 2 * l))
-        )
-    return out
+def _ds_lhs(ns: Sequence[int], p: Fraction) -> list[Fraction]:
+    """sum_{l=1}^{n-1} c_l c_{n-l} at each n, c_m = (p + 1)_{2m-1}/(2m-1)!
+    B_{2m}/(2m), with the c_m formed once for the line."""
+    w = rising_weights(p + 1, 2 * max(ns) - 1)
+    c = [Fraction(0), *(w[2 * m - 1] * (bernoulli_number(2 * m) / (2 * m)) for m in range(1, max(ns)))]
+    return [sum((c[l] * c[n - l] for l in range(1, n)), Fraction(0)) for n in ns]
 
 
-def _ds_cross_term(n: int, p: Fraction) -> Fraction:
-    out = Fraction(0)
-    for l in range(1, n + 1):
-        out += (
-            binomial(2 * n, 2 * l)
-            * pochhammer(p + 1, 2 * l - 1)
-            * pochhammer(2 * p + 1, 2 * n - 1)
-            / pochhammer(2 * p + 1, 2 * l)
-            * bernoulli_number(2 * l)
-            * bernoulli_number(2 * n - 2 * l)
-        )
-    return Fraction(2) / factorial(2 * n) * out
+def _ds_cross_terms(ns: Sequence[int], p: Fraction) -> list[Fraction]:
+    """2/(2n)! sum_{l=1}^{n} C(2n, 2l) (p+1)_{2l-1} (2p+1)_{2n-1}/(2p+1)_{2l}
+    B_{2l} B_{2n-2l} at each n, with the factors that depend on l alone
+    formed once for the line."""
+    factors = [Fraction(0), *(pochhammer(p + 1, 2 * l - 1) / pochhammer(2 * p + 1, 2 * l) * bernoulli_number(2 * l)
+                              for l in range(1, max(ns) + 1))]
+    return [Fraction(2) / factorial(2 * n) * pochhammer(2 * p + 1, 2 * n - 1)
+            * sum((binomial(2 * n, 2 * l) * factors[l] * bernoulli_number(2 * n - 2 * l) for l in range(1, n + 1)),
+                  Fraction(0))
+            for n in ns]
 
 
 def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
@@ -603,12 +651,15 @@ def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     return _sides_at("dunne-schubert", n, {"p": p})
 
 
-def _dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
-    lead = Fraction(0)
-    for l in range(1, 2 * n):
-        lead += pochhammer(p + 1, l - 1) * pochhammer(2 * p + 1, 2 * n - 1) / pochhammer(2 * p + 1, l)
-    rhs = 2 * bernoulli_number(2 * n) / Fraction(factorial(2 * n)) * lead + _ds_cross_term(n, p)
-    return _ds_lhs(n, p), rhs
+def _dunne_schubert(ns: Sequence[int], p: Fraction) -> list[tuple[Fraction, Fraction]]:
+    # the running sums of (p+1)_{l-1}/(2p+1)_l over l = 1..2N-1; the lead
+    # is (2p+1)_{2n-1} times the one at 2n - 1
+    partial = list(accumulate((pochhammer(p + 1, l - 1) / pochhammer(2 * p + 1, l) for l in range(1, 2 * max(ns))),
+                              initial=Fraction(0)))
+    rhs = [2 * bernoulli_number(2 * n) / Fraction(factorial(2 * n)) * pochhammer(2 * p + 1, 2 * n - 1)
+           * partial[2 * n - 1] + cross
+           for n, cross in zip(ns, _ds_cross_terms(ns, p))]
+    return list(zip(_ds_lhs(ns, p), rhs))
 
 
 def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
@@ -617,13 +668,11 @@ def eval_eq72(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     return _sides_at("eq-7-2", n, {"p": p})
 
 
-def _eq_7_2(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
-    lead = (
-        (pochhammer(2 * p, 2 * n) - 2 * pochhammer(p, 2 * n))
-        * bernoulli_number(2 * n)
-        / (p * p * factorial(2 * n))
-    )
-    return _ds_lhs(n, p), lead + _ds_cross_term(n, p)
+def _eq_7_2(ns: Sequence[int], p: Fraction) -> list[tuple[Fraction, Fraction]]:
+    rhs = [(pochhammer(2 * p, 2 * n) - 2 * pochhammer(p, 2 * n)) * bernoulli_number(2 * n) / (p * p * factorial(2 * n))
+           + cross
+           for n, cross in zip(ns, _ds_cross_terms(ns, p))]
+    return list(zip(_ds_lhs(ns, p), rhs))
 
 
 def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
@@ -632,12 +681,11 @@ def gamma_sum_identity(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
     return _sides_at("gamma-sum", n, {"p": p})
 
 
-def _gamma_sum(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
-    lhs = Fraction(0)
-    for l in range(1, 2 * n):
-        lhs += pochhammer(p, l) / pochhammer(2 * p + 1, l)
-    rhs = 1 - pochhammer(p, 2 * n) / (p * pochhammer(2 * p + 1, 2 * n - 1))
-    return lhs, rhs
+def _gamma_sum(ns: Sequence[int], p: Fraction) -> list[tuple[Fraction, Fraction]]:
+    # the running sums of (p)_l / (2p+1)_l over l = 1..2N-1
+    partial = list(accumulate((pochhammer(p, l) / pochhammer(2 * p + 1, l) for l in range(1, 2 * max(ns))),
+                              initial=Fraction(0)))
+    return [(partial[2 * n - 1], 1 - pochhammer(p, 2 * n) / (p * pochhammer(2 * p + 1, 2 * n - 1))) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +694,9 @@ def _gamma_sum(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 
 
 Point = Mapping[str, object]
+# Points of one entry that differ only in n, in order; a bare point is a
+# line of one.
+Line = Sequence[Point]
 
 # The order in which a point's inputs are printed, in messages and reports.
 INPUT_ORDER = ("n", "k", "a", "b", "a_vec", "p", "epsilon", "display")
@@ -660,6 +711,10 @@ def _valid_param(key: str, v: object, k: object) -> bool:
     if key == "a_vec":
         return isinstance(v, tuple) and len(v) == k and all(_pos(x) for x in v)
     return _pos(v)
+
+
+def _as_line(points: Line | Point) -> Line:
+    return [points] if isinstance(points, Mapping) else points
 
 
 def _as_poly(side: Poly | Fraction) -> Poly:
@@ -681,11 +736,14 @@ class IdentitySpec:
     """A registry entry, declared as data.
 
     `displays` pairs each displayed identity of the entry with the function
-    that returns its (lhs, rhs); the label is "" when there is one display.
-    Each function is called as fn(n, *params, k) (`sides`): the parameters
-    in `param_names` order, and k only for a k-fold entry (`k_min` set),
-    at a point already checked.  A side may be a polynomial or a number,
-    which is lifted to a constant.
+    that returns its sides; the label is "" when there is one display.
+    Each function is called along a line, points that differ only in n, as
+    fn(ns, *params, k) (`sides`): the n of each point, the parameters in
+    `param_names` order, and k only for a k-fold entry (`k_min` set), at
+    points already checked.  It returns one (lhs, rhs) per n, in order, and
+    may share work between the points of the line, never between the two
+    sides.  A side may be a polynomial or a number, which is lifted to a
+    constant.
 
     The domain is integer n in n_min, n_min + n_step, ... (`n_step` 2 from
     an even n_min for an even-degree identity), each parameter a
@@ -707,21 +765,29 @@ class IdentitySpec:
     param_sets: tuple[dict, ...] = ({},)
     k_min: int | None = None
     default_ks: tuple[int, ...] = ()
-    evaluate: Callable[[Point], list[tuple[str, Poly, Poly]]] | None = None
+    evaluate: Callable[[Line | Point], list[tuple[str, Poly, Poly]]] | None = None
 
     def __post_init__(self) -> None:
         if self.evaluate is None or getattr(self.evaluate, "__func__", None) is IdentitySpec.evaluate_displays:
             object.__setattr__(self, "evaluate", self.evaluate_displays)
 
-    def evaluate_displays(self, pt: Point) -> list[tuple[str, Poly, Poly]]:
-        """Both sides of every display at a checked point: the default `evaluate`."""
-        return [(label, *map(_as_poly, self.sides(fn, pt))) for label, fn in self.displays]
+    def evaluate_displays(self, line: Line | Point) -> list[tuple[str, Poly, Poly]]:
+        """Both sides of every display along a checked line, point by point
+        and each point's displays in order: the default `evaluate`."""
+        line = _as_line(line)
+        per_display = [self.sides(fn, line) for _, fn in self.displays]
+        return [(label, *map(_as_poly, sides[i]))
+                for i in range(len(line)) for (label, _), sides in zip(self.displays, per_display)]
 
-    def sides(self, fn: Callable[..., tuple[Poly | Fraction, Poly | Fraction]],
-              pt: Point) -> tuple[Poly | Fraction, Poly | Fraction]:
-        """The sides of the display function fn at a checked point, called
-        as fn(n, *params, k): the one statement of the call convention."""
-        return fn(pt["n"], *(pt[key] for key in self.param_names), *((pt["k"],) if self.takes_k else ()))
+    def sides(self, fn: Callable[..., list[tuple[Poly | Fraction, Poly | Fraction]]],
+              line: Line | Point) -> list[tuple[Poly | Fraction, Poly | Fraction]]:
+        """The sides of the display function fn at each point of a checked
+        line, called as fn(ns, *params, k): the one statement of the call
+        convention."""
+        line = _as_line(line)
+        pt = line[0]
+        return fn([p["n"] for p in line], *(pt[key] for key in self.param_names),
+                  *((pt["k"],) if self.takes_k else ()))
 
     @property
     def takes_k(self) -> bool:
@@ -935,11 +1001,11 @@ def _sides_at(name: str, n: object, params: Mapping[str, object],
     """The sides of one display of a REGISTRY entry (the first if display is
     None) at one point, as its function returns them.  The point is checked
     once, and no other display is evaluated: the one door of
-    `eval_corollary` and the public evaluators."""
-    entry, (pt,) = _checked(name, [{"n": n, **params}])
+    `eval_corollary` and the public evaluators, a line of one point."""
+    entry, line = _checked(name, [{"n": n, **params}])
     for label, fn in entry.displays:
         if display is None or label == display:
-            return entry.sides(fn, pt)
+            return entry.sides(fn, line)[0]
     raise DomainError(f"{name}: no display {display!r}; available: {[label for label, _ in entry.displays]}")
 
 
@@ -1003,18 +1069,23 @@ def verify(
 
     Points must satisfy the entry's validity predicate and name only its
     inputs; an offending point raises DomainError before any evaluation
-    runs, and a report's inputs are its checked point.  A failing identity
-    never raises: it produces a fail report with the difference retained.
+    runs, and a report's inputs are its checked point.  Each run of
+    consecutive points that differ only in n is evaluated as one line, and
+    reported point by point in grid order.  A failing identity never
+    raises: it produces a fail report with the difference retained.
     """
     entry, grid = _checked(name, points, registry)
     reports: list[IdentityReport] = []
-    for pt in grid:
+    for _, run in groupby(grid, key=lambda pt: {**pt, "n": None}):
+        line = list(run)
         start = time.perf_counter()
-        displays = entry.evaluate(pt)
-        # one evaluation serves every display of the point: split its time
-        # evenly, so that the reports' times add up to the measured total
+        displays = entry.evaluate(line)
+        # one evaluation serves every point and display of the line: split
+        # its time evenly, so that the reports' times add up to the measured total
         elapsed = (time.perf_counter() - start) / len(displays)
-        for label, lhs, rhs in displays:
+        per_point = len(displays) // len(line)
+        for i, (label, lhs, rhs) in enumerate(displays):
+            pt = line[i // per_point]
             # equal tuples are equal polynomials, whose difference is ZERO;
             # only unequal sides are subtracted, so a fail keeps its difference
             diff = ZERO if lhs == rhs else poly_sub(lhs, rhs)

@@ -59,7 +59,7 @@ from fractions import Fraction
 from numbers import Integral, Rational
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .exactmath import as_exact, pochhammer, poly, rising_weights, series_product
+from .exactmath import as_exact, pochhammer, pochhammer_parts, poly, rising_weights, series_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,12 +272,16 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
 
     started = time.perf_counter()
     exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
-    r = dirichlet_moment_exact([a + l for a, l in zip(q.a_vec, q.l_vec)], q.l_vec)
-    # M (R - M) / n over a common denominator left unreduced: the gcds of
-    # Fraction arithmetic on the long integers of a tall query cost more
-    # than its moments, and int / int rounds to the nearest float as well
+    # R = prod_i (a_i + l_i)_{l_i} / (A + L)_L and M (R - M) / n, each over
+    # a denominator left unreduced: the gcds of Fraction arithmetic on the
+    # long integers of a tall query cost more than the products, and
+    # int / int rounds to the nearest float as well
+    r_den, r_num = pochhammer_parts(sum(q.a_vec) + sum(q.l_vec), sum(q.l_vec))
+    for a, l in zip(q.a_vec, q.l_vec):
+        num, den = pochhammer_parts(a + l, l)
+        r_num, r_den = r_num * num, r_den * den
     m_num, m_den = exact.numerator, exact.denominator
-    stderr = math.sqrt(m_num * (r.numerator * m_den - m_num * r.denominator) / (m_den ** 2 * r.denominator * q.samples))
+    stderr = math.sqrt(m_num * (r_num * m_den - m_num * r_den) / (m_den ** 2 * r_den * q.samples))
     sampling_started = time.perf_counter()
     shapes = np.array([float(v) for v in q.a_vec])
     n_blocks = -(-q.samples // BLOCK_SIZE)

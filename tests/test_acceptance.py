@@ -289,11 +289,11 @@ def test_criterion_10_mutation_detection(capsys):
     with _criterion("CRITERION 10 (mutation detection)", capsys):
         original = REGISTRY["euler-1-2"].evaluate
 
-        def sign_flipped(pt):
-            # flips -n*B_{n-1} to +n*B_{n-1} on the closed-form side
-            n = pt["n"]
-            delta = poly([2 * n * bernoulli_number(n - 1)])
-            return [(label, lhs, poly_add(rhs, delta)) for label, lhs, rhs in original(pt)]
+        def sign_flipped(line):
+            # flips -n*B_{n-1} to +n*B_{n-1} on the closed-form side, at
+            # each point of the line
+            return [(label, lhs, poly_add(rhs, poly([2 * pt["n"] * bernoulli_number(pt["n"] - 1)])))
+                    for pt, (label, lhs, rhs) in zip(line, original(line), strict=True)]
 
         registry = dict(REGISTRY)
         registry["euler-1-2"] = dataclasses.replace(REGISTRY["euler-1-2"], evaluate=sign_flipped)

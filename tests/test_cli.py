@@ -336,8 +336,9 @@ class TestVerifyCommand:
         assert all(type(p["elapsed_ms"]) is (float if timings else int) for p in payload)
 
     def test_timings_split_across_displays(self, monkeypatch):
-        # a clock that advances one second per reading: each evaluation of a
-        # corollary4 point takes exactly 1 s and serves two displays
+        # a clock that advances one second per reading: the evaluation of a
+        # corollary4 line takes exactly 1 s and serves two points of two
+        # displays each
         ticks = iter(range(1000))
         clock = SimpleNamespace(perf_counter=lambda: float(next(ticks)))
         monkeypatch.setattr("bek.identities.time", clock)
@@ -346,8 +347,8 @@ class TestVerifyCommand:
         assert code == 0
         reports = json.loads(out)
         assert [r["inputs"]["display"] for r in reports] == ["a=1", "a=2"] * 2
-        assert [r["elapsed_ms"] for r in reports] == [500.0] * 4
-        assert sum(r["elapsed_ms"] for r in reports) == 2000.0
+        assert [r["elapsed_ms"] for r in reports] == [250.0] * 4
+        assert sum(r["elapsed_ms"] for r in reports) == 1000.0
 
 
 class TestColorHandling:

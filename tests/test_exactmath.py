@@ -24,13 +24,14 @@ from bek.exactmath import (
     ZERO,
     as_exact,
     binomial,
-    convolution_coefficient,
+    convolution_coefficients,
     convolution_work,
     harmonic,
     harmonic_second,
     harmonic_shifted,
     is_exact,
     pochhammer,
+    pochhammer_parts,
     poly,
     poly_add,
     poly_compose_linear,
@@ -86,7 +87,7 @@ def _walk_product(family, parts):
 def _composition_walk(family, n, weights, scale):
     """scale * sum over the weak compositions l of n of prod_i w_i[l_i]
     times the poly_mul fold of the family(l_i): the walk that
-    convolution_coefficient replaces."""
+    convolution_coefficients replaces, at one n."""
     terms = []
     for parts in composition_parts(n, len(weights)):
         c = math.prod(w[l] for w, l in zip(weights, parts))
@@ -96,17 +97,20 @@ def _composition_walk(family, n, weights, scale):
 
 @st.composite
 def convolutions(draw):
-    """A family, n <= 14 and k = 1..5 slots of signed rational weights, and
-    a scale.  A slot may be all zero or zero at the middle index n // 2,
-    and the slots may all be one list, as in the equal-slot left sides."""
+    """A family, a line of one to four n <= 14 (in any order, with gaps and
+    repeats), k = 1..5 slots of signed rational weights up to the largest
+    n, N, and a scale per n.  A slot may be all zero or zero at the middle
+    index N // 2, and the slots may all be one list, as in the equal-slot
+    left sides."""
     family = draw(st.sampled_from([bernoulli_poly, euler_poly]))
-    n = draw(st.integers(0, 14))
-    full = st.lists(st.one_of(rationals, wide_rationals), min_size=n + 1, max_size=n + 1)
-    middle_zero = full.map(lambda w: [*w[: n // 2], Fraction(0), *w[n // 2 + 1:]])
-    slot = st.one_of(full, middle_zero, st.just([Fraction(0)] * (n + 1)), st.just([0] * (n + 1)))
+    ns = draw(st.lists(st.integers(0, 14), min_size=1, max_size=4))
+    top = max(ns)
+    full = st.lists(st.one_of(rationals, wide_rationals), min_size=top + 1, max_size=top + 1)
+    middle_zero = full.map(lambda w: [*w[: top // 2], Fraction(0), *w[top // 2 + 1:]])
+    slot = st.one_of(full, middle_zero, st.just([Fraction(0)] * (top + 1)), st.just([0] * (top + 1)))
     k = draw(st.integers(1, 5))
     weights = [draw(slot)] * k if draw(st.booleans()) else draw(st.lists(slot, min_size=k, max_size=k))
-    return family, n, weights, draw(scalars)
+    return family, ns, weights, draw(st.lists(scalars, min_size=len(ns), max_size=len(ns)))
 
 
 @st.composite
@@ -187,6 +191,18 @@ class TestMemoizedScalars:
         assert harmonic_second(n) == sum((Fraction(1, j * j) for j in range(1, n + 1)), Fraction(0))
         # a cached value is returned unchanged on a repeated call
         assert harmonic(n) == harmonic(n) and harmonic_second(n) == harmonic_second(n)
+
+    @given(st.fractions(min_value=-20, max_value=20, max_denominator=9), st.integers(0, 12))
+    def test_pochhammer_parts_are_the_unreduced_pochhammer(self, z, k):
+        num, den = pochhammer_parts(z, k)
+        assert Fraction(num, den) == pochhammer(z, k) and den == z.denominator ** k
+        assert type(num) is int and type(den) is int
+
+    def test_pochhammer_parts_refuse_as_pochhammer(self):
+        assert pochhammer_parts(Fraction(6, 4), 2) == (3 * 5, 4)
+        for z, k in ((0.5, 2), (True, 2), (Fraction(1, 2), -1), (Fraction(1, 2), 1.0)):
+            with pytest.raises(ValueError):
+                pochhammer_parts(z, k)
 
     def test_pochhammer_is_memoized_on_integers(self):
         exactmath._pochhammer.cache_clear()
@@ -460,10 +476,10 @@ class TestIntegerKernel:
     @settings(max_examples=80, deadline=None)
     @given(convolutions())
     def test_convolution_coefficient_matches_the_composition_walk(self, case):
-        family, n, weights, scale = case
-        out = convolution_coefficient(family, n, weights, scale)
-        assert out == _composition_walk(family, n, weights, scale)
-        assert _all_fractions(out)
+        family, ns, weights, scales = case
+        out = convolution_coefficients(family, ns, weights, scales)
+        assert out == [_composition_walk(family, n, weights, scale) for n, scale in zip(ns, scales)]
+        assert all(map(_all_fractions, out))
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -474,27 +490,43 @@ class TestIntegerKernel:
         other = [Fraction(3 - l, l + 2) for l in range(n + 1)]
         holed = [*ramp[: n // 2], 0, *ramp[n // 2 + 1:]]
         for weights in ([ramp] * k, [ramp, other, *[holed] * (k - 2)], [holed, *[other] * (k - 1)]):
-            assert convolution_coefficient(family, n, weights, 3) == _composition_walk(family, n, weights, 3)
+            assert convolution_coefficients(family, [n], weights, [3]) == [_composition_walk(family, n, weights, 3)]
+            # the same weights along a gapped, unsorted line with a repeat
+            ns = [n, 0, n - 3, n, 1]
+            assert convolution_coefficients(family, ns, weights, [3, 1, 2, 3, 5]) == [
+                _composition_walk(family, m, weights, scale) for m, scale in zip(ns, [3, 1, 2, 3, 5])]
 
     def test_convolution_coefficient_frozen(self):
         # one slot reads off its last term: 2 * 1/2 * B_2(x)
-        assert convolution_coefficient(bernoulli_poly, 2, [[5, 7, Fraction(1, 2)]], 2) == bernoulli_poly(2)
-        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12
-        assert convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1]] * 2, 1) == poly([Fraction(7, 12), -3, 3])
-        assert convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1], [0, 0, 0], [1, 1, 1]], 1) == ZERO
-        assert convolution_coefficient(bernoulli_poly, -1, [[]] * 2, 1) == ZERO
+        assert convolution_coefficients(bernoulli_poly, [2], [[5, 7, Fraction(1, 2)]], [2]) == [bernoulli_poly(2)]
+        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12, and
+        # B_0 B_1 + B_1 B_0 = 2x - 1 at n = 1
+        pair = poly([Fraction(7, 12), -3, 3])
+        assert convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1]] * 2, [1]) == [pair]
+        assert convolution_coefficients(bernoulli_poly, [2, 0, 2, 1], [[1, 1, 1]] * 2, [1, 1, 2, 1]) == [
+            pair, ONE, poly_scale(2, pair), poly([-1, 2])]
+        assert convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1], [0, 0, 0], [1, 1, 1]], [1]) == [ZERO]
+        assert convolution_coefficients(bernoulli_poly, [-1], [[]] * 2, [1]) == [ZERO]
+        assert convolution_coefficients(bernoulli_poly, [], [[]] * 2, []) == []
         with pytest.raises(ValueError):
-            convolution_coefficient(bernoulli_poly, 2, [], 1)
+            convolution_coefficients(bernoulli_poly, [2], [], [1])
         with pytest.raises(ValueError):
-            convolution_coefficient(bernoulli_poly, 2, [[1, 1, 1], [1, 1]], 1)
+            convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1], [1, 1]], [1])
+        # weights up to the largest n, and one scale per n
+        with pytest.raises(ValueError):
+            convolution_coefficients(bernoulli_poly, [1, 2], [[1, 1]] * 2, [1, 1])
+        with pytest.raises(ValueError):
+            convolution_coefficients(bernoulli_poly, [1, 2], [[1, 1, 1]] * 2, [1])
 
     def test_each_family_and_degree_has_its_own_forms(self):
         exactmath._family_forms.cache_clear()
         calls = [(bernoulli_poly, 5), (euler_poly, 5), (bernoulli_poly, 4), (euler_poly, 4)]
         for family, n in calls * 2:
-            convolution_coefficient(family, n, [[1] * (n + 1)] * 2, 1)
+            convolution_coefficients(family, [n], [[1] * (n + 1)] * 2, [1])
+        # a line builds the forms of its largest n alone
+        convolution_coefficients(bernoulli_poly, [1, 5, 3], [[1] * 6] * 2, [1] * 3)
         info = exactmath._family_forms.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 5)
         for family, n in calls:
             nums, den = exactmath._family_forms(family, n)
             assert [tuple(Fraction(v, den) for v in p) for p in nums] == [family(l) for l in range(n + 1)]
@@ -543,7 +575,7 @@ class TestPairedKernelMutations:
     def _caught(self, monkeypatch, kernel):
         monkeypatch.setattr(exactmath, "_paired_coefficient", kernel)
         return [(family, n, len(weights)) for family, n, weights in self.CASES
-                if convolution_coefficient(family, n, weights, 1) != _composition_walk(family, n, weights, 1)]
+                if convolution_coefficients(family, [n], weights, [1]) != [_composition_walk(family, n, weights, 1)]]
 
     def test_the_unmutated_copy_agrees(self, monkeypatch):
         assert self._caught(monkeypatch, _mutant_pair_kernel("if l < m else", "if l < m else")) == []
@@ -560,30 +592,56 @@ class TestPairedKernelMutations:
 
 class TestConvolutionWork:
     """`convolution_work` bounds the integer coefficient products that
-    `_mul_into` forms for one `convolution_coefficient`, and meets the count
-    at n = 0 from two slots on, so a kernel change that forms more products
-    than the bound, or a bound that drops one, fails here."""
+    `_mul_into` forms for a one-point `convolution_coefficients` line, and
+    meets the count at n = 0 from two slots on, and a line forms no more
+    than the sum of the bound over its points, so a kernel change that
+    forms more products than the bound, or a bound that drops one, fails
+    here."""
 
-    def test_the_count_is_within_the_bound(self, monkeypatch):
-        count = 0
+    # gapped, unsorted and repeated lines, and the default grids' shape
+    LINES = ([3, 7, 12, 30], [30, 2, 2, 17], [20, 0], list(range(0, 15)), [5, 5, 5])
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The products `_mul_into` forms, in a one-entry list."""
+        count = [0]
         mul_into = exactmath._mul_into
 
-        def counted(out, p, q):
-            nonlocal count
-            count += sum(max(min(len(q), len(out) - i), 0) for i, a in enumerate(p) if a)
+        def counting(out, p, q):
+            count[0] += sum(max(min(len(q), len(out) - i), 0) for i, a in enumerate(p) if a)
             mul_into(out, p, q)
 
-        monkeypatch.setattr(exactmath, "_mul_into", counted)
+        monkeypatch.setattr(exactmath, "_mul_into", counting)
+        return count
+
+    def test_the_count_is_within_the_bound(self, counted):
         for family in (bernoulli_poly, euler_poly):
             for k in range(1, 9):
                 for n in range(0, 31, 5):
-                    count = 0
-                    convolution_coefficient(family, n, [[1] * (n + 1)] * k, 1)
+                    counted[0] = 0
+                    convolution_coefficients(family, [n], [[1] * (n + 1)] * k, [1])
                     work = convolution_work(k, n)
-                    assert count <= work, (family.__name__, k, n)
+                    assert counted[0] <= work, (family.__name__, k, n)
                     # one slot only scales P_n, and forms no product
-                    assert n or count == (work if k >= 2 else 0), (family.__name__, k, n)
+                    assert n or counted[0] == (work if k >= 2 else 0), (family.__name__, k, n)
         assert [convolution_work(k, -1) for k in (1, 2, 16)] == [0, 0, 0]
+
+    def _count(self, counted, family, ns, k):
+        counted[0] = 0
+        convolution_coefficients(family, ns, [[1] * (max(ns) + 1)] * k, [1] * len(ns))
+        return counted[0]
+
+    def test_a_line_is_within_the_sum_over_its_points(self, counted):
+        for family in (bernoulli_poly, euler_poly):
+            for k in range(1, 9):
+                for ns in self.LINES:
+                    count = self._count(counted, family, ns, k)
+                    assert count <= sum(convolution_work(k, n) for n in ns), (family.__name__, k, ns)
+                    # against its distinct points one at a time: up to two
+                    # slots a line pairs per n, and from three on it forms
+                    # the prefix once
+                    alone = sum(self._count(counted, family, [n], k) for n in set(ns))
+                    assert count == alone if k <= 2 or len(set(ns)) == 1 else count < alone, (family.__name__, k, ns)
 
 
 def _private_kernel_imports(source: str) -> list[str]:
@@ -631,6 +689,19 @@ class TestLayering:
         (stmt,) = body
         assert isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call)
         assert getattr(stmt.value.func, "id", None) == kernel
+
+    def test_the_convolution_kernel_takes_a_line(self):
+        # one convolution kernel, called with a line of n values: the only
+        # reader of the family forms, and no point form beside it
+        functions = {node.name: node for node in ast.parse(Path(exactmath.__file__).read_text()).body
+                     if isinstance(node, ast.FunctionDef)}
+        readers = {name for name, node in functions.items()
+                   if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_family_forms"
+                          for c in ast.walk(node))}
+        assert readers == {"convolution_coefficients"}
+        assert [arg.arg for arg in functions["convolution_coefficients"].args.args] == [
+            "family", "ns", "weights", "scales"]
+        assert [name for name in functions if "convolution" in name] == ["convolution_coefficients", "convolution_work"]
 
     def test_the_scan_sees_each_form_of_import(self):
         assert _private_kernel_imports("from .exactmath import Poly, _int_form, _taylor_shift") == [

@@ -11,6 +11,7 @@ from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import factorial, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_po
 from walks import composition_parts, multinomial
 
 F = Fraction
+
+
+def _at(fn, n, *args):
+    """The sides of the line display fn at one n: a line of one point."""
+    (sides,) = fn([n], *args)
+    return sides
 
 EXPECTED_NAMES = [
     "euler-1-2", "miki", "matiyasevich", "theorem1", "corollary1", "corollary2",
@@ -413,7 +420,7 @@ class TestVerifyEngine:
         # the default evaluate was bound to the entry `replace` copied, so
         # verify evaluated the old displays while eval_corollary ran the new
         entry = REGISTRY["miki"]
-        replaced = dataclasses.replace(entry, displays=(("", lambda n: (poly([F(1)]), poly([F(2)]))),))
+        replaced = dataclasses.replace(entry, displays=(("", lambda ns: [(poly([F(1)]), poly([F(2)]))] * len(ns)),))
         assert replaced.evaluate.__self__ is replaced and entry.evaluate.__self__ is entry
         (report,) = verify("miki", points=[{"n": 4}], registry={"miki": replaced})
         assert report.status == "fail" and report.difference == poly([-1])
@@ -424,15 +431,16 @@ class TestVerifyEngine:
         calls = []
         entry = REGISTRY["miki"]
 
-        def wrapped(pt, evaluate=entry.evaluate):
-            calls.append(pt["n"])
-            return evaluate(pt)
+        def wrapped(line, evaluate=entry.evaluate):
+            calls.append([pt["n"] for pt in line])
+            return evaluate(line)
 
         replaced = dataclasses.replace(dataclasses.replace(entry, evaluate=wrapped), summary="wrapped")
         assert replaced.evaluate is wrapped
         assert [r.passed for r in verify("miki", points=[{"n": 4}, {"n": 5}], registry={"miki": replaced})] == [
             True, True]
-        assert calls == [4, 5]
+        # the two points differ only in n: one line, one call
+        assert calls == [[4, 5]]
 
     def test_a_pass_subtracts_nothing(self, monkeypatch):
         # equal sides are equal tuples: no poly_sub runs, and the report's
@@ -468,6 +476,78 @@ class TestVerifyEngine:
         # a refused point renders as given: a float stays a float, and only
         # an a_vec is joined
         assert point_text({"n": 2, "a": [1], "a_vec": (0.1, None)}) == "n=2 a=[1] a_vec=0.1,None"
+
+
+def _report_cells(reports):
+    """What a report says, without its time."""
+    return [(r.identity, r.inputs, r.status, r.lhs, r.rhs, r.difference) for r in reports]
+
+
+class TestLines:
+    """`verify` evaluates each run of points that differ only in n as one
+    line, and reports exactly what one point at a time would."""
+
+    def test_every_display_takes_a_line(self):
+        # fn(ns, *params[, k]), the call of `IdentitySpec.sides`
+        for name, entry in REGISTRY.items():
+            for label, fn in entry.displays:
+                names = list(inspect.signature(fn).parameters)
+                assert names[0] == "ns" and len(names) == 1 + len(entry.param_names) + entry.takes_k, (name, label)
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_verify_matches_the_door_point_by_point(self, name):
+        reports = verify(name)
+        assert len(reports) == len(build_points(REGISTRY[name])) * len(REGISTRY[name].displays)
+        for r in reports:
+            params = {key: v for key, v in r.inputs.items() if key not in ("n", "display")}
+            sides = identities._sides_at(name, r.inputs["n"], params, r.inputs.get("display"))
+            assert (r.lhs, r.rhs) == tuple(map(identities._as_poly, sides)), r.inputs
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_a_gapped_unsorted_repeated_grid(self, name):
+        entry = REGISTRY[name]
+        k = entry.default_ks[-1] if entry.takes_k else None
+        ns = list(entry.default_n(k))
+        picks = (ns[-1], ns[0], ns[len(ns) // 2], ns[0], ns[-2])
+        lines = [build_points(entry, picks, k, params or None) for params in entry.default_param_sets(k)[:2]]
+        # two lines, and the same points interleaved: lines of one point
+        for grid in (lines[0] + lines[-1], [pt for pair in zip(lines[0], lines[-1]) for pt in pair]):
+            reports = verify(name, grid)
+            assert all(r.passed for r in reports)
+            assert _report_cells(reports) == _report_cells([r for pt in grid for r in verify(name, [pt])])
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_a_line_corrupted_at_one_n_fails_there_only(self, name):
+        entry = REGISTRY[name]
+        k = entry.default_ks[0] if entry.takes_k else None
+        line = build_points(entry, None, k, entry.default_param_sets(k)[0] or None)
+        bad = line[len(line) // 2]["n"]
+        (label, fn), *others = entry.displays
+
+        def corrupted(ns, *args):
+            return [(lhs, poly_add(identities._as_poly(rhs), poly([F(1, 997)])) if n == bad else rhs)
+                    for n, (lhs, rhs) in zip(ns, fn(ns, *args))]
+
+        registry = {name: dataclasses.replace(entry, displays=((label, corrupted), *others))}
+        failed = [(r.inputs["n"], r.inputs.get("display", "")) for r in verify(name, line, registry) if not r.passed]
+        assert failed == [(bad, label)]
+
+    def test_a_line_time_is_split_over_its_reports(self, monkeypatch):
+        # a clock that only the evaluation advances, by 1/4 s a point: each
+        # line's reports share its time evenly and add up to it
+        clock = [0.0]
+        monkeypatch.setattr(identities, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        entry = REGISTRY["theorem1"]
+
+        def timed(line, evaluate=entry.evaluate):
+            clock[0] += 0.25 * len(line)
+            return evaluate(line)
+
+        grid = [*build_points(entry, (1, 2, 3), params={"a": F(1), "b": F(1)}),
+                *build_points(entry, (4, 5), params={"a": F(2), "b": F(1)})]
+        reports = verify("theorem1", grid, {"theorem1": dataclasses.replace(entry, evaluate=timed)})
+        assert [r.elapsed for r in reports] == [0.25] * 5
+        assert sum(r.elapsed for r in reports[:3]) == 0.75 and sum(r.elapsed for r in reports[3:]) == 0.5
 
 
 class TestSmallGridSweep:
@@ -712,25 +792,25 @@ class TestGeneratingFunctionRightSides:
     def test_kth_matiyasevich_default_grid(self):
         for pt in build_points(REGISTRY["kth-matiyasevich"]):
             n, k = pt["n"], pt["k"]
-            assert identities._kth_matiyasevich(n, k) == _kth_matiyasevich_reference(n, k), pt
+            assert _at(identities._kth_matiyasevich, n, k) == _kth_matiyasevich_reference(n, k), pt
 
     def test_corollary11_default_grid(self):
         for pt in build_points(REGISTRY["corollary11"]):
             n = pt["n"]
-            assert identities._corollary11_first(n)[1] == _corollary11_first_rhs_reference(n)
-            assert identities._corollary11_second(n)[1] == _corollary11_second_rhs_reference(n)
+            assert _at(identities._corollary11_first, n)[1] == _corollary11_first_rhs_reference(n)
+            assert _at(identities._corollary11_second, n)[1] == _corollary11_second_rhs_reference(n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 12), st.integers(2, 6))
     def test_kth_matiyasevich(self, n, k):
-        lhs, rhs = identities._kth_matiyasevich(n, k)
+        lhs, rhs = _at(identities._kth_matiyasevich, n, k)
         assert (lhs, rhs) == _kth_matiyasevich_reference(n, k)
         assert lhs == rhs
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 40))
     def test_corollary11(self, n):
-        first, second = identities._corollary11_first(n), identities._corollary11_second(n)
+        first, second = _at(identities._corollary11_first, n), _at(identities._corollary11_second, n)
         assert first == (LHS_REFERENCES["corollary11", "first"](n), _corollary11_first_rhs_reference(n))
         assert second == (LHS_REFERENCES["corollary11", "second"](n), _corollary11_second_rhs_reference(n))
 
@@ -833,7 +913,7 @@ class TestCorruptedSeriesProduct:
                 current = (name, label)
                 fn, args = _display(name, label)
                 for pt in _first_points_from_three(name):
-                    fn(*args(pt))
+                    _at(fn, *args(pt))
         assert seen == set(SERIES_DISPLAYS)
 
     def test_dropped_t1_coefficient(self, monkeypatch):
@@ -843,7 +923,7 @@ class TestCorruptedSeriesProduct:
         for name, label in SERIES_DISPLAYS:
             fn, args = _display(name, label)
             for pt in _first_points_from_three(name):
-                lhs, rhs = fn(*args(pt))
+                lhs, rhs = _at(fn, *args(pt))
                 if lhs == rhs:
                     survivors.append((name, label, pt.get("k")))
         # theorem4 at k = 1 is the trivial identity: there q(t) = (A_1 - 2) -
@@ -853,7 +933,7 @@ class TestCorruptedSeriesProduct:
 
 # ---------------------------------------------------------------------------
 # The hand-written left sides that the weighted convolution
-# `convolution_coefficient` replaced, kept as the reference it is compared against.  They walk the
+# `convolution_coefficients` replaced, kept as the reference it is compared against.  They walk the
 # compositions and form their products with the module's memoized product
 # tables, which no module of the package calls any more, so they share
 # nothing with the series product but the polynomials B_l(x) and E_l(x).
@@ -948,7 +1028,7 @@ class TestConvolutionLeftSides:
     def test_default_grid_matches_the_reference(self, name, label):
         fn, args = _display(name, label)
         for pt in build_points(REGISTRY[name]):
-            assert fn(*args(pt))[0] == LHS_REFERENCES[name, label](*args(pt)), pt
+            assert _at(fn, *args(pt))[0] == LHS_REFERENCES[name, label](*args(pt)), pt
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 8), parameter_tuples(2))
@@ -982,38 +1062,41 @@ def _folded_product(family, parts):
     return reduce(poly_mul, map(family, parts), ONE)
 
 
-def _convolution_copy(family, n, weights, scale, drop_last=False):
-    """`convolution_coefficient` as a walk over the compositions, optionally
-    without the last composition that contributes a term.  The last
-    composition of all, (n, 0, ..., 0), has zero weight in every entry with
-    a 1/l slot, so dropping it would change nothing there."""
-    terms = [
-        (scale * c, _folded_product(family, tuple(sorted(parts))))
-        for parts in composition_parts(n, len(weights))
-        if (c := prod(w[l] for w, l in zip(weights, parts)))
-    ]
-    return poly_lincomb(terms[:-1] if drop_last else terms)
+def _convolution_copy(family, ns, weights, scales, drop_last=False):
+    """`convolution_coefficients` as a walk over the compositions at each n,
+    optionally without the last composition that contributes a term.  The
+    last composition of all, (n, 0, ..., 0), has zero weight in every entry
+    with a 1/l slot, so dropping it would change nothing there."""
+    out = []
+    for n, scale in zip(ns, scales):
+        terms = [
+            (scale * c, _folded_product(family, tuple(sorted(parts))))
+            for parts in composition_parts(n, len(weights))
+            if (c := prod(w[l] for w, l in zip(weights, parts)))
+        ]
+        out.append(poly_lincomb(terms[:-1] if drop_last else terms))
+    return out
 
 
 class TestCorruptedConvolution:
-    """A corrupted `convolution_coefficient`, as `identities` calls it, is
+    """A corrupted `convolution_coefficients`, as `identities` calls it, is
     caught by every converted display."""
 
     def test_the_uncorrupted_copy_agrees(self, monkeypatch):
         expected = {(name, label): _display(name, label) for name, label in CONVERTED}
-        expected = {key: fn(*args(_points_with_terms(*key)[0])) for key, (fn, args) in expected.items()}
-        monkeypatch.setattr(identities, "convolution_coefficient", _convolution_copy)
+        expected = {key: _at(fn, *args(_points_with_terms(*key)[0])) for key, (fn, args) in expected.items()}
+        monkeypatch.setattr(identities, "convolution_coefficients", _convolution_copy)
         for (name, label), sides in expected.items():
             fn, args = _display(name, label)
-            assert fn(*args(_points_with_terms(name, label)[0])) == sides
+            assert _at(fn, *args(_points_with_terms(name, label)[0])) == sides
 
     def test_dropped_last_composition(self, monkeypatch):
-        monkeypatch.setattr(identities, "convolution_coefficient",
-                            lambda family, n, weights, scale: _convolution_copy(family, n, weights, scale, True))
+        monkeypatch.setattr(identities, "convolution_coefficients",
+                            lambda family, ns, weights, scales: _convolution_copy(family, ns, weights, scales, True))
         survivors = []
         for name, label in CONVERTED:
             fn, args = _display(name, label)
-            lhs, rhs = fn(*args(_points_with_terms(name, label)[0]))
+            lhs, rhs = _at(fn, *args(_points_with_terms(name, label)[0]))
             if lhs == rhs:
                 survivors.append((name, label))
         assert survivors == []
@@ -1022,20 +1105,20 @@ class TestCorruptedConvolution:
         # Dropping a scale of 1 changes nothing, so each display is checked
         # at its first point with terms whose scale is not 1; four displays
         # have scale 1 at every point and cannot catch this.
-        real = identities.convolution_coefficient
+        real = identities.convolution_coefficients
         scales = []
 
-        def without_scale(family, n, weights, scale):
-            scales.append(scale)
-            return real(family, n, weights, 1)
+        def without_scale(family, ns, weights, line_scales):
+            scales.extend(line_scales)
+            return real(family, ns, weights, [1] * len(ns))
 
-        monkeypatch.setattr(identities, "convolution_coefficient", without_scale)
+        monkeypatch.setattr(identities, "convolution_coefficients", without_scale)
         survivors, unit_scale = [], []
         for name, label in CONVERTED:
             fn, args = _display(name, label)
             for pt in _points_with_terms(name, label):
                 scales.clear()
-                lhs, rhs = fn(*args(pt))
+                lhs, rhs = _at(fn, *args(pt))
                 if scales != [1]:
                     if lhs == rhs:
                         survivors.append((name, label, pt))
@@ -1075,6 +1158,8 @@ def _called_names(node):
 
 # The display whose left side is the convolution less its constant term.
 CENTRED = {("corollary11", "first")}
+# The displays whose slot weights depend on n: a one-point line at each n.
+PER_N = {("corollary7", ""), ("corollary10", "second")}
 
 
 class TestConvolutionDesign:
@@ -1100,24 +1185,33 @@ class TestConvolutionDesign:
         theorems = {fn for fn in declared if "_theorem_lhs" in _called_names(functions[fn])}
         assert len(declared) == 18 and len(theorems) == 4
         assert {name: found for name, source in SOURCES.items()
-                if (found := _callers(source, {"convolution_coefficient"}))} == {
+                if (found := _callers(source, {"convolution_coefficients"}))} == {
             "identities.py": declared - theorems | {"_theorem_lhs"}}
 
     def test_each_converted_left_side_is_a_declaration(self):
+        # one kernel call for the line; a one-point line at each n where the
+        # weights depend on n; and for the centred display, the line's
+        # coefficients each less a constant formed without the kernel
         functions = self._functions()
-        assert "convolution_coefficient" in _called_names(functions["_theorem_lhs"])
+        assert "convolution_coefficients" in _called_names(functions["_theorem_lhs"])
         for name, label in CONVERTED:
             fn, _ = _display(name, label)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
             value = assign.value
-            assert isinstance(value, ast.Call), name
-            if (name, label) in CENTRED:
-                assert value.func.id == "poly_sub", name
-                value, constant = value.args
-                assert not _called_names(constant) & {"convolution_coefficient", "composition_parts",
+            if (name, label) in PER_N:
+                assert isinstance(value, ast.ListComp) and isinstance(value.elt, ast.Subscript), name
+                value = value.elt.value
+                assert ast.unparse(value.args[1]) == "[n]", name
+            elif (name, label) in CENTRED:
+                assert isinstance(value, ast.ListComp) and value.elt.func.id == "poly_sub", name
+                _, constant = value.elt.args
+                assert not _called_names(constant) & {"convolution_coefficients", "composition_parts",
                                                       *PRODUCT_TABLES}, name
-            assert value.func.id in ("convolution_coefficient", "_theorem_lhs"), name
+                (value,) = [call for call in ast.walk(value.generators[0].iter) if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "convolution_coefficients"]
+            assert isinstance(value, ast.Call), name
+            assert value.func.id in ("convolution_coefficients", "_theorem_lhs"), name
             assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
 
     def test_the_scan_sees_each_caller(self):
@@ -1232,10 +1326,11 @@ class TestOneDomainRule:
         fn, signature = PUBLIC_EVALUATORS[name]
         assert str(inspect.signature(fn)) == signature
         # the registry declares the private body behind the evaluator, which
-        # takes the same arguments, k without a default
+        # takes the same arguments along a line, ns for n and k without a
+        # default
         ((label, body),) = REGISTRY[name].displays
         assert label == "" and body.__name__.startswith("_") and getattr(identities, body.__name__) is body
-        assert list(inspect.signature(body).parameters) == list(inspect.signature(fn).parameters)
+        assert list(inspect.signature(body).parameters) == ["ns", *list(inspect.signature(fn).parameters)[1:]]
 
     def test_floats_and_strings_are_refused(self):
         for call in (lambda: eval_theorem1(2, 0.5, 1), lambda: eval_theorem2(2, [0.1, 1]),
@@ -1333,6 +1428,23 @@ class TestOneCheckPerPoint:
         out = io.StringIO()
         assert cli.run(cli.RunConfig("verify-all", format="json"), out=out) == 0
         assert checks == list(REGISTRY)
+
+    def test_a_verify_all_run_evaluates_once_per_line(self):
+        # one `evaluate` call per (k, parameter set) line of the default
+        # grids, each with every n of the line: the 73 lines of the grid
+        lines = []
+
+        def counted(entry):
+            def evaluate(line, real=entry.evaluate):
+                lines.append((entry.name, [pt["n"] for pt in line]))
+                return real(line)
+            return dataclasses.replace(entry, evaluate=evaluate)
+
+        registry = {name: counted(entry) for name, entry in REGISTRY.items()}
+        assert cli.run(cli.RunConfig("verify-all", format="json"), out=io.StringIO(), registry=registry) == 0
+        assert lines == [(name, list(entry.default_n(k))) for name, entry in REGISTRY.items()
+                         for k in entry.default_ks or (None,) for _ in entry.default_param_sets(k)]
+        assert len(lines) == 73
 
     def test_a_verify_run_checks_its_lookup_and_its_grid(self, checks):
         out = io.StringIO()

@@ -325,6 +325,16 @@ class TestExactStderr:
         q = MomentQuery(a_vec, l_vec, samples, 3)
         assert dirichlet_moment_mc(q).stderr == _direct_stderr(q)
 
+    def test_one_reduced_moment_per_query(self, monkeypatch):
+        # R = M(2l)/M(l) enters the standard error as unreduced integer
+        # products: the only reduced moment is the reported M(l)
+        calls = []
+        exact = stochastic.dirichlet_moment_exact
+        monkeypatch.setattr(stochastic, "dirichlet_moment_exact", lambda *args: calls.append(args) or exact(*args))
+        q = MomentQuery((F(1, 3), F(2, 7)), (40, 1), 100, 3)
+        assert dirichlet_moment_mc(q).stderr == _direct_stderr(q)
+        assert calls == [(q.a_vec, q.l_vec)]
+
     def test_frozen_value(self):
         # Var(u_1 u_2) at a = (1, 1) is M(2, 2) - M(1, 1)^2 = 1/30 - 1/36 = 1/180
         assert dirichlet_moment_mc(MomentQuery((F(1), F(1)), (1, 1), 5, 0)).stderr == math.sqrt(F(1, 900))
