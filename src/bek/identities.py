@@ -37,7 +37,12 @@ the kernel's `convolution_coefficients` takes the family P, one list
 w_i(0..N) per slot (0 where a term is absent, the same list for every n
 of the line, N the largest) and one scale per n, and reads each sum off
 one truncated series product, as the coefficient of t^n in
-prod_i sum_l w_i(l) P_l(x) t^l.
+prod_i sum_l w_i(l) P_l(x) t^l.  A binomial right-side sum,
+scale * sum_{l<=m} C(m, l) c_l B_{m-l}(x), is the Appell sum
+`_appell(m, c, scale)`, with c the list of factors of l alone, formed once
+for the line; a binomial other than C(m, l) is written as C(m, l) times a
+factor of m and a factor of l.  `_appell` skips a term whose c_l is zero,
+and no other polynomial sum skips a vanishing term.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -136,6 +141,14 @@ def _harmonic_tails(n: int) -> list[Fraction]:
     return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
 
 
+def _appell(m: int, c: Sequence[Fraction], scale: Fraction | int = 1) -> Iterator[tuple[Fraction, Poly]]:
+    """The terms (scale C(m, l) c[l], B_{m-l}(x)), l = 0..m, of the Appell
+    sum scale sum_l C(m, l) c_l B_{m-l}(x), for `poly_lincomb`.  c holds
+    factors of l alone, formed once for a line.  A term whose c_l is zero
+    is skipped: the one place a polynomial sum skips a vanishing term."""
+    return ((scale * binomial(m, l) * c[l], bernoulli_poly(m - l)) for l in range(m + 1) if c[l])
+
+
 def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction]) -> list[Poly]:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
     P = family, the left side of theorems 1-4, at each n."""
@@ -188,13 +201,10 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
 
 def _theorem1(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
     lhs = _theorem_lhs(bernoulli_poly, ns, (a, b))
-    # the factor of each right-side term but C(n, l), once for the line
     factors = [(a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1) * bernoulli_number(l)
-               if bernoulli_number(l) else 0 for l in range(max(ns) + 1)]
-    rhs = [poly_lincomb([
-        *((binomial(n, l) * factors[l], bernoulli_poly(n - l)) for l in range(n + 1) if factors[l]),
-        (n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1)),
-    ]) for n in ns]
+               for l in range(max(ns) + 1)]
+    rhs = [poly_lincomb([*_appell(n, factors), (n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1))])
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -235,14 +245,10 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
 
 def _theorem3(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
     lhs = _theorem_lhs(euler_poly, ns, (a, b))
-    # the factor of each right-side term but -2/(n+1) C(n+1, l), once for the line
     factors = [(pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l) * euler_poly_at_zero(l)
-               if euler_poly_at_zero(l) else 0 for l in range(max(ns) + 2)]
-    rhs = [poly_lincomb([
-        (Fraction(4, n + 1), bernoulli_poly(n + 1)),
-        *((Fraction(-2, n + 1) * binomial(n + 1, l) * factors[l], bernoulli_poly(n + 1 - l))
-          for l in range(n + 2) if factors[l]),
-    ]) for n in ns]
+               for l in range(max(ns) + 2)]
+    rhs = [poly_lincomb([(Fraction(4, n + 1), bernoulli_poly(n + 1)), *_appell(n + 1, factors, Fraction(-2, n + 1))])
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -318,11 +324,10 @@ def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
 
 def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (max(ns) + 1)] * 2, [n + 2 for n in ns])
-    rhs = [poly_lincomb([
-        *((2 * binomial(n + 2, l + 2) * bernoulli_number(l), bernoulli_poly(n - l))
-          for l in range(n + 1) if bernoulli_number(l)),
-        (binomial(n + 2, 3), bernoulli_poly(n - 1)),
-    ]) for n in ns]
+    # 2 C(n+2, l+2) B_l = (n+1)(n+2) C(n, l) 2 B_l / ((l+1)(l+2))
+    factors = [2 * bernoulli_number(l) / ((l + 1) * (l + 2)) for l in range(max(ns) + 1)]
+    rhs = [poly_lincomb([*_appell(n, factors, (n + 1) * (n + 2)), (binomial(n + 2, 3), bernoulli_poly(n - 1))])
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -341,11 +346,10 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(a, top), _reciprocals(top)],
                                    [factorial(n) / pochhammer(a, n) for n in ns])
-    # the factor of each right-side term but C(n, l), once for the line
     factors = [0, *((a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l)
-                    if bernoulli_number(l) else 0 for l in range(1, top + 1))]
+                    for l in range(1, top + 1))]
     rhs = [poly_lincomb([
-        *((binomial(n, l) * factors[l], bernoulli_poly(n - l)) for l in range(1, n + 1) if factors[l]),
+        *_appell(n, factors),
         (Fraction(n) / (a + 1), bernoulli_poly(n - 1)),
         (harmonic_shifted(a, n), bernoulli_poly(n)),
     ]) for n in ns]
@@ -353,10 +357,11 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
 
 
 def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    lhs = convolution_coefficients(bernoulli_poly, ns, [_reciprocals(max(ns))] * 2, [Fraction(n, 2) for n in ns])
+    top = max(ns)
+    lhs = convolution_coefficients(bernoulli_poly, ns, [_reciprocals(top)] * 2, [Fraction(n, 2) for n in ns])
+    factors = [0, *(bernoulli_number(l) / l for l in range(1, top + 1))]
     rhs = [poly_lincomb([
-        *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l))
-          for l in range(1, n + 1) if bernoulli_number(l)),
+        *_appell(n, factors),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
         (harmonic(n - 1), bernoulli_poly(n)),
     ]) for n in ns]
@@ -366,9 +371,10 @@ def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [range(1, top + 2), _reciprocals(top)], [n + 2 for n in ns])
+    # C(n+2, l+2) (l^2+l+2)/l B_l = (n+1)(n+2) C(n, l) (l^2+l+2)/(l(l+1)(l+2)) B_l
+    factors = [0, *(Fraction(l * l + l + 2, l * (l + 1) * (l + 2)) * bernoulli_number(l) for l in range(1, top + 1))]
     rhs = [poly_lincomb([
-        *((binomial(n + 2, l + 2) * Fraction(l * l + l + 2, l) * bernoulli_number(l), bernoulli_poly(n - l))
-          for l in range(1, n + 1) if bernoulli_number(l)),
+        *_appell(n, factors, (n + 1) * (n + 2)),
         (Fraction((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)),
         ((n + 1) * (n + 2) * harmonic_shifted(Fraction(2), n), bernoulli_poly(n)),
     ]) for n in ns]
@@ -378,58 +384,48 @@ def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1), _reciprocals(top)], [1] * len(ns))
+    factors = [0, *(bernoulli_number(l) / l for l in range(1, top + 1))]
     rhs = [poly_lincomb([
-        *((binomial(n, l) * bernoulli_number(l) / l, bernoulli_poly(n - l))
-          for l in range(1, n + 1) if bernoulli_number(l)),
+        *_appell(n, factors),
         (Fraction(n, 2), bernoulli_poly(n - 1)),
         (harmonic(n), bernoulli_poly(n)),
     ]) for n in ns]
     return list(zip(lhs, rhs))
 
 
-@_each_n
-def _corollary5(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (binomial(n, l) * bernoulli_number(l), bernoulli_poly(n - l)) for l in range(n + 1) if bernoulli_number(l)
-    )
-    rhs = poly_lincomb([
-        (n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))),
-        (-(n - 1), bernoulli_poly(n)),
-    ])
-    return lhs, rhs
+def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    factors = [bernoulli_number(l) for l in range(max(ns) + 1)]
+    lhs = [poly_lincomb(_appell(n, factors)) for n in ns]
+    rhs = [poly_lincomb([(n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))), (-(n - 1), bernoulli_poly(n))])
+           for n in ns]
+    return list(zip(lhs, rhs))
 
 
-@_each_n
-def _corollary6(n: int) -> tuple[Poly, Poly]:
-    lhs = poly_lincomb(
-        (binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l))
-        for l in range(n + 1) if bernoulli_number(l)
-    )
-    rhs = poly_lincomb([
+def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
+    factors = [bernoulli_number(l) / Fraction(2) ** l for l in range(max(ns) + 1)]
+    lhs = [poly_lincomb(_appell(n, factors)) for n in ns]
+    rhs = [poly_lincomb([
         (Fraction(n) / Fraction(2) ** n, poly_mul(poly([-1, 2]), poly_compose_linear(bernoulli_poly(n - 1), 2))),
         (Fraction(-(n - 1)) / Fraction(2) ** n, poly_compose_linear(bernoulli_poly(n), 2)),
         (Fraction(-n, 4), bernoulli_poly(n - 1)),
-    ])
-    return lhs, rhs
+    ]) for n in ns]
+    return list(zip(lhs, rhs))
 
 
 def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(max(ns))] * 2,
                                    [Fraction(factorial(n), 2 ** n) for n in ns])
-    rhs = [poly_lincomb([
-        *((binomial(n, l) * bernoulli_number(l) / Fraction(2) ** l, bernoulli_poly(n - l))
-          for l in range(n + 1) if bernoulli_number(l)),
-        (Fraction(n, 4), bernoulli_poly(n - 1)),
-    ]) for n in ns]
+    factors = [bernoulli_number(l) / Fraction(2) ** l for l in range(max(ns) + 1)]
+    rhs = [poly_lincomb([*_appell(n, factors), (Fraction(n, 4), bernoulli_poly(n - 1))]) for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
     lhs = [convolution_coefficients(bernoulli_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [n])[0] for n in ns]
+    factors = [0, *((harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l for l in range(1, max(ns) + 1))]
     rhs = [poly_lincomb([
-        *((binomial(n, l) * (harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l, bernoulli_poly(n - l))
-          for l in range(1, n + 1) if bernoulli_number(l)),
+        *_appell(n, factors),
         (n, bernoulli_poly(n - 1)),
         (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)), bernoulli_poly(n)),
     ]) for n in ns]
@@ -511,8 +507,7 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     sum_i w_i b_i [t^(n-i)] b(t)^2 with b(t) = sum_{m>=1} b_m t^m, and each
     side squares b(t) itself, once for the line: the coefficients up to
     t^(n-1) read no b_m with m > n - 2.  The b_m are built once per call,
-    as one list both sides read like a sequence table, and a term with a
-    zero factor b_m is skipped.
+    as one list both sides read like a sequence table.
     """
     h1 = harmonic
     h2 = harmonic_second
@@ -521,7 +516,7 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
     def cubic_sums(weight: Callable[[int, int], int]) -> list[Fraction]:
         square = series_product([b[: top - 1]] * 2, top - 1)
-        return [sum((weight(n, i) * b[i] * _coeff(square, n - i) for i in range(1, n - 1) if b[i]), Fraction(0))
+        return [sum((weight(n, i) * b[i] * _coeff(square, n - i) for i in range(1, n - 1)), Fraction(0))
                 for n in ns]
 
     s1 = cubic_sums(lambda n, i: 1)
@@ -544,30 +539,27 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 
 def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(max(ns) - 1)] * 2, [1] * len(ns))
-    rhs = [poly_lincomb([
-        *((4 * binomial(n - 2, l - 1) * harmonic(l - 1) * euler_poly_at_zero(l) / Fraction(l * (n - l)),
-           bernoulli_poly(n - l))
-          for l in range(1, n) if euler_poly_at_zero(l)),
-        (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1)),
-        (4 * harmonic(n - 1) / Fraction(n - 1) * euler_poly_at_zero(n) / n, ONE),
-    ]) for n in ns]
+    top = max(ns)
+    lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(top - 1)] * 2, [1] * len(ns))
+    # 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and the constant term
+    # is the term l = n
+    factors = [0, *(4 * harmonic(l - 1) * euler_poly_at_zero(l) for l in range(1, top + 1))]
+    rhs = [poly_lincomb([*_appell(n, factors, Fraction(1, n * (n - 1))),
+                         (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1))])
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
     lhs = [convolution_coefficients(euler_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [1])[0] for n in ns]
-    rhs = [poly_lincomb([
-        (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
-        *((binomial(n - 1, l - 1)
-           * (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1))
-           * euler_poly_at_zero(l)
-           / Fraction(l * (n + 1 - l)),
-           bernoulli_poly(n + 1 - l))
-          for l in range(1, n + 1) if euler_poly_at_zero(l)),
-        ((harmonic(n) ** 2 + 3 * harmonic_second(n)) / Fraction(n) * euler_poly_at_zero(n + 1) / (n + 1), ONE),
-    ]) for n in ns]
+    # C(n-1, l-1)/(l (n+1-l)) = C(n+1, l)/(n (n+1)), and the constant term
+    # is the term l = n + 1
+    factors = [0, *((harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) * euler_poly_at_zero(l)
+                    for l in range(1, max(ns) + 2))]
+    rhs = [poly_lincomb([(Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
+                         *_appell(n + 1, factors, Fraction(1, n * (n + 1)))])
+           for n in ns]
     return list(zip(lhs, rhs))
 
 

@@ -15,6 +15,23 @@ at l of the shapes a_i + l_i.  So Var X = M(l) (R - M(l)), exactly, and
 the standard error of the mean of n samples is sqrt(Var X / n): it does
 not depend on the draws, and one sample is enough for a verdict.
 
+The verdict also allows for the rounding of the float pipeline, which the
+standard error leaves out.  With u = 2^-53 and every operand non-negative,
+an add, a product or a quotient is off by at most u relative to its exact
+result, and a power by at most one ulp, 2u; to first order these add up.
+A value's row sum s takes k - 1 adds, so each w_j = g_j / s is off by at
+most k u, w_j^{l_j} by l_j k u plus 2u for the power where l_j > 1, and
+the running product over at most k factors adds k - 1 products: a value is
+off by at most (k L + 3k) u, L = sum l, from the exact monomial of its
+draws.  A block's sum of m non-negative values is off by at most (m - 1) u
+of the sum in whatever order NumPy adds them, since no partial sum exceeds
+the whole.  The `fsum` of the block sums, the division by n and
+float(exact) add u each.  So the mean may stray from float(exact) by
+(k L + 3k + m + 2) u mean more than the sampling error, m the longest
+block, and `MomentEstimate.within` adds that allowance.  The draws are
+taken as they come (the gamma generator's arithmetic and the shapes'
+conversion to float are not counted), and no value may underflow.
+
 Sampling is blocked: sample index space is cut into fixed-size blocks and
 each block gets its own generator spawned from the master seed and the
 block index alone.  The blocks run on one thread per CPU the process may
@@ -137,15 +154,18 @@ class MomentQuery:
 class MomentEstimate:
     """Sample mean with the exact standard error and the attached exact value.
 
-    exact_s and sampling_s are the wall times of the exact moment and
-    variance and of the block loop, and workers the threads that sampled
-    the blocks; they are diagnostics and take no part in comparisons.
+    rounding is the bound of the module notes on how far the float
+    pipeline's rounding moves the mean.  exact_s and sampling_s are the
+    wall times of the exact moment and variance and of the block loop, and
+    workers the threads that sampled the blocks; they are diagnostics and
+    take no part in comparisons.
     """
 
     mean: float
     stderr: float
     n_samples: int
     exact: Fraction
+    rounding: float = 0.0
     exact_s: float = field(default=0.0, compare=False)
     sampling_s: float = field(default=0.0, compare=False)
     workers: int = field(default=1, compare=False)
@@ -155,13 +175,12 @@ class MomentEstimate:
         return abs(self.mean - float(self.exact))
 
     def within(self, sigma: float) -> bool:
-        """True when the mean sits within sigma standard errors of exact.
+        """True when the mean sits within sigma standard errors of exact,
+        plus the rounding allowance.
 
-        A zero standard error (degenerate moment) demands exact agreement.
+        A zero standard error (degenerate moment) leaves the allowance alone.
         """
-        if self.stderr == 0.0:
-            return self.deviation == 0.0
-        return self.deviation <= sigma * self.stderr
+        return self.deviation <= sigma * self.stderr + self.rounding
 
 
 def block_generator(seed: int, block: int) -> np.random.Generator:
@@ -288,9 +307,12 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
     workers = min(_cpu_count(), n_blocks)
     sums = _in_threads(n_blocks, lambda block: _block_sum(q, shapes, block), workers)
     finished = time.perf_counter()
-    return MomentEstimate(mean=math.fsum(sums) / q.samples, stderr=stderr, n_samples=q.samples, exact=exact,
-                          exact_s=sampling_started - started, sampling_s=finished - sampling_started,
-                          workers=workers)
+    mean = math.fsum(sums) / q.samples
+    # the rounding allowance of the module notes, in units of 2^-53 mean
+    units = q.k * sum(q.l_vec) + 3 * q.k + min(BLOCK_SIZE, q.samples) + 2
+    return MomentEstimate(mean=mean, stderr=stderr, n_samples=q.samples, exact=exact,
+                          rounding=units * 2.0 ** -53 * mean, exact_s=sampling_started - started,
+                          sampling_s=finished - sampling_started, workers=workers)
 
 
 def normalization_check(a_vec: Sequence[Fraction], n: int) -> Fraction:

@@ -147,12 +147,6 @@ class UmbralExpr:
                 out.pop(mono, None)
         return UmbralExpr(out)
 
-    def __neg__(self) -> "UmbralExpr":
-        return UmbralExpr({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "UmbralExpr") -> "UmbralExpr":
-        return self + (-other)
-
     def __mul__(self, other: "UmbralExpr | Fraction | int") -> "UmbralExpr":
         if isinstance(other, UmbralExpr):
             out: dict[Monomial, Fraction] = {}

@@ -597,6 +597,15 @@ class TestMcCommand:
         assert all(row["stderr"] > 0 for row in rows)
         assert _run(RunConfig(command="mc", samples=0)) == (2, "", "need samples >= 1, got 0\n")
 
+    def test_a_deviation_within_the_float_rounding_passes(self, capsys):
+        # the exact standard error, 3.95e-19, is below an ulp of the mean
+        # 0.25: the mean is off float(exact) by rounding alone, at 70 sigma
+        argv = ["mc", "--a", "1000000000000000,1000000000000000", "--l", "1,1", "--samples", "200000",
+                "--seed", "42", "--format", "json"]
+        assert main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["status"] == "pass" and row["sigmas"] == pytest.approx(70.2167, abs=1e-4)
+
     def test_an_exact_moment_with_a_shifted_shape_fails(self, monkeypatch):
         # the default queries at 1,000,000 samples read it at 31 to 66 sigma
         exact = stochastic.dirichlet_moment_exact

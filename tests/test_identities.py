@@ -470,6 +470,23 @@ class TestVerifyEngine:
         row = cli._report_payload(report, False)
         assert row["rhs"] == [str(c) for c in report.rhs] != row["lhs"]
 
+    @pytest.mark.parametrize("label, n, index", [("first", 7, 7), ("first", 8, 8), ("second", 6, 7),
+                                                 ("second", 7, 8)])
+    def test_a_corrupted_constant_term_of_corollary10_fails_with_its_difference(self, monkeypatch, label, n, index):
+        # the constant term of each display is the last term of its Appell
+        # sum, E_n(0) for the first and E_{n+1}(0) for the second: odd
+        # indices are kept terms, even ones vanish and are skipped, and a
+        # corrupted even one is kept and caught too
+        true_euler = identities.euler_poly_at_zero
+        monkeypatch.setattr(identities, "euler_poly_at_zero", lambda m: true_euler(m) + F(int(m == index), 7))
+        (report,) = [r for r in verify("corollary10", points=[{"n": n}]) if r.inputs["display"] == label]
+        weight = (4 * harmonic(n - 1) / (n * (n - 1)) if label == "first"
+                  else (harmonic(n) ** 2 + 3 * harmonic_second(n)) / (n * (n + 1)))
+        assert (true_euler(index) == 0) == (index % 2 == 0)
+        assert report.status == "fail"
+        assert report.difference == poly([-weight / 7]) != ZERO
+        assert report.difference == poly_sub(report.lhs, report.rhs)
+
     def test_point_text_ordering(self):
         text = point_text({"a_vec": (F(1), F(1, 2)), "n": 3, "k": 2})
         assert text == "n=3 k=2 a_vec=1,1/2"
@@ -1244,6 +1261,65 @@ class TestOneSubsetExpansion:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not imported & {"poly_add", "_bernoulli_powers"}
         assert not hasattr(identities, "_bernoulli_powers")
+
+
+# The displays whose binomial right-side sums are Appell sums.
+APPELL_DISPLAYS = [("theorem1", ""), ("theorem3", ""), ("corollary1", ""), ("corollary3", ""), ("corollary4", "a=1"),
+                   ("corollary4", "a=2"), ("eq-2-12", ""), ("corollary5", ""), ("corollary6", ""), ("eq-2-15", ""),
+                   ("corollary7", ""), ("corollary10", "first"), ("corollary10", "second")]
+VANISHING = {"bernoulli_number", "euler_poly_at_zero"}
+
+
+def _vanishing_term_tests(source):
+    """The functions of a module source, innermost first, with a
+    comprehension condition that calls bernoulli_number or
+    euler_poly_at_zero or tests a factor list (a subscript)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.comprehension) and any(
+                    isinstance(sub, ast.Subscript)
+                    or isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in VANISHING
+                    for condition in child.ifs for sub in ast.walk(condition)):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneAppellSum:
+    """Every binomial right-side sum scale sum_l C(m, l) c_l B_{m-l}(x) is
+    one `_appell` call, and it alone skips a vanishing polynomial term."""
+
+    def test_only_the_appell_sum_and_the_number_pairs_skip_vanishing_terms(self):
+        assert _vanishing_term_tests(SOURCES["identities.py"]) == {"_appell", "_nonzero_pairs"}
+
+    def test_the_scan_sees_each_condition(self):
+        source = (
+            "def f(n):\n    return [l for l in range(n) if bernoulli_number(l)]\n"
+            "def g(c, n):\n    return sum(c[l] for l in range(n) if c[l])\n"
+            "def h(n):\n    def inner(m):\n        return [l for l in range(m) if l and euler_poly_at_zero(l)]\n"
+            "    return inner\n"
+            "def k(n):\n    return [l for l in range(n) if l % 2] + [bernoulli_number(l) for l in range(n)]\n"
+        )
+        assert _vanishing_term_tests(source) == {"f", "g", "inner"}
+
+    @pytest.mark.parametrize("name, label", APPELL_DISPLAYS)
+    def test_each_binomial_sum_is_an_appell_sum(self, name, label):
+        # the display calls `_appell`; no comprehension but the one over the
+        # line's ns calls `binomial`, and no constant term stands apart
+        fn = TestConvolutionDesign._functions()[_display(name, label)[0].__name__]
+        assert "_appell" in _called_names(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and [
+                    ast.unparse(gen.target) for gen in node.generators] != ["n"]:
+                assert "binomial" not in _called_names(node), ast.unparse(node)
+        assert "ONE" not in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
 
 
 # The public evaluators, by the registry entry whose declaration states

@@ -294,6 +294,18 @@ class TestMonteCarlo:
         assert est.stderr > 0
         assert est.within(4.0)
 
+    def test_the_verdict_allows_for_the_float_rounding(self):
+        # at a = 10^15 the float mean is one ulp off float(exact), 70 exact
+        # sigma: the rounding allowance of the module notes, (k L + 3k + m +
+        # 2) 2^-53 mean with m the longest block, passes it
+        est = dirichlet_moment_mc(MomentQuery((F(10**15), F(10**15)), (1, 1), 200_000, 42))
+        assert est.deviation > 70 * est.stderr
+        assert est.rounding == (2 * 2 + 3 * 2 + BLOCK_SIZE + 2) * 2.0 ** -53 * est.mean
+        assert est.deviation <= est.rounding and est.within(4.0)
+        assert not dataclasses.replace(est, rounding=0.0).within(4.0)
+        short = dirichlet_moment_mc(MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), 5, 0))
+        assert short.rounding == (3 * 6 + 3 * 3 + 5 + 2) * 2.0 ** -53 * short.mean
+
     def test_estimate_within_logic(self):
         est = MomentEstimate(mean=1.0, stderr=0.1, n_samples=10, exact=F(1))
         assert est.within(0.0)
@@ -302,6 +314,12 @@ class TestMonteCarlo:
         assert off.within(6.0)
         degenerate = MomentEstimate(mean=0.5, stderr=0.0, n_samples=10, exact=F(1))
         assert not degenerate.within(100.0)
+        # the rounding allowance adds to sigma standard errors, and alone
+        # bounds a zero standard error
+        assert MomentEstimate(mean=1.05, stderr=0.01, n_samples=10, exact=F(1), rounding=0.03).within(3.0)
+        assert not MomentEstimate(mean=1.05, stderr=0.01, n_samples=10, exact=F(1), rounding=0.005).within(4.0)
+        assert MomentEstimate(mean=0.5, stderr=0.0, n_samples=10, exact=F(1), rounding=0.5).within(0.0)
+        assert not MomentEstimate(mean=0.5, stderr=0.0, n_samples=10, exact=F(1), rounding=0.25).within(100.0)
 
 
 def _direct_stderr(q: MomentQuery) -> float:

@@ -88,7 +88,6 @@ class TestExpressionAlgebra:
         p1 = umbral_pow([(1, X), (1, b)], 3)
         doubled = p1 + p1
         assert doubled == 2 * p1
-        assert p1 - p1 == UmbralExpr.zero()
         assert umbral_eval(p1 * UmbralExpr.constant(F(2))) == poly_scale(2, bernoulli_poly(3))
 
     def test_duplicate_symbols_merge(self):
