@@ -30,8 +30,12 @@ points of one entry that differ only in n.  To add an identity, write a
 function fn(ns, *params[, k]) that returns its two sides at each n, as
 polynomials or numbers, and declare it; work that does not depend on n
 (a series, a prefix sum, a factor of l alone) is formed once for the
-line, and a body with nothing to share is lifted by `_each_n`.  A
-convolution left side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
+line.  A quadratic number sum, sum_{j+m=n} u_j v_m, is a series
+coefficient: the coefficient of t^n in one truncated `series_product` of
+sum_j u_j t^j and sum_m v_m t^m (`_number_series`), formed once for the
+line, where a binomial C(n, j) is n! times 1/j! and 1/m! in the two
+series and a term is left out by a zero coefficient.  A convolution left
+side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
 the kernel's `convolution_coefficients` takes the family P, one list
 w_i(0..N) per slot (0 where a term is absent, the same list for every n
@@ -42,7 +46,7 @@ scale * sum_{l<=m} C(m, l) c_l B_{m-l}(x), is the Appell sum
 `_appell(m, c, scale)`, with c the list of factors of l alone, formed once
 for the line; a binomial other than C(m, l) is written as C(m, l) times a
 factor of m and a factor of l.  `_appell` skips a term whose c_l is zero,
-and no other polynomial sum skips a vanishing term.
+and no other sum skips a vanishing term.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -145,7 +149,7 @@ def _appell(m: int, c: Sequence[Fraction], scale: Fraction | int = 1) -> Iterato
     """The terms (scale C(m, l) c[l], B_{m-l}(x)), l = 0..m, of the Appell
     sum scale sum_l C(m, l) c_l B_{m-l}(x), for `poly_lincomb`.  c holds
     factors of l alone, formed once for a line.  A term whose c_l is zero
-    is skipped: the one place a polynomial sum skips a vanishing term."""
+    is skipped: the one place a sum skips a vanishing term."""
     return ((scale * binomial(m, l) * c[l], bernoulli_poly(m - l)) for l in range(m + 1) if c[l])
 
 
@@ -174,14 +178,11 @@ def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Frac
             for d, w in terms]
 
 
-def _each_n(body: Callable[[int], tuple[Fraction, Fraction] | tuple[Poly, Poly]]) -> Callable:
-    """The display of an entry that shares no work along its n-line: the
-    point body at each n of the line.  It keeps the body's name."""
-    def line(ns: Sequence[int]) -> list:
-        return [body(n) for n in ns]
-
-    line.__name__ = line.__qualname__ = body.__name__
-    return line
+def _number_series(number: Callable[[int], Fraction], top: int, weight: Callable[[int], Fraction | int],
+                   lo: int = 0) -> list[Fraction]:
+    """weight(l) number(l) for l = lo..top, and 0 below lo: the coefficients
+    of sum_{l>=lo} weight(l) number(l) t^l, for `series_product`."""
+    return [Fraction(0)] * lo + [weight(l) * number(l) for l in range(lo, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +286,37 @@ def _theorem4(ns: Sequence[int], a_vec: tuple[Fraction, ...], k: int) -> list[tu
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_pairs(lo: int, hi: int, n: int) -> list[int]:
-    """The j in lo..hi-1 with B_j B_{n-j} != 0: the terms of a quadratic
-    Bernoulli number sum that do not vanish."""
-    return [j for j in range(lo, hi) if bernoulli_number(j) and bernoulli_number(n - j)]
+def _euler_12(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    # sum_j C(n, j) B_j B_{n-j} = n! [t^n] beta^2, beta = sum_l B_l t^l / l!
+    top = max(ns)
+    beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)))
+    square = series_product((beta, beta), top)
+    return [(factorial(n) * _coeff(square, n), -n * bernoulli_number(n - 1) - (n - 1) * bernoulli_number(n))
+            for n in ns]
 
 
-@_each_n
-def _euler_12(n: int) -> tuple[Fraction, Fraction]:
-    lhs = sum(
-        (Fraction(binomial(n, j)) * bernoulli_number(j) * bernoulli_number(n - j) for j in _nonzero_pairs(0, n + 1, n)),
-        Fraction(0),
-    )
-    return lhs, -n * bernoulli_number(n - 1) - (n - 1) * bernoulli_number(n)
+def _miki(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    # the sums over 2 <= j <= n-2 are [t^n] c^2 and n! [t^n] gamma^2, with
+    # c = sum_{l>=2} B_l t^l / l and gamma = sum_{l>=2} B_l t^l / (l l!)
+    top = max(ns)
+    c = _number_series(bernoulli_number, top, lambda l: Fraction(1, l), 2)
+    gamma = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 2)
+    plain, weighted = series_product((c, c), top), series_product((gamma, gamma), top)
+    return [(_coeff(plain, n) - factorial(n) * _coeff(weighted, n), 2 * harmonic(n) * bernoulli_number(n) / n)
+            for n in ns]
 
 
-@_each_n
-def _miki(n: int) -> tuple[Fraction, Fraction]:
-    plain = Fraction(0)
-    weighted = Fraction(0)
-    for j in _nonzero_pairs(2, n - 1, n):
-        term = bernoulli_number(j) * bernoulli_number(n - j) / Fraction(j * (n - j))
-        plain += term
-        weighted += binomial(n, j) * term
-    return plain - weighted, 2 * harmonic(n) * bernoulli_number(n) / n
-
-
-@_each_n
-def _matiyasevich(n: int) -> tuple[Fraction, Fraction]:
-    plain = Fraction(0)
-    weighted = Fraction(0)
-    for j in _nonzero_pairs(2, n - 1, n):
-        prod = bernoulli_number(j) * bernoulli_number(n - j)
-        plain += prod
-        weighted += binomial(n + 2, j) * prod
-    return (n + 2) * plain - 2 * weighted, n * (n + 1) * bernoulli_number(n)
+def _matiyasevich(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    # the sums over 2 <= j <= n-2 are [t^n] b^2 and, as C(n+2, j) = (n+2)!
+    # / (j! (n+2-j)!), (n+2)! [t^n] beta phi, with b, beta and phi the sums
+    # over l >= 2 of B_l t^l times 1, 1/l! and 1/(l+2)!
+    top = max(ns)
+    b = _number_series(bernoulli_number, top, lambda l: 1, 2)
+    beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)), 2)
+    phi = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l + 2)), 2)
+    plain, weighted = series_product((b, b), top), series_product((beta, phi), top)
+    return [((n + 2) * _coeff(plain, n) - 2 * factorial(n + 2) * _coeff(weighted, n), n * (n + 1) * bernoulli_number(n))
+            for n in ns]
 
 
 def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
@@ -331,15 +328,17 @@ def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     return list(zip(lhs, rhs))
 
 
-@_each_n
-def _corollary2(n: int) -> tuple[Fraction, Fraction]:
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for l in _nonzero_pairs(0, n + 1, n):
-        prod = bernoulli_number(l) * bernoulli_number(n - l)
-        lhs += prod
-        rhs += binomial(n + 2, l + 2) * prod
-    return (n + 2) * lhs, 2 * rhs
+def _corollary2(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    # the left side is (n+2) [t^n] b^2, b = sum_l B_l t^l, and the right side,
+    # as C(n+2, l+2) = (n+2)! / ((l+2)! (n-l)!), 2 (n+2)! [t^n] phi beta, with
+    # phi = sum_l B_l t^l / (l+2)! and beta = sum_l B_l t^l / l!
+    top = max(ns)
+    b = _number_series(bernoulli_number, top, lambda l: 1)
+    lhs = series_product((b, b), top)
+    phi = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l + 2)))
+    beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)))
+    rhs = series_product((phi, beta), top)
+    return [((n + 2) * _coeff(lhs, n), 2 * factorial(n + 2) * _coeff(rhs, n)) for n in ns]
 
 
 def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
@@ -512,7 +511,7 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     h1 = harmonic
     h2 = harmonic_second
     top = max(ns)
-    b = [Fraction(0), *(bernoulli_number(m) / m for m in range(1, top + 1))]
+    b = _number_series(bernoulli_number, top, lambda m: Fraction(1, m), 1)
 
     def cubic_sums(weight: Callable[[int, int], int]) -> list[Fraction]:
         square = series_product([b[: top - 1]] * 2, top - 1)
@@ -521,18 +520,21 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
     s1 = cubic_sums(lambda n, i: 1)
     s2 = cubic_sums(lambda n, i: binomial(n - 1, i - 1))
+    # the pair sums over l + m = n-1 or n, read off series whose t^0
+    # coefficient is 0: s3 = (n-1)! [t^(n-1)] u beta, s4 = (3 H_{n-1} + 1/n)
+    # [t^n] b^2 - 2 [t^n] h b and s5 = (n-1)! [t^n] g beta, with beta_m =
+    # B_m/m!, u_l = b_l/(l+1)!, h_l = H_{l-1} b_l and g_l = (2 H_l + 1/l) b_l/l!
+    beta = _number_series(bernoulli_number, top, lambda m: Fraction(1, factorial(m)), 1)
+    u = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l + 1)), 1)
+    h = _number_series(bernoulli_number, top, lambda l: h1(l - 1) / l, 1)
+    g = _number_series(bernoulli_number, top, lambda l: (2 * h1(l) + Fraction(1, l)) / (l * factorial(l)), 1)
+    s3, square, cross, s5 = (series_product(pair, top) for pair in ((u, beta), (b, b), (h, b), (g, beta)))
     out = []
     for n, s1_n, s2_n in zip(ns, s1, s2):
-        s3 = Fraction(0)
-        for l in _nonzero_pairs(1, n - 1, n - 1):
-            s3 += binomial(n - 1, l + 1) * b[l] * b[n - l - 1]
-        s4 = Fraction(0)
-        s5 = Fraction(0)
-        for l in _nonzero_pairs(1, n, n):
-            s4 += (3 * h1(n - 1) - 2 * h1(l - 1) + Fraction(1, n)) * b[l] * b[n - l]
-            s5 += binomial(n - 1, l - 1) * (2 * h1(l) + Fraction(1, l)) * b[l] * (bernoulli_number(n - l) / l)
+        s4 = (3 * h1(n - 1) + Fraction(1, n)) * _coeff(square, n) - 2 * _coeff(cross, n)
         harmonics = Fraction(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + Fraction(3, n * n)
-        rhs = (s2_n + s3 + s4 - 2 * s5 + Fraction(n - 1, 6) * bernoulli_number(n - 2)
+        rhs = (s2_n + factorial(n - 1) * (_coeff(s3, n - 1) - 2 * _coeff(s5, n)) + s4
+               + Fraction(n - 1, 6) * bernoulli_number(n - 2)
                + (Fraction(1, (n - 1) * n) - 3) * bernoulli_number(n - 1) - 2 * harmonics * b[n])
         out.append((Fraction(1, 3) * s1_n, rhs))
     return out
@@ -563,21 +565,18 @@ def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     return list(zip(lhs, rhs))
 
 
-def _euler_centre(n: int) -> Fraction:
-    """sum_{l=1}^{n-1} E_l(0) E_{n-l}(0) / (l (n-l)): the value at x = 0 of
-    the first corollary 11 convolution."""
-    return sum((euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), Fraction(0))
-
-
 def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     # the centred pairs E_l(x) E_{n-l}(x) - E_l(0) E_{n-l}(0): the
-    # convolution less its value at x = 0
-    lhs = [poly_sub(p, poly([_euler_centre(n)]))
-           for n, p in zip(ns, convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 2, [1] * len(ns)))]
-    # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, with
+    # convolution less its value at x = 0, [t^n] e(t)^2 with
     # e = sum_{m>=1} E_m(0)/m t^m
-    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, top + 1))])
+    e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
+    centre = series_product((e, e), top)
+    lhs = [poly_sub(p, poly([_coeff(centre, n)]))
+           for n, p in zip(ns, convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 2, [1] * len(ns)))]
+    # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, from
+    # the right side's own e
+    e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
     square = series_product((e, e), top)
     rhs = [poly_lincomb([
         *((binomial(n - 1, i) * _coeff(square, n - i), euler_poly(i)) for i in range(1, n)),
@@ -618,23 +617,25 @@ def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 
 def _ds_lhs(ns: Sequence[int], p: Fraction) -> list[Fraction]:
-    """sum_{l=1}^{n-1} c_l c_{n-l} at each n, c_m = (p + 1)_{2m-1}/(2m-1)!
-    B_{2m}/(2m), with the c_m formed once for the line."""
+    """sum_{l=1}^{n-1} c_l c_{n-l} = [t^n] c(t)^2 at each n, c_m = (p + 1)_{2m-1}
+    /(2m-1)! B_{2m}/(2m) and c_0 = 0, with c formed once for the line."""
     w = rising_weights(p + 1, 2 * max(ns) - 1)
     c = [Fraction(0), *(w[2 * m - 1] * (bernoulli_number(2 * m) / (2 * m)) for m in range(1, max(ns)))]
-    return [sum((c[l] * c[n - l] for l in range(1, n)), Fraction(0)) for n in ns]
+    square = series_product((c, c), max(ns))
+    return [_coeff(square, n) for n in ns]
 
 
 def _ds_cross_terms(ns: Sequence[int], p: Fraction) -> list[Fraction]:
     """2/(2n)! sum_{l=1}^{n} C(2n, 2l) (p+1)_{2l-1} (2p+1)_{2n-1}/(2p+1)_{2l}
-    B_{2l} B_{2n-2l} at each n, with the factors that depend on l alone
+    B_{2l} B_{2n-2l} at each n: 2 (2p+1)_{2n-1} [s^n] f(s) g(s), with f_l =
+    (p+1)_{2l-1}/(2p+1)_{2l} B_{2l}/(2l)! (f_0 = 0) and g_m = B_{2m}/(2m)!,
     formed once for the line."""
-    factors = [Fraction(0), *(pochhammer(p + 1, 2 * l - 1) / pochhammer(2 * p + 1, 2 * l) * bernoulli_number(2 * l)
-                              for l in range(1, max(ns) + 1))]
-    return [Fraction(2) / factorial(2 * n) * pochhammer(2 * p + 1, 2 * n - 1)
-            * sum((binomial(2 * n, 2 * l) * factors[l] * bernoulli_number(2 * n - 2 * l) for l in range(1, n + 1)),
-                  Fraction(0))
-            for n in ns]
+    top = max(ns)
+    f = [Fraction(0), *(pochhammer(p + 1, 2 * l - 1) / pochhammer(2 * p + 1, 2 * l) * bernoulli_number(2 * l)
+                        / factorial(2 * l) for l in range(1, top + 1))]
+    g = [bernoulli_number(2 * m) / factorial(2 * m) for m in range(top + 1)]
+    cross = series_product((f, g), top)
+    return [2 * pochhammer(2 * p + 1, 2 * n - 1) * _coeff(cross, n) for n in ns]
 
 
 def eval_dunne_schubert(n: int, p: Fraction) -> tuple[Fraction, Fraction]:

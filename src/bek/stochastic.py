@@ -103,10 +103,19 @@ def dirichlet_moment_exact(a_vec: Sequence[Fraction], l_vec: Sequence[int]) -> F
         raise ValueError(f"shape parameters must be positive, got {a}")
     if any(v < 0 for v in l):
         raise ValueError(f"exponents must be non-negative, got {l}")
-    num = Fraction(1)
+    return Fraction(*_moment_parts(a, l))
+
+
+def _moment_parts(a: Sequence[Fraction], l: Sequence[int]) -> tuple[int, int]:
+    """prod_i (a_i)_{l_i} / (sum a)_{sum l} as an unreduced numerator and
+    positive denominator, for a caller that reduces it once, if at all:
+    Fraction arithmetic on the long integers of a tall query would take
+    gcds at every step."""
+    den, num = pochhammer_parts(sum(a), sum(l))
     for ai, li in zip(a, l):
-        num *= pochhammer(ai, li)
-    return num / pochhammer(sum(a), sum(l))
+        p, q = pochhammer_parts(ai, li)
+        num, den = num * p, den * q
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -291,14 +300,10 @@ def dirichlet_moment_mc(q: MomentQuery) -> MomentEstimate:
 
     started = time.perf_counter()
     exact = dirichlet_moment_exact(q.a_vec, q.l_vec)
-    # R = prod_i (a_i + l_i)_{l_i} / (A + L)_L and M (R - M) / n, each over
-    # a denominator left unreduced: the gcds of Fraction arithmetic on the
-    # long integers of a tall query cost more than the products, and
-    # int / int rounds to the nearest float as well
-    r_den, r_num = pochhammer_parts(sum(q.a_vec) + sum(q.l_vec), sum(q.l_vec))
-    for a, l in zip(q.a_vec, q.l_vec):
-        num, den = pochhammer_parts(a + l, l)
-        r_num, r_den = r_num * num, r_den * den
+    # R, the moment at l of the shapes a_i + l_i, and M (R - M) / n, each
+    # over a denominator left unreduced; int / int rounds to the nearest
+    # float as well
+    r_num, r_den = _moment_parts([a + l for a, l in zip(q.a_vec, q.l_vec)], q.l_vec)
     m_num, m_den = exact.numerator, exact.denominator
     stderr = math.sqrt(m_num * (r_num * m_den - m_num * r_den) / (m_den ** 2 * r_den * q.samples))
     sampling_started = time.perf_counter()

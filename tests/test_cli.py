@@ -606,6 +606,45 @@ class TestMcCommand:
         (row,) = json.loads(capsys.readouterr().out)
         assert row["status"] == "pass" and row["sigmas"] == pytest.approx(70.2167, abs=1e-4)
 
+    def test_the_text_names_a_pass_by_the_rounding_allowance(self, capsys):
+        # the same query: the text line says that the allowance passed it,
+        # and the closing line stays as it was
+        argv = ["mc", "--a", "1000000000000000,1000000000000000", "--l", "1,1", "--samples", "200000",
+                "--seed", "42"]
+        assert main(argv) == 0
+        line, closing = capsys.readouterr().out.splitlines()
+        assert line.endswith("deviation=70.22 sigma [PASS] by the float rounding allowance 1.82e-12, "
+                             "not the 4.0 sigma bound")
+        assert closing == "all 1 checks pass (tolerance 4.0 sigma)"
+
+    @pytest.mark.parametrize("offset, end", [
+        (3e-3, "deviation=3.00 sigma [PASS]"),
+        (5e-3, "deviation=5.00 sigma [PASS] by the float rounding allowance 0.002, not the 4.0 sigma bound"),
+        (7e-3, "deviation=7.00 sigma [FAIL]"),
+    ])
+    def test_only_a_pass_beyond_the_sigma_bound_has_a_note(self, monkeypatch, offset, end):
+        # stderr 1e-3 and allowance 2e-3: a pass by sigma and a fail carry
+        # no note
+        monkeypatch.setattr(cli, "dirichlet_moment_mc",
+                            lambda q: MomentEstimate(0.25 + offset, 1e-3, q.samples, F(1, 4), rounding=2e-3))
+        out = _run(RunConfig(command="mc", a_vec=(F(1), F(1)), l_vec=(1, 1)))[1]
+        assert out.splitlines()[0].endswith(end)
+
+    # `bek mc --samples 20000` covers the default queries' estimates,
+    # standard errors and verdicts in every format; like the `list` and
+    # `tables` digests, these change only with a change that means to
+    # change that output, which then updates them and says so.  Its one
+    # block is sampled on one thread, whatever the CPU count.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "04775212ea1dff8a5225f915938055723389f76725d8c5e98116d74a9e185213"),
+        ("csv", "f4ac668a63223c53d335fef740181668ea6935bd4d693b1875a840239c2d2e85"),
+        ("text", "86313fe44f9542c9429b998aa5abe4d369d44b7bc4c1a964c00e9297cb82226d"),
+    ])
+    def test_digest(self, fmt, digest):
+        code, out, _ = _run(RunConfig(command="mc", samples=20_000, format=fmt))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_an_exact_moment_with_a_shifted_shape_fails(self, monkeypatch):
         # the default queries at 1,000,000 samples read it at 31 to 66 sigma
         exact = stochastic.dirichlet_moment_exact

@@ -21,6 +21,7 @@ from bek.exactmath import (
     ONE,
     ZERO,
     binomial,
+    convolution_coefficients,
     harmonic,
     harmonic_second,
     pochhammer,
@@ -761,6 +762,83 @@ def _corollary9_reference(n):
     return poly([F(1, 3) * s1]), poly([rhs])
 
 
+# The quadratic number sums as the pair loops that the series coefficients
+# replaced, kept as the reference they are compared against.
+
+
+def _euler_12_reference(n):
+    bb = bernoulli_number
+    return (sum((binomial(n, j) * bb(j) * bb(n - j) for j in range(n + 1)), F(0)),
+            -n * bb(n - 1) - (n - 1) * bb(n))
+
+
+def _miki_reference(n):
+    bb = bernoulli_number
+    plain = weighted = F(0)
+    for j in range(2, n - 1):
+        term = bb(j) * bb(n - j) / F(j * (n - j))
+        plain += term
+        weighted += binomial(n, j) * term
+    return plain - weighted, 2 * harmonic(n) * bb(n) / n
+
+
+def _matiyasevich_reference(n):
+    bb = bernoulli_number
+    plain = weighted = F(0)
+    for j in range(2, n - 1):
+        plain += bb(j) * bb(n - j)
+        weighted += binomial(n + 2, j) * bb(j) * bb(n - j)
+    return (n + 2) * plain - 2 * weighted, n * (n + 1) * bb(n)
+
+
+def _corollary2_reference(n):
+    bb = bernoulli_number
+    return ((n + 2) * sum((bb(l) * bb(n - l) for l in range(n + 1)), F(0)),
+            2 * sum((binomial(n + 2, l + 2) * bb(l) * bb(n - l) for l in range(n + 1)), F(0)))
+
+
+def _ds_lhs_reference(n, p):
+    c = [F(0), *(pochhammer(p + 1, 2 * m - 1) / factorial(2 * m - 1) * bernoulli_number(2 * m) / (2 * m)
+                 for m in range(1, n))]
+    return sum((c[l] * c[n - l] for l in range(1, n)), F(0))
+
+
+def _ds_cross_reference(n, p):
+    bb = bernoulli_number
+    return F(2) / factorial(2 * n) * pochhammer(2 * p + 1, 2 * n - 1) * sum(
+        (binomial(2 * n, 2 * l) * pochhammer(p + 1, 2 * l - 1) / pochhammer(2 * p + 1, 2 * l) * bb(2 * l)
+         * bb(2 * n - 2 * l) for l in range(1, n + 1)), F(0))
+
+
+def _dunne_schubert_reference(n, p):
+    lead = sum((pochhammer(p + 1, l - 1) / pochhammer(2 * p + 1, l) for l in range(1, 2 * n)), F(0))
+    return (_ds_lhs_reference(n, p), 2 * bernoulli_number(2 * n) / F(factorial(2 * n))
+            * pochhammer(2 * p + 1, 2 * n - 1) * lead + _ds_cross_reference(n, p))
+
+
+def _eq_7_2_reference(n, p):
+    return (_ds_lhs_reference(n, p), (pochhammer(2 * p, 2 * n) - 2 * pochhammer(p, 2 * n)) * bernoulli_number(2 * n)
+            / (p * p * factorial(2 * n)) + _ds_cross_reference(n, p))
+
+
+def _corollary11_first_reference(n):
+    # the convolution less its value at x = 0, a loop over the pairs
+    (convolution,) = convolution_coefficients(euler_poly, [n], [[F(0), *(F(1, l) for l in range(1, n + 1))]] * 2, [1])
+    centre = sum((euler_poly_at_zero(l) * euler_poly_at_zero(n - l) / (l * (n - l)) for l in range(1, n)), F(0))
+    return poly_sub(convolution, poly([centre])), _corollary11_first_rhs_reference(n)
+
+
+PAIR_LOOP_REFERENCES = {
+    ("euler-1-2", ""): _euler_12_reference,
+    ("miki", ""): _miki_reference,
+    ("matiyasevich", ""): _matiyasevich_reference,
+    ("corollary2", ""): _corollary2_reference,
+    ("dunne-schubert", ""): _dunne_schubert_reference,
+    ("eq-7-2", ""): _eq_7_2_reference,
+    ("corollary11", "first"): _corollary11_first_reference,
+}
+
+
 positive_rationals = st.builds(F, st.integers(1, 7), st.integers(1, 7))
 
 
@@ -832,6 +910,21 @@ class TestGeneratingFunctionRightSides:
         assert second == (LHS_REFERENCES["corollary11", "second"](n), _corollary11_second_rhs_reference(n))
 
 
+class TestQuadraticNumberSums:
+    """Every quadratic number sum is a series coefficient, equal to the pair
+    loop it replaced, and the pair helpers are gone."""
+
+    @pytest.mark.parametrize("name, label", list(PAIR_LOOP_REFERENCES))
+    def test_default_grid_matches_the_pair_loop(self, name, label):
+        fn, args = _display(name, label)
+        for pt in build_points(REGISTRY[name]):
+            assert _at(fn, *args(pt)) == PAIR_LOOP_REFERENCES[name, label](*args(pt)), pt
+
+    def test_no_pair_helper_is_left(self):
+        for name in ("_each_n", "_nonzero_pairs", "_euler_centre"):
+            assert not hasattr(identities, name), name
+
+
 def _theorem2_rhs_copy(n, a_vec, drop_t_term=False):
     """The right side of eval_theorem2, with the a_i t term optionally dropped."""
     d = n + 1
@@ -881,26 +974,30 @@ class TestCorruptedSeries:
         assert _theorem4_rhs_copy(pt["n"], pt["a_vec"], shift=F(-1)) != lhs
 
 
-def _without_t1(factors):
-    """The factors with the t^1 coefficient of the last one dropped."""
+def _without(factors, power):
+    """The factors with the t^power coefficient of the last one dropped."""
     factors = list(factors)
-    if factors and len(factors[-1]) > 1:
-        factors[-1] = poly([factors[-1][0], 0, *factors[-1][2:]])
+    if factors and len(factors[-1]) > power:
+        last = factors[-1]
+        factors[-1] = poly([*last[:power], 0, *last[power + 1:]])
     return factors
 
 
-# The kernel's two series products, each corrupted by `_without_t1`.
-CORRUPTED_PRODUCTS = {
-    "series_product": lambda factors, d: series_product(_without_t1(factors), d),
-    "subset_series": lambda factors, shifts, d: subset_series(_without_t1(factors), shifts, d),
-}
+# The kernel's two series products, as `_corrupted` wraps them.
+SERIES_KERNELS = {"series_product": series_product, "subset_series": subset_series}
 
 
-# The displays whose right side reads its sums off `series_product` or
+def _corrupted(name, power):
+    kernel = SERIES_KERNELS[name]
+    return lambda factors, *rest: kernel(_without(factors, power), *rest)
+
+
+# The displays whose sides read their sums off `series_product` or
 # `subset_series`.
 SERIES_DISPLAYS = [
-    ("theorem2", ""), ("eq-4-0a", ""), ("kth-matiyasevich", ""), ("theorem4", ""), ("eq-6-9", ""),
-    ("corollary8", ""), ("corollary9", ""), ("corollary11", "first"), ("corollary11", "second"),
+    ("euler-1-2", ""), ("miki", ""), ("matiyasevich", ""), ("corollary2", ""), ("theorem2", ""), ("eq-4-0a", ""),
+    ("kth-matiyasevich", ""), ("theorem4", ""), ("eq-6-9", ""), ("corollary8", ""), ("corollary9", ""),
+    ("corollary11", "first"), ("corollary11", "second"), ("dunne-schubert", ""), ("eq-7-2", ""),
 ]
 
 
@@ -911,8 +1008,9 @@ def _first_points_from_three(name):
 
 
 class TestCorruptedSeriesProduct:
-    """A `series_product` or `subset_series` without the t^1 coefficient of
-    its last factor is caught by every display whose right side calls one."""
+    """A `series_product` or `subset_series` without the t^1 or the t^2
+    coefficient of its last factor is caught by every display that calls
+    one, under at least one of the two."""
 
     def test_the_list_names_every_series_display(self, monkeypatch):
         seen = set()
@@ -923,7 +1021,7 @@ class TestCorruptedSeriesProduct:
                 return kernel(*args)
             return call
 
-        for name in CORRUPTED_PRODUCTS:
+        for name in SERIES_KERNELS:
             monkeypatch.setattr(identities, name, spy(getattr(identities, name)))
         for name, entry in REGISTRY.items():
             for label, _ in entry.displays:
@@ -934,18 +1032,24 @@ class TestCorruptedSeriesProduct:
         assert seen == set(SERIES_DISPLAYS)
 
     def test_dropped_t1_coefficient(self, monkeypatch):
-        for name, corrupted in CORRUPTED_PRODUCTS.items():
-            monkeypatch.setattr(identities, name, corrupted)
-        survivors = []
-        for name, label in SERIES_DISPLAYS:
-            fn, args = _display(name, label)
-            for pt in _first_points_from_three(name):
-                lhs, rhs = _at(fn, *args(pt))
-                if lhs == rhs:
-                    survivors.append((name, label, pt.get("k")))
+        # t^1 of the last factor pairs with B_{n-1} = 0 in miki, matiyasevich
+        # and corollary2, or their series start at t^2, so a dropped t^1
+        # cannot show there; a dropped t^2 misses kth-matiyasevich, theorem4
+        # at k >= 2 and both corollary11 displays
+        caught = {}
+        for power in (1, 2):
+            for name in SERIES_KERNELS:
+                monkeypatch.setattr(identities, name, _corrupted(name, power))
+            for name, label in SERIES_DISPLAYS:
+                fn, args = _display(name, label)
+                for pt in _first_points_from_three(name):
+                    lhs, rhs = _at(fn, *args(pt))
+                    powers = caught.setdefault((name, label, pt.get("k")), set())
+                    if lhs != rhs:
+                        powers.add(power)
         # theorem4 at k = 1 is the trivial identity: there q(t) = (A_1 - 2) -
         # A_1 is the shift alone, whatever the series A_1 is
-        assert survivors == [("theorem4", "", 1)]
+        assert [key for key, powers in caught.items() if not powers] == [("theorem4", "", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1294,10 +1398,10 @@ def _vanishing_term_tests(source):
 
 class TestOneAppellSum:
     """Every binomial right-side sum scale sum_l C(m, l) c_l B_{m-l}(x) is
-    one `_appell` call, and it alone skips a vanishing polynomial term."""
+    one `_appell` call, and it alone skips a vanishing term."""
 
-    def test_only_the_appell_sum_and_the_number_pairs_skip_vanishing_terms(self):
-        assert _vanishing_term_tests(SOURCES["identities.py"]) == {"_appell", "_nonzero_pairs"}
+    def test_only_the_appell_sum_skips_vanishing_terms(self):
+        assert _vanishing_term_tests(SOURCES["identities.py"]) == {"_appell"}
 
     def test_the_scan_sees_each_condition(self):
         source = (
