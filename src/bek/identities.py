@@ -41,12 +41,19 @@ the kernel's `convolution_coefficients` takes the family P, one list
 w_i(0..N) per slot (0 where a term is absent, the same list for every n
 of the line, N the largest) and one scale per n, and reads each sum off
 one truncated series product, as the coefficient of t^n in
-prod_i sum_l w_i(l) P_l(x) t^l.  A binomial right-side sum,
-scale * sum_{l<=m} C(m, l) c_l B_{m-l}(x), is the Appell sum
-`_appell(m, c, scale)`, with c the list of factors of l alone, formed once
-for the line; a binomial other than C(m, l) is written as C(m, l) times a
-factor of m and a factor of l.  `_appell` skips a term whose c_l is zero,
-and no other sum skips a vanishing term.
+prod_i sum_l w_i(l) P_l(x) t^l.  A sum of the polynomials with number
+weights, sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an
+Appell polynomial (the umbral calculus; Roman, The Umbral Calculus, ch.
+2): its numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are
+read off one `series_product` for the line (`_appell_numbers`), and at
+each m `sequences.appell` expands A_0..A_m, as it expands B_n(x) and
+E_n(x) themselves, so an n costs numbers, not polynomials.  A binomial sum
+sum_l C(m, l) c_l B_{m-l}(x) is the case s_l = c_l/l!, and a binomial
+other than C(m, l) is written as C(m, l) times a factor of m and a factor
+of l.  A term kappa C(m, l) P_{m-l}(x), kappa free of m and under the
+sum's scale, adds kappa/l! to s_l (kappa m B_{m-1}(x) adds kappa to s_1),
+and a term alpha_m P_m(x) adds alpha_m P_r(0) to the numbers of that m
+(`_plus_numbers`).  No sum skips a vanishing term.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -57,17 +64,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, groupby
 from math import factorial
 from numbers import Integral, Rational
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactmath import (
     ONE,
     Poly,
     ZERO,
     as_exact,
-    binomial,
     convolution_coefficients,
     harmonic,
     harmonic_second,
@@ -84,6 +90,7 @@ from .exactmath import (
     subset_series,
 )
 from .sequences import (
+    appell,
     bernoulli_number,
     bernoulli_poly,
     euler_poly,
@@ -145,12 +152,23 @@ def _harmonic_tails(n: int) -> list[Fraction]:
     return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
 
 
-def _appell(m: int, c: Sequence[Fraction], scale: Fraction | int = 1) -> Iterator[tuple[Fraction, Poly]]:
-    """The terms (scale C(m, l) c[l], B_{m-l}(x)), l = 0..m, of the Appell
-    sum scale sum_l C(m, l) c_l B_{m-l}(x), for `poly_lincomb`.  c holds
-    factors of l alone, formed once for a line.  A term whose c_l is zero
-    is skipped: the one place a sum skips a vanishing term."""
-    return ((scale * binomial(m, l) * c[l], bernoulli_poly(m - l)) for l in range(m + 1) if c[l])
+def _appell_numbers(s: Sequence[Fraction], number: Callable[[int], Fraction], top: int,
+                    lam: int = 1) -> list[Fraction]:
+    """A_r = r! [t^r] s(t) pi(t) for r = 0..top, with pi_r = lam^r number(r)/r!:
+    the numbers of the Appell polynomial sum_{i<=m} s_{m-i} lam^i P_i(x)/i! =
+    `appell`(A_0..A_m, 1/m!, lam) at every m <= top, P_i the polynomials of
+    `number` (B_i(x) for the Bernoulli numbers, E_i(x) for E_i(0)).  One
+    series product serves the whole line, where s holds factors of the
+    index m - i alone."""
+    pi = _number_series(number, top, lambda r: Fraction(lam ** r, factorial(r)))
+    product = series_product((s, pi), top)
+    return [factorial(r) * _coeff(product, r) for r in range(top + 1)]
+
+
+def _plus_numbers(values: Sequence[Fraction], alpha: Fraction, number: Callable[[int], Fraction]) -> list[Fraction]:
+    """values_r + alpha number(r): an alpha P_m(x) term added to the Appell
+    polynomial of the values, m = len(values) - 1."""
+    return [v + alpha * number(r) for r, v in enumerate(values)]
 
 
 def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction]) -> list[Poly]:
@@ -161,21 +179,23 @@ def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequen
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
-                       terms: Sequence[tuple[int, Fraction]], base: Callable[[int], Poly]) -> list[Poly]:
+                       terms: Sequence[tuple[int, Fraction]], number: Callable[[int], Fraction]) -> list[Poly]:
     """sum_{l_0=0}^{d} w/l_0! [t^(d-l_0)] q / (sum a)_{d-l_0} P_{l_0}(x),
-    P = base, for each (d, w) of `terms`: the right side of theorems 2 and
-    4 along a line.  With A_i(t) = sum_l (a_i)_l moment(l) t^l / l!, q(t) =
-    prod_i (A_i(t) + s_i(t)) - prod_i A_i(t) = `subset_series` sums, over
-    the non-empty index subsets J, the products of the s_i for i in J and
-    the other A_i.  Its coefficients do not depend on where the series are
-    cut, so one q, truncated after the largest d, serves the whole line."""
+    P the polynomials of `number`, for each (d, w) of `terms`: the right
+    side of theorems 2 and 4 along a line.  With A_i(t) = sum_l (a_i)_l
+    moment(l) t^l / l!, q(t) = prod_i (A_i(t) + s_i(t)) - prod_i A_i(t) =
+    `subset_series` sums, over the non-empty index subsets J, the products
+    of the s_i for i in J and the other A_i.  Its coefficients do not
+    depend on where the series are cut, so one q, truncated after the
+    largest d, serves the whole line, and so do the Appell numbers of g_r =
+    q_r / (sum a)_r: the sum is w/d! times their Appell polynomial, whose
+    x^j coefficient is w [t^(d-j)] (g pi) / j!."""
     top = max(d for d, _ in terms)
     series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, top))) for ai in a_vec]
     q = subset_series(series, shifts, top)
     total = sum(a_vec)
-    return [poly_lincomb((w / factorial(l0) * _coeff(q, d - l0) / pochhammer(total, d - l0), base(l0))
-                         for l0 in range(d + 1))
-            for d, w in terms]
+    numbers = _appell_numbers([_coeff(q, r) / pochhammer(total, r) for r in range(top + 1)], number, top)
+    return [appell(numbers[: d + 1], w / factorial(d)) for d, w in terms]
 
 
 def _number_series(number: Callable[[int], Fraction], top: int, weight: Callable[[int], Fraction | int],
@@ -202,11 +222,13 @@ def eval_theorem1(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
 
 def _theorem1(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
     lhs = _theorem_lhs(bernoulli_poly, ns, (a, b))
-    factors = [(a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1) * bernoulli_number(l)
-               for l in range(max(ns) + 1)]
-    rhs = [poly_lincomb([*_appell(n, factors), (n * a * b / ((a + b + 1) * (a + b)), bernoulli_poly(n - 1))])
-           for n in ns]
-    return list(zip(lhs, rhs))
+    s = _number_series(bernoulli_number, max(ns), lambda l: (a * pochhammer(b, l) + b * pochhammer(a, l))
+                       / (pochhammer(a + b, l + 1) * factorial(l)))
+    # n a b / ((a+b+1)(a+b)) B_{n-1}(x) is C(n, 1) B_{n-1}(x) times a factor
+    # free of n: a term l = 1 of the sum
+    s[1] += a * b / ((a + b + 1) * (a + b))
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(numbers[: n + 1]) for n in ns)))
 
 
 def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -230,7 +252,7 @@ def _theorem2(ns: Sequence[int], a_vec: tuple[Fraction, ...], k: int) -> list[tu
     lhs = _theorem_lhs(bernoulli_poly, ns, a_vec)
     shifts = [(Fraction(0), ai) for ai in a_vec]
     rhs = _subset_series_rhs(a_vec, bernoulli_number, shifts, [(n + 1, Fraction(factorial(n))) for n in ns],
-                             bernoulli_poly)
+                             bernoulli_number)
     return list(zip(lhs, rhs))
 
 
@@ -246,11 +268,12 @@ def eval_theorem3(n: int, a: Fraction, b: Fraction) -> tuple[Poly, Poly]:
 
 def _theorem3(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, Poly]]:
     lhs = _theorem_lhs(euler_poly, ns, (a, b))
-    factors = [(pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l) * euler_poly_at_zero(l)
-               for l in range(max(ns) + 2)]
-    rhs = [poly_lincomb([(Fraction(4, n + 1), bernoulli_poly(n + 1)), *_appell(n + 1, factors, Fraction(-2, n + 1))])
-           for n in ns]
-    return list(zip(lhs, rhs))
+    s = _number_series(euler_poly_at_zero, max(ns) + 1,
+                       lambda l: (pochhammer(a, l) + pochhammer(b, l)) / (pochhammer(a + b, l) * factorial(l)))
+    # 4/(n+1) B_{n+1}(x) is a term l = 0 of the sum, scaled by -2/(n+1)
+    s[0] -= 2
+    numbers = _appell_numbers(s, bernoulli_number, max(ns) + 1)
+    return list(zip(lhs, (appell(numbers[: n + 2], Fraction(-2, n + 1)) for n in ns)))
 
 
 def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -274,10 +297,10 @@ def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tu
 def _theorem4(ns: Sequence[int], a_vec: tuple[Fraction, ...], k: int) -> list[tuple[Poly, Poly]]:
     lhs = _theorem_lhs(euler_poly, ns, a_vec)
     if len(a_vec) % 2 == 0:
-        terms, base = [(n + 1, Fraction(factorial(n))) for n in ns], bernoulli_poly
+        terms, number = [(n + 1, Fraction(factorial(n))) for n in ns], bernoulli_number
     else:
-        terms, base = [(n, Fraction(-factorial(n), 2)) for n in ns], euler_poly
-    rhs = _subset_series_rhs(a_vec, euler_poly_at_zero, [(Fraction(-2),)] * len(a_vec), terms, base)
+        terms, number = [(n, Fraction(-factorial(n), 2)) for n in ns], euler_poly_at_zero
+    rhs = _subset_series_rhs(a_vec, euler_poly_at_zero, [(Fraction(-2),)] * len(a_vec), terms, number)
     return list(zip(lhs, rhs))
 
 
@@ -321,11 +344,12 @@ def _matiyasevich(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (max(ns) + 1)] * 2, [n + 2 for n in ns])
-    # 2 C(n+2, l+2) B_l = (n+1)(n+2) C(n, l) 2 B_l / ((l+1)(l+2))
-    factors = [2 * bernoulli_number(l) / ((l + 1) * (l + 2)) for l in range(max(ns) + 1)]
-    rhs = [poly_lincomb([*_appell(n, factors, (n + 1) * (n + 2)), (binomial(n + 2, 3), bernoulli_poly(n - 1))])
-           for n in ns]
-    return list(zip(lhs, rhs))
+    # 2 C(n+2, l+2) B_l = (n+1)(n+2) C(n, l) 2 B_l / ((l+1)(l+2)), and
+    # C(n+2, 3) B_{n-1}(x) = (n+1)(n+2) C(n, 1) B_{n-1}(x) / 6 is a term l = 1
+    s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(2, (l + 1) * (l + 2) * factorial(l)))
+    s[1] += Fraction(1, 6)
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(numbers[: n + 1], (n + 1) * (n + 2)) for n in ns)))
 
 
 def _corollary2(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -345,25 +369,21 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(a, top), _reciprocals(top)],
                                    [factorial(n) / pochhammer(a, n) for n in ns])
-    factors = [0, *((a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l)
-                    for l in range(1, top + 1))]
-    rhs = [poly_lincomb([
-        *_appell(n, factors),
-        (Fraction(n) / (a + 1), bernoulli_poly(n - 1)),
-        (harmonic_shifted(a, n), bernoulli_poly(n)),
-    ]) for n in ns]
+    s = _number_series(bernoulli_number, top,
+                       lambda l: (a * factorial(l - 1) + pochhammer(a, l)) / (pochhammer(a, l + 1) * factorial(l)), 1)
+    s[1] += 1 / (a + 1)
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic_shifted(a, n), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [_reciprocals(top)] * 2, [Fraction(n, 2) for n in ns])
-    factors = [0, *(bernoulli_number(l) / l for l in range(1, top + 1))]
-    rhs = [poly_lincomb([
-        *_appell(n, factors),
-        (Fraction(n, 2), bernoulli_poly(n - 1)),
-        (harmonic(n - 1), bernoulli_poly(n)),
-    ]) for n in ns]
+    s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
+    s[1] += Fraction(1, 2)
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic(n - 1), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -371,38 +391,39 @@ def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [range(1, top + 2), _reciprocals(top)], [n + 2 for n in ns])
     # C(n+2, l+2) (l^2+l+2)/l B_l = (n+1)(n+2) C(n, l) (l^2+l+2)/(l(l+1)(l+2)) B_l
-    factors = [0, *(Fraction(l * l + l + 2, l * (l + 1) * (l + 2)) * bernoulli_number(l) for l in range(1, top + 1))]
-    rhs = [poly_lincomb([
-        *_appell(n, factors, (n + 1) * (n + 2)),
-        (Fraction((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)),
-        ((n + 1) * (n + 2) * harmonic_shifted(Fraction(2), n), bernoulli_poly(n)),
-    ]) for n in ns]
+    s = _number_series(bernoulli_number, top,
+                       lambda l: Fraction(l * l + l + 2, l * (l + 1) * (l + 2) * factorial(l)), 1)
+    s[1] += Fraction(1, 3)
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic_shifted(Fraction(2), n), bernoulli_number),
+                  (n + 1) * (n + 2))
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1), _reciprocals(top)], [1] * len(ns))
-    factors = [0, *(bernoulli_number(l) / l for l in range(1, top + 1))]
-    rhs = [poly_lincomb([
-        *_appell(n, factors),
-        (Fraction(n, 2), bernoulli_poly(n - 1)),
-        (harmonic(n), bernoulli_poly(n)),
-    ]) for n in ns]
+    s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
+    s[1] += Fraction(1, 2)
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic(n), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    factors = [bernoulli_number(l) for l in range(max(ns) + 1)]
-    lhs = [poly_lincomb(_appell(n, factors)) for n in ns]
+    s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, factorial(l)))
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    lhs = [appell(numbers[: n + 1]) for n in ns]
     rhs = [poly_lincomb([(n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))), (-(n - 1), bernoulli_poly(n))])
            for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    factors = [bernoulli_number(l) / Fraction(2) ** l for l in range(max(ns) + 1)]
-    lhs = [poly_lincomb(_appell(n, factors)) for n in ns]
+    s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    lhs = [appell(numbers[: n + 1]) for n in ns]
     rhs = [poly_lincomb([
         (Fraction(n) / Fraction(2) ** n, poly_mul(poly([-1, 2]), poly_compose_linear(bernoulli_poly(n - 1), 2))),
         (Fraction(-(n - 1)) / Fraction(2) ** n, poly_compose_linear(bernoulli_poly(n), 2)),
@@ -414,129 +435,120 @@ def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(max(ns))] * 2,
                                    [Fraction(factorial(n), 2 ** n) for n in ns])
-    factors = [bernoulli_number(l) / Fraction(2) ** l for l in range(max(ns) + 1)]
-    rhs = [poly_lincomb([*_appell(n, factors), (Fraction(n, 4), bernoulli_poly(n - 1))]) for n in ns]
-    return list(zip(lhs, rhs))
+    s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
+    s[1] += Fraction(1, 4)
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(numbers[: n + 1]) for n in ns)))
 
 
 def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
     lhs = [convolution_coefficients(bernoulli_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [n])[0] for n in ns]
-    factors = [0, *((harmonic(l) + Fraction(1, l)) * bernoulli_number(l) / l for l in range(1, max(ns) + 1))]
-    rhs = [poly_lincomb([
-        *_appell(n, factors),
-        (n, bernoulli_poly(n - 1)),
-        (Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)), bernoulli_poly(n)),
-    ]) for n in ns]
+    s = _number_series(bernoulli_number, max(ns), lambda l: (harmonic(l) + Fraction(1, l)) / (l * factorial(l)), 1)
+    s[1] += 1
+    numbers = _appell_numbers(s, bernoulli_number, max(ns))
+    rhs = [appell(_plus_numbers(numbers[: n + 1], (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / 2,
+                                bernoulli_number))
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1)] * 3, [n + 3 for n in ns])
-    # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l
-    b = poly(bernoulli_number(l) for l in range(top + 1))
+    # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l, and
+    # as C(n+3, i) = (n+3)! / (i! (n+3-i)!) the three terms are 3 (n+3)!
+    # sum_i s_{n-i} B_i(x)/i!, s_r = ([t^r] b^2 + B_{r-1} + [r = 2]/3) / (r+3)!
+    b = _number_series(bernoulli_number, top, lambda l: 1)
     square = series_product((b, b), top)
-    rhs = [poly_lincomb([
-        *((3 * binomial(n + 3, i) * _coeff(square, n - i), bernoulli_poly(i)) for i in range(n + 1)),
-        *((3 * binomial(n + 3, i) * bernoulli_number(n - 1 - i), bernoulli_poly(i)) for i in range(n)),
-        (binomial(n + 3, 5), bernoulli_poly(n - 2)),
-    ]) for n in ns]
-    return list(zip(lhs, rhs))
+    s = [(_coeff(square, r) + before + Fraction(int(r == 2), 3)) / factorial(r + 3)
+         for r, before in enumerate([0, *b[:top]])]
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    return list(zip(lhs, (appell(numbers[: n + 1], Fraction(3 * factorial(n + 3), factorial(n))) for n in ns)))
 
 
 def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fraction]]:
     """The k-fold sums are read off b(t) = sum_{l<=N} B_l t^l, N the largest
     n: the left side is [t^n] b^k, the right side sum_{l_0} C(n+k, l_0)
-    B_{l_0} [t^(n+1-l_0)] ((b + t)^k - b^k) / (n+k), whose subset sum is
-    over j of C(k, j) t^j b^(k-j).  Neither reads a B_l with l > n, so b,
-    b^k and the subset series are formed once for the line."""
+    B_{l_0} q_{n+1-l_0} / (n+k) with q = (b + t)^k - b^k, whose subset sum
+    is over j of C(k, j) t^j b^(k-j).  As C(n+k, l_0) = (n+k)! / (l_0!
+    (r+k-1)!) at r = n+1-l_0, the right side is (n+k)! [t^(n+1)] beta q~ /
+    (n+k), beta_l = B_l / l! and q~_r = q_r / (r+k-1)!.  Neither side reads
+    a B_l with l > n + 1, so b^k, q and beta q~ are formed once for the
+    line."""
     top = max(ns)
     b = poly(bernoulli_number(l) for l in range(top + 1))
     power = series_product([b] * k, top)
     q = subset_series([b] * k, [(Fraction(0), Fraction(1))] * k, top + 1)
-    return [(_coeff(power, n),
-             sum((binomial(n + k, l0) * bernoulli_number(l0) * _coeff(q, n + 1 - l0) for l0 in range(n + 2)),
-                 Fraction(0)) / (n + k))
-            for n in ns]
+    beta = _number_series(bernoulli_number, top + 1, lambda l: Fraction(1, factorial(l)))
+    weighted = series_product((beta, [_coeff(q, r) / factorial(r + k - 1) for r in range(top + 2)]), top + 1)
+    return [(_coeff(power, n), factorial(n + k) * _coeff(weighted, n + 1) / (n + k)) for n in ns]
 
 
 def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(eps, top)] * 3,
                                    [1 / pochhammer(3 * eps, n) for n in ns])
-    # for fixed i the (j, l) sum is [t^(n-i)] of the square of
-    # sum_l (eps)_l B_l t^l / l!
-    series = poly(w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, top)))
+    # for fixed i the (j, l) sum is [t^(n-i)] of the square of c(t) =
+    # sum_l (eps)_l B_l t^l / l!, and the three terms are sum_i s_{n-i}
+    # B_i(x)/i!, s_r = 3 eps ([t^r] c^2 + eps c_{r-1} + [r = 2] eps^2/3) / (3 eps)_{r+1}
+    series = [w * bernoulli_number(l) for l, w in enumerate(rising_weights(eps, top))]
     square = series_product((series, series), top)
-    rhs = [poly_lincomb([
-        *((3 * eps / pochhammer(3 * eps, n - i + 1) / factorial(i) * _coeff(square, n - i), bernoulli_poly(i))
-          for i in range(n + 1)),
-        *((3 * eps * eps * pochhammer(eps, j) / pochhammer(3 * eps, j + 2)
-           * bernoulli_number(j) / (factorial(n - 1 - j) * factorial(j)),
-           bernoulli_poly(n - 1 - j))
-          for j in range(n)),
-        (eps ** 3 / pochhammer(3 * eps, 3) / factorial(n - 2), bernoulli_poly(n - 2)),
-    ]) for n in ns]
-    return list(zip(lhs, rhs))
+    s = [3 * eps * (_coeff(square, r) + eps * before + Fraction(int(r == 2), 3) * eps * eps)
+         / pochhammer(3 * eps, r + 1)
+         for r, before in enumerate([0, *series[:top]])]
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    return list(zip(lhs, (appell(numbers[: n + 1], Fraction(1, factorial(n))) for n in ns)))
 
 
 def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(top)] * 3, [factorial(n) for n in ns])
-    # for fixed i the (j, l) sum is [t^(n-i)] of the square of sum_l B_l t^l / l!
-    series = poly(bernoulli_number(l) / factorial(l) for l in range(top + 1))
-    square = series_product((series, series), top)
-    rhs = [poly_lincomb([
-        *((Fraction(factorial(n), factorial(i)) * Fraction(3) ** i * _coeff(square, n - i), bernoulli_poly(i))
-          for i in range(n + 1)),
-        *((n * binomial(n - 1, i) * Fraction(3) ** i * bernoulli_number(n - 1 - i), bernoulli_poly(i))
-          for i in range(n)),
-        (n * (n - 1) * Fraction(3) ** (n - 3), bernoulli_poly(n - 2)),
-    ]) for n in ns]
-    return list(zip(lhs, rhs))
+    # for fixed i the (j, l) sum is [t^(n-i)] of the square of beta(t) =
+    # sum_l B_l t^l / l!, and the three terms are n! sum_i s_{n-i} 3^i
+    # B_i(x)/i!, s_r = [t^r] beta^2 + beta_{r-1} + [r = 2]/3
+    beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)))
+    square = series_product((beta, beta), top)
+    s = [_coeff(square, r) + before + Fraction(int(r == 2), 3) for r, before in enumerate([0, *beta[:top]])]
+    numbers = _appell_numbers(s, bernoulli_number, top, 3)
+    return list(zip(lhs, (appell(numbers[: n + 1], 1, 3) for n in ns)))
 
 
 def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     """Both sides of the third-order harmonic-weighted number convolution.
 
-    With b_m = B_m / m, the two cubic sums over i+j+l = n, i, j, l >= 1, are
-    s1 = sum b_i b_j b_l (left side, s1/3) and
-    s2 = sum C(n-1, i-1) b_i b_j b_l (right side).  Both are evaluated as
-    sum_i w_i b_i [t^(n-i)] b(t)^2 with b(t) = sum_{m>=1} b_m t^m, and each
-    side squares b(t) itself, once for the line: the coefficients up to
-    t^(n-1) read no b_m with m > n - 2.  The b_m are built once per call,
-    as one list both sides read like a sequence table.
+    With b_m = B_m / m and b(t) = sum_{m>=1} b_m t^m, the two cubic sums
+    over i+j+l = n, i, j, l >= 1, are s1 = sum b_i b_j b_l = [t^n] b^3
+    (left side, s1/3) and s2 = sum C(n-1, i-1) b_i b_j b_l = (n-1)! [t^n]
+    beta sigma (right side), with beta_i = b_i/(i-1)! = B_i/i! and sigma_r
+    = [t^r] b^2 / r!.  The pair sums over l + m = n-1 or n are read off
+    series whose t^0 coefficient is 0: s3 = (n-1)! [t^(n-1)] u beta, s4 =
+    (3 H_{n-1} + 1/n) [t^n] b^2 - 2 [t^n] h b and s5 = (n-1)! [t^n] g beta,
+    with u_l = b_l/(l+1)!, h_l = H_{l-1} b_l and g_l = (2 H_l + 1/l) b_l/l!.
+    s2 + s3 - 2 s5 is then (n-1)! [t^n] beta v, v_r = sigma_r + u_{r-1} -
+    2 g_r.  One b^2, cut after t^N for N the largest n, serves both sides
+    and the whole line.
     """
     h1 = harmonic
     h2 = harmonic_second
     top = max(ns)
     b = _number_series(bernoulli_number, top, lambda m: Fraction(1, m), 1)
-
-    def cubic_sums(weight: Callable[[int, int], int]) -> list[Fraction]:
-        square = series_product([b[: top - 1]] * 2, top - 1)
-        return [sum((weight(n, i) * b[i] * _coeff(square, n - i) for i in range(1, n - 1)), Fraction(0))
-                for n in ns]
-
-    s1 = cubic_sums(lambda n, i: 1)
-    s2 = cubic_sums(lambda n, i: binomial(n - 1, i - 1))
-    # the pair sums over l + m = n-1 or n, read off series whose t^0
-    # coefficient is 0: s3 = (n-1)! [t^(n-1)] u beta, s4 = (3 H_{n-1} + 1/n)
-    # [t^n] b^2 - 2 [t^n] h b and s5 = (n-1)! [t^n] g beta, with beta_m =
-    # B_m/m!, u_l = b_l/(l+1)!, h_l = H_{l-1} b_l and g_l = (2 H_l + 1/l) b_l/l!
     beta = _number_series(bernoulli_number, top, lambda m: Fraction(1, factorial(m)), 1)
     u = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l + 1)), 1)
     h = _number_series(bernoulli_number, top, lambda l: h1(l - 1) / l, 1)
     g = _number_series(bernoulli_number, top, lambda l: (2 * h1(l) + Fraction(1, l)) / (l * factorial(l)), 1)
-    s3, square, cross, s5 = (series_product(pair, top) for pair in ((u, beta), (b, b), (h, b), (g, beta)))
+    square = series_product((b, b), top)
+    cube, cross = series_product((square, b), top), series_product((h, b), top)
+    v = [_coeff(square, r) / factorial(r) + before - 2 * g_r for r, (before, g_r) in enumerate(zip([0, *u], g))]
+    weighted = series_product((beta, v), top)
     out = []
-    for n, s1_n, s2_n in zip(ns, s1, s2):
+    for n in ns:
         s4 = (3 * h1(n - 1) + Fraction(1, n)) * _coeff(square, n) - 2 * _coeff(cross, n)
         harmonics = Fraction(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + Fraction(3, n * n)
-        rhs = (s2_n + factorial(n - 1) * (_coeff(s3, n - 1) - 2 * _coeff(s5, n)) + s4
+        rhs = (factorial(n - 1) * _coeff(weighted, n) + s4
                + Fraction(n - 1, 6) * bernoulli_number(n - 2)
                + (Fraction(1, (n - 1) * n) - 3) * bernoulli_number(n - 1) - 2 * harmonics * b[n])
-        out.append((Fraction(1, 3) * s1_n, rhs))
+        out.append((_coeff(cube, n) / 3, rhs))
     return out
 
 
@@ -545,8 +557,9 @@ def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(top - 1)] * 2, [1] * len(ns))
     # 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and the constant term
     # is the term l = n
-    factors = [0, *(4 * harmonic(l - 1) * euler_poly_at_zero(l) for l in range(1, top + 1))]
-    rhs = [poly_lincomb([*_appell(n, factors, Fraction(1, n * (n - 1))),
+    s = _number_series(euler_poly_at_zero, top, lambda l: 4 * harmonic(l - 1) / factorial(l), 1)
+    numbers = _appell_numbers(s, bernoulli_number, top)
+    rhs = [poly_lincomb([(Fraction(1, n * (n - 1)), appell(numbers[: n + 1])),
                          (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1))])
            for n in ns]
     return list(zip(lhs, rhs))
@@ -557,10 +570,11 @@ def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = [convolution_coefficients(euler_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [1])[0] for n in ns]
     # C(n-1, l-1)/(l (n+1-l)) = C(n+1, l)/(n (n+1)), and the constant term
     # is the term l = n + 1
-    factors = [0, *((harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) * euler_poly_at_zero(l)
-                    for l in range(1, max(ns) + 2))]
+    s = _number_series(euler_poly_at_zero, max(ns) + 1,
+                       lambda l: (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) / factorial(l), 1)
+    numbers = _appell_numbers(s, bernoulli_number, max(ns) + 1)
     rhs = [poly_lincomb([(Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
-                         *_appell(n + 1, factors, Fraction(1, n * (n + 1)))])
+                         (Fraction(1, n * (n + 1)), appell(numbers[: n + 2]))])
            for n in ns]
     return list(zip(lhs, rhs))
 
@@ -575,43 +589,47 @@ def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = [poly_sub(p, poly([_coeff(centre, n)]))
            for n, p in zip(ns, convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 2, [1] * len(ns)))]
     # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, from
-    # the right side's own e
+    # the right side's own e; as C(n-1, i) = (n-1)! / (i! (n-1-i)!) the
+    # i-sum is (n-1)! sum_i s_{n-i} E_i(x)/i!, s_r = [t^r] e^2 / (r-1)!, less
+    # its constant term i = 0, s_n (n-1)! = [t^n] e^2
     e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
     square = series_product((e, e), top)
-    rhs = [poly_lincomb([
-        *((binomial(n - 1, i) * _coeff(square, n - i), euler_poly(i)) for i in range(1, n)),
-        (2 * harmonic(n - 1) / Fraction(n), euler_poly(n)),
-    ]) for n in ns]
+    numbers = _appell_numbers([Fraction(0), *(_coeff(square, r) / factorial(r - 1) for r in range(1, top + 1))],
+                              euler_poly_at_zero, top)
+    rhs = []
+    for n in ns:
+        values = _plus_numbers(numbers[: n + 1], 2 * harmonic(n - 1), euler_poly_at_zero)
+        values[n] -= n * _coeff(square, n)
+        rhs.append(appell(values, Fraction(1, n)))
     return list(zip(lhs, rhs))
-
-
-def _centered_euler_pair(c: Fraction, l: int, m: int) -> Iterator[tuple[Fraction, Poly]]:
-    """The terms of c (E_l(x) E_m(x) - E_l(0) E_m(0))."""
-    yield c, poly_mul(euler_poly(l), euler_poly(m))
-    yield -c * euler_poly_at_zero(l) * euler_poly_at_zero(m), ONE
 
 
 def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 3, [Fraction(1, 3)] * len(ns))
     # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
-    # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with
-    # h = sum_{m>=1} H_{m-1} E_m(0)/m t^m
-    e = poly([0, *(euler_poly_at_zero(m) / m for m in range(1, top + 1))])
-    h = poly([0, *(harmonic(m - 1) * euler_poly_at_zero(m) / m for m in range(1, top + 1))])
+    # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with e_m =
+    # E_m(0)/m and h_m = H_{m-1} e_m; the i-sum over 1 <= i <= n-1 is (n-1)!
+    # sum_i s_{n-i} E_i(x)/i!, s_r = (2 [t^r] h e - 3 H_{r-1} [t^r] e^2) / (r-1)!,
+    # less its term i = 0.  The pair sum's weights c_l = (3 H_{n-1} -
+    # H_{l-1} - H_{n-l-1}) / (l (n-l)) are symmetric in l <-> n-l, and its
+    # centring constant sum_l c_l E_l(0) E_{n-l}(0) = 3 H_{n-1} [t^n] e^2 -
+    # 2 [t^n] h e is that term i = 0 with its sign changed: the two cancel,
+    # and the side is the whole i-sum plus the uncentred pair sum
+    e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
+    h = _number_series(euler_poly_at_zero, top, lambda m: harmonic(m - 1) / m, 1)
     square = series_product((e, e), top)
     cross = series_product((h, e), top)
+    s = [Fraction(0), *((2 * _coeff(cross, r) - 3 * harmonic(r - 1) * _coeff(square, r)) / factorial(r - 1)
+                        for r in range(1, top + 1))]
+    numbers = _appell_numbers(s, euler_poly_at_zero, top)
     rhs = [poly_lincomb([
-        (-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) / Fraction(n), euler_poly(n)),
-        *((binomial(n - 1, i) * (2 * _coeff(cross, n - i) - 3 * harmonic(n - i - 1) * _coeff(square, n - i)),
-           euler_poly(i))
-          for i in range(1, n)),
-        *chain.from_iterable(
-            _centered_euler_pair(
-                (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)) / Fraction(l * (n - l)), l, n - l
-            )
-            for l in range(1, n)
-        ),
+        (Fraction(1, n), appell(_plus_numbers(
+            numbers[: n + 1], -2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)), euler_poly_at_zero))),
+        # the pairs l and n-l once, the middle pair l = n/2 counted once
+        *((Fraction(2 - (2 * l == n), l * (n - l)) * (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)),
+           poly_mul(euler_poly(l), euler_poly(n - l)))
+          for l in range(1, n // 2 + 1)),
     ]) for n in ns]
     return list(zip(lhs, rhs))
 

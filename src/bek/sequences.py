@@ -16,6 +16,8 @@ as E_n(0) = G_{n+1}/(n+1).  The polynomials come from their Appell
 expansions B_n(x) = sum_j C(n, j) B_j x^{n-j} and E_n(x) = sum_j C(n, j)
 E_j(0) x^{n-j}, each coefficient one `Fraction` built from the binomial
 times the numerator over the denominator, with no polynomial products.
+The identities expand their own Appell numbers with the same function,
+`appell`, which also takes a scale and an argument lam x.
 Unit tests recompute each table by the classical `Fraction` recurrences
 and by an independent second route (for E_n(x), the expansion around
 x = 1/2 in powers of (x - 1/2)).
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
 from .exactmath import GrowingTables, Poly
 
@@ -96,7 +99,7 @@ class SequenceCache(GrowingTables):
 
     def _bernoulli_poly_at(self, m: int) -> Poly:
         self.bernoulli_number(m)
-        return _appell(self._bernoulli[: m + 1])
+        return appell(self._bernoulli[: m + 1])
 
     def bernoulli_poly(self, n: int) -> Poly:
         """Exact B_n(x) = sum_j C(n, j) B_j x^{n-j}; monic of degree n."""
@@ -104,24 +107,30 @@ class SequenceCache(GrowingTables):
 
     def _euler_poly_at(self, m: int) -> Poly:
         self.euler_poly_at_zero(m)
-        return _appell(self._euler_zero[: m + 1])
+        return appell(self._euler_zero[: m + 1])
 
     def euler_poly(self, n: int) -> Poly:
         """Exact E_n(x) = sum_j C(n, j) E_j(0) x^{n-j}; monic of degree n."""
         return self._entry("euler_poly", self._euler_poly, n, self._euler_poly_at)
 
 
-def _appell(values: list[Fraction]) -> Poly:
-    """sum_j C(m, j) values[j] x^{m-j} for m = len(values) - 1; monic when
-    values[0] = 1, so no trailing zero needs trimming."""
+def appell(values: Sequence[Fraction], scale: Fraction | int = 1, lam: int = 1) -> Poly:
+    """scale sum_j C(m, j) values[j] (lam x)^{m-j} for m = len(values) - 1,
+    for a positive integer lam: the Appell polynomial of the numbers
+    `values`, scaled, at lam x.  Each coefficient is one `Fraction`, and
+    zero leading values, whose terms vanish, are trimmed."""
     m = len(values) - 1
+    scale = Fraction(scale)
+    den = scale.denominator
     coeffs = [Fraction(0)] * (m + 1)
-    binom = 1  # C(m, j)
+    weight = scale.numerator * lam ** m  # the numerator of scale C(m, j) lam^(m-j)
     for j, c in enumerate(values):
         num = c.numerator
         if num:
-            coeffs[m - j] = Fraction(binom * num, c.denominator)
-        binom = binom * (m - j) // (j + 1)
+            coeffs[m - j] = Fraction(weight * num, den * c.denominator)
+        weight = weight * (m - j) // ((j + 1) * lam)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     return tuple(coeffs)
 
 

@@ -8,7 +8,7 @@ import inspect
 import io
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from math import factorial, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +24,7 @@ from bek.exactmath import (
     convolution_coefficients,
     harmonic,
     harmonic_second,
+    harmonic_shifted,
     pochhammer,
     poly,
     poly_add,
@@ -457,16 +458,25 @@ class TestVerifyEngine:
 
     @pytest.mark.parametrize("index", [2, 3])
     def test_a_corrupted_right_side_term_fails_with_its_difference(self, monkeypatch, index):
-        # B_2 is a term the right side keeps, B_3 = 0 one it skips: the skip
-        # reads the value, so a corrupted B_3 is kept and caught too
+        # B_2 is a term of the right side, B_3 = 0 one that vanishes.  The
+        # right side reads the corrupted B_index twice: in the factor c_index
+        # of its sum and, through its Appell numbers, in every B_r(x) with r
+        # >= index, which gains C(r, index)/7 x^(r-index).  The difference
+        # is the term sum (the old `_appell` terms) at the true values less
+        # the same sum at the corrupted ones
         n, a, b = 6, F(2), F(1, 3)
         true_bernoulli = identities.bernoulli_number
         monkeypatch.setattr(identities, "bernoulli_number", lambda m: true_bernoulli(m) + F(int(m == index), 7))
         (report,) = verify("theorem1", points=[{"n": n, "a": a, "b": b}])
-        weight = (binomial(n, index) * (a * pochhammer(b, index) + b * pochhammer(a, index))
-                  / pochhammer(a + b, index + 1))
+
+        def corrupted_poly(r):
+            gain = poly([0] * (r - index) + [F(binomial(r, index), 7)]) if r >= index else ZERO
+            return poly_add(bernoulli_poly(r), gain)
+
+        expected = poly_sub(_theorem1_rhs_reference(n, a, b),
+                            _theorem1_rhs_reference(n, a, b, identities.bernoulli_number, corrupted_poly))
         assert report.status == "fail"
-        assert report.difference == poly_scale(-weight / 7, bernoulli_poly(n - index)) != ZERO
+        assert report.difference == expected != ZERO
         assert report.difference == poly_sub(report.lhs, report.rhs)
         row = cli._report_payload(report, False)
         assert row["rhs"] == [str(c) for c in report.rhs] != row["lhs"]
@@ -476,8 +486,8 @@ class TestVerifyEngine:
     def test_a_corrupted_constant_term_of_corollary10_fails_with_its_difference(self, monkeypatch, label, n, index):
         # the constant term of each display is the last term of its Appell
         # sum, E_n(0) for the first and E_{n+1}(0) for the second: odd
-        # indices are kept terms, even ones vanish and are skipped, and a
-        # corrupted even one is kept and caught too
+        # indices are terms, even ones vanish, and a corrupted even one is
+        # caught too
         true_euler = identities.euler_poly_at_zero
         monkeypatch.setattr(identities, "euler_poly_at_zero", lambda m: true_euler(m) + F(int(m == index), 7))
         (report,) = [r for r in verify("corollary10", points=[{"n": n}]) if r.inputs["display"] == label]
@@ -839,6 +849,156 @@ PAIR_LOOP_REFERENCES = {
 }
 
 
+# The sums that the Appell numbers replaced, kept as the reference they are
+# compared against: each binomial sum scale sum_l C(m, l) c_l B_{m-l}(x) as
+# one `poly_lincomb` term per l (the old `_appell`, which skipped a zero
+# c_l) beside its extra terms, the subset-series right side as its loop
+# over l_0 (`_theorem2_rhs_copy` and `_theorem4_rhs_copy` below), and
+# corollary9 with its two cubic sums as loops over i.
+
+
+def _appell_terms(m, c, scale=1, polynomial=bernoulli_poly):
+    return [(scale * binomial(m, l) * c[l], polynomial(m - l)) for l in range(m + 1) if c[l]]
+
+
+def _theorem1_rhs_reference(n, a, b, number=bernoulli_number, polynomial=bernoulli_poly):
+    factors = [(a * pochhammer(b, l) + b * pochhammer(a, l)) / pochhammer(a + b, l + 1) * number(l)
+               for l in range(n + 1)]
+    return poly_lincomb([*_appell_terms(n, factors, 1, polynomial),
+                         (n * a * b / ((a + b + 1) * (a + b)), polynomial(n - 1))])
+
+
+def _theorem3_rhs_reference(n, a, b):
+    factors = [(pochhammer(a, l) + pochhammer(b, l)) / pochhammer(a + b, l) * euler_poly_at_zero(l)
+               for l in range(n + 2)]
+    return poly_lincomb([(F(4, n + 1), bernoulli_poly(n + 1)), *_appell_terms(n + 1, factors, F(-2, n + 1))])
+
+
+def _corollary1_rhs_reference(n):
+    factors = [2 * bernoulli_number(l) / ((l + 1) * (l + 2)) for l in range(n + 1)]
+    return poly_lincomb([*_appell_terms(n, factors, (n + 1) * (n + 2)), (binomial(n + 2, 3), bernoulli_poly(n - 1))])
+
+
+def _corollary3_rhs_reference(n, a):
+    factors = [0, *((a * factorial(l - 1) + pochhammer(a, l)) / pochhammer(a, l + 1) * bernoulli_number(l)
+                    for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors), (F(n) / (a + 1), bernoulli_poly(n - 1)),
+                         (harmonic_shifted(a, n), bernoulli_poly(n))])
+
+
+def _corollary4_first_rhs_reference(n):
+    factors = [0, *(bernoulli_number(l) / l for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors), (F(n, 2), bernoulli_poly(n - 1)),
+                         (harmonic(n - 1), bernoulli_poly(n))])
+
+
+def _corollary4_second_rhs_reference(n):
+    factors = [0, *(F(l * l + l + 2, l * (l + 1) * (l + 2)) * bernoulli_number(l) for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors, (n + 1) * (n + 2)),
+                         (F((n + 1) * (n + 2) * n, 3), bernoulli_poly(n - 1)),
+                         ((n + 1) * (n + 2) * harmonic_shifted(F(2), n), bernoulli_poly(n))])
+
+
+def _eq_2_12_rhs_reference(n):
+    factors = [0, *(bernoulli_number(l) / l for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors), (F(n, 2), bernoulli_poly(n - 1)),
+                         (harmonic(n), bernoulli_poly(n))])
+
+
+def _corollary5_lhs_reference(n):
+    return poly_lincomb(_appell_terms(n, [bernoulli_number(l) for l in range(n + 1)]))
+
+
+def _corollary6_lhs_reference(n):
+    return poly_lincomb(_appell_terms(n, [bernoulli_number(l) / F(2) ** l for l in range(n + 1)]))
+
+
+def _eq_2_15_rhs_reference(n):
+    factors = [bernoulli_number(l) / F(2) ** l for l in range(n + 1)]
+    return poly_lincomb([*_appell_terms(n, factors), (F(n, 4), bernoulli_poly(n - 1))])
+
+
+def _corollary7_rhs_reference(n):
+    factors = [0, *((harmonic(l) + F(1, l)) * bernoulli_number(l) / l for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors), (n, bernoulli_poly(n - 1)),
+                         (F(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)), bernoulli_poly(n))])
+
+
+def _corollary10_first_rhs_reference(n):
+    factors = [0, *(4 * harmonic(l - 1) * euler_poly_at_zero(l) for l in range(1, n + 1))]
+    return poly_lincomb([*_appell_terms(n, factors, F(1, n * (n - 1))),
+                         (2 * harmonic(n - 2) / F(n - 1), euler_poly(n - 1))])
+
+
+def _corollary10_second_rhs_reference(n):
+    factors = [0, *((harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) * euler_poly_at_zero(l)
+                    for l in range(1, n + 2))]
+    return poly_lincomb([(F(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
+                         *_appell_terms(n + 1, factors, F(1, n * (n + 1)))])
+
+
+# The side (0 left, 1 right) of each display that is a binomial Appell
+# sum, and its term sum.
+APPELL_REFERENCES = {
+    ("theorem1", ""): (1, _theorem1_rhs_reference),
+    ("theorem3", ""): (1, _theorem3_rhs_reference),
+    ("corollary1", ""): (1, _corollary1_rhs_reference),
+    ("corollary3", ""): (1, _corollary3_rhs_reference),
+    ("corollary4", "a=1"): (1, _corollary4_first_rhs_reference),
+    ("corollary4", "a=2"): (1, _corollary4_second_rhs_reference),
+    ("eq-2-12", ""): (1, _eq_2_12_rhs_reference),
+    ("corollary5", ""): (0, _corollary5_lhs_reference),
+    ("corollary6", ""): (0, _corollary6_lhs_reference),
+    ("eq-2-15", ""): (1, _eq_2_15_rhs_reference),
+    ("corollary7", ""): (1, _corollary7_rhs_reference),
+    ("corollary10", "first"): (1, _corollary10_first_rhs_reference),
+    ("corollary10", "second"): (1, _corollary10_second_rhs_reference),
+}
+
+
+def _corollary9_loop_reference(ns):
+    """corollary9 along a line with its cubic sums s1 and s2 as loops over i
+    of w_i b_i [t^(n-i)] b(t)^2 (`cubic_sums`), each squaring b(t) itself,
+    and its pair sums s3, s4 and s5 as one series product each."""
+    h1 = harmonic
+    h2 = harmonic_second
+    top = max(ns)
+    b = identities._number_series(bernoulli_number, top, lambda m: F(1, m), 1)
+
+    def cubic_sums(weight):
+        square = series_product([b[: top - 1]] * 2, top - 1)
+        return [sum((weight(n, i) * b[i] * identities._coeff(square, n - i) for i in range(1, n - 1)), F(0))
+                for n in ns]
+
+    s1 = cubic_sums(lambda n, i: 1)
+    s2 = cubic_sums(lambda n, i: binomial(n - 1, i - 1))
+    beta = identities._number_series(bernoulli_number, top, lambda m: F(1, factorial(m)), 1)
+    u = identities._number_series(bernoulli_number, top, lambda l: F(1, l * factorial(l + 1)), 1)
+    h = identities._number_series(bernoulli_number, top, lambda l: h1(l - 1) / l, 1)
+    g = identities._number_series(bernoulli_number, top, lambda l: (2 * h1(l) + F(1, l)) / (l * factorial(l)), 1)
+    s3, square, cross, s5 = (series_product(pair, top) for pair in ((u, beta), (b, b), (h, b), (g, beta)))
+    coeff = identities._coeff
+    out = []
+    for n, s1_n, s2_n in zip(ns, s1, s2):
+        s4 = (3 * h1(n - 1) + F(1, n)) * coeff(square, n) - 2 * coeff(cross, n)
+        harmonics = F(2, n) * h1(n - 1) + h1(n - 1) ** 2 + 2 * h2(n - 1) + F(3, n * n)
+        rhs = (s2_n + factorial(n - 1) * (coeff(s3, n - 1) - 2 * coeff(s5, n)) + s4
+               + F(n - 1, 6) * bernoulli_number(n - 2)
+               + (F(1, (n - 1) * n) - 3) * bernoulli_number(n - 1) - 2 * harmonics * b[n])
+        out.append((F(1, 3) * s1_n, rhs))
+    return out
+
+
+def _along_default_lines(name, label):
+    """(the display's arguments, its sides) at each default point of an
+    entry, each line of the grid evaluated at once, as `verify` does."""
+    entry = REGISTRY[name]
+    fn, args = _display(name, label)
+    for _, run in groupby(build_points(entry), key=lambda pt: {**pt, "n": None}):
+        line = list(run)
+        yield from zip(map(args, line), entry.sides(fn, line))
+
+
 positive_rationals = st.builds(F, st.integers(1, 7), st.integers(1, 7))
 
 
@@ -926,7 +1086,8 @@ class TestQuadraticNumberSums:
 
 
 def _theorem2_rhs_copy(n, a_vec, drop_t_term=False):
-    """The right side of eval_theorem2, with the a_i t term optionally dropped."""
+    """The right side of eval_theorem2 as the loop over l_0, with the a_i t
+    term optionally dropped."""
     d = n + 1
     series = [poly(pochhammer(ai, l) * bernoulli_number(l) / factorial(l) for l in range(d + 1)) for ai in a_vec]
     shifted = series if drop_t_term else [poly_add(s, (F(0), ai)) for s, ai in zip(series, a_vec)]
@@ -939,7 +1100,8 @@ def _theorem2_rhs_copy(n, a_vec, drop_t_term=False):
 
 
 def _theorem4_rhs_copy(n, a_vec, shift=F(-2)):
-    """The right side of eval_theorem4, with A_i - 2 replaced by A_i + shift."""
+    """The right side of eval_theorem4 as the loop over l_0, with A_i - 2
+    replaced by A_i + shift."""
     if len(a_vec) % 2 == 0:
         d, weight, base = n + 1, F(factorial(n)), bernoulli_poly
     else:
@@ -951,6 +1113,59 @@ def _theorem4_rhs_copy(n, a_vec, shift=F(-2)):
         (weight / factorial(l0) * q[d - l0] / pochhammer(sum(a_vec), d - l0), base(l0))
         for l0 in range(d + 1)
     )
+
+
+class TestAppellNumbers:
+    """Every sum over P_i(x) with number weights is read off the Appell
+    numbers of one series product per line, and equals the sum it replaced
+    at every default point, each line evaluated at once."""
+
+    @pytest.mark.parametrize("name, label", list(APPELL_REFERENCES))
+    def test_default_grid_matches_the_term_sum(self, name, label):
+        side, reference = APPELL_REFERENCES[name, label]
+        for args, sides in _along_default_lines(name, label):
+            assert sides[side] == reference(*args), args
+
+    @pytest.mark.parametrize("name, reference", [("theorem2", _theorem2_rhs_copy),
+                                                 ("theorem4", _theorem4_rhs_copy)])
+    def test_default_grid_matches_the_l0_loop(self, name, reference):
+        for (n, a_vec, k), (_, rhs) in _along_default_lines(name, ""):
+            assert rhs == reference(n, a_vec), (n, a_vec)
+
+    def test_corollary9_matches_the_cubic_loops(self):
+        ns = list(REGISTRY["corollary9"].default_n(None))
+        assert identities._corollary9(ns) == _corollary9_loop_reference(ns)
+
+    def test_a_dropped_folded_term_fails_with_its_difference(self, monkeypatch):
+        # theorem1's n kappa B_{n-1}(x) = C(n, 1) kappa B_{n-1}(x) is folded
+        # into the factor of l = 1 of its sum: without it, each n of a line
+        # fails by exactly that term
+        a, b = F(2), F(1, 3)
+        kappa = a * b / ((a + b + 1) * (a + b))
+        real = identities._appell_numbers
+        monkeypatch.setattr(identities, "_appell_numbers", lambda s, *rest: real([s[0], s[1] - kappa, *s[2:]], *rest))
+        reports = verify("theorem1", build_points(REGISTRY["theorem1"], range(1, 9), params={"a": a, "b": b}))
+        assert [r.status for r in reports] == ["fail"] * 8
+        for r in reports:
+            n = r.inputs["n"]
+            assert r.difference == poly_scale(kappa * n, bernoulli_poly(n - 1)) == poly_sub(r.lhs, r.rhs), n
+
+    def test_each_n_costs_numbers_not_polynomials(self, monkeypatch):
+        # over a default `verify-all`, the identities hand `poly_lincomb` at
+        # most one polynomial term per report, counted by wrapping it; the
+        # term sums handed it 8.5 (15,456 terms for 1,828 reports)
+        terms = []
+        real = identities.poly_lincomb
+
+        def counted(pairs):
+            pairs = list(pairs)
+            terms.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(identities, "poly_lincomb", counted)
+        reports = [r for name in REGISTRY for r in verify(name)]
+        assert all(r.passed for r in reports)
+        assert sum(terms) <= len(reports)
 
 
 class TestCorruptedSeries:
@@ -993,11 +1208,14 @@ def _corrupted(name, power):
 
 
 # The displays whose sides read their sums off `series_product` or
-# `subset_series`.
+# `subset_series`: all but gamma-sum's.
 SERIES_DISPLAYS = [
-    ("euler-1-2", ""), ("miki", ""), ("matiyasevich", ""), ("corollary2", ""), ("theorem2", ""), ("eq-4-0a", ""),
-    ("kth-matiyasevich", ""), ("theorem4", ""), ("eq-6-9", ""), ("corollary8", ""), ("corollary9", ""),
-    ("corollary11", "first"), ("corollary11", "second"), ("dunne-schubert", ""), ("eq-7-2", ""),
+    ("euler-1-2", ""), ("miki", ""), ("matiyasevich", ""), ("theorem1", ""), ("corollary1", ""), ("corollary2", ""),
+    ("corollary3", ""), ("corollary4", "a=1"), ("corollary4", "a=2"), ("eq-2-12", ""), ("corollary5", ""),
+    ("corollary6", ""), ("eq-2-15", ""), ("corollary7", ""), ("theorem2", ""), ("eq-4-0a", ""),
+    ("kth-matiyasevich", ""), ("theorem3", ""), ("theorem4", ""), ("eq-6-9", ""), ("corollary8", ""),
+    ("corollary9", ""), ("corollary10", "first"), ("corollary10", "second"), ("corollary11", "first"),
+    ("corollary11", "second"), ("dunne-schubert", ""), ("eq-7-2", ""),
 ]
 
 
@@ -1035,7 +1253,8 @@ class TestCorruptedSeriesProduct:
         # t^1 of the last factor pairs with B_{n-1} = 0 in miki, matiyasevich
         # and corollary2, or their series start at t^2, so a dropped t^1
         # cannot show there; a dropped t^2 misses kth-matiyasevich, theorem4
-        # at k >= 2 and both corollary11 displays
+        # at k >= 2 and both corollary11 displays.  Each display is checked
+        # at its first default point from n = 3 and at the one after it
         caught = {}
         for power in (1, 2):
             for name in SERIES_KERNELS:
@@ -1043,13 +1262,18 @@ class TestCorruptedSeriesProduct:
             for name, label in SERIES_DISPLAYS:
                 fn, args = _display(name, label)
                 for pt in _first_points_from_three(name):
-                    lhs, rhs = _at(fn, *args(pt))
-                    powers = caught.setdefault((name, label, pt.get("k")), set())
-                    if lhs != rhs:
-                        powers.add(power)
-        # theorem4 at k = 1 is the trivial identity: there q(t) = (A_1 - 2) -
-        # A_1 is the shift alone, whatever the series A_1 is
-        assert [key for key, powers in caught.items() if not powers] == [("theorem4", "", 1)]
+                    for step in (0, 1):
+                        lhs, rhs = _at(fn, *args({**pt, "n": pt["n"] + step}))
+                        if lhs != rhs:
+                            caught.setdefault((name, label, pt.get("k")), set()).add(step)
+        keys = [(name, label, pt.get("k")) for name, label in SERIES_DISPLAYS for pt in _first_points_from_three(name)]
+        # theorem4 at k = 1 is caught too: the Appell numbers of its q(t),
+        # the shift alone, are one more series product.  At n = 3 the factors
+        # of corollary10's first sum, 4 H_{l-1} E_l(0)/l!, vanish below l = 3
+        # (H_0 = E_2(0) = 0), so its Appell numbers read no t^1 or t^2 of
+        # the Bernoulli series there; it is caught at n = 4
+        assert [key for key in keys if key not in caught] == []
+        assert [key for key in keys if 0 not in caught[key]] == [("corollary10", "first", None)]
 
 
 # ---------------------------------------------------------------------------
@@ -1367,10 +1591,8 @@ class TestOneSubsetExpansion:
         assert not hasattr(identities, "_bernoulli_powers")
 
 
-# The displays whose binomial right-side sums are Appell sums.
-APPELL_DISPLAYS = [("theorem1", ""), ("theorem3", ""), ("corollary1", ""), ("corollary3", ""), ("corollary4", "a=1"),
-                   ("corollary4", "a=2"), ("eq-2-12", ""), ("corollary5", ""), ("corollary6", ""), ("eq-2-15", ""),
-                   ("corollary7", ""), ("corollary10", "first"), ("corollary10", "second")]
+# The displays whose binomial sums are Appell sums.
+APPELL_DISPLAYS = list(APPELL_REFERENCES)
 VANISHING = {"bernoulli_number", "euler_poly_at_zero"}
 
 
@@ -1397,11 +1619,17 @@ def _vanishing_term_tests(source):
 
 
 class TestOneAppellSum:
-    """Every binomial right-side sum scale sum_l C(m, l) c_l B_{m-l}(x) is
-    one `_appell` call, and it alone skips a vanishing term."""
+    """Every binomial sum scale sum_l C(m, l) c_l B_{m-l}(x) is the Appell
+    polynomial of numbers read off one series product per line
+    (`_appell_numbers`, then `appell` at each n), and no sum skips a
+    vanishing term."""
 
-    def test_only_the_appell_sum_skips_vanishing_terms(self):
-        assert _vanishing_term_tests(SOURCES["identities.py"]) == {"_appell"}
+    def test_no_sum_skips_a_vanishing_term(self):
+        assert _vanishing_term_tests(SOURCES["identities.py"]) == set()
+
+    def test_no_term_generator_is_left(self):
+        for name in ("_appell", "_centered_euler_pair"):
+            assert not hasattr(identities, name), name
 
     def test_the_scan_sees_each_condition(self):
         source = (
@@ -1415,10 +1643,11 @@ class TestOneAppellSum:
 
     @pytest.mark.parametrize("name, label", APPELL_DISPLAYS)
     def test_each_binomial_sum_is_an_appell_sum(self, name, label):
-        # the display calls `_appell`; no comprehension but the one over the
-        # line's ns calls `binomial`, and no constant term stands apart
+        # the display forms its Appell numbers and expands them; no
+        # comprehension but the one over the line's ns calls `binomial`, and
+        # no constant term stands apart
         fn = TestConvolutionDesign._functions()[_display(name, label)[0].__name__]
-        assert "_appell" in _called_names(fn)
+        assert {"_appell_numbers", "appell"} <= _called_names(fn)
         for node in ast.walk(fn):
             if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and [
                     ast.unparse(gen.target) for gen in node.generators] != ["n"]:

@@ -15,6 +15,7 @@ from bek.exactmath import (
     binomial,
     poly,
     poly_add,
+    poly_compose_linear,
     poly_eval,
     poly_mul,
     poly_scale,
@@ -23,6 +24,7 @@ from bek.exactmath import (
 )
 from bek.sequences import (
     SequenceCache,
+    appell,
     bernoulli_number,
     bernoulli_poly,
     euler_number,
@@ -186,6 +188,29 @@ class TestPolynomialTables:
         for n in range(12):
             assert len(bernoulli_poly(n)) == n + 1 and bernoulli_poly(n)[-1] == 1
             assert len(euler_poly(n)) == n + 1 and euler_poly(n)[-1] == 1
+
+
+class TestAppellExpansion:
+    """`appell`, which builds B_n(x) and E_n(x) and the identities' Appell
+    sums, against the term sum through `comb * Fraction` and `poly`."""
+
+    VALUES = [Fraction(0), Fraction(0), Fraction(-3, 4), Fraction(5), Fraction(0), Fraction(-7, 9), Fraction(2, 3)]
+
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [1, -2, Fraction(3, 10), 0])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_scaled_at_lam_x(self, lead, scale, lam):
+        # zero leading values make a polynomial of lower degree, trimmed as
+        # `poly` trims it; a zero scale makes the zero polynomial
+        values = self.VALUES[lead:]
+        expected = poly_scale(scale, poly_compose_linear(_reference_appell(values), lam))
+        assert appell(values, scale, lam) == expected
+        assert not expected or expected[-1] != 0
+
+    def test_the_tables_are_its_unscaled_expansion(self):
+        for m in range(12):
+            assert bernoulli_poly(m) == appell([bernoulli_number(j) for j in range(m + 1)])
+            assert euler_poly(m) == appell([euler_poly_at_zero(j) for j in range(m + 1)])
 
 
 class TestZigzagFill:
