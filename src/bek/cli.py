@@ -270,9 +270,9 @@ def _write_json(rows: Iterable[Mapping], out: TextIO, pad: str = "") -> None:
     out.write("\n" + pad + "]" if sep else "]")
 
 
-# the fields of a verify report that hold polynomials, whose csv cells are
-# their coefficients joined by ';'
-_POLY_FIELDS = frozenset({"lhs", "rhs", "difference"})
+# the fields of a verify report and of a tables row that hold polynomials,
+# whose csv cells are their coefficients joined by ';'
+_POLY_FIELDS = frozenset({"lhs", "rhs", "difference", "B_poly", "E_poly"})
 
 
 def _csv_cell(key: str, v: object) -> object:
@@ -290,8 +290,8 @@ def _csv_cell(key: str, v: object) -> object:
 
 def _write_rows(fmt: str, rows: Iterable[Mapping], out: TextIO) -> None:
     """Write the rows, streamed, as a json array or as csv lines under a
-    header of the first row's keys: the json and csv formats of every
-    command but `tables`."""
+    header of the first row's keys: the csv format of every command, and the
+    json format of every command but `tables`."""
     if fmt == "json":
         _write_json(rows, out)
         out.write("\n")
@@ -467,11 +467,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
         out.write("\n}\n")
         return 0
     if config.format == "csv":
-        # a cell holds only digits, '-', '/' and ';', which csv never quotes,
-        # so each line is the cells joined by commas
-        out.write("n,B,E,G,B_poly,E_poly\n")
-        for row in map(_tables_cells, ns):
-            out.write(f"{row['n']},{row['B']},{row['E']},{row['G']},{';'.join(row['B_poly'])},{';'.join(row['E_poly'])}\n")
+        _write_rows("csv", map(_tables_cells, ns), out)
         return 0
     numbers = [(str(bernoulli_number(n)), str(euler_number(n)), str(genocchi_number(n))) for n in ns]
     widths = [max(len(f"{key}_n"), *(len(row[i]) for row in numbers)) for i, key in enumerate("BEG")]

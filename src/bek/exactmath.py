@@ -438,14 +438,6 @@ def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:
     return out
 
 
-def poly_compose_linear(p: Poly, c: Fraction | int) -> Poly:
-    """The polynomial x -> p(c*x)."""
-    out = [a * Fraction(c) ** i for i, a in enumerate(p)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _taylor_shift(nums: list[int], u: Fraction) -> list[int]:
     """Numerators of s^d p(x + u) for p with integer numerators `nums` (of
     degree d = len(nums) - 1) and the shift u = r/s in lowest terms.

@@ -81,7 +81,6 @@ from .exactmath import (
     is_exact,
     pochhammer,
     poly,
-    poly_compose_linear,
     poly_lincomb,
     poly_mul,
     poly_sub,
@@ -424,9 +423,11 @@ def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
     numbers = _appell_numbers(s, bernoulli_number, max(ns))
     lhs = [appell(numbers[: n + 1]) for n in ns]
+    # B_m(2x) is the Appell polynomial of B_0..B_m at 2x
+    bernoulli = [bernoulli_number(l) for l in range(max(ns) + 1)]
     rhs = [poly_lincomb([
-        (Fraction(n) / Fraction(2) ** n, poly_mul(poly([-1, 2]), poly_compose_linear(bernoulli_poly(n - 1), 2))),
-        (Fraction(-(n - 1)) / Fraction(2) ** n, poly_compose_linear(bernoulli_poly(n), 2)),
+        (Fraction(n, 2 ** n), poly_mul(poly([-1, 2]), appell(bernoulli[:n], 1, 2))),
+        (Fraction(-(n - 1), 2 ** n), appell(bernoulli[: n + 1], 1, 2)),
         (Fraction(-n, 4), bernoulli_poly(n - 1)),
     ]) for n in ns]
     return list(zip(lhs, rhs))

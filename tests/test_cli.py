@@ -425,6 +425,14 @@ class TestTablesCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "344da36007e8631444cd1e043a2b2619d6c0e9e1929a98076be3d485184f34e3")
 
+    def test_csv_goes_through_the_row_writer(self, monkeypatch):
+        # the one csv writer of every command, fed the cells of each row
+        calls = []
+        real = cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows", lambda fmt, rows, out: calls.append(fmt) or real(fmt, rows, out))
+        code, out, _ = _run(RunConfig(command="tables", max_n=2, format="csv"))
+        assert code == 0 and calls == ["csv"] and len(out.splitlines()) == 4
+
     def test_csv_cells_never_need_quoting(self):
         # the csv lines are the cells joined by commas: no cell may hold a
         # character that the csv module would quote
@@ -474,7 +482,9 @@ class TestTablesCommand:
             expected = [("bernoulli_poly", n, n) for n in range(max_n + 1)]
             expected += [("euler_poly", n, max_n + 1 + n) for n in range(max_n + 1)]
         else:
-            rows = (lambda text: text.count('"n": ')) if fmt == "json" else (lambda text: text.count("\n") - 1)
+            # csv: the lines after the header, which `_write_rows` writes
+            # with the first row
+            rows = (lambda text: text.count('"n": ')) if fmt == "json" else (lambda text: len(text.splitlines()[1:]))
             builder = "_tables_row" if fmt == "json" else "_tables_cells"
             spy(builder, getattr(cli, builder), rows)
             expected = [(builder, n, n) for n in range(max_n + 1)]

@@ -34,7 +34,6 @@ from bek.exactmath import (
     pochhammer_parts,
     poly,
     poly_add,
-    poly_compose_linear,
     poly_eval,
     poly_lincomb,
     poly_mul,
@@ -362,10 +361,6 @@ class TestPolynomials:
     def test_eval_frozen(self):
         p = poly([Fraction(1, 6), -1, 1])
         assert poly_eval(p, Fraction(1, 2)) == Fraction(-1, 12)
-
-    def test_compose_linear_frozen(self):
-        p = poly([Fraction(1, 6), -1, 1])
-        assert poly_compose_linear(p, 2) == poly([Fraction(1, 6), -2, 4])
 
     @given(small_polys, small_polys, rationals)
     def test_add_matches_pointwise(self, p, q, x):
