@@ -643,7 +643,8 @@ def parameter_tuples(draw, k_min):
 
 class TestStatements:
     """Each display equals its statement exactly, both sides, on its whole
-    default grid, and the k-fold and long displays off it too."""
+    default grid and at a point off it; the k-fold and long displays at
+    random points too."""
 
     def test_every_display_has_one_statement(self):
         assert list(STATEMENTS) == [(name, label) for name, entry in REGISTRY.items() for label, _ in entry.displays]
@@ -655,6 +656,20 @@ class TestStatements:
         for checked, (pt, sides) in enumerate(_along_default_lines(name, label), 1):
             assert sides == STATEMENTS[name, label](pt), pt
         assert checked == len(build_points(REGISTRY[name]))
+
+    @pytest.mark.parametrize("name, label", list(STATEMENTS))
+    def test_a_point_off_the_grid_matches_the_statement(self, name, label):
+        # the first default point with n one step past the top of its line and
+        # every rational parameter raised by 1/7: a point no default grid holds
+        entry = REGISTRY[name]
+        pt = build_points(entry)[0]
+        pt["n"] = max(entry.default_n(pt.get("k"))) + entry.n_step
+        for key in entry.param_names:
+            pt[key] = tuple(v + F(1, 7) for v in pt[key]) if key == "a_vec" else pt[key] + F(1, 7)
+        assert entry.validity(pt) and pt not in build_points(entry)
+        (sides,) = entry.sides(dict(entry.displays)[label], [pt])
+        assert sides == STATEMENTS[name, label](pt)
+        assert sides[0] == sides[1]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 8), parameter_tuples(2))
