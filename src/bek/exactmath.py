@@ -25,6 +25,16 @@ Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, and the integer form of the polynomials
 a convolution reads is built once per family and top degree.
 
+A convolution's first two slots read one more memo, the pair table
+`_pair_product`: the product of P_l and P_m in their own integer forms,
+over d_l d_m, keyed on (family, l, m) with l <= m.  It does not depend on
+a line's top degree or weights, so every two-slot line of a family, and
+the prefix of every longer one, reads the same products; a line only
+scales and adds them.  It is an `lru_cache` of 4096 entries, which holds
+both families up to the CLI's largest n, and is thread safe as the other
+memos are: an entry is an immutable tuple, a pure function of its key,
+and two threads that miss on one key form equal values.
+
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
 sequence and, for a parameter a, one per a: each new entry is one
@@ -347,22 +357,32 @@ def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int
     return out
 
 
-def _paired_coefficient(nums: Sequence[Sequence[int]], w0: Sequence[int], w1: Sequence[int], j: int) -> list[int]:
-    """The coefficient of t^j in S_0(t) S_1(t), S_i = sum_l w_i[l] nums[l] t^l,
-    with each unordered pair of polynomials multiplied once:
-    sum over l <= j - l of (w0[l] w1[j-l] + w0[j-l] w1[l]) nums[l] nums[j-l],
-    the middle term l = j/2 counted once, and only the shorter factor of
-    each product scaled."""
-    pairs = []
+# 4096 entries hold every pair l + m <= 70 (the CLI's largest n) of both
+# families, 2 x 1296 of them in 5.4 MB; a longer line evicts the oldest.
+@lru_cache(maxsize=4096)
+def _pair_product(family: Callable[[int], Poly], l: int, m: int) -> tuple[int, ...]:
+    """The product of P_l = family(l) and P_m = family(m), l <= m, in their
+    own integer forms: its numerators over d_l d_m, d_i the lcm of P_i's
+    denominators.  Unlike the family forms it depends on no top degree, so
+    every line of a family reads the same entry."""
+    (p, _), (q, _) = _int_form(family(l)), _int_form(family(m))
+    out = [0] * (len(p) + len(q) - 1)
+    _mul_into(out, p, q)
+    return tuple(out)
+
+
+def _paired_coefficient(family: Callable[[int], Poly], w0: Sequence[int], w1: Sequence[int], j: int) -> list[int]:
+    """The coefficient of t^j in S_0(t) S_1(t), S_i = sum_l w_i[l] P_l t^l
+    and P_l = family(l), over T^2 for weights that carry the factor T/d_l:
+    sum over l <= j - l of (w0[l] w1[j-l] + w0[j-l] w1[l]) Q_{l,j-l}, Q the
+    pair products of `_pair_product` (over d_l d_m), the middle term
+    l = j/2 counted once and no pair of weight 0 read."""
+    out = []
     for l in range(j // 2 + 1):
         m = j - l
         c = w0[l] * w1[m] + w0[m] * w1[l] if l < m else w0[l] * w1[l]
-        p, q = nums[l], nums[m]
-        if c and p and q:
-            pairs.append((c, p, q) if len(p) <= len(q) else (c, q, p))
-    out = [0] * max((len(p) + len(q) - 1 for _, p, q in pairs), default=0)
-    for c, p, q in pairs:
-        _mul_into(out, [c * v for v in p], q)
+        if c:
+            out = [a + c * v for a, v in zip_longest(out, _pair_product(family, l, m), fillvalue=0)]
     return out
 
 
@@ -380,8 +400,9 @@ def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
     integer form over their common denominator, built once per (family, N)
     (`_family_forms`), and each slot's weights another over theirs, so
     every S_i is a series of integer polynomials.  The first two slots form
-    a prefix series truncated after t^N, each unordered pair of polynomials
-    multiplied once (`_paired_coefficient`), and the slots after them but
+    a prefix series truncated after t^N (`_paired_coefficient`), a weighted
+    sum of the pair products P_l P_m, l <= m, which the pair table
+    (`_pair_product`) forms once per process, and the slots after them but
     the last are multiplied into it in turn, once for the whole line; the
     last contributes only the coefficient of t^n, read once per distinct n
     (for two slots, the pair's own coefficient).  The denominators and the
@@ -403,14 +424,22 @@ def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
     distinct = {n for n in ns if n >= 0}
     if len(ints) == 1:
         tops = {n: [ints[0][n] * v for v in nums[n]] for n in distinct}
-    elif len(ints) == 2:
-        tops = {n: _paired_coefficient(nums, ints[0], ints[1], n) for n in distinct}
     else:
-        series = [[[c * v for v in p] if c else [] for c, p in zip(w, nums)] for w in ints[2:]]
-        prefix = [_paired_coefficient(nums, ints[0], ints[1], j) for j in range(top_n + 1)]
-        for s in series[:-1]:
-            prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
-        tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
+        # The pair products are over d_l d_m, so each weight of the first
+        # two slots takes the factor T/d_l that puts every pair over T^2.
+        # T/d_l is the gcd of T and P_l's numerators over T: for each prime,
+        # the coefficient whose denominator holds it most often has a
+        # numerator free of it.
+        rescale = [gcd(terms_den, *p) for p in nums]
+        w0, w1 = ([v * r for v, r in zip(w, rescale)] for w in ints[:2])
+        if len(ints) == 2:
+            tops = {n: _paired_coefficient(family, w0, w1, n) for n in distinct}
+        else:
+            series = [[[c * v for v in p] if c else [] for c, p in zip(w, nums)] for w in ints[2:]]
+            prefix = [_paired_coefficient(family, w0, w1, j) for j in range(top_n + 1)]
+            for s in series[:-1]:
+                prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
+            tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
     return [_from_int_form([scale.numerator * v for v in tops[n]], den * scale.denominator) if n >= 0 else ZERO
             for n, scale in zip(ns, map(Fraction, scales))]
 
@@ -419,12 +448,14 @@ def convolution_work(k: int, n: int) -> int:
     """A bound on the integer coefficient products `convolution_coefficients`
     forms for a one-point line at n with k slots, and 0 for n < 0:
     C(n + 4, 4) in each of its k - 2 middle steps and C(n + 3, 3) in its
-    last.  It is exact at n = 0 for k >= 2; the first step multiplies each
-    unordered pair once, so it forms about half its count, and one slot
-    forms no product.  A line forms the prefix of its largest n once and
-    its last step once per distinct n, so its count stays within the sum
-    of the bound over its points.  A change to that loop must keep the
-    bound, which a test counts it against."""
+    last.  It bounds a line over a cold pair table, and is exact there at
+    n = 0 for k >= 2: the first step multiplies each unordered pair once,
+    so it forms about half its count, and a pair the table already holds
+    is not formed again; one slot forms no product.  A line forms the
+    prefix of its largest n once and its last step once per distinct n,
+    so its count stays within the sum of the bound over its points.  A
+    change to that loop must keep the bound, which a test counts it
+    against."""
     return max(k - 2, 0) * comb(n + 4, 4) + comb(n + 3, 3) if n >= 0 else 0
 
 

@@ -556,8 +556,10 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
     lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(top - 1)] * 2, [1] * len(ns))
-    # 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and the constant term
-    # is the term l = n
+    # the sum over l of 4 C(n-2, l-1)/(l (n-l)) H_{l-1} E_l(0) B_{n-l}(x):
+    # Bernoulli polynomials, so its Appell numbers are read with
+    # bernoulli_number; 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and
+    # the constant term is the term l = n
     s = _number_series(euler_poly_at_zero, top, lambda l: 4 * harmonic(l - 1) / factorial(l), 1)
     numbers = _appell_numbers(s, bernoulli_number, top)
     rhs = [poly_lincomb([(Fraction(1, n * (n - 1)), appell(numbers[: n + 1])),
@@ -569,8 +571,10 @@ def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
     lhs = [convolution_coefficients(euler_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [1])[0] for n in ns]
-    # C(n-1, l-1)/(l (n+1-l)) = C(n+1, l)/(n (n+1)), and the constant term
-    # is the term l = n + 1
+    # the sum over l of C(n-1, l-1)/(l (n+1-l)) (H_{l-1}^2 + 3 H^(2)_{l-1})
+    # E_l(0) B_{n+1-l}(x): Bernoulli polynomials, so its Appell numbers are
+    # read with bernoulli_number; C(n-1, l-1)/(l (n+1-l)) = C(n+1, l)/(n (n+1)),
+    # and the constant term is the term l = n + 1
     s = _number_series(euler_poly_at_zero, max(ns) + 1,
                        lambda l: (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) / factorial(l), 1)
     numbers = _appell_numbers(s, bernoulli_number, max(ns) + 1)

@@ -39,6 +39,7 @@ from numbers import Integral, Rational
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import (
+    GrowingTables,
     Poly,
     ZERO,
     as_exact,
@@ -275,12 +276,26 @@ def umbral_eval(e: UmbralExpr) -> Poly:
     return poly([acc.get(i, Fraction(0)) for i in range(top + 1)])
 
 
+_EGF_TABLES = GrowingTables()
+
+
 @lru_cache(maxsize=4096)
+def _egf_table(kind: SymbolKind, c: Fraction) -> list[Fraction]:
+    """The growing coefficient table of `_moment_egf` for (kind, c); the
+    cache bounds the number of tables."""
+    return []
+
+
 def _moment_egf(kind: SymbolKind, c: Fraction, d: int) -> Poly:
     """sum_{j<=d} c^j mu(j) t^j / j!: the exponential generating function of
-    the moments mu of a symbol of this kind, scaled by c, truncated at t^d."""
-    moment = _MOMENTS[kind]
-    return poly(c**j * moment(j) / factorial(j) for j in range(d + 1))
+    the moments mu of a symbol of this kind, scaled by c, truncated at t^d.
+    One table per (kind, c) holds the coefficients, so a larger d adds only
+    the coefficients above the largest d asked before."""
+    if d < 0:
+        return ZERO
+    table, moment = _egf_table(kind, c), _MOMENTS[kind]
+    _EGF_TABLES._entry("moment egf", table, d, lambda j: c**j * moment(j) / factorial(j))
+    return poly(table[: d + 1])
 
 
 def umbral_moment_eval(f: Poly, affine: Sequence[AffineTerm]) -> Poly:

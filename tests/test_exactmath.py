@@ -591,7 +591,8 @@ class TestConvolutionWork:
     meets the count at n = 0 from two slots on, and a line forms no more
     than the sum of the bound over its points, so a kernel change that
     forms more products than the bound, or a bound that drops one, fails
-    here."""
+    here.  Each line is counted over a cold pair table (`_pair_product`),
+    the most it forms: a warm one forms fewer."""
 
     # gapped, unsorted and repeated lines, and the default grids' shape
     LINES = ([3, 7, 12, 30], [30, 2, 2, 17], [20, 0], list(range(0, 15)), [5, 5, 5])
@@ -613,15 +614,16 @@ class TestConvolutionWork:
         for family in (bernoulli_poly, euler_poly):
             for k in range(1, 9):
                 for n in range(0, 31, 5):
-                    counted[0] = 0
-                    convolution_coefficients(family, [n], [[1] * (n + 1)] * k, [1])
+                    count = self._count(counted, family, [n], k)
                     work = convolution_work(k, n)
-                    assert counted[0] <= work, (family.__name__, k, n)
+                    assert count <= work, (family.__name__, k, n)
                     # one slot only scales P_n, and forms no product
-                    assert n or counted[0] == (work if k >= 2 else 0), (family.__name__, k, n)
+                    assert n or count == (work if k >= 2 else 0), (family.__name__, k, n)
         assert [convolution_work(k, -1) for k in (1, 2, 16)] == [0, 0, 0]
 
     def _count(self, counted, family, ns, k):
+        """The products of a line of ones over a cold pair table."""
+        exactmath._pair_product.cache_clear()
         counted[0] = 0
         convolution_coefficients(family, ns, [[1] * (max(ns) + 1)] * k, [1] * len(ns))
         return counted[0]
@@ -637,6 +639,57 @@ class TestConvolutionWork:
                     # the prefix once
                     alone = sum(self._count(counted, family, [n], k) for n in set(ns))
                     assert count == alone if k <= 2 or len(set(ns)) == 1 else count < alone, (family.__name__, k, ns)
+
+    @pytest.mark.parametrize("first, second", [(30, 10), (10, 30)])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
+    def test_a_second_line_forms_no_pair_the_table_holds(self, counted, family, k, first, second):
+        def line(top, slots):
+            weights = [[Fraction(l + i + 1, 2 * i + 3) for l in range(top + 1)] for i in range(slots)]
+            return convolution_coefficients(family, list(range(top + 1)), weights, [1] * (top + 1))
+
+        # a two-slot line of ones from 0 to n forms each pair l + m <= n once
+        held = self._count(counted, family, list(range(min(first, second) + 1)), 2)
+        exactmath._pair_product.cache_clear()
+        counted[0] = 0
+        cold = line(second, k)
+        cold_count = counted[0]
+        exactmath._pair_product.cache_clear()
+        line(first, 2)
+        counted[0] = 0
+        assert line(second, k) == cold
+        # the first line's pairs l + m <= min(first, second) are read, not formed
+        assert counted[0] == cold_count - held
+        # so a two-slot line inside the first forms no product at all
+        assert counted[0] > 0 if k == 3 or second > first else counted[0] == 0
+
+    def test_threads_sharing_one_cold_table_agree(self):
+        # more threads than cores, switching often, each running lines of
+        # both families over one cold pair table: a torn or wrong entry
+        # would change some thread's coefficients
+        ns, count = list(range(21)), 4
+        weights = [[Fraction(l + 1, 3) for l in range(21)], [Fraction(2, l + 1) for l in range(21)]]
+        expected = [convolution_coefficients(f, ns, weights * k, [1] * 21)
+                    for f in (bernoulli_poly, euler_poly) for k in (1, 2)]
+        exactmath._pair_product.cache_clear()
+        results: list = []
+
+        def run():
+            results.append([convolution_coefficients(f, ns, weights * k, [1] * 21)
+                            for f in (bernoulli_poly, euler_poly) for k in (1, 2)])
+
+        threads = [threading.Thread(target=run) for _ in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * count
 
 
 def _private_kernel_imports(source: str) -> list[str]:

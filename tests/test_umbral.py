@@ -184,6 +184,19 @@ class TestMomentEval:
         assert umbral_moment_eval(ZERO, affine) == ZERO
         assert umbral_moment_eval(poly([F(5, 2)]), affine) == poly([F(5, 2)])
 
+    def test_one_egf_table_per_kind_and_scale(self):
+        # one table per (kind, c) grows to the largest d asked and is sliced
+        # at each d, in any order; B_9 = 0 trims the slice at d = 9
+        umbral._egf_table.cache_clear()
+        c = F(-2, 3)
+        for kind in SymbolKind:
+            moment = umbral._MOMENTS[kind]
+            for d in (6, 2, 9, -1, 0):
+                assert umbral._moment_egf(kind, c, d) == poly(
+                    [c ** j * moment(j) / math.factorial(j) for j in range(d + 1)])
+            assert len(umbral._egf_table(kind, c)) == 10
+        assert umbral._egf_table.cache_info().currsize == len(SymbolKind)
+
     def test_shift_correspondence(self):
         for n in range(16):
             monomial = poly([0] * n + [1])
