@@ -488,8 +488,9 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
     entry = _checked(config.identity, (), registry)[0]
     if config.n_range:
         ns = config.n_range
-        # max(), or the integer check, would walk an oversized range
-        top = ns[-1] if isinstance(ns, range) else max(as_exact(ns, Integral, "--n"))
+        # max(), or the integer check, would walk an oversized range; a
+        # range's largest value is one of its ends, in either order
+        top = max(ns[0], ns[-1]) if isinstance(ns, range) else max(as_exact(ns, Integral, "--n"))
         _refuse_above("--n", top, MAX_VERIFY_N)
     _refuse_tall_params(config.params)
     if entry.takes_k and config.k is not None:

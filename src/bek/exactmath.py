@@ -31,9 +31,11 @@ over d_l d_m, keyed on (family, l, m) with l <= m.  It does not depend on
 a line's top degree or weights, so every two-slot line of a family, and
 the prefix of every longer one, reads the same products; a line only
 scales and adds them.  It is an `lru_cache` of 4096 entries, which holds
-both families up to the CLI's largest n, and is thread safe as the other
-memos are: an entry is an immutable tuple, a pure function of its key,
-and two threads that miss on one key form equal values.
+both families up to the CLI's largest n, and its factors' own integer
+forms are one more, `_own_form`, built once per (family, l).  Both are
+thread safe as the other memos are: an entry is an immutable tuple, a
+pure function of its key, and two threads that miss on one key form
+equal values.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
@@ -357,15 +359,23 @@ def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int
     return out
 
 
+@lru_cache(maxsize=1024)
+def _own_form(family: Callable[[int], Poly], l: int) -> tuple[int, ...]:
+    """The numerators of P_l = family(l) over d_l, the lcm of its
+    denominators: its own integer form, built once per (family, l) for
+    every pair product it enters."""
+    return tuple(_int_form(family(l))[0])
+
+
 # 4096 entries hold every pair l + m <= 70 (the CLI's largest n) of both
 # families, 2 x 1296 of them in 5.4 MB; a longer line evicts the oldest.
 @lru_cache(maxsize=4096)
 def _pair_product(family: Callable[[int], Poly], l: int, m: int) -> tuple[int, ...]:
     """The product of P_l = family(l) and P_m = family(m), l <= m, in their
-    own integer forms: its numerators over d_l d_m, d_i the lcm of P_i's
-    denominators.  Unlike the family forms it depends on no top degree, so
-    every line of a family reads the same entry."""
-    (p, _), (q, _) = _int_form(family(l)), _int_form(family(m))
+    own integer forms (`_own_form`): its numerators over d_l d_m.  Unlike
+    the family forms it depends on no top degree, so every line of a
+    family reads the same entry."""
+    p, q = _own_form(family, l), _own_form(family, m)
     out = [0] * (len(p) + len(q) - 1)
     _mul_into(out, p, q)
     return tuple(out)

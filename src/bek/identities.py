@@ -3,7 +3,13 @@
 Every entry evaluates both sides of one displayed identity as exact
 polynomials in x over the rationals (number-level identities produce
 degree-0 polynomials) and never shares work between the two sides beyond
-the memoized sequence tables, so a sign slip on either side cannot cancel.
+memos whose values depend on their keys alone: the sequence tables, and
+the kernel's pair table of products of their entries, P_l(x) P_m(x),
+which the left sides and the right side of corollary11's second display
+read.  So a sign slip on either side cannot cancel, and neither can a
+corrupted table entry: where both sides read a pair, they read it at
+different points of a line, and a test corrupts one entry to see each
+display that reads it fail.
 Parameters stated for real values are verified on positive rational
 instances.  What a report checks is exact equality of every coefficient
 at the listed points (each n, and each parameter set of the grids below),
@@ -41,19 +47,26 @@ the kernel's `convolution_coefficients` takes the family P, one list
 w_i(0..N) per slot (0 where a term is absent, the same list for every n
 of the line, N the largest) and one scale per n, and reads each sum off
 one truncated series product, as the coefficient of t^n in
-prod_i sum_l w_i(l) P_l(x) t^l.  A sum of the polynomials with number
+prod_i sum_l w_i(l) P_l(x) t^l.  A weight that depends on n through a
+harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l - h_l with r_l =
+1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1} [t^n] R^2 - [t^n] H R,
+R and H the series of r and h: two lines whose weights are free of n,
+with the harmonic number in the scales.  A sum of the polynomials with number
 weights, sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an
 Appell polynomial (the umbral calculus; Roman, The Umbral Calculus, ch.
 2): its numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are
-read off one `series_product` for the line (`_appell_numbers`), and at
-each m `sequences.appell` expands A_0..A_m, as it expands B_n(x) and
-E_n(x) themselves, so an n costs numbers, not polynomials.  A binomial sum
+read off one `series_product` for the line (`_appell_numbers`), as
+integer numerators over one denominator, and at each m `sequences.appell`
+expands A_0..A_m, as it expands B_n(x) and E_n(x) themselves, so an n
+costs numbers, not polynomials.  A binomial sum
 sum_l C(m, l) c_l B_{m-l}(x) is the case s_l = c_l/l!, and a binomial
 other than C(m, l) is written as C(m, l) times a factor of m and a factor
 of l.  A term kappa C(m, l) P_{m-l}(x), kappa free of m and under the
 sum's scale, adds kappa/l! to s_l (kappa m B_{m-1}(x) adds kappa to s_1),
 and a term alpha_m P_m(x) adds alpha_m P_r(0) to the numbers of that m
-(`_plus_numbers`).  No sum skips a vanishing term.
+(`_plus_numbers`), by integer multiply-adds against the P_r(0) over one
+denominator, formed once per sequence and top (`_number_form`).  No sum
+skips a vanishing term.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -65,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby
-from math import factorial
+from math import factorial, lcm
 from numbers import Integral, Rational
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -146,28 +159,59 @@ def _reciprocals(n: int) -> list[Fraction]:
     return [Fraction(0), *(Fraction(1, l) for l in range(1, n + 1))]
 
 
-def _harmonic_tails(n: int) -> list[Fraction]:
-    """(H_{n-1} - H_{l-1}) / l for l = 1..n, and 0 at l = 0."""
-    return [Fraction(0), *((harmonic(n - 1) - harmonic(l - 1)) / l for l in range(1, n + 1))]
+def _harmonic_reciprocals(n: int) -> list[Fraction]:
+    """H_{l-1} / l for l = 1..n, and 0 at l = 0."""
+    return [Fraction(0), *(harmonic(l - 1) / l for l in range(1, n + 1))]
+
+
+# Numbers over one denominator: integer numerators and that positive denominator.
+Numbers = tuple[list[int], int]
+
+
+def _over_lcm(values: Iterable[Fraction]) -> Numbers:
+    """The values as integer numerators over the lcm of their denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+@lru_cache(maxsize=64)
+def _number_form(number: Callable[[int], Fraction], top: int) -> tuple[tuple[int, ...], int]:
+    """number(0..top) over one denominator, formed once per number sequence
+    and top for every line that reads it."""
+    nums, den = _over_lcm(number(r) for r in range(top + 1))
+    return tuple(nums), den
 
 
 def _appell_numbers(s: Sequence[Fraction], number: Callable[[int], Fraction], top: int,
-                    lam: int = 1) -> list[Fraction]:
-    """A_r = r! [t^r] s(t) pi(t) for r = 0..top, with pi_r = lam^r number(r)/r!:
-    the numbers of the Appell polynomial sum_{i<=m} s_{m-i} lam^i P_i(x)/i! =
-    `appell`(A_0..A_m, 1/m!, lam) at every m <= top, P_i the polynomials of
-    `number` (B_i(x) for the Bernoulli numbers, E_i(x) for E_i(0)).  One
-    series product serves the whole line, where s holds factors of the
-    index m - i alone."""
+                    lam: int = 1) -> Numbers:
+    """A_r = r! [t^r] s(t) pi(t) for r = 0..top, with pi_r = lam^r number(r)/r!,
+    over one denominator: the numbers of the Appell polynomial sum_{i<=m}
+    s_{m-i} lam^i P_i(x)/i! = `appell`(A_0..A_m, 1/m!, lam) at every m <=
+    top, P_i the polynomials of `number` (B_i(x) for the Bernoulli numbers,
+    E_i(x) for E_i(0)).  One series product serves the whole line, where s
+    holds factors of the index m - i alone."""
     pi = _number_series(number, top, lambda r: Fraction(lam ** r, factorial(r)))
     product = series_product((s, pi), top)
-    return [factorial(r) * _coeff(product, r) for r in range(top + 1)]
+    return _over_lcm(factorial(r) * _coeff(product, r) for r in range(top + 1))
 
 
-def _plus_numbers(values: Sequence[Fraction], alpha: Fraction, number: Callable[[int], Fraction]) -> list[Fraction]:
-    """values_r + alpha number(r): an alpha P_m(x) term added to the Appell
-    polynomial of the values, m = len(values) - 1."""
-    return [v + alpha * number(r) for r, v in enumerate(values)]
+def _plus_numbers(numbers: Numbers, n: int, alpha: Fraction, number: Callable[[int], Fraction],
+                  last: Fraction = Fraction(0)) -> Numbers:
+    """values_r + alpha number(r) for r = 0..n, and `last` more at r = n,
+    over one denominator, where values_r is the r-th of the line's Appell
+    numbers `numbers`: an alpha P_n(x) term added to the Appell polynomial
+    of the values.  number(0..N), N the line's top, are read over one
+    denominator formed once per number sequence and N (`_number_form`), so
+    an n costs integer multiply-adds."""
+    nums, den = numbers
+    p_nums, p_den = _number_form(number, len(nums) - 1)
+    alpha_den = alpha.denominator * p_den
+    out_den = lcm(den, alpha_den, last.denominator)
+    up, times = out_den // den, alpha.numerator * (out_den // alpha_den)
+    out = [up * v + times * p for v, p in zip(nums[: n + 1], p_nums)]
+    out[n] += last.numerator * (out_den // last.denominator)
+    return out, out_den
 
 
 def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction]) -> list[Poly]:
@@ -175,6 +219,21 @@ def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequen
     P = family, the left side of theorems 1-4, at each n."""
     return convolution_coefficients(family, ns, [rising_weights(a, max(ns)) for a in a_vec],
                                     [factorial(n) / pochhammer(sum(a_vec), n) for n in ns])
+
+
+def _harmonic_pair_sums(family: Callable[[int], Poly], ns: Sequence[int], plain: Sequence[Fraction | int],
+                        weighted: Sequence[Fraction | int]) -> list[Poly]:
+    """plain_j [t^n] R^2 - weighted_j [t^n] H R at each n = ns[j], with R =
+    sum_l P_l(x) t^l / l, H = sum_l H_{l-1} P_l(x) t^l / l and P = family:
+    the sum over 0 < l < n of (plain_j - weighted_j H_{l-1}) / (l (n-l))
+    P_l(x) P_{n-l}(x).  At plain_j = c H_{n-1} and weighted_j = c it is the
+    pair sum of the harmonic weights c (H_{n-1} - H_{l-1}) / (l (n-l)),
+    which depend on n, read off two lines whose weights do not."""
+    top = max(ns)
+    reciprocals = _reciprocals(top)
+    return [poly_sub(p, q) for p, q in zip(
+        convolution_coefficients(family, ns, [reciprocals] * 2, plain),
+        convolution_coefficients(family, ns, [_harmonic_reciprocals(top), reciprocals], weighted))]
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
@@ -193,8 +252,8 @@ def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Frac
     series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, top))) for ai in a_vec]
     q = subset_series(series, shifts, top)
     total = sum(a_vec)
-    numbers = _appell_numbers([_coeff(q, r) / pochhammer(total, r) for r in range(top + 1)], number, top)
-    return [appell(numbers[: d + 1], w / factorial(d)) for d, w in terms]
+    nums, den = _appell_numbers([_coeff(q, r) / pochhammer(total, r) for r in range(top + 1)], number, top)
+    return [appell(nums[: d + 1], den, w / factorial(d)) for d, w in terms]
 
 
 def _number_series(number: Callable[[int], Fraction], top: int, weight: Callable[[int], Fraction | int],
@@ -226,8 +285,8 @@ def _theorem1(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, P
     # n a b / ((a+b+1)(a+b)) B_{n-1}(x) is C(n, 1) B_{n-1}(x) times a factor
     # free of n: a term l = 1 of the sum
     s[1] += a * b / ((a + b + 1) * (a + b))
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(numbers[: n + 1]) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(nums[: n + 1], den) for n in ns)))
 
 
 def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -271,8 +330,8 @@ def _theorem3(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, P
                        lambda l: (pochhammer(a, l) + pochhammer(b, l)) / (pochhammer(a + b, l) * factorial(l)))
     # 4/(n+1) B_{n+1}(x) is a term l = 0 of the sum, scaled by -2/(n+1)
     s[0] -= 2
-    numbers = _appell_numbers(s, bernoulli_number, max(ns) + 1)
-    return list(zip(lhs, (appell(numbers[: n + 2], Fraction(-2, n + 1)) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns) + 1)
+    return list(zip(lhs, (appell(nums[: n + 2], den, Fraction(-2, n + 1)) for n in ns)))
 
 
 def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -347,8 +406,8 @@ def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # C(n+2, 3) B_{n-1}(x) = (n+1)(n+2) C(n, 1) B_{n-1}(x) / 6 is a term l = 1
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(2, (l + 1) * (l + 2) * factorial(l)))
     s[1] += Fraction(1, 6)
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(numbers[: n + 1], (n + 1) * (n + 2)) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(nums[: n + 1], den, (n + 1) * (n + 2)) for n in ns)))
 
 
 def _corollary2(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -372,7 +431,7 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
                        lambda l: (a * factorial(l - 1) + pochhammer(a, l)) / (pochhammer(a, l + 1) * factorial(l)), 1)
     s[1] += 1 / (a + 1)
     numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic_shifted(a, n), bernoulli_number)) for n in ns]
+    rhs = [appell(*_plus_numbers(numbers, n, harmonic_shifted(a, n), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -382,7 +441,7 @@ def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
     numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic(n - 1), bernoulli_number)) for n in ns]
+    rhs = [appell(*_plus_numbers(numbers, n, harmonic(n - 1), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -394,8 +453,7 @@ def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
                        lambda l: Fraction(l * l + l + 2, l * (l + 1) * (l + 2) * factorial(l)), 1)
     s[1] += Fraction(1, 3)
     numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic_shifted(Fraction(2), n), bernoulli_number),
-                  (n + 1) * (n + 2))
+    rhs = [appell(*_plus_numbers(numbers, n, harmonic_shifted(Fraction(2), n), bernoulli_number), (n + 1) * (n + 2))
            for n in ns]
     return list(zip(lhs, rhs))
 
@@ -406,14 +464,14 @@ def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
     numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(_plus_numbers(numbers[: n + 1], harmonic(n), bernoulli_number)) for n in ns]
+    rhs = [appell(*_plus_numbers(numbers, n, harmonic(n), bernoulli_number)) for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, factorial(l)))
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    lhs = [appell(numbers[: n + 1]) for n in ns]
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
+    lhs = [appell(nums[: n + 1], den) for n in ns]
     rhs = [poly_lincomb([(n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))), (-(n - 1), bernoulli_poly(n))])
            for n in ns]
     return list(zip(lhs, rhs))
@@ -421,13 +479,13 @@ def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    lhs = [appell(numbers[: n + 1]) for n in ns]
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
+    lhs = [appell(nums[: n + 1], den) for n in ns]
     # B_m(2x) is the Appell polynomial of B_0..B_m at 2x
-    bernoulli = [bernoulli_number(l) for l in range(max(ns) + 1)]
+    b_nums, b_den = _number_form(bernoulli_number, max(ns))
     rhs = [poly_lincomb([
-        (Fraction(n, 2 ** n), poly_mul(poly([-1, 2]), appell(bernoulli[:n], 1, 2))),
-        (Fraction(-(n - 1), 2 ** n), appell(bernoulli[: n + 1], 1, 2)),
+        (Fraction(n, 2 ** n), poly_mul(poly([-1, 2]), appell(b_nums[:n], b_den, 1, 2))),
+        (Fraction(-(n - 1), 2 ** n), appell(b_nums[: n + 1], b_den, 1, 2)),
         (Fraction(-n, 4), bernoulli_poly(n - 1)),
     ]) for n in ns]
     return list(zip(lhs, rhs))
@@ -438,18 +496,17 @@ def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
                                    [Fraction(factorial(n), 2 ** n) for n in ns])
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
     s[1] += Fraction(1, 4)
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(numbers[: n + 1]) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
+    return list(zip(lhs, (appell(nums[: n + 1], den) for n in ns)))
 
 
 def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
-    lhs = [convolution_coefficients(bernoulli_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [n])[0] for n in ns]
+    lhs = _harmonic_pair_sums(bernoulli_poly, ns, [n * harmonic(n - 1) for n in ns], ns)
     s = _number_series(bernoulli_number, max(ns), lambda l: (harmonic(l) + Fraction(1, l)) / (l * factorial(l)), 1)
     s[1] += 1
     numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    rhs = [appell(_plus_numbers(numbers[: n + 1], (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / 2,
-                                bernoulli_number))
+    rhs = [appell(*_plus_numbers(numbers, n, (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / 2,
+                                 bernoulli_number))
            for n in ns]
     return list(zip(lhs, rhs))
 
@@ -464,8 +521,8 @@ def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     square = series_product((b, b), top)
     s = [(_coeff(square, r) + before + Fraction(int(r == 2), 3)) / factorial(r + 3)
          for r, before in enumerate([0, *b[:top]])]
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    return list(zip(lhs, (appell(numbers[: n + 1], Fraction(3 * factorial(n + 3), factorial(n))) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, top)
+    return list(zip(lhs, (appell(nums[: n + 1], den, Fraction(3 * factorial(n + 3), factorial(n))) for n in ns)))
 
 
 def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fraction]]:
@@ -498,8 +555,8 @@ def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
     s = [3 * eps * (_coeff(square, r) + eps * before + Fraction(int(r == 2), 3) * eps * eps)
          / pochhammer(3 * eps, r + 1)
          for r, before in enumerate([0, *series[:top]])]
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    return list(zip(lhs, (appell(numbers[: n + 1], Fraction(1, factorial(n))) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, top)
+    return list(zip(lhs, (appell(nums[: n + 1], den, Fraction(1, factorial(n))) for n in ns)))
 
 
 def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
@@ -511,8 +568,8 @@ def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)))
     square = series_product((beta, beta), top)
     s = [_coeff(square, r) + before + Fraction(int(r == 2), 3) for r, before in enumerate([0, *beta[:top]])]
-    numbers = _appell_numbers(s, bernoulli_number, top, 3)
-    return list(zip(lhs, (appell(numbers[: n + 1], 1, 3) for n in ns)))
+    nums, den = _appell_numbers(s, bernoulli_number, top, 3)
+    return list(zip(lhs, (appell(nums[: n + 1], den, 1, 3) for n in ns)))
 
 
 def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -561,25 +618,24 @@ def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # bernoulli_number; 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and
     # the constant term is the term l = n
     s = _number_series(euler_poly_at_zero, top, lambda l: 4 * harmonic(l - 1) / factorial(l), 1)
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [poly_lincomb([(Fraction(1, n * (n - 1)), appell(numbers[: n + 1])),
+    nums, den = _appell_numbers(s, bernoulli_number, top)
+    rhs = [poly_lincomb([(Fraction(1, n * (n - 1)), appell(nums[: n + 1], den)),
                          (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1))])
            for n in ns]
     return list(zip(lhs, rhs))
 
 
 def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    # the weights (H_{n-1} - H_{l-1})/l depend on n: a one-point line each
-    lhs = [convolution_coefficients(euler_poly, [n], [_harmonic_tails(n), _reciprocals(n)], [1])[0] for n in ns]
+    lhs = _harmonic_pair_sums(euler_poly, ns, [harmonic(n - 1) for n in ns], [1] * len(ns))
     # the sum over l of C(n-1, l-1)/(l (n+1-l)) (H_{l-1}^2 + 3 H^(2)_{l-1})
     # E_l(0) B_{n+1-l}(x): Bernoulli polynomials, so its Appell numbers are
     # read with bernoulli_number; C(n-1, l-1)/(l (n+1-l)) = C(n+1, l)/(n (n+1)),
     # and the constant term is the term l = n + 1
     s = _number_series(euler_poly_at_zero, max(ns) + 1,
                        lambda l: (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) / factorial(l), 1)
-    numbers = _appell_numbers(s, bernoulli_number, max(ns) + 1)
+    nums, den = _appell_numbers(s, bernoulli_number, max(ns) + 1)
     rhs = [poly_lincomb([(Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
-                         (Fraction(1, n * (n + 1)), appell(numbers[: n + 2]))])
+                         (Fraction(1, n * (n + 1)), appell(nums[: n + 2], den))])
            for n in ns]
     return list(zip(lhs, rhs))
 
@@ -601,11 +657,9 @@ def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     square = series_product((e, e), top)
     numbers = _appell_numbers([Fraction(0), *(_coeff(square, r) / factorial(r - 1) for r in range(1, top + 1))],
                               euler_poly_at_zero, top)
-    rhs = []
-    for n in ns:
-        values = _plus_numbers(numbers[: n + 1], 2 * harmonic(n - 1), euler_poly_at_zero)
-        values[n] -= n * _coeff(square, n)
-        rhs.append(appell(values, Fraction(1, n)))
+    rhs = [appell(*_plus_numbers(numbers, n, 2 * harmonic(n - 1), euler_poly_at_zero, -n * _coeff(square, n)),
+                  Fraction(1, n))
+           for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -628,14 +682,14 @@ def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = [Fraction(0), *((2 * _coeff(cross, r) - 3 * harmonic(r - 1) * _coeff(square, r)) / factorial(r - 1)
                         for r in range(1, top + 1))]
     numbers = _appell_numbers(s, euler_poly_at_zero, top)
+    # by the same symmetry the uncentred pair sum's weights are (3 H_{n-1}
+    # - 2 H_{l-1}) / (l (n-l))
+    pair_sums = _harmonic_pair_sums(euler_poly, ns, [3 * harmonic(n - 1) for n in ns], [2] * len(ns))
     rhs = [poly_lincomb([
-        (Fraction(1, n), appell(_plus_numbers(
-            numbers[: n + 1], -2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)), euler_poly_at_zero))),
-        # the pairs l and n-l once, the middle pair l = n/2 counted once
-        *((Fraction(2 - (2 * l == n), l * (n - l)) * (3 * harmonic(n - 1) - harmonic(l - 1) - harmonic(n - l - 1)),
-           poly_mul(euler_poly(l), euler_poly(n - l)))
-          for l in range(1, n // 2 + 1)),
-    ]) for n in ns]
+        (Fraction(1, n), appell(*_plus_numbers(
+            numbers, n, -2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)), euler_poly_at_zero))),
+        (1, pair_sum),
+    ]) for n, pair_sum in zip(ns, pair_sums)]
     return list(zip(lhs, rhs))
 
 

@@ -16,8 +16,11 @@ as E_n(0) = G_{n+1}/(n+1).  The polynomials come from their Appell
 expansions B_n(x) = sum_j C(n, j) B_j x^{n-j} and E_n(x) = sum_j C(n, j)
 E_j(0) x^{n-j}, each coefficient one `Fraction` built from the binomial
 times the numerator over the denominator, with no polynomial products.
-The identities expand their own Appell numbers with the same function,
-`appell`, which also takes a scale and an argument lam x.
+`appell` takes integer numerators and their denominators: the tables pass
+each number's own (one shared denominator for B_0..B_n would slow the
+fill, as the lcm grows with n), and the identities, which expand their
+own Appell numbers with the same function, pass the one denominator of a
+line.  It also takes a scale and an argument lam x.
 Unit tests recompute each table by the classical `Fraction` recurrences
 and by an independent second route (for E_n(x), the expansion around
 x = 1/2 in powers of (x - 1/2)).
@@ -26,7 +29,7 @@ x = 1/2 in powers of (x - 1/2)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .exactmath import GrowingTables, Poly
@@ -47,6 +50,9 @@ class SequenceCache(GrowingTables):
         self._euler_num: list[Fraction] = []
         self._bernoulli_poly: list[Poly] = []
         self._euler_poly: list[Poly] = []
+        # the numerators and denominators of B_n and E_n(0), for `appell`
+        self._bernoulli_parts: tuple[list[int], list[int]] = ([], [])
+        self._euler_zero_parts: tuple[list[int], list[int]] = ([], [])
 
     def _next_zigzag(self, m: int) -> int:
         # row m is 0 followed by the running sums of row m - 1 reversed
@@ -97,9 +103,20 @@ class SequenceCache(GrowingTables):
         """Exact E_n = (-1)^(n/2) A_n for even n; an integer, zero for odd n."""
         return self._entry("euler_number", self._euler_num, n, self._euler_at)
 
+    @staticmethod
+    def _appell_row(values: list[Fraction], parts: tuple[list[int], list[int]], m: int) -> Poly:
+        """The Appell polynomial of values[0..m], each number over its own
+        denominator, read off the numerator and denominator lists `parts`,
+        which grow with the number table."""
+        nums, dens = parts
+        for v in values[len(nums): m + 1]:
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        return appell(nums[: m + 1], dens[: m + 1])
+
     def _bernoulli_poly_at(self, m: int) -> Poly:
         self.bernoulli_number(m)
-        return appell(self._bernoulli[: m + 1])
+        return self._appell_row(self._bernoulli, self._bernoulli_parts, m)
 
     def bernoulli_poly(self, n: int) -> Poly:
         """Exact B_n(x) = sum_j C(n, j) B_j x^{n-j}; monic of degree n."""
@@ -107,27 +124,28 @@ class SequenceCache(GrowingTables):
 
     def _euler_poly_at(self, m: int) -> Poly:
         self.euler_poly_at_zero(m)
-        return appell(self._euler_zero[: m + 1])
+        return self._appell_row(self._euler_zero, self._euler_zero_parts, m)
 
     def euler_poly(self, n: int) -> Poly:
         """Exact E_n(x) = sum_j C(n, j) E_j(0) x^{n-j}; monic of degree n."""
         return self._entry("euler_poly", self._euler_poly, n, self._euler_poly_at)
 
 
-def appell(values: Sequence[Fraction], scale: Fraction | int = 1, lam: int = 1) -> Poly:
-    """scale sum_j C(m, j) values[j] (lam x)^{m-j} for m = len(values) - 1,
-    for a positive integer lam: the Appell polynomial of the numbers
-    `values`, scaled, at lam x.  Each coefficient is one `Fraction`, and
-    zero leading values, whose terms vanish, are trimmed."""
-    m = len(values) - 1
+def appell(nums: Sequence[int], dens: Sequence[int] | int, scale: Fraction | int = 1, lam: int = 1) -> Poly:
+    """scale sum_j C(m, j) (nums[j] / dens[j]) (lam x)^{m-j} for m =
+    len(nums) - 1 and a positive integer lam: the Appell polynomial of the
+    numbers nums[j] / dens[j], scaled, at lam x.  `dens` holds each
+    number's own positive denominator, or is one int that all of them
+    share.  Each coefficient is one `Fraction` of integers, and zero leading
+    values, whose terms vanish, are trimmed."""
+    m = len(nums) - 1
     scale = Fraction(scale)
     den = scale.denominator
     coeffs = [Fraction(0)] * (m + 1)
     weight = scale.numerator * lam ** m  # the numerator of scale C(m, j) lam^(m-j)
-    for j, c in enumerate(values):
-        num = c.numerator
+    for j, (num, d) in enumerate(zip(nums, repeat(dens) if isinstance(dens, int) else dens)):
         if num:
-            coeffs[m - j] = Fraction(weight * num, den * c.denominator)
+            coeffs[m - j] = Fraction(weight * num, den * d)
         weight = weight * (m - j) // ((j + 1) * lam)
     while coeffs and not coeffs[-1]:
         coeffs.pop()

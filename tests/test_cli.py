@@ -944,6 +944,25 @@ class TestInputBudgets:
         assert code == 2 and "--n" in err
         assert len(seen) == 2
 
+    @pytest.mark.parametrize("n_range, top", [
+        (range(1, 201), 200), (range(200, 0, -1), 200), (range(200, 0, -7), 200), (range(-5, 201, 5), 200),
+        ([1, 200, 3], 200), ([200, 1], 200), (range(10**12, 0, -1), 10**12),
+    ])
+    def test_verify_n_caps_the_largest_value_in_any_order(self, monkeypatch, n_range, top):
+        # a range that counts down starts at its largest value
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        code, out, err = _run(RunConfig(command="verify", identity="euler-1-2", n_range=n_range))
+        assert (code, out, seen) == (2, "", [])
+        assert err.count("\n") == 1 and f"--n {top} is above its input budget cap of {MAX_VERIFY_N}" in err
+
+    @pytest.mark.parametrize("n_range", [range(MAX_VERIFY_N, 0, -1), [MAX_VERIFY_N, 1], range(1, MAX_VERIFY_N + 1)])
+    def test_verify_n_accepts_the_cap_in_any_order(self, monkeypatch, n_range):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        assert _run(RunConfig(command="verify", identity="euler-1-2", n_range=n_range))[0] == 0
+        assert [pt["n"] for pt in seen[0]] == list(n_range)
+
     def test_mc_samples(self, monkeypatch, capsys):
         seen = []
 

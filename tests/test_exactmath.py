@@ -663,6 +663,19 @@ class TestConvolutionWork:
         # so a two-slot line inside the first forms no product at all
         assert counted[0] > 0 if k == 3 or second > first else counted[0] == 0
 
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
+    def test_a_cold_line_builds_each_own_form_once(self, monkeypatch, family):
+        # a two-slot line to n = 70 over cold memos fills the 1,296 pairs
+        # l + m <= 70, and builds the own integer form of each P_l once
+        builds = []
+        int_form = exactmath._int_form
+        monkeypatch.setattr(exactmath, "_int_form", lambda p: builds.append(p) or int_form(p))
+        exactmath._pair_product.cache_clear()
+        exactmath._own_form.cache_clear()
+        convolution_coefficients(family, list(range(71)), [[1] * 71] * 2, [1] * 71)
+        assert exactmath._pair_product.cache_info().currsize == 1296
+        assert len(builds) <= 71
+
     def test_threads_sharing_one_cold_table_agree(self):
         # more threads than cores, switching often, each running lines of
         # both families over one cold pair table: a torn or wrong entry

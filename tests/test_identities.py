@@ -8,7 +8,7 @@ import inspect
 import io
 from fractions import Fraction
 from itertools import groupby
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,7 +30,7 @@ from bek.exactmath import (
     series_product,
     subset_series,
 )
-from bek import cli, identities
+from bek import cli, exactmath, identities
 from bek.identities import (
     REGISTRY,
     DomainError,
@@ -727,21 +727,77 @@ class TestAppellNumbers:
             assert r.difference == poly_scale(kappa * n, bernoulli_poly(n - 1)) == poly_sub(r.lhs, r.rhs), n
 
     def test_each_n_costs_numbers_not_polynomials(self, monkeypatch):
-        # over a default `verify-all`, the identities hand `poly_lincomb` at
-        # most one polynomial term per report, counted by wrapping it; the
-        # term sums handed it 8.5 (15,456 terms for 1,828 reports)
-        terms = []
-        real = identities.poly_lincomb
+        # over a default `verify-all` (1,828 reports), the identities hand
+        # `poly_lincomb` at most 330 polynomial terms (324) and call
+        # `poly_mul` at most 60 times (corollary5's and corollary6's x - 1
+        # and 2x - 1 factors), counted by wrapping both; the term sums handed
+        # it 15,456 terms, and corollary11's pair sum formed 225 products
+        terms, products = [], []
+        real_lincomb, real_mul = identities.poly_lincomb, identities.poly_mul
 
         def counted(pairs):
             pairs = list(pairs)
             terms.append(len(pairs))
-            return real(pairs)
+            return real_lincomb(pairs)
 
         monkeypatch.setattr(identities, "poly_lincomb", counted)
+        monkeypatch.setattr(identities, "poly_mul", lambda p, q: products.append(1) or real_mul(p, q))
         reports = [r for name in REGISTRY for r in verify(name)]
-        assert all(r.passed for r in reports)
-        assert sum(terms) <= len(reports)
+        assert len(reports) == 1828 and all(r.passed for r in reports)
+        assert sum(terms) <= 330
+        assert len(products) <= 60
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=14), st.data())
+    def test_plus_numbers_adds_alpha_times_the_numbers(self, values, data):
+        # the line's values over a shared denominator that none of them
+        # may need; the result is exactly values_r + alpha number(r), r <= n,
+        # with `last` more at r = n
+        n = data.draw(st.integers(0, len(values) - 1))
+        alpha, last = data.draw(st.fractions(max_denominator=60)), data.draw(st.fractions(max_denominator=60))
+        number = data.draw(st.sampled_from([bernoulli_number, euler_poly_at_zero]))
+        den = lcm(*(v.denominator for v in values)) * data.draw(st.integers(1, 6))
+        numbers = ([v.numerator * (den // v.denominator) for v in values], den)
+        expected = [v + alpha * number(r) for r, v in enumerate(values[: n + 1])]
+        nums, out_den = identities._plus_numbers(numbers, n, alpha, number)
+        assert all(type(v) is int for v in nums) and [F(v, out_den) for v in nums] == expected
+        nums, out_den = identities._plus_numbers(numbers, n, alpha, number, last)
+        assert [F(v, out_den) for v in nums] == [*expected[:n], expected[n] + last]
+
+
+class TestCorruptedPairTable:
+    """The kernel's pair table (`exactmath._pair_product`) serves the left
+    sides and the right side of corollary11's second display.  An entry
+    corrupted by 1 in its constant term fails each display that reads it
+    at the points that read it, and corollary11's two sides read it at
+    different points, so they cannot cancel."""
+
+    @pytest.mark.parametrize("name, label, family, failing", [
+        ("corollary7", "", bernoulli_poly, [6]),
+        ("corollary10", "second", euler_poly, [6]),
+        # its right side's pair sums read (1, 5) at n = 6; its left side's
+        # prefix holds the pair from n = 7 on, the t^6 coefficient there
+        # meeting the last slot's 1/l at l >= 1
+        ("corollary11", "second", euler_poly, [6, 7, 8]),
+    ])
+    def test_a_corrupted_entry_fails_where_it_is_read(self, monkeypatch, name, label, family, failing):
+        real = exactmath._pair_product
+        reads = []
+
+        def corrupted(fam, l, m):
+            entry = real(fam, l, m)
+            if (fam, l, m) != (family, 1, 5):
+                return entry
+            reads.append(1)
+            return (entry[0] + 1, *entry[1:])
+
+        fn, _ = _display(name, label)
+        ns = list(range(2, 9))
+        assert all(lhs == rhs for lhs, rhs in fn(ns))
+        monkeypatch.setattr(exactmath, "_pair_product", corrupted)
+        sides = fn(ns)
+        assert reads
+        assert [n for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs] == failing
 
 
 class TestCorruptedSeries:
@@ -939,9 +995,10 @@ class TestCorruptedConvolution:
         assert survivors == []
 
     def test_dropped_scale(self, monkeypatch):
-        # Dropping a scale of 1 changes nothing, so each display is checked
-        # at its first point with terms whose scale is not 1; four displays
-        # have scale 1 at every point and cannot catch this.
+        # Dropping scales of 1 changes nothing, so each display is checked
+        # at its first point with terms where some scale of the display is
+        # not 1; three displays have only scales of 1 at every point and
+        # cannot catch this.
         real = identities.convolution_coefficients
         scales = []
 
@@ -956,15 +1013,14 @@ class TestCorruptedConvolution:
             for pt in _points_with_terms(name, label):
                 scales.clear()
                 lhs, rhs = _at(fn, *args(pt))
-                if scales != [1]:
+                if any(scale != 1 for scale in scales):
                     if lhs == rhs:
                         survivors.append((name, label, pt))
                     break
             else:
                 unit_scale.append((name, label))
         assert survivors == []
-        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary10", "second"),
-                              ("corollary11", "first")]
+        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary11", "first")]
 
 
 PRODUCT_TABLES = {"_bern_product", "_euler_product"}
@@ -1013,8 +1069,9 @@ def _called_names(node):
 
 # The display whose left side is the convolution less its constant term.
 CENTRED = {("corollary11", "first")}
-# The displays whose slot weights depend on n: a one-point line at each n.
-PER_N = {("corollary7", ""), ("corollary10", "second")}
+# The kernel, and the left sides that call it for their displays: the
+# theorems' and the pair sums of harmonic weights that depend on n.
+KERNEL_CALLS = {"convolution_coefficients", "_theorem_lhs", "_harmonic_pair_sums"}
 
 
 class TestConvolutionDesign:
@@ -1043,40 +1100,45 @@ class TestConvolutionDesign:
 
     def test_only_the_convolution_calls_the_kernel(self):
         # the kernel's callers are the declared left sides: each converted
-        # display's function, or `_theorem_lhs` for those that call it
+        # display's function, or `_theorem_lhs` and `_harmonic_pair_sums`
+        # for those that call one of them alone (the right side of
+        # corollary11's second display reads its pair sum off
+        # `_harmonic_pair_sums` too, beside its own left side's call)
         functions = self._functions()
         declared = {_display(name, label)[0].__name__ for name, label in CONVERTED}
-        theorems = {fn for fn in declared if "_theorem_lhs" in _called_names(functions[fn])}
-        assert len(declared) == 18 and len(theorems) == 4
+        helpers = {"_theorem_lhs", "_harmonic_pair_sums"}
+        through = {fn for fn in declared if helpers & _called_names(functions[fn])
+                   and "convolution_coefficients" not in _called_names(functions[fn])}
+        assert len(declared) == 18 and len(through) == 6
         assert {name: found for name, source in SOURCES.items()
                 if (found := _callers(source, {"convolution_coefficients"}))} == {
-            "identities.py": declared - theorems | {"_theorem_lhs"}}
+            "identities.py": declared - through | helpers}
 
     def test_each_converted_left_side_is_a_declaration(self):
-        # one kernel call for the line; a one-point line at each n where the
-        # weights depend on n; and for the centred display, the line's
-        # coefficients each less a constant formed without the kernel
+        # one kernel call for the line; for the centred display, the line's
+        # coefficients each less a constant formed without the kernel; and
+        # no left side calls the kernel per n, nor on a one-point line [n]
         functions = self._functions()
-        assert "convolution_coefficients" in _called_names(functions["_theorem_lhs"])
+        for helper in ("_theorem_lhs", "_harmonic_pair_sums"):
+            calls = [call for call in ast.walk(functions[helper]) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) == "convolution_coefficients"]
+            assert calls and all(ast.unparse(call.args[1]) == "ns" for call in calls), helper
         for name, label in CONVERTED:
             fn, _ = _display(name, label)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
             value = assign.value
-            if (name, label) in PER_N:
-                assert isinstance(value, ast.ListComp) and isinstance(value.elt, ast.Subscript), name
-                value = value.elt.value
-                assert ast.unparse(value.args[1]) == "[n]", name
-            elif (name, label) in CENTRED:
+            calls = [call for call in ast.walk(value) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) in KERNEL_CALLS]
+            assert len(calls) == 1 and not isinstance(calls[0].args[1], ast.List), name
+            assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
+            if (name, label) in CENTRED:
                 assert isinstance(value, ast.ListComp) and value.elt.func.id == "poly_sub", name
                 _, constant = value.elt.args
-                assert not _called_names(constant) & {"convolution_coefficients", "composition_parts",
-                                                      *PRODUCT_TABLES}, name
-                (value,) = [call for call in ast.walk(value.generators[0].iter) if isinstance(call, ast.Call)
-                            and getattr(call.func, "id", None) == "convolution_coefficients"]
-            assert isinstance(value, ast.Call), name
-            assert value.func.id in ("convolution_coefficients", "_theorem_lhs"), name
-            assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
+                assert not _called_names(value.elt) & KERNEL_CALLS, name
+                assert not _called_names(constant) & {"composition_parts", *PRODUCT_TABLES}, name
+            else:
+                assert isinstance(value, ast.Call) and value.func.id in KERNEL_CALLS, name
 
     def test_the_scan_sees_each_caller(self):
         source = (

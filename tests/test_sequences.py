@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -189,9 +189,20 @@ class TestPolynomialTables:
             assert len(euler_poly(n)) == n + 1 and euler_poly(n)[-1] == 1
 
 
+def _parts(values: list[Fraction], form: str) -> tuple[list[int], list[int] | int]:
+    """The values as `appell` takes them: numerators over their own
+    denominators ("own"), over their lcm ("lcm"), or over a multiple of it
+    that no value needs ("multiple")."""
+    if form == "own":
+        return [v.numerator for v in values], [v.denominator for v in values]
+    den = lcm(*(v.denominator for v in values)) * (7 if form == "multiple" else 1)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class TestAppellExpansion:
     """`appell`, which builds B_n(x) and E_n(x) and the identities' Appell
-    sums, against the term sum through `comb * Fraction` and `poly`."""
+    sums from integer numerators and their denominators, against the term
+    sum through `comb * Fraction` and `poly`."""
 
     VALUES = [Fraction(0), Fraction(0), Fraction(-3, 4), Fraction(5), Fraction(0), Fraction(-7, 9), Fraction(2, 3)]
 
@@ -203,13 +214,17 @@ class TestAppellExpansion:
         # `poly` trims it; a zero scale makes the zero polynomial
         values = self.VALUES[lead:]
         expected = poly_scale(scale, poly(c * lam ** i for i, c in enumerate(_reference_appell(values))))
-        assert appell(values, scale, lam) == expected
+        for form in ("own", "lcm", "multiple"):
+            got = appell(*_parts(values, form), scale, lam)
+            assert got == expected, form
+            assert all(type(c) is Fraction for c in got), form
         assert not expected or expected[-1] != 0
 
     def test_the_tables_are_its_unscaled_expansion(self):
         for m in range(12):
-            assert bernoulli_poly(m) == appell([bernoulli_number(j) for j in range(m + 1)])
-            assert euler_poly(m) == appell([euler_poly_at_zero(j) for j in range(m + 1)])
+            for table, number in ((bernoulli_poly, bernoulli_number), (euler_poly, euler_poly_at_zero)):
+                values = [number(j) for j in range(m + 1)]
+                assert table(m) == appell(*_parts(values, "own")) == appell(*_parts(values, "lcm"))
 
 
 class TestZigzagFill:
