@@ -486,8 +486,10 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
     if not config.identity:
         raise ValueError("verify requires --identity NAME")
     entry = _checked(config.identity, (), registry)[0]
-    if config.n_range:
+    if config.n_range is not None:
         ns = config.n_range
+        if not ns:  # None is the entry's grid; an empty range would pass vacuously
+            raise ValueError(f"empty range {ns!r}")
         # max(), or the integer check, would walk an oversized range; a
         # range's largest value is one of its ends, in either order
         top = max(ns[0], ns[-1]) if isinstance(ns, range) else max(as_exact(ns, Integral, "--n"))

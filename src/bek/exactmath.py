@@ -13,8 +13,10 @@ The kernel operations, the truncated power-series product
 convolution coefficients `convolution_coefficients` (coefficients of one
 truncated product of series whose coefficients are polynomials, read at
 each n of a line), the
-linear combination `poly_lincomb` and the shift operators
-`poly_shift_operator`, work internally in the layout of FLINT's
+linear combination `poly_lincomb`, the shift operators
+`poly_shift_operator` and their subset sum `shift_subset_sum` (the
+weighted sum over every subset of the shifts of the operators composed
+over it), work internally in the layout of FLINT's
 `fmpq_poly`: integer numerators over one positive common denominator.  The
 inner loops then multiply and add plain integers, and one Fraction per
 output coefficient is built at the end, instead of a Fraction (with its
@@ -22,8 +24,10 @@ gcd) per coefficient product or per scaled term.  Each other polynomial
 operation of that kind is one call of these: `poly_add`, `poly_sub` and
 `poly_scale` of `poly_lincomb`, `poly_mul` of `series_product`, and the
 Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
-one schoolbook loop, `_mul_into`, and the integer form of the polynomials
-a convolution reads is built once per family and top degree.
+one schoolbook loop, `_mul_into`, the shift operators one step,
+`_operator_step`, and the linear combinations one accumulator,
+`_int_lincomb`; the integer form of the polynomials a convolution reads
+is built once per family and top degree.
 
 A convolution's first two slots read one more memo, the pair table
 `_pair_product`: the product of P_l and P_m in their own integer forms,
@@ -268,12 +272,17 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
     denominator (the lcm of the terms' denominators, grown as terms arrive)
     and converted to Fractions once.
     """
+    return _from_int_form(*_int_lincomb((c, *_int_form(p)) for c, p in terms if c and p))
+
+
+def _int_lincomb(terms: Iterable[tuple[Fraction | int, Sequence[int], int]]) -> tuple[list[int], int]:
+    """sum_i c_i p_i for (c_i, numerators of p_i, denominator of p_i)
+    triples, as integer numerators over the lcm of the terms'
+    denominators, grown as terms arrive: the accumulator of `poly_lincomb`
+    and `shift_subset_sum`."""
     acc: list[int] = []
     den = 1
-    for c, p in terms:
-        if not c or not p:
-            continue
-        nums, p_den = _int_form(p)
+    for c, nums, p_den in terms:
         term_den = c.denominator * p_den
         grow = term_den // gcd(den, term_den)
         if grow != 1:
@@ -284,7 +293,7 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
             acc.extend([0] * (len(nums) - len(acc)))
         for i, v in enumerate(nums):
             acc[i] += scale * v
-    return _from_int_form(acc, den)
+    return acc, den
 
 
 def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
@@ -502,6 +511,25 @@ def _taylor_shift(nums: list[int], u: Fraction) -> list[int]:
     return [v * s_pows[j] for j, v in enumerate(out)]
 
 
+def _operator_ints(alpha: Fraction | int, beta: Fraction | int) -> tuple[int, int, int]:
+    """alpha = a/L and beta = b/L over the lcm L of their denominators, as (a, b, L)."""
+    common = lcm(alpha.denominator, beta.denominator)
+    return alpha.numerator * (common // alpha.denominator), beta.numerator * (common // beta.denominator), common
+
+
+def _operator_step(nums: list[int], u: Fraction | int, a: int, b: int) -> tuple[list[int], int]:
+    """The numerators of s^d (a T_u + b) p, trimmed, and s^d, for p with
+    integer numerators `nums` of degree d and u = r/s: `_taylor_shift`
+    gives p(x + u) over s^d, so a step is a T_u p + b s^d p on integers.
+    The one shift step of `poly_shift_operator` and `shift_subset_sum`."""
+    scale = u.denominator ** max(len(nums) - 1, 0)
+    b_scale = b * scale
+    out = [a * v + b_scale * w for v, w in zip(_taylor_shift(nums, u), nums)]
+    while out and not out[-1]:
+        out.pop()
+    return out, scale
+
+
 def poly_shift_operator(p: Poly, shifts: Iterable[Fraction | int],
                         alpha: Fraction | int, beta: Fraction | int) -> Poly:
     """The composition prod_u (alpha T_u + beta) applied to p, with
@@ -509,23 +537,49 @@ def poly_shift_operator(p: Poly, shifts: Iterable[Fraction | int],
     mean (1/2, 1/2) and the plain shift (1, 0); the factors commute.
 
     With alpha = a/L and beta = b/L over the lcm L of their denominators,
-    p over D and u = r/s, `_taylor_shift` gives p(x + u) over D s^d, so a
-    step is a T_u p + b p on integers over D s^d L.  Fractions are built
-    once, at the end.
+    p over D and u = r/s, a step (`_operator_step`) is a T_u p + b p on
+    integers over D s^d L.  Fractions are built once, at the end.
     """
-    common = lcm(alpha.denominator, beta.denominator)
-    a, b = alpha.numerator * (common // alpha.denominator), beta.numerator * (common // beta.denominator)
+    a, b, common = _operator_ints(alpha, beta)
     nums, den = _int_form(p)
     for u in shifts:
         if not nums:
             break
-        scale = u.denominator ** (len(nums) - 1)
-        b_scale = b * scale
-        nums = [a * v + b_scale * w for v, w in zip(_taylor_shift(nums, u), nums)]
-        while nums and not nums[-1]:
-            nums.pop()
+        nums, scale = _operator_step(nums, u, a, b)
         den *= scale * common
     return _from_int_form(nums, den)
+
+
+def shift_subset_sum(p: Poly, shifts: Sequence[Fraction | int], alpha: Fraction | int, beta: Fraction | int,
+                     weights: Sequence[Fraction | int]) -> Poly:
+    """sum over the subsets J of range(k), k = len(shifts), of
+    weights[|J|] prod_{j in J} (alpha T_{u_j} + beta) p: the subset sum of
+    lemmas 1 and 3, with one weight per subset size 0..k.
+
+    The subsets are walked by size, and the image of each is one
+    `_operator_step` from the image of J less its last index, so the k
+    shifts cost 2^k - 1 steps, where applying each subset's operator
+    afresh costs k 2^(k-1).  Only the previous size's images are kept;
+    each is added on integers into one accumulator over a growing common
+    denominator (`_int_lincomb`), and Fractions are built once, at the end.
+    """
+    if len(weights) != len(shifts) + 1:
+        raise ValueError(f"shift_subset_sum needs one weight per subset size 0..{len(shifts)}, got {len(weights)}")
+    a, b, common = _operator_ints(alpha, beta)
+
+    def images() -> Iterable[tuple[Fraction | int, list[int], int]]:
+        level = [(-1, *_int_form(p))]  # (last index, numerators, denominator) per subset of the size
+        for w in weights:
+            if w:
+                yield from ((w, nums, den) for _, nums, den in level)
+            grown = []
+            for last, nums, den in level:
+                for i in range(last + 1, len(shifts)):
+                    image, scale = _operator_step(nums, shifts[i], a, b)
+                    grown.append((i, image, den * scale * common))
+            level = grown
+
+    return _from_int_form(*_int_lincomb(images()))
 
 
 def poly_shift(p: Poly, u: Fraction | int) -> Poly:

@@ -21,10 +21,11 @@ as the independent oracle the tests compare against.
 On top of the expressions sit the forward difference f -> f(x+u) - f(x)
 and the two-point mean f -> (f(x) + f(x+u))/2, both applied by the
 kernel's `poly_shift_operator`, and verifiers for the subset expansions
-these operators and symbols satisfy.  Each family is stated once:
-`_operator_expansion` builds both sides of lemmas 1 and 3, one
-`subset_series` of moment egfs (`_symbol_subset_sum`) the right side of
-lemma 4 and of the expansion for an arbitrary f, lemma 2's at x^n/n!.
+these operators and symbols satisfy.  Each family is stated once: one
+kernel `shift_subset_sum` is the right side of lemmas 1 and 3, every
+subset's operator image weighted by its size, and one `subset_series` of
+moment egfs (`_symbol_subset_sum`) the right side of lemma 4 and of the
+expansion for an arbitrary f, lemma 2's at x^n/n!.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from numbers import Integral, Rational
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactmath import (
     GrowingTables,
@@ -44,9 +44,9 @@ from .exactmath import (
     ZERO,
     as_exact,
     poly,
-    poly_lincomb,
     poly_shift_operator,
     series_product,
+    shift_subset_sum,
     subset_series,
 )
 from .sequences import bernoulli_number, euler_poly_at_zero
@@ -365,12 +365,6 @@ def apply_delta(op: DifferenceOp, p: Poly) -> Poly:
     return poly_shift_operator(p, op.shifts, *op.variant.value)
 
 
-def _subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """The non-empty subsets of range(k), by size."""
-    for j in range(1, k + 1):
-        yield from combinations(range(k), j)
-
-
 def _checked(name: str, k: int, values: Sequence, *n: int, weights: bool = True) -> list[Fraction]:
     """The shifts or weights of verifier `name` as Fractions, once they pass
     its checks: an integer k >= 1 and k rational values, an integer n >= 0
@@ -384,17 +378,6 @@ def _checked(name: str, k: int, values: Sequence, *n: int, weights: bool = True)
     if weights and sum(values) != 1:
         raise ValueError(f"{name} requires the weights to sum to 1")
     return values
-
-
-def _operator_expansion(variant: OpVariant, shifts: list[Fraction], p: Poly,
-                        weight: Callable[[int], int]) -> tuple[Poly, list[tuple[int, Poly]]]:
-    """The operator of the variant at the summed shift applied to p, and
-    the terms (weight(|J|), operators at the shifts in J applied to p) over
-    the non-empty subsets J: lemmas 1 and 3 equate the first to their sum.
-    The shifts are checked, so the operators are built directly."""
-    terms = [(weight(len(J)), apply_delta(DifferenceOp(tuple(shifts[i] for i in J), variant), p))
-             for J in _subsets(len(shifts))]
-    return apply_delta(DifferenceOp((sum(shifts),), variant), p), terms
 
 
 def _symbol_subset_sum(f: Poly, shifts: Sequence[Poly], drop: int, anchor: SymbolId,
@@ -413,8 +396,8 @@ def verify_lemma1(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     """Forward difference at the summed shift equals the sum over all
     non-empty shift subsets of the composed single-shift differences."""
     shifts = _checked("verify_lemma1", k, shifts, weights=False)
-    lhs, terms = _operator_expansion(OpVariant.FORWARD, shifts, test_poly, lambda j: 1)
-    return lhs == poly_lincomb(terms)
+    lhs = apply_delta(DifferenceOp((sum(shifts),), OpVariant.FORWARD), test_poly)
+    return lhs == shift_subset_sum(test_poly, shifts, *OpVariant.FORWARD.value, [0] + [1] * len(shifts))
 
 
 def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
@@ -426,10 +409,10 @@ def verify_lemma3(k: int, shifts: Sequence[Fraction], test_poly: Poly) -> bool:
     """
     shifts = _checked("verify_lemma3", k, shifts, weights=False)
     sign = -1 if k % 2 == 0 else 1
-    lhs, terms = _operator_expansion(OpVariant.DISCRETE_MEAN, shifts, test_poly, lambda j: sign * (-2) ** (j - 1))
-    if sign < 0:
-        terms.append((1, test_poly))
-    return lhs == poly_lincomb(terms)
+    lhs = apply_delta(DifferenceOp((sum(shifts),), OpVariant.DISCRETE_MEAN), test_poly)
+    # at even k the identity is the weight of the empty subset
+    weights = [int(sign < 0)] + [sign * (-2) ** (j - 1) for j in range(1, len(shifts) + 1)]
+    return lhs == shift_subset_sum(test_poly, shifts, *OpVariant.DISCRETE_MEAN.value, weights)
 
 
 def verify_lemma2(k: int, u: Sequence[Fraction], n: int) -> bool:

@@ -963,6 +963,24 @@ class TestInputBudgets:
         assert _run(RunConfig(command="verify", identity="euler-1-2", n_range=n_range))[0] == 0
         assert [pt["n"] for pt in seen[0]] == list(n_range)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n_range", [range(3, 3), [], ()], ids=["range", "list", "tuple"])
+    def test_verify_refuses_an_empty_n_range(self, monkeypatch, n_range, fmt):
+        # the parser refuses '6..4' as an empty range; a library caller's
+        # empty range is refused in its words, before any grid is built,
+        # where it passed as "all 0 reports pass" (json: [])
+        built = []
+        monkeypatch.setattr(cli, "build_points", lambda *args, **kwargs: built.append(args) or [])
+        code, out, err = _run(RunConfig(command="verify", identity="theorem2", k=3, n_range=n_range, format=fmt))
+        assert (code, out, built) == (2, "", [])
+        assert err == f"empty range {n_range!r}\n"
+
+    def test_verify_reads_no_n_range_as_the_entry_grid(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
+        assert _run(RunConfig(command="verify", identity="theorem2", n_range=None))[0] == 0
+        assert seen == [build_points(REGISTRY["theorem2"])] and seen[0]
+
     def test_mc_samples(self, monkeypatch, capsys):
         seen = []
 

@@ -1154,14 +1154,45 @@ class TestConvolutionDesign:
         assert _read_names("from bek.identities import x as y\nimport bek.series") >= {"identities", "x", "series"}
 
 
+def _top_level_callers(source, names):
+    """The module-level functions of a source that call one of `names`, by
+    name or as an attribute, in their own body or a function nested in it."""
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) in names
+                    for call in ast.walk(node))}
+
+
 class TestOneSubsetExpansion:
     """The subset expansion prod_i (A_i + s_i) - prod_i A_i is one kernel
-    call, `subset_series`, in each function that reads it.  Only lemmas 1
-    and 3 walk subsets: their subset sum is the statement."""
+    call, `subset_series`, in each function that reads it.  Lemmas 1 and 3,
+    whose subset sum of shift operators is the statement, are one call
+    each of the one kernel routine that walks shift subsets,
+    `shift_subset_sum`."""
 
-    def test_only_the_operator_expansion_walks_subsets(self):
+    def test_only_the_kernel_walks_shift_subsets(self):
+        # no module names a subset walk; the one shift step, whose only
+        # caller of `_taylor_shift` it is, is taken by the composition of
+        # one operator and by the subset sum alone; and nothing but the
+        # lemmas' left sides and `poly_shift` calls an operator
+        assert not any(_read_names(source) & {"combinations", "_subsets"} for source in SOURCES.values())
         assert {name: found for name, source in SOURCES.items()
-                if (found := _callers(source, {"_subsets"}))} == {"umbral.py": {"_operator_expansion"}}
+                if (found := _top_level_callers(source, {"_taylor_shift"}))} == {"exactmath.py": {"_operator_step"}}
+        assert {name: found for name, source in SOURCES.items()
+                if (found := _top_level_callers(source, {"_operator_step"}))} == {
+            "exactmath.py": {"poly_shift_operator", "shift_subset_sum"}}
+        operators = {"poly_shift_operator", "poly_shift", "apply_delta", "shift_subset_sum"}
+        assert {name: found for name, source in SOURCES.items() if (found := _callers(source, operators))} == {
+            "exactmath.py": {"poly_shift"}, "umbral.py": {"apply_delta", "verify_lemma1", "verify_lemma3"}}
+        functions = {node.name: node for node in ast.parse(SOURCES["umbral.py"]).body if isinstance(node, ast.FunctionDef)}
+        for verifier in ("verify_lemma1", "verify_lemma3"):
+            calls = [call.func.id for call in ast.walk(functions[verifier])
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+            assert calls.count("shift_subset_sum") == calls.count("apply_delta") == 1, verifier
+
+    def test_the_shift_scan_sees_nested_calls(self):
+        source = "def f(p):\n    def g():\n        return _operator_step(p)\n    return g\ndef h():\n    return 1\n"
+        assert _top_level_callers(source, {"_operator_step"}) == {"f"}
+        assert _callers(source, {"_operator_step"}) == {"g"}
 
     def test_the_three_users_call_the_kernel(self):
         assert {name: found for name, source in SOURCES.items() if (found := _callers(source, {"subset_series"}))} == {

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bek.exactmath as exactmath
 import bek.umbral as umbral
 from bek.exactmath import (
     ZERO,
@@ -22,7 +23,9 @@ from bek.exactmath import (
     poly_lincomb,
     poly_scale,
     poly_shift,
+    poly_shift_operator,
     poly_sub,
+    shift_subset_sum,
     subset_series,
 )
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
@@ -402,6 +405,81 @@ class TestIntegerShiftOracle:
         assert apply_delta(forward_difference(F(2, 3)), ZERO) == ZERO
 
 
+def _fraction_subset_sum(p, shifts, alpha, beta, weights):
+    """sum_J weights[|J|] prod_{j in J} (alpha T_{u_j} + beta) p, the sum
+    over every subset J by plain Fraction additions: each J's composition
+    is `_fraction_apply_delta` at a variant's (alpha, beta), and Fraction
+    arithmetic on `_fraction_shift` at any other."""
+    variants = {variant.value: variant for variant in OpVariant}
+    total = [F(0)] * len(p)
+    for j in range(len(shifts) + 1):
+        for subset in itertools.combinations(shifts, j):
+            if (alpha, beta) in variants:
+                image = _fraction_apply_delta(DifferenceOp(subset, variants[alpha, beta]), p)
+            else:
+                image = p
+                for u in subset:
+                    image = poly([alpha * s + beta * c for s, c in zip(_fraction_shift(image, u), image)])
+            for i, c in enumerate(image):
+                total[i] += weights[j] * c
+    return poly(total)
+
+
+@st.composite
+def subset_sum_cases(draw):
+    """(p, shifts, alpha, beta, weights) for k <= 4 shifts drawn from a pool
+    of at most three, so that zero, negative and repeated shifts occur."""
+    k = draw(st.integers(0, 4))
+    pool = draw(st.lists(shift_values, min_size=1, max_size=3))
+    shifts = tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+    alpha, beta = draw(st.sampled_from([*(variant.value for variant in OpVariant), (F(-2, 3), F(5, 2))]))
+    p = draw(st.one_of(st.just(ZERO), shift_values.map(lambda c: poly([c])), shift_polys))
+    weight = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    return p, shifts, alpha, beta, draw(st.lists(weight, min_size=k + 1, max_size=k + 1))
+
+
+class TestShiftSubsetSum:
+    """The kernel's subset sum of shift operators against the Fraction
+    oracles, which share no integer step with it, and its step count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_sum_cases())
+    def test_matches_the_fraction_oracle(self, case):
+        got = shift_subset_sum(*case)
+        assert got == _fraction_subset_sum(*case)
+        assert all(type(c) is F for c in got)
+
+    def test_frozen(self):
+        square = poly([0, 0, 1])
+        # D_1 x^2 + D_2 x^2 + D_1 D_2 x^2 = D_3 x^2 = 6x + 9
+        assert shift_subset_sum(square, (1, 2), 1, -1, [0, 1, 1]) == poly([9, 6])
+        assert shift_subset_sum(square, (), F(1, 2), F(1, 2), [F(3, 4)]) == poly([0, 0, F(3, 4)])
+        assert shift_subset_sum(ZERO, (F(1), F(2)), 1, -1, [1, 1, 1]) == ZERO
+        with pytest.raises(ValueError, match="one weight per subset size 0..2, got 2"):
+            shift_subset_sum(square, (1, 2), 1, -1, [1, 1])
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_one_taylor_shift_per_subset(self, monkeypatch, k):
+        # each non-empty subset's image is one step from a smaller one's:
+        # 2^k - 1 shifts, where applying each subset afresh takes k 2^(k-1);
+        # x is sent to zero by the second forward difference, and its
+        # images are still formed
+        calls = []
+        taylor_shift = exactmath._taylor_shift
+        monkeypatch.setattr(exactmath, "_taylor_shift", lambda nums, u: calls.append(u) or taylor_shift(nums, u))
+        shifts = (F(1, 2), F(-3), F(2, 5), F(1), F(-1, 4))[:k]
+        for p in (poly([0, 1]), poly([F(1, 3), -2, 0, F(5, 7), 1])):
+            for alpha, beta in [*(variant.value for variant in OpVariant), (F(-2, 3), F(5, 2))]:
+                calls.clear()
+                shift_subset_sum(p, shifts, alpha, beta, [1] * (k + 1))
+                assert len(calls) == 2 ** k - 1
+            # and one more for the left side, at the summed shift
+            for verifier in (verify_lemma1, verify_lemma3):
+                calls.clear()
+                assert verifier(k, shifts, p)
+                assert len(calls) == 2 ** k
+
+
 class TestLemmas:
     def test_lemma1_fixed_tuples(self):
         for k, shifts in [(1, (F(1),)), (2, (F(1, 2), F(1, 3))), (3, (F(1), F(-1, 2), F(2)))]:
@@ -448,9 +526,9 @@ class TestLemmas:
                 f = poly(_rand_fracs(100 + i + k, 8))
                 assert verify_general_f(k, u, f)
 
-    def test_lemma1_detects_wrong_subset_weights(self):
-        # dropping a subset breaks the identity; simulate by a wrong shift tuple
-        # comparison: lemma statement with duplicated shift must still hold
+    def test_lemma1_holds_for_a_repeated_shift(self):
+        # a repeated shift gives two subsets of size 1 with one image each;
+        # TestCorruptedLemmas sees a dropped subset and wrong weights
         shifts = (F(1, 2), F(1, 2))
         for m in range(6):
             assert verify_lemma1(2, shifts, poly([0] * m + [1]))
@@ -515,6 +593,49 @@ class TestCorruptedLemmas:
             f = poly(_rand_fracs(400 + i, 5, nonzero=True) + [F(1)])
             got = [verify_lemma2(k, u, n) for n in range(2, 8)] + [verify_lemma4(k, u, n) for n in range(2, 8)]
             assert got + [verify_general_f(k, u, f)] == [k == 1] * 13, u
+
+    # Lemmas 1 and 3 with their one subset sum corrupted: k = 2..4 shifts,
+    # no partial sum of which is 0, at x^m for m = 2..6.
+    SHIFTS = [(F(1, 2), F(-1, 3)), (F(1), F(-1, 2), F(2)), (F(1), F(1), F(1, 2), F(-1, 4))]
+
+    def _verdicts(self, monkeypatch, verifier, corrupt, ks=(2, 3, 4)):
+        """verifier's verdicts at each k in ks and m = 2..6, all True before
+        `shift_subset_sum` is replaced by corrupt(original, p, shifts,
+        alpha, beta, weights)."""
+        cases = [(len(s), s, poly([0] * m + [1])) for s in self.SHIFTS if len(s) in ks for m in range(2, 7)]
+        assert all(verifier(*case) for case in cases)
+        original = umbral.shift_subset_sum
+        monkeypatch.setattr(umbral, "shift_subset_sum",
+                            lambda p, shifts, alpha, beta, weights: corrupt(original, p, shifts, alpha, beta, list(weights)))
+        return [verifier(*case) for case in cases]
+
+    @pytest.mark.parametrize("verifier", [verify_lemma1, verify_lemma3])
+    def test_a_dropped_subset_of_size_two(self, monkeypatch, verifier):
+        def corrupt(original, p, shifts, alpha, beta, weights):
+            dropped = poly_shift_operator(p, shifts[:2], alpha, beta)
+            return poly_sub(original(p, shifts, alpha, beta, weights), poly_scale(weights[2], dropped))
+
+        assert not any(self._verdicts(monkeypatch, verifier, corrupt))
+
+    def test_lemma3_with_one_more_power_of_minus_two(self, monkeypatch):
+        def corrupt(original, p, shifts, alpha, beta, weights):
+            return original(p, shifts, alpha, beta, [weights[0], *(-2 * w for w in weights[1:])])
+
+        assert not any(self._verdicts(monkeypatch, verify_lemma3, corrupt))
+
+    def test_lemma1_with_the_means_operator(self, monkeypatch):
+        def corrupt(original, p, shifts, alpha, beta, weights):
+            return original(p, shifts, *OpVariant.DISCRETE_MEAN.value, weights)
+
+        assert not any(self._verdicts(monkeypatch, verify_lemma1, corrupt))
+
+    def test_lemma3_without_the_identity_term(self, monkeypatch):
+        def corrupt(original, p, shifts, alpha, beta, weights):
+            return original(p, shifts, alpha, beta, [0, *weights[1:]])
+
+        assert not any(self._verdicts(monkeypatch, verify_lemma3, corrupt, ks=(2, 4)))
+        # at odd k the weight of the empty subset is already 0
+        assert all(verify_lemma3(3, self.SHIFTS[1], poly([0] * m + [1])) for m in range(7))
 
     def test_lemma4_with_wrong_sign_power(self):
         for u in self.TUPLES:
