@@ -85,7 +85,7 @@ def _refuse_tall_params(params: Mapping | None) -> None:
     """Refuse a --params rational whose numerator or denominator is above
     the height cap, before any point is built."""
     for key, value in (params or {}).items():
-        for v in value if isinstance(value, tuple) else (value,):
+        for v in value if isinstance(value, (tuple, list)) else (value,):
             if is_exact(v, Rational) and max(abs(v.numerator), v.denominator) > MAX_PARAM_HEIGHT:
                 raise ValueError(f"--params {key} value {v} is above its input budget cap of height {MAX_PARAM_HEIGHT}")
 
@@ -174,7 +174,7 @@ class RunConfig:
 
     command: str
     identity: str | None = None
-    n_range: Sequence[int] | None = None
+    n_range: Iterable[int] | None = None
     k: int | None = None
     params: dict | None = None
     format: str = "text"
@@ -486,19 +486,22 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
     if not config.identity:
         raise ValueError("verify requires --identity NAME")
     entry = _checked(config.identity, (), registry)[0]
-    if config.n_range is not None:
-        ns = config.n_range
+    ns = config.n_range
+    if ns is not None:
+        # read once, so that a one-shot iterable reaches the cap and the
+        # grid alike; a range stays unexpanded, as the integer check would
+        # walk an oversized one
+        if not isinstance(ns, range):
+            ns = as_exact(ns, Integral, "--n")
         if not ns:  # None is the entry's grid; an empty range would pass vacuously
-            raise ValueError(f"empty range {ns!r}")
-        # max(), or the integer check, would walk an oversized range; a
-        # range's largest value is one of its ends, in either order
-        top = max(ns[0], ns[-1]) if isinstance(ns, range) else max(as_exact(ns, Integral, "--n"))
-        _refuse_above("--n", top, MAX_VERIFY_N)
+            raise ValueError(f"empty range {config.n_range!r}")
+        # a range's largest value is one of its ends, in either order
+        _refuse_above("--n", max(ns[0], ns[-1]) if isinstance(ns, range) else max(ns), MAX_VERIFY_N)
     _refuse_tall_params(config.params)
     if entry.takes_k and config.k is not None:
         # before a default tuple of length k is built
         _refuse_above("--k", as_exact((config.k,), Integral, "--k")[0], MAX_VERIFY_K)
-    points = build_points(entry, n_values=config.n_range, k=config.k, params=config.params)
+    points = build_points(entry, n_values=ns, k=config.k, params=config.params)
     if entry.takes_k:
         _refuse_above("a_vec length", max((pt["k"] for pt in points), default=0), MAX_VERIFY_K)
         _refuse_work(points)

@@ -26,8 +26,8 @@ operation of that kind is one call of these: `poly_add`, `poly_sub` and
 Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, the shift operators one step,
 `_operator_step`, and the linear combinations one accumulator,
-`_int_lincomb`; the integer form of the polynomials a convolution reads
-is built once per family and top degree.
+`_int_lincomb`; a convolution reads each polynomial it convolves in its
+own integer form, built once per process.
 
 A convolution's first two slots read one more memo, the pair table
 `_pair_product`: the product of P_l and P_m in their own integer forms,
@@ -36,7 +36,8 @@ a line's top degree or weights, so every two-slot line of a family, and
 the prefix of every longer one, reads the same products; a line only
 scales and adds them.  It is an `lru_cache` of 4096 entries, which holds
 both families up to the CLI's largest n, and its factors' own integer
-forms are one more, `_own_form`, built once per (family, l).  Both are
+forms, which every slot of a line reads as well, are one more,
+`_own_form`, built once per (family, l).  Both are
 thread safe as the other memos are: an entry is an immutable tuple, a
 pure function of its key, and two threads that miss on one key form
 equal values.
@@ -347,17 +348,6 @@ def subset_series(factors: Sequence[Poly], shifts: Sequence[Poly], d: int) -> Po
     return _from_int_form([a - b for a, b in pairs], den)
 
 
-@lru_cache(maxsize=None)
-def _family_forms(family: Callable[[int], Poly], n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The integer form of family(0), ..., family(n): their numerators over
-    the lcm of all their denominators, as (numerators, denominator).  Built
-    once per (family, n), so family must be a pure function of its index;
-    the key hashes the function, not its values."""
-    terms = [family(l) for l in range(n + 1)]
-    den = lcm(*(c.denominator for p in terms for c in p))
-    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in terms), den
-
-
 def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], j: int) -> list[int]:
     """The coefficient of t^j in a(t) b(t), for series whose coefficients
     are integer polynomials in x; b has at least j + 1 coefficients."""
@@ -369,11 +359,14 @@ def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int
 
 
 @lru_cache(maxsize=1024)
-def _own_form(family: Callable[[int], Poly], l: int) -> tuple[int, ...]:
+def _own_form(family: Callable[[int], Poly], l: int) -> tuple[tuple[int, ...], int]:
     """The numerators of P_l = family(l) over d_l, the lcm of its
-    denominators: its own integer form, built once per (family, l) for
-    every pair product it enters."""
-    return tuple(_int_form(family(l))[0])
+    denominators, as (numerators, d_l): its own integer form, built once
+    per (family, l) for every line and pair product it enters.  The key
+    hashes the function, not its values, so family must be a pure
+    function of its index."""
+    nums, den = _int_form(family(l))
+    return tuple(nums), den
 
 
 # 4096 entries hold every pair l + m <= 70 (the CLI's largest n) of both
@@ -381,10 +374,10 @@ def _own_form(family: Callable[[int], Poly], l: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _pair_product(family: Callable[[int], Poly], l: int, m: int) -> tuple[int, ...]:
     """The product of P_l = family(l) and P_m = family(m), l <= m, in their
-    own integer forms (`_own_form`): its numerators over d_l d_m.  Unlike
-    the family forms it depends on no top degree, so every line of a
-    family reads the same entry."""
-    p, q = _own_form(family, l), _own_form(family, m)
+    own integer forms (`_own_form`): its numerators over d_l d_m.  It
+    depends on no line's top degree, so every line of a family reads the
+    same entry."""
+    (p, _), (q, _) = _own_form(family, l), _own_form(family, m)
     out = [0] * (len(p) + len(q) - 1)
     _mul_into(out, p, q)
     return tuple(out)
@@ -415,17 +408,19 @@ def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
 
     The ns may come in any order, with gaps and repeats.  Each weight list
     has N + 1 entries, N = max(ns), and is read at l <= n for each n, so it
-    must not depend on n; there is at least one slot.  P_0..P_N share one
-    integer form over their common denominator, built once per (family, N)
-    (`_family_forms`), and each slot's weights another over theirs, so
-    every S_i is a series of integer polynomials.  The first two slots form
-    a prefix series truncated after t^N (`_paired_coefficient`), a weighted
-    sum of the pair products P_l P_m, l <= m, which the pair table
-    (`_pair_product`) forms once per process, and the slots after them but
-    the last are multiplied into it in turn, once for the whole line; the
-    last contributes only the coefficient of t^n, read once per distinct n
-    (for two slots, the pair's own coefficient).  The denominators and the
-    scale are applied once, to that coefficient.
+    must not depend on n; there is at least one slot.  Each P_l is read in
+    its own integer form, numerators over d_l (`_own_form`, built once per
+    process), and each slot's weights as numerators over their lcm; every
+    weight takes the factor T/d_l of its P_l, T = lcm(d_0, ..., d_N), so
+    every S_i is a series of integer polynomials over one denominator.
+    The first two slots form a prefix series truncated after t^N
+    (`_paired_coefficient`), a weighted sum of the pair products P_l P_m,
+    l <= m, which the pair table (`_pair_product`) forms once per
+    process, and the slots after them but the last are multiplied into it
+    in turn, once for the whole line; the last contributes only the
+    coefficient of t^n, read once per distinct n (for two slots, the
+    pair's own coefficient).  The denominators and the scale are applied
+    once, to that coefficient.
     """
     if len(scales) != len(ns):
         raise ValueError(f"convolution needs one scale per n, got {len(scales)} for {len(ns)}")
@@ -434,31 +429,24 @@ def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
         raise ValueError(f"convolution needs at least one slot of {top_n + 1} weights")
     if top_n < 0:
         return [ZERO] * len(ns)
-    nums, terms_den = _family_forms(family, top_n)
+    forms = [_own_form(family, l) for l in range(top_n + 1)]
+    terms_den = lcm(*(d for _, d in forms))
     ints, den = [], 1
     for w in weights:
         w_den = lcm(*(v.denominator for v in w))
-        ints.append([v.numerator * (w_den // v.denominator) for v in w])
+        ints.append([v.numerator * (w_den // v.denominator) * (terms_den // d) for v, (_, d) in zip(w, forms)])
         den *= terms_den * w_den
     distinct = {n for n in ns if n >= 0}
     if len(ints) == 1:
-        tops = {n: [ints[0][n] * v for v in nums[n]] for n in distinct}
+        tops = {n: [ints[0][n] * v for v in forms[n][0]] for n in distinct}
+    elif len(ints) == 2:
+        tops = {n: _paired_coefficient(family, *ints, n) for n in distinct}
     else:
-        # The pair products are over d_l d_m, so each weight of the first
-        # two slots takes the factor T/d_l that puts every pair over T^2.
-        # T/d_l is the gcd of T and P_l's numerators over T: for each prime,
-        # the coefficient whose denominator holds it most often has a
-        # numerator free of it.
-        rescale = [gcd(terms_den, *p) for p in nums]
-        w0, w1 = ([v * r for v, r in zip(w, rescale)] for w in ints[:2])
-        if len(ints) == 2:
-            tops = {n: _paired_coefficient(family, w0, w1, n) for n in distinct}
-        else:
-            series = [[[c * v for v in p] if c else [] for c, p in zip(w, nums)] for w in ints[2:]]
-            prefix = [_paired_coefficient(family, w0, w1, j) for j in range(top_n + 1)]
-            for s in series[:-1]:
-                prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
-            tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
+        series = [[[c * v for v in p] if c else [] for c, (p, _) in zip(w, forms)] for w in ints[2:]]
+        prefix = [_paired_coefficient(family, *ints[:2], j) for j in range(top_n + 1)]
+        for s in series[:-1]:
+            prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
+        tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
     return [_from_int_form([scale.numerator * v for v in tops[n]], den * scale.denominator) if n >= 0 else ZERO
             for n, scale in zip(ns, map(Fraction, scales))]
 

@@ -1103,10 +1103,15 @@ def build_points(
 
     With no overrides this is the entry's full default desk-scale grid.  An
     explicit n range, k, or parameter set replaces the corresponding default
-    axis; everything else keeps its default.
+    axis; everything else keeps its default.  The n values are read once,
+    and a list `a_vec` is read as a tuple, whose length is the k when none
+    is given.
     """
+    n_values = tuple(n_values) if n_values is not None else None
     params = dict(params) if params else None
     _refuse_foreign_inputs(entry, params or {}, k)
+    if params and isinstance(params.get("a_vec"), list):
+        params["a_vec"] = tuple(params["a_vec"])
     if entry.takes_k:
         if k is not None:
             ks: tuple[int | None, ...] = (k,)
@@ -1118,7 +1123,7 @@ def build_points(
         ks = (None,)
     points: list[dict] = []
     for kk in ks:
-        ns = tuple(n_values) if n_values is not None else entry.default_n(kk)
+        ns = n_values if n_values is not None else entry.default_n(kk)
         param_sets = (params,) if params else entry.default_param_sets(kk)
         for pset in param_sets:
             for n in ns:

@@ -975,6 +975,16 @@ class TestInputBudgets:
         assert (code, out, built) == (2, "", [])
         assert err == f"empty range {n_range!r}\n"
 
+    def test_verify_reads_a_one_shot_n_range_once(self):
+        # the cap read a generator to its end, and the grid then got none of
+        # it: "all 0 reports pass"
+        code, out, err = _run(RunConfig(command="verify", identity="theorem2", k=3, n_range=(3, 4), format="json"))
+        assert (code, err, len(json.loads(out))) == (0, "", 6)
+        assert _run(RunConfig(command="verify", identity="theorem2", k=3, n_range=(n for n in [3, 4]),
+                              format="json")) == (code, out, err)
+        code, out, err = _run(RunConfig(command="verify", identity="theorem2", k=3, n_range=(n for n in [])))
+        assert (code, out) == (2, "") and err.startswith("empty range <generator")
+
     def test_verify_reads_no_n_range_as_the_entry_grid(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
@@ -1044,6 +1054,16 @@ class TestInputBudgets:
             identity = {"a_vec": "theorem2", "a": "theorem1", "epsilon": "eq-6-9"}[params.split("=")[0]]
             self._refused(capsys, ["verify", "--identity", identity, "--n", "3", "--params", params], "--params")
         assert len(seen) == 2
+
+    @pytest.mark.parametrize("vec_type", [tuple, list])
+    def test_param_height_of_a_library_callers_a_vec(self, monkeypatch, vec_type):
+        # a list a_vec passed the cap, and its run verified
+        monkeypatch.setattr(cli, "build_points", None)
+        a_vec = vec_type((F(999999937, 999999929), F(1)))
+        code, out, err = _run(RunConfig(command="verify", identity="theorem2", k=2, params={"a_vec": a_vec},
+                                        n_range=range(0, 3)))
+        assert (code, out) == (2, "")
+        assert err == f"--params a_vec value 999999937/999999929 is above its input budget cap of height {MAX_PARAM_HEIGHT}\n"
 
     def test_kth_matiyasevich_at_k_16_runs(self, capsys):
         # the composition count refused this point, C(23, 15) = 490,314;

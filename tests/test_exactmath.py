@@ -513,18 +513,41 @@ class TestIntegerKernel:
         with pytest.raises(ValueError):
             convolution_coefficients(bernoulli_poly, [1, 2], [[1, 1, 1]] * 2, [1])
 
-    def test_each_family_and_degree_has_its_own_forms(self):
-        exactmath._family_forms.cache_clear()
-        calls = [(bernoulli_poly, 5), (euler_poly, 5), (bernoulli_poly, 4), (euler_poly, 4)]
-        for family, n in calls * 2:
-            convolution_coefficients(family, [n], [[1] * (n + 1)] * 2, [1])
-        # a line builds the forms of its largest n alone
-        convolution_coefficients(bernoulli_poly, [1, 5, 3], [[1] * 6] * 2, [1] * 3)
-        info = exactmath._family_forms.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (4, 4, 5)
-        for family, n in calls:
-            nums, den = exactmath._family_forms(family, n)
-            assert [tuple(Fraction(v, den) for v in p) for p in nums] == [family(l) for l in range(n + 1)]
+    def test_each_family_and_degree_has_one_own_form(self):
+        exactmath._own_form.cache_clear()
+        lines = [(bernoulli_poly, [5]), (euler_poly, [5, 2]), (bernoulli_poly, [4]), (euler_poly, [1, 4]),
+                 (bernoulli_poly, [7, 3])]
+        for family, ns in lines * 2:
+            for k in (1, 2, 3):
+                convolution_coefficients(family, ns, [[1] * (max(ns) + 1)] * k, [1] * len(ns))
+        # lines at every top read the forms of one (family, l), built once
+        built = {(family, l) for family, ns in lines for l in range(max(ns) + 1)}
+        assert exactmath._own_form.cache_info().misses == len(built) == 14
+        for family, l in built:
+            nums, den = exactmath._own_form(family, l)
+            assert tuple(Fraction(v, den) for v in nums) == family(l)
+            assert den == math.lcm(*(c.denominator for c in family(l)))
+
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["bernoulli", "euler"])
+    def test_each_slot_is_scaled_by_the_carried_denominator(self, monkeypatch, family):
+        # with P_l over twice its denominator, a line that reads P_l in one
+        # slot, and P_0 = 1 in the others, reads P_l / 2: each slot takes
+        # the factor T/d_l of the d_l its form carries
+        l = 2
+        real = exactmath._own_form
+
+        def line(k, slot):
+            weights = [[1 if m == (l if i == slot else 0) else 0 for m in range(l + 1)] for i in range(k)]
+            return convolution_coefficients(family, [l], weights, [1])
+
+        lines = [(k, slot) for k in (1, 2, 3) for slot in range(k)]
+        clean = [line(k, slot) for k, slot in lines]
+        assert clean == [[family(l)]] * len(lines)
+        real.cache_clear()
+        exactmath._pair_product.cache_clear()
+        monkeypatch.setattr(exactmath, "_own_form",
+                            lambda fam, m: (real(fam, m)[0], 2 * real(fam, m)[1]) if m == l else real(fam, m))
+        assert [line(k, slot) for k, slot in lines] == [[poly_scale(Fraction(1, 2), family(l))]] * len(lines)
 
     @given(st.one_of(small_polys, wide_polys), st.lists(scalars, max_size=4), scalars, scalars)
     def test_shift_operator_matches_fold(self, p, shifts, alpha, beta):
@@ -726,9 +749,11 @@ def _private_kernel_imports(source: str) -> list[str]:
 
 
 class TestLayering:
-    """The kernel's integer-numerator format (`_int_form`, `_taylor_shift`,
-    ...) is known to `bek.exactmath` alone: other modules reach it only
-    through the kernel's public routines."""
+    """No other module imports a private name of the kernel (`_int_form`,
+    `_taylor_shift`, ...) or reads one off the module: the kernel's
+    helpers are reached only through its public routines.  Integer
+    numerators over one denominator do cross the boundary: `sequences.appell`
+    takes them, and `identities` holds a line's Appell numbers in that form."""
 
     def test_no_module_imports_a_private_kernel_name(self):
         package = Path(bek.__file__).parent
@@ -751,15 +776,20 @@ class TestLayering:
         assert isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call)
         assert getattr(stmt.value.func, "id", None) == kernel
 
-    def test_the_convolution_kernel_takes_a_line(self):
-        # one convolution kernel, called with a line of n values: the only
-        # reader of the family forms, and no point form beside it
+    def test_the_convolution_kernel_reads_one_form_per_polynomial(self):
+        # one convolution kernel, called with a line of n values, that reads
+        # each P_l in its own form, as the pair table does, and holds no
+        # second form of P_l or point form beside it
         functions = {node.name: node for node in ast.parse(Path(exactmath.__file__).read_text()).body
                      if isinstance(node, ast.FunctionDef)}
-        readers = {name for name, node in functions.items()
-                   if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_family_forms"
-                          for c in ast.walk(node))}
-        assert readers == {"convolution_coefficients"}
+
+        def reads(node, name):
+            return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+
+        assert {name for name, node in functions.items() if reads(node, "_own_form")} == {
+            "_pair_product", "convolution_coefficients"}
+        assert "_family_forms" not in functions and not hasattr(exactmath, "_family_forms")
+        assert not reads(functions["convolution_coefficients"], "gcd")
         assert [arg.arg for arg in functions["convolution_coefficients"].args.args] == [
             "family", "ns", "weights", "scales"]
         assert [name for name in functions if "convolution" in name] == ["convolution_coefficients", "convolution_work"]

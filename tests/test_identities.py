@@ -381,10 +381,22 @@ class TestVerifyEngine:
             {"n": 4, "a": F(5), "b": F(1)},
         ]
 
-    def test_build_points_infers_k_from_a_vec(self):
+    @pytest.mark.parametrize("vec_type", [tuple, list])
+    def test_build_points_infers_k_from_a_vec(self, vec_type):
+        # a list a_vec is read as a tuple, as `verify` reads it; it built
+        # the default ks' 47 points, which the k-of-a_vec check refused
         entry = REGISTRY["theorem2"]
-        points = build_points(entry, n_values=(2,), params={"a_vec": (F(1), F(2), F(3))})
+        points = build_points(entry, n_values=(2,), params={"a_vec": vec_type((F(1), F(2), F(3)))})
         assert points == [{"n": 2, "k": 3, "a_vec": (F(1), F(2), F(3))}]
+        points = build_points(entry, params={"a_vec": vec_type((F(1), F(2)))})
+        assert len(points) == 21 and all(pt["k"] == 2 and pt["a_vec"] == (F(1), F(2)) for pt in points)
+        assert all(r.passed for r in verify("theorem2", points))
+
+    def test_build_points_reads_one_shot_n_values_once(self):
+        # every default k reads the n values, which a generator yields once
+        entry = REGISTRY["theorem2"]
+        assert len(entry.default_ks) > 1
+        assert build_points(entry, n_values=(n for n in [3, 4])) == build_points(entry, n_values=(3, 4))
 
     def test_build_points_k_defaults_per_k(self):
         entry = REGISTRY["theorem2"]
