@@ -1,11 +1,12 @@
 """Command-line front end: batch verification, table printing, Monte Carlo.
 
 Exit codes: 0 all checks pass, 1 at least one identity or statistical
-failure, 2 usage or domain error.  All rational output is exact "p/q"
-text; polynomials serialize as ascending coefficient arrays (an empty
-array is the zero polynomial).  Evaluation times are reported as 0 unless
---timings is given, so that repeated runs with one config are
-byte-identical in json and csv modes.
+failure or an evaluation that raised (a defect, reported with every other
+report and one stderr line per line that raised), 2 usage or domain
+error.  All rational output is exact "p/q" text; polynomials serialize
+as ascending coefficient arrays (an empty array is the zero polynomial).
+Evaluation times are reported as 0 unless --timings is given, so that
+repeated runs with one config are byte-identical in json and csv modes.
 """
 
 from __future__ import annotations
@@ -51,15 +52,18 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # cached B_n(x) and E_n(x), which grow as N^3.  Each further n value of a
 # `bek verify` range adds its own time.
 #
-# The left side of a k-fold entry at (k, n) forms at most
-# `exactmath.convolution_work(k, n)` integer coefficient products.  The sum
-# of that bound over a grid's points is capped, for every k-fold entry
+# `exactmath.convolution_work(k, n)` bounds the integer coefficient
+# products of a k-fold left side at (k, n) in the polynomial kernel.  The
+# sum of that bound over a grid's points is capped, for every k-fold entry
 # (`takes_k`) alike, and so is k.  A product costs more as k grows, since
 # its integers grow, so a grid of smaller k at the same count finishes
 # sooner.  The cap bounds k and n; the height cap bounds the size of the
-# parameters, whose slot weights (a)_l / l! grow with it.
-# kth-matiyasevich reads both of its sides off products of one number
-# series, so the count overstates its work.
+# parameters, whose slot weights (a)_l / l! grow with it.  No k-fold entry
+# runs that kernel any more: kth-matiyasevich reads both of its sides off
+# products of one number series, and theorem2 and theorem4 their left
+# sides off one product of k number series, so the count overstates the
+# work of all three.  The caps are kept until a bound on number-series
+# work replaces the count.
 #
 # `bek mc` draws one gamma per shape and sample.  Its exact moment
 # multiplies out (sum a)_{sum l} as one integer product tree; the cap
@@ -363,7 +367,11 @@ class _Style:
         return self._paint(f"{text}{tail}\n", not failures)
 
 
-def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO) -> None:
+def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO, err: TextIO) -> None:
+    """Every report to out, and to err one line per line whose evaluation
+    raised."""
+    for error in dict.fromkeys(r.error for r in reports if r.error):
+        err.write(f"{error}\n")
     if config.format != "text":
         _write_rows(config.format, (_report_payload(r, config.timings) for r in reports), out)
         return
@@ -376,6 +384,9 @@ def _emit_reports(config: RunConfig, reports: list[IdentityReport], out: TextIO)
         out.write(f"{name}: {passed}/{len(group)} reports pass  [{style.marker(passed == len(group))}]\n")
         for r in group:
             if r.passed:
+                continue
+            if r.error:
+                out.write(f"  ERROR {point_text(r.inputs)}\n")
                 continue
             out.write(f"  FAIL {point_text(r.inputs)}\n")
             out.write(f"    lhs        = {_poly_text(r.lhs)}\n")
@@ -482,7 +493,7 @@ def _cmd_tables(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO) -> int:
+def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO, err: TextIO) -> int:
     if not config.identity:
         raise ValueError("verify requires --identity NAME")
     entry = _checked(config.identity, (), registry)[0]
@@ -506,15 +517,15 @@ def _cmd_verify(config: RunConfig, registry: Mapping[str, IdentitySpec], out: Te
         _refuse_above("a_vec length", max((pt["k"] for pt in points), default=0), MAX_VERIFY_K)
         _refuse_work(points)
     reports = verify(config.identity, points=points, registry=registry)
-    _emit_reports(config, reports, out)
+    _emit_reports(config, reports, out, err)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_verify_all(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO) -> int:
+def _cmd_verify_all(config: RunConfig, registry: Mapping[str, IdentitySpec], out: TextIO, err: TextIO) -> int:
     reports: list[IdentityReport] = []
     for name in registry:
         reports.extend(verify(name, registry=registry))
-    _emit_reports(config, reports, out)
+    _emit_reports(config, reports, out, err)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -617,9 +628,9 @@ def run(
         if config.command == "tables":
             return _cmd_tables(config, out)
         if config.command == "verify":
-            return _cmd_verify(config, reg, out)
+            return _cmd_verify(config, reg, out, err)
         if config.command == "verify-all":
-            return _cmd_verify_all(config, reg, out)
+            return _cmd_verify_all(config, reg, out, err)
         if config.command == "mc":
             return _cmd_mc(config, out)
         raise ValueError(f"unknown command {config.command!r}")

@@ -12,7 +12,10 @@ The kernel operations, the truncated power-series product
 `series_product`, the subset expansion `subset_series`, the weighted
 convolution coefficients `convolution_coefficients` (coefficients of one
 truncated product of series whose coefficients are polynomials, read at
-each n of a line), the
+each n of a line; `identities` reads its harmonic left sides, with slot
+weights 1/l or H_{l-1}/l, and corollary11's second right side off it,
+and its left sides with Pochhammer or 1/l! weights off one
+`series_product` of number series), the
 linear combination `poly_lincomb`, the shift operators
 `poly_shift_operator` and their subset sum `shift_subset_sum` (the
 weighted sum over every subset of the shifts of the operators composed
@@ -31,16 +34,16 @@ own integer form, built once per process.
 
 A convolution's first two slots read one more memo, the pair table
 `_pair_product`: the product of P_l and P_m in their own integer forms,
-over d_l d_m, keyed on (family, l, m) with l <= m.  It does not depend on
-a line's top degree or weights, so every two-slot line of a family, and
-the prefix of every longer one, reads the same products; a line only
-scales and adds them.  It is an `lru_cache` of 4096 entries, which holds
-both families up to the CLI's largest n, and its factors' own integer
-forms, which every slot of a line reads as well, are one more,
-`_own_form`, built once per (family, l).  Both are
-thread safe as the other memos are: an entry is an immutable tuple, a
-pure function of its key, and two threads that miss on one key form
-equal values.
+over d_l d_m, keyed on (family, l, m) with l <= m.  It serves only the
+harmonic left sides and corollary11's second right side.  It does not
+depend on a line's top degree or weights, so every two-slot line of a
+family, and the prefix of every longer one, reads the same products; a
+line only scales and adds them.  It is an `lru_cache` of 4096 entries,
+which holds both families up to the CLI's largest n, and its factors' own
+integer forms, which every slot of a line reads as well, are one more,
+`_own_form`, built once per (family, l).  Both are thread safe as the
+other memos are: an entry is an immutable tuple, a pure function of its
+key, and two threads that miss on one key form equal values.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per

@@ -5,10 +5,10 @@ polynomials in x over the rationals (number-level identities produce
 degree-0 polynomials) and never shares work between the two sides beyond
 memos whose values depend on their keys alone: the sequence tables, and
 the kernel's pair table of products of their entries, P_l(x) P_m(x),
-which the left sides and the right side of corollary11's second display
-read.  So a sign slip on either side cannot cancel, and neither can a
-corrupted table entry: where both sides read a pair, they read it at
-different points of a line, and a test corrupts one entry to see each
+which the harmonic left sides and the right side of corollary11's second
+display read.  So a sign slip on either side cannot cancel, and neither
+can a corrupted table entry: where both sides read a pair, they read it
+at different points of a line, and a test corrupts one entry to see each
 display that reads it fail.
 Parameters stated for real values are verified on positive rational
 instances.  What a report checks is exact equality of every coefficient
@@ -41,17 +41,24 @@ coefficient: the coefficient of t^n in one truncated `series_product` of
 sum_j u_j t^j and sum_m v_m t^m (`_number_series`), formed once for the
 line, where a binomial C(n, j) is n! times 1/j! and 1/m! in the two
 series and a term is left out by a zero coefficient.  A convolution left
-side, scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
-P_{l_1}(x)...P_{l_k}(x) with P = B or E, is declared as its slot weights:
-the kernel's `convolution_coefficients` takes the family P, one list
-w_i(0..N) per slot (0 where a term is absent, the same list for every n
-of the line, N the largest) and one scale per n, and reads each sum off
-one truncated series product, as the coefficient of t^n in
-prod_i sum_l w_i(l) P_l(x) t^l.  A weight that depends on n through a
-harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l - h_l with r_l =
-1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1} [t^n] R^2 - [t^n] H R,
-R and H the series of r and h: two lines whose weights are free of n,
-with the harmonic number in the scales.  A sum of the polynomials with number
+side is scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
+P_{l_1}(x)...P_{l_k}(x) with P = B or E.  Where every slot weight is a
+Pochhammer weight (a)_l/l! (1 and l+1 are a = 1 and 2) or 1/l!, the sum
+is itself an Appell polynomial, whose numbers are read off one product
+of number series for the line, sum_l w(l) P_l(0) t^l per slot, with each
+P_l(0) read off the polynomial P_l(x), never off the number sequences the
+right sides read (`_rising_lhs`, `_exponential_lhs`): the left sides of
+theorems 1-4, corollary1, eq-2-15, eq-4-0a, eq-6-9 and corollary8.  The
+harmonic left sides, with weights 1/l or H_{l-1}/l, are declared as
+their slot weights: the kernel's `convolution_coefficients` takes the
+family P, one list w_i(0..N) per slot (0 where a term is absent, the same
+list for every n of the line, N the largest) and one scale per n, and
+reads each sum off one truncated series product, as the coefficient of
+t^n in prod_i sum_l w_i(l) P_l(x) t^l.  A weight that depends on n
+through a harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l - h_l
+with r_l = 1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1} [t^n] R^2
+- [t^n] H R, R and H the series of r and h: two lines whose weights are
+free of n, with the harmonic number in the scales.  A sum of the polynomials with number
 weights, sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an
 Appell polynomial (the umbral calculus; Roman, The Umbral Calculus, ch.
 2): its numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are
@@ -123,9 +130,9 @@ class UnknownIdentityError(KeyError):
 
 # The memoized products of Bernoulli and Euler polynomials for a sorted
 # index multiset.  No module of the package calls them: the left sides are
-# series coefficients (`convolution_coefficients`).  The hand-written
-# reference left sides of the tests form their products with them, and the
-# benchmark worker reads their cache statistics.
+# series coefficients.  The hand-written reference left sides of the tests
+# form their products with them, and the benchmark worker reads their
+# cache statistics.
 @lru_cache(maxsize=None)
 def _bern_product(indices: tuple[int, ...]) -> Poly:
     """Product of Bernoulli polynomials for a sorted index multiset."""
@@ -214,11 +221,52 @@ def _plus_numbers(numbers: Numbers, n: int, alpha: Fraction, number: Callable[[i
     return out, out_den
 
 
+def _slot_product(family: Callable[[int], Poly], weights: Sequence[Sequence[Fraction]], top: int) -> list[Fraction]:
+    """h_j = [t^j] prod_i sum_l weights[i][l] P_l(0) t^l for j = 0..top,
+    with P_l(0) read off the polynomial family(l) itself: the numbers of a
+    left side, formed by one `series_product` for the line.  One slot
+    multiplies nothing."""
+    at_zero = [family(l)[0] for l in range(top + 1)]
+    series = [[w * p for w, p in zip(slot, at_zero)] for slot in weights]
+    h = series[0] if len(series) == 1 else series_product(series, top)
+    return [_coeff(h, j) for j in range(top + 1)]
+
+
+def _rising_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction],
+                scales: Sequence[Fraction | int]) -> list[Poly]:
+    """scale sum over l_1+...+l_k = n of prod_i (a_i)_{l_i}/l_i! P_{l_i}(x),
+    P = family, at each n = ns[j] with scale = scales[j].  As P is an
+    Appell sequence, one slot is sum_l (a)_l/l! P_l(x) t^l = (1-xt)^(-a)
+    G_a(t/(1-xt)), G_a(s) = sum_l (a)_l P_l(0) s^l/l!, so with h = prod_i
+    G_{a_i} and A = sum a the k-fold sum is sum_j h_j (A+j)_{n-j}/(n-j)!
+    x^{n-j}: (A)_n/n! times the Appell polynomial of c_j = j! h_j/(A)_j
+    (Roman, The Umbral Calculus, ch. 2).  The c_j do not depend on n, so
+    one product of number series serves the whole line."""
+    top = max(ns)
+    rising_sum = rising_weights(sum(a_vec), top)  # (A)_j/j!
+    h = _slot_product(family, [rising_weights(a, top) for a in a_vec], top)
+    nums, den = _over_lcm(h_j / w for h_j, w in zip(h, rising_sum))
+    return [appell(nums[: n + 1], den, scale * rising_sum[n]) for n, scale in zip(ns, scales)]
+
+
+def _exponential_lhs(family: Callable[[int], Poly], ns: Sequence[int], k: int,
+                     scales: Sequence[Fraction | int]) -> list[Poly]:
+    """scale sum over l_1+...+l_k = n of prod_i P_{l_i}(x)/l_i!, P = family,
+    at each n = ns[j] with scale = scales[j].  A slot sum_l P_l(x) t^l/l!
+    is e^(xt) beta(t), beta = sum_l P_l(0) t^l/l!, so the k-fold sum is
+    [t^n] e^(kxt) beta^k: 1/n! times the Appell polynomial at kx of c_j =
+    j! [t^j] beta^k, one product of number series for the line."""
+    top = max(ns)
+    h = _slot_product(family, [_inverse_factorials(top)] * k, top)
+    nums, den = _over_lcm(factorial(j) * h_j for j, h_j in enumerate(h))
+    return [appell(nums[: n + 1], den, Fraction(scale) / factorial(n), k) for n, scale in zip(ns, scales)]
+
+
 def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction]) -> list[Poly]:
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
     P = family, the left side of theorems 1-4, at each n."""
-    return convolution_coefficients(family, ns, [rising_weights(a, max(ns)) for a in a_vec],
-                                    [factorial(n) / pochhammer(sum(a_vec), n) for n in ns])
+    rising_sum = rising_weights(sum(a_vec), max(ns))  # (sum a)_n/n!
+    return _rising_lhs(family, ns, a_vec, [1 / rising_sum[n] for n in ns])
 
 
 def _harmonic_pair_sums(family: Callable[[int], Poly], ns: Sequence[int], plain: Sequence[Fraction | int],
@@ -401,7 +449,7 @@ def _matiyasevich(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 
 def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (max(ns) + 1)] * 2, [n + 2 for n in ns])
+    lhs = _rising_lhs(bernoulli_poly, ns, (Fraction(1),) * 2, [n + 2 for n in ns])
     # 2 C(n+2, l+2) B_l = (n+1)(n+2) C(n, l) 2 B_l / ((l+1)(l+2)), and
     # C(n+2, 3) B_{n-1}(x) = (n+1)(n+2) C(n, 1) B_{n-1}(x) / 6 is a term l = 1
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(2, (l + 1) * (l + 2) * factorial(l)))
@@ -492,8 +540,7 @@ def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 
 def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(max(ns))] * 2,
-                                   [Fraction(factorial(n), 2 ** n) for n in ns])
+    lhs = _exponential_lhs(bernoulli_poly, ns, 2, [Fraction(factorial(n), 2 ** n) for n in ns])
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
     s[1] += Fraction(1, 4)
     nums, den = _appell_numbers(s, bernoulli_number, max(ns))
@@ -513,7 +560,7 @@ def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1)] * 3, [n + 3 for n in ns])
+    lhs = _rising_lhs(bernoulli_poly, ns, (Fraction(1),) * 3, [n + 3 for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l, and
     # as C(n+3, i) = (n+3)! / (i! (n+3-i)!) the three terms are 3 (n+3)!
     # sum_i s_{n-i} B_i(x)/i!, s_r = ([t^r] b^2 + B_{r-1} + [r = 2]/3) / (r+3)!
@@ -545,8 +592,7 @@ def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fractio
 
 def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(eps, top)] * 3,
-                                   [1 / pochhammer(3 * eps, n) for n in ns])
+    lhs = _rising_lhs(bernoulli_poly, ns, (eps,) * 3, [1 / pochhammer(3 * eps, n) for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of c(t) =
     # sum_l (eps)_l B_l t^l / l!, and the three terms are sum_i s_{n-i}
     # B_i(x)/i!, s_r = 3 eps ([t^r] c^2 + eps c_{r-1} + [r = 2] eps^2/3) / (3 eps)_{r+1}
@@ -561,7 +607,7 @@ def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
 
 def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [_inverse_factorials(top)] * 3, [factorial(n) for n in ns])
+    lhs = _exponential_lhs(bernoulli_poly, ns, 3, [factorial(n) for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of beta(t) =
     # sum_l B_l t^l / l!, and the three terms are n! sum_i s_{n-i} 3^i
     # B_i(x)/i!, s_r = [t^r] beta^2 + beta_{r-1} + [r = 2]/3
@@ -892,7 +938,10 @@ class IdentitySpec:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity at one grid point (and display, if several)."""
+    """Outcome of one identity at one grid point (and display, if several).
+    The status is "pass", "fail", or "error" when the evaluation of the
+    point's line raised; an error report has empty sides and `error` says
+    which line raised what."""
 
     identity: str
     inputs: dict
@@ -901,6 +950,7 @@ class IdentityReport:
     rhs: Poly
     difference: Poly
     elapsed: float
+    error: str = ""
 
     @property
     def passed(self) -> bool:
@@ -1147,14 +1197,23 @@ def verify(
     runs, and a report's inputs are its checked point.  Each run of
     consecutive points that differ only in n is evaluated as one line, and
     reported point by point in grid order.  A failing identity never
-    raises: it produces a fail report with the difference retained.
+    raises: it produces a fail report with the difference retained.  Nor
+    does a line whose evaluation raises, which at checked points is a
+    defect of the program, not of its input: each display of each of its
+    points gets an error report with empty sides, and the other lines are
+    evaluated as usual.
     """
     entry, grid = _checked(name, points, registry)
     reports: list[IdentityReport] = []
     for _, run in groupby(grid, key=lambda pt: {**pt, "n": None}):
         line = list(run)
         start = time.perf_counter()
-        displays = entry.evaluate(line)
+        try:
+            displays, error = entry.evaluate(line), ""
+        except Exception as exc:
+            where = point_text({**line[0], "n": ",".join(str(pt["n"]) for pt in line)})
+            error = f"{name}: {where}: {type(exc).__name__}: {exc}"
+            displays = [(label, ZERO, ZERO) for _ in line for label, _ in entry.displays]
         # one evaluation serves every point and display of the line: split
         # its time evenly, so that the reports' times add up to the measured total
         elapsed = (time.perf_counter() - start) / len(displays)
@@ -1170,10 +1229,11 @@ def verify(
             reports.append(IdentityReport(
                 identity=name,
                 inputs=inputs,
-                status="pass" if diff == ZERO else "fail",
+                status="error" if error else "pass" if diff == ZERO else "fail",
                 lhs=lhs,
                 rhs=rhs,
                 difference=diff,
                 elapsed=elapsed,
+                error=error,
             ))
     return reports

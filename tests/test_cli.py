@@ -40,7 +40,7 @@ from bek.cli import (
     parse_rational,
     run,
 )
-from bek.exactmath import convolution_work, poly
+from bek.exactmath import binomial, convolution_work, poly
 from bek.identities import REGISTRY, build_points, verify
 from bek.stochastic import MIN_MC_SHAPE, MomentEstimate, dirichlet_moment_exact
 
@@ -330,7 +330,7 @@ class TestVerifyCommand:
         config = RunConfig(command="verify-all", format="json", timings=timings)
         for chosen in (reports, reports[:1], []):
             out = io.StringIO()
-            cli._emit_reports(config, chosen, out)
+            cli._emit_reports(config, chosen, out, io.StringIO())
             payload = [cli._report_payload(r, timings) for r in chosen]
             assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
         assert all(type(p["elapsed_ms"]) is (float if timings else int) for p in payload)
@@ -349,6 +349,49 @@ class TestVerifyCommand:
         assert [r["inputs"]["display"] for r in reports] == ["a=1", "a=2"] * 2
         assert [r["elapsed_ms"] for r in reports] == [250.0] * 4
         assert sum(r["elapsed_ms"] for r in reports) == 1000.0
+
+
+def _raising_registry(display):
+    """The registry with corollary1's one display replaced by `display`."""
+    return {**REGISTRY, "corollary1": dataclasses.replace(REGISTRY["corollary1"], displays=(("", display),))}
+
+
+class TestEvaluationErrors:
+    """An exception raised while a line is evaluated, at points the
+    declaration has accepted, is a defect: its points are reported as
+    errors, every other report is written, and the run exits 1."""
+
+    def test_a_raising_display_loses_no_other_report(self):
+        def display(ns):
+            return [(poly([binomial(n - 3, 3)]),) * 2 for n in ns]
+
+        config = RunConfig(command="verify-all", format="json")
+        code, out, err = _run(config, _raising_registry(display))
+        _, healthy, _ = _run(config)
+        rows, expected = json.loads(out), json.loads(healthy)
+        assert code == 1 and len(rows) == len(expected) == 1828
+        errors = [row for row in rows if row["identity"] == "corollary1"]
+        assert [row["inputs"] for row in errors] == [{"n": n} for n in range(1, 31)]
+        assert all(row["status"] == "error" and row["lhs"] == row["rhs"] == row["difference"] == [] for row in errors)
+        assert [row for row in rows if row["identity"] != "corollary1"] == [
+            row for row in expected if row["identity"] != "corollary1"]
+        line = "n=" + ",".join(map(str, range(1, 31)))
+        assert err == f"corollary1: {line}: ValueError: binomial requires n >= 0, got n=-2\n"
+
+    @pytest.mark.parametrize("display, kind", [
+        (lambda ns: [(F(1, n - 1), 0) for n in ns], "ZeroDivisionError"),
+        (lambda ns: [(n + "1", 0) for n in ns], "TypeError"),
+    ])
+    def test_every_exception_takes_the_same_path(self, display, kind):
+        registry = _raising_registry(display)
+        code, out, err = _run(RunConfig(command="verify", identity="corollary1", n_range=(1, 2)), registry)
+        assert code == 1 and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith(f"corollary1: n=1,2: {kind}: ")
+        assert out == ("corollary1: 0/2 reports pass  [FAIL]\n  ERROR n=1\n  ERROR n=2\n"
+                       "2 of 2 reports fail\n")
+        # a point the declaration refuses is still a usage error, before
+        # any evaluation
+        assert _run(RunConfig(command="verify", identity="corollary1", n_range=(0,)), registry)[0] == 2
 
 
 class TestColorHandling:

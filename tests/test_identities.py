@@ -8,7 +8,7 @@ import inspect
 import io
 from fractions import Fraction
 from itertools import groupby
-from math import lcm, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -919,13 +919,19 @@ class TestCorruptedSeriesProduct:
 
 
 # The 18 displays whose left side is a weighted convolution, declared by its
-# slot weights and read off `convolution_coefficients`.
-CONVERTED = [
-    ("theorem1", ""), ("theorem2", ""), ("theorem3", ""), ("theorem4", ""), ("corollary1", ""), ("corollary3", ""),
-    ("corollary4", "a=1"), ("corollary4", "a=2"), ("eq-2-12", ""), ("eq-2-15", ""), ("corollary7", ""),
-    ("eq-4-0a", ""), ("eq-6-9", ""), ("corollary8", ""), ("corollary10", "first"), ("corollary10", "second"),
-    ("corollary11", "first"), ("corollary11", "second"),
+# slot weights.  Nine, whose slot weights are Pochhammer weights (a)_l/l!
+# or 1/l!, read it off one product of number series per line; the nine
+# with the harmonic weights 1/l or H_{l-1}/l read it off
+# `convolution_coefficients`.
+NUMBER_SERIES_LEFT = [
+    ("theorem1", ""), ("theorem2", ""), ("theorem3", ""), ("theorem4", ""), ("corollary1", ""), ("eq-2-15", ""),
+    ("eq-4-0a", ""), ("eq-6-9", ""), ("corollary8", ""),
 ]
+KERNEL_LEFT = [
+    ("corollary3", ""), ("corollary4", "a=1"), ("corollary4", "a=2"), ("eq-2-12", ""), ("corollary7", ""),
+    ("corollary10", "first"), ("corollary10", "second"), ("corollary11", "first"), ("corollary11", "second"),
+]
+CONVERTED = NUMBER_SERIES_LEFT + KERNEL_LEFT
 
 
 def _display(name, label):
@@ -948,7 +954,8 @@ class TestConvolutionLeftSides:
     evaluators name the rule a refused point breaks."""
 
     def test_eighteen_displays_are_converted(self):
-        assert len(CONVERTED) == 18 and set(CONVERTED) < set(STATEMENTS)
+        assert len(set(NUMBER_SERIES_LEFT)) == len(set(KERNEL_LEFT)) == 9
+        assert len(set(CONVERTED)) == 18 and set(CONVERTED) < set(STATEMENTS)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: eval_theorem2(3, (F(1), F(1)), k=3), f"theorem2: n=3 k=3 a_vec=1,1 {THEOREM2_RULE}"),
@@ -985,10 +992,10 @@ def _convolution_copy(family, ns, weights, scales, drop_last=False):
 
 class TestCorruptedConvolution:
     """A corrupted `convolution_coefficients`, as `identities` calls it, is
-    caught by every converted display."""
+    caught by every display whose left side calls it."""
 
     def test_the_uncorrupted_copy_agrees(self, monkeypatch):
-        expected = {(name, label): _display(name, label) for name, label in CONVERTED}
+        expected = {(name, label): _display(name, label) for name, label in KERNEL_LEFT}
         expected = {key: _at(fn, *args(next(_points_with_terms(*key)))) for key, (fn, args) in expected.items()}
         monkeypatch.setattr(identities, "convolution_coefficients", _convolution_copy)
         for (name, label), sides in expected.items():
@@ -999,7 +1006,7 @@ class TestCorruptedConvolution:
         monkeypatch.setattr(identities, "convolution_coefficients",
                             lambda family, ns, weights, scales: _convolution_copy(family, ns, weights, scales, True))
         survivors = []
-        for name, label in CONVERTED:
+        for name, label in KERNEL_LEFT:
             fn, args = _display(name, label)
             lhs, rhs = _at(fn, *args(next(_points_with_terms(name, label))))
             if lhs == rhs:
@@ -1020,7 +1027,7 @@ class TestCorruptedConvolution:
 
         monkeypatch.setattr(identities, "convolution_coefficients", without_scale)
         survivors, unit_scale = [], []
-        for name, label in CONVERTED:
+        for name, label in KERNEL_LEFT:
             fn, args = _display(name, label)
             for pt in _points_with_terms(name, label):
                 scales.clear()
@@ -1081,9 +1088,9 @@ def _called_names(node):
 
 # The display whose left side is the convolution less its constant term.
 CENTRED = {("corollary11", "first")}
-# The kernel, and the left sides that call it for their displays: the
-# theorems' and the pair sums of harmonic weights that depend on n.
-KERNEL_CALLS = {"convolution_coefficients", "_theorem_lhs", "_harmonic_pair_sums"}
+# The kernel, and the left sides that call it for their displays: the pair
+# sums of harmonic weights that depend on n.
+KERNEL_CALLS = {"convolution_coefficients", "_harmonic_pair_sums"}
 
 
 class TestConvolutionDesign:
@@ -1111,17 +1118,17 @@ class TestConvolutionDesign:
         assert _callers(SOURCES["identities.py"], {"composition_parts"}) == set()
 
     def test_only_the_convolution_calls_the_kernel(self):
-        # the kernel's callers are the declared left sides: each converted
-        # display's function, or `_theorem_lhs` and `_harmonic_pair_sums`
-        # for those that call one of them alone (the right side of
-        # corollary11's second display reads its pair sum off
-        # `_harmonic_pair_sums` too, beside its own left side's call)
+        # the kernel's callers are the declared harmonic left sides: each
+        # such display's function, or `_harmonic_pair_sums` for those that
+        # call it alone (the right side of corollary11's second display
+        # reads its pair sum off `_harmonic_pair_sums` too, beside its own
+        # left side's call)
         functions = self._functions()
-        declared = {_display(name, label)[0].__name__ for name, label in CONVERTED}
-        helpers = {"_theorem_lhs", "_harmonic_pair_sums"}
+        declared = {_display(name, label)[0].__name__ for name, label in KERNEL_LEFT}
+        helpers = {"_harmonic_pair_sums"}
         through = {fn for fn in declared if helpers & _called_names(functions[fn])
                    and "convolution_coefficients" not in _called_names(functions[fn])}
-        assert len(declared) == 18 and len(through) == 6
+        assert len(declared) == 9 and len(through) == 2
         assert {name: found for name, source in SOURCES.items()
                 if (found := _callers(source, {"convolution_coefficients"}))} == {
             "identities.py": declared - through | helpers}
@@ -1131,11 +1138,10 @@ class TestConvolutionDesign:
         # coefficients each less a constant formed without the kernel; and
         # no left side calls the kernel per n, nor on a one-point line [n]
         functions = self._functions()
-        for helper in ("_theorem_lhs", "_harmonic_pair_sums"):
-            calls = [call for call in ast.walk(functions[helper]) if isinstance(call, ast.Call)
-                     and getattr(call.func, "id", None) == "convolution_coefficients"]
-            assert calls and all(ast.unparse(call.args[1]) == "ns" for call in calls), helper
-        for name, label in CONVERTED:
+        calls = [call for call in ast.walk(functions["_harmonic_pair_sums"]) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "convolution_coefficients"]
+        assert calls and all(ast.unparse(call.args[1]) == "ns" for call in calls)
+        for name, label in KERNEL_LEFT:
             fn, _ = _display(name, label)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
@@ -1164,6 +1170,179 @@ class TestConvolutionDesign:
         assert _callers(source, {"composition_parts"}) == {"m"}
         assert _read_names(source) >= PRODUCT_TABLES | {"identities", "p"}
         assert _read_names("from bek.identities import x as y\nimport bek.series") >= {"identities", "x", "series"}
+
+
+# The left-side calls of the number-series displays, and the calls their
+# left sides never make.
+NUMBER_LHS_CALLS = {"_theorem_lhs", "_rising_lhs", "_exponential_lhs"}
+NOT_ON_THE_NUMBER_PATH = {"convolution_coefficients", "subset_series", "_subset_series_rhs"}
+
+
+def _reachable(functions, node):
+    """The module functions that node calls by name, and the functions
+    those call, in turn."""
+    seen, todo = set(), [node]
+    while todo:
+        for name in _called_names(todo.pop()) & set(functions) - seen:
+            seen.add(name)
+            todo.append(functions[name])
+    return seen
+
+
+def _repeated_calls(node, names):
+    """The calls of `names` inside a loop or a comprehension of node."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [call for loop in ast.walk(node) if isinstance(loop, loops) for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in names]
+
+
+class TestNumberSeriesDesign:
+    """The nine left sides with Pochhammer or 1/l! slot weights are one
+    call per line that forms one product of number series, on a path of
+    their own: no polynomial kernel, no right side's series, and none of
+    the names of the numbers the right sides read."""
+
+    def test_each_left_side_is_one_number_series_call(self):
+        functions = TestConvolutionDesign._functions()
+        for name, label in NUMBER_SERIES_LEFT:
+            fn, _ = _display(name, label)
+            (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
+                         and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
+            value = assign.value
+            assert isinstance(value, ast.Call) and value.func.id in NUMBER_LHS_CALLS, name
+            assert ast.unparse(value.args[1]) == "ns", name
+            reached = _reachable(functions, value)
+            assert "_slot_product" in reached, name
+            bodies = [value, *(functions[f] for f in reached)]
+            assert not set().union(*map(_called_names, bodies)) & NOT_ON_THE_NUMBER_PATH, name
+            read = {node.id for body in bodies for node in ast.walk(body) if isinstance(node, ast.Name)}
+            assert not read & VANISHING, name
+            # one product per line: no loop forms a product or a slot product
+            assert not any(_repeated_calls(body, {"series_product", "_slot_product", *NUMBER_LHS_CALLS})
+                           for body in bodies), name
+        assert [call.func.id for call in ast.walk(functions["_slot_product"]) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "series_product"] == ["series_product"]
+
+    def test_one_slot_multiplies_nothing(self, monkeypatch):
+        # theorem4 at k = 1: its one slot series is its numbers
+        ns, a_vec = range(11), (F(5, 4),)
+        expected = exactmath.convolution_coefficients(euler_poly, ns, [exactmath.rising_weights(F(5, 4), 10)],
+                                                      [factorial(n) / exactmath.pochhammer(F(5, 4), n) for n in ns])
+        monkeypatch.setattr(identities, "series_product", lambda *args: pytest.fail("one slot was multiplied"))
+        assert identities._theorem_lhs(euler_poly, ns, a_vec) == expected
+
+    def test_the_scans_see_loops_and_nested_calls(self):
+        source = ("def f(ns):\n    return [g(n) for n in ns]\n"
+                  "def g(n):\n    for i in range(n):\n        h(i)\n    return k(n)\n"
+                  "def h(i):\n    return i\ndef k(n):\n    return n\n")
+        functions = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+        assert _reachable(functions, functions["f"]) == {"g", "h", "k"}
+        assert [call.func.id for call in _repeated_calls(functions["g"], {"h", "k"})] == ["h"]
+        assert [call.func.id for call in _repeated_calls(functions["f"], {"g"})] == ["g"]
+
+
+class TestCorruptedNumberSeries:
+    """A corrupted left-side number fails every number-series display at its
+    first default point from n = 3, for each default k: a dropped h_1, a
+    P_1(0) corrupted as the left side reads it, and a dropped scale."""
+
+    @staticmethod
+    def _sides():
+        return {(name, label, pt.get("k")): _at(fn, *args(pt)) for name, label in NUMBER_SERIES_LEFT
+                for fn, args in [_display(name, label)] for pt in _first_points_from_three(name)}
+
+    def test_dropped_h1(self, monkeypatch):
+        # h_1 = P_1(0) sum_i w_i(1) is not 0 in either family, and it is the
+        # x^(n-1) coefficient's one number
+        real = identities._slot_product
+        monkeypatch.setattr(identities, "_slot_product", lambda *args: [F(0) if j == 1 else h_j
+                                                                         for j, h_j in enumerate(real(*args))])
+        assert [key for key, (lhs, rhs) in self._sides().items() if lhs == rhs] == []
+
+    def test_corrupted_p1_at_zero_as_the_left_side_reads_it(self, monkeypatch):
+        # the left side reads P_1(0) off the polynomial P_1(x), which no right
+        # side of the nine reads: each left side moves, and no right side
+        true_sides = self._sides()
+        for family in ("bernoulli_poly", "euler_poly"):
+            real = getattr(identities, family)
+            monkeypatch.setattr(identities, family,
+                                lambda l, real=real: poly([real(l)[0] + F(int(l == 1), 7), *real(l)[1:]]))
+        sides = self._sides()
+        assert [key for key in sides if sides[key][0] == true_sides[key][0]] == []
+        assert all(sides[key][1] == true_sides[key][1] for key in sides)
+
+    def test_dropped_scale(self, monkeypatch):
+        # a scale of 1 cannot be dropped, so each display is checked, for
+        # each default k, at its first default point where a scale of its
+        # line is not 1
+        scales = []
+
+        def unscaled(real):
+            def call(family, ns, slots, line_scales):
+                scales.extend(line_scales)
+                return real(family, ns, slots, [1] * len(ns))
+            return call
+
+        for helper in ("_rising_lhs", "_exponential_lhs"):
+            monkeypatch.setattr(identities, helper, unscaled(getattr(identities, helper)))
+        survivors, unit_scale = [], []
+        for name, label in NUMBER_SERIES_LEFT:
+            fn, args = _display(name, label)
+            entry = REGISTRY[name]
+            for kk in entry.default_ks or (None,):
+                for pt in build_points(entry, k=kk):
+                    scales.clear()
+                    lhs, rhs = _at(fn, *args(pt))
+                    if any(scale != 1 for scale in scales):
+                        if lhs == rhs:
+                            survivors.append((name, pt))
+                        break
+                else:
+                    unit_scale.append((name, kk))
+        assert survivors == [] and unit_scale == []
+
+
+# Slot parameters of the exactness tests: each k takes the k-tuples that
+# start at 7/3, 5/4 and 1/2 of this cycle.
+SLOT_CYCLE = (F(7, 3), F(5, 4), F(1, 2), F(1), F(2))
+
+
+def _kernel_lhs(family, ns, weights, scales):
+    return exactmath.convolution_coefficients(family, ns, weights, scales)
+
+
+class TestNumberSeriesExactness:
+    """The number-series left sides equal `convolution_coefficients`, the
+    polynomial kernel they replace, exactly."""
+
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rising_slots(self, family, k):
+        ns = range(41)
+        for start in range(3):
+            a_vec = (SLOT_CYCLE * 2)[start:start + k]
+            weights = [exactmath.rising_weights(a, 40) for a in a_vec]
+            for scales in ([factorial(n) / exactmath.pochhammer(sum(a_vec), n) for n in ns],
+                           [F(n + 1, 3) for n in ns]):
+                assert identities._rising_lhs(family, ns, a_vec, scales) == _kernel_lhs(family, ns, weights, scales)
+
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_inverse_factorial_slots(self, family, k):
+        ns = range(41)
+        weights = [[F(1, factorial(l)) for l in ns]] * k
+        for scales in ([factorial(n) for n in ns], [F(factorial(n), 2 ** n) for n in ns]):
+            assert identities._exponential_lhs(family, ns, k, scales) == _kernel_lhs(family, ns, weights, scales)
+
+    @pytest.mark.parametrize("name, family", [("theorem2", bernoulli_poly), ("theorem4", euler_poly)])
+    def test_a_theorem_line_to_the_largest_cli_n(self, name, family):
+        # k = 3 at n = 0..70, and the line's right side agrees at each n
+        a_vec, ns = SLOT_CYCLE[:3], range(71)
+        sides = dict(REGISTRY[name].displays)[""](ns, a_vec, 3)
+        weights = [exactmath.rising_weights(a, 70) for a in a_vec]
+        scales = [factorial(n) / exactmath.pochhammer(sum(a_vec), n) for n in ns]
+        assert [lhs for lhs, _ in sides] == _kernel_lhs(family, ns, weights, scales)
+        assert all(lhs == rhs for lhs, rhs in sides)
 
 
 def _top_level_callers(source, names):
@@ -1504,8 +1683,11 @@ class TestOneCheckPerPoint:
         params = {} if wanted is None else {"display": wanted}
         lhs, rhs = eval_corollary(name, 4, params)
         assert lhs == rhs != ZERO
-        with pytest.raises(AssertionError, match="unrequested"):
-            verify(name, [{"n": 4}])
+        # `verify` evaluates every display: the refusal is raised, and
+        # reported as an error of each display at the point
+        reports = verify(name, [{"n": 4}])
+        assert [r.status for r in reports] == ["error"] * len(displays)
+        assert all(r.error.endswith("AssertionError: an unrequested display was evaluated") for r in reports)
 
     def test_no_declared_function_checks(self):
         functions = TestConvolutionDesign._functions()
