@@ -23,7 +23,7 @@ from math import isfinite
 from numbers import Integral, Rational, Real
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .exactmath import Poly, as_exact, convolution_work, is_exact
+from .exactmath import Poly, as_exact, is_exact, series_work
 from .identities import (
     INPUT_ORDER,
     REGISTRY,
@@ -52,18 +52,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # cached B_n(x) and E_n(x), which grow as N^3.  Each further n value of a
 # `bek verify` range adds its own time.
 #
-# `exactmath.convolution_work(k, n)` bounds the integer coefficient
-# products of a k-fold left side at (k, n) in the polynomial kernel.  The
-# sum of that bound over a grid's points is capped, for every k-fold entry
-# (`takes_k`) alike, and so is k.  A product costs more as k grows, since
-# its integers grow, so a grid of smaller k at the same count finishes
-# sooner.  The cap bounds k and n; the height cap bounds the size of the
-# parameters, whose slot weights (a)_l / l! grow with it.  No k-fold entry
-# runs that kernel any more: kth-matiyasevich reads both of its sides off
-# products of one number series, and theorem2 and theorem4 their left
-# sides off one product of k number series, so the count overstates the
-# work of all three.  The caps are kept until a bound on number-series
-# work replaces the count.
+# `exactmath.series_work(k, n)` bounds the integer coefficient products
+# that a line of a k-fold entry (`takes_k`) forms for a point at (k, n):
+# each side of theorem2, theorem4 and kth-matiyasevich is read off
+# products of k series of numbers, truncated after t^n or t^(n+1).  The
+# sum of that bound over a grid's points is capped, and so is k.  A
+# product costs more as k grows, since its integers grow, so a grid of
+# smaller k at the same count finishes sooner.  The cap is the work of
+# theorem2 at the k and n caps on its three default parameter sets.  It
+# bounds k and n; the height cap bounds the size of the parameters, whose
+# slot weights (a)_l / l! grow with it.
 #
 # `bek mc` draws one gamma per shape and sample.  Its exact moment
 # multiplies out (sum a)_{sum l} as one integer product tree; the cap
@@ -73,7 +71,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 MAX_TABLES_N = 700
 MAX_VERIFY_N = 70
 MAX_VERIFY_K = 16
-MAX_VERIFY_WORK = 48_512_880
+MAX_VERIFY_WORK = 3 * series_work(MAX_VERIFY_K, MAX_VERIFY_N)
 MAX_PARAM_HEIGHT = 127
 MAX_MC_SAMPLES = 100_000_000
 MAX_MC_SHAPES = 10
@@ -95,12 +93,12 @@ def _refuse_tall_params(params: Mapping | None) -> None:
 
 
 def _refuse_work(points: Sequence[Mapping]) -> None:
-    """Refuse a k-fold grid whose left sides together form more integer
+    """Refuse a k-fold grid whose lines together may form more integer
     coefficient products than the cap."""
-    work = sum(convolution_work(pt["k"], pt["n"]) for pt in points)
+    work = sum(series_work(pt["k"], pt["n"]) for pt in points)
     if work > MAX_VERIFY_WORK:
         raise ValueError(
-            f"the grid's left sides form {work} coefficient products, "
+            f"the grid's lines form up to {work} coefficient products, "
             f"above its input budget cap of {MAX_VERIFY_WORK}"
         )
 

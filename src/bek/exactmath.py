@@ -9,14 +9,9 @@ memoized scalar helpers use `functools.lru_cache` or a `GrowingTables`
 fill lock, both thread safe.
 
 The kernel operations, the truncated power-series product
-`series_product`, the subset expansion `subset_series`, the weighted
-convolution coefficients `convolution_coefficients` (coefficients of one
-truncated product of series whose coefficients are polynomials, read at
-each n of a line; `identities` reads its harmonic left sides, with slot
-weights 1/l or H_{l-1}/l, and corollary11's second right side off it,
-and its left sides with Pochhammer or 1/l! weights off one
-`series_product` of number series), the
-linear combination `poly_lincomb`, the shift operators
+`series_product` (every convolution left side of `identities` is read
+off products of series of numbers), the subset expansion `subset_series`,
+the linear combination `poly_lincomb`, the shift operators
 `poly_shift_operator` and their subset sum `shift_subset_sum` (the
 weighted sum over every subset of the shifts of the operators composed
 over it), work internally in the layout of FLINT's
@@ -27,23 +22,10 @@ gcd) per coefficient product or per scaled term.  Each other polynomial
 operation of that kind is one call of these: `poly_add`, `poly_sub` and
 `poly_scale` of `poly_lincomb`, `poly_mul` of `series_product`, and the
 Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
-one schoolbook loop, `_mul_into`, the shift operators one step,
+one schoolbook loop, `_mul_into`, whose work on the lines of the k-fold
+entries `series_work` bounds, the shift operators one step,
 `_operator_step`, and the linear combinations one accumulator,
-`_int_lincomb`; a convolution reads each polynomial it convolves in its
-own integer form, built once per process.
-
-A convolution's first two slots read one more memo, the pair table
-`_pair_product`: the product of P_l and P_m in their own integer forms,
-over d_l d_m, keyed on (family, l, m) with l <= m.  It serves only the
-harmonic left sides and corollary11's second right side.  It does not
-depend on a line's top degree or weights, so every two-slot line of a
-family, and the prefix of every longer one, reads the same products; a
-line only scales and adds them.  It is an `lru_cache` of 4096 entries,
-which holds both families up to the CLI's largest n, and its factors' own
-integer forms, which every slot of a line reads as well, are one more,
-`_own_form`, built once per (family, l).  Both are thread safe as the
-other memos are: an entry is an immutable tuple, a pure function of its
-key, and two threads that miss on one key form equal values.
+`_int_lincomb`.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
@@ -303,7 +285,7 @@ def _int_lincomb(terms: Iterable[tuple[Fraction | int, Sequence[int], int]]) -> 
 def _mul_into(out: list[int], p: Sequence[int], q: Sequence[int]) -> None:
     """Add the product of the integer polynomials p and q into `out`,
     dropping every term of degree len(out) or more: the one schoolbook loop
-    behind `series_product` and `convolution_coefficients`."""
+    behind `series_product` and `subset_series`."""
     size = len(out)
     for i, a in enumerate(p):
         if a:
@@ -334,6 +316,23 @@ def series_product(factors: Iterable[Poly], d: int) -> Poly:
     return _from_int_form(_truncated_product((nums for nums, _ in forms), d), prod(den for _, den in forms))
 
 
+def series_work(k: int, n: int) -> int:
+    """A bound on the integer coefficient products `_mul_into` forms for
+    one point n of a line of a k-fold entry (theorem2, theorem4 or
+    kth-matiyasevich), and 0 for n < 0: (3k + 2) C(n + 3, 2).  A product
+    of k factors truncated after t^d forms at most (d + 1) + (k - 1)
+    C(d + 2, 2) <= k C(d + 2, 2) of them: its first factor meets the empty
+    product's one coefficient, and each later one the d + 1 coefficients
+    of the partial product.  Such a line forms, for its largest n, one
+    product of k series after t^n, one `subset_series` of k factors after
+    t^(n+1), which is two products, and one product of two series after
+    t^(n+1); each is formed once for the line, so a line forms no more
+    than the sum of the bound over its points.  A change to those lines
+    or to the product loop must keep the bound, which a test counts them
+    against."""
+    return (3 * k + 2) * comb(n + 3, 2) if n >= 0 else 0
+
+
 def subset_series(factors: Sequence[Poly], shifts: Sequence[Poly], d: int) -> Poly:
     """prod_i (A_i + s_i) - prod_i A_i truncated after t^d, for A_i =
     factors[i] and s_i = shifts[i]: the sum over the non-empty index
@@ -349,124 +348,6 @@ def subset_series(factors: Sequence[Poly], shifts: Sequence[Poly], d: int) -> Po
         den *= f_den
     pairs = zip_longest(_truncated_product(shifted, d), _truncated_product(plain, d), fillvalue=0)
     return _from_int_form([a - b for a, b in pairs], den)
-
-
-def _coefficient_of_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], j: int) -> list[int]:
-    """The coefficient of t^j in a(t) b(t), for series whose coefficients
-    are integer polynomials in x; b has at least j + 1 coefficients."""
-    pairs = [(p, q) for p, q in zip(a, reversed(b[: j + 1])) if p and q]
-    out = [0] * max((len(p) + len(q) - 1 for p, q in pairs), default=0)
-    for p, q in pairs:
-        _mul_into(out, p, q)
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _own_form(family: Callable[[int], Poly], l: int) -> tuple[tuple[int, ...], int]:
-    """The numerators of P_l = family(l) over d_l, the lcm of its
-    denominators, as (numerators, d_l): its own integer form, built once
-    per (family, l) for every line and pair product it enters.  The key
-    hashes the function, not its values, so family must be a pure
-    function of its index."""
-    nums, den = _int_form(family(l))
-    return tuple(nums), den
-
-
-# 4096 entries hold every pair l + m <= 70 (the CLI's largest n) of both
-# families, 2 x 1296 of them in 5.4 MB; a longer line evicts the oldest.
-@lru_cache(maxsize=4096)
-def _pair_product(family: Callable[[int], Poly], l: int, m: int) -> tuple[int, ...]:
-    """The product of P_l = family(l) and P_m = family(m), l <= m, in their
-    own integer forms (`_own_form`): its numerators over d_l d_m.  It
-    depends on no line's top degree, so every line of a family reads the
-    same entry."""
-    (p, _), (q, _) = _own_form(family, l), _own_form(family, m)
-    out = [0] * (len(p) + len(q) - 1)
-    _mul_into(out, p, q)
-    return tuple(out)
-
-
-def _paired_coefficient(family: Callable[[int], Poly], w0: Sequence[int], w1: Sequence[int], j: int) -> list[int]:
-    """The coefficient of t^j in S_0(t) S_1(t), S_i = sum_l w_i[l] P_l t^l
-    and P_l = family(l), over T^2 for weights that carry the factor T/d_l:
-    sum over l <= j - l of (w0[l] w1[j-l] + w0[j-l] w1[l]) Q_{l,j-l}, Q the
-    pair products of `_pair_product` (over d_l d_m), the middle term
-    l = j/2 counted once and no pair of weight 0 read."""
-    out = []
-    for l in range(j // 2 + 1):
-        m = j - l
-        c = w0[l] * w1[m] + w0[m] * w1[l] if l < m else w0[l] * w1[l]
-        if c:
-            out = [a + c * v for a, v in zip_longest(out, _pair_product(family, l, m), fillvalue=0)]
-    return out
-
-
-def convolution_coefficients(family: Callable[[int], Poly], ns: Sequence[int],
-                             weights: Sequence[Sequence[Fraction | int]],
-                             scales: Sequence[Fraction | int]) -> list[Poly]:
-    """scales[j] * [t^n] prod_i S_i(t) at each n = ns[j], with S_i(t) =
-    sum_l weights[i][l] P_l t^l and P_l = family(l): the sum over the weak
-    compositions l of n into len(weights) parts of scales[j] * prod_i
-    weights[i][l_i] * the product of the P_{l_i}.  Zero at an n < 0.
-
-    The ns may come in any order, with gaps and repeats.  Each weight list
-    has N + 1 entries, N = max(ns), and is read at l <= n for each n, so it
-    must not depend on n; there is at least one slot.  Each P_l is read in
-    its own integer form, numerators over d_l (`_own_form`, built once per
-    process), and each slot's weights as numerators over their lcm; every
-    weight takes the factor T/d_l of its P_l, T = lcm(d_0, ..., d_N), so
-    every S_i is a series of integer polynomials over one denominator.
-    The first two slots form a prefix series truncated after t^N
-    (`_paired_coefficient`), a weighted sum of the pair products P_l P_m,
-    l <= m, which the pair table (`_pair_product`) forms once per
-    process, and the slots after them but the last are multiplied into it
-    in turn, once for the whole line; the last contributes only the
-    coefficient of t^n, read once per distinct n (for two slots, the
-    pair's own coefficient).  The denominators and the scale are applied
-    once, to that coefficient.
-    """
-    if len(scales) != len(ns):
-        raise ValueError(f"convolution needs one scale per n, got {len(scales)} for {len(ns)}")
-    top_n = max(ns, default=-1)
-    if not weights or any(len(w) != top_n + 1 for w in weights):
-        raise ValueError(f"convolution needs at least one slot of {top_n + 1} weights")
-    if top_n < 0:
-        return [ZERO] * len(ns)
-    forms = [_own_form(family, l) for l in range(top_n + 1)]
-    terms_den = lcm(*(d for _, d in forms))
-    ints, den = [], 1
-    for w in weights:
-        w_den = lcm(*(v.denominator for v in w))
-        ints.append([v.numerator * (w_den // v.denominator) * (terms_den // d) for v, (_, d) in zip(w, forms)])
-        den *= terms_den * w_den
-    distinct = {n for n in ns if n >= 0}
-    if len(ints) == 1:
-        tops = {n: [ints[0][n] * v for v in forms[n][0]] for n in distinct}
-    elif len(ints) == 2:
-        tops = {n: _paired_coefficient(family, *ints, n) for n in distinct}
-    else:
-        series = [[[c * v for v in p] if c else [] for c, (p, _) in zip(w, forms)] for w in ints[2:]]
-        prefix = [_paired_coefficient(family, *ints[:2], j) for j in range(top_n + 1)]
-        for s in series[:-1]:
-            prefix = [_coefficient_of_product(prefix, s, j) for j in range(top_n + 1)]
-        tops = {n: _coefficient_of_product(prefix, series[-1], n) for n in distinct}
-    return [_from_int_form([scale.numerator * v for v in tops[n]], den * scale.denominator) if n >= 0 else ZERO
-            for n, scale in zip(ns, map(Fraction, scales))]
-
-
-def convolution_work(k: int, n: int) -> int:
-    """A bound on the integer coefficient products `convolution_coefficients`
-    forms for a one-point line at n with k slots, and 0 for n < 0:
-    C(n + 4, 4) in each of its k - 2 middle steps and C(n + 3, 3) in its
-    last.  It bounds a line over a cold pair table, and is exact there at
-    n = 0 for k >= 2: the first step multiplies each unordered pair once,
-    so it forms about half its count, and a pair the table already holds
-    is not formed again; one slot forms no product.  A line forms the
-    prefix of its largest n once and its last step once per distinct n,
-    so its count stays within the sum of the bound over its points.  A
-    change to that loop must keep the bound, which a test counts it
-    against."""
-    return max(k - 2, 0) * comb(n + 4, 4) + comb(n + 3, 3) if n >= 0 else 0
 
 
 def poly_eval(p: Poly, x0: Fraction | int) -> Fraction:

@@ -3,13 +3,11 @@
 Every entry evaluates both sides of one displayed identity as exact
 polynomials in x over the rationals (number-level identities produce
 degree-0 polynomials) and never shares work between the two sides beyond
-memos whose values depend on their keys alone: the sequence tables, and
-the kernel's pair table of products of their entries, P_l(x) P_m(x),
-which the harmonic left sides and the right side of corollary11's second
-display read.  So a sign slip on either side cannot cancel, and neither
-can a corrupted table entry: where both sides read a pair, they read it
-at different points of a line, and a test corrupts one entry to see each
-display that reads it fail.
+memos whose values depend on their keys alone, the sequence tables.  So a
+sign slip on either side cannot cancel.  The one display whose two sides
+are both jet lines, corollary11's second, reads them at different
+eps-orders, and a test corrupts each piece of a jet line to see both of
+its sides move and the display fail.
 Parameters stated for real values are verified on positive rational
 instances.  What a report checks is exact equality of every coefficient
 at the listed points (each n, and each parameter set of the grids below),
@@ -49,20 +47,22 @@ of number series for the line, sum_l w(l) P_l(0) t^l per slot, with each
 P_l(0) read off the polynomial P_l(x), never off the number sequences the
 right sides read (`_rising_lhs`, `_exponential_lhs`): the left sides of
 theorems 1-4, corollary1, eq-2-15, eq-4-0a, eq-6-9 and corollary8.  The
-harmonic left sides, with weights 1/l or H_{l-1}/l, are declared as
-their slot weights: the kernel's `convolution_coefficients` takes the
-family P, one list w_i(0..N) per slot (0 where a term is absent, the same
-list for every n of the line, N the largest) and one scale per n, and
-reads each sum off one truncated series product, as the coefficient of
-t^n in prod_i sum_l w_i(l) P_l(x) t^l.  A weight that depends on n
-through a harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l - h_l
-with r_l = 1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1} [t^n] R^2
-- [t^n] H R, R and H the series of r and h: two lines whose weights are
-free of n, with the harmonic number in the scales.  A sum of the polynomials with number
-weights, sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an
-Appell polynomial (the umbral calculus; Roman, The Umbral Calculus, ch.
-2): its numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are
-read off one `series_product` for the line (`_appell_numbers`), as
+harmonic weights 1/l and H_{l-1}/l are [eps^1] and [eps^2] of the
+Pochhammer weight (eps)_l/l!, so the harmonic left sides are eps-jets of
+the same sum: `_jet_lhs` takes the family P, the fixed Pochhammer
+parameters, the eps-order of each harmonic slot and one scale per n,
+and reads the line off products of number series and the truncated jet
+of (A+j+E)_{n-j}/(n-j)! in E: the left sides of corollary3, corollary4,
+eq-2-12, corollary7, corollary10 and corollary11.  A weight that depends
+on n through a harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l -
+h_l with r_l = 1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1}
+[t^n] R^2 - [t^n] H R, R and H the series of r and h: two jet lines, at
+orders (1, 1) and (2, 1), whose slots are free of n, with the harmonic
+number in the scales.  A sum of the polynomials with number weights,
+sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an Appell
+polynomial (the umbral calculus; Roman, The Umbral Calculus, ch. 2): its
+numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are read off
+one `series_product` for the line (`_appell_numbers`), as
 integer numerators over one denominator, and at each m `sequences.appell`
 expands A_0..A_m, as it expands B_n(x) and E_n(x) themselves, so an n
 costs numbers, not polynomials.  A binomial sum
@@ -84,8 +84,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
-from math import factorial, lcm
+from itertools import accumulate, groupby, product
+from math import factorial, lcm, prod
+from operator import mul
 from numbers import Integral, Rational
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -94,7 +95,6 @@ from .exactmath import (
     Poly,
     ZERO,
     as_exact,
-    convolution_coefficients,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -269,6 +269,76 @@ def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequen
     return _rising_lhs(family, ns, a_vec, [1 / rising_sum[n] for n in ns])
 
 
+def _leibniz_terms(orders: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(m, M!/prod_i m_i!) for each m <= orders, M = |m|: with E = sum_i
+    eps_i, [prod_i eps_i^(d_i)] of f(E) prod_i g_i(eps_i), d = orders, is
+    the sum over these m of the weight times [E^M] f times prod_i
+    [eps_i^(d_i - m_i)] g_i, the weight being the multinomial coefficient
+    of prod_i eps_i^(m_i) in E^M."""
+    return [(m, factorial(sum(m)) // prod(map(factorial, m))) for m in product(*(range(d + 1) for d in orders))]
+
+
+def _jet_lhs(family: Callable[[int], Poly], ns: Sequence[int], fixed: Sequence[Fraction], orders: Sequence[int],
+             scales: Sequence[Fraction | int]) -> list[Poly]:
+    """scale sum over l_1+...+l_k = n of prod_i w_i(l_i) P_{l_i}(x), P =
+    family, at each n = ns[j] with scale = scales[j], for a Pochhammer slot
+    w(l) = (a)_l/l! per a of `fixed` and an eps-slot w(l) = [eps^d]
+    (eps)_l/l! per order d of `orders`: 1/l at d = 1 and H_{l-1}/l at d =
+    2, both 0 at l = 0.  There is at least one eps-slot; a line without
+    one is `_rising_lhs`'s.
+
+    The sum is [prod_i eps_i^(d_i)] of `_rising_lhs`'s sum with the eps_i
+    among its parameters.  With A_0 = sum fixed, E = sum eps_i and D = sum
+    d_i it is sum_j x^(n-j) sum_{M<=D} c_{j,M} [E^M] (A_0+j+E)_{n-j}/(n-j)!,
+    where c_{j,M} is the sum over the terms m of `_leibniz_terms` with
+    |m| = M of their weight times [s^j] prod_a G_a prod_i g_{d_i-m_i},
+    G_a(s) = sum_l (a)_l/l! P_l(0) s^l, g_e(s) = sum_l [eps^e]((eps)_l/l!)
+    P_l(0) s^l and g_0 = 1.  The c do not depend on n: one product of
+    number series per distinct multiset of the d_i - m_i serves the whole
+    line.  For A_0 = p/q the jet (A_0+j+E)_r/r! is integer numerators over
+    q^r r!, grown in r by one multiply by p + (j+r-1) q + qE and cut after
+    E^D, and each coefficient is one Fraction.  Each P_l(0) is read off the
+    polynomial family(l)."""
+    if not orders:
+        raise ValueError("a jet left side needs an eps-slot")
+    top, depth = max(ns), sum(orders)
+    at_zero = [family(l)[0] for l in range(top + 1)]
+    eps_weights = {1: _reciprocals, 2: _harmonic_reciprocals}
+    g = {e: [w * p for w, p in zip(eps_weights[e](top), at_zero)] for e in range(1, max(orders) + 1)}
+    base = [[w * p for w, p in zip(rising_weights(a, top), at_zero)] for a in fixed]
+    weights: dict[tuple[int, ...], list[int]] = {}
+    for m, weight in _leibniz_terms(orders):
+        rest = tuple(sorted(d - mi for d, mi in zip(orders, m) if d > mi))
+        weights.setdefault(rest, [0] * (depth + 1))[sum(m)] += weight
+    products = [(by_order, series_product([*base, *(g[e] for e in rest)], top)) for rest, by_order in weights.items()]
+    den = lcm(*(h_j.denominator for _, h in products for h_j in h))
+    c = [[0] * (top + 1) for _ in range(depth + 1)]  # c_{j,M} numerators over den, a row per M
+    for by_order, h in products:
+        for row, weight in zip(c, by_order):
+            if weight:
+                for j, h_j in enumerate(h):
+                    row[j] += weight * h_j.numerator * (den // h_j.denominator)
+    start = Fraction(sum(fixed))
+    p, q = start.numerator, start.denominator
+    wanted = set(ns)
+    rows = {n: [0] * (n + 1) for n in wanted}  # the x^r numerators at n, over den q^r r!
+    for j, c_j in enumerate(zip(*c)):
+        jet = [1] + [0] * depth
+        for r in range(top - j + 1):
+            if j + r in wanted:
+                rows[j + r][r] = sum(map(mul, c_j, jet))
+            u = p + (j + r) * q
+            jet = [u * a + q * b for a, b in zip(jet, [0, *jet])]
+    dens = list(accumulate(range(1, top + 1), lambda d, r: d * q * r, initial=den))  # den q^r r!
+    out = []
+    for n, scale in zip(ns, map(Fraction, scales)):
+        coeffs = [Fraction(scale.numerator * v, scale.denominator * d) for v, d in zip(rows[n], dens)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(tuple(coeffs))
+    return out
+
+
 def _harmonic_pair_sums(family: Callable[[int], Poly], ns: Sequence[int], plain: Sequence[Fraction | int],
                         weighted: Sequence[Fraction | int]) -> list[Poly]:
     """plain_j [t^n] R^2 - weighted_j [t^n] H R at each n = ns[j], with R =
@@ -276,12 +346,10 @@ def _harmonic_pair_sums(family: Callable[[int], Poly], ns: Sequence[int], plain:
     the sum over 0 < l < n of (plain_j - weighted_j H_{l-1}) / (l (n-l))
     P_l(x) P_{n-l}(x).  At plain_j = c H_{n-1} and weighted_j = c it is the
     pair sum of the harmonic weights c (H_{n-1} - H_{l-1}) / (l (n-l)),
-    which depend on n, read off two lines whose weights do not."""
-    top = max(ns)
-    reciprocals = _reciprocals(top)
-    return [poly_sub(p, q) for p, q in zip(
-        convolution_coefficients(family, ns, [reciprocals] * 2, plain),
-        convolution_coefficients(family, ns, [_harmonic_reciprocals(top), reciprocals], weighted))]
+    which depend on n, read off two jet lines whose slots do not, at
+    eps-orders (1, 1) and (2, 1)."""
+    return [poly_sub(p, q) for p, q in zip(_jet_lhs(family, ns, (), (1, 1), plain),
+                                           _jet_lhs(family, ns, (), (2, 1), weighted))]
 
 
 def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Fraction], shifts: Sequence[Poly],
@@ -473,8 +541,7 @@ def _corollary2(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [rising_weights(a, top), _reciprocals(top)],
-                                   [factorial(n) / pochhammer(a, n) for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (a,), (1,), [factorial(n) / pochhammer(a, n) for n in ns])
     s = _number_series(bernoulli_number, top,
                        lambda l: (a * factorial(l - 1) + pochhammer(a, l)) / (pochhammer(a, l + 1) * factorial(l)), 1)
     s[1] += 1 / (a + 1)
@@ -485,7 +552,7 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
 
 def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [_reciprocals(top)] * 2, [Fraction(n, 2) for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (), (1, 1), [Fraction(n, 2) for n in ns])
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
     numbers = _appell_numbers(s, bernoulli_number, top)
@@ -495,7 +562,7 @@ def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [range(1, top + 2), _reciprocals(top)], [n + 2 for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (Fraction(2),), (1,), [n + 2 for n in ns])
     # C(n+2, l+2) (l^2+l+2)/l B_l = (n+1)(n+2) C(n, l) (l^2+l+2)/(l(l+1)(l+2)) B_l
     s = _number_series(bernoulli_number, top,
                        lambda l: Fraction(l * l + l + 2, l * (l + 1) * (l + 2) * factorial(l)), 1)
@@ -508,7 +575,7 @@ def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(bernoulli_poly, ns, [[1] * (top + 1), _reciprocals(top)], [1] * len(ns))
+    lhs = _jet_lhs(bernoulli_poly, ns, (Fraction(1),), (1,), [1] * len(ns))
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
     numbers = _appell_numbers(s, bernoulli_number, top)
@@ -658,7 +725,7 @@ def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(euler_poly, [n - 1 for n in ns], [_reciprocals(top - 1)] * 2, [1] * len(ns))
+    lhs = _jet_lhs(euler_poly, [n - 1 for n in ns], (), (1, 1), [1] * len(ns))
     # the sum over l of 4 C(n-2, l-1)/(l (n-l)) H_{l-1} E_l(0) B_{n-l}(x):
     # Bernoulli polynomials, so its Appell numbers are read with
     # bernoulli_number; 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and
@@ -694,7 +761,7 @@ def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
     centre = series_product((e, e), top)
     lhs = [poly_sub(p, poly([_coeff(centre, n)]))
-           for n, p in zip(ns, convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 2, [1] * len(ns)))]
+           for n, p in zip(ns, _jet_lhs(euler_poly, ns, (), (1, 1), [1] * len(ns)))]
     # for fixed i the (j, l) sum over j, l >= 1 is [t^(n-i)] e(t)^2, from
     # the right side's own e; as C(n-1, i) = (n-1)! / (i! (n-1-i)!) the
     # i-sum is (n-1)! sum_i s_{n-i} E_i(x)/i!, s_r = [t^r] e^2 / (r-1)!, less
@@ -711,7 +778,7 @@ def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = convolution_coefficients(euler_poly, ns, [_reciprocals(top)] * 3, [Fraction(1, 3)] * len(ns))
+    lhs = _jet_lhs(euler_poly, ns, (), (1, 1, 1), [Fraction(1, 3)] * len(ns))
     # for fixed i, H_{j+l-1} = H_{n-i-1}, and by symmetry the (j, l) sum is
     # 2 [t^(n-i)] h(t) e(t) - 3 H_{n-i-1} [t^(n-i)] e(t)^2, with e_m =
     # E_m(0)/m and h_m = H_{m-1} e_m; the i-sum over 1 <= i <= n-1 is (n-1)!

@@ -14,8 +14,9 @@ A statement shares nothing with the display it checks but the sequence
 tables, the scalar helpers and `poly_lincomb`: a product of Bernoulli or
 Euler polynomials is the memoized `poly_mul` fold `folded_product`, and
 no statement calls a series kernel (`series_product`, `subset_series`,
-`convolution_coefficients`, `sequences.appell`) or reads anything of
-`bek.identities`.  So an algebra error in a display is not repeated
+`sequences.appell`) or reads anything of `bek.identities`, whose left
+sides are read off products of number series (the harmonic ones off their
+eps-jets).  So an algebra error in a display is not repeated
 here, and the tests compare the two exactly on every default point.
 """
 

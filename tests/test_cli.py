@@ -40,7 +40,7 @@ from bek.cli import (
     parse_rational,
     run,
 )
-from bek.exactmath import binomial, convolution_work, poly
+from bek.exactmath import binomial, poly, series_work
 from bek.identities import REGISTRY, build_points, verify
 from bek.stochastic import MIN_MC_SHAPE, MomentEstimate, dirichlet_moment_exact
 
@@ -1067,7 +1067,7 @@ class TestInputBudgets:
         monkeypatch.setattr(cli, "verify", lambda name, points, registry: seen.append(points) or [])
         # the cap is the work of theorem2 at k = 16, n = 70 on its three
         # default parameter sets
-        assert MAX_VERIFY_WORK == 3 * convolution_work(16, 70)
+        assert MAX_VERIFY_WORK == 3 * series_work(16, 70)
         boundary = ["verify", "--identity", "theorem2", "--k", "16", "--n", "70"]
         assert main(boundary) == 0
         assert [(pt["k"], pt["n"]) for pt in seen[0]] == [(16, 70)] * 3

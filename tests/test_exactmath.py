@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import ast
-import inspect
 import math
 import numbers
 import sys
-import textwrap
 import threading
 from fractions import Fraction
-from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +21,6 @@ from bek.exactmath import (
     ZERO,
     as_exact,
     binomial,
-    convolution_coefficients,
-    convolution_work,
     harmonic,
     harmonic_second,
     harmonic_shifted,
@@ -43,10 +38,11 @@ from bek.exactmath import (
     poly_sub,
     rising_weights,
     series_product,
+    series_work,
     subset_series,
 )
-from bek.sequences import bernoulli_poly, euler_poly
-from walks import composition_parts, poly_derivative, subset_walk
+from bek.identities import REGISTRY
+from walks import poly_derivative, subset_walk
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(poly)
@@ -76,40 +72,6 @@ def _schoolbook_mul(p, q) -> tuple:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _walk_product(family, parts):
-    return reduce(poly_mul, map(family, parts), ONE)
-
-
-def _composition_walk(family, n, weights, scale):
-    """scale * sum over the weak compositions l of n of prod_i w_i[l_i]
-    times the poly_mul fold of the family(l_i): the walk that
-    convolution_coefficients replaces, at one n."""
-    terms = []
-    for parts in composition_parts(n, len(weights)):
-        c = math.prod(w[l] for w, l in zip(weights, parts))
-        terms.append((scale * c, _walk_product(family, tuple(sorted(parts)))))
-    return poly_lincomb(terms)
-
-
-@st.composite
-def convolutions(draw):
-    """A family, a line of one to four n <= 14 (in any order, with gaps and
-    repeats), k = 1..5 slots of signed rational weights up to the largest
-    n, N, and a scale per n.  A slot may be all zero or zero at the middle
-    index N // 2, and the slots may all be one list, as in the equal-slot
-    left sides."""
-    family = draw(st.sampled_from([bernoulli_poly, euler_poly]))
-    ns = draw(st.lists(st.integers(0, 14), min_size=1, max_size=4))
-    top = max(ns)
-    full = st.lists(st.one_of(rationals, wide_rationals), min_size=top + 1, max_size=top + 1)
-    middle_zero = full.map(lambda w: [*w[: top // 2], Fraction(0), *w[top // 2 + 1:]])
-    slot = st.one_of(full, middle_zero, st.just([Fraction(0)] * (top + 1)), st.just([0] * (top + 1)))
-    k = draw(st.integers(1, 5))
-    weights = [draw(slot)] * k if draw(st.booleans()) else draw(st.lists(slot, min_size=k, max_size=k))
-    return family, ns, weights, draw(st.lists(scalars, min_size=len(ns), max_size=len(ns)))
 
 
 @st.composite
@@ -468,87 +430,6 @@ class TestIntegerKernel:
         with pytest.raises(ValueError):
             subset_series([geometric], [], 2)
 
-    @settings(max_examples=80, deadline=None)
-    @given(convolutions())
-    def test_convolution_coefficient_matches_the_composition_walk(self, case):
-        family, ns, weights, scales = case
-        out = convolution_coefficients(family, ns, weights, scales)
-        assert out == [_composition_walk(family, n, weights, scale) for n, scale in zip(ns, scales)]
-        assert all(map(_all_fractions, out))
-
-    @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
-    def test_convolution_coefficient_at_odd_and_even_n(self, family, n, k):
-        # equal slots, distinct slots, and a zero at the middle index
-        ramp = [Fraction(l + 1, 2 * l + 3) for l in range(n + 1)]
-        other = [Fraction(3 - l, l + 2) for l in range(n + 1)]
-        holed = [*ramp[: n // 2], 0, *ramp[n // 2 + 1:]]
-        for weights in ([ramp] * k, [ramp, other, *[holed] * (k - 2)], [holed, *[other] * (k - 1)]):
-            assert convolution_coefficients(family, [n], weights, [3]) == [_composition_walk(family, n, weights, 3)]
-            # the same weights along a gapped, unsorted line with a repeat
-            ns = [n, 0, n - 3, n, 1]
-            assert convolution_coefficients(family, ns, weights, [3, 1, 2, 3, 5]) == [
-                _composition_walk(family, m, weights, scale) for m, scale in zip(ns, [3, 1, 2, 3, 5])]
-
-    def test_convolution_coefficient_frozen(self):
-        # one slot reads off its last term: 2 * 1/2 * B_2(x)
-        assert convolution_coefficients(bernoulli_poly, [2], [[5, 7, Fraction(1, 2)]], [2]) == [bernoulli_poly(2)]
-        # two slots of ones: B_0 B_2 + B_1 B_1 + B_2 B_0 = 3x^2 - 3x + 7/12, and
-        # B_0 B_1 + B_1 B_0 = 2x - 1 at n = 1
-        pair = poly([Fraction(7, 12), -3, 3])
-        assert convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1]] * 2, [1]) == [pair]
-        assert convolution_coefficients(bernoulli_poly, [2, 0, 2, 1], [[1, 1, 1]] * 2, [1, 1, 2, 1]) == [
-            pair, ONE, poly_scale(2, pair), poly([-1, 2])]
-        assert convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1], [0, 0, 0], [1, 1, 1]], [1]) == [ZERO]
-        assert convolution_coefficients(bernoulli_poly, [-1], [[]] * 2, [1]) == [ZERO]
-        assert convolution_coefficients(bernoulli_poly, [], [[]] * 2, []) == []
-        with pytest.raises(ValueError):
-            convolution_coefficients(bernoulli_poly, [2], [], [1])
-        with pytest.raises(ValueError):
-            convolution_coefficients(bernoulli_poly, [2], [[1, 1, 1], [1, 1]], [1])
-        # weights up to the largest n, and one scale per n
-        with pytest.raises(ValueError):
-            convolution_coefficients(bernoulli_poly, [1, 2], [[1, 1]] * 2, [1, 1])
-        with pytest.raises(ValueError):
-            convolution_coefficients(bernoulli_poly, [1, 2], [[1, 1, 1]] * 2, [1])
-
-    def test_each_family_and_degree_has_one_own_form(self):
-        exactmath._own_form.cache_clear()
-        lines = [(bernoulli_poly, [5]), (euler_poly, [5, 2]), (bernoulli_poly, [4]), (euler_poly, [1, 4]),
-                 (bernoulli_poly, [7, 3])]
-        for family, ns in lines * 2:
-            for k in (1, 2, 3):
-                convolution_coefficients(family, ns, [[1] * (max(ns) + 1)] * k, [1] * len(ns))
-        # lines at every top read the forms of one (family, l), built once
-        built = {(family, l) for family, ns in lines for l in range(max(ns) + 1)}
-        assert exactmath._own_form.cache_info().misses == len(built) == 14
-        for family, l in built:
-            nums, den = exactmath._own_form(family, l)
-            assert tuple(Fraction(v, den) for v in nums) == family(l)
-            assert den == math.lcm(*(c.denominator for c in family(l)))
-
-    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["bernoulli", "euler"])
-    def test_each_slot_is_scaled_by_the_carried_denominator(self, monkeypatch, family):
-        # with P_l over twice its denominator, a line that reads P_l in one
-        # slot, and P_0 = 1 in the others, reads P_l / 2: each slot takes
-        # the factor T/d_l of the d_l its form carries
-        l = 2
-        real = exactmath._own_form
-
-        def line(k, slot):
-            weights = [[1 if m == (l if i == slot else 0) else 0 for m in range(l + 1)] for i in range(k)]
-            return convolution_coefficients(family, [l], weights, [1])
-
-        lines = [(k, slot) for k in (1, 2, 3) for slot in range(k)]
-        clean = [line(k, slot) for k, slot in lines]
-        assert clean == [[family(l)]] * len(lines)
-        real.cache_clear()
-        exactmath._pair_product.cache_clear()
-        monkeypatch.setattr(exactmath, "_own_form",
-                            lambda fam, m: (real(fam, m)[0], 2 * real(fam, m)[1]) if m == l else real(fam, m))
-        assert [line(k, slot) for k, slot in lines] == [[poly_scale(Fraction(1, 2), family(l))]] * len(lines)
-
     @given(st.one_of(small_polys, wide_polys), st.lists(scalars, max_size=4), scalars, scalars)
     def test_shift_operator_matches_fold(self, p, shifts, alpha, beta):
         # (alpha, beta) with distinct denominators exercise their common one
@@ -571,51 +452,18 @@ class TestIntegerKernel:
         assert poly_shift_operator(ZERO, (1, 2), 1, -1) == ZERO
 
 
-def _mutant_pair_kernel(old: str, new: str):
-    """A copy of `exactmath._paired_coefficient` with `old` replaced by
-    `new` in its source, compiled against the module's names."""
-    source = textwrap.dedent(inspect.getsource(exactmath._paired_coefficient))
-    assert source.count(old) == 1
-    namespace = dict(vars(exactmath))
-    exec(source.replace(old, new), namespace)
-    return namespace["_paired_coefficient"]
+# The k-fold entries, whose lines' products `series_work` bounds, and the
+# slot parameters their lines take: each k takes the first k of the cycle.
+K_FOLD = ("theorem2", "theorem4", "kth-matiyasevich")
+SLOT_CYCLE = (Fraction(7, 3), Fraction(5, 4), Fraction(1, 2), Fraction(1), Fraction(2)) * 4
 
 
-class TestPairedKernelMutations:
-    """Each unordered pair of polynomials is multiplied once, weighted by
-    w0[l] w1[m] + w0[m] w1[l], and the middle pair l = m once: breaking
-    either in a copy of the kernel is caught against the composition walk."""
-
-    CASES = [(family, n, weights) for family in (bernoulli_poly, euler_poly) for n in (4, 5)
-             for weights in ([[Fraction(l + 1, 3) for l in range(n + 1)], [Fraction(2, l + 1) for l in range(n + 1)]],
-                             [[Fraction(l + 1, 3) for l in range(n + 1)]] * 3)]
-
-    def _caught(self, monkeypatch, kernel):
-        monkeypatch.setattr(exactmath, "_paired_coefficient", kernel)
-        return [(family, n, len(weights)) for family, n, weights in self.CASES
-                if convolution_coefficients(family, [n], weights, [1]) != [_composition_walk(family, n, weights, 1)]]
-
-    def test_the_unmutated_copy_agrees(self, monkeypatch):
-        assert self._caught(monkeypatch, _mutant_pair_kernel("if l < m else", "if l < m else")) == []
-
-    def test_middle_pair_counted_twice(self, monkeypatch):
-        caught = self._caught(monkeypatch, _mutant_pair_kernel("if l < m else", "if l <= m else"))
-        # an even n has a middle pair at the top; three slots meet one in the prefix at every n
-        assert caught == [(f, n, k) for f in (bernoulli_poly, euler_poly) for n, k in ((4, 2), (4, 3), (5, 3))]
-
-    def test_swapped_term_dropped(self, monkeypatch):
-        caught = self._caught(monkeypatch, _mutant_pair_kernel("w0[l] * w1[m] + w0[m] * w1[l]", "w0[l] * w1[m]"))
-        assert caught == [(f, n, k) for f in (bernoulli_poly, euler_poly) for n in (4, 5) for k in (2, 3)]
-
-
-class TestConvolutionWork:
-    """`convolution_work` bounds the integer coefficient products that
-    `_mul_into` forms for a one-point `convolution_coefficients` line, and
-    meets the count at n = 0 from two slots on, and a line forms no more
-    than the sum of the bound over its points, so a kernel change that
-    forms more products than the bound, or a bound that drops one, fails
-    here.  Each line is counted over a cold pair table (`_pair_product`),
-    the most it forms: a warm one forms fewer."""
+class TestSeriesWork:
+    """`series_work` bounds the integer coefficient products that
+    `_mul_into` forms for a one-point line of each k-fold entry, and a line
+    forms the products of its largest n once, so a line forms no more than
+    the sum of the bound over its points.  A change that forms more
+    products than the bound, or a bound that drops one, fails here."""
 
     # gapped, unsorted and repeated lines, and the default grids' shape
     LINES = ([3, 7, 12, 30], [30, 2, 2, 17], [20, 0], list(range(0, 15)), [5, 5, 5])
@@ -633,99 +481,32 @@ class TestConvolutionWork:
         monkeypatch.setattr(exactmath, "_mul_into", counting)
         return count
 
-    def test_the_count_is_within_the_bound(self, counted):
-        for family in (bernoulli_poly, euler_poly):
-            for k in range(1, 9):
-                for n in range(0, 31, 5):
-                    count = self._count(counted, family, [n], k)
-                    work = convolution_work(k, n)
-                    assert count <= work, (family.__name__, k, n)
-                    # one slot only scales P_n, and forms no product
-                    assert n or count == (work if k >= 2 else 0), (family.__name__, k, n)
-        assert [convolution_work(k, -1) for k in (1, 2, 16)] == [0, 0, 0]
-
-    def _count(self, counted, family, ns, k):
-        """The products of a line of ones over a cold pair table."""
-        exactmath._pair_product.cache_clear()
+    @staticmethod
+    def _count(counted, name, ns, k):
+        """The products of one line of the entry, both sides."""
+        (_, fn), = REGISTRY[name].displays
         counted[0] = 0
-        convolution_coefficients(family, ns, [[1] * (max(ns) + 1)] * k, [1] * len(ns))
+        fn(ns, k) if name == "kth-matiyasevich" else fn(ns, SLOT_CYCLE[:k], k)
         return counted[0]
 
-    def test_a_line_is_within_the_sum_over_its_points(self, counted):
-        for family in (bernoulli_poly, euler_poly):
-            for k in range(1, 9):
+    def test_a_point_is_within_the_bound(self, counted):
+        for name in K_FOLD:
+            for k in range(REGISTRY[name].k_min, 9):
+                for n in range(0, 31, 5):
+                    count, work = self._count(counted, name, [n], k), series_work(k, n)
+                    assert count <= work, (name, k, n)
+                    # and the bound is not loose where the cap is set: the
+                    # products of k series are most of it at large k
+                    assert k < 8 or n < 5 or 2 * count > work, (name, k, n)
+        assert [series_work(k, -1) for k in (1, 2, 16)] == [0, 0, 0]
+
+    def test_a_line_forms_its_largest_point_once(self, counted):
+        for name in K_FOLD:
+            for k in range(REGISTRY[name].k_min, 6):
                 for ns in self.LINES:
-                    count = self._count(counted, family, ns, k)
-                    assert count <= sum(convolution_work(k, n) for n in ns), (family.__name__, k, ns)
-                    # against its distinct points one at a time: up to two
-                    # slots a line pairs per n, and from three on it forms
-                    # the prefix once
-                    alone = sum(self._count(counted, family, [n], k) for n in set(ns))
-                    assert count == alone if k <= 2 or len(set(ns)) == 1 else count < alone, (family.__name__, k, ns)
-
-    @pytest.mark.parametrize("first, second", [(30, 10), (10, 30)])
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
-    def test_a_second_line_forms_no_pair_the_table_holds(self, counted, family, k, first, second):
-        def line(top, slots):
-            weights = [[Fraction(l + i + 1, 2 * i + 3) for l in range(top + 1)] for i in range(slots)]
-            return convolution_coefficients(family, list(range(top + 1)), weights, [1] * (top + 1))
-
-        # a two-slot line of ones from 0 to n forms each pair l + m <= n once
-        held = self._count(counted, family, list(range(min(first, second) + 1)), 2)
-        exactmath._pair_product.cache_clear()
-        counted[0] = 0
-        cold = line(second, k)
-        cold_count = counted[0]
-        exactmath._pair_product.cache_clear()
-        line(first, 2)
-        counted[0] = 0
-        assert line(second, k) == cold
-        # the first line's pairs l + m <= min(first, second) are read, not formed
-        assert counted[0] == cold_count - held
-        # so a two-slot line inside the first forms no product at all
-        assert counted[0] > 0 if k == 3 or second > first else counted[0] == 0
-
-    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly])
-    def test_a_cold_line_builds_each_own_form_once(self, monkeypatch, family):
-        # a two-slot line to n = 70 over cold memos fills the 1,296 pairs
-        # l + m <= 70, and builds the own integer form of each P_l once
-        builds = []
-        int_form = exactmath._int_form
-        monkeypatch.setattr(exactmath, "_int_form", lambda p: builds.append(p) or int_form(p))
-        exactmath._pair_product.cache_clear()
-        exactmath._own_form.cache_clear()
-        convolution_coefficients(family, list(range(71)), [[1] * 71] * 2, [1] * 71)
-        assert exactmath._pair_product.cache_info().currsize == 1296
-        assert len(builds) <= 71
-
-    def test_threads_sharing_one_cold_table_agree(self):
-        # more threads than cores, switching often, each running lines of
-        # both families over one cold pair table: a torn or wrong entry
-        # would change some thread's coefficients
-        ns, count = list(range(21)), 4
-        weights = [[Fraction(l + 1, 3) for l in range(21)], [Fraction(2, l + 1) for l in range(21)]]
-        expected = [convolution_coefficients(f, ns, weights * k, [1] * 21)
-                    for f in (bernoulli_poly, euler_poly) for k in (1, 2)]
-        exactmath._pair_product.cache_clear()
-        results: list = []
-
-        def run():
-            results.append([convolution_coefficients(f, ns, weights * k, [1] * 21)
-                            for f in (bernoulli_poly, euler_poly) for k in (1, 2)])
-
-        threads = [threading.Thread(target=run) for _ in range(count)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * count
+                    count = self._count(counted, name, ns, k)
+                    assert count == self._count(counted, name, [max(ns)], k), (name, k, ns)
+                    assert count <= sum(series_work(k, n) for n in ns), (name, k, ns)
 
 
 def _private_kernel_imports(source: str) -> list[str]:
@@ -776,23 +557,15 @@ class TestLayering:
         assert isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call)
         assert getattr(stmt.value.func, "id", None) == kernel
 
-    def test_the_convolution_kernel_reads_one_form_per_polynomial(self):
-        # one convolution kernel, called with a line of n values, that reads
-        # each P_l in its own form, as the pair table does, and holds no
-        # second form of P_l or point form beside it
+    def test_the_kernel_keeps_one_series_representation(self):
+        # every left side is a product of number series: no function of the
+        # kernel takes a family of polynomials, the one memo is a scalar's,
+        # and the one work count is the number series'
         functions = {node.name: node for node in ast.parse(Path(exactmath.__file__).read_text()).body
                      if isinstance(node, ast.FunctionDef)}
-
-        def reads(node, name):
-            return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
-
-        assert {name for name, node in functions.items() if reads(node, "_own_form")} == {
-            "_pair_product", "convolution_coefficients"}
-        assert "_family_forms" not in functions and not hasattr(exactmath, "_family_forms")
-        assert not reads(functions["convolution_coefficients"], "gcd")
-        assert [arg.arg for arg in functions["convolution_coefficients"].args.args] == [
-            "family", "ns", "weights", "scales"]
-        assert [name for name in functions if "convolution" in name] == ["convolution_coefficients", "convolution_work"]
+        assert not [name for name, node in functions.items() if "family" in (arg.arg for arg in node.args.args)]
+        assert [name for name, node in functions.items() if node.decorator_list] == ["_pochhammer"]
+        assert [name for name in functions if "work" in name] == ["series_work"]
 
     def test_the_scan_sees_each_form_of_import(self):
         assert _private_kernel_imports("from .exactmath import Poly, _int_form, _taylor_shift") == [

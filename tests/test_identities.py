@@ -7,8 +7,8 @@ import dataclasses
 import inspect
 import io
 from fractions import Fraction
-from itertools import groupby
-from math import factorial, lcm, prod
+from itertools import groupby, islice
+from math import factorial, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +23,6 @@ from bek.exactmath import (
     harmonic_second,
     poly,
     poly_add,
-    poly_lincomb,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -48,8 +47,8 @@ from bek.identities import (
     verify,
 )
 from bek.sequences import bernoulli_number, bernoulli_poly, euler_poly, euler_poly_at_zero
-from statements import STATEMENTS, folded_product
-from walks import composition_parts
+from statements import STATEMENTS
+from walks import weighted_convolution
 
 F = Fraction
 
@@ -777,41 +776,6 @@ class TestAppellNumbers:
         assert [F(v, out_den) for v in nums] == [*expected[:n], expected[n] + last]
 
 
-class TestCorruptedPairTable:
-    """The kernel's pair table (`exactmath._pair_product`) serves the left
-    sides and the right side of corollary11's second display.  An entry
-    corrupted by 1 in its constant term fails each display that reads it
-    at the points that read it, and corollary11's two sides read it at
-    different points, so they cannot cancel."""
-
-    @pytest.mark.parametrize("name, label, family, failing", [
-        ("corollary7", "", bernoulli_poly, [6]),
-        ("corollary10", "second", euler_poly, [6]),
-        # its right side's pair sums read (1, 5) at n = 6; its left side's
-        # prefix holds the pair from n = 7 on, the t^6 coefficient there
-        # meeting the last slot's 1/l at l >= 1
-        ("corollary11", "second", euler_poly, [6, 7, 8]),
-    ])
-    def test_a_corrupted_entry_fails_where_it_is_read(self, monkeypatch, name, label, family, failing):
-        real = exactmath._pair_product
-        reads = []
-
-        def corrupted(fam, l, m):
-            entry = real(fam, l, m)
-            if (fam, l, m) != (family, 1, 5):
-                return entry
-            reads.append(1)
-            return (entry[0] + 1, *entry[1:])
-
-        fn, _ = _display(name, label)
-        ns = list(range(2, 9))
-        assert all(lhs == rhs for lhs, rhs in fn(ns))
-        monkeypatch.setattr(exactmath, "_pair_product", corrupted)
-        sides = fn(ns)
-        assert reads
-        assert [n for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs] == failing
-
-
 class TestCorruptedSeries:
     """A corrupted subset expansion, as `identities` calls it, fails
     `verify` at the entry's first default point with n >= 2."""
@@ -913,25 +877,26 @@ class TestCorruptedSeriesProduct:
         # the shift alone, are one more series product.  At n = 3 the factors
         # of corollary10's first sum, 4 H_{l-1} E_l(0)/l!, vanish below l = 3
         # (H_0 = E_2(0) = 0), so its Appell numbers read no t^1 or t^2 of
-        # the Bernoulli series there; it is caught at n = 4
+        # the Bernoulli series there; its left side's jet products do, and
+        # catch it at n = 3
         assert [key for key in keys if key not in caught] == []
-        assert [key for key in keys if 0 not in caught[key]] == [("corollary10", "first", None)]
+        assert [key for key in keys if 0 not in caught[key]] == []
 
 
 # The 18 displays whose left side is a weighted convolution, declared by its
 # slot weights.  Nine, whose slot weights are Pochhammer weights (a)_l/l!
 # or 1/l!, read it off one product of number series per line; the nine
-# with the harmonic weights 1/l or H_{l-1}/l read it off
-# `convolution_coefficients`.
+# with the harmonic weights 1/l or H_{l-1}/l read it off the eps-jets of
+# number series (`_jet_lhs`).
 NUMBER_SERIES_LEFT = [
     ("theorem1", ""), ("theorem2", ""), ("theorem3", ""), ("theorem4", ""), ("corollary1", ""), ("eq-2-15", ""),
     ("eq-4-0a", ""), ("eq-6-9", ""), ("corollary8", ""),
 ]
-KERNEL_LEFT = [
+JET_LEFT = [
     ("corollary3", ""), ("corollary4", "a=1"), ("corollary4", "a=2"), ("eq-2-12", ""), ("corollary7", ""),
     ("corollary10", "first"), ("corollary10", "second"), ("corollary11", "first"), ("corollary11", "second"),
 ]
-CONVERTED = NUMBER_SERIES_LEFT + KERNEL_LEFT
+CONVERTED = NUMBER_SERIES_LEFT + JET_LEFT
 
 
 def _display(name, label):
@@ -954,7 +919,7 @@ class TestConvolutionLeftSides:
     evaluators name the rule a refused point breaks."""
 
     def test_eighteen_displays_are_converted(self):
-        assert len(set(NUMBER_SERIES_LEFT)) == len(set(KERNEL_LEFT)) == 9
+        assert len(set(NUMBER_SERIES_LEFT)) == len(set(JET_LEFT)) == 9
         assert len(set(CONVERTED)) == 18 and set(CONVERTED) < set(STATEMENTS)
 
     @pytest.mark.parametrize("call, message", [
@@ -974,77 +939,126 @@ class TestConvolutionLeftSides:
         assert str(info.value) == message
 
 
-def _convolution_copy(family, ns, weights, scales, drop_last=False):
-    """`convolution_coefficients` as a walk over the compositions at each n,
-    optionally without the last composition that contributes a term.  The
-    last composition of all, (n, 0, ..., 0), has zero weight in every entry
-    with a 1/l slot, so dropping it would change nothing there."""
-    out = []
-    for n, scale in zip(ns, scales):
-        terms = [
-            (scale * c, folded_product(family, tuple(sorted(parts))))
-            for parts in composition_parts(n, len(weights))
-            if (c := prod(w[l] for w, l in zip(weights, parts)))
-        ]
-        out.append(poly_lincomb(terms[:-1] if drop_last else terms))
-    return out
+# The jet displays with an order-2 slot, H_{l-1}/l: the pair sums of
+# `_harmonic_pair_sums`, on the left side or, for corollary11's second
+# display, on the right.
+ORDER_TWO = [("corollary7", ""), ("corollary10", "second"), ("corollary11", "second")]
+# The jet displays whose lines have scale 1 at every point: a dropped scale
+# cannot show there.
+UNIT_SCALE = [("eq-2-12", ""), ("corollary10", "first"), ("corollary11", "first")]
+# The jet displays with one eps-slot, whose multinomial terms have one part.
+ONE_EPS_SLOT = [("corollary3", ""), ("corollary4", "a=2"), ("eq-2-12", "")]
 
 
-class TestCorruptedConvolution:
-    """A corrupted `convolution_coefficients`, as `identities` calls it, is
-    caught by every display whose left side calls it."""
+class TestCorruptedJets:
+    """A corrupted jet line fails each harmonic display that reads the
+    corrupted piece, at its first three default points with terms.  Both
+    sides of corollary11's second display are jet lines, (1, 1, 1) on the
+    left and the pair sums (1, 1) and (2, 1) on the right; each corruption
+    moves each of its sides that reads the piece, and the display fails."""
 
-    def test_the_uncorrupted_copy_agrees(self, monkeypatch):
-        expected = {(name, label): _display(name, label) for name, label in KERNEL_LEFT}
-        expected = {key: _at(fn, *args(next(_points_with_terms(*key)))) for key, (fn, args) in expected.items()}
-        monkeypatch.setattr(identities, "convolution_coefficients", _convolution_copy)
-        for (name, label), sides in expected.items():
-            fn, args = _display(name, label)
-            assert _at(fn, *args(next(_points_with_terms(name, label)))) == sides
+    @staticmethod
+    def _sides():
+        return {key: [_at(fn, *args(pt)) for pt in islice(_points_with_terms(*key), 3)]
+                for key in JET_LEFT for fn, args in [_display(*key)]}
 
-    def test_dropped_last_composition(self, monkeypatch):
-        monkeypatch.setattr(identities, "convolution_coefficients",
-                            lambda family, ns, weights, scales: _convolution_copy(family, ns, weights, scales, True))
-        survivors = []
-        for name, label in KERNEL_LEFT:
-            fn, args = _display(name, label)
-            lhs, rhs = _at(fn, *args(next(_points_with_terms(name, label))))
-            if lhs == rhs:
-                survivors.append((name, label))
-        assert survivors == []
+    def _corrupted(self, monkeypatch, **patches):
+        """The true sides, the sides under the patches of `identities`, and
+        the displays that fail under them."""
+        true_sides = self._sides()
+        for name, value in patches.items():
+            monkeypatch.setattr(identities, name, value)
+        sides = self._sides()
+        failing = [key for key in JET_LEFT if any(lhs != rhs for lhs, rhs in sides[key])]
+        return true_sides, sides, failing
+
+    @staticmethod
+    def _moved(true_sides, sides, key):
+        """Which of the display's two sides moved: (lhs, rhs)."""
+        return tuple(any(a[i] != b[i] for a, b in zip(true_sides[key], sides[key])) for i in (0, 1))
+
+    def test_dropped_multinomial_term(self, monkeypatch):
+        # the last term, m = d, puts every eps order on the jet
+        # (A_0+j+E)_r/r!: for two or more eps-slots it is a cross term of
+        # E^D, weight D!/prod d_i! > 1
+        real = identities._leibniz_terms
+        true_sides, sides, failing = self._corrupted(monkeypatch, _leibniz_terms=lambda orders: real(orders)[:-1])
+        assert failing == JET_LEFT
+        assert self._moved(true_sides, sides, ("corollary11", "second")) == (True, True)
+
+    def test_dropped_cross_term(self, monkeypatch):
+        # the first term with two non-zero parts, m = (0, ..., 1, 1): one
+        # eps order of each of the last two slots on the jet
+        real = identities._leibniz_terms
+
+        def without_cross(orders):
+            terms = real(orders)
+            cross = [i for i, (m, _) in enumerate(terms) if sum(1 for part in m if part) == 2]
+            return [term for i, term in enumerate(terms) if i != cross[0]] if cross else terms
+
+        true_sides, sides, failing = self._corrupted(monkeypatch, _leibniz_terms=without_cross)
+        assert failing == [key for key in JET_LEFT if key not in ONE_EPS_SLOT]
+        assert all(sides[key] == true_sides[key] for key in ONE_EPS_SLOT)
+        assert self._moved(true_sides, sides, ("corollary11", "second")) == (True, True)
+
+    def test_shifted_second_order_weight(self, monkeypatch):
+        # H_l/l in place of H_{l-1}/l in g_2: only an order-2 slot reads it,
+        # on the right side alone of corollary11's second display
+        true_sides, sides, failing = self._corrupted(
+            monkeypatch, _harmonic_reciprocals=lambda n: [F(0), *(harmonic(l) / l for l in range(1, n + 1))])
+        assert failing == ORDER_TWO
+        assert all(sides[key] == true_sides[key] for key in JET_LEFT if key not in ORDER_TWO)
+        assert self._moved(true_sides, sides, ("corollary11", "second")) == (False, True)
+
+    def test_corrupted_p1_at_zero_as_the_jet_reads_it(self, monkeypatch):
+        # the jet lines read P_1(0) off the polynomial P_1(x): every left
+        # side moves, and so do the pair sums of corollary11's right side
+        patches = {family: (lambda l, real=getattr(identities, family):
+                            poly([real(l)[0] + F(int(l == 1), 7), *real(l)[1:]]))
+                   for family in ("bernoulli_poly", "euler_poly")}
+        true_sides, sides, failing = self._corrupted(monkeypatch, **patches)
+        assert failing == JET_LEFT
+        assert all(self._moved(true_sides, sides, key)[0] for key in JET_LEFT)
+        assert self._moved(true_sides, sides, ("corollary11", "second")) == (True, True)
 
     def test_dropped_scale(self, monkeypatch):
-        # Dropping scales of 1 changes nothing, so each display is checked
-        # at its first point with terms where some scale of the display is
-        # not 1; three displays have only scales of 1 at every point and
-        # cannot catch this.
-        real = identities.convolution_coefficients
+        # a scale of 1 cannot be dropped, so each display is checked at its
+        # first point with terms where a scale of its lines is not 1; the
+        # unit-scale displays have no such point
+        real = identities._jet_lhs
         scales = []
 
-        def without_scale(family, ns, weights, line_scales):
+        def unscaled(family, ns, fixed, orders, line_scales):
             scales.extend(line_scales)
-            return real(family, ns, weights, [1] * len(ns))
+            return real(family, ns, fixed, orders, [1] * len(ns))
 
-        monkeypatch.setattr(identities, "convolution_coefficients", without_scale)
         survivors, unit_scale = [], []
-        for name, label in KERNEL_LEFT:
-            fn, args = _display(name, label)
-            for pt in _points_with_terms(name, label):
+        for key in JET_LEFT:
+            fn, args = _display(*key)
+            for pt in _points_with_terms(*key):
+                true_sides = _at(fn, *args(pt))
                 scales.clear()
-                lhs, rhs = _at(fn, *args(pt))
+                monkeypatch.setattr(identities, "_jet_lhs", unscaled)
+                sides = _at(fn, *args(pt))
+                monkeypatch.setattr(identities, "_jet_lhs", real)
                 if any(scale != 1 for scale in scales):
-                    if lhs == rhs:
-                        survivors.append((name, label, pt))
+                    if sides[0] == sides[1]:
+                        survivors.append(key)
+                    if key == ("corollary11", "second"):
+                        assert sides[0] != true_sides[0] and sides[1] != true_sides[1]
                     break
             else:
-                unit_scale.append((name, label))
-        assert survivors == []
-        assert unit_scale == [("eq-2-12", ""), ("corollary10", "first"), ("corollary11", "first")]
+                unit_scale.append(key)
+        assert survivors == [] and unit_scale == UNIT_SCALE
 
 
 PRODUCT_TABLES = {"_bern_product", "_euler_product"}
+# The polynomial convolution kernel, deleted once every left side became a
+# product of number series.
+DELETED_KERNEL = {"convolution_coefficients", "_pair_product", "_own_form", "_paired_coefficient",
+                  "_coefficient_of_product", "convolution_work"}
 # the series kernels of the displays, which no statement may share
-SERIES_KERNEL_NAMES = {"series_product", "subset_series", "convolution_coefficients", "appell"}
+SERIES_KERNEL_NAMES = {"series_product", "subset_series", "_jet_lhs", "appell"}
 SOURCES = {path.name: path.read_text() for path in sorted(Path(identities.__file__).parent.glob("*.py"))}
 TEST_SOURCES = {path.name: path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))}
 
@@ -1088,14 +1102,15 @@ def _called_names(node):
 
 # The display whose left side is the convolution less its constant term.
 CENTRED = {("corollary11", "first")}
-# The kernel, and the left sides that call it for their displays: the pair
-# sums of harmonic weights that depend on n.
-KERNEL_CALLS = {"convolution_coefficients", "_harmonic_pair_sums"}
+# The jet line, and the pair sums of harmonic weights that depend on n,
+# which are two jet lines.
+JET_CALLS = {"_jet_lhs", "_harmonic_pair_sums"}
 
 
 class TestConvolutionDesign:
-    """Products of Bernoulli and Euler polynomials are formed in one place,
-    as one series coefficient, and no composition is walked for them."""
+    """Products of Bernoulli and Euler polynomials are read off products of
+    number series, one call per line, and no composition is walked for
+    them."""
 
     @staticmethod
     def _functions():
@@ -1117,46 +1132,62 @@ class TestConvolutionDesign:
     def test_the_identities_walk_no_compositions(self):
         assert _callers(SOURCES["identities.py"], {"composition_parts"}) == set()
 
-    def test_only_the_convolution_calls_the_kernel(self):
-        # the kernel's callers are the declared harmonic left sides: each
-        # such display's function, or `_harmonic_pair_sums` for those that
-        # call it alone (the right side of corollary11's second display
-        # reads its pair sum off `_harmonic_pair_sums` too, beside its own
-        # left side's call)
-        functions = self._functions()
-        declared = {_display(name, label)[0].__name__ for name, label in KERNEL_LEFT}
-        helpers = {"_harmonic_pair_sums"}
-        through = {fn for fn in declared if helpers & _called_names(functions[fn])
-                   and "convolution_coefficients" not in _called_names(functions[fn])}
-        assert len(declared) == 9 and len(through) == 2
-        assert {name: found for name, source in SOURCES.items()
-                if (found := _callers(source, {"convolution_coefficients"}))} == {
-            "identities.py": declared - through | helpers}
+    def test_no_module_names_a_deleted_function(self):
+        assert {name: found for name, source in SOURCES.items() if (found := _read_names(source) & DELETED_KERNEL)} == {}
 
-    def test_each_converted_left_side_is_a_declaration(self):
-        # one kernel call for the line; for the centred display, the line's
-        # coefficients each less a constant formed without the kernel; and
-        # no left side calls the kernel per n, nor on a one-point line [n]
+    def test_each_harmonic_left_side_is_one_jet_call(self):
+        # one call for the line, never on a one-point line [n], and none in
+        # a loop; for the centred display, the line's coefficients each less
+        # a constant formed without it
         functions = self._functions()
-        calls = [call for call in ast.walk(functions["_harmonic_pair_sums"]) if isinstance(call, ast.Call)
-                 and getattr(call.func, "id", None) == "convolution_coefficients"]
-        assert calls and all(ast.unparse(call.args[1]) == "ns" for call in calls)
-        for name, label in KERNEL_LEFT:
-            fn, _ = _display(name, label)
+        for key in JET_LEFT:
+            fn, _ = _display(*key)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
             value = assign.value
             calls = [call for call in ast.walk(value) if isinstance(call, ast.Call)
-                     and getattr(call.func, "id", None) in KERNEL_CALLS]
-            assert len(calls) == 1 and not isinstance(calls[0].args[1], ast.List), name
-            assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, name
-            if (name, label) in CENTRED:
-                assert isinstance(value, ast.ListComp) and value.elt.func.id == "poly_sub", name
-                _, constant = value.elt.args
-                assert not _called_names(value.elt) & KERNEL_CALLS, name
-                assert not _called_names(constant) & {"composition_parts", *PRODUCT_TABLES}, name
+                     and getattr(call.func, "id", None) in JET_CALLS]
+            assert len(calls) == 1 and not isinstance(calls[0].args[1], ast.List), key
+            assert not _repeated_calls(functions[fn.__name__], JET_CALLS), key
+            assert not _called_names(value) & {"composition_parts", *PRODUCT_TABLES}, key
+            if key in CENTRED:
+                assert isinstance(value, ast.ListComp) and value.elt.func.id == "poly_sub", key
+                assert not _called_names(value.elt) & JET_CALLS, key
             else:
-                assert isinstance(value, ast.Call) and value.func.id in KERNEL_CALLS, name
+                assert isinstance(value, ast.Call) and value.func.id in JET_CALLS, key
+
+    def test_the_pair_sums_are_two_jet_lines(self):
+        # at orders (1, 1) and (2, 1), for the line; corollary11's second
+        # display reads its left side at (1, 1, 1) and its right side's
+        # pair sums off them
+        functions = self._functions()
+        calls = [call for call in ast.walk(functions["_harmonic_pair_sums"]) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "_jet_lhs"]
+        assert [ast.unparse(call.args[3]) for call in calls] == ["(1, 1)", "(2, 1)"]
+        assert all(ast.unparse(call.args[1]) == "ns" for call in calls)
+        assert not _repeated_calls(functions["_harmonic_pair_sums"], {"_jet_lhs"})
+        second = functions["_corollary11_second"]
+        assert [ast.unparse(call.args[3]) for call in ast.walk(second) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_jet_lhs"] == ["(1, 1, 1)"]
+        assert "_harmonic_pair_sums" in _called_names(second)
+
+    def test_the_jet_path_reads_no_right_side_number(self):
+        # P_l(0) is read off the polynomial family(l), never off the number
+        # sequences that the right sides read, and no left side reaches a
+        # right side's series
+        functions = self._functions()
+        jet = functions["_jet_lhs"]
+        reached = _reachable(functions, jet) | {"_jet_lhs"}
+        bodies = [functions[f] for f in reached]
+        read = {node.id for body in bodies for node in ast.walk(body) if isinstance(node, ast.Name)}
+        assert not read & VANISHING
+        assert not set().union(*map(_called_names, bodies)) & {"subset_series", "_subset_series_rhs"}
+        assert "family(l)[0]" in {ast.unparse(node) for node in ast.walk(jet) if isinstance(node, ast.Subscript)}
+        for key in JET_LEFT:
+            fn, _ = _display(*key)
+            (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
+                         and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
+            assert not {node.id for node in ast.walk(assign.value) if isinstance(node, ast.Name)} & VANISHING, key
 
     def test_the_scan_sees_each_caller(self):
         source = (
@@ -1175,7 +1206,7 @@ class TestConvolutionDesign:
 # The left-side calls of the number-series displays, and the calls their
 # left sides never make.
 NUMBER_LHS_CALLS = {"_theorem_lhs", "_rising_lhs", "_exponential_lhs"}
-NOT_ON_THE_NUMBER_PATH = {"convolution_coefficients", "subset_series", "_subset_series_rhs"}
+NOT_ON_THE_NUMBER_PATH = {"_jet_lhs", "subset_series", "_subset_series_rhs"}
 
 
 def _reachable(functions, node):
@@ -1190,10 +1221,23 @@ def _reachable(functions, node):
 
 
 def _repeated_calls(node, names):
-    """The calls of `names` inside a loop or a comprehension of node."""
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    return [call for loop in ast.walk(node) if isinstance(loop, loops) for call in ast.walk(loop)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in names]
+    """The calls of `names` that a loop or a comprehension of node repeats:
+    in a loop's body or condition, or in a comprehension's element, its
+    conditions or an inner iterable, but not in the iterable it walks
+    first, which is evaluated once."""
+    repeated = []
+    for loop in ast.walk(node):
+        if isinstance(loop, (ast.For, ast.While)):
+            parts = [*loop.body, *loop.orelse, *([loop.test] if isinstance(loop, ast.While) else [])]
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            first, *inner = loop.generators
+            parts = [*([loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]), *first.ifs,
+                     *(part for gen in inner for part in (gen.iter, *gen.ifs))]
+        else:
+            continue
+        repeated += [call for part in parts for call in ast.walk(part)
+                     if isinstance(call, ast.Call) and getattr(call.func, "id", None) in names]
+    return repeated
 
 
 class TestNumberSeriesDesign:
@@ -1226,8 +1270,8 @@ class TestNumberSeriesDesign:
     def test_one_slot_multiplies_nothing(self, monkeypatch):
         # theorem4 at k = 1: its one slot series is its numbers
         ns, a_vec = range(11), (F(5, 4),)
-        expected = exactmath.convolution_coefficients(euler_poly, ns, [exactmath.rising_weights(F(5, 4), 10)],
-                                                      [factorial(n) / exactmath.pochhammer(F(5, 4), n) for n in ns])
+        expected = [poly_scale(factorial(n) / exactmath.pochhammer(F(5, 4), n), coeff) for n, coeff in
+                    enumerate(weighted_convolution(euler_poly, [exactmath.rising_weights(F(5, 4), 10)], 10))]
         monkeypatch.setattr(identities, "series_product", lambda *args: pytest.fail("one slot was multiplied"))
         assert identities._theorem_lhs(euler_poly, ns, a_vec) == expected
 
@@ -1239,6 +1283,10 @@ class TestNumberSeriesDesign:
         assert _reachable(functions, functions["f"]) == {"g", "h", "k"}
         assert [call.func.id for call in _repeated_calls(functions["g"], {"h", "k"})] == ["h"]
         assert [call.func.id for call in _repeated_calls(functions["f"], {"g"})] == ["g"]
+        # the iterable a comprehension walks first is evaluated once
+        once = "def f(ns):\n    return [p for n, p in zip(ns, g(ns)) if p]\n"
+        assert _repeated_calls(ast.parse(once), {"g"}) == []
+        assert len(_repeated_calls(ast.parse("x = [q for p in g(1) for q in g(p)]"), {"g"})) == 1
 
 
 class TestCorruptedNumberSeries:
@@ -1307,13 +1355,23 @@ class TestCorruptedNumberSeries:
 SLOT_CYCLE = (F(7, 3), F(5, 4), F(1, 2), F(1), F(2))
 
 
-def _kernel_lhs(family, ns, weights, scales):
-    return exactmath.convolution_coefficients(family, ns, weights, scales)
+def _reference_lhs(family, ns, weights, scales):
+    """scale [t^n] prod_i sum_l weights[i][l] family(l) t^l at each n of the
+    line: the schoolbook product of polynomial-coefficient series of
+    `walks`, which forms every coefficient product by `poly_mul`."""
+    coefficients = weighted_convolution(family, weights, max(ns))
+    return [poly_scale(scale, coefficients[n]) for n, scale in zip(ns, scales)]
+
+
+# The eps-slot weights, [eps^d] (eps)_l/l! at d = 1 and 2, as the reference
+# states them.
+EPS_WEIGHTS = {1: lambda top: [F(0), *(F(1, l) for l in range(1, top + 1))],
+               2: lambda top: [F(0), *(harmonic(l - 1) / l for l in range(1, top + 1))]}
 
 
 class TestNumberSeriesExactness:
-    """The number-series left sides equal `convolution_coefficients`, the
-    polynomial kernel they replace, exactly."""
+    """The number-series left sides equal the schoolbook product of
+    polynomial-coefficient series that they replace, exactly."""
 
     @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
     @pytest.mark.parametrize("k", range(1, 6))
@@ -1324,7 +1382,7 @@ class TestNumberSeriesExactness:
             weights = [exactmath.rising_weights(a, 40) for a in a_vec]
             for scales in ([factorial(n) / exactmath.pochhammer(sum(a_vec), n) for n in ns],
                            [F(n + 1, 3) for n in ns]):
-                assert identities._rising_lhs(family, ns, a_vec, scales) == _kernel_lhs(family, ns, weights, scales)
+                assert identities._rising_lhs(family, ns, a_vec, scales) == _reference_lhs(family, ns, weights, scales)
 
     @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
     @pytest.mark.parametrize("k", [2, 3])
@@ -1332,7 +1390,7 @@ class TestNumberSeriesExactness:
         ns = range(41)
         weights = [[F(1, factorial(l)) for l in ns]] * k
         for scales in ([factorial(n) for n in ns], [F(factorial(n), 2 ** n) for n in ns]):
-            assert identities._exponential_lhs(family, ns, k, scales) == _kernel_lhs(family, ns, weights, scales)
+            assert identities._exponential_lhs(family, ns, k, scales) == _reference_lhs(family, ns, weights, scales)
 
     @pytest.mark.parametrize("name, family", [("theorem2", bernoulli_poly), ("theorem4", euler_poly)])
     def test_a_theorem_line_to_the_largest_cli_n(self, name, family):
@@ -1341,8 +1399,22 @@ class TestNumberSeriesExactness:
         sides = dict(REGISTRY[name].displays)[""](ns, a_vec, 3)
         weights = [exactmath.rising_weights(a, 70) for a in a_vec]
         scales = [factorial(n) / exactmath.pochhammer(sum(a_vec), n) for n in ns]
-        assert [lhs for lhs, _ in sides] == _kernel_lhs(family, ns, weights, scales)
+        assert [lhs for lhs, _ in sides] == _reference_lhs(family, ns, weights, scales)
         assert all(lhs == rhs for lhs, rhs in sides)
+
+    @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
+    @pytest.mark.parametrize("orders", [(1,), (1, 1), (2, 1), (1, 1, 1)], ids=str)
+    @pytest.mark.parametrize("fixed", [(), (F(7, 3),), (F(1),), (F(2),)], ids=str)
+    def test_jet_slots(self, family, orders, fixed):
+        # out of order, with gaps and repeats, to n = 30
+        ns = [30, 4, 17, 0, 17, 2, 9, 1]
+        weights = [*(exactmath.rising_weights(a, 30) for a in fixed), *(EPS_WEIGHTS[d](30) for d in orders)]
+        scales = [F(n + 1, 3) if n % 2 else F(-2, n + 5) for n in ns]
+        assert identities._jet_lhs(family, ns, fixed, orders, scales) == _reference_lhs(family, ns, weights, scales)
+
+    def test_a_jet_line_needs_an_eps_slot(self):
+        with pytest.raises(ValueError, match="eps-slot"):
+            identities._jet_lhs(bernoulli_poly, [3], (F(1), F(2)), (), [1])
 
 
 def _top_level_callers(source, names):

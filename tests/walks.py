@@ -5,7 +5,9 @@ a slot-by-slot binomial expansion.  The tests keep the plain sums over
 weak compositions, weighted by multinomial coefficients, and over index
 subsets as independent references, and these helpers are what those
 references walk.  The derivative of a polynomial, which only the tests'
-references form, lives here too.
+references form, lives here too, and so does the schoolbook product of
+series whose coefficients are polynomials in x, the reference that the
+package's number-series left sides are checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+from bek.exactmath import ONE, ZERO, poly_lincomb, poly_mul, poly_scale
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -78,3 +82,16 @@ def poly_derivative(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     coefficients; the leading one times the degree is not zero, so the
     result needs no trimming."""
     return tuple(i * c for i, c in enumerate(p) if i > 0)
+
+
+def weighted_convolution(family: Callable[[int], tuple], weights: Sequence[Sequence[Fraction]],
+                         top: int) -> list[tuple]:
+    """[t^n] prod_i sum_l weights[i][l] family(l) t^l for n = 0..top: a
+    schoolbook product of series whose coefficients are polynomials in x,
+    truncated after t^top, each coefficient product one `poly_mul`."""
+    product = [ONE, *[ZERO] * top]
+    for w in weights:
+        slot = [poly_scale(w[l], family(l)) for l in range(top + 1)]
+        product = [poly_lincomb((1, poly_mul(product[i], slot[n - i])) for i in range(n + 1))
+                   for n in range(top + 1)]
+    return product
