@@ -40,20 +40,22 @@ sum_j u_j t^j and sum_m v_m t^m (`_number_series`), formed once for the
 line, where a binomial C(n, j) is n! times 1/j! and 1/m! in the two
 series and a term is left out by a zero coefficient.  A convolution left
 side is scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
-P_{l_1}(x)...P_{l_k}(x) with P = B or E.  Where every slot weight is a
-Pochhammer weight (a)_l/l! (1 and l+1 are a = 1 and 2) or 1/l!, the sum
-is itself an Appell polynomial, whose numbers are read off one product
-of number series for the line, sum_l w(l) P_l(0) t^l per slot, with each
-P_l(0) read off the polynomial P_l(x), never off the number sequences the
-right sides read (`_rising_lhs`, `_exponential_lhs`): the left sides of
-theorems 1-4, corollary1, eq-2-15, eq-4-0a, eq-6-9 and corollary8.  The
-harmonic weights 1/l and H_{l-1}/l are [eps^1] and [eps^2] of the
-Pochhammer weight (eps)_l/l!, so the harmonic left sides are eps-jets of
-the same sum: `_jet_lhs` takes the family P, the fixed Pochhammer
-parameters, the eps-order of each harmonic slot and one scale per n,
-and reads the line off products of number series and the truncated jet
-of (A+j+E)_{n-j}/(n-j)! in E: the left sides of corollary3, corollary4,
-eq-2-12, corollary7, corollary10 and corollary11.  A weight that depends
+P_{l_1}(x)...P_{l_k}(x) with P = B or E.  Its numbers are read off
+products of number series for the line, sum_l w(l) P_l(0) t^l per slot,
+with each P_l(0) read off the polynomial P_l(x), never off the number
+sequences the right sides read (`_slot_product`).  Where every slot
+weight is a Pochhammer weight (a)_l/l! (1 and l+1 are a = 1 and 2) or a
+harmonic weight 1/l or H_{l-1}/l, which are [eps^1] and [eps^2] of the
+Pochhammer weight (eps)_l/l!, the sum is one line of `_jet_lhs`: it takes
+the family P, the fixed Pochhammer parameters, the eps-order of each
+harmonic slot and one scale per n, and reads the line off its products
+and the truncated jet of (A+j+E)_{n-j}/(n-j)! in E.  With no eps-slot
+that is a Pochhammer line: the left sides of theorems 1-4 (through their
+shared scale n!/(A)_n, `_theorem_lhs`), corollary1, eq-4-0a and eq-6-9;
+with eps-slots, those of corollary3, corollary4, eq-2-12, corollary7,
+corollary10 and corollary11.  Where every slot weight is 1/l!, the sum is
+an Appell polynomial at kx, not a jet of that sum (`_exponential_lhs`):
+the left sides of eq-2-15 and corollary8.  A weight that depends
 on n through a harmonic number, (H_{n-1} - H_{l-1})/l, is H_{n-1} r_l -
 h_l with r_l = 1/l and h_l = H_{l-1}/l, so its pair sum is H_{n-1}
 [t^n] R^2 - [t^n] H R, R and H the series of r and h: two jet lines, at
@@ -86,7 +88,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
 from math import factorial, lcm, prod
-from operator import mul
 from numbers import Integral, Rational
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -129,10 +130,10 @@ class UnknownIdentityError(KeyError):
 
 
 # The memoized products of Bernoulli and Euler polynomials for a sorted
-# index multiset.  No module of the package calls them: the left sides are
-# series coefficients.  The hand-written reference left sides of the tests
-# form their products with them, and the benchmark worker reads their
-# cache statistics.
+# index multiset.  Nothing calls them: the left sides are series
+# coefficients, and the tests form their reference products without them.
+# Only the benchmark worker reads them, for their cache statistics, so they
+# stay until the benchmark stops reading them (ROADMAP item 1).
 @lru_cache(maxsize=None)
 def _bern_product(indices: tuple[int, ...]) -> Poly:
     """Product of Bernoulli polynomials for a sorted index multiset."""
@@ -232,23 +233,6 @@ def _slot_product(family: Callable[[int], Poly], weights: Sequence[Sequence[Frac
     return [_coeff(h, j) for j in range(top + 1)]
 
 
-def _rising_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequence[Fraction],
-                scales: Sequence[Fraction | int]) -> list[Poly]:
-    """scale sum over l_1+...+l_k = n of prod_i (a_i)_{l_i}/l_i! P_{l_i}(x),
-    P = family, at each n = ns[j] with scale = scales[j].  As P is an
-    Appell sequence, one slot is sum_l (a)_l/l! P_l(x) t^l = (1-xt)^(-a)
-    G_a(t/(1-xt)), G_a(s) = sum_l (a)_l P_l(0) s^l/l!, so with h = prod_i
-    G_{a_i} and A = sum a the k-fold sum is sum_j h_j (A+j)_{n-j}/(n-j)!
-    x^{n-j}: (A)_n/n! times the Appell polynomial of c_j = j! h_j/(A)_j
-    (Roman, The Umbral Calculus, ch. 2).  The c_j do not depend on n, so
-    one product of number series serves the whole line."""
-    top = max(ns)
-    rising_sum = rising_weights(sum(a_vec), top)  # (A)_j/j!
-    h = _slot_product(family, [rising_weights(a, top) for a in a_vec], top)
-    nums, den = _over_lcm(h_j / w for h_j, w in zip(h, rising_sum))
-    return [appell(nums[: n + 1], den, scale * rising_sum[n]) for n, scale in zip(ns, scales)]
-
-
 def _exponential_lhs(family: Callable[[int], Poly], ns: Sequence[int], k: int,
                      scales: Sequence[Fraction | int]) -> list[Poly]:
     """scale sum over l_1+...+l_k = n of prod_i P_{l_i}(x)/l_i!, P = family,
@@ -266,7 +250,7 @@ def _theorem_lhs(family: Callable[[int], Poly], ns: Sequence[int], a_vec: Sequen
     """n!/(sum a)_n sum_l prod_i (a_i)_{l_i}/l_i! P_{l_1}(x)...P_{l_k}(x),
     P = family, the left side of theorems 1-4, at each n."""
     rising_sum = rising_weights(sum(a_vec), max(ns))  # (sum a)_n/n!
-    return _rising_lhs(family, ns, a_vec, [1 / rising_sum[n] for n in ns])
+    return _jet_lhs(family, ns, a_vec, (), [1 / rising_sum[n] for n in ns])
 
 
 def _leibniz_terms(orders: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -284,55 +268,53 @@ def _jet_lhs(family: Callable[[int], Poly], ns: Sequence[int], fixed: Sequence[F
     family, at each n = ns[j] with scale = scales[j], for a Pochhammer slot
     w(l) = (a)_l/l! per a of `fixed` and an eps-slot w(l) = [eps^d]
     (eps)_l/l! per order d of `orders`: 1/l at d = 1 and H_{l-1}/l at d =
-    2, both 0 at l = 0.  There is at least one eps-slot; a line without
-    one is `_rising_lhs`'s.
+    2, both 0 at l = 0.  With no eps-slot it is a Pochhammer line.
 
-    The sum is [prod_i eps_i^(d_i)] of `_rising_lhs`'s sum with the eps_i
-    among its parameters.  With A_0 = sum fixed, E = sum eps_i and D = sum
-    d_i it is sum_j x^(n-j) sum_{M<=D} c_{j,M} [E^M] (A_0+j+E)_{n-j}/(n-j)!,
-    where c_{j,M} is the sum over the terms m of `_leibniz_terms` with
-    |m| = M of their weight times [s^j] prod_a G_a prod_i g_{d_i-m_i},
-    G_a(s) = sum_l (a)_l/l! P_l(0) s^l, g_e(s) = sum_l [eps^e]((eps)_l/l!)
-    P_l(0) s^l and g_0 = 1.  The c do not depend on n: one product of
-    number series per distinct multiset of the d_i - m_i serves the whole
-    line.  For A_0 = p/q the jet (A_0+j+E)_r/r! is integer numerators over
-    q^r r!, grown in r by one multiply by p + (j+r-1) q + qE and cut after
-    E^D, and each coefficient is one Fraction.  Each P_l(0) is read off the
-    polynomial family(l)."""
-    if not orders:
-        raise ValueError("a jet left side needs an eps-slot")
+    As P is an Appell sequence, one Pochhammer slot is sum_l (a)_l/l!
+    P_l(x) t^l = (1-xt)^(-a) G_a(t/(1-xt)), G_a(s) = sum_l (a)_l/l! P_l(0)
+    s^l, so the sum of Pochhammer slots alone, A = sum a, is sum_j
+    [s^j] prod_a G_a (A+j)_{n-j}/(n-j)! x^{n-j} (Roman, The Umbral
+    Calculus, ch. 2).  An eps-slot takes [eps_i^(d_i)] of that sum with
+    eps_i among its parameters.  With A_0 = sum fixed, E = sum eps_i and D
+    = sum d_i it is sum_j x^(n-j) sum_{M<=D} c_{j,M} [E^M]
+    (A_0+j+E)_{n-j}/(n-j)!, where c_{j,M} is the sum over the terms m of
+    `_leibniz_terms` with |m| = M of their weight times [s^j] prod_a G_a
+    prod_i g_{d_i-m_i}, g_e(s) = sum_l [eps^e]((eps)_l/l!) P_l(0) s^l and
+    g_0 = 1.  The c do not depend on n: one `_slot_product` per distinct
+    multiset of the d_i - m_i serves the whole line.  The inner sum is
+    [E^D] of C_j(E) (A_0+j+E)_r/r!, r = n-j, with C_j(E) = sum_M c_{j,M}
+    E^(D-M): for A_0 = p/q each jet starts at C_j, as integer numerators,
+    and grows in r, for every j at once, by one multiply by p + (j+r) q +
+    qE, cut after E^D, so its numerators are over q^r r!.  The x^r
+    coefficient at n is the E^D numerator of the jet of j = n - r, one
+    Fraction."""
     top, depth = max(ns), sum(orders)
-    at_zero = [family(l)[0] for l in range(top + 1)]
     eps_weights = {1: _reciprocals, 2: _harmonic_reciprocals}
-    g = {e: [w * p for w, p in zip(eps_weights[e](top), at_zero)] for e in range(1, max(orders) + 1)}
-    base = [[w * p for w, p in zip(rising_weights(a, top), at_zero)] for a in fixed]
+    slots = [rising_weights(a, top) for a in fixed]
     weights: dict[tuple[int, ...], list[int]] = {}
     for m, weight in _leibniz_terms(orders):
         rest = tuple(sorted(d - mi for d, mi in zip(orders, m) if d > mi))
-        weights.setdefault(rest, [0] * (depth + 1))[sum(m)] += weight
-    products = [(by_order, series_product([*base, *(g[e] for e in rest)], top)) for rest, by_order in weights.items()]
+        weights.setdefault(rest, [0] * (depth + 1))[depth - sum(m)] += weight
+    products = [(by_power, _slot_product(family, [*slots, *(eps_weights[e](top) for e in rest)], top))
+                for rest, by_power in weights.items()]
     den = lcm(*(h_j.denominator for _, h in products for h_j in h))
-    c = [[0] * (top + 1) for _ in range(depth + 1)]  # c_{j,M} numerators over den, a row per M
-    for by_order, h in products:
-        for row, weight in zip(c, by_order):
+    jets = [[0] * (top + 1) for _ in range(depth + 1)]  # [E^i] C_j(E) numerators over den, a row per i
+    for by_power, h in products:
+        for row, weight in zip(jets, by_power):
             if weight:
                 for j, h_j in enumerate(h):
                     row[j] += weight * h_j.numerator * (den // h_j.denominator)
     start = Fraction(sum(fixed))
     p, q = start.numerator, start.denominator
-    wanted = set(ns)
-    rows = {n: [0] * (n + 1) for n in wanted}  # the x^r numerators at n, over den q^r r!
-    for j, c_j in enumerate(zip(*c)):
-        jet = [1] + [0] * depth
-        for r in range(top - j + 1):
-            if j + r in wanted:
-                rows[j + r][r] = sum(map(mul, c_j, jet))
-            u = p + (j + r) * q
-            jet = [u * a + q * b for a, b in zip(jet, [0, *jet])]
+    read = []  # read[r][j]: [E^D] C_j(E) (A_0+j+E)_r/r! numerators over den q^r r!
+    for r in range(top + 1):
+        read.append(jets[-1])
+        u = [p + (j + r) * q for j in range(top - r)]
+        jets = [[uj * a + q * b for uj, a, b in zip(u, row, below)] for row, below in zip(jets, [[0] * top, *jets])]
     dens = list(accumulate(range(1, top + 1), lambda d, r: d * q * r, initial=den))  # den q^r r!
     out = []
     for n, scale in zip(ns, map(Fraction, scales)):
-        coeffs = [Fraction(scale.numerator * v, scale.denominator * d) for v, d in zip(rows[n], dens)]
+        coeffs = [Fraction(scale.numerator * read[r][n - r], scale.denominator * dens[r]) for r in range(n + 1)]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         out.append(tuple(coeffs))
@@ -517,7 +499,7 @@ def _matiyasevich(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
 
 
 def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
-    lhs = _rising_lhs(bernoulli_poly, ns, (Fraction(1),) * 2, [n + 2 for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (Fraction(1),) * 2, (), [n + 2 for n in ns])
     # 2 C(n+2, l+2) B_l = (n+1)(n+2) C(n, l) 2 B_l / ((l+1)(l+2)), and
     # C(n+2, 3) B_{n-1}(x) = (n+1)(n+2) C(n, 1) B_{n-1}(x) / 6 is a term l = 1
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(2, (l + 1) * (l + 2) * factorial(l)))
@@ -627,7 +609,7 @@ def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = _rising_lhs(bernoulli_poly, ns, (Fraction(1),) * 3, [n + 3 for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (Fraction(1),) * 3, (), [n + 3 for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] b(t)^2, b = sum_l B_l t^l, and
     # as C(n+3, i) = (n+3)! / (i! (n+3-i)!) the three terms are 3 (n+3)!
     # sum_i s_{n-i} B_i(x)/i!, s_r = ([t^r] b^2 + B_{r-1} + [r = 2]/3) / (r+3)!
@@ -659,7 +641,7 @@ def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fractio
 
 def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
     top = max(ns)
-    lhs = _rising_lhs(bernoulli_poly, ns, (eps,) * 3, [1 / pochhammer(3 * eps, n) for n in ns])
+    lhs = _jet_lhs(bernoulli_poly, ns, (eps,) * 3, (), [1 / pochhammer(3 * eps, n) for n in ns])
     # for fixed i the (j, l) sum is [t^(n-i)] of the square of c(t) =
     # sum_l (eps)_l B_l t^l / l!, and the three terms are sum_i s_{n-i}
     # B_i(x)/i!, s_r = 3 eps ([t^r] c^2 + eps c_{r-1} + [r = 2] eps^2/3) / (3 eps)_{r+1}

@@ -1054,9 +1054,10 @@ class TestCorruptedJets:
 
 PRODUCT_TABLES = {"_bern_product", "_euler_product"}
 # The polynomial convolution kernel, deleted once every left side became a
-# product of number series.
+# product of number series, and the Pochhammer left-side builder, folded
+# into `_jet_lhs` as a line with no eps-slot.
 DELETED_KERNEL = {"convolution_coefficients", "_pair_product", "_own_form", "_paired_coefficient",
-                  "_coefficient_of_product", "convolution_work"}
+                  "_coefficient_of_product", "convolution_work", "_rising_lhs"}
 # the series kernels of the displays, which no statement may share
 SERIES_KERNEL_NAMES = {"series_product", "subset_series", "_jet_lhs", "appell"}
 SOURCES = {path.name: path.read_text() for path in sorted(Path(identities.__file__).parent.glob("*.py"))}
@@ -1172,17 +1173,20 @@ class TestConvolutionDesign:
         assert "_harmonic_pair_sums" in _called_names(second)
 
     def test_the_jet_path_reads_no_right_side_number(self):
-        # P_l(0) is read off the polynomial family(l), never off the number
-        # sequences that the right sides read, and no left side reaches a
-        # right side's series
+        # P_l(0) is read off the polynomial family(l), in `_slot_product`
+        # alone, never off the number sequences that the right sides read,
+        # and no left side reaches a right side's series
         functions = self._functions()
-        jet = functions["_jet_lhs"]
-        reached = _reachable(functions, jet) | {"_jet_lhs"}
+        reached = _reachable(functions, functions["_jet_lhs"]) | {"_jet_lhs"}
         bodies = [functions[f] for f in reached]
         read = {node.id for body in bodies for node in ast.walk(body) if isinstance(node, ast.Name)}
         assert not read & VANISHING
         assert not set().union(*map(_called_names, bodies)) & {"subset_series", "_subset_series_rhs"}
-        assert "family(l)[0]" in {ast.unparse(node) for node in ast.walk(jet) if isinstance(node, ast.Subscript)}
+        assert "_slot_product" in reached
+        readers = {name: {ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Subscript)
+                          and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "family"}
+                   for name, fn in functions.items()}
+        assert {name: found for name, found in readers.items() if found} == {"_slot_product": {"family(l)[0]"}}
         for key in JET_LEFT:
             fn, _ = _display(*key)
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
@@ -1203,10 +1207,16 @@ class TestConvolutionDesign:
         assert _read_names("from bek.identities import x as y\nimport bek.series") >= {"identities", "x", "series"}
 
 
+# The left-side call of each number-series display: the theorems through
+# their shared scale n!/(A)_n, the other Pochhammer lines as jet lines with
+# no eps-slot, and the 1/l! lines, whose x-part is e^(kxt), on their own.
+NUMBER_LHS_CALL = {"theorem1": "_theorem_lhs", "theorem2": "_theorem_lhs", "theorem3": "_theorem_lhs",
+                   "theorem4": "_theorem_lhs", "corollary1": "_jet_lhs", "eq-4-0a": "_jet_lhs", "eq-6-9": "_jet_lhs",
+                   "eq-2-15": "_exponential_lhs", "corollary8": "_exponential_lhs"}
 # The left-side calls of the number-series displays, and the calls their
 # left sides never make.
-NUMBER_LHS_CALLS = {"_theorem_lhs", "_rising_lhs", "_exponential_lhs"}
-NOT_ON_THE_NUMBER_PATH = {"_jet_lhs", "subset_series", "_subset_series_rhs"}
+NUMBER_LHS_CALLS = set(NUMBER_LHS_CALL.values())
+NOT_ON_THE_NUMBER_PATH = {"_harmonic_pair_sums", "subset_series", "_subset_series_rhs"}
 
 
 def _reachable(functions, node):
@@ -1253,19 +1263,39 @@ class TestNumberSeriesDesign:
             (assign,) = [node for node in ast.walk(functions[fn.__name__]) if isinstance(node, ast.Assign)
                          and [getattr(t, "id", None) for t in node.targets] == ["lhs"]]
             value = assign.value
-            assert isinstance(value, ast.Call) and value.func.id in NUMBER_LHS_CALLS, name
+            assert isinstance(value, ast.Call) and value.func.id == NUMBER_LHS_CALL[name], name
             assert ast.unparse(value.args[1]) == "ns", name
+            if value.func.id == "_jet_lhs":
+                assert ast.unparse(value.args[3]) == "()", name
             reached = _reachable(functions, value)
             assert "_slot_product" in reached, name
             bodies = [value, *(functions[f] for f in reached)]
             assert not set().union(*map(_called_names, bodies)) & NOT_ON_THE_NUMBER_PATH, name
             read = {node.id for body in bodies for node in ast.walk(body) if isinstance(node, ast.Name)}
             assert not read & VANISHING, name
-            # one product per line: no loop forms a product or a slot product
+            # one product per line: no loop forms a product or a slot
+            # product, but the jet's loop over its Leibniz terms, which a
+            # line with no eps-slot runs once (test_one_slot_product_per_line)
             assert not any(_repeated_calls(body, {"series_product", "_slot_product", *NUMBER_LHS_CALLS})
-                           for body in bodies), name
+                           for body in bodies if body is not functions["_jet_lhs"]), name
         assert [call.func.id for call in ast.walk(functions["_slot_product"]) if isinstance(call, ast.Call)
                 and getattr(call.func, "id", None) == "series_product"] == ["series_product"]
+        (call,) = [call for call in ast.walk(functions["_theorem_lhs"]) if isinstance(call, ast.Call)
+                   and getattr(call.func, "id", None) in NUMBER_LHS_CALLS]
+        assert call.func.id == "_jet_lhs" and ast.unparse(call.args[3]) == "()"
+
+    def test_one_slot_product_per_line(self, monkeypatch):
+        # a line of six n forms one product of number series, for each
+        # default k; no right side forms one
+        calls = []
+        real = identities._slot_product
+        monkeypatch.setattr(identities, "_slot_product", lambda *args: calls.append(args) or real(*args))
+        for name, label in NUMBER_SERIES_LEFT:
+            fn, args = _display(name, label)
+            for pt in _first_points_from_three(name):
+                calls.clear()
+                fn(range(3, 9), *args(pt)[1:])
+                assert len(calls) == 1, (name, pt)
 
     def test_one_slot_multiplies_nothing(self, monkeypatch):
         # theorem4 at k = 1: its one slot series is its numbers
@@ -1326,12 +1356,13 @@ class TestCorruptedNumberSeries:
         scales = []
 
         def unscaled(real):
-            def call(family, ns, slots, line_scales):
+            def call(*args):
+                *head, line_scales = args
                 scales.extend(line_scales)
-                return real(family, ns, slots, [1] * len(ns))
+                return real(*head, [1] * len(line_scales))
             return call
 
-        for helper in ("_rising_lhs", "_exponential_lhs"):
+        for helper in ("_jet_lhs", "_exponential_lhs"):
             monkeypatch.setattr(identities, helper, unscaled(getattr(identities, helper)))
         survivors, unit_scale = [], []
         for name, label in NUMBER_SERIES_LEFT:
@@ -1382,7 +1413,7 @@ class TestNumberSeriesExactness:
             weights = [exactmath.rising_weights(a, 40) for a in a_vec]
             for scales in ([factorial(n) / exactmath.pochhammer(sum(a_vec), n) for n in ns],
                            [F(n + 1, 3) for n in ns]):
-                assert identities._rising_lhs(family, ns, a_vec, scales) == _reference_lhs(family, ns, weights, scales)
+                assert identities._jet_lhs(family, ns, a_vec, (), scales) == _reference_lhs(family, ns, weights, scales)
 
     @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
     @pytest.mark.parametrize("k", [2, 3])
@@ -1403,18 +1434,18 @@ class TestNumberSeriesExactness:
         assert all(lhs == rhs for lhs, rhs in sides)
 
     @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly], ids=["B", "E"])
-    @pytest.mark.parametrize("orders", [(1,), (1, 1), (2, 1), (1, 1, 1)], ids=str)
-    @pytest.mark.parametrize("fixed", [(), (F(7, 3),), (F(1),), (F(2),)], ids=str)
-    def test_jet_slots(self, family, orders, fixed):
-        # out of order, with gaps and repeats, to n = 30
+    @pytest.mark.parametrize("fixed, orders", [
+        *((fixed, orders) for orders in [(1,), (1, 1), (2, 1), (1, 1, 1)]
+          for fixed in [(), (F(7, 3),), (F(1),), (F(2),)]),
+        ((F(7, 3),), ()), ((F(7, 3), F(5, 4)), ()), ((F(1, 2), F(1), F(2)), ()),
+    ], ids=str)
+    def test_jet_slots(self, family, fixed, orders):
+        # out of order, with gaps and repeats, to n = 30; orders () is a
+        # Pochhammer line
         ns = [30, 4, 17, 0, 17, 2, 9, 1]
         weights = [*(exactmath.rising_weights(a, 30) for a in fixed), *(EPS_WEIGHTS[d](30) for d in orders)]
         scales = [F(n + 1, 3) if n % 2 else F(-2, n + 5) for n in ns]
         assert identities._jet_lhs(family, ns, fixed, orders, scales) == _reference_lhs(family, ns, weights, scales)
-
-    def test_a_jet_line_needs_an_eps_slot(self):
-        with pytest.raises(ValueError, match="eps-slot"):
-            identities._jet_lhs(bernoulli_poly, [3], (F(1), F(2)), (), [1])
 
 
 def _top_level_callers(source, names):

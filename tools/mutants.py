@@ -1,12 +1,12 @@
 """Mutation gate: each mutant of a named function of `bek.identities` must
 fail a check that the test suite makes.
 
-    python tools/mutants.py                # the jet left side and its displays
+    python tools/mutants.py                # every left-side builder and its displays
     python tools/mutants.py _jet_lhs ...   # the named functions only
 
 Run from the root of a source checkout; `src` and `tests` are put on the
 import path.  It is not part of the test suite; the default functions
-take about 15 s on a 2-core host.
+(465 mutants) take 40-75 s on a 2-core host.
 
 A mutant changes one site of one function's syntax tree: a `+` becomes
 `-` and a `-` becomes `+` (in an augmented assignment too), a `*` becomes
@@ -48,17 +48,25 @@ from bek import identities  # noqa: E402
 from bek.identities import REGISTRY, build_points, verify  # noqa: E402
 from statements import STATEMENTS  # noqa: E402
 
-# The jet left side, its helpers, and every display that it serves.
+# The left-side builders and their helpers, every display with a
+# convolution left side, and the number helpers of those displays' right
+# sides.
 DEFAULT_FUNCTIONS = (
     "_jet_lhs", "_leibniz_terms", "_reciprocals", "_harmonic_reciprocals", "_harmonic_pair_sums",
+    "_slot_product", "_theorem_lhs", "_exponential_lhs",
+    "_theorem1", "_theorem2", "_theorem3", "_theorem4", "_corollary1", "_eq_4_0a", "_eq_6_9", "_eq_2_15",
+    "_corollary8",
     "_corollary3", "_corollary4_first", "_corollary4_second", "_eq_2_12", "_corollary7",
     "_corollary10_first", "_corollary10_second", "_corollary11_first", "_corollary11_second",
+    "_subset_series_rhs", "_appell_numbers", "_plus_numbers", "_number_series", "_over_lcm",
 )
 
 TIMEOUT_S = 20
 
 # The survivors that are equivalent to their function: (function, site, reason).
 EQUIVALENT = {
+    ('_appell_numbers', 'int 1 -> 2 in `top + 1` of the `return`',
+     'one more Appell number, 0 past the product cut after top, which no n of a line reads'),
     ('_corollary10_first', 'int 1 -> 2 in `_number_series(.. 1 ..)` of the assignment to `s`',
      'the series from l = 2: its l = 1 term has the factor H_0 = 0'),
     ('_corollary10_second', 'int 1 -> 2 in `_number_series(.. 1 ..)` of the assignment to `s`',
@@ -75,26 +83,32 @@ EQUIVALENT = {
      'one more series term, which the product cut after top drops'),
     ('_harmonic_reciprocals', 'int 1 -> 2 in `n + 1` of the `return`',
      'one more weight, which the zip with P_0(0)..P_top(0) drops'),
-    ('_jet_lhs', '- -> + in `top - j` of the `for` header `range(top - j + 1)`',
-     'the jets grow past n = top, which no n of the line reads'),
-    ('_jet_lhs', 'int 0 -> 1 in `[0]` of the assignment to `rows`',
-     'every entry of a row is written: each j <= n writes its r = n - j'),
-    ('_jet_lhs', 'int 1 -> 2 in `depth + 1` of the assignment to `c`',
-     'a row of zeros for E^(D+1), which the jet cut after E^D never meets'),
-    ('_jet_lhs', 'int 1 -> 2 in `depth + 1` of the assignment to `weights.setdefault(rest, [0] * (depth + 1))[sum(m)]`',
-     'a weight slot for E^(D+1) that stays 0 and that the zip with the rows of c drops'),
-    ('_jet_lhs', 'int 1 -> 2 in `n + 1` of the assignment to `rows`',
-     'one more x power per row, never written, so 0 and trimmed'),
-    ('_jet_lhs', 'int 1 -> 2 in `top + 1` of the assignment to `c`',
-     'a column of zeros at j = top + 1, which grows no jet: its r range is empty'),
-    ('_jet_lhs', 'int 1 -> 2 in `top + 1` of the assignment to `at_zero`',
-     'one more P_l(0), which the zips with the weights drop'),
+    ('_jet_lhs', '- -> + in `top - r` of the assignment to `u`',
+     'the jets of j > top - r grow too, which no n of the line reads'),
+    ('_jet_lhs', 'int 1 -> 2 in `depth + 1` of the assignment to `weights.setdefault(rest, [0] * (depth + 1))'
+     '[depth - sum(m)]`',
+     'a weight slot for E^(D+1) that stays 0 and that the zip with the rows of the jets drops'),
+    ('_jet_lhs', 'int 1 -> 2 in `top + 1` of the `for` header `range(top + 1)`',
+     'one more step, r = top + 1, whose jets are empty and which no n of the line reads'),
     ('_jet_lhs', 'int 1 -> 2 in `top + 1` of the assignment to `dens`',
-     'one more denominator, which the zip with a row drops'),
-    ('_jet_lhs', 'int 1 -> 2 in `top - j + 1` of the `for` header `range(top - j + 1)`',
-     'one more jet step, at n = top + 1, which the line does not hold'),
+     'one more denominator, which no coefficient reads'),
+    ('_jet_lhs', 'int 1 -> 2 in `top + 1` of the assignment to `jets`',
+     'a column of zeros at j = top + 1, read at r = 0 by no n of the line and dropped by the zip with u'),
+    ('_number_series', 'int 1 -> 2 in `top + 1` of the `return`',
+     'one more term, l = top + 1, which every product cut after top drops and no caller indexes'),
+    ('_plus_numbers', '- -> + in `len(nums) - 1` of the assignment to `(p_nums, p_den)`',
+     'two more numbers, which the zip with the line numbers drops; their lcm may grow the denominator, '
+     'which leaves each value as it is'),
     ('_reciprocals', 'int 1 -> 2 in `n + 1` of the `return`',
      'one more weight, which the zip with P_0(0)..P_top(0) drops'),
+    ('_slot_product', 'int 1 -> 2 in `top + 1` of the assignment to `at_zero`',
+     'one more P_l(0), which the zips with the weights drop'),
+    ('_subset_series_rhs', 'int 1 -> 2 in `top + 1` of the assignment to `(nums, den)`',
+     'one more series term, 0 past the cut of q, which the product cut after top drops'),
+    ('_theorem3', 'int 1 -> 2 in `max(ns) + 1` of the assignment to `(nums, den)`',
+     'one more Appell number, which no n of the line reads'),
+    ('_theorem3', 'int 1 -> 2 in `max(ns) + 1` of the assignment to `s`',
+     'one more series term, which the product cut after max(ns) + 1 drops'),
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
