@@ -25,7 +25,8 @@ Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, whose work on the lines of the k-fold
 entries `series_work` bounds, the shift operators one step,
 `_operator_step`, and the linear combinations one accumulator,
-`_int_lincomb`.
+`_int_lincomb`.  `int_form` puts any rationals in that layout, for the
+kernel and for `identities`, which reads a line's Appell numbers in it.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
@@ -233,9 +234,11 @@ def poly_scale(c: Fraction | int, p: Poly) -> Poly:
     return poly_lincomb(((c, p),))
 
 
-def _int_form(p: Poly) -> tuple[list[int], int]:
-    """Integer numerators of p over the least common denominator of its
-    coefficients, as (numerators, denominator)."""
+def int_form(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values (a polynomial's coefficients, a
+    line's numbers) over the least common denominator of their
+    denominators, as (numerators, denominator)."""
+    p = tuple(values)
     den = 1
     for c in p:
         d = c.denominator
@@ -258,7 +261,7 @@ def poly_lincomb(terms: Iterable[tuple[Fraction | int, Poly]]) -> Poly:
     denominator (the lcm of the terms' denominators, grown as terms arrive)
     and converted to Fractions once.
     """
-    return _from_int_form(*_int_lincomb((c, *_int_form(p)) for c, p in terms if c and p))
+    return _from_int_form(*_int_lincomb((c, *int_form(p)) for c, p in terms if c and p))
 
 
 def _int_lincomb(terms: Iterable[tuple[Fraction | int, Sequence[int], int]]) -> tuple[list[int], int]:
@@ -312,7 +315,7 @@ def series_product(factors: Iterable[Poly], d: int) -> Poly:
     """Product of the factors as power series in t, truncated after t^d (the
     empty product is ONE), on integer numerators, with no product term above
     t^d ever formed."""
-    forms = [_int_form(f[: d + 1]) for f in factors]
+    forms = [int_form(f[: d + 1]) for f in factors]
     return _from_int_form(_truncated_product((nums for nums, _ in forms), d), prod(den for _, den in forms))
 
 
@@ -342,7 +345,7 @@ def subset_series(factors: Sequence[Poly], shifts: Sequence[Poly], d: int) -> Po
     plain, shifted, den = [], [], 1
     for f, s in zip(factors, shifts, strict=True):
         f, s = f[: d + 1], s[: d + 1]
-        nums, f_den = _int_form(f + s)
+        nums, f_den = int_form(f + s)
         plain.append(nums[: len(f)])
         shifted.append([a + b for a, b in zip_longest(nums[: len(f)], nums[len(f):], fillvalue=0)])
         den *= f_den
@@ -413,7 +416,7 @@ def poly_shift_operator(p: Poly, shifts: Iterable[Fraction | int],
     integers over D s^d L.  Fractions are built once, at the end.
     """
     a, b, common = _operator_ints(alpha, beta)
-    nums, den = _int_form(p)
+    nums, den = int_form(p)
     for u in shifts:
         if not nums:
             break
@@ -440,7 +443,7 @@ def shift_subset_sum(p: Poly, shifts: Sequence[Fraction | int], alpha: Fraction 
     a, b, common = _operator_ints(alpha, beta)
 
     def images() -> Iterable[tuple[Fraction | int, list[int], int]]:
-        level = [(-1, *_int_form(p))]  # (last index, numerators, denominator) per subset of the size
+        level = [(-1, *int_form(p))]  # (last index, numerators, denominator) per subset of the size
         for w in weights:
             if w:
                 yield from ((w, nums, den) for _, nums, den in level)

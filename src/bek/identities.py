@@ -64,18 +64,21 @@ number in the scales.  A sum of the polynomials with number weights,
 sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an Appell
 polynomial (the umbral calculus; Roman, The Umbral Calculus, ch. 2): its
 numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are read off
-one `series_product` for the line (`_appell_numbers`), as
-integer numerators over one denominator, and at each m `sequences.appell`
+one `series_product` for the line, as integer numerators over one
+denominator (`exactmath.int_form`), and at each m `sequences.appell`
 expands A_0..A_m, as it expands B_n(x) and E_n(x) themselves, so an n
-costs numbers, not polynomials.  A binomial sum
-sum_l C(m, l) c_l B_{m-l}(x) is the case s_l = c_l/l!, and a binomial
-other than C(m, l) is written as C(m, l) times a factor of m and a factor
-of l.  A term kappa C(m, l) P_{m-l}(x), kappa free of m and under the
-sum's scale, adds kappa/l! to s_l (kappa m B_{m-1}(x) adds kappa to s_1),
-and a term alpha_m P_m(x) adds alpha_m P_r(0) to the numbers of that m
-(`_plus_numbers`), by integer multiply-adds against the P_r(0) over one
-denominator, formed once per sequence and top (`_number_form`).  No sum
-skips a vanishing term.
+costs numbers, not polynomials.  One reader, `_appell_line`, does that
+for every such line: it takes the line's series s, the number sequence,
+the degrees with their scales, lam and each degree's alpha_m P_m(x) term
+and constant, and returns the line's polynomials, so no display function
+forms numerators.  A binomial sum sum_l C(m, l) c_l B_{m-l}(x) is the
+case s_l = c_l/l!, and a binomial other than C(m, l) is written as
+C(m, l) times a factor of m and a factor of l.  A term kappa C(m, l)
+P_{m-l}(x), kappa free of m and under the sum's scale, adds kappa/l! to
+s_l (kappa m B_{m-1}(x) adds kappa to s_1), and a term alpha_m P_m(x)
+adds alpha_m P_r(0) to the numbers of that m, by integer multiply-adds
+against the P_r(0) over one denominator, formed once per sequence and
+top (`_number_form`).  No sum skips a vanishing term.
 An `a_vec` parameter takes the k-tuple sets of `_tuple_sets_for_k`, and
 any other parameter needs its default sets declared.
 """
@@ -99,6 +102,7 @@ from .exactmath import (
     harmonic,
     harmonic_second,
     harmonic_shifted,
+    int_form,
     is_exact,
     pochhammer,
     poly,
@@ -172,54 +176,48 @@ def _harmonic_reciprocals(n: int) -> list[Fraction]:
     return [Fraction(0), *(harmonic(l - 1) / l for l in range(1, n + 1))]
 
 
-# Numbers over one denominator: integer numerators and that positive denominator.
-Numbers = tuple[list[int], int]
-
-
-def _over_lcm(values: Iterable[Fraction]) -> Numbers:
-    """The values as integer numerators over the lcm of their denominators."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 @lru_cache(maxsize=64)
 def _number_form(number: Callable[[int], Fraction], top: int) -> tuple[tuple[int, ...], int]:
     """number(0..top) over one denominator, formed once per number sequence
     and top for every line that reads it."""
-    nums, den = _over_lcm(number(r) for r in range(top + 1))
+    nums, den = int_form(number(r) for r in range(top + 1))
     return tuple(nums), den
 
 
-def _appell_numbers(s: Sequence[Fraction], number: Callable[[int], Fraction], top: int,
-                    lam: int = 1) -> Numbers:
-    """A_r = r! [t^r] s(t) pi(t) for r = 0..top, with pi_r = lam^r number(r)/r!,
-    over one denominator: the numbers of the Appell polynomial sum_{i<=m}
-    s_{m-i} lam^i P_i(x)/i! = `appell`(A_0..A_m, 1/m!, lam) at every m <=
-    top, P_i the polynomials of `number` (B_i(x) for the Bernoulli numbers,
-    E_i(x) for E_i(0)).  One series product serves the whole line, where s
-    holds factors of the index m - i alone."""
+def _appell_line(s: Sequence[Fraction], number: Callable[[int], Fraction], degrees: Sequence[int],
+                 scales: Sequence[Fraction | int], lam: int = 1, alphas: Sequence[Fraction] | None = None,
+                 constants: Sequence[Fraction] | None = None) -> list[Poly]:
+    """scale (m! sum_{i<=m} s_{m-i} lam^i P_i(x)/i! + alpha P_m(lam x) + c)
+    at each m = degrees[j], with scale = scales[j], alpha = alphas[j] and c
+    = constants[j] (no alpha term and no constant when they are None), P_i
+    the polynomials of `number` (B_i(x) for the Bernoulli numbers, E_i(x)
+    for E_i(0)): a line of a side that sums the polynomials with number
+    weights, every such right side and the left sides of corollary5 and
+    corollary6.
+
+    The sum is the Appell polynomial at lam x of A_r = r! [t^r] s(t) pi(t),
+    pi_r = lam^r number(r)/r!, read off one series product for the line,
+    where s holds factors of the index m - i alone, as integer numerators
+    over one denominator.  An alpha P_m(lam x) term adds alpha number(r) to
+    A_r, by integer multiply-adds against number(0..top) over one
+    denominator (`_number_form`), and c adds to A_m; at each m `appell`
+    expands the numbers A_0..A_m, so an m costs numbers, not polynomials."""
+    top = max(degrees)
     pi = _number_series(number, top, lambda r: Fraction(lam ** r, factorial(r)))
     product = series_product((s, pi), top)
-    return _over_lcm(factorial(r) * _coeff(product, r) for r in range(top + 1))
-
-
-def _plus_numbers(numbers: Numbers, n: int, alpha: Fraction, number: Callable[[int], Fraction],
-                  last: Fraction = Fraction(0)) -> Numbers:
-    """values_r + alpha number(r) for r = 0..n, and `last` more at r = n,
-    over one denominator, where values_r is the r-th of the line's Appell
-    numbers `numbers`: an alpha P_n(x) term added to the Appell polynomial
-    of the values.  number(0..N), N the line's top, are read over one
-    denominator formed once per number sequence and N (`_number_form`), so
-    an n costs integer multiply-adds."""
-    nums, den = numbers
-    p_nums, p_den = _number_form(number, len(nums) - 1)
-    alpha_den = alpha.denominator * p_den
-    out_den = lcm(den, alpha_den, last.denominator)
-    up, times = out_den // den, alpha.numerator * (out_den // alpha_den)
-    out = [up * v + times * p for v, p in zip(nums[: n + 1], p_nums)]
-    out[n] += last.numerator * (out_den // last.denominator)
-    return out, out_den
+    nums, den = int_form(factorial(r) * _coeff(product, r) for r in range(top + 1))
+    if alphas is None:  # alpha = 0 would grow every number by the lcm of the number(r) denominators
+        return [appell(nums[: m + 1], den, scale, lam) for m, scale in zip(degrees, scales)]
+    p_nums, p_den = _number_form(number, top)
+    out = []
+    for m, scale, alpha, c in zip(degrees, scales, alphas, constants or [Fraction(0)] * len(degrees)):
+        alpha_den = alpha.denominator * p_den
+        out_den = lcm(den, alpha_den, c.denominator)
+        up, times = out_den // den, alpha.numerator * (out_den // alpha_den)
+        row = [up * v + times * p for v, p in zip(nums[: m + 1], p_nums)]
+        row[m] += c.numerator * (out_den // c.denominator)
+        out.append(appell(row, out_den, scale, lam))
+    return out
 
 
 def _slot_product(family: Callable[[int], Poly], weights: Sequence[Sequence[Fraction]], top: int) -> list[Fraction]:
@@ -242,7 +240,7 @@ def _exponential_lhs(family: Callable[[int], Poly], ns: Sequence[int], k: int,
     j! [t^j] beta^k, one product of number series for the line."""
     top = max(ns)
     h = _slot_product(family, [_inverse_factorials(top)] * k, top)
-    nums, den = _over_lcm(factorial(j) * h_j for j, h_j in enumerate(h))
+    nums, den = int_form(factorial(j) * h_j for j, h_j in enumerate(h))
     return [appell(nums[: n + 1], den, Fraction(scale) / factorial(n), k) for n, scale in zip(ns, scales)]
 
 
@@ -350,8 +348,8 @@ def _subset_series_rhs(a_vec: tuple[Fraction, ...], moment: Callable[[int], Frac
     series = [poly(w * moment(l) for l, w in enumerate(rising_weights(ai, top))) for ai in a_vec]
     q = subset_series(series, shifts, top)
     total = sum(a_vec)
-    nums, den = _appell_numbers([_coeff(q, r) / pochhammer(total, r) for r in range(top + 1)], number, top)
-    return [appell(nums[: d + 1], den, w / factorial(d)) for d, w in terms]
+    return _appell_line([_coeff(q, r) / pochhammer(total, r) for r in range(top + 1)], number,
+                        [d for d, _ in terms], [w / factorial(d) for d, w in terms])
 
 
 def _number_series(number: Callable[[int], Fraction], top: int, weight: Callable[[int], Fraction | int],
@@ -383,8 +381,7 @@ def _theorem1(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, P
     # n a b / ((a+b+1)(a+b)) B_{n-1}(x) is C(n, 1) B_{n-1}(x) times a factor
     # free of n: a term l = 1 of the sum
     s[1] += a * b / ((a + b + 1) * (a + b))
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(nums[: n + 1], den) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, ns, [1] * len(ns))))
 
 
 def eval_theorem2(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -428,8 +425,7 @@ def _theorem3(ns: Sequence[int], a: Fraction, b: Fraction) -> list[tuple[Poly, P
                        lambda l: (pochhammer(a, l) + pochhammer(b, l)) / (pochhammer(a + b, l) * factorial(l)))
     # 4/(n+1) B_{n+1}(x) is a term l = 0 of the sum, scaled by -2/(n+1)
     s[0] -= 2
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns) + 1)
-    return list(zip(lhs, (appell(nums[: n + 2], den, Fraction(-2, n + 1)) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, [n + 1 for n in ns], [Fraction(-2, n + 1) for n in ns])))
 
 
 def eval_theorem4(n: int, a_vec: Sequence[Fraction], k: int | None = None) -> tuple[Poly, Poly]:
@@ -504,8 +500,7 @@ def _corollary1(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # C(n+2, 3) B_{n-1}(x) = (n+1)(n+2) C(n, 1) B_{n-1}(x) / 6 is a term l = 1
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(2, (l + 1) * (l + 2) * factorial(l)))
     s[1] += Fraction(1, 6)
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(nums[: n + 1], den, (n + 1) * (n + 2)) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, ns, [(n + 1) * (n + 2) for n in ns])))
 
 
 def _corollary2(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -527,8 +522,7 @@ def _corollary3(ns: Sequence[int], a: Fraction) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, top,
                        lambda l: (a * factorial(l - 1) + pochhammer(a, l)) / (pochhammer(a, l + 1) * factorial(l)), 1)
     s[1] += 1 / (a + 1)
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(*_plus_numbers(numbers, n, harmonic_shifted(a, n), bernoulli_number)) for n in ns]
+    rhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns), alphas=[harmonic_shifted(a, n) for n in ns])
     return list(zip(lhs, rhs))
 
 
@@ -537,8 +531,7 @@ def _corollary4_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = _jet_lhs(bernoulli_poly, ns, (), (1, 1), [Fraction(n, 2) for n in ns])
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(*_plus_numbers(numbers, n, harmonic(n - 1), bernoulli_number)) for n in ns]
+    rhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns), alphas=[harmonic(n - 1) for n in ns])
     return list(zip(lhs, rhs))
 
 
@@ -549,9 +542,8 @@ def _corollary4_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, top,
                        lambda l: Fraction(l * l + l + 2, l * (l + 1) * (l + 2) * factorial(l)), 1)
     s[1] += Fraction(1, 3)
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(*_plus_numbers(numbers, n, harmonic_shifted(Fraction(2), n), bernoulli_number), (n + 1) * (n + 2))
-           for n in ns]
+    rhs = _appell_line(s, bernoulli_number, ns, [(n + 1) * (n + 2) for n in ns],
+                       alphas=[harmonic_shifted(Fraction(2), n) for n in ns])
     return list(zip(lhs, rhs))
 
 
@@ -560,15 +552,13 @@ def _eq_2_12(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = _jet_lhs(bernoulli_poly, ns, (Fraction(1),), (1,), [1] * len(ns))
     s = _number_series(bernoulli_number, top, lambda l: Fraction(1, l * factorial(l)), 1)
     s[1] += Fraction(1, 2)
-    numbers = _appell_numbers(s, bernoulli_number, top)
-    rhs = [appell(*_plus_numbers(numbers, n, harmonic(n), bernoulli_number)) for n in ns]
+    rhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns), alphas=[harmonic(n) for n in ns])
     return list(zip(lhs, rhs))
 
 
 def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, factorial(l)))
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
-    lhs = [appell(nums[: n + 1], den) for n in ns]
+    lhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns))
     rhs = [poly_lincomb([(n, poly_mul(poly([-1, 1]), bernoulli_poly(n - 1))), (-(n - 1), bernoulli_poly(n))])
            for n in ns]
     return list(zip(lhs, rhs))
@@ -576,8 +566,7 @@ def _corollary5(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
 
 def _corollary6(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
-    lhs = [appell(nums[: n + 1], den) for n in ns]
+    lhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns))
     # B_m(2x) is the Appell polynomial of B_0..B_m at 2x
     b_nums, b_den = _number_form(bernoulli_number, max(ns))
     rhs = [poly_lincomb([
@@ -592,18 +581,15 @@ def _eq_2_15(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = _exponential_lhs(bernoulli_poly, ns, 2, [Fraction(factorial(n), 2 ** n) for n in ns])
     s = _number_series(bernoulli_number, max(ns), lambda l: Fraction(1, 2 ** l * factorial(l)))
     s[1] += Fraction(1, 4)
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns))
-    return list(zip(lhs, (appell(nums[: n + 1], den) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, ns, [1] * len(ns))))
 
 
 def _corollary7(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     lhs = _harmonic_pair_sums(bernoulli_poly, ns, [n * harmonic(n - 1) for n in ns], ns)
     s = _number_series(bernoulli_number, max(ns), lambda l: (harmonic(l) + Fraction(1, l)) / (l * factorial(l)), 1)
     s[1] += 1
-    numbers = _appell_numbers(s, bernoulli_number, max(ns))
-    rhs = [appell(*_plus_numbers(numbers, n, (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / 2,
-                                 bernoulli_number))
-           for n in ns]
+    rhs = _appell_line(s, bernoulli_number, ns, [1] * len(ns),
+                       alphas=[(harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / 2 for n in ns])
     return list(zip(lhs, rhs))
 
 
@@ -617,8 +603,8 @@ def _eq_4_0a(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     square = series_product((b, b), top)
     s = [(_coeff(square, r) + before + Fraction(int(r == 2), 3)) / factorial(r + 3)
          for r, before in enumerate([0, *b[:top]])]
-    nums, den = _appell_numbers(s, bernoulli_number, top)
-    return list(zip(lhs, (appell(nums[: n + 1], den, Fraction(3 * factorial(n + 3), factorial(n))) for n in ns)))
+    rhs = _appell_line(s, bernoulli_number, ns, [Fraction(3 * factorial(n + 3), factorial(n)) for n in ns])
+    return list(zip(lhs, rhs))
 
 
 def _kth_matiyasevich(ns: Sequence[int], k: int) -> list[tuple[Fraction, Fraction]]:
@@ -650,8 +636,7 @@ def _eq_6_9(ns: Sequence[int], eps: Fraction) -> list[tuple[Poly, Poly]]:
     s = [3 * eps * (_coeff(square, r) + eps * before + Fraction(int(r == 2), 3) * eps * eps)
          / pochhammer(3 * eps, r + 1)
          for r, before in enumerate([0, *series[:top]])]
-    nums, den = _appell_numbers(s, bernoulli_number, top)
-    return list(zip(lhs, (appell(nums[: n + 1], den, Fraction(1, factorial(n))) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, ns, [Fraction(1, factorial(n)) for n in ns])))
 
 
 def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
@@ -663,8 +648,7 @@ def _corollary8(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     beta = _number_series(bernoulli_number, top, lambda l: Fraction(1, factorial(l)))
     square = series_product((beta, beta), top)
     s = [_coeff(square, r) + before + Fraction(int(r == 2), 3) for r, before in enumerate([0, *beta[:top]])]
-    nums, den = _appell_numbers(s, bernoulli_number, top, 3)
-    return list(zip(lhs, (appell(nums[: n + 1], den, 1, 3) for n in ns)))
+    return list(zip(lhs, _appell_line(s, bernoulli_number, ns, [1] * len(ns), 3)))
 
 
 def _corollary9(ns: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -713,10 +697,8 @@ def _corollary10_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # bernoulli_number; 4 C(n-2, l-1)/(l (n-l)) = 4 C(n, l)/(n (n-1)), and
     # the constant term is the term l = n
     s = _number_series(euler_poly_at_zero, top, lambda l: 4 * harmonic(l - 1) / factorial(l), 1)
-    nums, den = _appell_numbers(s, bernoulli_number, top)
-    rhs = [poly_lincomb([(Fraction(1, n * (n - 1)), appell(nums[: n + 1], den)),
-                         (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1))])
-           for n in ns]
+    rhs = [poly_lincomb([(1, p), (2 * harmonic(n - 2) / Fraction(n - 1), euler_poly(n - 1))])
+           for n, p in zip(ns, _appell_line(s, bernoulli_number, ns, [Fraction(1, n * (n - 1)) for n in ns]))]
     return list(zip(lhs, rhs))
 
 
@@ -728,10 +710,10 @@ def _corollary10_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # and the constant term is the term l = n + 1
     s = _number_series(euler_poly_at_zero, max(ns) + 1,
                        lambda l: (harmonic(l - 1) ** 2 + 3 * harmonic_second(l - 1)) / factorial(l), 1)
-    nums, den = _appell_numbers(s, bernoulli_number, max(ns) + 1)
+    appell_sums = _appell_line(s, bernoulli_number, [n + 1 for n in ns], [Fraction(1, n * (n + 1)) for n in ns])
     rhs = [poly_lincomb([(Fraction(1, 2) * (harmonic(n - 1) ** 2 + 3 * harmonic_second(n - 1)) / n, euler_poly(n)),
-                         (Fraction(1, n * (n + 1)), appell(nums[: n + 2], den))])
-           for n in ns]
+                         (1, p)])
+           for n, p in zip(ns, appell_sums)]
     return list(zip(lhs, rhs))
 
 
@@ -750,11 +732,9 @@ def _corollary11_first(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     # its constant term i = 0, s_n (n-1)! = [t^n] e^2
     e = _number_series(euler_poly_at_zero, top, lambda m: Fraction(1, m), 1)
     square = series_product((e, e), top)
-    numbers = _appell_numbers([Fraction(0), *(_coeff(square, r) / factorial(r - 1) for r in range(1, top + 1))],
-                              euler_poly_at_zero, top)
-    rhs = [appell(*_plus_numbers(numbers, n, 2 * harmonic(n - 1), euler_poly_at_zero, -n * _coeff(square, n)),
-                  Fraction(1, n))
-           for n in ns]
+    rhs = _appell_line([Fraction(0), *(_coeff(square, r) / factorial(r - 1) for r in range(1, top + 1))],
+                       euler_poly_at_zero, ns, [Fraction(1, n) for n in ns], alphas=[2 * harmonic(n - 1) for n in ns],
+                       constants=[-n * _coeff(square, n) for n in ns])
     return list(zip(lhs, rhs))
 
 
@@ -776,16 +756,12 @@ def _corollary11_second(ns: Sequence[int]) -> list[tuple[Poly, Poly]]:
     cross = series_product((h, e), top)
     s = [Fraction(0), *((2 * _coeff(cross, r) - 3 * harmonic(r - 1) * _coeff(square, r)) / factorial(r - 1)
                         for r in range(1, top + 1))]
-    numbers = _appell_numbers(s, euler_poly_at_zero, top)
+    i_sums = _appell_line(s, euler_poly_at_zero, ns, [Fraction(1, n) for n in ns],
+                          alphas=[-2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)) for n in ns])
     # by the same symmetry the uncentred pair sum's weights are (3 H_{n-1}
     # - 2 H_{l-1}) / (l (n-l))
     pair_sums = _harmonic_pair_sums(euler_poly, ns, [3 * harmonic(n - 1) for n in ns], [2] * len(ns))
-    rhs = [poly_lincomb([
-        (Fraction(1, n), appell(*_plus_numbers(
-            numbers, n, -2 * (harmonic(n - 1) ** 2 + 2 * harmonic_second(n - 1)), euler_poly_at_zero))),
-        (1, pair_sum),
-    ]) for n, pair_sum in zip(ns, pair_sums)]
-    return list(zip(lhs, rhs))
+    return list(zip(lhs, (poly_lincomb([(1, p), (1, q)]) for p, q in zip(i_sums, pair_sums))))
 
 
 def _ds_lhs(ns: Sequence[int], p: Fraction) -> list[Fraction]:

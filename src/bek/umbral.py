@@ -176,15 +176,16 @@ class UmbralExpr:
 def _merge_affine(affine: Sequence[AffineTerm]) -> tuple[Fraction, dict[SymbolId, Fraction]]:
     """The coefficient of X and the non-zero coefficient of each distinct
     symbol, with repeated terms added up; each coefficient must be a
-    rational number."""
+    rational number, and each term X or a symbol."""
     x_coeff = Fraction(0)
     sym_coeffs: dict[SymbolId, Fraction] = {}
     for c, (_, s) in zip(as_exact((c for c, _ in affine), Rational, "affine coefficient"), affine):
         if s is X:
             x_coeff += c
-        else:
-            assert isinstance(s, SymbolId)
+        elif isinstance(s, SymbolId):
             sym_coeffs[s] = sym_coeffs.get(s, Fraction(0)) + c
+        else:
+            raise ValueError(f"affine term {s!r} is neither X nor a SymbolId")
     return x_coeff, {sid: c for sid, c in sym_coeffs.items() if c}
 
 

@@ -530,11 +530,12 @@ def _private_kernel_imports(source: str) -> list[str]:
 
 
 class TestLayering:
-    """No other module imports a private name of the kernel (`_int_form`,
+    """No other module imports a private name of the kernel (`_int_lincomb`,
     `_taylor_shift`, ...) or reads one off the module: the kernel's
     helpers are reached only through its public routines.  Integer
-    numerators over one denominator do cross the boundary: `sequences.appell`
-    takes them, and `identities` holds a line's Appell numbers in that form."""
+    numerators over one denominator do cross the boundary: the kernel's
+    `int_form` forms them, `sequences.appell` takes them, and `identities`
+    reads a line's Appell numbers in that form (`_appell_line`)."""
 
     def test_no_module_imports_a_private_kernel_name(self):
         package = Path(bek.__file__).parent
@@ -568,10 +569,10 @@ class TestLayering:
         assert [name for name in functions if "work" in name] == ["series_work"]
 
     def test_the_scan_sees_each_form_of_import(self):
-        assert _private_kernel_imports("from .exactmath import Poly, _int_form, _taylor_shift") == [
-            "_int_form", "_taylor_shift"]
+        assert _private_kernel_imports("from .exactmath import Poly, _int_lincomb, _taylor_shift") == [
+            "_int_lincomb", "_taylor_shift"]
         assert _private_kernel_imports("from bek.exactmath import _from_int_form") == ["_from_int_form"]
-        assert _private_kernel_imports("from . import exactmath as em\nem._int_form(p)") == ["_int_form"]
+        assert _private_kernel_imports("from . import exactmath as em\nem._int_lincomb(terms)") == ["_int_lincomb"]
         assert _private_kernel_imports("import bek.exactmath as em\nem._taylor_shift(n, u)") == ["_taylor_shift"]
         assert _private_kernel_imports("from .exactmath import poly_shift_operator\nfrom .sequences import _x") == []
 

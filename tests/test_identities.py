@@ -8,7 +8,7 @@ import inspect
 import io
 from fractions import Fraction
 from itertools import groupby, islice
-from math import factorial, lcm
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +23,7 @@ from bek.exactmath import (
     harmonic_second,
     poly,
     poly_add,
+    poly_lincomb,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -719,9 +720,23 @@ class TestQuadraticNumberSums:
             assert not hasattr(identities, name), name
 
 
+def _appell_reference(s, family, m, scale, lam, alpha, c):
+    """scale (m! sum_{i<=m} s_{m-i} lam^i P_i(x)/i! + alpha P_m(lam x) + c),
+    P = family and s_r = 0 past the end of s, as one `poly_lincomb` of the
+    polynomials themselves."""
+    at_lam_x = poly(coeff * lam ** k for k, coeff in enumerate(family(m)))
+    terms = [(factorial(m) * (s[m - i] if m - i < len(s) else 0) * F(lam ** i, factorial(i)), family(i))
+             for i in range(m + 1)]
+    return poly_scale(scale, poly_lincomb([*terms, (alpha, at_lam_x), (c, poly([1]))]))
+
+
+# The two number sequences the right sides read, with their polynomials.
+APPELL_FAMILIES = [(bernoulli_number, bernoulli_poly), (euler_poly_at_zero, euler_poly)]
+
+
 class TestAppellNumbers:
     """Every sum over P_i(x) with number weights is read off the Appell
-    numbers of one series product per line."""
+    numbers of one series product per line, by `_appell_line`."""
 
     def test_a_dropped_folded_term_fails_with_its_difference(self, monkeypatch):
         # theorem1's n kappa B_{n-1}(x) = C(n, 1) kappa B_{n-1}(x) is folded
@@ -729,8 +744,9 @@ class TestAppellNumbers:
         # fails by exactly that term
         a, b = F(2), F(1, 3)
         kappa = a * b / ((a + b + 1) * (a + b))
-        real = identities._appell_numbers
-        monkeypatch.setattr(identities, "_appell_numbers", lambda s, *rest: real([s[0], s[1] - kappa, *s[2:]], *rest))
+        real = identities._appell_line
+        monkeypatch.setattr(identities, "_appell_line",
+                            lambda s, *rest, **terms: real([s[0], s[1] - kappa, *s[2:]], *rest, **terms))
         reports = verify("theorem1", build_points(REGISTRY["theorem1"], range(1, 9), params={"a": a, "b": b}))
         assert [r.status for r in reports] == ["fail"] * 8
         for r in reports:
@@ -759,21 +775,41 @@ class TestAppellNumbers:
         assert len(products) <= 60
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=14), st.data())
-    def test_plus_numbers_adds_alpha_times_the_numbers(self, values, data):
-        # the line's values over a shared denominator that none of them
-        # may need; the result is exactly values_r + alpha number(r), r <= n,
-        # with `last` more at r = n
-        n = data.draw(st.integers(0, len(values) - 1))
-        alpha, last = data.draw(st.fractions(max_denominator=60)), data.draw(st.fractions(max_denominator=60))
-        number = data.draw(st.sampled_from([bernoulli_number, euler_poly_at_zero]))
-        den = lcm(*(v.denominator for v in values)) * data.draw(st.integers(1, 6))
-        numbers = ([v.numerator * (den // v.denominator) for v in values], den)
-        expected = [v + alpha * number(r) for r, v in enumerate(values[: n + 1])]
-        nums, out_den = identities._plus_numbers(numbers, n, alpha, number)
-        assert all(type(v) is int for v in nums) and [F(v, out_den) for v in nums] == expected
-        nums, out_den = identities._plus_numbers(numbers, n, alpha, number, last)
-        assert [F(v, out_den) for v in nums] == [*expected[:n], expected[n] + last]
+    @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=12), st.data())
+    def test_the_reader_matches_its_reference(self, s, data):
+        # random degrees up to one past the last coefficient of s, with
+        # their scales, at lam = 1 or 3, with no alpha term, an alpha term,
+        # or an alpha term and a constant
+        number, family = data.draw(st.sampled_from(APPELL_FAMILIES))
+        lam = data.draw(st.sampled_from([1, 3]))
+        degrees = data.draw(st.lists(st.integers(0, len(s)), min_size=1, max_size=5))
+        size = st.lists(st.fractions(max_denominator=30), min_size=len(degrees), max_size=len(degrees))
+        scales = data.draw(size)
+        terms = data.draw(st.sampled_from(["none", "alphas", "both"]))
+        alphas = None if terms == "none" else data.draw(size)
+        constants = data.draw(size) if terms == "both" else None
+        line = identities._appell_line(s, number, degrees, scales, lam, alphas, constants)
+        zeros = [0] * len(degrees)
+        assert line == [_appell_reference(s, family, m, scale, lam, alpha, c)
+                        for m, scale, alpha, c in zip(degrees, scales, alphas or zeros, constants or zeros)]
+
+    @pytest.mark.parametrize("number, family", APPELL_FAMILIES, ids=["bernoulli", "euler"])
+    @pytest.mark.parametrize("lam", [1, 3])
+    def test_the_reader_covers_each_term(self, number, family, lam):
+        # every degree from 0 to one past the top of s, with a nonzero
+        # alpha and a nonzero constant at each, and without them
+        s = [F(1, 2), F(-3), F(0), F(5, 7), F(2, 9)]
+        degrees = list(range(len(s) + 1))
+        scales = [F(2, m + 3) for m in degrees]
+        alphas = [F(m + 1, 4) for m in degrees]
+        constants = [F(-1, m + 2) for m in degrees]
+        with_terms = identities._appell_line(s, number, degrees, scales, lam, alphas=alphas, constants=constants)
+        assert with_terms == [_appell_reference(s, family, m, scale, lam, alpha, c)
+                              for m, scale, alpha, c in zip(degrees, scales, alphas, constants)]
+        assert identities._appell_line(s, number, degrees, scales, lam, alphas=alphas) == [
+            _appell_reference(s, family, m, scale, lam, alpha, 0) for m, scale, alpha in zip(degrees, scales, alphas)]
+        assert identities._appell_line(s, number, degrees, scales, lam) == [
+            _appell_reference(s, family, m, scale, lam, 0, 0) for m, scale in zip(degrees, scales)]
 
 
 class TestCorruptedSeries:
@@ -1530,11 +1566,47 @@ def _vanishing_term_tests(source):
     return found
 
 
+# The functions that read a line of Appell polynomials: each display with a
+# sum of polynomials with number weights (the right sides, and the left
+# sides of corollary5 and corollary6) and the subset-series right side of
+# theorems 2 and 4.
+APPELL_READERS = {
+    "_theorem1", "_theorem3", "_corollary1", "_corollary3", "_corollary4_first", "_corollary4_second", "_eq_2_12",
+    "_corollary5", "_corollary6", "_eq_2_15", "_corollary7", "_eq_4_0a", "_eq_6_9", "_corollary8",
+    "_corollary10_first", "_corollary10_second", "_corollary11_first", "_corollary11_second", "_subset_series_rhs",
+}
+# The left-side builders, which read no right side's number sequence.
+LEFT_SIDE_BUILDERS = ("_exponential_lhs", "_jet_lhs", "_slot_product", "_theorem_lhs", "_harmonic_pair_sums")
+# The helpers that formed and sliced Appell numbers in the display functions.
+NUMERATOR_PLUMBING = ("_appell_numbers", "_plus_numbers", "_over_lcm", "Numbers")
+
+
 class TestOneAppellSum:
     """Every binomial sum scale sum_l C(m, l) c_l B_{m-l}(x) is the Appell
     polynomial of numbers read off one series product per line
-    (`_appell_numbers`, then `appell` at each n), and no sum skips a
-    vanishing term."""
+    (`_appell_line`), and no sum skips a vanishing term."""
+
+    def test_one_reader_reads_every_appell_line(self):
+        # no left-side builder reaches it, and no display expands Appell
+        # numbers itself but corollary6, whose B_m(2x) is the Appell
+        # polynomial of B_0..B_m at 2x and not a sum of the reader's form
+        functions = TestConvolutionDesign._functions()
+        assert _callers(SOURCES["identities.py"], {"_appell_line"}) == APPELL_READERS
+        assert [name for name in LEFT_SIDE_BUILDERS if "_appell_line" in _reachable(functions, functions[name])] == []
+        displays = {fn.__name__ for entry in REGISTRY.values() for _, fn in entry.displays}
+        assert {name for name in displays if "appell" in _called_names(functions[name])} == {"_corollary6"}
+        assert _callers(SOURCES["identities.py"], {"_number_form"}) == {"_appell_line", "_corollary6"}
+        assert _callers(SOURCES["identities.py"], {"int_form"}) == {"_number_form", "_appell_line", "_exponential_lhs"}
+
+    def test_the_numerator_plumbing_is_gone(self):
+        tree = ast.parse(SOURCES["identities.py"])
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(target, ast.Name)}
+        assert "_appell_line" in defined and "REGISTRY" in defined
+        assert defined & set(NUMERATOR_PLUMBING) == set()
+        assert _read_names(SOURCES["identities.py"]) & set(NUMERATOR_PLUMBING) == set()
 
     def test_no_sum_skips_a_vanishing_term(self):
         assert _vanishing_term_tests(SOURCES["identities.py"]) == set()
@@ -1555,11 +1627,11 @@ class TestOneAppellSum:
 
     @pytest.mark.parametrize("name, label", APPELL_DISPLAYS)
     def test_each_binomial_sum_is_an_appell_sum(self, name, label):
-        # the display forms its Appell numbers and expands them; no
-        # comprehension but the one over the line's ns calls `binomial`, and
-        # no constant term stands apart
+        # the display reads its line off `_appell_line`; no comprehension
+        # but the one over the line's ns calls `binomial`, and no constant
+        # term stands apart
         fn = TestConvolutionDesign._functions()[_display(name, label)[0].__name__]
-        assert {"_appell_numbers", "appell"} <= _called_names(fn)
+        assert "_appell_line" in _called_names(fn)
         for node in ast.walk(fn):
             if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and [
                     ast.unparse(gen.target) for gen in node.generators] != ["n"]:

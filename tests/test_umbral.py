@@ -16,8 +16,8 @@ import bek.umbral as umbral
 from bek.exactmath import (
     ZERO,
     _from_int_form,
-    _int_form,
     _taylor_shift,
+    int_form,
     poly,
     poly_add,
     poly_lincomb,
@@ -657,7 +657,7 @@ def _reference_int_apply_delta(op, p):
     """apply_delta as it composed its shifts on integer numerators itself:
     a forward step subtracts the input scaled by s^d (over D s^d), a mean
     step adds it (over 2 D s^d)."""
-    nums, den = _int_form(p)
+    nums, den = int_form(p)
     for u in op.shifts:
         if not nums:
             break
@@ -850,6 +850,9 @@ UMBRAL_RULE_CASES = [
       for v in BAD_INTEGERS),
     *((f"{name}-coefficient-{v!r}", lambda call=call, v=v: call([(1, X), (v, bernoulli_symbol())]),
        f"affine coefficient {v!r} is not a rational number") for name, call in _AFFINE.items() for v in BAD_RATIONALS),
+    # a term that is neither X nor a symbol is refused by name, not by an assert
+    *((f"{name}-term-{s!r}", lambda call=call, s=s: call([(1, X), (1, s)]),
+       f"affine term {s!r} is neither X nor a SymbolId") for name, call in _AFFINE.items() for s in ("S", "X", None, 1)),
 ]
 
 
