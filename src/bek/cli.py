@@ -239,25 +239,32 @@ def _json_row(row: Mapping[str, int | float | str | bool | None | list | Mapping
     whenever indent is set; this joins the strings escaped by its C one."""
     if not row:
         return "{}"
-    field, item = "\n" + pad + "  ", "\n" + pad + "    "
-
-    def value(v: int | float | str | bool | None | list | Mapping) -> str:
-        if isinstance(v, str):
-            return _json_text(v)
-        if isinstance(v, int):
-            return int.__repr__(v) if type(v) is not bool else "true" if v else "false"
-        if isinstance(v, list):
-            if not v:
-                return "[]"
-            return "[" + item + ("," + item).join(map(_json_text if isinstance(v[0], str) else value, v)) + field + "]"
-        if isinstance(v, float):
-            return float.__repr__(v)
-        if v is None:
-            return "null"
-        return _json_row(v, pad + "  ")
-
-    fields = ("," + field).join(_json_text(k) + ": " + value(v) for k, v in row.items())
+    field = "\n" + pad + "  "
+    fields = ("," + field).join(_json_text(k) + ": " + _json_value(v, pad) for k, v in row.items())
     return "{" + field + fields + "\n" + pad + "}"
+
+
+def _json_value(v: int | float | str | bool | None | list | Mapping, pad: str) -> str:
+    """The JSON text of a value of a row at pad, by its exact type; any
+    other type (a bool, a float, None, an int subclass, a Mapping that is
+    not a dict) takes the text of the first of str, int, list and float
+    that it is an instance of, as in json.dumps."""
+    kind = type(v)
+    if kind is not str and kind is not int and kind is not list and kind is not dict:
+        kind = next((t for t in (str, int, list, float) if isinstance(v, t)), None)
+    if kind is str:
+        return _json_text(v)
+    if kind is int:
+        return int.__repr__(v) if type(v) is not bool else "true" if v else "false"
+    if kind is list:
+        if not v:
+            return "[]"
+        item = "\n" + pad + "    "
+        values = map(_json_text, v) if isinstance(v[0], str) else (_json_value(e, pad) for e in v)
+        return "[" + item + ("," + item).join(values) + "\n" + pad + "  ]"
+    if kind is float:
+        return float.__repr__(v)
+    return "null" if v is None else _json_row(v, pad + "  ")
 
 
 def _write_json(rows: Iterable[Mapping], out: TextIO, pad: str = "") -> None:

@@ -25,8 +25,11 @@ Taylor shift `poly_shift` of `poly_shift_operator`.  The products share
 one schoolbook loop, `_mul_into`, whose work on the lines of the k-fold
 entries `series_work` bounds, the shift operators one step,
 `_operator_step`, and the linear combinations one accumulator,
-`_int_lincomb`.  `int_form` puts any rationals in that layout, for the
-kernel and for `identities`, which reads a line's Appell numbers in it.
+`_int_lincomb`.  `int_form` puts any rationals in that layout, and
+`series_form` multiplies series in it, for the kernel and for the
+callers that read integers: `identities`, which reads a line's Appell
+numbers and a left side's slot products in it, and `umbral`'s moment
+evaluation.
 
 The scalar sequences `rising_weights`, `harmonic`, `harmonic_second` and
 `harmonic_shifted` read growing tables (`GrowingTables`), one per
@@ -311,12 +314,20 @@ def _truncated_product(factors: Iterable[Sequence[int]], d: int) -> list[int]:
     return nums
 
 
+def series_form(forms: Iterable[tuple[Sequence[int], int]], d: int) -> tuple[list[int], int]:
+    """Product of the series given as integer forms (numerators,
+    denominator), truncated after t^d, as its numerators over the product of
+    the denominators, unreduced and untrimmed: for a caller that reads
+    integers, and the one product of `series_product`."""
+    forms = list(forms)
+    return _truncated_product((nums for nums, _ in forms), d), prod(den for _, den in forms)
+
+
 def series_product(factors: Iterable[Poly], d: int) -> Poly:
     """Product of the factors as power series in t, truncated after t^d (the
     empty product is ONE), on integer numerators, with no product term above
     t^d ever formed."""
-    forms = [int_form(f[: d + 1]) for f in factors]
-    return _from_int_form(_truncated_product((nums for nums, _ in forms), d), prod(den for _, den in forms))
+    return _from_int_form(*series_form([int_form(f[: d + 1]) for f in factors], d))
 
 
 def series_work(k: int, n: int) -> int:

@@ -43,7 +43,10 @@ side is scale * sum over l_1+...+l_k = n of prod_i w_i(l_i)
 P_{l_1}(x)...P_{l_k}(x) with P = B or E.  Its numbers are read off
 products of number series for the line, sum_l w(l) P_l(0) t^l per slot,
 with each P_l(0) read off the polynomial P_l(x), never off the number
-sequences the right sides read (`_slot_product`).  Where every slot
+sequences the right sides read (`_slot_product`), as integer numerators
+over one denominator: the slots' forms are multiplied by
+`exactmath.series_form`, and the builders below read the numerators with
+no Fraction per number.  Where every slot
 weight is a Pochhammer weight (a)_l/l! (1 and l+1 are a = 1 and 2) or a
 harmonic weight 1/l or H_{l-1}/l, which are [eps^1] and [eps^2] of the
 Pochhammer weight (eps)_l/l!, the sum is one line of `_jet_lhs`: it takes
@@ -64,8 +67,9 @@ number in the scales.  A sum of the polynomials with number weights,
 sum_{i<=m} s_{m-i} lam^i P_i(x)/i! with s free of m, is itself an Appell
 polynomial (the umbral calculus; Roman, The Umbral Calculus, ch. 2): its
 numbers A_r = r! [t^r] s(t) pi(t), pi_r = lam^r P_r(0)/r!, are read off
-one `series_product` for the line, as integer numerators over one
-denominator (`exactmath.int_form`), and at each m `sequences.appell`
+one `exactmath.series_form` for the line, of s and pi as integer
+numerators over one denominator (`exactmath.int_form`, and for pi the
+numerators of P_r(0), `_number_form`), and at each m `sequences.appell`
 expands A_0..A_m, as it expands B_n(x) and E_n(x) themselves, so an n
 costs numbers, not polynomials.  One reader, `_appell_line`, does that
 for every such line: it takes the line's series s, the number sequence,
@@ -90,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from numbers import Integral, Rational
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -110,6 +114,7 @@ from .exactmath import (
     poly_mul,
     poly_sub,
     rising_weights,
+    series_form,
     series_product,
     subset_series,
 )
@@ -197,18 +202,20 @@ def _appell_line(s: Sequence[Fraction], number: Callable[[int], Fraction], degre
 
     The sum is the Appell polynomial at lam x of A_r = r! [t^r] s(t) pi(t),
     pi_r = lam^r number(r)/r!, read off one series product for the line,
-    where s holds factors of the index m - i alone, as integer numerators
-    over one denominator.  An alpha P_m(lam x) term adds alpha number(r) to
-    A_r, by integer multiply-adds against number(0..top) over one
-    denominator (`_number_form`), and c adds to A_m; at each m `appell`
-    expands the numbers A_0..A_m, so an m costs numbers, not polynomials."""
+    where s holds factors of the index m - i alone, on integer numerators
+    over one denominator (`series_form`): with number(0..top) = N_r over D
+    (`_number_form`), pi_r is lam^r (top!/r!) N_r over D top!.  An alpha
+    P_m(lam x) term adds alpha N_r/D to A_r, by integer multiply-adds, and
+    c adds to A_m; at each m `appell` expands the numbers A_0..A_m, so an m
+    costs numbers, not polynomials."""
     top = max(degrees)
-    pi = _number_series(number, top, lambda r: Fraction(lam ** r, factorial(r)))
-    product = series_product((s, pi), top)
-    nums, den = int_form(factorial(r) * _coeff(product, r) for r in range(top + 1))
+    p_nums, p_den = _number_form(number, top)
+    scaled = factorial(top)
+    pi = ([lam ** r * (scaled // factorial(r)) * v for r, v in enumerate(p_nums)], p_den * scaled)
+    nums, den = series_form((int_form(s), pi), top)
+    nums = [factorial(r) * v for r, v in enumerate(nums)]
     if alphas is None:  # alpha = 0 would grow every number by the lcm of the number(r) denominators
         return [appell(nums[: m + 1], den, scale, lam) for m, scale in zip(degrees, scales)]
-    p_nums, p_den = _number_form(number, top)
     out = []
     for m, scale, alpha, c in zip(degrees, scales, alphas, constants or [Fraction(0)] * len(degrees)):
         alpha_den = alpha.denominator * p_den
@@ -220,15 +227,19 @@ def _appell_line(s: Sequence[Fraction], number: Callable[[int], Fraction], degre
     return out
 
 
-def _slot_product(family: Callable[[int], Poly], weights: Sequence[Sequence[Fraction]], top: int) -> list[Fraction]:
+def _slot_product(family: Callable[[int], Poly], weights: Sequence[Sequence[Fraction]],
+                  top: int) -> tuple[list[int], int]:
     """h_j = [t^j] prod_i sum_l weights[i][l] P_l(0) t^l for j = 0..top,
     with P_l(0) read off the polynomial family(l) itself: the numbers of a
-    left side, formed by one `series_product` for the line.  One slot
-    multiplies nothing."""
-    at_zero = [family(l)[0] for l in range(top + 1)]
-    series = [[w * p for w, p in zip(slot, at_zero)] for slot in weights]
-    h = series[0] if len(series) == 1 else series_product(series, top)
-    return [_coeff(h, j) for j in range(top + 1)]
+    left side, formed by one `series_form` for the line, as integer
+    numerators over their least common denominator.  One slot multiplies
+    nothing."""
+    at_zero, at_den = int_form(family(l)[0] for l in range(top + 1))
+    series = [([w * p for w, p in zip(w_nums, at_zero)], w_den * at_den)
+              for w_nums, w_den in map(int_form, weights)]
+    nums, den = series[0] if len(series) == 1 else series_form(series, top)
+    common = gcd(den, *nums)
+    return [v // common for v in nums], den // common
 
 
 def _exponential_lhs(family: Callable[[int], Poly], ns: Sequence[int], k: int,
@@ -239,8 +250,8 @@ def _exponential_lhs(family: Callable[[int], Poly], ns: Sequence[int], k: int,
     [t^n] e^(kxt) beta^k: 1/n! times the Appell polynomial at kx of c_j =
     j! [t^j] beta^k, one product of number series for the line."""
     top = max(ns)
-    h = _slot_product(family, [_inverse_factorials(top)] * k, top)
-    nums, den = int_form(factorial(j) * h_j for j, h_j in enumerate(h))
+    h, den = _slot_product(family, [_inverse_factorials(top)] * k, top)
+    nums = [factorial(j) * h_j for j, h_j in enumerate(h)]
     return [appell(nums[: n + 1], den, Fraction(scale) / factorial(n), k) for n, scale in zip(ns, scales)]
 
 
@@ -295,13 +306,14 @@ def _jet_lhs(family: Callable[[int], Poly], ns: Sequence[int], fixed: Sequence[F
         weights.setdefault(rest, [0] * (depth + 1))[depth - sum(m)] += weight
     products = [(by_power, _slot_product(family, [*slots, *(eps_weights[e](top) for e in rest)], top))
                 for rest, by_power in weights.items()]
-    den = lcm(*(h_j.denominator for _, h in products for h_j in h))
+    den = lcm(*(h_den for _, (_, h_den) in products))
     jets = [[0] * (top + 1) for _ in range(depth + 1)]  # [E^i] C_j(E) numerators over den, a row per i
-    for by_power, h in products:
+    for by_power, (h, h_den) in products:
         for row, weight in zip(jets, by_power):
             if weight:
+                up = weight * (den // h_den)
                 for j, h_j in enumerate(h):
-                    row[j] += weight * h_j.numerator * (den // h_j.denominator)
+                    row[j] += up * h_j
     start = Fraction(sum(fixed))
     p, q = start.numerator, start.denominator
     read = []  # read[r][j]: [E^D] C_j(E) (A_0+j+E)_r/r! numerators over den q^r r!

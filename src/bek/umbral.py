@@ -43,9 +43,10 @@ from .exactmath import (
     Poly,
     ZERO,
     as_exact,
+    int_form,
     poly,
     poly_shift_operator,
-    series_product,
+    series_form,
     shift_subset_sum,
     subset_series,
 )
@@ -311,21 +312,23 @@ def _egf_moment_eval(f: Poly, egfs: Sequence[Poly], a: Fraction = Fraction(1)) -
     """E[f(a x + Y)] for a Y of moment egf G(t) = sum_j M_j t^j / j! =
     prod(egfs): for d = deg f, sum_m f_m sum_i C(m, i) a^i M_{m-i} x^i, whose
     x^i coefficient a^i / i! sum_j (i+j)! f_{i+j} G_j is read off one
-    truncated series product of the egfs and f reversed."""
+    truncated series product of f reversed and the egfs, on integer
+    numerators.  f comes first, so the product skips its zero coefficients
+    (all but one of a monomial's)."""
     if not f:
         return ZERO
     d = len(f) - 1
-    f_rev = tuple(f[m] * factorial(m) for m in range(d, -1, -1))
-    # corr[d - i] = sum_j (i+j)! f_{i+j} G_j: only t^0..t^d of the product are read
-    corr = series_product((*egfs, f_rev), d)
-    corr += (Fraction(0),) * (d + 1 - len(corr))
+    f_nums, f_den = int_form(f)
+    f_rev = [f_nums[m] * factorial(m) for m in range(d, -1, -1)]
+    # corr[d - i] = sum_j (i+j)! f_{i+j} G_j over den: only t^0..t^d of the product are read
+    corr, den = series_form([(f_rev, f_den), *(int_form(g[: d + 1]) for g in egfs)], d)
+    corr += [0] * (d + 1 - len(corr))
     if not a:
-        return corr[d:] if corr[d] else ZERO
+        return (Fraction(corr[d], den),) if corr[d] else ZERO
     p, q = a.numerator, a.denominator
-    out, scale_num, scale_den = [], 1, 1
+    out, scale_num, scale_den = [], 1, den
     for i in range(d + 1):
-        c = corr[d - i]
-        out.append(Fraction(c.numerator * scale_num, c.denominator * scale_den))
+        out.append(Fraction(corr[d - i] * scale_num, scale_den))
         scale_num, scale_den = scale_num * p, scale_den * (i + 1) * q
     while out and not out[-1]:  # G_0 = 0 (lemma 4 at even k) zeroes f_d a^d G_0
         out.pop()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import csv
 import dataclasses
+import enum
 import hashlib
 import inspect
 import io
@@ -16,7 +17,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,17 +144,35 @@ _json_strings = st.one_of(
     st.text(max_size=12),
     st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€\u2028😀", "", "x^2 - x + 1/6"]),
 )
-_json_flat_values = st.one_of(st.integers(), st.booleans(), st.none(), _json_strings,
-                              st.lists(_json_strings, max_size=4), st.lists(st.integers(), max_size=4))
+
+
+class _Level(enum.IntEnum):
+    """An int subclass, which the row writer takes by its isinstance chain."""
+
+    LOW = -3
+    HIGH = 12
+
+
+_json_ints = st.one_of(st.integers(), st.sampled_from(_Level))
+_json_flat_values = st.one_of(_json_ints, st.booleans(), st.none(), _json_strings,
+                              st.lists(_json_strings, max_size=4), st.lists(_json_ints, max_size=4))
 _json_rows = st.dictionaries(_json_strings, _json_flat_values, max_size=6)
-# a verify report: floats (elapsed_ms) and rows nested in rows (inputs)
+# a verify report: floats (elapsed_ms) and rows nested in rows (inputs),
+# some of them Mappings that are not dicts
 _json_nested_rows = st.recursive(
     _json_rows,
     lambda rows: st.dictionaries(
-        _json_strings, st.one_of(_json_flat_values, st.floats(allow_nan=False, allow_infinity=False), rows),
+        _json_strings, st.one_of(_json_flat_values, st.floats(allow_nan=False, allow_infinity=False), rows,
+                                 rows.map(MappingProxyType)),
         max_size=5),
     max_leaves=12,
 )
+
+
+def _dumps(row, pad):
+    """json.dumps(row, indent=2) with pad after every line break; a Mapping
+    that is not a dict is dumped as the dict of its items."""
+    return json.dumps(row, indent=2, default=dict).replace("\n", "\n" + pad)
 
 
 class TestTablesSerialization:
@@ -170,12 +189,18 @@ class TestTablesSerialization:
     @settings(max_examples=300, deadline=None)
     @given(_json_rows, st.sampled_from(["", "    "]))
     def test_row_writer_matches_json_dumps(self, row, pad):
-        assert cli._json_row(row, pad) == json.dumps(row, indent=2).replace("\n", "\n" + pad)
+        assert cli._json_row(row, pad) == _dumps(row, pad)
 
     @settings(max_examples=300, deadline=None)
     @given(_json_nested_rows, st.sampled_from(["", "  "]))
     def test_row_writer_matches_json_dumps_on_nested_rows(self, row, pad):
-        assert cli._json_row(row, pad) == json.dumps(row, indent=2).replace("\n", "\n" + pad)
+        assert cli._json_row(row, pad) == _dumps(row, pad)
+        assert cli._json_row(MappingProxyType(row), pad) == _dumps(row, pad)
+
+    def test_row_writer_takes_other_types_by_their_kind(self):
+        row = {"level": _Level.HIGH, "levels": [_Level.LOW, 3], "inputs": MappingProxyType({"n": _Level.LOW}),
+               "ok": True, "none": None, "ms": 1.5}
+        assert cli._json_row(row, "  ") == _dumps(row, "  ")
 
     def test_row_writer_pads_a_tables_row(self):
         row = cli._tables_row(3)

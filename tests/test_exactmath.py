@@ -24,6 +24,7 @@ from bek.exactmath import (
     harmonic,
     harmonic_second,
     harmonic_shifted,
+    int_form,
     is_exact,
     pochhammer,
     pochhammer_parts,
@@ -37,6 +38,7 @@ from bek.exactmath import (
     poly_shift_operator,
     poly_sub,
     rising_weights,
+    series_form,
     series_product,
     series_work,
     subset_series,
@@ -402,6 +404,29 @@ class TestIntegerKernel:
         assert _all_fractions(out)
         assert series_product(iter(factors), d) == out
 
+    @given(st.lists(st.one_of(small_polys, wide_polys), max_size=5), st.integers(-1, 12))
+    def test_series_form_is_the_product_over_the_product_of_denominators(self, factors, d):
+        # the forms are not cut at t^d: series_form cuts the product
+        forms = [int_form(f) for f in factors]
+        nums, den = series_form(forms, d)
+        assert den == math.prod(f_den for _, f_den in forms)
+        assert all(type(v) is int for v in nums) and len(nums) <= max(d + 1, 0)
+        product = series_product(factors, d)
+        assert [Fraction(v, den) for v in nums] == [*product, *[0] * (len(nums) - len(product))]
+        assert series_form(iter(forms), d) == (nums, den)
+
+    def test_series_form_frozen(self):
+        # the empty product, with nothing kept below t^0
+        assert series_form([], 3) == ([1], 1)
+        assert series_form([], -1) == ([], 1)
+        assert series_form([([1, 2], 3)], -1) == ([], 3)
+        # factors shorter than d + 1: (1 + t)(1 + t)/2, kept whole
+        assert series_form([([1, 1], 1), ([1, 1], 2)], 5) == ([1, 2, 1], 2)
+        # a zero factor, and numerators neither reduced nor trimmed
+        assert series_form([([1, 2], 3), ([], 5)], 4) == ([0], 15)
+        assert series_form([([2], 4), ([3], 6)], 0) == ([6], 24)
+        assert series_form([([0, 0, 1], 1), ([1, 1], 1)], 1) == ([0, 0], 1)
+
     def test_series_product_frozen(self):
         # 1/(1 - t) squared is sum (m + 1) t^m
         geometric = poly([1] * 8)
@@ -534,8 +559,10 @@ class TestLayering:
     `_taylor_shift`, ...) or reads one off the module: the kernel's
     helpers are reached only through its public routines.  Integer
     numerators over one denominator do cross the boundary: the kernel's
-    `int_form` forms them, `sequences.appell` takes them, and `identities`
-    reads a line's Appell numbers in that form (`_appell_line`)."""
+    `int_form` forms them and `series_form` multiplies series in them,
+    `sequences.appell` takes them, `identities` reads a line's Appell
+    numbers (`_appell_line`) and a left side's slot products
+    (`_slot_product`) in that form, and `umbral` its moment products."""
 
     def test_no_module_imports_a_private_kernel_name(self):
         package = Path(bek.__file__).parent
@@ -557,6 +584,20 @@ class TestLayering:
         (stmt,) = body
         assert isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call)
         assert getattr(stmt.value.func, "id", None) == kernel
+
+    def test_the_kernel_keeps_one_product_loop(self):
+        # series_product is series_form of the factors' forms, and only
+        # series_form and subset_series form a truncated product
+        functions = {node.name: node for node in ast.parse(Path(exactmath.__file__).read_text()).body
+                     if isinstance(node, ast.FunctionDef)}
+        body = functions["series_product"].body[1:]
+        assert len(body) == 1 and isinstance(body[0], ast.Return)
+        assert [call.func.id for call in ast.walk(body[0]) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) in {"series_form", "_truncated_product", "_mul_into"}] == [
+            "series_form"]
+        assert {name for name, node in functions.items() if any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_truncated_product"
+            for call in ast.walk(node))} == {"series_form", "subset_series"}
 
     def test_the_kernel_keeps_one_series_representation(self):
         # every left side is a product of number series: no function of the

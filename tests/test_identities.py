@@ -27,6 +27,7 @@ from bek.exactmath import (
     poly_mul,
     poly_scale,
     poly_sub,
+    series_form,
     series_product,
     subset_series,
 )
@@ -847,17 +848,29 @@ def _without(factors, power):
     return factors
 
 
-# The kernel's two series products, as `_corrupted` wraps them.
-SERIES_KERNELS = {"series_product": series_product, "subset_series": subset_series}
+def _form_without(forms, power):
+    """The integer forms (numerators, denominator) with the t^power
+    numerator of the last one dropped."""
+    forms = list(forms)
+    if forms and len(forms[-1][0]) > power:
+        nums, den = forms[-1]
+        forms[-1] = ([*nums[:power], 0, *nums[power + 1:]], den)
+    return forms
+
+
+# The kernel's three series products, as `_corrupted` wraps them, each with
+# the way it drops a coefficient of its last factor.
+SERIES_KERNELS = {"series_product": (series_product, _without), "subset_series": (subset_series, _without),
+                  "series_form": (series_form, _form_without)}
 
 
 def _corrupted(name, power):
-    kernel = SERIES_KERNELS[name]
-    return lambda factors, *rest: kernel(_without(factors, power), *rest)
+    kernel, without = SERIES_KERNELS[name]
+    return lambda factors, *rest: kernel(without(factors, power), *rest)
 
 
-# The displays whose sides read their sums off `series_product` or
-# `subset_series`: all but gamma-sum's.
+# The displays whose sides read their sums off `series_product`,
+# `subset_series` or `series_form`: all but gamma-sum's.
 SERIES_DISPLAYS = [key for key in STATEMENTS if key != ("gamma-sum", "")]
 
 
@@ -868,9 +881,9 @@ def _first_points_from_three(name):
 
 
 class TestCorruptedSeriesProduct:
-    """A `series_product` or `subset_series` without the t^1 or the t^2
-    coefficient of its last factor is caught by every display that calls
-    one, under at least one of the two."""
+    """A `series_product`, `subset_series` or `series_form` without the t^1
+    or the t^2 coefficient of its last factor is caught by every display
+    that calls one, under at least one of the two."""
 
     def test_the_list_names_every_series_display(self, monkeypatch):
         seen = set()
@@ -1312,10 +1325,11 @@ class TestNumberSeriesDesign:
             # one product per line: no loop forms a product or a slot
             # product, but the jet's loop over its Leibniz terms, which a
             # line with no eps-slot runs once (test_one_slot_product_per_line)
-            assert not any(_repeated_calls(body, {"series_product", "_slot_product", *NUMBER_LHS_CALLS})
+            assert not any(_repeated_calls(body, {"series_product", "series_form", "_slot_product",
+                                                  *NUMBER_LHS_CALLS})
                            for body in bodies if body is not functions["_jet_lhs"]), name
         assert [call.func.id for call in ast.walk(functions["_slot_product"]) if isinstance(call, ast.Call)
-                and getattr(call.func, "id", None) == "series_product"] == ["series_product"]
+                and getattr(call.func, "id", None) in {"series_product", "series_form"}] == ["series_form"]
         (call,) = [call for call in ast.walk(functions["_theorem_lhs"]) if isinstance(call, ast.Call)
                    and getattr(call.func, "id", None) in NUMBER_LHS_CALLS]
         assert call.func.id == "_jet_lhs" and ast.unparse(call.args[3]) == "()"
@@ -1338,7 +1352,8 @@ class TestNumberSeriesDesign:
         ns, a_vec = range(11), (F(5, 4),)
         expected = [poly_scale(factorial(n) / exactmath.pochhammer(F(5, 4), n), coeff) for n, coeff in
                     enumerate(weighted_convolution(euler_poly, [exactmath.rising_weights(F(5, 4), 10)], 10))]
-        monkeypatch.setattr(identities, "series_product", lambda *args: pytest.fail("one slot was multiplied"))
+        for name in ("series_product", "series_form"):
+            monkeypatch.setattr(identities, name, lambda *args: pytest.fail("one slot was multiplied"))
         assert identities._theorem_lhs(euler_poly, ns, a_vec) == expected
 
     def test_the_scans_see_loops_and_nested_calls(self):
@@ -1369,8 +1384,12 @@ class TestCorruptedNumberSeries:
         # h_1 = P_1(0) sum_i w_i(1) is not 0 in either family, and it is the
         # x^(n-1) coefficient's one number
         real = identities._slot_product
-        monkeypatch.setattr(identities, "_slot_product", lambda *args: [F(0) if j == 1 else h_j
-                                                                         for j, h_j in enumerate(real(*args))])
+
+        def without_h1(*args):
+            nums, den = real(*args)
+            return [0 if j == 1 else h_j for j, h_j in enumerate(nums)], den
+
+        monkeypatch.setattr(identities, "_slot_product", without_h1)
         assert [key for key, (lhs, rhs) in self._sides().items() if lhs == rhs] == []
 
     def test_corrupted_p1_at_zero_as_the_left_side_reads_it(self, monkeypatch):
@@ -1596,7 +1615,8 @@ class TestOneAppellSum:
         displays = {fn.__name__ for entry in REGISTRY.values() for _, fn in entry.displays}
         assert {name for name in displays if "appell" in _called_names(functions[name])} == {"_corollary6"}
         assert _callers(SOURCES["identities.py"], {"_number_form"}) == {"_appell_line", "_corollary6"}
-        assert _callers(SOURCES["identities.py"], {"int_form"}) == {"_number_form", "_appell_line", "_exponential_lhs"}
+        assert _callers(SOURCES["identities.py"], {"int_form"}) == {"_number_form", "_appell_line", "_slot_product"}
+        assert _callers(SOURCES["identities.py"], {"series_form"}) == {"_appell_line", "_slot_product"}
 
     def test_the_numerator_plumbing_is_gone(self):
         tree = ast.parse(SOURCES["identities.py"])

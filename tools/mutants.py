@@ -65,8 +65,6 @@ TIMEOUT_S = 20
 
 # The survivors that are equivalent to their function: (function, site, reason).
 EQUIVALENT = {
-    ('_appell_line', 'int 1 -> 2 in `top + 1` of the assignment to `(nums, den)`',
-     'one more Appell number, 0 past the product cut after top, which no m of a line reads'),
     ('_corollary10_first', 'int 1 -> 2 in `_number_series(.. 1 ..)` of the assignment to `s`',
      'the series from l = 2: its l = 1 term has the factor H_0 = 0'),
     ('_corollary10_second', 'int 1 -> 2 in `_number_series(.. 1 ..)` of the assignment to `s`',
@@ -96,8 +94,8 @@ EQUIVALENT = {
      'one more term, l = top + 1, which every product cut after top drops and no caller indexes'),
     ('_reciprocals', 'int 1 -> 2 in `n + 1` of the `return`',
      'one more weight, which the zip with P_0(0)..P_top(0) drops'),
-    ('_slot_product', 'int 1 -> 2 in `top + 1` of the assignment to `at_zero`',
-     'one more P_l(0), which the zips with the weights drop'),
+    ('_slot_product', 'int 1 -> 2 in `top + 1` of the assignment to `(at_zero, at_den)`',
+     'one more P_l(0), which the zips with the weights drop; its denominator scales every numerator alike'),
     ('_subset_series_rhs', 'int 1 -> 2 in `top + 1` of the `return`',
      'one more series term, 0 past the cut of q, which the product cut after top drops'),
     ('_theorem3', 'int 1 -> 2 in `max(ns) + 1` of the assignment to `s`',
