@@ -714,9 +714,9 @@ class TestMcCommand:
     # change that output, which then updates them and says so.  Its one
     # block is sampled on one thread, whatever the CPU count.
     @pytest.mark.parametrize("fmt, digest", [
-        ("json", "04775212ea1dff8a5225f915938055723389f76725d8c5e98116d74a9e185213"),
-        ("csv", "f4ac668a63223c53d335fef740181668ea6935bd4d693b1875a840239c2d2e85"),
-        ("text", "86313fe44f9542c9429b998aa5abe4d369d44b7bc4c1a964c00e9297cb82226d"),
+        ("json", "79127e9ea90992aa07ae82b594f4b59acb7a8a670b27f50c6badab062267ac3b"),
+        ("csv", "db49ff85714b23ecebb0f140dd4e1e3a746007f0ac30ea7a4ade00ccf20bd860"),
+        ("text", "9490c195992763764ddce7a6e2de384aaa85b6cd26a0eb2c56f2ba3a2e87c8e6"),
     ])
     def test_digest(self, fmt, digest):
         code, out, _ = _run(RunConfig(command="mc", samples=20_000, format=fmt))

@@ -45,6 +45,26 @@ def _walk_normalization(a_vec, n):
                 for parts in composition_parts(n, len(a_vec))), F(0))
 
 
+def _column_draws(seed: int, block: int, shapes, m: int) -> np.ndarray:
+    """A block's (m, k) draw matrix regenerated one column at a time, column
+    j from the seed sequence with spawn key (block, j)."""
+    streams = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block, j))))
+               for j in range(len(shapes)))
+    return np.column_stack([rng.standard_gamma(a, size=m) for rng, a in zip(streams, shapes)])
+
+
+def _sampled_draws(monkeypatch, q: MomentQuery) -> list[np.ndarray]:
+    """The draw matrices that dirichlet_moment_mc hands to block_values, one
+    per block, on one thread."""
+    chunks, values = [], stochastic.block_values
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(stochastic, "block_values",
+                        lambda draws, l_vec: chunks.append(draws.copy()) or values(draws, l_vec))
+    dirichlet_moment_mc(q)
+    per_block = -(-BLOCK_SIZE // stochastic.CHUNK_ROWS)
+    return [np.concatenate(chunks[i:i + per_block]) for i in range(0, len(chunks), per_block)]
+
+
 def _reference_block_values(draws: np.ndarray, l_vec) -> np.ndarray:
     """Row-wise monomial: normalize each row, raise to float powers, multiply."""
     weights = draws / draws.sum(axis=1, keepdims=True)
@@ -213,6 +233,31 @@ class TestSampler:
         assert np.array_equal(one, two)
         assert not np.array_equal(one, other)
 
+    def test_column_j_draws_from_the_stream_with_spawn_key_block_j(self, monkeypatch):
+        # column j of block b is SeedSequence(entropy=seed, spawn_key=(b, j)),
+        # which is also block_generator(seed, b).spawn(k)[j]
+        q = MomentQuery((F(1), F(2), F(1, 2)), (2, 1, 3), BLOCK_SIZE + 17, 13)
+        shapes = [float(a) for a in q.a_vec]
+        blocks = _sampled_draws(monkeypatch, q)
+        assert [len(draws) for draws in blocks] == [BLOCK_SIZE, 17]
+        for block, draws in enumerate(blocks):
+            assert np.array_equal(draws, _column_draws(q.seed, block, shapes, len(draws)))
+            children = block_generator(q.seed, block).spawn(q.k)
+            for j, (rng, a) in enumerate(zip(children, shapes)):
+                assert np.array_equal(rng.standard_gamma(a, size=len(draws)), draws[:, j])
+
+    def test_no_two_columns_share_a_stream(self, monkeypatch):
+        # equal shapes in one block: a stream reused for every column would
+        # give equal columns, and weights of 1/4 with mean 1/16, not 1/18
+        q = MomentQuery((F(2),) * 4, (1, 1, 0, 0), BLOCK_SIZE, 3)
+        (draws,) = _sampled_draws(monkeypatch, q)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not np.array_equal(draws[:, i], draws[:, j])
+        est = dirichlet_moment_mc(dataclasses.replace(q, samples=200_000))
+        assert est.exact == F(2 * 2, 8 * 9)
+        assert est.within(4.0)
+
     @pytest.mark.parametrize("shape", [F(1, 2), F(1), F(7, 3)])
     def test_gamma_raw_moments(self, shape):
         # n-th raw moment of the unit-scale gamma is the rising factorial
@@ -282,7 +327,7 @@ class TestMonteCarlo:
         est = dirichlet_moment_mc(q)
         values = []
         for block, m in enumerate((BLOCK_SIZE, BLOCK_SIZE, 17)):
-            draws = block_generator(q.seed, block).standard_gamma([1.0, 2.0, 0.5], size=(m, 3))
+            draws = _column_draws(q.seed, block, [1.0, 2.0, 0.5], m)
             values.append(_reference_block_values(draws, q.l_vec))
         assert est.mean == pytest.approx(float(np.concatenate(values).mean()), rel=1e-12)
 
@@ -526,10 +571,10 @@ class TestBlockThreads:
 
 
 class TestRowChunks:
-    """A block's draws are made CHUNK_ROWS rows at a time.  The generator
-    hands out its stream one variate at a time, in row order, and a row's
-    monomial reads that row alone, so chunked draws and their values equal
-    one whole-block call."""
+    """A block's draws are made CHUNK_ROWS rows at a time.  Each column
+    consumes its own stream in order, and a row's monomial reads that row
+    alone, so chunked draws of each column and their values equal one
+    whole-column call per column."""
 
     @settings(max_examples=40, deadline=None)
     @given(shapes=st.lists(st.one_of(st.just(1.0), st.floats(1 / 20, 1e8)), min_size=2, max_size=5),
@@ -539,10 +584,15 @@ class TestRowChunks:
         l_vec = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
         cuts = sorted(set(data.draw(st.lists(st.integers(1, m - 1), max_size=6))))
         seed = data.draw(st.integers(0, 2**32))
-        whole = block_generator(seed, 0).standard_gamma(shapes, size=(m, k))
-        rng = block_generator(seed, 0)
-        chunks = [rng.standard_gamma(shapes, size=(stop - start, k))
-                  for start, stop in zip([0, *cuts], [*cuts, m])]
+        whole = np.column_stack([rng.standard_gamma(a, size=m)
+                                 for rng, a in zip(block_generator(seed, 0).spawn(k), shapes)])
+        columns = block_generator(seed, 0).spawn(k)
+        chunks = []
+        for start, stop in zip([0, *cuts], [*cuts, m]):
+            draws = np.empty((k, stop - start))
+            for rng, a, column in zip(columns, shapes, draws):
+                rng.standard_gamma(a, size=stop - start, out=column)
+            chunks.append(draws.T)
         assert np.array_equal(np.concatenate(chunks), whole)
         assert np.array_equal(np.concatenate([block_values(c, l_vec) for c in chunks]),
                               block_values(whole, l_vec))
